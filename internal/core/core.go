@@ -65,6 +65,13 @@ type SlotProblem struct {
 	T      int     // 1-based slot index; the variance weight is (t-1)/t
 	Budget float64 // B(t), the server's available throughput this slot
 	Users  []UserInput
+	// Values, when non-empty, is the lowered objective table the caller has
+	// already computed: Values[n*Levels+q-1] must be Objective(params, T,
+	// Users[n], q), as ObjectiveRow writes it. Lowering is per-user work, so
+	// an engine that builds its users in parallel fills the rows there and
+	// the allocators alias them instead of recomputing on the serial path.
+	// Keep it one contiguous slab: the solver walks it item by item.
+	Values []float64
 }
 
 // Validate reports structural errors in the problem.
@@ -85,6 +92,9 @@ func (p *SlotProblem) Validate(params Params) error {
 		if u.Delta < 0 || u.Delta > 1 {
 			return fmt.Errorf("core: user %d has delta %v outside [0,1]", i, u.Delta)
 		}
+	}
+	if want := len(p.Users) * params.Levels; len(p.Values) != 0 && len(p.Values) != want {
+		return fmt.Errorf("core: %d pre-lowered values, want none or %d", len(p.Values), want)
 	}
 	return nil
 }
@@ -117,6 +127,32 @@ func ObjectiveTerms(params Params, t int, u UserInput, q int) Terms {
 func Objective(params Params, t int, u UserInput, q int) float64 {
 	terms := ObjectiveTerms(params, t, u, q)
 	return terms.Quality - terms.Delay - terms.Variance
+}
+
+// ObjectiveRow writes h_n(q) for q = 1..len(dst) into dst: user n's row of
+// the lowered value table (see SlotProblem.Values).
+func ObjectiveRow(dst []float64, params Params, t int, u UserInput) {
+	for q := range dst {
+		dst[q] = Objective(params, t, u, q+1)
+	}
+}
+
+// valueTable returns the slot's lowered n x Levels value table: p.Values
+// when the caller pre-lowered it, else computed into buf (regrown when too
+// small) by the same ObjectiveRow calls.
+func valueTable(params Params, p *SlotProblem, buf []float64) []float64 {
+	if len(p.Values) != 0 {
+		return p.Values
+	}
+	n, l := len(p.Users), params.Levels
+	if cap(buf) < n*l {
+		buf = make([]float64, n*l)
+	}
+	buf = buf[:n*l]
+	for i := range p.Users {
+		ObjectiveRow(buf[i*l:(i+1)*l], params, p.T, p.Users[i])
+	}
+	return buf
 }
 
 // Allocation is the outcome of one slot's quality allocation.
@@ -199,13 +235,11 @@ func fillTrace(tr *SlotTrace, branch string, pass knapsack.PassTrace) {
 // toKnapsack lowers a slot problem into the generic nonlinear knapsack form.
 func toKnapsack(params Params, p *SlotProblem) *knapsack.Problem {
 	items := make([]knapsack.Item, len(p.Users))
+	l := params.Levels
+	values := valueTable(params, p, nil)
 	for i, u := range p.Users {
-		values := make([]float64, params.Levels)
-		for q := 1; q <= params.Levels; q++ {
-			values[q-1] = Objective(params, p.T, u, q)
-		}
 		items[i] = knapsack.Item{
-			Values:  values,
+			Values:  values[i*l : (i+1)*l : (i+1)*l],
 			Weights: u.Rate,
 			Cap:     u.Cap,
 		}

@@ -112,6 +112,14 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(params); err == nil {
 		t.Error("short rate table should be rejected")
 	}
+	p.Values = make([]float64, params.Levels)
+	if err := p.Validate(params); err != nil {
+		t.Errorf("one value row per user rejected: %v", err)
+	}
+	p.Values = make([]float64, params.Levels+1)
+	if err := p.Validate(params); err == nil {
+		t.Error("a value table that is not users x levels should be rejected")
+	}
 }
 
 func randomSlotProblem(rng *rand.Rand, params Params, n int) *SlotProblem {

@@ -38,25 +38,23 @@ type lowerer struct {
 	prob   knapsack.Problem
 }
 
-// lower rebuilds the knapsack view of p on the allocator's scratch.
-// The float arithmetic matches toKnapsack exactly (same Objective calls in
-// the same order), keeping solutions bit-identical to the DVGreedy path.
+// lower rebuilds the knapsack view of p on the allocator's scratch. The
+// value table is toKnapsack's (p.Values aliased when present, else the same
+// ObjectiveRow calls in the same order), keeping solutions bit-identical to
+// the DVGreedy path.
 func (a *lowerer) lower(params Params, p *SlotProblem) *knapsack.Problem {
 	n, levels := len(p.Users), params.Levels
-	if cap(a.values) < n*levels {
-		a.values = make([]float64, n*levels)
+	vals := valueTable(params, p, a.values)
+	if len(p.Values) == 0 {
+		a.values = vals // keep the (possibly regrown) scratch, never the caller's slab
 	}
 	if cap(a.items) < n {
 		a.items = make([]knapsack.Item, n)
 	}
-	vals, items := a.values[:n*levels], a.items[:n]
+	items := a.items[:n]
 	for i := range p.Users {
 		u := &p.Users[i]
-		v := vals[i*levels : (i+1)*levels : (i+1)*levels]
-		for q := 1; q <= levels; q++ {
-			v[q-1] = Objective(params, p.T, *u, q)
-		}
-		items[i] = knapsack.Item{Values: v, Weights: u.Rate, Cap: u.Cap}
+		items[i] = knapsack.Item{Values: vals[i*levels : (i+1)*levels : (i+1)*levels], Weights: u.Rate, Cap: u.Cap}
 	}
 	a.prob = knapsack.Problem{Items: items, Budget: p.Budget}
 	return &a.prob

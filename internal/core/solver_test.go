@@ -68,6 +68,44 @@ func TestSolverAllocatorMatchesDVGreedy(t *testing.T) {
 	}
 }
 
+// TestPreLoweredValuesMatchRecomputed interleaves problems that carry their
+// value table (SlotProblem.Values, written by ObjectiveRow as an engine's
+// build does) with problems that do not, on ONE allocator of each kind:
+// every allocation must be bit-identical to lowering from scratch, and a
+// solve without a table must not write into the slab an earlier problem
+// handed over.
+func TestPreLoweredValuesMatchRecomputed(t *testing.T) {
+	params := DefaultSimParams()
+	rng := rand.New(rand.NewSource(80))
+	solver, warm := NewSolverAllocator(), NewWarmAllocator()
+	var slab, slabCopy []float64
+	for trial := 0; trial < 200; trial++ {
+		p := randomSlotProblem(rng, params, 1+rng.Intn(40))
+		want := DVGreedy{}.Allocate(params, p)
+		if trial%2 == 0 {
+			slab = make([]float64, len(p.Users)*params.Levels)
+			for i, u := range p.Users {
+				ObjectiveRow(slab[i*params.Levels:(i+1)*params.Levels], params, p.T, u)
+			}
+			slabCopy = append(slabCopy[:0], slab...)
+			p.Values = slab
+			if err := p.Validate(params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		what := fmt.Sprintf("trial %d (pre-lowered %v)", trial, p.Values != nil)
+		equalAllocations(t, want, DVGreedy{}.Allocate(params, p), what+" dvgreedy")
+		equalAllocations(t, want, solver.Allocate(params, p), what+" solver")
+		equalAllocations(t, want, solver.AllocateShared(params, p), what+" solver shared")
+		equalAllocations(t, want, warm.Allocate(params, p), what+" warm")
+		for i := range slab {
+			if math.Float64bits(slab[i]) != math.Float64bits(slabCopy[i]) {
+				t.Fatalf("%s: an allocator wrote into the caller's value slab at %d", what, i)
+			}
+		}
+	}
+}
+
 // TestSolverAllocatorLevelsNotAliased guards the Clone contract: the Levels
 // slice handed to the caller must survive the allocator's next solve (flight
 // recorder records retain it).

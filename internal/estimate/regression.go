@@ -223,12 +223,12 @@ func solveGaussInto(a [][]float64, b, x []float64) error {
 	return nil
 }
 
-// SlidingWindow keeps the most recent capacity samples of a scalar series
-// and predicts the next value by linear extrapolation over the window. It is
-// the building block of the per-axis 6-DoF motion predictor.
+// SlidingWindow keeps the most recent samples of a scalar series and
+// predicts the next value by linear extrapolation over the window. It is
+// the building block of the per-axis 6-DoF motion predictor. The window's
+// capacity is the capacity of its sample buffer, fixed at construction.
 type SlidingWindow struct {
-	capacity int
-	samples  []float64
+	samples []float64
 }
 
 // NewSlidingWindow returns a window holding up to capacity samples
@@ -237,12 +237,20 @@ func NewSlidingWindow(capacity int) *SlidingWindow {
 	if capacity < 2 {
 		capacity = 2
 	}
-	return &SlidingWindow{capacity: capacity}
+	w := WindowOver(make([]float64, capacity))
+	return &w
+}
+
+// WindowOver returns an empty window that stores its samples in buf and
+// holds up to len(buf) of them, so a caller with several windows can back
+// them all with one allocation.
+func WindowOver(buf []float64) SlidingWindow {
+	return SlidingWindow{samples: buf[:0:len(buf)]}
 }
 
 // Push appends a sample, evicting the oldest if the window is full.
 func (s *SlidingWindow) Push(x float64) {
-	if len(s.samples) == s.capacity {
+	if len(s.samples) == cap(s.samples) {
 		copy(s.samples, s.samples[1:])
 		s.samples[len(s.samples)-1] = x
 		return
@@ -256,6 +264,12 @@ func (s *SlidingWindow) Len() int { return len(s.samples) }
 // PredictNext extrapolates the series one step ahead using a linear fit over
 // the window. With fewer than two samples it returns the last sample (or 0
 // when empty).
+//
+// It is FitLinear over the abscissae 0..n-1 evaluated at n, with the sums
+// accumulated in place in FitLinear's order, so the result is bit-identical
+// to building the xs slice and calling it — without allocating. The
+// abscissa sums are small exact integers and det = n^2(n^2-1)/12 >= 1, so
+// FitLinear's singular fallback cannot trigger here.
 func (s *SlidingWindow) PredictNext() float64 {
 	n := len(s.samples)
 	switch n {
@@ -264,13 +278,16 @@ func (s *SlidingWindow) PredictNext() float64 {
 	case 1:
 		return s.samples[0]
 	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
+	var sx, sy, sxx, sxy float64
+	for i, y := range s.samples {
+		x := float64(i)
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
 	}
-	fit, err := FitLinear(xs, s.samples)
-	if err != nil {
-		return s.samples[n-1]
-	}
-	return fit.Predict(float64(n))
+	nf := float64(n)
+	slope := (nf*sxy - sx*sy) / (nf*sxx - sx*sx)
+	intercept := (sy - slope*sx) / nf
+	return LinearFit{Intercept: intercept, Slope: slope}.Predict(nf)
 }

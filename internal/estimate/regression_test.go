@@ -166,3 +166,65 @@ func TestSlidingWindowMinCapacity(t *testing.T) {
 		t.Errorf("capacity should clamp to 2, len = %d", w.Len())
 	}
 }
+
+// predictNextReference is PredictNext as it was first written: build the
+// abscissae 0..n-1, call FitLinear, extrapolate to n.
+func predictNextReference(samples []float64) float64 {
+	n := len(samples)
+	switch n {
+	case 0:
+		return 0
+	case 1:
+		return samples[0]
+	}
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	fit, err := FitLinear(xs, samples)
+	if err != nil {
+		return samples[n-1]
+	}
+	return fit.Predict(float64(n))
+}
+
+// The in-place PredictNext must equal the FitLinear reference bit for bit at
+// every fill level, through eviction, on random and on constant series.
+func TestPredictNextMatchesFitLinearBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	series := map[string]func() float64{
+		"random":   func() float64 { return rng.NormFloat64() * 90 },
+		"small":    func() float64 { return rng.Float64() * 1e-9 },
+		"constant": func() float64 { return 3.5 },
+		"zero":     func() float64 { return 0 },
+	}
+	for name, next := range series {
+		for _, window := range []int{2, 3, 8, 13} {
+			w := NewSlidingWindow(window)
+			var tail []float64
+			for n := 0; n <= window+3; n++ {
+				got, want := w.PredictNext(), predictNextReference(tail)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s window %d after %d pushes: PredictNext %v, reference %v", name, window, n, got, want)
+				}
+				x := next()
+				w.Push(x)
+				if tail = append(tail, x); len(tail) > window {
+					tail = tail[1:]
+				}
+			}
+		}
+	}
+}
+
+func TestPredictNextDoesNotAllocate(t *testing.T) {
+	w := NewSlidingWindow(8)
+	for i := 0; i < 8; i++ {
+		w.Push(float64(i * i))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sink = w.PredictNext(); w.Push(sink) }); allocs != 0 {
+		t.Errorf("PredictNext+Push allocate %v times per call, want 0", allocs)
+	}
+}
+
+var sink float64

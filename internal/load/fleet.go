@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -10,12 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/fleet/coord"
-	"repro/internal/metrics"
-	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
-	"repro/internal/tiles"
 )
 
 // FleetSimConfig parametrizes the deterministic fleet engine: N virtual
@@ -222,14 +219,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	}
 	coordUp := func() bool { return cluster == nil || cluster.Available() }
 	horizon := w.Cfg.HorizonSlots
-	sps := w.Cfg.SlotsPerSecond
-	if sps <= 0 {
-		sps = 60
-	}
-	slotMs := 1000 / sps
-	deadlineMs := float64(sim.DeadlineSlots) * slotMs
-	sizeModel := tiles.NewSizeModel(sim.SizeModelSeed)
-	qoeParams := metrics.QoEParams{Alpha: sim.Params.Alpha, Beta: sim.Params.Beta}
+	env := newSimEnv(w, sim)
+	slotMs, deadlineMs := env.slotMs, env.deadlineMs
 	lm := newLoadMetrics(sim.Metrics)
 
 	// One allocator instance per shard: some allocators keep state, and a
@@ -331,18 +322,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				pendingForgets = append(pendingForgets, s.spec.ID)
 			}
 		}
-		out := SessionOutcome{
-			ID:       s.spec.ID,
-			Slots:    s.acc.Slots(),
-			QoE:      s.acc.QoE(),
-			Quality:  s.acc.AvgQuality(),
-			DelayMs:  s.acc.AvgDelay(),
-			Variance: s.acc.Variance(),
-			Coverage: s.acc.CoverageRate(),
-		}
-		if s.served > 0 {
-			out.MissFrac = float64(s.missed) / float64(s.served)
-		}
+		out := s.outcome()
 		report.Outcomes = append(report.Outcomes, out)
 		report.Completed++
 		lm.observeOutcome(out)
@@ -444,14 +424,12 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	}
 
 	users := make([]core.UserInput, 0, 64)
-	type plan struct {
-		sess    *fleetSession
-		rates   []float64
-		cov     bool
-		cap_    float64
-		dropped bool
-	}
-	plans := make([]plan, 0, 64)
+	levels := sim.Params.Levels
+	var values []float64 // the shard's objective table, one slab (see Simulate)
+	// byShard buckets the active set by owning shard once per slot, in
+	// arrival order; serving holds the sessions of the shard being solved.
+	byShard := make([][]*fleetSession, cfg.Shards)
+	var serving []*fleetSession
 	degrade := make([]float64, cfg.Shards)
 	shardQualSum := make([]float64, cfg.Shards)
 	shardQualCnt := make([]int, cfg.Shards)
@@ -572,18 +550,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			}
 			report.Placements++
 			report.Shards[to].Placed++
-			active = append(active, &fleetSession{
-				simSession: simSession{
-					spec:  spec,
-					trace: w.MotionTrace(spec, 0),
-					caps:  w.CapSlots(spec),
-					pred:  motion.NewPredictor(sim.PredictorWindow),
-					acc:   metrics.NewUserQoE(qoeParams),
-					inj:   chaos.NewInjector(sim.Chaos, spec.ID),
-				},
-				zone:  zone,
-				shard: to,
-			})
+			active = append(active, &fleetSession{simSession: env.newSession(spec), zone: zone, shard: to})
 		}
 		// Departures.
 		next := active[:0]
@@ -613,9 +580,15 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			shardQualSum[i] = 0
 			shardQualCnt[i] = 0
 		}
-		for i := range report.Shards {
-			if c := shardSessionCount(active, i); c > report.Shards[i].PeakSessions {
-				report.Shards[i].PeakSessions = c
+		for i := range byShard {
+			byShard[i] = byShard[i][:0]
+		}
+		for _, s := range active {
+			byShard[s.shard] = append(byShard[s.shard], s)
+		}
+		for i, owned := range byShard {
+			if len(owned) > report.Shards[i].PeakSessions {
+				report.Shards[i].PeakSessions = len(owned)
 			}
 		}
 		for shard := 0; shard < cfg.Shards; shard++ {
@@ -624,46 +597,25 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				rb.Observe(shard, 0)
 				continue // stranded sessions black out in the outage pass
 			}
-			users = users[:0]
-			plans = plans[:0]
+			users, values, serving = users[:0], values[:0], serving[:0]
 			shardDemand := 0.0
-			for _, s := range active {
-				if s.shard != shard || slot < s.outageUntil || s.pendingFlip {
+			for _, s := range byShard[shard] {
+				if slot < s.outageUntil || s.pendingFlip {
 					continue
 				}
-				local := slot - s.spec.ArriveSlot
-				actual := s.trace[local]
-				predicted := s.pred.Predict()
-				if local <= sim.PredictorWindow {
-					predicted = actual
-				}
-				cell := tiles.CellFor(predicted.Pos)
-				sel := tiles.ForView(predicted, sim.Coverage.FoV, sim.Coverage.MarginDeg)
-				rates := sizeModel.RateTable(cell, sel)
-				cap_ := s.caps[local]
-				s.inj.Advance(slot)
-				cap_ *= s.inj.SimCapFactor()
-				cap_ *= degrade[shard]
+				// Growing the slab may move it; rows are only aliased once
+				// the shard's problem is complete.
+				values = slices.Grow(values, levels)[:len(values)+levels]
+				u := s.build(env, slot, degrade[shard], values[len(values)-levels:])
 				// Demand proxy: what the session could usefully take this
 				// slot — its top ladder rate, clipped by its link.
-				top := rates[len(rates)-1]
-				if cap_ < top {
-					top = cap_
+				top := u.Rate[len(u.Rate)-1]
+				if u.Cap < top {
+					top = u.Cap
 				}
 				shardDemand += top
-				users = append(users, core.UserInput{
-					Rate:  rates,
-					Delay: netem.DelayTableMs(rates, cap_, slotMs),
-					Delta: s.delta(),
-					MeanQ: s.meanQ(),
-					Cap:   cap_,
-				})
-				plans = append(plans, plan{
-					sess: s, rates: rates,
-					cov:  sim.Coverage.Covered(predicted, actual),
-					cap_: cap_, dropped: s.inj.Drop(),
-				})
-				s.pred.Observe(actual)
+				users = append(users, u)
+				serving = append(serving, s)
 			}
 			demand[shard] = shardDemand
 			rb.Observe(shard, shardDemand)
@@ -671,22 +623,12 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				continue
 			}
 
-			problem := &core.SlotProblem{T: slot + 1, Budget: budget[shard], Users: users}
-			var allocation core.Allocation
-			var slotTr *core.SlotTrace
+			problem := &core.SlotProblem{T: slot + 1, Budget: budget[shard], Users: users, Values: values}
+			allocation, slotTr := solveSlot(sim, allocs[shard], problem)
 			if sim.Recorder.Enabled() {
-				if ta, ok := allocs[shard].(core.TracingAllocator); ok {
-					slotTr = &core.SlotTrace{TopK: sim.CounterfactualK}
-					allocation = ta.AllocateTraced(sim.Params, problem, slotTr)
-				}
-			}
-			if slotTr == nil {
-				allocation = allocs[shard].Allocate(sim.Params, problem)
-			}
-			if sim.Recorder.Enabled() {
-				ids := make([]uint32, len(plans))
-				for i := range plans {
-					ids[i] = plans[i].sess.spec.ID
+				ids := make([]uint32, len(serving))
+				for i, s := range serving {
+					ids[i] = s.spec.ID
 				}
 				recordSimSlot(sim, slot, problem, allocation, slotTr, ids, regretRef)
 			}
@@ -695,32 +637,13 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			if allocation.Rate > budget[shard] && budget[shard] > 0 {
 				overloadMs = (allocation.Rate/budget[shard] - 1) * slotMs
 			}
-			for i, p := range plans {
+			for i, s := range serving {
 				q := allocation.Levels[i]
-				if bcap := sim.Breaker.Cap(p.sess.spec.ID); bcap > 0 && q > bcap {
+				if bcap := sim.Breaker.Cap(s.spec.ID); bcap > 0 && q > bcap {
 					q = bcap
 					report.DegradedSlots++
 				}
-				rate := p.rates[q-1]
-				delay := netem.DelayMs(rate, p.cap_, slotMs) + overloadMs + stallMs
-				covered := p.cov
-				missed := p.dropped || delay > deadlineMs
-				if missed {
-					covered = false
-					delay = deadlineMs
-				}
-				s := p.sess
-				s.served++
-				if missed {
-					s.missed++
-				}
-				s.t++
-				if covered {
-					s.covered++
-					s.sumViewedQ += float64(q)
-				}
-				s.acc.Observe(q, covered, delay)
-				s.acc.ObserveFrame(!missed)
+				_, _, missed := s.settle(env, q, overloadMs, stallMs)
 
 				quality := float64(q)
 				if missed {
@@ -900,15 +823,4 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// shardSessionCount counts the active sessions owned by one shard.
-func shardSessionCount(active []*fleetSession, shard int) int {
-	n := 0
-	for _, s := range active {
-		if s.shard == shard {
-			n++
-		}
-	}
-	return n
 }

@@ -1,0 +1,139 @@
+package load
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// relowering hides the engine's pre-lowered value table from the production
+// allocator, forcing it to recompute the table on the serial path as it did
+// before the build wrote it. It counts the problems that carried a table so
+// a differential cannot pass by comparing the fallback with itself.
+type relowering struct {
+	inner      *core.SolverAllocator
+	t          *testing.T
+	preLowered *int
+}
+
+func (a relowering) strip(params core.Params, p *core.SlotProblem) *core.SlotProblem {
+	if err := p.Validate(params); err != nil {
+		a.t.Errorf("engine built an invalid slot problem: %v", err)
+	}
+	if len(p.Values) != 0 {
+		*a.preLowered++
+	}
+	q := *p
+	q.Values = nil
+	return &q
+}
+
+func (a relowering) Name() string { return a.inner.Name() }
+
+func (a relowering) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
+	return a.inner.Allocate(params, a.strip(params, p))
+}
+
+func (a relowering) AllocateShared(params core.Params, p *core.SlotProblem) core.Allocation {
+	return a.inner.AllocateShared(params, a.strip(params, p))
+}
+
+func (a relowering) AllocateTraced(params core.Params, p *core.SlotProblem, tr *core.SlotTrace) core.Allocation {
+	return a.inner.AllocateTraced(params, a.strip(params, p), tr)
+}
+
+var (
+	_ core.SharedAllocator  = relowering{}
+	_ core.TracingAllocator = relowering{}
+)
+
+// preLoweredCases runs fn over the engine settings the pre-lowered table
+// must be invisible under: serial and sharded builds, recorder off (the
+// shared-allocation path) and on (the traced path). fn gets the base config
+// twice, the second time behind the relowering wrapper.
+func preLoweredCases(t *testing.T, fn func(direct, relowered SimConfig) (a, b any)) {
+	for _, workers := range []int{1, 4} {
+		for _, record := range []bool{false, true} {
+			preLowered := 0
+			base := func() SimConfig {
+				cfg := SimConfig{Workers: workers, Chaos: campaignChaos(), AllocName: "proposed"}
+				if record {
+					cfg.Recorder = obs.NewRecorder(obs.RecorderOptions{RingSize: 64})
+					cfg.CounterfactualK = 2
+				}
+				return cfg
+			}
+			direct, relowered := base(), base()
+			direct.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
+			relowered.NewAllocator = func() core.Allocator {
+				return relowering{inner: core.NewSolverAllocator(), t: t, preLowered: &preLowered}
+			}
+			a, b := fn(direct, relowered)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("workers %d, recorder %v: report differs when the allocator re-lowers", workers, record)
+			}
+			if record && !reflect.DeepEqual(direct.Recorder.Recent(64), relowered.Recorder.Recent(64)) {
+				t.Errorf("workers %d: decision records differ when the allocator re-lowers", workers)
+			}
+			if preLowered == 0 {
+				t.Errorf("workers %d, recorder %v: the engine never handed over a value table", workers, record)
+			}
+		}
+	}
+}
+
+// TestSimPreLoweredMatchesRecomputed: the value table the build shards write
+// must be exactly what the allocator would have computed itself.
+func TestSimPreLoweredMatchesRecomputed(t *testing.T) {
+	w := churnWorkload(t, 600, 400, 23)
+	preLoweredCases(t, func(direct, relowered SimConfig) (any, any) {
+		return mustSimulate(t, w, direct), mustSimulate(t, w, relowered)
+	})
+}
+
+// TestFleetPreLoweredMatchesRecomputed is the same differential through the
+// fleet engine, whose shards share one value slab per slot.
+func TestFleetPreLoweredMatchesRecomputed(t *testing.T) {
+	w := churnWorkload(t, 300, 400, 29)
+	preLoweredCases(t, func(direct, relowered SimConfig) (any, any) {
+		run := func(sim SimConfig) *FleetReport {
+			sim.Chaos = shardKillProfile(150, 1)
+			rep, err := SimulateFleet(w, FleetSimConfig{Sim: sim, Shards: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		return run(direct), run(relowered)
+	})
+}
+
+// TestSimulateSteadyStateAllocs gates the slot loop's allocation rate: on
+// the same sessions, the slots a doubled horizon adds may cost at most 0.05
+// heap allocations per session-slot (the per-slot goroutines of the sharded
+// build, spread over the active set). Set-up allocations are per session and
+// cancel in the difference.
+func TestSimulateSteadyStateAllocs(t *testing.T) {
+	const sessions, horizon = 400, 90
+	mallocs := func(h int) uint64 {
+		w, err := Generate(Config{Shape: Steady, Seed: 3, Sessions: sessions, HorizonSlots: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mustSimulate(t, w, SimConfig{Workers: 2})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(horizon) // warm the runtime's own pools
+	short, long := mallocs(horizon), mallocs(2*horizon)
+	perSlot := (float64(long) - float64(short)) / float64(sessions*horizon)
+	t.Logf("mallocs: %d over %d slots, %d over %d: %.4f per added session-slot", short, horizon, long, 2*horizon, perSlot)
+	if perSlot > 0.05 {
+		t.Errorf("steady-state slot loop allocates %.3f times per session-slot, want <= 0.05", perSlot)
+	}
+}

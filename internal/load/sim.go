@@ -8,12 +8,9 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
-	"repro/internal/tiles"
 	"repro/internal/trace"
 )
 
@@ -135,40 +132,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
-// simSession is one active session's streaming state, mirroring the server's
-// per-session estimators (delta_n and qbar_n are maintained exactly as
-// server.session does).
-type simSession struct {
-	spec  SessionSpec
-	trace motion.Trace
-	caps  []float64
-	pred  *motion.Predictor
-	acc   *metrics.UserQoE
-	inj   *chaos.Injector // nil without a chaos profile
-
-	t          int
-	sumViewedQ float64
-	covered    int
-	missed     int
-	served     int
-
-	// Per-slot build scratch, reused across slots. The rate/delay tables
-	// are consumed by the solve and outcome phases within the same slot,
-	// before the next build overwrites them.
-	selBuf    []tiles.TileID
-	ratesBuf  []float64
-	delaysBuf []float64
-}
-
-func (s *simSession) delta() float64 { return (1 + float64(s.covered)) / float64(1+s.t) }
-
-func (s *simSession) meanQ() float64 {
-	if s.t == 0 {
-		return 0
-	}
-	return s.sumViewedQ / float64(s.t)
-}
-
 // Simulate replays the workload through the full per-slot decision pipeline
 // (prediction, tile selection, rate tables, M/M/1 delay, allocation) in
 // virtual time, with session churn: sessions join the allocation problem at
@@ -176,27 +139,22 @@ func (s *simSession) meanQ() float64 {
 // shared egress: when the allocated total exceeds the budget, the excess
 // serialization time is charged to every active session's delay.
 //
-// The per-slot build phase shards across cfg.Workers goroutines: every
-// active session occupies its arrival-order index, each shard writes only
-// its own sessions' indices and touches only per-session state (predictor,
-// chaos injector, scratch tables), and the merged solve plus the outcome
-// accounting stay serial — so worker count never changes a single bit of
-// the report.
+// Session set-up at arrival and the per-slot build phase shard across
+// cfg.Workers goroutines: every active session occupies its arrival-order
+// index, each shard writes only its own sessions' indices and touches only
+// per-session state (predictor, chaos injector, scratch tables), and the
+// merged solve plus the outcome accounting stay serial — so worker count
+// never changes a single bit of the report. Lowering (the objective table)
+// is per-user work too, so the build writes it and the solve only aliases it.
 func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
 		return nil, fmt.Errorf("load: empty workload")
 	}
 	horizon := w.Cfg.HorizonSlots
-	sps := w.Cfg.SlotsPerSecond
-	if sps <= 0 {
-		sps = 60
-	}
-	slotMs := 1000 / sps
-	deadlineMs := float64(cfg.DeadlineSlots) * slotMs
+	env := newSimEnv(w, &cfg)
+	slotMs := env.slotMs
 	alloc := cfg.NewAllocator()
-	sizeModel := tiles.NewSizeModel(cfg.SizeModelSeed)
-	qoeParams := metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta}
 	lm := newLoadMetrics(cfg.Metrics)
 
 	byArrive := make(map[int][]SessionSpec)
@@ -213,30 +171,13 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	}
 	var active []*simSession
 	users := make([]core.UserInput, 0, 64)
-	type plan struct {
-		sess    *simSession
-		rates   []float64
-		cov     bool
-		cap_    float64
-		dropped bool // chaos lost this slot's content on the wire
-	}
-	plans := make([]plan, 0, 64)
+	levels := cfg.Params.Levels
+	var values []float64 // the slot's n x levels objective table, one slab
 
 	finish := func(s *simSession) {
 		cfg.SLO.Retire(s.spec.ID)
 		cfg.Breaker.Retire(s.spec.ID)
-		out := SessionOutcome{
-			ID:       s.spec.ID,
-			Slots:    s.acc.Slots(),
-			QoE:      s.acc.QoE(),
-			Quality:  s.acc.AvgQuality(),
-			DelayMs:  s.acc.AvgDelay(),
-			Variance: s.acc.Variance(),
-			Coverage: s.acc.CoverageRate(),
-		}
-		if s.served > 0 {
-			out.MissFrac = float64(s.missed) / float64(s.served)
-		}
+		out := s.outcome()
 		report.Outcomes = append(report.Outcomes, out)
 		report.Completed++
 		lm.observeOutcome(out)
@@ -250,25 +191,18 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		regretRef = core.DPOptimal{Resolution: cfg.RegretResolution}
 	}
 
-	// With the recorder off nothing retains the allocation past the slot,
-	// so heap-solver allocators can hand back their own scratch instead of
-	// cloning it (identical values, zero per-slot allocation).
-	var sharedAlloc core.SharedAllocator
-	if sa, ok := alloc.(core.SharedAllocator); ok && !cfg.Recorder.Enabled() {
-		sharedAlloc = sa
-	}
 	var problem core.SlotProblem
 
 	for slot := 0; slot < horizon; slot++ {
-		// Arrivals.
-		for _, spec := range byArrive[slot] {
-			active = append(active, &simSession{
-				spec:  spec,
-				trace: w.MotionTrace(spec, 0),
-				caps:  w.CapSlots(spec),
-				pred:  motion.NewPredictor(cfg.PredictorWindow),
-				acc:   metrics.NewUserQoE(qoeParams),
-				inj:   chaos.NewInjector(cfg.Chaos, spec.ID),
+		// Arrivals: regenerating a session's motion and capacity traces
+		// reads only its spec, so a burst sets up in parallel, each session
+		// landing on its arrival-order index.
+		if specs := byArrive[slot]; len(specs) > 0 {
+			base := len(active)
+			active = append(active, make([]*simSession, len(specs))...)
+			parallelFor(len(specs), cfg.Workers, func(i int) {
+				s := env.newSession(specs[i])
+				active[base+i] = &s
 			})
 		}
 		// Departures.
@@ -294,77 +228,30 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 
 		// Build the slot problem over the active set, sharded by session
 		// index. Every shard reads shared immutable state (size model,
-		// coverage config) and writes only active[i]'s own fields and the
-		// i-th problem row, so the result is identical at any worker count.
-		users = slices.Grow(users[:0], len(active))[:len(active)]
-		plans = slices.Grow(plans[:0], len(active))[:len(active)]
-		parallelFor(len(active), cfg.Workers, func(i int) {
-			s := active[i]
-			local := slot - s.spec.ArriveSlot
-			actual := s.trace[local]
-			predicted := s.pred.Predict()
-			if local <= cfg.PredictorWindow {
-				predicted = actual
-			}
-			cell := tiles.CellFor(predicted.Pos)
-			s.selBuf = tiles.ForViewAppend(s.selBuf[:0], predicted, cfg.Coverage.FoV, cfg.Coverage.MarginDeg)
-			if s.ratesBuf == nil {
-				s.ratesBuf = make([]float64, tiles.Levels)
-				s.delaysBuf = make([]float64, tiles.Levels)
-			}
-			sizeModel.RateTableInto(s.ratesBuf, cell, s.selBuf)
-			cap_ := s.caps[local]
-			s.inj.Advance(slot)
-			// Chaos capacity faults: cliffs scale the link, a blackout zeroes
-			// it (MM1Delay then saturates and the frame misses); a per-slot
-			// drop loses the slot's content outright.
-			cap_ *= s.inj.SimCapFactor()
-			netem.DelayTableMsInto(s.delaysBuf, s.ratesBuf, cap_, slotMs)
-			users[i] = core.UserInput{
-				Rate:  s.ratesBuf,
-				Delay: s.delaysBuf,
-				Delta: s.delta(),
-				MeanQ: s.meanQ(),
-				Cap:   cap_,
-			}
-			plans[i] = plan{
-				sess: s, rates: s.ratesBuf,
-				cov:  cfg.Coverage.Covered(predicted, actual),
-				cap_: cap_, dropped: s.inj.Drop(),
-			}
-			s.pred.Observe(actual)
+		// coverage config) and writes only active[i]'s own fields, the i-th
+		// problem row and the i-th row of the value slab, so the result is
+		// identical at any worker count.
+		n := len(active)
+		users = slices.Grow(users[:0], n)[:n]
+		values = slices.Grow(values[:0], n*levels)[:n*levels]
+		parallelFor(n, cfg.Workers, func(i int) {
+			users[i] = active[i].build(env, slot, 1, values[i*levels:(i+1)*levels])
 		})
-		problem.T, problem.Budget, problem.Users = slot+1, cfg.BudgetMbps, users
+		problem = core.SlotProblem{T: slot + 1, Budget: cfg.BudgetMbps, Users: users, Values: values}
 		var solveStart time.Time
 		if cfg.Tracer.Enabled() {
 			solveStart = time.Now()
 		}
-		var allocation core.Allocation
-		var slotTr *core.SlotTrace
-		if cfg.Recorder.Enabled() {
-			if ta, ok := alloc.(core.TracingAllocator); ok {
-				slotTr = &core.SlotTrace{TopK: cfg.CounterfactualK}
-				allocation = ta.AllocateTraced(cfg.Params, &problem, slotTr)
-			}
-		}
-		if slotTr == nil {
-			if sharedAlloc != nil {
-				// Levels alias the solver's scratch, valid until the next
-				// solve; the outcome phase below consumes them this slot.
-				allocation = sharedAlloc.AllocateShared(cfg.Params, &problem)
-			} else {
-				allocation = alloc.Allocate(cfg.Params, &problem)
-			}
-		}
+		allocation, slotTr := solveSlot(&cfg, alloc, &problem)
 		var slotNs, solveNs int64
 		if cfg.Tracer.Enabled() {
 			solveNs = time.Since(solveStart).Nanoseconds()
 			slotNs = int64(float64(slot) * slotMs * 1e6)
 		}
 		if cfg.Recorder.Enabled() {
-			ids := make([]uint32, len(plans))
-			for i := range plans {
-				ids[i] = plans[i].sess.spec.ID
+			ids := make([]uint32, n)
+			for i, s := range active {
+				ids[i] = s.spec.ID
 			}
 			recordSimSlot(&cfg, slot, &problem, allocation, slotTr, ids, regretRef)
 		}
@@ -380,38 +267,16 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		}
 
 		qualitySum := 0.0
-		for i, p := range plans {
+		for i, s := range active {
 			q := allocation.Levels[i]
 			// Graceful degradation: while the session's SLO burns, the
 			// breaker caps its quality — shedding load (bytes) before
 			// shedding the user.
-			if bcap := cfg.Breaker.Cap(p.sess.spec.ID); bcap > 0 && q > bcap {
+			if bcap := cfg.Breaker.Cap(s.spec.ID); bcap > 0 && q > bcap {
 				q = bcap
 				report.DegradedSlots++
 			}
-			rate := p.rates[q-1]
-			delay := netem.DelayMs(rate, p.cap_, slotMs) + overloadMs + stallMs
-			covered := p.cov
-			missed := p.dropped || delay > deadlineMs
-			if missed {
-				// The frame is dropped, not displayed late: clamp the
-				// charged delay at the pipeline bound (as the client does)
-				// and void its coverage.
-				covered = false
-				delay = deadlineMs
-			}
-			s := p.sess
-			s.served++
-			if missed {
-				s.missed++
-			}
-			s.t++
-			if covered {
-				s.covered++
-				s.sumViewedQ += float64(q)
-			}
-			s.acc.Observe(q, covered, delay)
-			s.acc.ObserveFrame(!missed)
+			rate, delay, missed := s.settle(env, q, overloadMs, stallMs)
 
 			quality := float64(q)
 			if missed {
@@ -431,7 +296,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 				d := tr.StartAt(tid, trace.StageDecide, trace.SideServer, user, vslot, slotNs)
 				d.SetAlgo(cfg.AllocName)
 				d.SetLevel(q)
-				d.SetTiles(len(plans))
+				d.SetTiles(n)
 				d.EndAt(slotNs + solveNs)
 
 				tx := tr.StartAt(tid, trace.StageSend, trace.SideServer, user, vslot, slotNs)
@@ -453,7 +318,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 				disp.EndAt(slotNs + delayNs)
 			}
 		}
-		report.SlotQuality = append(report.SlotQuality, qualitySum/float64(len(plans)))
+		report.SlotQuality = append(report.SlotQuality, qualitySum/float64(n))
 		cfg.Health.Sample(int64(slot))
 	}
 	// Sessions alive at the horizon end complete there.

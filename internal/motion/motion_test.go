@@ -205,3 +205,34 @@ func TestCoveredOrientationMargin(t *testing.T) {
 		t.Errorf("40 degree yaw error should not be covered")
 	}
 }
+
+// Once the windows are full, the per-slot predictor calls must not allocate:
+// they run for every session of every slot in all four engines.
+func TestPredictorSteadyStateDoesNotAllocate(t *testing.T) {
+	for _, window := range []int{DefaultWindow, DefaultWindow + 4} {
+		p := NewPredictor(window)
+		tr := Generate(Scenes()[0], 1, window+200, 60, 3)
+		for _, pose := range tr[:window] {
+			p.Observe(pose)
+		}
+		i := window
+		if allocs := testing.AllocsPerRun(100, func() { poseSink = p.Predict() }); allocs != 0 {
+			t.Errorf("window %d: Predict allocates %v times per call, want 0", window, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.Observe(tr[i]); i++ }); allocs != 0 {
+			t.Errorf("window %d: Observe allocates %v times per call, want 0", window, allocs)
+		}
+	}
+}
+
+var (
+	poseSink      vrmath.Pose
+	predictorSink *Predictor
+)
+
+// A default-window predictor is one allocation: the windows live inline.
+func TestNewPredictorIsOneAllocation(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { predictorSink = NewPredictor(0) }); allocs != 1 {
+		t.Errorf("NewPredictor(0) allocates %v times, want 1", allocs)
+	}
+}

@@ -8,16 +8,31 @@ import (
 // Predictor forecasts the next slot's 6-DoF pose with an independent linear
 // regression per axis, "which follows the methodology in [Firefly]"
 // (Section V). Yaw is unwrapped into a cumulative angle before regression so
-// that crossing the +/-180 seam does not break the fit.
+// that crossing the +/-180 seam does not break the fit. A Predictor's windows
+// point into its own storage: use it through the pointer NewPredictor
+// returns and do not copy it.
 type Predictor struct {
-	x, y, z     *estimate.SlidingWindow
-	yawUnwrap   *estimate.SlidingWindow
-	pitch, roll *estimate.SlidingWindow
+	axes [numAxes]estimate.SlidingWindow
 
 	lastYaw   float64
 	cumYaw    float64
 	havePrior bool
+
+	// store backs the six windows up to DefaultWindow, so the engines'
+	// per-session predictor is a single allocation.
+	store [numAxes * DefaultWindow]float64
 }
+
+// The regression axes; yaw is the unwrapped cumulative angle.
+const (
+	axisX = iota
+	axisY
+	axisZ
+	axisYaw
+	axisPitch
+	axisRoll
+	numAxes
+)
 
 // DefaultWindow is the number of recent slots the regression looks at.
 const DefaultWindow = 8
@@ -28,14 +43,18 @@ func NewPredictor(window int) *Predictor {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &Predictor{
-		x:         estimate.NewSlidingWindow(window),
-		y:         estimate.NewSlidingWindow(window),
-		z:         estimate.NewSlidingWindow(window),
-		yawUnwrap: estimate.NewSlidingWindow(window),
-		pitch:     estimate.NewSlidingWindow(window),
-		roll:      estimate.NewSlidingWindow(window),
+	if window < 2 {
+		window = 2
 	}
+	p := &Predictor{}
+	buf := p.store[:]
+	if window > DefaultWindow {
+		buf = make([]float64, numAxes*window)
+	}
+	for i := range p.axes {
+		p.axes[i] = estimate.WindowOver(buf[i*window : (i+1)*window])
+	}
+	return p
 }
 
 // Observe feeds the pose of the current slot.
@@ -49,12 +68,12 @@ func (p *Predictor) Observe(pose vrmath.Pose) {
 	}
 	p.lastYaw = pose.Yaw
 
-	p.x.Push(pose.Pos.X)
-	p.y.Push(pose.Pos.Y)
-	p.z.Push(pose.Pos.Z)
-	p.yawUnwrap.Push(p.cumYaw)
-	p.pitch.Push(pose.Pitch)
-	p.roll.Push(pose.Roll)
+	p.axes[axisX].Push(pose.Pos.X)
+	p.axes[axisY].Push(pose.Pos.Y)
+	p.axes[axisZ].Push(pose.Pos.Z)
+	p.axes[axisYaw].Push(p.cumYaw)
+	p.axes[axisPitch].Push(pose.Pitch)
+	p.axes[axisRoll].Push(pose.Roll)
 }
 
 // Predict extrapolates the next slot's pose. Before any observation it
@@ -62,13 +81,13 @@ func (p *Predictor) Observe(pose vrmath.Pose) {
 func (p *Predictor) Predict() vrmath.Pose {
 	return vrmath.Pose{
 		Pos: vrmath.Vec3{
-			X: p.x.PredictNext(),
-			Y: p.y.PredictNext(),
-			Z: p.z.PredictNext(),
+			X: p.axes[axisX].PredictNext(),
+			Y: p.axes[axisY].PredictNext(),
+			Z: p.axes[axisZ].PredictNext(),
 		},
-		Yaw:   vrmath.NormalizeAngle(p.yawUnwrap.PredictNext()),
-		Pitch: vrmath.ClampPitch(p.pitch.PredictNext()),
-		Roll:  vrmath.NormalizeAngle(p.roll.PredictNext()),
+		Yaw:   vrmath.NormalizeAngle(p.axes[axisYaw].PredictNext()),
+		Pitch: vrmath.ClampPitch(p.axes[axisPitch].PredictNext()),
+		Roll:  vrmath.NormalizeAngle(p.axes[axisRoll].PredictNext()),
 	}
 }
 

@@ -167,35 +167,24 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 	for i, alg := range algorithms {
 		results[i] = &Result{Name: alg.Name}
 	}
-	var mu sync.Mutex
 
-	// Workers: one run at a time per goroutine.
+	// Workers: one run at a time per goroutine. Each run lands in its own
+	// slot and the merge below walks them in run order, so the sample
+	// vectors do not depend on which worker finished first.
+	perRun := make([][]*Result, cfg.Runs)
+	errs := make([]error, cfg.Runs)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.Runs {
 		workers = cfg.Runs
 	}
 	runCh := make(chan int)
-	errCh := make(chan error, cfg.Runs)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for run := range runCh {
-				runResults, err := simulateOneRun(cfg, slots, run, algorithms)
-				if err != nil {
-					errCh <- err
-					continue
-				}
-				mu.Lock()
-				for i, rr := range runResults {
-					results[i].QoE = append(results[i].QoE, rr.QoE...)
-					results[i].Quality = append(results[i].Quality, rr.Quality...)
-					results[i].Delay = append(results[i].Delay, rr.Delay...)
-					results[i].Variance = append(results[i].Variance, rr.Variance...)
-					results[i].Fairness = append(results[i].Fairness, rr.Fairness...)
-				}
-				mu.Unlock()
+				perRun[run], errs[run] = simulateOneRun(cfg, slots, run, algorithms)
 			}
 		}()
 	}
@@ -204,10 +193,17 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 	}
 	close(runCh)
 	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
+	for run, runResults := range perRun {
+		if errs[run] != nil {
+			return nil, errs[run]
+		}
+		for i, rr := range runResults {
+			results[i].QoE = append(results[i].QoE, rr.QoE...)
+			results[i].Quality = append(results[i].Quality, rr.Quality...)
+			results[i].Delay = append(results[i].Delay, rr.Delay...)
+			results[i].Variance = append(results[i].Variance, rr.Variance...)
+			results[i].Fairness = append(results[i].Fairness, rr.Fairness...)
+		}
 	}
 	return results, nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -280,6 +282,28 @@ func TestRecorderDisabledMatchesEnabledResults(t *testing.T) {
 				t.Fatalf("%s QoE[%d] differs with tracing: %v vs %v",
 					base[i].Name, j, base[i].QoE[j], traced[i].QoE[j])
 			}
+		}
+	}
+}
+
+// Run hands runs to GOMAXPROCS workers; the merged sample vectors must not
+// depend on how many there are or which finishes first.
+func TestRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Seconds = 2
+	cfg.Runs = 8
+	var ref []*Result
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := Run(cfg, StandardAlgorithms(false))
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+		} else if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("results at GOMAXPROCS %d differ from GOMAXPROCS 1", procs)
 		}
 	}
 }

@@ -13,6 +13,16 @@ type Pose struct {
 
 // NormalizeAngle wraps an angle in degrees into [-180, 180).
 func NormalizeAngle(a float64) float64 {
+	if s := a + 180; s >= 0 && s < 360 {
+		// Already in range, the common case on every per-slot path: Mod
+		// would return s unchanged, so skipping it keeps the bits. The wrap
+		// itself stays out of line so that this test inlines into callers.
+		return s - 180
+	}
+	return wrapAngle(a)
+}
+
+func wrapAngle(a float64) float64 {
 	a = math.Mod(a+180, 360)
 	if a < 0 {
 		a += 360

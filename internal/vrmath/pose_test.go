@@ -2,6 +2,7 @@ package vrmath
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +172,29 @@ func TestOverlapSpans(t *testing.T) {
 	}
 	if !r.OverlapsPitchSpan(-90, 0) {
 		t.Errorf("should overlap pitch [-90,0]")
+	}
+}
+
+// The in-range shortcut must not change a single bit of any result:
+// wrapAngle alone is the math.Mod form NormalizeAngle used to be.
+func TestNormalizeAngleMatchesModBitForBit(t *testing.T) {
+	angles := []float64{
+		-180, 180, 0, math.Copysign(0, -1), 1e-17, -1e-17,
+		math.Nextafter(180, 0), math.Nextafter(-180, 0), math.Nextafter(-180, -360),
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
+	}
+	for k := 1.0; k <= 5; k++ {
+		angles = append(angles, 360*k, -360*k, 360*k-180, -360*k+180)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		angles = append(angles, (rng.Float64()*2-1)*200, rng.NormFloat64()*1000)
+	}
+	for _, a := range angles {
+		got, want := NormalizeAngle(a), wrapAngle(a)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeAngle(%v) = %v (%#x), Mod form %v (%#x)",
+				a, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
