@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke health-baseline clean
+.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke health-baseline loc clean
 
 all: build vet test
 
@@ -33,22 +33,13 @@ race:
 	$(GO) test -race ./internal/... ./cmd/...
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke slotloop-smoke coord-smoke health-smoke
+ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke
 
-# Full benchmark pass: the allocator and slot-loop JSON reports (each run
-# also appended as a timestamped entry to the results/bench_history.jsonl
-# trajectory), then every Go benchmark in the tree. Gate a fresh report
-# against the committed one with, e.g.:
-#   $(GO) run ./cmd/collabvr-bench -compare BENCH_allocator.json \
-#       -compare-baseline <committed.json>
+# The repository benchmark (four workloads end to end plus the layer walk;
+# protocol, -compare and the baseline are in bench/README.md), then every Go
+# benchmark in the tree.
 bench:
-	@mkdir -p results
-	$(GO) run ./cmd/collabvr-bench -allocator -alloc-out BENCH_allocator.json \
-		-history results/bench_history.jsonl
-	$(GO) run ./cmd/collabvr-bench -slotloop -slotloop-out BENCH_slotloop.json \
-		-history results/bench_history.jsonl
-	$(GO) run ./cmd/collabvr-bench -coord -coord-out BENCH_coord.json \
-		-history results/bench_history.jsonl
+	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
 # One-iteration compile-and-run of the Solve benchmarks (CI keeps them
@@ -61,17 +52,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
-	$(GO) test -run '^$$' -fuzz '^FuzzWarmGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
-
-# Slot-loop smoke (< 60 s): the 10k-session virtual-time differential —
-# serial cold, sharded-build, and warm-start campaigns must produce
-# bit-identical reports — then the solver allocation gate.
-slotloop-smoke:
-	@mkdir -p results
-	$(GO) run ./cmd/collabvr-bench -slotloop-smoke -seed 3 | tee results/slotloop_smoke.txt
-	grep -q 'slotloop equivalence: OK' results/slotloop_smoke.txt
-	$(GO) test -run 'TestRunSlotSteadyStateAllocs|TestSlotPool' ./internal/server
 
 # Regenerate every paper figure (scaled down; ~minutes).
 figures:
@@ -195,12 +176,16 @@ health-baseline:
 	$(GO) run ./cmd/collabvr-health -write-baseline results/health_baseline.json \
 		results/health_smoke.jsonl
 
+# Non-test Go lines of the packages ROADMAP item 3 shrinks, so each of its
+# PRs reports the same count.
+loc:
+	@cat $$(find internal/load internal/fleet internal/sim internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l
+
 clean:
 	rm -f results/results_bench.txt results/results_bench_full.txt \
 		results/smoke_spans.jsonl results/smoke_spans.txt \
 		results/chaos_smoke.txt results/regret_smoke.txt \
 		results/smoke_decisions.jsonl results/tournament_a.txt \
 		results/tournament_b.txt results/fleet_smoke.txt \
-		results/slotloop_smoke.txt \
 		results/health_smoke.jsonl results/health_smoke.txt \
 		test_output.txt bench_output.txt

@@ -90,7 +90,7 @@ func benchTestbed(b *testing.B, setup testbed.Setup) {
 	var qoe float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		res, err := testbed.Run(cfg, "proposed", core.DVGreedy{})
+		res, err := testbed.Run(cfg, "proposed", core.NewSolverAllocator())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,8 +138,7 @@ func BenchmarkAllocatorPerSlot(b *testing.B) {
 		name string
 		mk   func() core.Allocator
 	}{
-		{"dvgreedy", func() core.Allocator { return core.DVGreedy{} }},
-		{"dvgreedy-solver", func() core.Allocator { return core.NewSolverAllocator() }},
+		{"dvgreedy", func() core.Allocator { return core.NewSolverAllocator() }},
 		{"density", func() core.Allocator { return core.DensityOnly{} }},
 		{"value", func() core.Allocator { return core.ValueOnly{} }},
 		{"firefly", func() core.Allocator { return baseline.NewFirefly() }},
@@ -203,10 +202,11 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 func BenchmarkTheorem1Gap(b *testing.B) {
 	params := core.DefaultSimParams()
 	rng := rand.New(rand.NewSource(1))
+	alloc := core.NewSolverAllocator()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		p := benchProblem(rng, 8)
-		got := core.DVGreedy{}.Allocate(params, p)
+		got := alloc.Allocate(params, p)
 		if vp := core.FractionalUpperBound(params, p); vp > 0 {
 			ratio = got.Value / vp
 		}

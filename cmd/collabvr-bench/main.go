@@ -41,61 +41,11 @@ func run(args []string) error {
 		full     = fs.Bool("full", false, "paper-scale parameters (much slower)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		traceOut = fs.String("trace-out", "", "write the simulation figures' per-slot decision trace as JSONL to this file (empty = disabled)")
-		alloc    = fs.Bool("allocator", false, "run the allocator microbenchmark instead of the figures and write -alloc-out")
-		allocOut = fs.String("alloc-out", "BENCH_allocator.json", "JSON report path for -allocator")
 		spans    = fs.Bool("spans", false, "run a traced simulation campaign and print the end-to-end span analysis")
 		spanOut  = fs.String("span-out", "", "with -spans: also write the span JSONL to this file")
-
-		slotloop      = fs.Bool("slotloop", false, "run the slot-loop benchmark suite (warm-start solver, sharded campaign, batched sender) and write -slotloop-out")
-		slotloopOut   = fs.String("slotloop-out", "BENCH_slotloop.json", "JSON report path for -slotloop")
-		slotloopSmoke = fs.Bool("slotloop-smoke", false, "run the fast slot-loop equivalence differential (sharded and warm-start campaigns vs serial cold) and exit")
-
-		coordBench = fs.Bool("coord", false, "run the replicated-coordinator cost guard (0 allocs/op Propose, <5% slot-loop overhead at 1 replica) and write -coord-out")
-		coordOut   = fs.String("coord-out", "BENCH_coord.json", "JSON report path for -coord")
-
-		history     = fs.String("history", "", "append the -allocator/-slotloop JSON report as a timestamped entry to this JSONL trajectory")
-		compare     = fs.String("compare", "", "compare this JSON bench report against -compare-baseline and exit nonzero on regression")
-		compareBase = fs.String("compare-baseline", "", "committed baseline JSON report for -compare")
-		compareTol  = fs.Float64("compare-tolerance", 0.10, "fractional ns/op growth tolerated by -compare")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *compare != "" {
-		if *compareBase == "" {
-			return fmt.Errorf("-compare needs -compare-baseline <report.json>")
-		}
-		return runBenchCompare(*compare, *compareBase, *compareTol)
-	}
-	if *alloc {
-		if err := runAllocatorBench(*seed, *allocOut); err != nil {
-			return err
-		}
-		if *history != "" {
-			return appendBenchHistory(*history, "allocator", *allocOut)
-		}
-		return nil
-	}
-	if *slotloop {
-		if err := runSlotloopBench(*seed, *slotloopOut); err != nil {
-			return err
-		}
-		if *history != "" {
-			return appendBenchHistory(*history, "slotloop", *slotloopOut)
-		}
-		return nil
-	}
-	if *slotloopSmoke {
-		return runSlotloopSmoke(*seed)
-	}
-	if *coordBench {
-		if err := runCoordBench(*seed, *coordOut); err != nil {
-			return err
-		}
-		if *history != "" {
-			return appendBenchHistory(*history, "coord", *coordOut)
-		}
-		return nil
 	}
 	if *spans {
 		return runSpanAnalysis(*seed, *full, *spanOut)

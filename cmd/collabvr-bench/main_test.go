@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -32,91 +30,6 @@ func TestUnknownFigIsNoop(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-seed", "x"}); err == nil {
 		t.Fatal("bad flag should error")
-	}
-}
-
-// writeBenchReport fabricates an allocator-schema report so the history
-// and compare paths can be tested without running real benchmarks.
-func writeBenchReport(t *testing.T, path string, solverNs, referenceNs float64) {
-	t.Helper()
-	rep := allocBenchReport{
-		Comment: "test",
-		Rows: []allocBenchRow{
-			{Name: "solver", NUsers: 30, NsPerOp: solverNs},
-			{Name: "reference", NUsers: 30, NsPerOp: referenceNs},
-		},
-	}
-	raw, err := json.Marshal(&rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBenchHistoryAppends(t *testing.T) {
-	dir := t.TempDir()
-	report := filepath.Join(dir, "report.json")
-	history := filepath.Join(dir, "history.jsonl")
-	writeBenchReport(t, report, 1000, 2000)
-
-	for i := 0; i < 2; i++ {
-		if err := appendBenchHistory(history, "allocator", report); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("history has %d entries, want 2:\n%s", len(lines), data)
-	}
-	var entry benchHistoryEntry
-	if err := json.Unmarshal([]byte(lines[1]), &entry); err != nil {
-		t.Fatal(err)
-	}
-	if entry.Suite != "allocator" || entry.Date == "" {
-		t.Errorf("entry = %+v, want allocator suite with a timestamp", entry)
-	}
-	var rep genericReport
-	if err := json.Unmarshal(entry.Report, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Errorf("embedded report has %d rows, want 2", len(rep.Rows))
-	}
-}
-
-func TestBenchCompareGate(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	same := filepath.Join(dir, "same.json")
-	slow := filepath.Join(dir, "slow.json")
-	writeBenchReport(t, base, 1000, 2000)
-	writeBenchReport(t, same, 1050, 2000) // +5%: inside the 10% tolerance
-	writeBenchReport(t, slow, 1500, 2000) // +50%: regression
-
-	if err := run([]string{"-compare", same, "-compare-baseline", base}); err != nil {
-		t.Fatalf("5%% growth failed the gate: %v", err)
-	}
-	err := run([]string{"-compare", slow, "-compare-baseline", base})
-	if err == nil {
-		t.Fatal("50% growth passed the gate")
-	}
-	if !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("gate error = %v, want a regression message", err)
-	}
-	// A looser tolerance admits the same report.
-	if err := run([]string{"-compare", slow, "-compare-baseline", base,
-		"-compare-tolerance", "0.6"}); err != nil {
-		t.Fatalf("60%% tolerance still failed: %v", err)
-	}
-	// -compare without a baseline is a usage error.
-	if err := run([]string{"-compare", slow}); err == nil {
-		t.Error("-compare without -compare-baseline accepted")
 	}
 }
 

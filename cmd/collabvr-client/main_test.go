@@ -12,7 +12,7 @@ import (
 )
 
 func TestClientJoinsRealServer(t *testing.T) {
-	cfg := server.DefaultConfig(core.DVGreedy{})
+	cfg := server.DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 3 * time.Millisecond
 	cfg.TotalSlots = 40
 	srv, err := server.New(cfg)
@@ -51,7 +51,7 @@ func TestClientLoadsTraceFile(t *testing.T) {
 	}
 	f.Close()
 
-	cfg := server.DefaultConfig(core.DVGreedy{})
+	cfg := server.DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 3 * time.Millisecond
 	cfg.TotalSlots = 20
 	srv, err := server.New(cfg)

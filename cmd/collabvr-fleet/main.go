@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,7 +70,7 @@ func run(args []string, out io.Writer) error {
 
 		mode   = fs.String("mode", "sim", "execution engine: sim (virtual time) or live (loopback sockets)")
 		slotMs = fs.Float64("slotms", 0, "live-mode wall-clock slot duration in ms (0 = 1000/sps)")
-		algo   = fs.String("algo", "dvgreedy", "allocator: dvgreedy, dvgreedy-scan, density, value, optimal, firefly, pavq")
+		algo   = fs.String("algo", "dvgreedy", "allocator: "+strings.Join(baseline.AllocatorNames(), ", "))
 		budget = fs.Float64("budget", 400, "GLOBAL fleet throughput budget B(t) in Mbps, split across shards")
 
 		chaosPath  = fs.String("chaos", "", "chaos profile JSON (shard_kill/shard_drain drive the fleet layer)")
@@ -96,7 +97,8 @@ func run(args []string, out io.Writer) error {
 	if _, err := fleet.ScorerByName(*scorerName); err != nil {
 		return err
 	}
-	if _, err := allocatorByName(*algo); err != nil {
+	newAlloc, err := baseline.Constructor(*algo)
+	if err != nil {
 		return err
 	}
 	if *mode != "sim" && *mode != "live" {
@@ -243,10 +245,6 @@ func run(args []string, out io.Writer) error {
 		logf = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	}
 
-	newAlloc := func() core.Allocator {
-		a, _ := allocatorByName(*algo)
-		return a
-	}
 	rebalance := fleet.RebalanceConfig{EverySlots: *rebSlots}
 	// withChaos selects the fault schedule; withObs wires the shared
 	// registry/SLO/breaker/recorder. Verification runs use withObs=false so
@@ -565,25 +563,4 @@ func chaosSummary(p *chaos.Profile) string {
 	}
 	fmt.Fprintln(&b, "profile OK")
 	return b.String()
-}
-
-func allocatorByName(name string) (core.Allocator, error) {
-	switch name {
-	case "dvgreedy", "proposed":
-		return core.NewSolverAllocator(), nil
-	case "dvgreedy-scan":
-		return core.DVGreedy{}, nil
-	case "density":
-		return core.DensityOnly{}, nil
-	case "value":
-		return core.ValueOnly{}, nil
-	case "optimal":
-		return core.Optimal{}, nil
-	case "firefly":
-		return baseline.NewFirefly(), nil
-	case "pavq":
-		return baseline.NewPAVQ(), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

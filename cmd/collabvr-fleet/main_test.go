@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
 )
 
 func TestRunFleetSimReport(t *testing.T) {
@@ -132,6 +134,27 @@ func TestRunFleetHealthExport(t *testing.T) {
 	for _, want := range []string{"fleet_shard_page_frac", "collabvr_slo_sessions_ok"} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("health export missing series %q", want)
+		}
+	}
+}
+
+// TestRunFleetAlgoRegistry: -algo accepts every name in the allocator
+// registry and rejects an unregistered one with those names in the error.
+func TestRunFleetAlgoRegistry(t *testing.T) {
+	for _, name := range baseline.AllocatorNames() {
+		err := run([]string{"-algo", name, "-shards", "2", "-sessions", "4",
+			"-slots", "30", "-budget", "200"}, &bytes.Buffer{})
+		if err != nil {
+			t.Errorf("-algo %s: %v", name, err)
+		}
+	}
+	err := run([]string{"-algo", "nope"}, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	for _, name := range baseline.AllocatorNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
 	}
 }

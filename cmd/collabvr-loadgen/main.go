@@ -22,6 +22,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/baseline"
@@ -54,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		slotMs   = fs.Float64("slotms", 0, "live-mode wall-clock slot duration in ms (0 = 1000/sps)")
 		seed     = fs.Int64("seed", 1, "workload seed (same seed, same workload, byte for byte)")
 
-		algo   = fs.String("algo", "dvgreedy", "allocator: dvgreedy, dvgreedy-scan, density, value, optimal, firefly, pavq")
+		algo   = fs.String("algo", "dvgreedy", "allocator: "+strings.Join(baseline.AllocatorNames(), ", "))
 		budget = fs.Float64("budget", 400, "server throughput budget B(t) in Mbps (fleet-wide when -shards > 1)")
 
 		shards       = fs.Int("shards", 1, "run against a sharded fleet of this many servers (1 = single server)")
@@ -98,7 +99,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := allocatorByName(*algo); err != nil {
+	newAlloc, err := baseline.Constructor(*algo)
+	if err != nil {
 		return err
 	}
 	if *mode != "sim" && *mode != "live" {
@@ -111,10 +113,6 @@ func run(args []string, out io.Writer) error {
 		if _, err := fleet.ScorerByName(*scorer); err != nil {
 			return err
 		}
-	}
-	newAlloc := func() core.Allocator {
-		a, _ := allocatorByName(*algo)
-		return a
 	}
 	params := core.DefaultSystemParams()
 	params.Alpha = *alpha
@@ -599,26 +597,4 @@ func verifyReplay(w *load.Workload, poses bool, params core.Params,
 		return fmt.Errorf("replay check: replayed workload produced a different report")
 	}
 	return nil
-}
-
-func allocatorByName(name string) (core.Allocator, error) {
-	switch name {
-	case "dvgreedy", "proposed":
-		return core.NewSolverAllocator(), nil
-	case "dvgreedy-scan":
-		// The original rescan engine, kept for differential comparison.
-		return core.DVGreedy{}, nil
-	case "density":
-		return core.DensityOnly{}, nil
-	case "value":
-		return core.ValueOnly{}, nil
-	case "optimal":
-		return core.Optimal{}, nil
-	case "firefly":
-		return baseline.NewFirefly(), nil
-	case "pavq":
-		return baseline.NewPAVQ(), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
 )
 
 func TestRunSimReport(t *testing.T) {
@@ -120,6 +122,26 @@ func TestRunHealthExport(t *testing.T) {
 	for _, want := range []string{"fleet_shard_page_frac", "collabvr_slo_sessions_ok"} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("health export missing series %q", want)
+		}
+	}
+}
+
+// TestRunAlgoRegistry: -algo accepts every name in the allocator registry
+// and rejects an unregistered one with those names in the error.
+func TestRunAlgoRegistry(t *testing.T) {
+	for _, name := range baseline.AllocatorNames() {
+		err := run([]string{"-algo", name, "-sessions", "3", "-slots", "30"}, &bytes.Buffer{})
+		if err != nil {
+			t.Errorf("-algo %s: %v", name, err)
+		}
+	}
+	err := run([]string{"-algo", "nope"}, &bytes.Buffer{})
+	if err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	for _, name := range baseline.AllocatorNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
 		}
 	}
 }

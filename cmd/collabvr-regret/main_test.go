@@ -123,7 +123,7 @@ func TestRunTournamentDeterministic(t *testing.T) {
 			out1.String(), out2.String())
 	}
 	text := out1.String()
-	for _, want := range []string{"policy tournament", "dvgreedy", "dvgreedy-scan",
+	for _, want := range []string{"policy tournament", "dvgreedy", "density",
 		"firefly", "pavq", "uniform", "dvgreedy-alpha2x"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("table lacks %q:\n%s", want, text)
@@ -152,7 +152,7 @@ func TestRunTournamentJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Entries) < 7 || res.Entries[0].Rank != 1 {
+	if len(res.Entries) != 8 || res.Entries[0].Rank != 1 {
 		t.Fatalf("entries = %+v", res.Entries)
 	}
 }

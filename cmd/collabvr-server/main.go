@@ -15,12 +15,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 	"repro/internal/server"
@@ -40,7 +40,7 @@ func run(args []string) error {
 	var (
 		tcpAddr    = fs.String("tcp", "127.0.0.1:7400", "control (TCP) listen address")
 		udpAddr    = fs.String("udp", "127.0.0.1:7401", "data (UDP) bind address")
-		algo       = fs.String("algo", "dvgreedy", "allocator: dvgreedy, dvgreedy-scan, density, value, optimal, firefly, pavq")
+		algo       = fs.String("algo", "dvgreedy", "allocator: "+strings.Join(baseline.AllocatorNames(), ", "))
 		budget     = fs.Float64("budget", 400, "server throughput budget B(t) in Mbps")
 		slots      = fs.Int("slots", 0, "stop after this many slots (0 = run until interrupted)")
 		slotMs     = fs.Float64("slotms", 1000.0/60, "slot duration in milliseconds")
@@ -68,12 +68,12 @@ func run(args []string) error {
 		return err
 	}
 
-	alloc, err := allocatorByName(*algo)
+	newAlloc, err := baseline.Constructor(*algo)
 	if err != nil {
 		return err
 	}
 
-	cfg := server.DefaultConfig(alloc)
+	cfg := server.DefaultConfig(newAlloc())
 	cfg.TCPAddr = *tcpAddr
 	cfg.UDPAddr = *udpAddr
 	cfg.BudgetMbps = *budget
@@ -221,26 +221,4 @@ func run(args []string) error {
 		fmt.Printf("health: exported %d series to %s\n", healthStore.Len(), *healthOut)
 	}
 	return nil
-}
-
-func allocatorByName(name string) (core.Allocator, error) {
-	switch name {
-	case "dvgreedy", "proposed":
-		return core.NewSolverAllocator(), nil
-	case "dvgreedy-scan":
-		// The original rescan engine, kept for differential comparison.
-		return core.DVGreedy{}, nil
-	case "density":
-		return core.DensityOnly{}, nil
-	case "value":
-		return core.ValueOnly{}, nil
-	case "optimal":
-		return core.Optimal{}, nil
-	case "firefly":
-		return baseline.NewFirefly(), nil
-	case "pavq":
-		return baseline.NewPAVQ(), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

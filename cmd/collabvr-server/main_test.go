@@ -11,41 +11,21 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/motion"
 	"repro/internal/obs"
 )
 
+// TestAllocatorByName: -algo accepts every name in the allocator registry.
 func TestAllocatorByName(t *testing.T) {
-	tests := []struct {
-		give string
-		want string
-	}{
-		{"dvgreedy", "dvgreedy"},
-		{"proposed", "dvgreedy"},
-		{"density", "density"},
-		{"value", "value"},
-		{"optimal", "optimal"},
-		{"firefly", "firefly"},
-		{"pavq", "pavq"},
-	}
-	for _, tt := range tests {
-		alloc, err := allocatorByName(tt.give)
+	for _, name := range baseline.AllocatorNames() {
+		err := run([]string{
+			"-tcp", "127.0.0.1:0", "-udp", "127.0.0.1:0",
+			"-slots", "2", "-slotms", "2", "-algo", name,
+		})
 		if err != nil {
-			t.Fatalf("%s: %v", tt.give, err)
-		}
-		if alloc.Name() != tt.want {
-			t.Errorf("allocatorByName(%q).Name() = %q, want %q", tt.give, alloc.Name(), tt.want)
+			t.Errorf("-algo %s: %v", name, err)
 		}
 	}
-	if _, err := allocatorByName("nope"); err == nil {
-		t.Error("unknown allocator should error")
-	}
-	// Spot check types.
-	if a, _ := allocatorByName("pavq"); a == (core.Allocator)(nil) {
-		t.Error("nil allocator")
-	}
-	var _ = baseline.NewPAVQ()
 }
 
 func TestServerRunsForConfiguredSlots(t *testing.T) {
@@ -58,9 +38,17 @@ func TestServerRunsForConfiguredSlots(t *testing.T) {
 	}
 }
 
+// TestServerBadAlgo: an unregistered -algo is rejected with the registry's
+// names in the error.
 func TestServerBadAlgo(t *testing.T) {
-	if err := run([]string{"-algo", "nope"}); err == nil {
+	err := run([]string{"-algo", "nope"})
+	if err == nil {
 		t.Fatal("unknown algorithm should error")
+	}
+	for _, name := range baseline.AllocatorNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func adversarialCases() {
 func report(params core.Params, name string, p *core.SlotProblem) {
 	d := core.DensityOnly{}.Allocate(params, p)
 	v := core.ValueOnly{}.Allocate(params, p)
-	dv := core.DVGreedy{}.Allocate(params, p)
+	dv := core.NewSolverAllocator().Allocate(params, p)
 	opt := core.Optimal{}.Allocate(params, p)
 	fmt.Printf("%-22s density=%.2f value=%.2f combined=%.2f optimal=%.2f\n",
 		name, d.Value, v.Value, dv.Value, opt.Value)
@@ -82,6 +82,7 @@ func randomizedStudy() {
 
 	var dSum, vSum, dvSum float64
 	const trials = 300
+	dvgreedy := core.NewSolverAllocator()
 	for trial := 0; trial < trials; trial++ {
 		n := 3 + rng.Intn(3)
 		users := make([]core.UserInput, n)
@@ -114,7 +115,7 @@ func randomizedStudy() {
 		}
 		dSum += core.DensityOnly{}.Allocate(params, p).Value / opt.Value
 		vSum += core.ValueOnly{}.Allocate(params, p).Value / opt.Value
-		dvSum += core.DVGreedy{}.Allocate(params, p).Value / opt.Value
+		dvSum += dvgreedy.Allocate(params, p).Value / opt.Value
 	}
 	fmt.Printf("density-greedy: %.4f\n", dSum/trials)
 	fmt.Printf("value-greedy:   %.4f\n", vSum/trials)

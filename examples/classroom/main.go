@@ -46,7 +46,7 @@ func run() error {
 		buckets[i] = netem.NewTokenBucket(throttles[i], 4<<10, now)
 	}
 
-	cfg := server.DefaultConfig(core.DVGreedy{})
+	cfg := server.DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = slotDuration
 	cfg.BudgetMbps = 36 * users
 	cfg.TotalSlots = slots

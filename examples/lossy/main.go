@@ -45,14 +45,14 @@ func run() error {
 
 	fmt.Println("streaming through a 20% lossy link...")
 
-	plain, err := testbed.Run(base, "plain-rtp", core.DVGreedy{})
+	plain, err := testbed.Run(base, "plain-rtp", core.NewSolverAllocator())
 	if err != nil {
 		return err
 	}
 
 	withNack := base
 	withNack.LossHandling = true
-	recovered, err := testbed.Run(withNack, "rtp+nack", core.DVGreedy{})
+	recovered, err := testbed.Run(withNack, "rtp+nack", core.NewSolverAllocator())
 	if err != nil {
 		return err
 	}

@@ -51,7 +51,7 @@ func main() {
 		panic(err)
 	}
 
-	alloc := core.DVGreedy{}.Allocate(params, problem)
+	alloc := core.NewSolverAllocator().Allocate(params, problem)
 	opt := core.Optimal{}.Allocate(params, problem)
 
 	fmt.Println("per-slot quality allocation (Algorithm 1 vs exact optimum)")

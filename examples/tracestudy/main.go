@@ -33,7 +33,7 @@ func run() error {
 	cfg.IncludeOptimal = false
 
 	algorithms := []sim.AlgorithmFactory{
-		{Name: "proposed", New: func() core.Allocator { return core.DVGreedy{} }},
+		{Name: "proposed", New: func() core.Allocator { return core.NewSolverAllocator() }},
 		{Name: "dp-optimal", New: func() core.Allocator { return core.DPOptimal{} }},
 		{Name: "density", New: func() core.Allocator { return core.DensityOnly{} }},
 		{Name: "value", New: func() core.Allocator { return core.ValueOnly{} }},

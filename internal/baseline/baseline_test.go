@@ -101,7 +101,7 @@ func TestFireflyIgnoresVariance(t *testing.T) {
 	u := mm1User(1, 1, 40, 1) // mean viewed quality 1
 	p := slotProblem(100, 1000, u)
 	firefly := f.Allocate(params, p)
-	dv := core.DVGreedy{}.Allocate(params, p)
+	dv := core.NewSolverAllocator().Allocate(params, p)
 	if firefly.Levels[0] <= dv.Levels[0] {
 		t.Errorf("firefly level %d should exceed variance-aware level %d",
 			firefly.Levels[0], dv.Levels[0])

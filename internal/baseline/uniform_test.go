@@ -56,7 +56,7 @@ func TestUniformLosesToProposed(t *testing.T) {
 	}
 	p := slotProblem(50, 60, users...)
 	uni := NewUniform().Allocate(params, p)
-	dv := core.DVGreedy{}.Allocate(params, p)
+	dv := core.NewSolverAllocator().Allocate(params, p)
 	if dv.Value <= uni.Value {
 		t.Errorf("proposed %v should beat uniform %v on heterogeneous links",
 			dv.Value, uni.Value)

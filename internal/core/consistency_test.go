@@ -13,7 +13,7 @@ import (
 func TestAllocationValueConsistency(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(81))
-	allocators := []Allocator{DVGreedy{}, DensityOnly{}, ValueOnly{}, Optimal{}, DPOptimal{}}
+	allocators := []Allocator{NewSolverAllocator(), DensityOnly{}, ValueOnly{}, Optimal{}, DPOptimal{}}
 	for trial := 0; trial < 40; trial++ {
 		p := randomSlotProblem(rng, params, 3)
 		for _, alg := range allocators {
@@ -40,7 +40,7 @@ func TestObjectiveDeltaZero(t *testing.T) {
 	params := DefaultSimParams()
 	u := testUser(0, 3, 100, ladder)
 	p := &SlotProblem{T: 10, Budget: 1000, Users: []UserInput{u}}
-	a := DVGreedy{}.Allocate(params, p)
+	a := NewSolverAllocator().Allocate(params, p)
 	if a.Levels[0] != 1 {
 		t.Errorf("delta=0 should stay at base, got level %d", a.Levels[0])
 	}
@@ -101,10 +101,11 @@ func TestTrackerConvergesToTrueDelta(t *testing.T) {
 func TestGreedyUnconstrainedIsPerUserArgmax(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(83))
+	dvgreedy := NewSolverAllocator()
 	for trial := 0; trial < 30; trial++ {
 		p := randomSlotProblem(rng, params, 3)
 		p.Budget = 1e9
-		got := DVGreedy{}.Allocate(params, p)
+		got := dvgreedy.Allocate(params, p)
 		for n, u := range p.Users {
 			best, bestVal := 1, Objective(params, p.T, u, 1)
 			for q := 2; q <= params.Levels; q++ {

@@ -251,35 +251,6 @@ func fromKnapsack(sol knapsack.Solution) Allocation {
 	return Allocation{Levels: sol.Levels, Value: sol.Value, Rate: sol.Weight}
 }
 
-// DVGreedy is Algorithm 1 of the paper: the better of a density-greedy and
-// a value-greedy pass over the quality-upgrade increments.
-type DVGreedy struct{}
-
-// Name implements Allocator.
-func (DVGreedy) Name() string { return "dvgreedy" }
-
-// Allocate implements Allocator.
-func (DVGreedy) Allocate(params Params, p *SlotProblem) Allocation {
-	return fromKnapsack(toKnapsack(params, p).Combined())
-}
-
-// AllocateTraced implements TracingAllocator: the trace reflects the pass
-// (density or value) whose solution was returned.
-func (DVGreedy) AllocateTraced(params Params, p *SlotProblem, tr *SlotTrace) Allocation {
-	if tr == nil {
-		return DVGreedy{}.Allocate(params, p)
-	}
-	var kt knapsack.CombinedTrace
-	kt.Density.TopK, kt.Value.TopK = tr.TopK, tr.TopK
-	sol := toKnapsack(params, p).CombinedTraced(&kt)
-	pass := kt.Density
-	if kt.Picked == knapsack.BranchValue {
-		pass = kt.Value
-	}
-	fillTrace(tr, kt.Picked.String(), pass)
-	return fromKnapsack(sol)
-}
-
 // DensityOnly runs only the density-greedy pass (an ablation of
 // Algorithm 1).
 type DensityOnly struct{}
@@ -364,12 +335,10 @@ func FractionalUpperBound(params Params, p *SlotProblem) float64 {
 }
 
 var (
-	_ Allocator        = DVGreedy{}
 	_ Allocator        = DensityOnly{}
 	_ Allocator        = ValueOnly{}
 	_ Allocator        = Optimal{}
 	_ Allocator        = DPOptimal{}
-	_ TracingAllocator = DVGreedy{}
 	_ TracingAllocator = DensityOnly{}
 	_ TracingAllocator = ValueOnly{}
 )

@@ -143,9 +143,10 @@ func randomSlotProblem(rng *rand.Rand, params Params, n int) *SlotProblem {
 func TestDVGreedyHalfApproximation(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(21))
+	dvgreedy := NewSolverAllocator()
 	for trial := 0; trial < 150; trial++ {
 		p := randomSlotProblem(rng, params, 2+rng.Intn(4))
-		got := DVGreedy{}.Allocate(params, p)
+		got := dvgreedy.Allocate(params, p)
 		opt := Optimal{}.Allocate(params, p)
 		// The guarantee is on the achieved objective relative to optimum.
 		// h_n can be negative; compare against the base-shifted values to
@@ -175,7 +176,7 @@ func TestFractionalBoundDominates(t *testing.T) {
 func TestAllocatorsRespectPerUserCaps(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(23))
-	allocators := []Allocator{DVGreedy{}, DensityOnly{}, ValueOnly{}, Optimal{}}
+	allocators := []Allocator{NewSolverAllocator(), DensityOnly{}, ValueOnly{}, Optimal{}}
 	for trial := 0; trial < 50; trial++ {
 		p := randomSlotProblem(rng, params, 3)
 		for _, alg := range allocators {
@@ -195,7 +196,7 @@ func TestAllocatorNames(t *testing.T) {
 		alg  Allocator
 		want string
 	}{
-		{DVGreedy{}, "dvgreedy"},
+		{NewSolverAllocator(), "dvgreedy"},
 		{DensityOnly{}, "density"},
 		{ValueOnly{}, "value"},
 		{Optimal{}, "optimal"},
@@ -210,9 +211,10 @@ func TestAllocatorNames(t *testing.T) {
 func TestDVGreedyBeatsOrMatchesSinglePasses(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(24))
+	dvgreedy := NewSolverAllocator()
 	for trial := 0; trial < 100; trial++ {
 		p := randomSlotProblem(rng, params, 4)
-		dv := DVGreedy{}.Allocate(params, p)
+		dv := dvgreedy.Allocate(params, p)
 		d := DensityOnly{}.Allocate(params, p)
 		v := ValueOnly{}.Allocate(params, p)
 		if dv.Value+1e-12 < math.Max(d.Value, v.Value) {
@@ -245,7 +247,7 @@ func TestObjectiveTermsDecomposition(t *testing.T) {
 func TestAllocateTracedMatchesAllocate(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(7))
-	allocs := []TracingAllocator{DVGreedy{}, DensityOnly{}, ValueOnly{}}
+	allocs := []TracingAllocator{NewSolverAllocator(), DensityOnly{}, ValueOnly{}}
 	for trial := 0; trial < 30; trial++ {
 		p := randomSlotProblem(rng, params, 6)
 		for _, a := range allocs {
@@ -268,10 +270,11 @@ func TestDVGreedyTraceExplainsBranch(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(3))
 	sawRejection := false
+	dvgreedy := NewSolverAllocator()
 	for trial := 0; trial < 200 && !sawRejection; trial++ {
 		p := randomSlotProblem(rng, params, 6)
 		var tr SlotTrace
-		DVGreedy{}.AllocateTraced(params, p, &tr)
+		dvgreedy.AllocateTraced(params, p, &tr)
 		if tr.Branch != "density" && tr.Branch != "value" {
 			t.Fatalf("branch = %q", tr.Branch)
 		}

@@ -6,8 +6,8 @@ import (
 	"repro/internal/core"
 )
 
-// ExampleDVGreedy_Allocate allocates one slot for two users with Algorithm 1.
-func ExampleDVGreedy_Allocate() {
+// ExampleSolverAllocator_Allocate allocates one slot for two users with Algorithm 1.
+func ExampleSolverAllocator_Allocate() {
 	params := core.Params{Alpha: 0.02, Beta: 0.5, Levels: 3}
 	problem := &core.SlotProblem{
 		T:      1,
@@ -27,7 +27,7 @@ func ExampleDVGreedy_Allocate() {
 			},
 		},
 	}
-	a := core.DVGreedy{}.Allocate(params, problem)
+	a := core.NewSolverAllocator().Allocate(params, problem)
 	fmt.Printf("levels: %v\n", a.Levels)
 	fmt.Printf("rate: %.0f of %.0f Mbps\n", a.Rate, problem.Budget)
 	// Output:

@@ -52,7 +52,7 @@ func TestSequentialTracksClairvoyant(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		h := randomHorizon(rng, 2, 4) // (3^2)^4 = 6561 assignments
 		_, opt := h.SolveHorizonExhaustive()
-		_, seq := h.SolveHorizonSequential(DVGreedy{})
+		_, seq := h.SolveHorizonSequential(NewSolverAllocator())
 		if opt <= 0 {
 			ratioSum++
 			continue

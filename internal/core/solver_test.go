@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/knapsack"
 )
 
 func equalAllocations(t *testing.T, want, got Allocation, what string) {
@@ -45,23 +47,37 @@ func equalSlotTraces(t *testing.T, want, got SlotTrace, what string) {
 	}
 }
 
+// referenceAllocate is Algorithm 1 on knapsack's rescan engine, the oracle
+// the heap-backed SolverAllocator is differentially tested against. tr, when
+// non-nil, receives the returned pass's trace.
+func referenceAllocate(params Params, p *SlotProblem, tr *SlotTrace) Allocation {
+	var kt knapsack.CombinedTrace
+	sol := LowerProblem(params, p).ReferenceCombinedTraced(&kt)
+	if tr != nil {
+		pass := kt.Density
+		if kt.Picked == knapsack.BranchValue {
+			pass = kt.Value
+		}
+		fillTrace(tr, kt.Picked.String(), pass)
+	}
+	return fromKnapsack(sol)
+}
+
 // TestSolverAllocatorMatchesDVGreedy drives ONE SolverAllocator across many
 // slots of varying size (the sequential-reuse contract) and requires every
-// allocation and trace to be bit-identical to the stateless DVGreedy.
+// allocation and trace to be bit-identical to DV-greedy as the paper states
+// it: the rescan engine, which shares no heap code with the allocator.
 func TestSolverAllocatorMatchesDVGreedy(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(77))
 	a := NewSolverAllocator()
-	if a.Name() != (DVGreedy{}).Name() {
-		t.Fatalf("name %q, want %q: same algorithm, different engine", a.Name(), (DVGreedy{}).Name())
-	}
 	for trial := 0; trial < 400; trial++ {
 		p := randomSlotProblem(rng, params, 1+rng.Intn(40))
-		equalAllocations(t, DVGreedy{}.Allocate(params, p), a.Allocate(params, p),
+		equalAllocations(t, referenceAllocate(params, p, nil), a.Allocate(params, p),
 			fmt.Sprintf("trial %d", trial))
 
 		var wantTr, gotTr SlotTrace
-		want := DVGreedy{}.AllocateTraced(params, p, &wantTr)
+		want := referenceAllocate(params, p, &wantTr)
 		got := a.AllocateTraced(params, p, &gotTr)
 		equalAllocations(t, want, got, fmt.Sprintf("trial %d traced", trial))
 		equalSlotTraces(t, wantTr, gotTr, fmt.Sprintf("trial %d trace", trial))
@@ -70,18 +86,18 @@ func TestSolverAllocatorMatchesDVGreedy(t *testing.T) {
 
 // TestPreLoweredValuesMatchRecomputed interleaves problems that carry their
 // value table (SlotProblem.Values, written by ObjectiveRow as an engine's
-// build does) with problems that do not, on ONE allocator of each kind:
-// every allocation must be bit-identical to lowering from scratch, and a
+// build does) with problems that do not, on ONE allocator: every allocation
+// must be bit-identical to the rescan engine lowering from scratch, and a
 // solve without a table must not write into the slab an earlier problem
 // handed over.
 func TestPreLoweredValuesMatchRecomputed(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(80))
-	solver, warm := NewSolverAllocator(), NewWarmAllocator()
+	solver := NewSolverAllocator()
 	var slab, slabCopy []float64
 	for trial := 0; trial < 200; trial++ {
 		p := randomSlotProblem(rng, params, 1+rng.Intn(40))
-		want := DVGreedy{}.Allocate(params, p)
+		want := referenceAllocate(params, p, nil)
 		if trial%2 == 0 {
 			slab = make([]float64, len(p.Users)*params.Levels)
 			for i, u := range p.Users {
@@ -94,10 +110,9 @@ func TestPreLoweredValuesMatchRecomputed(t *testing.T) {
 			}
 		}
 		what := fmt.Sprintf("trial %d (pre-lowered %v)", trial, p.Values != nil)
-		equalAllocations(t, want, DVGreedy{}.Allocate(params, p), what+" dvgreedy")
+		equalAllocations(t, want, referenceAllocate(params, p, nil), what+" reference")
 		equalAllocations(t, want, solver.Allocate(params, p), what+" solver")
 		equalAllocations(t, want, solver.AllocateShared(params, p), what+" solver shared")
-		equalAllocations(t, want, warm.Allocate(params, p), what+" warm")
 		for i := range slab {
 			if math.Float64bits(slab[i]) != math.Float64bits(slabCopy[i]) {
 				t.Fatalf("%s: an allocator wrote into the caller's value slab at %d", what, i)
@@ -126,48 +141,22 @@ func TestSolverAllocatorLevelsNotAliased(t *testing.T) {
 	}
 }
 
-// TestAllocateBatchMatchesSequential checks the batch API returns, in order,
-// exactly what per-problem Allocate returns, for several worker counts.
-func TestAllocateBatchMatchesSequential(t *testing.T) {
-	params := DefaultSimParams()
-	rng := rand.New(rand.NewSource(79))
-	problems := make([]*SlotProblem, 37)
-	want := make([]Allocation, len(problems))
-	for i := range problems {
-		problems[i] = randomSlotProblem(rng, params, 1+rng.Intn(25))
-		want[i] = DVGreedy{}.Allocate(params, problems[i])
-	}
-	for _, workers := range []int{-1, 0, 1, 2, 7, 64} {
-		got := AllocateBatch(params, problems, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			equalAllocations(t, want[i], got[i], fmt.Sprintf("workers=%d problem %d", workers, i))
-		}
-	}
-	if out := AllocateBatch(params, nil, 4); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
-}
-
 // TestLowerProblemMatchesAllocator checks the exported lowering is the one
-// the allocators solve: feeding it to the knapsack solver reproduces
-// DVGreedy bit-for-bit.
+// the allocator solves on its own scratch: feeding it to the knapsack solver
+// reproduces SolverAllocator bit-for-bit.
 func TestLowerProblemMatchesAllocator(t *testing.T) {
 	params := DefaultSimParams()
 	rng := rand.New(rand.NewSource(80))
 	for trial := 0; trial < 50; trial++ {
 		p := randomSlotProblem(rng, params, 1+rng.Intn(12))
-		want := DVGreedy{}.Allocate(params, p)
+		want := NewSolverAllocator().Allocate(params, p)
 		got := fromKnapsack(LowerProblem(params, p).Combined())
 		equalAllocations(t, want, got, fmt.Sprintf("trial %d", trial))
 	}
 }
 
 // BenchmarkSolveSlot measures one slot allocation end to end (lowering +
-// solve) for the reusable solver-backed allocator against the stateless
-// DVGreedy baseline.
+// solve) on a reused allocator.
 func BenchmarkSolveSlot(b *testing.B) {
 	params := DefaultSimParams()
 	for _, n := range []int{5, 30, 200} {
@@ -179,13 +168,6 @@ func BenchmarkSolveSlot(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a.Allocate(params, p)
-			}
-		})
-		b.Run(fmt.Sprintf("dvgreedy/N=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				DVGreedy{}.Allocate(params, p)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/fleet/coord"
 	"repro/internal/motion"
 	"repro/internal/obs"
@@ -94,13 +93,14 @@ func TestLiveMigrateRollbackOnAdoptFailure(t *testing.T) {
 func TestLiveCoordLeaderFailover(t *testing.T) {
 	baseGoroutines := obs.LeakSnapshot()
 	reg := obs.NewRegistry()
-	base := server.DefaultConfig(core.DVGreedy{})
+	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
 	base.SlotDuration = 5 * time.Millisecond
 	base.Metrics = reg
 	base.Logf = t.Logf
 	l, err := NewLive(LiveConfig{
 		Shards:           2,
 		Base:             base,
+		NewAllocator:     newShardAllocator,
 		GlobalBudgetMbps: 400,
 		Coordinators:     3,
 		Coord:            coord.Config{LeaseSlots: 4},
@@ -214,12 +214,13 @@ func TestLiveCoordLeaderFailover(t *testing.T) {
 // and counted.
 func TestLiveCoordStaleFlipFenced(t *testing.T) {
 	reg := obs.NewRegistry()
-	base := server.DefaultConfig(core.DVGreedy{})
+	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
 	base.SlotDuration = 5 * time.Millisecond
 	base.Metrics = reg
 	l, err := NewLive(LiveConfig{
 		Shards:           2,
 		Base:             base,
+		NewAllocator:     newShardAllocator,
 		GlobalBudgetMbps: 400,
 		Coordinators:     3,
 		Coord:            coord.Config{LeaseSlots: 2},

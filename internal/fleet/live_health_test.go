@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/fleet/coord"
 	"repro/internal/motion"
 	"repro/internal/obs"
@@ -174,7 +173,7 @@ func TestLiveEvacuationTrigger(t *testing.T) {
 	slo := obs.NewSLOMonitor(obs.SLOConfig{WindowSlots: 40, ShortWindowSlots: 10}, reg)
 	rec := obs.NewPlacementRecorder(obs.PlacementRecorderOptions{RingSize: 64})
 
-	base := server.DefaultConfig(core.DVGreedy{})
+	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
 	base.SlotDuration = 5 * time.Millisecond
 	base.Metrics = reg
 	base.SLO = slo
@@ -182,6 +181,7 @@ func TestLiveEvacuationTrigger(t *testing.T) {
 	l, err := NewLive(LiveConfig{
 		Shards:           2,
 		Base:             base,
+		NewAllocator:     newShardAllocator,
 		GlobalBudgetMbps: 400,
 		Recorder:         rec,
 		Evac: EvacConfig{

@@ -13,13 +13,17 @@ import (
 	"repro/internal/trace"
 )
 
+// newShardAllocator is the tests' LiveConfig.NewAllocator: the solver keeps
+// scratch, so each shard's slot loop gets its own.
+func newShardAllocator() core.Allocator { return core.NewSolverAllocator() }
+
 // newTestLive builds a 2-shard live fleet with shared observability wired
 // the way cmd/collabvr-fleet does it: one registry, one SLO monitor, one
 // tracer across every shard.
 func newTestLive(t *testing.T, reg *obs.Registry, slo *obs.SLOMonitor,
 	tracer *trace.Tracer, rec *obs.PlacementRecorder) *Live {
 	t.Helper()
-	base := server.DefaultConfig(core.DVGreedy{})
+	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
 	base.SlotDuration = 5 * time.Millisecond
 	base.Metrics = reg
 	base.SLO = slo
@@ -28,6 +32,7 @@ func newTestLive(t *testing.T, reg *obs.Registry, slo *obs.SLOMonitor,
 	l, err := NewLive(LiveConfig{
 		Shards:           2,
 		Base:             base,
+		NewAllocator:     newShardAllocator,
 		GlobalBudgetMbps: 400,
 		Recorder:         rec,
 	})

@@ -92,19 +92,3 @@ func BenchmarkSolveReference(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSolveBatch measures batched throughput over independent
-// instances — the loadgen's hundreds-of-sessions regime.
-func BenchmarkSolveBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(99))
-	problems := make([]*Problem, 256)
-	for i := range problems {
-		problems[i] = benchLadderProblem(rng, 30)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SolveBatch(problems, 0)
-	}
-	b.ReportMetric(float64(len(problems)), "solves/op")
-}

@@ -151,7 +151,7 @@ func TestGoldenCorpus(t *testing.T) {
 	if *updateGolden {
 		file := goldenFile{
 			Comment: "Recorded solutions and traces of the original rescan greedy " +
-				"(ReferenceDensityGreedy/ReferenceValueGreedy/ReferenceCombined); " +
+				"(referenceGreedy per pass, ReferenceCombined); " +
 				"regenerate with: go test ./internal/knapsack -run TestGoldenCorpus -update-golden",
 		}
 		for i, p := range goldenGenerate() {
@@ -160,8 +160,8 @@ func TestGoldenCorpus(t *testing.T) {
 				c.Items = append(c.Items, goldenItem{Values: it.Values, Weights: it.Weights, Cap: it.Cap})
 			}
 			var dtr, vtr PassTrace
-			d := p.ReferenceDensityGreedyTraced(&dtr)
-			v := p.ReferenceValueGreedyTraced(&vtr)
+			d := p.referenceGreedy(byDensity, &dtr)
+			v := p.referenceGreedy(byValue, &vtr)
 			c.Density = toGoldenPass(d, dtr)
 			c.Value = toGoldenPass(v, vtr)
 			var ctr CombinedTrace
@@ -222,7 +222,7 @@ func TestGoldenCorpus(t *testing.T) {
 
 		// And the reference engine must still match its own recording.
 		var rdtr, rvtr PassTrace
-		equalGoldenPass(t, c.Name, "reference-density", c.Density, p.ReferenceDensityGreedyTraced(&rdtr), rdtr)
-		equalGoldenPass(t, c.Name, "reference-value", c.Value, p.ReferenceValueGreedyTraced(&rvtr), rvtr)
+		equalGoldenPass(t, c.Name, "reference-density", c.Density, p.referenceGreedy(byDensity, &rdtr), rdtr)
+		equalGoldenPass(t, c.Name, "reference-value", c.Value, p.referenceGreedy(byValue, &rvtr), rvtr)
 	}
 }

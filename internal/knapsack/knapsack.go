@@ -8,17 +8,17 @@
 // exact brute-force solver for small instances, and the fractional upper
 // bound V_p used in the proof of Theorem 1.
 //
-// Two interchangeable engines implement the greedy passes. The Solver
-// (solver.go) is the fast path: an incremental max-heap of pending
-// upgrades with reusable scratch, O(log N) per pick and zero allocations
-// in steady state; DensityGreedy, ValueGreedy and Combined run on a
-// pooled Solver. The original O(N * picks) scan is kept verbatim as
-// ReferenceDensityGreedy / ReferenceValueGreedy / ReferenceCombined; both
-// engines share the scoring and tie-breaking rules below and return
-// bit-identical solutions and traces, which the golden-corpus and fuzz
-// tests enforce. Inputs are expected to be finite (no NaN/Inf); the
-// solvers do not panic on non-finite values but the two engines may then
-// disagree, since NaN breaks the candidate total order.
+// One engine runs the greedy passes in production: the Solver (solver.go),
+// an incremental max-heap of pending upgrades with reusable scratch,
+// O(log N) per pick and zero allocations in steady state; DensityGreedy,
+// ValueGreedy and Combined run on a pooled Solver. The original
+// O(N * picks) scan is kept verbatim as the test oracle (referenceGreedy,
+// exported as ReferenceCombined); both share the scoring and tie-breaking
+// rules below and return bit-identical solutions and traces, which the
+// golden-corpus and fuzz tests enforce. Inputs are expected to be finite
+// (no NaN/Inf); the solvers do not panic on non-finite values but the
+// Solver and the oracle may then disagree, since NaN breaks the candidate
+// total order.
 package knapsack
 
 import (
@@ -390,24 +390,6 @@ func (p *Problem) CombinedTraced(tr *CombinedTrace) Solution {
 	sol := s.CombinedTraced(p, tr).Clone()
 	solverPool.Put(s)
 	return sol
-}
-
-// ReferenceDensityGreedy is DensityGreedy on the original rescan engine.
-func (p *Problem) ReferenceDensityGreedy() Solution { return p.referenceGreedy(byDensity, nil) }
-
-// ReferenceDensityGreedyTraced is DensityGreedyTraced on the original
-// rescan engine.
-func (p *Problem) ReferenceDensityGreedyTraced(tr *PassTrace) Solution {
-	return p.referenceGreedy(byDensity, tr)
-}
-
-// ReferenceValueGreedy is ValueGreedy on the original rescan engine.
-func (p *Problem) ReferenceValueGreedy() Solution { return p.referenceGreedy(byValue, nil) }
-
-// ReferenceValueGreedyTraced is ValueGreedyTraced on the original rescan
-// engine.
-func (p *Problem) ReferenceValueGreedyTraced(tr *PassTrace) Solution {
-	return p.referenceGreedy(byValue, tr)
 }
 
 // ReferenceCombined is Combined on the original rescan engine. The heap

@@ -28,12 +28,12 @@ func TestSolverMatchesReference(t *testing.T) {
 				}
 
 				var refD, gotD PassTrace
-				equalSolutions(t, p.ReferenceDensityGreedyTraced(&refD),
+				equalSolutions(t, p.referenceGreedy(byDensity, &refD),
 					s.DensityGreedyTraced(p, &gotD), "density")
 				equalPassTraces(t, refD, gotD, "density")
 
 				var refV, gotV PassTrace
-				equalSolutions(t, p.ReferenceValueGreedyTraced(&refV),
+				equalSolutions(t, p.referenceGreedy(byValue, &refV),
 					s.ValueGreedyTraced(p, &gotV), "value")
 				equalPassTraces(t, refV, gotV, "value")
 
@@ -60,8 +60,8 @@ func TestPooledAPIMatchesReference(t *testing.T) {
 				t.Fatal("pooled Combined returned aliased Levels")
 			}
 		}
-		equalSolutions(t, p.ReferenceDensityGreedy(), p.DensityGreedy(), "pooled density")
-		equalSolutions(t, p.ReferenceValueGreedy(), p.ValueGreedy(), "pooled value")
+		equalSolutions(t, p.referenceGreedy(byDensity, nil), p.DensityGreedy(), "pooled density")
+		equalSolutions(t, p.referenceGreedy(byValue, nil), p.ValueGreedy(), "pooled value")
 	}
 }
 
@@ -83,8 +83,8 @@ func TestTieBreakDeterministic(t *testing.T) {
 		name  string
 		solve func(tr *PassTrace) Solution
 	}{
-		{"reference/density", p.ReferenceDensityGreedyTraced},
-		{"reference/value", p.ReferenceValueGreedyTraced},
+		{"reference/density", func(tr *PassTrace) Solution { return p.referenceGreedy(byDensity, tr) }},
+		{"reference/value", func(tr *PassTrace) Solution { return p.referenceGreedy(byValue, tr) }},
 		{"solver/density", func(tr *PassTrace) Solution { return s.DensityGreedyTraced(p, tr) }},
 		{"solver/value", func(tr *PassTrace) Solution { return s.ValueGreedyTraced(p, tr) }},
 	} {
@@ -147,31 +147,6 @@ func TestSolverScratchReuseAcrossSizes(t *testing.T) {
 		n := []int{1, 200, 3, 47, 1000, 12}[trial%6]
 		p := randomConcaveProblem(rng, n, 1+rng.Intn(6))
 		equalSolutions(t, p.ReferenceCombined(), s.Combined(p), "resize")
-	}
-}
-
-// TestSolveBatchMatchesSequential checks the sharded batch API: order
-// preserved, every result identical to a sequential Combined, at several
-// worker counts including degenerate ones.
-func TestSolveBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	problems := make([]*Problem, 137)
-	want := make([]Solution, len(problems))
-	for i := range problems {
-		problems[i] = randomArbitraryProblem(rng, 1+rng.Intn(12), 1+rng.Intn(6))
-		want[i] = problems[i].ReferenceCombined()
-	}
-	for _, workers := range []int{-1, 0, 1, 2, 3, 16, 1000} {
-		got := SolveBatch(problems, workers)
-		if len(got) != len(problems) {
-			t.Fatalf("workers=%d: %d results for %d problems", workers, len(got), len(problems))
-		}
-		for i := range got {
-			equalSolutions(t, want[i], got[i], "batch")
-		}
-	}
-	if out := SolveBatch(nil, 4); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
 	}
 }
 

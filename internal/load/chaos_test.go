@@ -39,7 +39,7 @@ func campaignRun(t *testing.T, w *Workload, withChaos bool) (*RunReport, *obs.Re
 		HalfOpenSlots: 60,
 	}, reg)
 	cfg := SimConfig{
-		NewAllocator: func() core.Allocator { return core.DVGreedy{} },
+		NewAllocator: func() core.Allocator { return core.NewSolverAllocator() },
 		AllocName:    "dv-greedy",
 		SLO:          slo,
 		Breaker:      brk,
@@ -139,7 +139,7 @@ func TestSimChaosSeedSensitivity(t *testing.T) {
 	}
 	run := func(seed int64) *RunReport {
 		rep, err := Simulate(w, SimConfig{
-			NewAllocator: func() core.Allocator { return core.DVGreedy{} },
+			NewAllocator: func() core.Allocator { return core.NewSolverAllocator() },
 			Chaos: &chaos.Profile{
 				Name: "loss", Seed: seed,
 				Faults: []chaos.Fault{{Kind: chaos.FaultLoss, StartSlot: 50, DurationSlots: 300, P: 0.3}},

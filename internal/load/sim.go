@@ -83,15 +83,6 @@ type SimConfig struct {
 	// (after the slot's outcomes have landed in Metrics/SLO), so the sim
 	// produces the same multi-resolution series schema as a live server.
 	Health *tsdb.Sampler
-	// WarmStart swaps the default allocator for the warm-start solver
-	// (core.NewWarmAllocator), which replays the previous slot's pick log
-	// when the problem is sparsely perturbed and falls back to a cold
-	// solve otherwise — decisions are bit-identical either way. The sim
-	// advances T every slot, which re-lowers every value, so here warm
-	// start mostly exercises the fallback path (differential coverage);
-	// fixed-T re-solves are where it wins. Ignored when NewAllocator is
-	// set explicitly.
-	WarmStart bool
 }
 
 func (c SimConfig) withDefaults() SimConfig {
@@ -99,11 +90,7 @@ func (c SimConfig) withDefaults() SimConfig {
 		c.Params = core.DefaultSystemParams()
 	}
 	if c.NewAllocator == nil {
-		if c.WarmStart {
-			c.NewAllocator = func() core.Allocator { return core.NewWarmAllocator() }
-		} else {
-			c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
-		}
+		c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
 		if c.AllocName == "" {
 			c.AllocName = "proposed"
 		}

@@ -82,25 +82,28 @@ type TournamentResult struct {
 	Entries      []TournamentEntry `json:"entries"`
 }
 
-// DefaultCandidates is the standard roster: both Algorithm 1 engines (heap
-// solver and reference rescan — they must tie exactly, a built-in sanity
-// check), the single-branch ablations, the three baselines, and two tuned
-// alpha/beta variants of the proposed algorithm.
+// DefaultCandidates is the standard roster: Algorithm 1, its single-branch
+// ablations, the three baselines — each under its registry name, so a row
+// can be re-run with -algo — and two tuned alpha/beta variants of the
+// proposed algorithm. The exact solver is left out: brute force is L^N.
 func DefaultCandidates(base core.Params) []Candidate {
 	alphaHi, betaHi := base, base
 	alphaHi.Alpha *= 2
 	betaHi.Beta *= 2
-	return []Candidate{
-		{Name: "dvgreedy", NewAllocator: func() core.Allocator { return core.NewSolverAllocator() }},
-		{Name: "dvgreedy-scan", NewAllocator: func() core.Allocator { return core.DVGreedy{} }},
-		{Name: "density-only", NewAllocator: func() core.Allocator { return core.DensityOnly{} }},
-		{Name: "value-only", NewAllocator: func() core.Allocator { return core.ValueOnly{} }},
-		{Name: "firefly", NewAllocator: func() core.Allocator { return baseline.NewFirefly() }},
-		{Name: "pavq", NewAllocator: func() core.Allocator { return baseline.NewPAVQ() }},
-		{Name: "uniform", NewAllocator: func() core.Allocator { return baseline.NewUniform() }},
-		{Name: "dvgreedy-alpha2x", NewAllocator: func() core.Allocator { return core.NewSolverAllocator() }, Params: &alphaHi},
-		{Name: "dvgreedy-beta2x", NewAllocator: func() core.Allocator { return core.NewSolverAllocator() }, Params: &betaHi},
+	registered := func(name string) func() core.Allocator {
+		mk, err := baseline.Constructor(name)
+		if err != nil {
+			panic(err) // the roster below names only registered allocators
+		}
+		return mk
 	}
+	var roster []Candidate
+	for _, name := range []string{"dvgreedy", "density", "value", "firefly", "pavq", "uniform"} {
+		roster = append(roster, Candidate{Name: name, NewAllocator: registered(name)})
+	}
+	return append(roster,
+		Candidate{Name: "dvgreedy-alpha2x", NewAllocator: registered("dvgreedy"), Params: &alphaHi},
+		Candidate{Name: "dvgreedy-beta2x", NewAllocator: registered("dvgreedy"), Params: &betaHi})
 }
 
 // jainIndex is Jain's fairness index over non-negative xs: (sum x)^2 /

@@ -32,7 +32,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // long-lived server under arrival/departure churn does not leak sessions.
 func TestServerRetiresDepartedSessions(t *testing.T) {
 	base := obs.LeakSnapshot()
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.Metrics = obs.NewRegistry()
 	srv, err := New(cfg)
@@ -63,7 +63,7 @@ func TestServerRetiresDepartedSessions(t *testing.T) {
 // over the session; the stale connection is closed rather than leaking.
 func TestServerReconnectSupersedes(t *testing.T) {
 	base := obs.LeakSnapshot()
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	srv, err := New(cfg)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestServerReconnectSupersedes(t *testing.T) {
 // closes the connection without a Welcome, and admitted sessions are
 // unaffected.
 func TestServerMaxSessionsBackpressure(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.MaxSessions = 1
 	cfg.Metrics = obs.NewRegistry()

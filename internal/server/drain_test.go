@@ -36,7 +36,7 @@ func (p *panickyAllocator) Allocate(params core.Params, prob *core.SlotProblem) 
 // goroutine behind after the follow-up Close — the SIGTERM contract.
 func TestServerDrainFlushesAndExitsClean(t *testing.T) {
 	base := obs.LeakSnapshot()
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.Metrics = obs.NewRegistry()
 	srv, err := New(cfg)
@@ -82,7 +82,7 @@ func TestServerDrainFlushesAndExitsClean(t *testing.T) {
 // recorder's context, and the pipeline keeps serving subsequent slots.
 func TestServerPanicRecoveryIsolatesSlot(t *testing.T) {
 	base := obs.LeakSnapshot()
-	alloc := &panickyAllocator{inner: core.DVGreedy{}, panicOn: 3}
+	alloc := &panickyAllocator{inner: core.NewSolverAllocator(), panicOn: 3}
 	cfg := DefaultConfig(alloc)
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.Metrics = obs.NewRegistry()
@@ -121,7 +121,7 @@ func TestServerPanicRecoveryIsolatesSlot(t *testing.T) {
 // of the same tile back off (notBefore stamped) and eventually abandon,
 // surfacing in the abandoned-tiles counter instead of retrying forever.
 func TestHandleNackRetryPolicy(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.RetransmitOnNack = true
 	cfg.Metrics = obs.NewRegistry()
 	cfg.RetryPolicy = transport.RetryPolicy{
@@ -190,7 +190,7 @@ func TestHandleNackRetryPolicy(t *testing.T) {
 // control-loop exit can both retire the same session; the active gauge must
 // move exactly once.
 func TestRetireSessionIdempotent(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.Metrics = obs.NewRegistry()
 	srv, err := New(cfg)

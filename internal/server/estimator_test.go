@@ -13,7 +13,7 @@ import (
 // goodput samples below the link rate (non-saturating trains) must not drag
 // the estimate down; only the window maximum counts.
 func TestCapEstimateMaxFilter(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestCapEstimateMaxFilter(t *testing.T) {
 // sample, the estimate adapts downward — capacity drops are eventually
 // noticed.
 func TestCapEstimateWindowEvicts(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestHandoffTokenEpochZeroIdentity(t *testing.T) {
 // own fields, counting both in collabvr_fleet_coord_fenced_total.
 func TestAdoptSessionEpochFencing(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig(core.NewWarmAllocator())
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.Metrics = reg
 	srv, err := New(cfg)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestAdoptSessionEpochFencing(t *testing.T) {
 func TestCancelExportRollsBackHandoff(t *testing.T) {
 	baseline := obs.LeakSnapshot()
 	reg := obs.NewRegistry()
-	cfg := DefaultConfig(core.NewWarmAllocator())
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 2 * time.Millisecond
 	cfg.Metrics = reg
 	srv, err := New(cfg)

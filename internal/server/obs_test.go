@@ -29,7 +29,7 @@ func TestServerObservabilityUnderInjectedLoss(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(obs.RecorderOptions{RingSize: 64})
 
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.BudgetMbps = 300
 	cfg.RetransmitOnNack = true
@@ -153,7 +153,7 @@ func TestServerObservabilityUnderInjectedLoss(t *testing.T) {
 // TestClientMetricsUnderInjectedLoss checks the client-side counters: lost
 // fragments surface as incomplete-tile drops and NACKs.
 func TestClientMetricsUnderInjectedLoss(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.BudgetMbps = 300
 	cfg.RetransmitOnNack = true

@@ -1176,10 +1176,10 @@ func (s *Server) slotLoop() {
 		}
 		s.mu.Unlock()
 		sessions := s.sessBuf
-		// Stable user order: the warm-start allocator diffs consecutive
-		// slot problems positionally, so the snapshot is sorted by user ID
-		// — map iteration order would reshuffle every position every slot
-		// and degrade every solve to a cold one.
+		// Stable user order: Algorithm 1 breaks score ties toward the
+		// lowest index, so the snapshot is sorted by user ID — a tie then
+		// goes to the lowest user ID rather than to whoever map iteration
+		// order happened to put first this slot.
 		slices.SortFunc(sessions, func(a, b *session) int {
 			return cmp.Compare(a.user, b.user)
 		})
@@ -1238,8 +1238,8 @@ func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	s.pool.forEach(len(sessions), s.buildFn)
 
 	// Stable compaction: drop sessions that have not posed yet, keeping
-	// the sorted order the warm-start diff depends on. The append targets
-	// trail the read index, so compacting in place is safe.
+	// the user-ID order the allocator's tie-breaking relies on. The append
+	// targets trail the read index, so compacting in place is safe.
 	plans, users := s.planBuf[:0], s.userBuf[:0]
 	for i := range s.planBuf {
 		if s.planBuf[i].ok {

@@ -70,7 +70,7 @@ func (f *fakeClient) drainPackets(d time.Duration) []*transport.Packet {
 
 func newTestServer(t *testing.T, totalSlots int) *Server {
 	t.Helper()
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.TotalSlots = totalSlots
 	cfg.BudgetMbps = 300
@@ -184,7 +184,7 @@ func TestServerSuppressesAckedTiles(t *testing.T) {
 }
 
 func TestServerPrefetchWarmsNeighborCells(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.PrefetchRadius = 1
 	srv, err := New(cfg)
@@ -225,7 +225,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDelayTableFallsBackToMM1(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestDelayTableFallsBackToMM1(t *testing.T) {
 }
 
 func TestDelayTableUsesRegression(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestDelayTableUsesRegression(t *testing.T) {
 }
 
 func TestHandleNackRetransmits(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.RetransmitOnNack = true
 	srv, err := New(cfg)
 	if err != nil {
@@ -323,7 +323,7 @@ func TestHandleNackRetransmits(t *testing.T) {
 }
 
 func TestHandleNackDisabled(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestServerBadHelloUDPAddr(t *testing.T) {
 }
 
 func TestHandleACKUpdatesEstimates(t *testing.T) {
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -167,7 +167,7 @@ type sessionOutcome struct {
 
 func runSlotSequence(t *testing.T, workers, users, slots int) map[uint32]sessionOutcome {
 	t.Helper()
-	cfg := DefaultConfig(core.NewWarmAllocator())
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotWorkers = workers
 	srv := stoppedServer(t, cfg)
 	sessions := churnSessions(srv, users)
@@ -227,12 +227,11 @@ func TestRunSlotShardedMatchesSerial(t *testing.T) {
 }
 
 // TestRunSlotSteadyStateAllocs gates the hot path: with observability
-// disabled (nil Metrics/Recorder/Tracer) and a warm-started shared
-// allocator, a steady-state slot must not allocate at all — scratch
-// buffers, the batch free list and the solver's warm path absorb
-// everything.
+// disabled (nil Metrics/Recorder/Tracer) and a shared allocator, a
+// steady-state slot must not allocate at all — scratch buffers, the batch
+// free list and the solver's reused heap absorb everything.
 func TestRunSlotSteadyStateAllocs(t *testing.T) {
-	cfg := DefaultConfig(core.NewWarmAllocator())
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotWorkers = 1
 	srv := stoppedServer(t, cfg)
 
@@ -252,9 +251,7 @@ func TestRunSlotSteadyStateAllocs(t *testing.T) {
 		sessions = append(sessions, sess)
 	}
 
-	// A fixed slot number keeps T constant so the warm solver warm-starts
-	// (the variance weight (t-1)/t would otherwise dirty every ladder) and
-	// keeps the allocation-record map at size one.
+	// A fixed slot number keeps the allocation-record map at size one.
 	const slot = 7
 	for i := 0; i < 50; i++ {
 		srv.runSlot(slot, sessions, cfg.BudgetMbps)
@@ -271,7 +268,7 @@ func TestRunSlotSteadyStateAllocs(t *testing.T) {
 // never ACKs (dead display path) must not grow its slot->allocation join
 // map without bound.
 func TestAllocatedMapBounded(t *testing.T) {
-	cfg := DefaultConfig(core.NewWarmAllocator())
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotWorkers = 1
 	srv := stoppedServer(t, cfg)
 	sess := bareSession(srv, 1, vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}}, 1)
@@ -317,7 +314,7 @@ func dialQuiet(srv *Server, user uint32) (*fakeClient, error) {
 // and the leak assertion gates pool shutdown via Drain/Close.
 func TestSlotLoopConcurrentChurnRace(t *testing.T) {
 	baseline := obs.LeakSnapshot()
-	cfg := DefaultConfig(core.NewWarmAllocator())
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 2 * time.Millisecond
 	cfg.SlotWorkers = 4
 	cfg.RetransmitOnNack = true

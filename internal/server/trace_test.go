@@ -23,7 +23,7 @@ func TestTraceStitchingUnderNackRetry(t *testing.T) {
 	const epoch = 7
 	tracer := trace.New(trace.Options{Exporter: trace.NewExporter(trace.ExporterOptions{RingSize: 1 << 15})})
 
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.BudgetMbps = 300
 	cfg.RetransmitOnNack = true
@@ -116,7 +116,7 @@ func TestTraceSurvivesReconnectSupersede(t *testing.T) {
 	const epoch = 11
 	tracer := trace.New(trace.Options{Exporter: trace.NewExporter(trace.ExporterOptions{RingSize: 1 << 14})})
 
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.BudgetMbps = 300
 	cfg.Tracer = tracer
@@ -170,7 +170,7 @@ func TestSLOUnderInjectedLoss(t *testing.T) {
 	reg := obs.NewRegistry()
 	slo := obs.NewSLOMonitor(obs.SLOConfig{WindowSlots: 100, ShortWindowSlots: 20}, reg)
 
-	cfg := DefaultConfig(core.DVGreedy{})
+	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.BudgetMbps = 300
 	cfg.Metrics = reg

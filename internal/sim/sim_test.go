@@ -57,7 +57,7 @@ func TestRunProducesSamplesPerAlgorithm(t *testing.T) {
 func TestRunDeterministicForSameSeed(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Runs = 2
-	algs := []AlgorithmFactory{{Name: "proposed", New: func() core.Allocator { return core.DVGreedy{} }}}
+	algs := []AlgorithmFactory{{Name: "proposed", New: func() core.Allocator { return core.NewSolverAllocator() }}}
 	a, err := Run(cfg, algs)
 	if err != nil {
 		t.Fatal(err)

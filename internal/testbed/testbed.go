@@ -266,7 +266,7 @@ func RunAll(cfg Config) ([]*Result, error) {
 		name string
 		mk   func() core.Allocator
 	}{
-		{"proposed", func() core.Allocator { return core.DVGreedy{} }},
+		{"proposed", func() core.Allocator { return core.NewSolverAllocator() }},
 		{"firefly", func() core.Allocator { return newFirefly() }},
 		{"pavq", func() core.Allocator { return newPAVQ() }},
 	}

@@ -35,7 +35,7 @@ func tinyConfig() Config {
 // client reassembly/decode/display, TCP ACK feedback — and checks the
 // integration invariants.
 func TestEndToEndPipeline(t *testing.T) {
-	res, err := Run(tinyConfig(), "proposed", core.DVGreedy{})
+	res, err := Run(tinyConfig(), "proposed", core.NewSolverAllocator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestThrottledUserGetsLowerQuality(t *testing.T) {
 	// shuffle would apply: use two values and a fixed seed such that both
 	// appear.
 	cfg.Setup.Throttles = []float64{8, 80}
-	res, err := Run(cfg, "proposed", core.DVGreedy{})
+	res, err := Run(cfg, "proposed", core.NewSolverAllocator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,13 @@ func TestLossHandlingImprovesCoverage(t *testing.T) {
 	base.Slots = 200
 	base.Setup.LossProb = 0.25
 
-	plain, err := Run(base, "proposed", core.DVGreedy{})
+	plain, err := Run(base, "proposed", core.NewSolverAllocator())
 	if err != nil {
 		t.Fatal(err)
 	}
 	withNack := base
 	withNack.LossHandling = true
-	recovered, err := Run(withNack, "proposed", core.DVGreedy{})
+	recovered, err := Run(withNack, "proposed", core.NewSolverAllocator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +175,12 @@ func TestLossHandlingImprovesCoverage(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Slots = 0
-	if _, err := Run(cfg, "x", core.DVGreedy{}); err == nil {
+	if _, err := Run(cfg, "x", core.NewSolverAllocator()); err == nil {
 		t.Error("zero slots should error")
 	}
 	cfg = tinyConfig()
 	cfg.Setup.Users = 0
-	if _, err := Run(cfg, "x", core.DVGreedy{}); err == nil {
+	if _, err := Run(cfg, "x", core.NewSolverAllocator()); err == nil {
 		t.Error("zero users should error")
 	}
 }
