@@ -24,10 +24,11 @@ lint: vet
 # The engines that shard work across goroutines (sim.Run's run workers,
 # load.Simulate's build shards) run at GOMAXPROCS 1, 2 and 4, so an ordering
 # or sharding bug that only shows with two or more workers fails here rather
-# than on whichever box happens to have the cores.
+# than on whichever box happens to have the cores. internal/transport rides
+# along: its allocation gates run a sender beside a receiver.
 test:
-	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load)$$')
-	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load
+	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|transport)$$')
+	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/transport
 
 race:
 	$(GO) test -race ./internal/... ./cmd/...
@@ -47,12 +48,15 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Solve -benchtime 1x ./internal/knapsack ./internal/core
 
-# Brief native fuzzing of the greedy differential and DP targets (~10 s
-# each) on top of the checked-in seed corpora under testdata/fuzz.
+# Brief native fuzzing of the greedy differential, the DP, the coordinator
+# log and the two wire decoders (~10 s each) on top of the checked-in seed
+# corpora under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
+	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzControlFrame$$' -fuzztime 10s ./internal/transport
 
 # Regenerate every paper figure (scaled down; ~minutes).
 figures:

@@ -170,7 +170,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	setupStart := time.Now()
-	udp, err := net.ListenPacket("udp", "127.0.0.1:0")
+	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("client: listen udp: %w", err)
 	}
@@ -215,7 +215,7 @@ func Run(cfg Config) (*Result, error) {
 type runner struct {
 	cfg   Config
 	obs   clientMetrics
-	udp   net.PacketConn
+	udp   *net.UDPConn
 	reasm *transport.Reassembler
 	ram   *tiles.ClientRAM
 	acc   *metrics.UserQoE
@@ -491,13 +491,15 @@ func (c *runner) run() (*Result, error) {
 func (c *runner) receiveLoop(done chan<- struct{}) {
 	defer close(done)
 	buf := make([]byte, 65536)
+	var p transport.Packet // every datagram decodes into this one
 	for {
-		n, _, err := c.udp.ReadFrom(buf)
+		// ReadFromUDPAddrPort returns the source by value; ReadFrom
+		// allocates a net.Addr per datagram.
+		n, _, err := c.udp.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		p, err := transport.Decode(buf[:n])
-		if err != nil {
+		if err := transport.DecodeInto(&p, buf[:n]); err != nil {
 			// Malformed (truncated, corrupted, bad checksum) datagrams are
 			// counted and dropped — never allowed to crash the pump.
 			c.obs.malformed.Inc()
@@ -507,7 +509,7 @@ func (c *runner) receiveLoop(done chan<- struct{}) {
 			continue
 		}
 		now := time.Now()
-		c.reasm.Ingest(p, now)
+		c.reasm.Ingest(&p, now)
 		c.mu.Lock()
 		if !c.anySlot || p.Slot > c.maxSlot {
 			c.maxSlot = p.Slot

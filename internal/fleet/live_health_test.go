@@ -119,6 +119,9 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 		tick()
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Read while the session is live on the adopting shard: once the client
+	// leaves, that shard retires the window.
+	slotsAfter := sloSlots()
 
 	out := <-done
 	if out.err != nil {
@@ -129,8 +132,8 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 	}
 
 	// (a) SLO continuity: the shared monitor kept the window across shards.
-	if after := sloSlots(); after < slotsBefore {
-		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, after)
+	if slotsAfter < slotsBefore {
+		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, slotsAfter)
 	}
 
 	// (b) One store carries both planes: sampler-fed SLO totals and

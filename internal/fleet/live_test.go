@@ -129,6 +129,9 @@ func TestLiveMigrationWelcomeResume(t *testing.T) {
 	if got := l.Owner(user); got != 1 {
 		t.Fatalf("Owner(%d) = %d after migration, want 1", user, got)
 	}
+	// Read while the session is live on the adopting shard: once the client
+	// leaves, that shard retires the window.
+	slotsAfter := sloSlots()
 
 	out := <-done
 	if out.err != nil {
@@ -154,8 +157,8 @@ func TestLiveMigrationWelcomeResume(t *testing.T) {
 
 	// SLO window continuity: the shared monitor was never retired for the
 	// user, so the adopting shard kept filling the same window.
-	if after := sloSlots(); after < slotsBefore {
-		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, after)
+	if slotsAfter < slotsBefore {
+		t.Errorf("SLO window shrank across migration: %d -> %d slots", slotsBefore, slotsAfter)
 	}
 
 	// Trace stitching after the handoff: some trace started after the

@@ -1,7 +1,6 @@
 package tiles
 
 import (
-	"container/list"
 	"encoding/binary"
 	"sync"
 
@@ -19,7 +18,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	capacity int
-	order    *list.List // front = most recently used
+	order    lruList // oldest = least recently used
 	cache    map[VideoID]*storedTile
 	hits     int
 	misses   int
@@ -29,9 +28,44 @@ type Store struct {
 	missCounter *obs.Counter
 }
 
+// storedTile is one entry of a Store's or a ClientRAM's recency order. The
+// links live in the entry itself, so an insert allocates the entry and
+// nothing else and the ID is never boxed.
 type storedTile struct {
-	payload []byte
-	elem    *list.Element
+	prev, next *storedTile
+	id         VideoID
+	payload    []byte // nil in a ClientRAM
+}
+
+// lruList is a doubly-linked ring of storedTiles through a sentinel; the
+// zero value is not ready, call init.
+type lruList struct {
+	root storedTile // root.next = oldest, root.prev = newest
+	len  int
+}
+
+func (l *lruList) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+// oldest returns the least recently added or refreshed entry; the list must
+// not be empty.
+func (l *lruList) oldest() *storedTile { return l.root.next }
+
+func (l *lruList) pushNewest(t *storedTile) {
+	last := l.root.prev
+	t.prev, t.next = last, &l.root
+	last.next, l.root.prev = t, t
+	l.len++
+}
+
+func (l *lruList) remove(t *storedTile) {
+	t.prev.next, t.next.prev = t.next, t.prev
+	t.prev, t.next = nil, nil
+	l.len--
+}
+
+func (l *lruList) refresh(t *storedTile) {
+	l.remove(t)
+	l.pushNewest(t)
 }
 
 // NewStore returns a store over the given size model. capacity bounds the
@@ -44,13 +78,14 @@ func NewStore(model *SizeModel, capacity int, fps float64) *Store {
 	if fps <= 0 {
 		fps = 60
 	}
-	return &Store{
+	s := &Store{
 		model:    model,
 		fps:      fps,
 		capacity: capacity,
-		order:    list.New(),
 		cache:    make(map[VideoID]*storedTile, capacity),
 	}
+	s.order.init()
+	return s
 }
 
 // Payload returns the encoded bytes of a tile, generating and caching them
@@ -60,7 +95,7 @@ func (s *Store) Payload(id VideoID) []byte {
 	defer s.mu.Unlock()
 
 	if t, ok := s.cache[id]; ok {
-		s.order.MoveToFront(t.elem)
+		s.order.refresh(t)
 		s.hits++
 		s.hitCounter.Inc()
 		return t.payload
@@ -71,17 +106,13 @@ func (s *Store) Payload(id VideoID) []byte {
 	n := s.model.TileBytes(cell, tile, level, s.fps)
 	payload := synthesize(uint64(id), n)
 
-	t := &storedTile{payload: payload}
-	t.elem = s.order.PushFront(id)
+	t := &storedTile{id: id, payload: payload}
+	s.order.pushNewest(t)
 	s.cache[id] = t
-	for s.order.Len() > s.capacity {
-		back := s.order.Back()
-		evicted, ok := back.Value.(VideoID)
-		if !ok {
-			break
-		}
-		s.order.Remove(back)
-		delete(s.cache, evicted)
+	for s.order.len > s.capacity {
+		evicted := s.order.oldest()
+		s.order.remove(evicted)
+		delete(s.cache, evicted.id)
 	}
 	return payload
 }
@@ -116,7 +147,7 @@ func (s *Store) Stats() (hits, misses int) {
 func (s *Store) Cached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.order.len
 }
 
 // synthesize produces n deterministic bytes derived from the seed, so that
@@ -141,8 +172,8 @@ func synthesize(seed uint64, n int) []byte {
 type ClientRAM struct {
 	mu        sync.Mutex
 	threshold int
-	order     *list.List // front = oldest
-	held      map[VideoID]*list.Element
+	order     lruList
+	held      map[VideoID]*storedTile
 }
 
 // NewClientRAM returns a RAM model holding up to threshold tiles (minimum 1).
@@ -150,11 +181,12 @@ func NewClientRAM(threshold int) *ClientRAM {
 	if threshold < 1 {
 		threshold = 1
 	}
-	return &ClientRAM{
+	r := &ClientRAM{
 		threshold: threshold,
-		order:     list.New(),
-		held:      make(map[VideoID]*list.Element, threshold),
+		held:      make(map[VideoID]*storedTile, threshold),
 	}
+	r.order.init()
+	return r
 }
 
 // Add records a received tile and returns the IDs released to stay under
@@ -164,21 +196,19 @@ func (r *ClientRAM) Add(id VideoID) []VideoID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	if e, ok := r.held[id]; ok {
-		r.order.MoveToBack(e)
+	if t, ok := r.held[id]; ok {
+		r.order.refresh(t)
 		return nil
 	}
-	r.held[id] = r.order.PushBack(id)
+	t := &storedTile{id: id}
+	r.order.pushNewest(t)
+	r.held[id] = t
 	var released []VideoID
-	for r.order.Len() > r.threshold {
-		front := r.order.Front()
-		old, ok := front.Value.(VideoID)
-		if !ok {
-			break
-		}
-		r.order.Remove(front)
-		delete(r.held, old)
-		released = append(released, old)
+	for r.order.len > r.threshold {
+		old := r.order.oldest()
+		r.order.remove(old)
+		delete(r.held, old.id)
+		released = append(released, old.id)
 	}
 	return released
 }
@@ -195,7 +225,7 @@ func (r *ClientRAM) Holds(id VideoID) bool {
 func (r *ClientRAM) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.order.Len()
+	return r.order.len
 }
 
 // DeliveryLedger is the server-side record of which tiles each user already

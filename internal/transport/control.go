@@ -1,8 +1,11 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -82,53 +85,275 @@ type (
 	}
 )
 
-func init() {
-	gob.Register(Hello{})
-	gob.Register(Welcome{})
-	gob.Register(PoseUpdate{})
-	gob.Register(TileACK{})
-	gob.Register(Release{})
-	gob.Register(Nack{})
-}
+// A control frame is a 16-bit big-endian length, then that many bytes: a
+// version/type byte and the message's fields at fixed offsets, big-endian,
+// floats as IEEE 754 bits, ints as 64-bit two's complement, flags as one
+// byte whose unused bits are zero. Hello's address carries a one-byte
+// length; a tile list is a 16-bit count and then 64-bit video IDs, and is
+// always the frame's last field. The table is in DESIGN.md ("Wire formats").
+const (
+	// MaxControlFrame bounds the bytes after a frame's length field. A
+	// longer length is refused before anything is read into it, and Send
+	// refuses a message that would need one (a tile list of about 500 IDs;
+	// a slot delivers a handful).
+	MaxControlFrame = 4096
 
-// envelope is the frame wrapper gob encodes.
-type envelope struct {
-	Msg any
-}
+	controlVersion = 1 << 4 // high nibble of the version/type byte
 
-// Conn is a control-channel connection: gob frames over TCP, safe for one
-// concurrent sender and one concurrent receiver.
+	typeHello      = controlVersion | 1
+	typeWelcome    = controlVersion | 2
+	typePoseUpdate = controlVersion | 3
+	typeTileACK    = controlVersion | 4
+	typeRelease    = controlVersion | 5
+	typeNack       = controlVersion | 6
+)
+
+// Errors of the control codec. Recv wraps them; test with errors.Is.
+var (
+	ErrFrameTooLong   = errors.New("transport: control frame longer than MaxControlFrame")
+	ErrBadFrame       = errors.New("transport: malformed control frame")
+	ErrUnknownFrame   = errors.New("transport: unknown control frame version or type")
+	errNotAControlMsg = errors.New("transport: not a control message")
+)
+
+// Conn is a control-channel connection: length-prefixed binary frames over
+// TCP, safe for one concurrent sender and one concurrent receiver.
 type Conn struct {
 	raw net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	// rd holds a whole frame, so Recv decodes in place from its buffer.
+	rd *bufio.Reader
 
 	sendMu sync.Mutex
+	wbuf   []byte // encode scratch, guarded by sendMu
 }
 
 // NewConn wraps an established TCP connection.
 func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
+	return &Conn{raw: raw, rd: bufio.NewReaderSize(raw, 2+MaxControlFrame)}
 }
 
-// Send writes one control message.
+// Send writes one control message: a Hello, Welcome, PoseUpdate, TileACK,
+// Release or Nack value.
 func (c *Conn) Send(msg any) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	if err := c.enc.Encode(envelope{Msg: msg}); err != nil {
+	frame, err := appendFrame(c.wbuf[:0], msg)
+	c.wbuf = frame[:0]
+	if err == nil {
+		_, err = c.raw.Write(frame)
+	}
+	if err != nil {
 		return fmt.Errorf("transport: send control: %w", err)
 	}
 	return nil
 }
 
 // Recv reads the next control message, blocking until one arrives or the
-// connection fails.
+// connection fails. A tile list in the result is the caller's own. A frame
+// that does not decode is left unread: the stream has lost its framing and
+// every later Recv reports the same error.
 func (c *Conn) Recv() (any, error) {
-	var env envelope
-	if err := c.dec.Decode(&env); err != nil {
+	msg, err := c.recv()
+	if err != nil {
 		return nil, fmt.Errorf("transport: recv control: %w", err)
 	}
-	return env.Msg, nil
+	return msg, nil
+}
+
+func (c *Conn) recv() (any, error) {
+	head, err := c.rd.Peek(2)
+	if err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint16(head))
+	if n > MaxControlFrame {
+		return nil, ErrFrameTooLong
+	}
+	frame, err := c.rd.Peek(2 + n)
+	if err != nil {
+		return nil, err
+	}
+	msg, err := decodeBody(frame[2:])
+	if err != nil {
+		return nil, err
+	}
+	c.rd.Discard(len(frame)) // cannot fail: the bytes are buffered
+	return msg, nil
+}
+
+// appendFrame appends msg's frame to buf. It does not retain msg, so a
+// caller's message value need not escape to the heap.
+func appendFrame(buf []byte, msg any) ([]byte, error) {
+	buf = append(buf, 0, 0) // the length, set below
+	be := binary.BigEndian
+	switch m := msg.(type) {
+	case Hello:
+		if len(m.UDPAddr) > math.MaxUint8 {
+			return buf, ErrFrameTooLong
+		}
+		buf = append(buf, typeHello)
+		buf = be.AppendUint32(buf, m.User)
+		buf = be.AppendUint64(buf, uint64(m.RAMThreshold))
+		buf = append(buf, byte(len(m.UDPAddr)))
+		buf = append(buf, m.UDPAddr...)
+	case Welcome:
+		buf = append(buf, typeWelcome)
+		buf = be.AppendUint32(buf, m.User)
+		buf = append(buf, flags(m.Resumed, false))
+		buf = be.AppendUint64(buf, uint64(m.Shard))
+	case PoseUpdate:
+		buf = append(buf, typePoseUpdate)
+		buf = be.AppendUint32(buf, m.User)
+		buf = be.AppendUint32(buf, m.Slot)
+		for _, f := range [...]float64{m.Pose.Pos.X, m.Pose.Pos.Y, m.Pose.Pos.Z, m.Pose.Yaw, m.Pose.Pitch, m.Pose.Roll} {
+			buf = be.AppendUint64(buf, math.Float64bits(f))
+		}
+	case TileACK:
+		buf = append(buf, typeTileACK)
+		buf = be.AppendUint32(buf, m.User)
+		buf = be.AppendUint32(buf, m.Slot)
+		buf = be.AppendUint64(buf, math.Float64bits(m.DelayMs))
+		buf = be.AppendUint64(buf, uint64(m.Bytes))
+		buf = append(buf, flags(m.Covered, m.Displayed))
+		buf = appendTiles(buf, m.Tiles)
+	case Release:
+		buf = append(buf, typeRelease)
+		buf = be.AppendUint32(buf, m.User)
+		buf = appendTiles(buf, m.Tiles)
+	case Nack:
+		buf = append(buf, typeNack)
+		buf = be.AppendUint32(buf, m.User)
+		buf = be.AppendUint32(buf, m.Slot)
+		buf = appendTiles(buf, m.Tiles)
+	default:
+		return buf, errNotAControlMsg
+	}
+	n := len(buf) - 2
+	if n > MaxControlFrame {
+		return buf, ErrFrameTooLong
+	}
+	be.PutUint16(buf, uint16(n))
+	return buf, nil
+}
+
+func flags(bit0, bit1 bool) byte {
+	var f byte
+	if bit0 {
+		f |= 1
+	}
+	if bit1 {
+		f |= 2
+	}
+	return f
+}
+
+func appendTiles(buf []byte, ids []tiles.VideoID) []byte {
+	if len(ids) > MaxControlFrame/8 {
+		// No frame holds this list. Cut it to the shortest length that is
+		// still too long, so appendFrame refuses it without building it all.
+		ids = ids[:MaxControlFrame/8+1]
+	}
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
+	for _, id := range ids {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(id))
+	}
+	return buf
+}
+
+// bodyReader walks a frame body. Reading past its end sets bad and yields
+// zeros, so a decoder checks once, at the end, and never indexes out of range.
+type bodyReader struct {
+	b   []byte
+	bad bool
+}
+
+// zeroBody is what take yields past the end of a body; no field is longer
+// than the 255 bytes a Hello's address may have.
+var zeroBody [math.MaxUint8]byte
+
+func (r *bodyReader) take(n int) []byte {
+	if len(r.b) < n {
+		r.bad, r.b = true, nil
+		return zeroBody[:n]
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *bodyReader) u8() byte     { return r.take(1)[0] }
+func (r *bodyReader) u16() uint16  { return binary.BigEndian.Uint16(r.take(2)) }
+func (r *bodyReader) u32() uint32  { return binary.BigEndian.Uint32(r.take(4)) }
+func (r *bodyReader) u64() uint64  { return binary.BigEndian.Uint64(r.take(8)) }
+func (r *bodyReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// flags reads a flag byte of which only the low `used` bits may be set.
+func (r *bodyReader) flags(used uint) (bit0, bit1 bool) {
+	f := r.u8()
+	if f>>used != 0 {
+		r.bad = true
+	}
+	return f&1 != 0, f&2 != 0
+}
+
+// tiles reads a tile list, which must end the body. The count is checked
+// against the bytes present before the list is allocated.
+func (r *bodyReader) tiles() []tiles.VideoID {
+	n := int(r.u16())
+	if len(r.b) != 8*n {
+		r.bad = true
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	ids := make([]tiles.VideoID, n)
+	for i := range ids {
+		ids[i] = tiles.VideoID(r.u64())
+	}
+	return ids
+}
+
+// decodeBody parses the bytes after a frame's length field. It accepts
+// exactly what appendFrame produces: a body that is short, long, or sets a
+// bit the layout leaves zero is ErrBadFrame.
+func decodeBody(body []byte) (any, error) {
+	if len(body) == 0 {
+		return nil, ErrBadFrame
+	}
+	r := bodyReader{b: body[1:]}
+	var msg any
+	switch body[0] {
+	case typeHello:
+		m := Hello{User: r.u32(), RAMThreshold: int(int64(r.u64()))}
+		m.UDPAddr = string(r.take(int(r.u8())))
+		msg = m
+	case typeWelcome:
+		m := Welcome{User: r.u32()}
+		m.Resumed, _ = r.flags(1)
+		m.Shard = int(int64(r.u64()))
+		msg = m
+	case typePoseUpdate:
+		m := PoseUpdate{User: r.u32(), Slot: r.u32()}
+		m.Pose.Pos.X, m.Pose.Pos.Y, m.Pose.Pos.Z = r.f64(), r.f64(), r.f64()
+		m.Pose.Yaw, m.Pose.Pitch, m.Pose.Roll = r.f64(), r.f64(), r.f64()
+		msg = m
+	case typeTileACK:
+		m := TileACK{User: r.u32(), Slot: r.u32(), DelayMs: r.f64(), Bytes: int(int64(r.u64()))}
+		m.Covered, m.Displayed = r.flags(2)
+		m.Tiles = r.tiles()
+		msg = m
+	case typeRelease:
+		msg = Release{User: r.u32(), Tiles: r.tiles()}
+	case typeNack:
+		msg = Nack{User: r.u32(), Slot: r.u32(), Tiles: r.tiles()}
+	default:
+		return nil, ErrUnknownFrame
+	}
+	if r.bad || len(r.b) != 0 {
+		return nil, ErrBadFrame
+	}
+	return msg, nil
 }
 
 // SetDeadline bounds both directions.

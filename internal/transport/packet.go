@@ -4,12 +4,15 @@
 // and a TCP side channel for the acknowledgments, release notices and pose
 // uploads that RTP cannot carry ("we manually send acknowledgments (ACK)
 // from the user to the server through TCP").
+//
+// Both wire formats are fixed-layout and big-endian: the 40-byte data-packet
+// header (Packet, HeaderSize) and the length-prefixed control frame (Conn,
+// MaxControlFrame). DESIGN.md tabulates them under "Wire formats".
 package transport
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/tiles"
 )
@@ -49,7 +52,7 @@ type Packet struct {
 	Payload   []byte
 }
 
-// Errors returned by Decode.
+// Errors returned by Decode and DecodeInto.
 var (
 	ErrShortPacket = errors.New("transport: packet shorter than header")
 	ErrBadMagic    = errors.New("transport: bad magic")
@@ -57,20 +60,50 @@ var (
 	ErrBadChecksum = errors.New("transport: checksum mismatch")
 )
 
+// checksumBlock is the most bytes checksum sums between folds: 128 words of
+// 0xFF put 128*510 = 65280 in a 16-bit lane, the last count that fits.
+const checksumBlock = 128 * 8
+
 // checksum is the 16-bit additive checksum carried in header bytes 30-31:
 // the sum of every datagram byte with the checksum field taken as zero. It is
 // not cryptographic; it exists so in-path corruption (emulated by the chaos
 // injectors, or real on a radio link) is counted and dropped at Decode
 // instead of feeding garbage tiles into reassembly.
+//
+// The sum runs eight bytes at a time: a word's even and odd bytes are added
+// as four 16-bit lanes, each gaining at most 2*0xFF per word, and the lanes are
+// folded into the wide sum every checksumBlock bytes, before one could carry
+// into its neighbour.
 func checksum(data []byte) uint16 {
-	var sum uint16
-	for i, b := range data {
-		if i == 30 || i == 31 {
-			continue
-		}
-		sum += uint16(b)
+	const (
+		lanes16 = 0x00FF00FF00FF00FF
+		lanes32 = 0x0000FFFF0000FFFF
+	)
+	var sum uint64
+	if len(data) > 31 {
+		sum -= uint64(data[30]) + uint64(data[31])
+	} else if len(data) == 31 {
+		sum -= uint64(data[30])
 	}
-	return sum
+	for len(data) >= 8 {
+		block := data
+		if len(block) > checksumBlock {
+			block = block[:checksumBlock]
+		}
+		block = block[:len(block)&^7]
+		var acc uint64
+		for i := 0; i < len(block); i += 8 {
+			w := binary.LittleEndian.Uint64(block[i:])
+			acc += w&lanes16 + (w>>8)&lanes16
+		}
+		acc = acc&lanes32 + (acc>>16)&lanes32
+		sum += acc&0xFFFFFFFF + acc>>32
+		data = data[len(block):]
+	}
+	for _, b := range data {
+		sum += uint64(b)
+	}
+	return uint16(sum)
 }
 
 // Encode serializes the packet into buf (allocating if nil or too small)
@@ -97,24 +130,33 @@ func (p *Packet) Encode(buf []byte) []byte {
 	return buf
 }
 
-// Decode parses a datagram. The returned packet's Payload aliases data.
+// Decode parses a datagram into a new Packet; see DecodeInto.
 func Decode(data []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(p, data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto parses a datagram into the caller's packet, so a receive loop
+// decodes every datagram into one Packet. p.Payload aliases data. The errors
+// are the bare sentinels: the receive pump sees one per corrupted datagram
+// and only counts them.
+func DecodeInto(p *Packet, data []byte) error {
 	if len(data) < HeaderSize {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
 	if binary.BigEndian.Uint16(data[0:2]) != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
-	payloadLen := int(binary.BigEndian.Uint16(data[24:26]))
-	if len(data) != HeaderSize+payloadLen {
-		return nil, fmt.Errorf("%w: header says %d, datagram has %d",
-			ErrBadLength, payloadLen, len(data)-HeaderSize)
+	if len(data) != HeaderSize+int(binary.BigEndian.Uint16(data[24:26])) {
+		return ErrBadLength
 	}
-	if got, want := binary.BigEndian.Uint16(data[30:32]), checksum(data); got != want {
-		return nil, fmt.Errorf("%w: header says %#04x, datagram sums to %#04x",
-			ErrBadChecksum, got, want)
+	if binary.BigEndian.Uint16(data[30:32]) != checksum(data) {
+		return ErrBadChecksum
 	}
-	return &Packet{
+	*p = Packet{
 		Type:      PacketType(data[2]),
 		User:      binary.BigEndian.Uint32(data[4:8]),
 		Slot:      binary.BigEndian.Uint32(data[8:12]),
@@ -125,7 +167,8 @@ func Decode(data []byte) (*Packet, error) {
 		Retry:     data[3],
 		Trace:     binary.BigEndian.Uint64(data[32:40]),
 		Payload:   data[HeaderSize:],
-	}, nil
+	}
+	return nil
 }
 
 // Fragment splits a tile payload into MTU-sized packets. seq is the first

@@ -42,11 +42,23 @@ func (s SlotStats) Delay() time.Duration {
 // statistics. Incomplete tiles (packet loss) are discarded when their slot
 // is flushed, mirroring the client rule that "each tile will either be
 // displayed or dropped in each time slot".
+//
+// A tile's fragments are copied once, in arrival order, onto the end of the
+// tile's buffer, so the memory a tile holds follows the bytes received for it
+// and never what a header claims (a forged FragCount reserves nothing). The
+// sender emits fragments in index order, so the buffer of a tile that arrived
+// the way it was sent is its payload as it stands; only a tile whose
+// fragments were reordered in flight is copied again, into index order.
 type Reassembler struct {
 	mu      sync.Mutex
 	pending map[tileKey]*partialTile
 	stats   map[uint32]*SlotStats
 	done    []CompleteTile
+	flushed []CompleteTile // what the last Flush returned, next to be filled
+
+	free    []*partialTile // finished or dropped tiles' bookkeeping, reused
+	largest int            // bytes of the largest tile completed so far
+	starts  []uint32       // scratch of inIndexOrder: payload offset of each fragment index
 
 	// Optional observability counters (nil means disabled; see Instrument).
 	cDuplicates *obs.Counter
@@ -58,10 +70,22 @@ type tileKey struct {
 	id   tiles.VideoID
 }
 
+// maxFreeTiles bounds the bookkeeping kept for reuse; a client holds a few
+// tiles of one or two slots in flight at a time.
+const maxFreeTiles = 32
+
+// partialTile is a tile still missing fragments.
 type partialTile struct {
-	frags    [][]byte
-	received int
-	bytes    int
+	buf      []byte    // the fragments held, in arrival order
+	count    int       // FragCount of the first fragment seen
+	arrivals []arrival // one per fragment held, in buf order
+	have     []uint64  // bitmap of the fragment indices held, grown to the highest seen
+	shuffled bool      // some fragment arrived out of index order
+}
+
+type arrival struct {
+	idx uint16
+	end uint32 // offset in buf just past the fragment
 }
 
 // NewReassembler returns an empty reassembler.
@@ -82,7 +106,9 @@ func (r *Reassembler) Instrument(duplicates, incompleteDropped *obs.Counter) {
 	r.cDuplicates, r.cDropped = duplicates, incompleteDropped
 }
 
-// Ingest processes one received packet at the given arrival time.
+// Ingest processes one received packet at the given arrival time. It copies
+// what it keeps of p, so the caller may decode the next datagram into the
+// same Packet and buffer.
 func (r *Reassembler) Ingest(p *Packet, now time.Time) {
 	if p.Type != PacketTile || p.FragCount == 0 {
 		return
@@ -113,36 +139,106 @@ func (r *Reassembler) Ingest(p *Packet, now time.Time) {
 	key := tileKey{slot: p.Slot, id: p.VideoID}
 	pt := r.pending[key]
 	if pt == nil {
-		pt = &partialTile{frags: make([][]byte, p.FragCount)}
+		pt = r.newPartial(p)
 		r.pending[key] = pt
 	}
-	if int(p.FragIdx) >= len(pt.frags) || pt.frags[p.FragIdx] != nil {
+	idx := int(p.FragIdx)
+	word, bit := idx>>6, uint64(1)<<(idx&63)
+	if idx >= pt.count || (word < len(pt.have) && pt.have[word]&bit != 0) {
 		r.cDuplicates.Inc()
 		return // out-of-range or duplicate fragment
 	}
-	payload := make([]byte, len(p.Payload))
-	copy(payload, p.Payload)
-	pt.frags[p.FragIdx] = payload
-	pt.received++
-	pt.bytes += len(payload)
+	for len(pt.have) <= word {
+		pt.have = append(pt.have, 0)
+	}
+	pt.have[word] |= bit
+	if idx != len(pt.arrivals) {
+		pt.shuffled = true
+	}
+	pt.buf = append(pt.buf, p.Payload...)
+	pt.arrivals = append(pt.arrivals, arrival{idx: p.FragIdx, end: uint32(len(pt.buf))})
 
-	if pt.received == len(pt.frags) {
-		full := make([]byte, 0, pt.bytes)
-		for _, f := range pt.frags {
-			full = append(full, f...)
+	if len(pt.arrivals) == pt.count {
+		payload := pt.buf
+		if pt.shuffled {
+			payload = r.inIndexOrder(pt)
+		} else {
+			pt.buf = nil // handed to the caller
 		}
-		r.done = append(r.done, CompleteTile{Slot: p.Slot, VideoID: p.VideoID, Payload: full})
+		r.done = append(r.done, CompleteTile{Slot: p.Slot, VideoID: p.VideoID, Payload: payload})
+		r.largest = max(r.largest, len(payload))
 		st.Tiles++
 		delete(r.pending, key)
+		r.recycle(pt)
 	}
 }
 
-// Flush returns (and clears) the tiles completed so far.
+// newPartial returns the bookkeeping for a tile whose first fragment to
+// arrive is p, reusing a finished tile's where there is one. The buffer starts
+// at the size p's header implies, but at no more than the largest tile this
+// reassembler has received whole, and grows by append from there: a header
+// alone cannot reserve memory that no sender ever filled.
+func (r *Reassembler) newPartial(p *Packet) *partialTile {
+	var pt *partialTile
+	if n := len(r.free); n > 0 {
+		pt, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		pt = new(partialTile)
+	}
+	pt.count = int(p.FragCount)
+	want := min(pt.count*len(p.Payload), max(r.largest, len(p.Payload)))
+	if cap(pt.buf) < want {
+		pt.buf = make([]byte, 0, want)
+	}
+	return pt
+}
+
+// recycle keeps a finished or dropped tile's bookkeeping for the next tile.
+func (r *Reassembler) recycle(pt *partialTile) {
+	if len(r.free) == maxFreeTiles {
+		return
+	}
+	clear(pt.have)
+	*pt = partialTile{buf: pt.buf[:0], arrivals: pt.arrivals[:0], have: pt.have[:0]}
+	r.free = append(r.free, pt)
+}
+
+// inIndexOrder returns the payload of a complete tile whose fragments
+// arrived out of index order: a copy of its buffer with the fragments where
+// their indices put them.
+func (r *Reassembler) inIndexOrder(pt *partialTile) []byte {
+	if cap(r.starts) < pt.count {
+		r.starts = make([]uint32, pt.count)
+	}
+	starts := r.starts[:pt.count]
+	var from uint32
+	for _, a := range pt.arrivals {
+		starts[a.idx] = a.end - from // the fragment's length, for now
+		from = a.end
+	}
+	var at uint32
+	for i, n := range starts {
+		starts[i] = at
+		at += n
+	}
+	out := make([]byte, len(pt.buf))
+	from = 0
+	for _, a := range pt.arrivals {
+		copy(out[starts[a.idx]:], pt.buf[from:a.end])
+		from = a.end
+	}
+	return out
+}
+
+// Flush returns (and clears) the tiles completed so far. The slice is the
+// caller's until the next Flush, which takes it back to fill again; the
+// payloads stay the caller's.
 func (r *Reassembler) Flush() []CompleteTile {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := r.done
-	r.done = nil
+	clear(r.flushed)
+	r.done, r.flushed = r.flushed[:0], out
 	return out
 }
 
@@ -158,8 +254,9 @@ func (r *Reassembler) FlushSlot(slot uint32) (SlotStats, bool) {
 			delete(r.stats, s)
 		}
 	}
-	for k := range r.pending {
+	for k, pt := range r.pending {
 		if k.slot <= slot {
+			r.recycle(pt)
 			delete(r.pending, k)
 			r.cDropped.Inc()
 		}
