@@ -22,16 +22,21 @@ lint: vet
 	fi
 
 # The engines that shard work across goroutines (sim.Run's run workers,
-# load.Simulate's build shards) run at GOMAXPROCS 1, 2 and 4, so an ordering
-# or sharding bug that only shows with two or more workers fails here rather
-# than on whichever box happens to have the cores. internal/transport rides
-# along: its allocation gates run a sender beside a receiver.
+# load.Simulate's build shards, load.SimulateFleet's shard steps) run at
+# GOMAXPROCS 1, 2 and 4, so an ordering or sharding bug that only shows with
+# two or more workers fails here rather than on whichever box happens to
+# have the cores. internal/transport rides along: its allocation gates run a
+# sender beside a receiver.
 test:
 	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|transport)$$')
 	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/transport
 
+# The fleet engine's shards step concurrently; its worker-count differential
+# runs ten times over under the detector, since a race only shows on the
+# interleavings a run happens to take.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
+	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
 
 # What CI runs (see .github/workflows/ci.yml).
 ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke
@@ -49,14 +54,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Solve -benchtime 1x ./internal/knapsack ./internal/core
 
 # Brief native fuzzing of the greedy differential, the DP, the coordinator
-# log and the two wire decoders (~10 s each) on top of the checked-in seed
-# corpora under testdata/fuzz.
+# log, the two wire decoders and the chaos profile parser (~10 s each) on top
+# of the checked-in seed corpora under testdata/fuzz (the profile parser
+# seeds from examples/chaos).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzControlFrame$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzChaosProfile$$' -fuzztime 10s ./internal/chaos
 
 # Regenerate every paper figure (scaled down; ~minutes).
 figures:

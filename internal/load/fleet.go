@@ -179,6 +179,102 @@ type fleetSession struct {
 	// placement reason to record at commit time.
 	pendingFlip   bool
 	pendingReason string
+	// paging mirrors the session's SLO state as of its last observation (the
+	// state only changes there), so the router view and the evacuation
+	// ordering read a field instead of locking the monitor.
+	paging bool
+
+	// What the shard's step decided for the session this slot, read by the
+	// serial observe pass: the level delivered (after the breaker's cap),
+	// whether the cap bit, and whether the frame missed its deadline.
+	slotLevel  int
+	slotCapped bool
+	slotMissed bool
+}
+
+// ensureInputs regenerates the session's inputs (traces, predictor, QoE
+// accumulator, chaos injector) if its placement deferred them. Placement
+// only needs the spec; the regeneration is the expensive part of an arrival
+// and shares nothing, so it runs in the placed shard's step.
+func (s *fleetSession) ensureInputs(env *simEnv) {
+	if s.pred == nil {
+		s.simSession = env.newSession(s.spec)
+	}
+}
+
+// blackedOut reports whether the session is mid-handoff this slot: migrating
+// (the client is redialling) or exported with its flip waiting on a
+// coordinator election.
+func (s *fleetSession) blackedOut(slot int) bool {
+	return slot < s.outageUntil || s.pendingFlip
+}
+
+// fleetShard is one virtual shard's slot scratch. Once the budget is split
+// the shards' slot problems share nothing, so each shard steps on its own
+// allocator and its own buffers while the others do the same.
+type fleetShard struct {
+	alloc   core.Allocator
+	owned   []*fleetSession // the sessions placed on the shard, arrival order
+	serving []*fleetSession // owned minus the blacked out: the problem's rows
+	users   []core.UserInput
+	values  []float64 // the shard's objective table, one slab (see Simulate)
+
+	// One slot's results, valid until the shard's next step.
+	demand     float64
+	problem    core.SlotProblem
+	allocation core.Allocation
+	trace      *core.SlotTrace
+}
+
+// step runs the shard's share of one slot: set up the sessions placed on it
+// this slot, build its slot problem, solve it against its budget share and
+// settle every served session. It writes only the shard's scratch and its own
+// sessions and reads the env, the config and the breaker's caps (which only
+// the serial observe pass changes), so shards step concurrently; everything
+// whose order or lock the report depends on is left to that pass.
+func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, stallMs float64) {
+	for _, s := range sh.owned {
+		s.ensureInputs(env)
+	}
+	sh.users, sh.values, sh.serving = sh.users[:0], sh.values[:0], sh.serving[:0]
+	sh.demand = 0
+	if dead {
+		return // stranded sessions black out in the outage pass
+	}
+	sim := env.cfg
+	levels := sim.Params.Levels
+	for _, s := range sh.owned {
+		if s.blackedOut(slot) {
+			continue
+		}
+		// Growing the slab may move it; rows are only aliased once the
+		// shard's problem is complete.
+		sh.values = slices.Grow(sh.values, levels)[:len(sh.values)+levels]
+		u := s.build(env, slot, capFactor, sh.values[len(sh.values)-levels:])
+		// Demand proxy: what the session could usefully take this slot — its
+		// top ladder rate, clipped by its link.
+		sh.demand += min(u.Rate[len(u.Rate)-1], u.Cap)
+		sh.users = append(sh.users, u)
+		sh.serving = append(sh.serving, s)
+	}
+	if len(sh.users) == 0 {
+		return
+	}
+	sh.problem = core.SlotProblem{T: slot + 1, Budget: budget, Users: sh.users, Values: sh.values}
+	sh.allocation, sh.trace = solveSlot(sim, sh.alloc, &sh.problem)
+
+	overloadMs := 0.0
+	if sh.allocation.Rate > budget && budget > 0 {
+		overloadMs = (sh.allocation.Rate/budget - 1) * env.slotMs
+	}
+	for i, s := range sh.serving {
+		s.slotLevel = sh.allocation.Levels[i]
+		bcap := sim.Breaker.Cap(s.spec.ID)
+		if s.slotCapped = bcap > 0 && s.slotLevel > bcap; s.slotCapped {
+			s.slotLevel = bcap
+		}
+		_, _, s.slotMissed = s.settle(env, s.slotLevel, overloadMs, stallMs)
+	}
 }
 
 // SimulateFleet replays the workload through N virtual shards behind the
@@ -187,6 +283,17 @@ type fleetSession struct {
 // chaos profile kills or drains a shard — live migration of its sessions
 // to the survivors, each paying a short forced-miss outage instead of being
 // dropped. Same workload + config is bit-identical, like Simulate.
+//
+// A slot has three parts. The control step is serial: coordinator and shard
+// faults, pending replays, arrivals (placement only), departures, bucketing
+// by shard. Then one fork-join steps every shard on up to Sim.Workers
+// goroutines (fleetShard.step: arrival set-up, build, solve, settle — state
+// no other shard touches). Then the observe pass, serial again and in
+// shard-then-arrival order, does what is order- or lock-sensitive: the
+// decision recorder, quality sums, SLO monitor, breaker, rebalancer demand,
+// the outage charges, health series, evacuation. Nothing a shard's step
+// reads is written during the fork-join and each result is consumed in a
+// fixed order after it, so the worker count never reaches the report.
 func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
@@ -220,14 +327,14 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	coordUp := func() bool { return cluster == nil || cluster.Available() }
 	horizon := w.Cfg.HorizonSlots
 	env := newSimEnv(w, sim)
-	slotMs, deadlineMs := env.slotMs, env.deadlineMs
+	deadlineMs := env.deadlineMs
 	lm := newLoadMetrics(sim.Metrics)
 
-	// One allocator instance per shard: some allocators keep state, and a
-	// real fleet runs one per server.
-	allocs := make([]core.Allocator, cfg.Shards)
-	for i := range allocs {
-		allocs[i] = sim.NewAllocator()
+	// One allocator instance per shard: some allocators keep state, a real
+	// fleet runs one per server, and the shards solve concurrently.
+	shards := make([]fleetShard, cfg.Shards)
+	for i := range shards {
+		shards[i].alloc = sim.NewAllocator()
 	}
 	scorer, err := fleet.ScorerByName(cfg.Scorer)
 	if err != nil {
@@ -314,6 +421,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	coordLeaderless := 0
 
 	finish := func(s *fleetSession) {
+		s.ensureInputs(env) // a session that departs the slot it was placed
 		sim.SLO.Retire(s.spec.ID)
 		sim.Breaker.Retire(s.spec.ID)
 		evac.Forget(s.spec.ID)
@@ -328,30 +436,56 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		lm.observeOutcome(out)
 	}
 
-	// shardStates builds the router's view: budgets and demand from the
-	// fleet layer, sessions and page fractions from the active set, all in
-	// shard-index order.
+	// shardStates refreshes the router's view in place, in shard-index
+	// order: budgets and demand from the fleet layer, sessions and page
+	// fractions from the per-shard tallies. Every slot observe counts each
+	// active session once (sessions[] and paging[]); until the next slot's
+	// tally, placements and moves keep the counts current, so a view costs
+	// O(shards), not a sweep of the active set under the monitor's lock.
+	// Nothing retains the slice past the call it is handed to.
+	sessions := make([]int, cfg.Shards)
+	paging := make([]int, cfg.Shards)
+	view := make([]fleet.ShardState, cfg.Shards)
 	shardStates := func() []fleet.ShardState {
-		counts := make([]int, cfg.Shards)
-		paging := make([]int, cfg.Shards)
-		for _, s := range active {
-			counts[s.shard]++
-			if sim.SLO.Enabled() && sim.SLO.State(s.spec.ID) == obs.SLOStatePage {
-				paging[s.shard]++
-			}
-		}
-		out := make([]fleet.ShardState, cfg.Shards)
-		for i := range out {
-			out[i] = fleet.ShardState{
+		for i := range view {
+			view[i] = fleet.ShardState{
 				ID: i, Zone: i % cfg.Zones,
 				Alive: !dead[i], Draining: draining[i],
-				Sessions: counts[i], BudgetMbps: budget[i], DemandMbps: demand[i],
+				Sessions: sessions[i], BudgetMbps: budget[i], DemandMbps: demand[i],
 			}
-			if counts[i] > 0 {
-				out[i].PageFrac = float64(paging[i]) / float64(counts[i])
+			if sessions[i] > 0 {
+				view[i].PageFrac = float64(paging[i]) / float64(sessions[i])
 			}
 		}
-		return out
+		return view
+	}
+	// observe feeds one session's slot outcome to the SLO monitor and the
+	// monitor's verdict to the breaker, and tallies the session into the
+	// router view under that verdict. Every active session goes through it
+	// exactly once per slot, served or blacked out.
+	observe := func(s *fleetSession, displayed bool, quality float64) {
+		sim.SLO.ObserveSlot(s.spec.ID, displayed, quality)
+		state := sim.SLO.State(s.spec.ID)
+		sim.Breaker.Observe(s.spec.ID, state)
+		s.paging = state == obs.SLOStatePage
+		sessions[s.shard]++
+		if s.paging {
+			paging[s.shard]++
+		}
+	}
+	// move hands a session to another shard; it pays the migration outage.
+	move := func(slot int, s *fleetSession, to int) {
+		sessions[s.shard]--
+		sessions[to]++
+		if s.paging {
+			paging[s.shard]--
+			paging[to]++
+		}
+		report.Shards[s.shard].MigratedOut++
+		report.Shards[to].MigratedIn++
+		report.Migrations++
+		s.shard = to
+		s.outageUntil = slot + cfg.MigrationOutageSlots
 	}
 
 	// applyShares re-splits the global budget over accepting shards. The
@@ -394,12 +528,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				return false
 			}
 		}
-		s.shard = to
-		s.outageUntil = slot + cfg.MigrationOutageSlots
+		move(slot, s, to)
 		s.pendingFlip = false
-		report.Shards[from].MigratedOut++
-		report.Shards[to].MigratedIn++
-		report.Migrations++
 		return true
 	}
 
@@ -423,13 +553,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 	}
 
-	users := make([]core.UserInput, 0, 64)
-	levels := sim.Params.Levels
-	var values []float64 // the shard's objective table, one slab (see Simulate)
-	// byShard buckets the active set by owning shard once per slot, in
-	// arrival order; serving holds the sessions of the shard being solved.
-	byShard := make([][]*fleetSession, cfg.Shards)
-	var serving []*fleetSession
 	degrade := make([]float64, cfg.Shards)
 	shardQualSum := make([]float64, cfg.Shards)
 	shardQualCnt := make([]int, cfg.Shards)
@@ -550,7 +673,10 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			}
 			report.Placements++
 			report.Shards[to].Placed++
-			active = append(active, &fleetSession{simSession: env.newSession(spec), zone: zone, shard: to})
+			sessions[to]++
+			// Only the spec for now: the placed shard's step regenerates the
+			// session's inputs (ensureInputs), off the serial path.
+			active = append(active, &fleetSession{simSession: simSession{spec: spec}, zone: zone, shard: to})
 		}
 		// Departures.
 		next := active[:0]
@@ -562,6 +688,9 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			next = append(next, s)
 		}
 		active = next
+		// observe re-tallies the router view from the sessions that are left.
+		clear(sessions)
+		clear(paging)
 		if len(active) == 0 {
 			report.SlotQuality = append(report.SlotQuality, 0)
 			sim.Health.Sample(int64(slot))
@@ -571,90 +700,63 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		serverInj.Advance(slot)
 		stallMs := float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
 
-		// Advance every session's pose/chaos state once, then solve each
-		// shard's slot problem over its own sessions against its own
-		// budget share.
-		qualitySum := 0.0
-		counted := 0
-		for i := range report.Shards {
-			shardQualSum[i] = 0
-			shardQualCnt[i] = 0
-		}
-		for i := range byShard {
-			byShard[i] = byShard[i][:0]
+		// Bucket the active set by owning shard, in arrival order. That ends
+		// the slot's serial control step: from here each shard's problem is
+		// its own.
+		for i := range shards {
+			shards[i].owned = shards[i].owned[:0]
 		}
 		for _, s := range active {
-			byShard[s.shard] = append(byShard[s.shard], s)
+			shards[s.shard].owned = append(shards[s.shard].owned, s)
 		}
-		for i, owned := range byShard {
-			if len(owned) > report.Shards[i].PeakSessions {
-				report.Shards[i].PeakSessions = len(owned)
+		for i := range shards {
+			if n := len(shards[i].owned); n > report.Shards[i].PeakSessions {
+				report.Shards[i].PeakSessions = n
 			}
 		}
-		for shard := 0; shard < cfg.Shards; shard++ {
-			if dead[shard] {
-				demand[shard] = 0
-				rb.Observe(shard, 0)
-				continue // stranded sessions black out in the outage pass
-			}
-			users, values, serving = users[:0], values[:0], serving[:0]
-			shardDemand := 0.0
-			for _, s := range byShard[shard] {
-				if slot < s.outageUntil || s.pendingFlip {
-					continue
-				}
-				// Growing the slab may move it; rows are only aliased once
-				// the shard's problem is complete.
-				values = slices.Grow(values, levels)[:len(values)+levels]
-				u := s.build(env, slot, degrade[shard], values[len(values)-levels:])
-				// Demand proxy: what the session could usefully take this
-				// slot — its top ladder rate, clipped by its link.
-				top := u.Rate[len(u.Rate)-1]
-				if u.Cap < top {
-					top = u.Cap
-				}
-				shardDemand += top
-				users = append(users, u)
-				serving = append(serving, s)
-			}
-			demand[shard] = shardDemand
-			rb.Observe(shard, shardDemand)
-			if len(users) == 0 {
+
+		// The slot's one fork-join: every shard sets up its arrivals, builds,
+		// solves against its own budget share and settles, on up to Workers
+		// goroutines. One, not one per phase — a slot is about a millisecond
+		// of work and every fork-join pays a goroutine wake-up.
+		forEachShard(len(shards), sim.Workers, func(i int) {
+			shards[i].step(env, slot, dead[i], budget[i], degrade[i], stallMs)
+		})
+
+		// Observe, serially, in shard-then-arrival order: the decision
+		// recorder, the SLO monitor and the breaker take locks and keep
+		// ordered state, and the quality sums are floating-point, so the
+		// order the shards happened to finish in must not reach any of them.
+		qualitySum := 0.0
+		counted := 0
+		for i := range shards {
+			fs := &shards[i]
+			shardQualSum[i], shardQualCnt[i] = 0, 0
+			demand[i] = fs.demand
+			rb.Observe(i, fs.demand)
+			if len(fs.serving) == 0 {
 				continue
 			}
-
-			problem := &core.SlotProblem{T: slot + 1, Budget: budget[shard], Users: users, Values: values}
-			allocation, slotTr := solveSlot(sim, allocs[shard], problem)
 			if sim.Recorder.Enabled() {
-				ids := make([]uint32, len(serving))
-				for i, s := range serving {
-					ids[i] = s.spec.ID
+				ids := make([]uint32, len(fs.serving))
+				for j, s := range fs.serving {
+					ids[j] = s.spec.ID
 				}
-				recordSimSlot(sim, slot, problem, allocation, slotTr, ids, regretRef)
+				recordSimSlot(sim, slot, &fs.problem, fs.allocation, fs.trace, ids, regretRef)
 			}
-
-			overloadMs := 0.0
-			if allocation.Rate > budget[shard] && budget[shard] > 0 {
-				overloadMs = (allocation.Rate/budget[shard] - 1) * slotMs
-			}
-			for i, s := range serving {
-				q := allocation.Levels[i]
-				if bcap := sim.Breaker.Cap(s.spec.ID); bcap > 0 && q > bcap {
-					q = bcap
+			for _, s := range fs.serving {
+				if s.slotCapped {
 					report.DegradedSlots++
 				}
-				_, _, missed := s.settle(env, q, overloadMs, stallMs)
-
-				quality := float64(q)
-				if missed {
+				quality := float64(s.slotLevel)
+				if s.slotMissed {
 					quality = 0
 				}
 				qualitySum += quality
 				counted++
-				shardQualSum[shard] += quality
-				shardQualCnt[shard]++
-				sim.SLO.ObserveSlot(s.spec.ID, !missed, quality)
-				sim.Breaker.Observe(s.spec.ID, sim.SLO.State(s.spec.ID))
+				shardQualSum[i] += quality
+				shardQualCnt[i]++
+				observe(s, !s.slotMissed, quality)
 			}
 		}
 
@@ -663,9 +765,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		// out this slot: the frame is a forced miss, charged like a
 		// deadline miss — degraded, not dropped.
 		for _, s := range active {
-			inOutage := slot < s.outageUntil || s.pendingFlip
-			stranded := dead[s.shard]
-			if !inOutage && !stranded {
+			if !s.blackedOut(slot) && !dead[s.shard] {
 				continue
 			}
 			local := slot - s.spec.ArriveSlot
@@ -678,8 +778,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			counted++
 			shardQualCnt[s.shard]++
 			report.OutageSlots++
-			sim.SLO.ObserveSlot(s.spec.ID, false, 0)
-			sim.Breaker.Observe(s.spec.ID, sim.SLO.State(s.spec.ID))
+			observe(s, false, 0)
 		}
 		if counted > 0 {
 			report.SlotQuality = append(report.SlotQuality, qualitySum/float64(counted))
@@ -742,9 +841,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 					evacCands = append(evacCands, s)
 				}
 				sort.SliceStable(evacCands, func(i, j int) bool {
-					pi := sim.SLO.State(evacCands[i].spec.ID) == obs.SLOStatePage
-					pj := sim.SLO.State(evacCands[j].spec.ID) == obs.SLOStatePage
-					return pi && !pj
+					return evacCands[i].paging && !evacCands[j].paging
 				})
 				moved := 0
 				var batchTo []int       // distinct targets, first-seen order
@@ -758,12 +855,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 					if to < 0 {
 						break
 					}
-					s.shard = to
-					s.outageUntil = slot + cfg.MigrationOutageSlots
+					move(slot, s, to)
 					evac.NoteMigration(s.spec.ID, int64(slot))
-					report.Shards[shard].MigratedOut++
-					report.Shards[to].MigratedIn++
-					report.Migrations++
 					report.Evacuations++
 					moved++
 					if cluster != nil {

@@ -3,6 +3,7 @@ package load
 import (
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -12,11 +13,13 @@ import (
 // relowering hides the engine's pre-lowered value table from the production
 // allocator, forcing it to recompute the table on the serial path as it did
 // before the build wrote it. It counts the problems that carried a table so
-// a differential cannot pass by comparing the fallback with itself.
+// a differential cannot pass by comparing the fallback with itself; the
+// fleet engine's shards solve concurrently, one wrapper each, all counting
+// into the one total.
 type relowering struct {
 	inner      *core.SolverAllocator
 	t          *testing.T
-	preLowered *int
+	preLowered *atomic.Int64
 }
 
 func (a relowering) strip(params core.Params, p *core.SlotProblem) *core.SlotProblem {
@@ -24,7 +27,7 @@ func (a relowering) strip(params core.Params, p *core.SlotProblem) *core.SlotPro
 		a.t.Errorf("engine built an invalid slot problem: %v", err)
 	}
 	if len(p.Values) != 0 {
-		*a.preLowered++
+		a.preLowered.Add(1)
 	}
 	q := *p
 	q.Values = nil
@@ -57,7 +60,7 @@ var (
 func preLoweredCases(t *testing.T, fn func(direct, relowered SimConfig) (a, b any)) {
 	for _, workers := range []int{1, 4} {
 		for _, record := range []bool{false, true} {
-			preLowered := 0
+			var preLowered atomic.Int64
 			base := func() SimConfig {
 				cfg := SimConfig{Workers: workers, Chaos: campaignChaos(), AllocName: "proposed"}
 				if record {
@@ -78,7 +81,7 @@ func preLoweredCases(t *testing.T, fn func(direct, relowered SimConfig) (a, b an
 			if record && !reflect.DeepEqual(direct.Recorder.Recent(64), relowered.Recorder.Recent(64)) {
 				t.Errorf("workers %d: decision records differ when the allocator re-lowers", workers)
 			}
-			if preLowered == 0 {
+			if preLowered.Load() == 0 {
 				t.Errorf("workers %d, recorder %v: the engine never handed over a value table", workers, record)
 			}
 		}
@@ -95,7 +98,7 @@ func TestSimPreLoweredMatchesRecomputed(t *testing.T) {
 }
 
 // TestFleetPreLoweredMatchesRecomputed is the same differential through the
-// fleet engine, whose shards share one value slab per slot.
+// fleet engine, whose shards each fill their own value slab.
 func TestFleetPreLoweredMatchesRecomputed(t *testing.T) {
 	w := churnWorkload(t, 300, 400, 29)
 	preLoweredCases(t, func(direct, relowered SimConfig) (any, any) {
@@ -135,5 +138,36 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 	t.Logf("mallocs: %d over %d slots, %d over %d: %.4f per added session-slot", short, horizon, long, 2*horizon, perSlot)
 	if perSlot > 0.05 {
 		t.Errorf("steady-state slot loop allocates %.3f times per session-slot, want <= 0.05", perSlot)
+	}
+}
+
+// TestSimulateFleetSteadyStateAllocs is the same gate for the fleet engine
+// on a churning workload with the whole control plane on: the slots a
+// doubled horizon adds may cost at most 0.21 heap allocations per added
+// session-slot. Unlike Simulate's gate the bound includes the arrivals of
+// the added slots (about 30 allocations per session set-up, a session every
+// 180 session-slots here), which is most of it; the per-slot fork-join and
+// the coordinator log are the rest.
+func TestSimulateFleetSteadyStateAllocs(t *testing.T) {
+	const horizon = 300
+	measure := func(h int) (mallocs uint64, slots int) {
+		w, mk := churnBenchConfig(t, h)
+		cfg := mk()
+		cfg.Sim.Workers = 2
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := SimulateFleet(w, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, sessionSlots(w)
+	}
+	measure(horizon) // warm the runtime's own pools
+	short, shortSlots := measure(horizon)
+	long, longSlots := measure(2 * horizon)
+	perSlot := (float64(long) - float64(short)) / float64(longSlots-shortSlots)
+	t.Logf("mallocs: %d over %d session-slots, %d over %d: %.4f per added session-slot", short, shortSlots, long, longSlots, perSlot)
+	if perSlot > 0.21 {
+		t.Errorf("steady-state fleet slot loop allocates %.3f times per session-slot, want <= 0.21", perSlot)
 	}
 }

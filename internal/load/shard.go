@@ -55,3 +55,36 @@ func parallelFor(n, workers int, fn func(int)) {
 	work()
 	wg.Wait()
 }
+
+// forEachShard runs fn(i) for every i in [0, n) with one index as the unit of
+// work, on up to `workers` participants (the caller is one), and returns when
+// every index has completed. It is parallelFor for a handful of heavy items:
+// parallelFor's chunks of simShard indices would run a four-shard fleet
+// inline. workers <= 1 runs inline in index order and takes no goroutine.
+func forEachShard(n, workers int, fn func(int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var cursor atomic.Int64
+	work := func() {
+		for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}

@@ -14,17 +14,23 @@ import (
 	"repro/internal/trace"
 )
 
-// SimConfig parametrizes the deterministic virtual-time engine. No wall
+// SimConfig parametrizes the deterministic virtual-time engines. No wall
 // clock, no sockets, no goroutines at rest: the same workload and config
-// always produce the bit-identical RunReport, which is what makes recorded
-// workloads usable as regression reproducers. Workers shards the per-slot
-// build phase across goroutines, but every shard writes only its own
-// session's index and the solve stays serial, so the report is
-// bit-identical at any worker count.
+// always produce the bit-identical report, which is what makes recorded
+// workloads usable as regression reproducers. Workers spreads the per-slot
+// work that shares nothing across goroutines — in Simulate the build phase,
+// each goroutine writing only its own sessions' indices before one serial
+// solve; in SimulateFleet whole shards, each building, solving and settling
+// on its own scratch — and everything order- or lock-sensitive stays on one
+// goroutine in a fixed order, so the report is bit-identical at any worker
+// count.
 type SimConfig struct {
 	Params core.Params
 	// NewAllocator builds the allocator (fresh per run, since some keep
-	// state). Nil means the paper's proposed algorithm.
+	// state). Nil means the paper's proposed algorithm. SimulateFleet calls
+	// it once per shard and runs the results concurrently, one goroutine to
+	// an allocator at a time: an allocator needs no locking of its own, but
+	// whatever the instances of one factory share (a counter, a log) does.
 	NewAllocator func() core.Allocator
 	// AllocName labels the report.
 	AllocName string
@@ -73,11 +79,13 @@ type SimConfig struct {
 	RegretRef bool
 	// RegretResolution is the DP budget grid step (<= 0: budget/2048).
 	RegretResolution float64
-	// Workers shards the per-slot build phase (prediction, tile selection,
-	// rate/delay tables, per-session chaos advance) across this many
-	// goroutines. The merged solve and the outcome accounting stay serial,
-	// so the report is bit-identical at any setting. 0 means GOMAXPROCS;
-	// 1 keeps the engine fully serial.
+	// Workers bounds the goroutines a slot's fork-join may use. Simulate
+	// shards the build phase (prediction, tile selection, rate/delay tables,
+	// per-session chaos advance, lowering) by session index and keeps the
+	// merged solve and the outcome accounting serial; SimulateFleet steps
+	// whole shards (arrival set-up, build, solve, settle) and keeps the
+	// observe pass serial. The report is bit-identical at any setting.
+	// 0 means GOMAXPROCS; 1 keeps the engine fully serial and spawns nothing.
 	Workers int
 	// Health, when non-nil, runs one health-sampler pass per virtual slot
 	// (after the slot's outcomes have landed in Metrics/SLO), so the sim
