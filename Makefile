@@ -33,10 +33,13 @@ test:
 
 # The fleet engine's shards step concurrently; its worker-count differential
 # runs ten times over under the detector, since a race only shows on the
-# interleavings a run happens to take.
+# interleavings a run happens to take. The fleet Controller's tests have no
+# sockets and no sleeps, so twenty passes at three GOMAXPROCS cost seconds
+# and their verdict cannot depend on the wall clock.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 
 # What CI runs (see .github/workflows/ci.yml).
 ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -126,7 +125,7 @@ func run(args []string, out io.Writer) error {
 		if chaosProf == nil {
 			return fmt.Errorf("-chaos-check needs -chaos <profile.json>")
 		}
-		fmt.Fprint(out, chaosSummary(chaosProf))
+		fmt.Fprint(out, chaosProf.Summary())
 		return nil
 	}
 	if *verifyRecovery {
@@ -184,14 +183,12 @@ func run(args []string, out io.Writer) error {
 	// produced: a report-derived snapshot once a run has finished.
 	var (
 		snapMu      sync.Mutex
-		snap        func(n int) obs.FleetSnapshot
-		coordOut    *load.CoordOutcome
+		done        *load.FleetReport
 		coordStatus func() coord.Status
 	)
-	setSnap := func(f func(n int) obs.FleetSnapshot, co *load.CoordOutcome) {
+	setDone := func(rep *load.FleetReport) {
 		snapMu.Lock()
-		snap = f
-		coordOut = co
+		done = rep
 		snapMu.Unlock()
 	}
 	if *httpAddr != "" {
@@ -201,21 +198,21 @@ func run(args []string, out io.Writer) error {
 		}
 		defer ln.Close()
 		mopts := obs.MuxOptions{SLO: slo, Fleet: func(n int) obs.FleetSnapshot {
-			snapMu.Lock()
-			f := snap
-			snapMu.Unlock()
-			if f == nil {
-				// Mid-run: no report yet, but the shared recorder already
-				// carries the placement tail and counters.
-				return obs.FleetSnapshot{
-					Scorer:           *scorerName,
-					GlobalBudgetMbps: *budget,
-					Placements:       reg.Counter("collabvr_fleet_placements_total").Value(),
-					Migrations:       int(reg.Counter("collabvr_fleet_migrations_total").Value()),
-					Recent:           rec.Recent(n),
-				}
+			// Mid-run there is no report yet, but the shared recorder already
+			// carries the placement tail and counters.
+			f := obs.FleetSnapshot{
+				Scorer:           *scorerName,
+				GlobalBudgetMbps: *budget,
+				Placements:       reg.Counter("collabvr_fleet_placements_total").Value(),
+				Migrations:       int(reg.Counter("collabvr_fleet_migrations_total").Value()),
 			}
-			return f(n)
+			snapMu.Lock()
+			if done != nil {
+				f = done.Fleet
+			}
+			snapMu.Unlock()
+			f.Recent = rec.Recent(n)
+			return f
 		}}
 		if healthStore != nil {
 			mopts.Health = tsdb.Handler(healthStore, nil)
@@ -226,7 +223,10 @@ func run(args []string, out io.Writer) error {
 		mopts.Coord = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			snapMu.Lock()
 			st := coordStatus
-			co := coordOut
+			var co *fleet.CoordOutcome
+			if done != nil {
+				co = done.Coord
+			}
 			snapMu.Unlock()
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
@@ -394,7 +394,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		setSnap(func(n int) obs.FleetSnapshot { return reportSnapshot(rep, rec, *budget, n) }, rep.Coord)
+		setDone(rep)
 		fmt.Fprint(out, rep.FormatFleet())
 		return finish(rep)
 	}
@@ -403,7 +403,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	setSnap(func(n int) obs.FleetSnapshot { return reportSnapshot(rep, rec, *budget, n) }, rep.Coord)
+	setDone(rep)
 	fmt.Fprint(out, rep.FormatFleet())
 
 	if *verifyRecovery {
@@ -479,9 +479,6 @@ func verifyFleetRecovery(out io.Writer, w *load.Workload,
 	// bounded leaderless window.
 	if prof.HasCoordFaults() {
 		co := faulted.Coord
-		if co == nil {
-			return fmt.Errorf("verify-recovery: coord faults ran but the report has no coord outcome")
-		}
 		if !co.Converged {
 			return fmt.Errorf("verify-recovery: coordinator replicas did not converge — split-brain ownership")
 		}
@@ -500,67 +497,4 @@ func lastShardFaultSlot(p *chaos.Profile) int {
 		}
 	}
 	return last
-}
-
-// reportSnapshot derives the /debug/fleet document from a finished run.
-func reportSnapshot(rep *load.FleetReport, rec *obs.PlacementRecorder, global float64, n int) obs.FleetSnapshot {
-	snap := obs.FleetSnapshot{
-		Scorer:           rep.Scorer,
-		GlobalBudgetMbps: global,
-		Slot:             rep.HorizonSlots,
-		Placements:       uint64(rep.Placements),
-		Migrations:       rep.Migrations,
-		Rebalances:       rep.Rebalances,
-		Evacuations:      rep.Evacuations,
-		RingCapacity:     rec.RingCapacity(),
-		RingDropped:      rec.Dropped(),
-		Recent:           rec.Recent(n),
-	}
-	for _, s := range rep.Shards {
-		snap.Shards = append(snap.Shards, obs.FleetShardState{
-			Shard:       s.Shard,
-			Zone:        s.Zone,
-			Alive:       s.KilledSlot < 0,
-			Draining:    s.DrainSlot >= 0,
-			BudgetMbps:  s.FinalBudgetMbps,
-			Placed:      s.Placed,
-			MigratedIn:  s.MigratedIn,
-			MigratedOut: s.MigratedOut,
-		})
-	}
-	return snap
-}
-
-// chaosSummary renders a profile's fault schedule for -chaos-check.
-func chaosSummary(p *chaos.Profile) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "chaos profile %q: seed %d, %d fault(s)\n", p.Name, p.Seed, len(p.Faults))
-	for i, f := range p.Faults {
-		fmt.Fprintf(&b, "  fault %d: %-15s start slot %d", i, f.Kind, f.StartSlot)
-		if f.DurationSlots > 0 {
-			fmt.Fprintf(&b, ", %d slots", f.DurationSlots)
-		} else {
-			fmt.Fprint(&b, ", open-ended")
-		}
-		if len(f.Sessions) > 0 {
-			fmt.Fprintf(&b, ", sessions %v", f.Sessions)
-		}
-		switch f.Kind {
-		case chaos.FaultBurstLoss:
-			fmt.Fprintf(&b, ", p_gb %g p_bg %g p_good %g p_bad %g", f.PGoodBad, f.PBadGood, f.PGood, f.PBad)
-		case chaos.FaultLoss, chaos.FaultReorder, chaos.FaultDuplicate, chaos.FaultCorrupt:
-			fmt.Fprintf(&b, ", p %g", f.P)
-		case chaos.FaultBandwidth:
-			fmt.Fprintf(&b, ", factor %g", f.Factor)
-		case chaos.FaultStall, chaos.FaultSlowACK:
-			fmt.Fprintf(&b, ", delay %g ms", f.DelayMs)
-		case chaos.FaultShardKill, chaos.FaultShardDrain:
-			fmt.Fprintf(&b, ", shard %d", f.Shard)
-		case chaos.FaultCoordKill, chaos.FaultCoordPartition:
-			fmt.Fprintf(&b, ", replica %d", f.Replica)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintln(&b, "profile OK")
-	return b.String()
 }

@@ -139,7 +139,7 @@ func run(args []string, out io.Writer) error {
 		if chaosProf == nil {
 			return fmt.Errorf("-chaos-check needs -chaos <profile.json>")
 		}
-		fmt.Fprint(out, chaosSummary(chaosProf))
+		fmt.Fprint(out, chaosProf.Summary())
 		return nil
 	}
 
@@ -512,38 +512,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// chaosSummary renders a profile's fault schedule for -chaos-check.
-func chaosSummary(p *chaos.Profile) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "chaos profile %q: seed %d, %d fault(s)\n", p.Name, p.Seed, len(p.Faults))
-	for i, f := range p.Faults {
-		fmt.Fprintf(&b, "  fault %d: %-15s start slot %d", i, f.Kind, f.StartSlot)
-		if f.DurationSlots > 0 {
-			fmt.Fprintf(&b, ", %d slots", f.DurationSlots)
-		} else {
-			fmt.Fprint(&b, ", open-ended")
-		}
-		if len(f.Sessions) > 0 {
-			fmt.Fprintf(&b, ", sessions %v", f.Sessions)
-		}
-		switch f.Kind {
-		case chaos.FaultBurstLoss:
-			fmt.Fprintf(&b, ", p_gb %g p_bg %g p_good %g p_bad %g", f.PGoodBad, f.PBadGood, f.PGood, f.PBad)
-		case chaos.FaultLoss, chaos.FaultReorder, chaos.FaultDuplicate, chaos.FaultCorrupt:
-			fmt.Fprintf(&b, ", p %g", f.P)
-		case chaos.FaultBandwidth:
-			fmt.Fprintf(&b, ", factor %g", f.Factor)
-		case chaos.FaultStall, chaos.FaultSlowACK:
-			fmt.Fprintf(&b, ", delay %g ms", f.DelayMs)
-		case chaos.FaultShardKill, chaos.FaultShardDrain:
-			fmt.Fprintf(&b, ", shard %d", f.Shard)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintln(&b, "profile OK")
-	return b.String()
 }
 
 // faultWindow returns the earliest start and latest bounded end slot across

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // FaultKind enumerates the injectable fault types.
@@ -374,6 +375,44 @@ func (p *Profile) EndSlot() int {
 		}
 	}
 	return end
+}
+
+// Summary renders the fault schedule for -chaos-check: one line per fault
+// with its window, its session filter and the parameters its kind reads.
+func (p *Profile) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "chaos profile %q: seed %d, %d fault(s)\n", p.Name, p.Seed, len(p.Faults))
+	for i := range p.Faults {
+		f := &p.Faults[i]
+		fmt.Fprintf(&b, "  fault %d: %-15s start slot %d", i, f.Kind, f.StartSlot)
+		if f.DurationSlots > 0 {
+			fmt.Fprintf(&b, ", %d slots", f.DurationSlots)
+		} else {
+			b.WriteString(", open-ended")
+		}
+		if len(f.Sessions) > 0 {
+			fmt.Fprintf(&b, ", sessions %v", f.Sessions)
+		}
+		switch f.Kind {
+		case FaultBurstLoss:
+			fmt.Fprintf(&b, ", p_gb %g p_bg %g p_good %g p_bad %g", f.PGoodBad, f.PBadGood, f.PGood, f.PBad)
+		case FaultLoss, FaultReorder, FaultDuplicate, FaultCorrupt:
+			fmt.Fprintf(&b, ", p %g", f.P)
+		case FaultBandwidth:
+			fmt.Fprintf(&b, ", factor %g", f.Factor)
+		case FaultStall, FaultSlowACK:
+			fmt.Fprintf(&b, ", delay %g ms", f.DelayMs)
+		case FaultShardKill, FaultShardDrain:
+			fmt.Fprintf(&b, ", shard %d", f.Shard)
+		case FaultShardDegrade:
+			fmt.Fprintf(&b, ", shard %d, factor %g", f.Shard, f.Factor)
+		case FaultCoordKill, FaultCoordPartition:
+			fmt.Fprintf(&b, ", replica %d", f.Replica)
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("profile OK\n")
+	return b.String()
 }
 
 // byteReader is a minimal io.Reader over a byte slice (avoids importing

@@ -6,11 +6,14 @@
 // shards from observed demand, and (c) live-migrates sessions off dying or
 // draining shards using the reconnect + Welcome-resume machinery.
 //
-// The package splits into a pure decision core — Scorer, Router,
-// Rebalancer, all deterministic and engine-agnostic — and Live, the
-// in-process coordinator that runs N real server.Servers. The virtual-time
-// fleet engine (load.SimulateFleet) reuses the same decision core, so sim
-// campaigns and live runs route identically.
+// The package is a pure decision core and Live. The core is the policies —
+// Scorer, Router, Rebalancer, Evacuator, the replicated owner map in coord,
+// all deterministic — and the Controller, the one state machine that runs
+// them: it decides and records, with no lock, socket or clock of its own.
+// Live performs its decisions on N real server.Servers; the virtual-time
+// fleet engine (load.SimulateFleet) performs them on virtual shards. Both
+// run the same control plane, so what a sim campaign shows about placement,
+// failover and evacuation is what a live run does.
 package fleet
 
 // ShardState is one shard's view presented to placement scoring and budget

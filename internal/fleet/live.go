@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fleet/coord"
 	"repro/internal/obs"
@@ -48,9 +50,9 @@ type LiveConfig struct {
 	// shards that stay hot, with hysteresis and cooldowns (see EvacConfig).
 	Evac EvacConfig
 	// Coordinators is the coordinator replica count (default 1 — a single
-	// replica, the zero-cost path, byte-identical to the unreplicated
-	// coordinator; 2f+1 replicas tolerate f crashes with ownership
-	// mutations stalling at most Coord.LeaseSlots per leader loss).
+	// replica, the zero-cost path; 2f+1 replicas tolerate f crashes with
+	// ownership mutations stalling at most Coord.LeaseSlots per leader
+	// loss).
 	Coordinators int
 	// Coord tunes the replicated coordinator beyond the replica count
 	// (lease length, snapshot cadence). Coordinators, when set, overrides
@@ -58,60 +60,21 @@ type LiveConfig struct {
 	Coord coord.Config
 }
 
-// liveShard is the coordinator's bookkeeping for one shard.
-type liveShard struct {
-	zone        int
-	dead        bool
-	draining    bool
-	placed      int
-	migratedIn  int
-	migratedOut int
-}
-
-// Live runs N in-process server shards behind the fleet decision core:
-// scored placement for arriving sessions, periodic budget rebalancing from
-// observed demand, and live migration over the reconnect/Welcome-resume
-// machinery. All methods are safe for concurrent use.
+// Live runs N in-process server shards under the fleet Controller. The
+// Controller decides — placement, budget split, who moves where — and Live
+// performs: it exports, adopts, flips and releases real sessions over the
+// reconnect/Welcome-resume machinery, pushes budgets and fencing epochs to
+// the servers and closes the ones that die. All methods are safe for
+// concurrent use.
 type Live struct {
 	cfg     LiveConfig
 	servers []*server.Server
-	router  *Router
-	rb      *Rebalancer
 
-	mu         sync.Mutex
-	shards     []liveShard
-	slot       int
-	migrations int
-
-	// cluster replicates the owner map (session → shard) and the budget
-	// split; every ownership mutation is proposed through it. It is not
-	// concurrency-safe by itself — l.mu is its lock. pendingForgets holds
-	// departures that arrived while the cluster was leaderless; Tick
-	// retries them (a forgotten binding is never load-bearing, so deferral
-	// is safe).
-	cluster        *coord.Cluster
-	pendingForgets []uint32
-	lastTerm       uint64
-	cm             coordMetrics
-	cmPrev         coord.Status
-
-	// Health plane: per-shard series observed on Tick's slot clock, and
-	// the hysteresis evacuation controller they feed. All guarded by mu
-	// (the Evacuator itself is not concurrency-safe).
-	health      *tsdb.Store
-	hseries     []liveShardSeries
-	hFleetSess  *tsdb.Series
-	hEvacTotal  *tsdb.Series
-	evac        *Evacuator
-	evacuations int
-}
-
-// liveShardSeries holds one shard's health-plane series handles.
-type liveShardSeries struct {
-	sessions *tsdb.Series
-	budget   *tsdb.Series
-	demand   *tsdb.Series
-	pageFrac *tsdb.Series
+	// mu is the Controller's lock. It is never held across a call into a
+	// server: export, adopt and release take the servers' own locks and
+	// close connections, and the clients those wake call back into Addr.
+	mu  sync.Mutex
+	ctl *Controller
 }
 
 // NewLive builds and starts the fleet.
@@ -125,38 +88,29 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.Zones <= 0 {
 		cfg.Zones = cfg.Shards
 	}
-	ccfg := cfg.Coord
 	if cfg.Coordinators > 0 {
-		ccfg.Replicas = cfg.Coordinators
+		cfg.Coord.Replicas = cfg.Coordinators
 	}
-	l := &Live{
-		cfg:     cfg,
-		router:  NewRouter(cfg.Scorer, cfg.Recorder),
-		rb:      NewRebalancer(cfg.Rebalance, cfg.Shards),
-		cluster: coord.New(ccfg),
-		shards:  make([]liveShard, cfg.Shards),
-		cm:      newCoordMetrics(cfg.Base.Metrics),
+	if cfg.Base.Logf == nil {
+		cfg.Base.Logf = func(string, ...any) {}
 	}
-	l.evac = NewEvacuator(cfg.Evac, cfg.Shards)
-	l.health = cfg.Health
-	if l.health == nil && l.evac != nil {
-		// The evacuation loop needs the page-frac windows even when the
-		// caller did not ask for a health store.
-		l.health = tsdb.New(tsdb.Options{})
+	perSession := cfg.Base.InitialUserMbps
+	if perSession <= 0 {
+		perSession = 30
 	}
-	if l.health != nil {
-		l.hseries = make([]liveShardSeries, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			l.hseries[i] = liveShardSeries{
-				sessions: l.health.ShardSeries("fleet_shard_sessions", tsdb.Gauge, i),
-				budget:   l.health.ShardSeries("fleet_shard_budget_mbps", tsdb.Gauge, i),
-				demand:   l.health.ShardSeries("fleet_shard_demand_mbps", tsdb.Gauge, i),
-				pageFrac: l.health.ShardSeries("fleet_shard_page_frac", tsdb.Gauge, i),
-			}
-		}
-		l.hFleetSess = l.health.Series("fleet_active_sessions", tsdb.Gauge)
-		l.hEvacTotal = l.health.Series("fleet_evacuations_total", tsdb.Counter)
-	}
+	l := &Live{cfg: cfg, ctl: NewController(ControllerConfig{
+		Shards:            cfg.Shards,
+		Zones:             cfg.Zones,
+		GlobalBudgetMbps:  cfg.GlobalBudgetMbps,
+		Scorer:            cfg.Scorer,
+		Recorder:          cfg.Recorder,
+		Rebalance:         cfg.Rebalance,
+		Evac:              cfg.Evac,
+		Health:            cfg.Health,
+		Coord:             cfg.Coord,
+		SessionDemandMbps: perSession,
+		Metrics:           cfg.Base.Metrics,
+	})}
 	for i := 0; i < cfg.Shards; i++ {
 		scfg := cfg.Base
 		scfg.ShardID = i
@@ -174,7 +128,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 			return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
 		l.servers = append(l.servers, srv)
-		l.shards[i].zone = i % cfg.Zones
 	}
 	return l, nil
 }
@@ -194,60 +147,17 @@ func (l *Live) ShardAddr(i int) string { return l.servers[i].ControlAddr() }
 // safe: the client redials, the stale shard has no session, and the next
 // re-resolve lands on the committed owner.
 func (l *Live) Addr(user uint32) string {
-	l.mu.Lock()
-	shard, ok := l.cluster.Lookup(user)
-	l.mu.Unlock()
-	if !ok || shard < 0 {
-		shard = 0
-	}
-	return l.servers[shard].ControlAddr()
+	return l.servers[max(l.Owner(user), 0)].ControlAddr()
 }
 
 // Owner returns the shard that owns the session (-1 if unplaced).
 func (l *Live) Owner(user uint32) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if shard, ok := l.cluster.Lookup(user); ok {
+	if shard, ok := l.ctl.Owner(user); ok {
 		return shard
 	}
 	return -1
-}
-
-// statesLocked snapshots the ShardState slice for the router (caller holds
-// l.mu). The live demand proxy is sessions x InitialUserMbps: the
-// coordinator has no per-session rate ladder, but scorers only compare
-// demand/budget ratios, so any per-session constant works.
-func (l *Live) statesLocked() []ShardState {
-	perSession := l.cfg.Base.InitialUserMbps
-	if perSession <= 0 {
-		perSession = 30
-	}
-	slo := l.cfg.Base.SLO
-	counts := make([]int, len(l.servers))
-	paging := make([]int, len(l.servers))
-	l.cluster.Each(func(user uint32, shard int) {
-		counts[shard]++
-		if slo != nil && slo.State(user) == obs.SLOStatePage {
-			paging[shard]++
-		}
-	})
-	out := make([]ShardState, len(l.servers))
-	for i := range l.servers {
-		st := ShardState{
-			ID:         i,
-			Zone:       l.shards[i].zone,
-			Alive:      !l.shards[i].dead,
-			Draining:   l.shards[i].draining,
-			Sessions:   counts[i],
-			BudgetMbps: l.servers[i].Budget(),
-			DemandMbps: float64(counts[i]) * perSession,
-		}
-		if counts[i] > 0 {
-			st.PageFrac = float64(paging[i]) / float64(counts[i])
-		}
-		out[i] = st
-	}
-	return out
 }
 
 // Place admits a new session: scores the shards, records the decision and
@@ -257,50 +167,45 @@ func (l *Live) statesLocked() []ShardState {
 func (l *Live) Place(sess SessionInfo) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.cluster.Available() {
-		return -1, fmt.Errorf("fleet: place session %d: %w", sess.ID, coord.ErrUnavailable)
-	}
-	shard := l.router.Place(l.slot, sess, l.statesLocked(), obs.PlaceArrival, -1)
-	if shard < 0 {
-		return -1, fmt.Errorf("fleet: no shard can accept session %d", sess.ID)
-	}
-	if err := l.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: sess.ID, Shard: shard}); err != nil {
-		return -1, fmt.Errorf("fleet: place session %d: %w", sess.ID, err)
-	}
-	l.shards[shard].placed++
-	return shard, nil
+	return l.ctl.Place(sess)
 }
 
-// Forget drops a departed session from the ownership table. While the
-// coordinator is leaderless the departure is queued and replayed by Tick —
-// a stale binding only wastes a map entry, it cannot misroute anything
-// because the session is gone.
+// Forget drops a departed session from the ownership table; a leaderless
+// coordinator queues the departure (Controller.Forget).
 func (l *Live) Forget(user uint32) {
 	l.mu.Lock()
-	if err := l.cluster.Propose(coord.Op{Kind: coord.OpForget, Session: user}); err != nil {
-		l.pendingForgets = append(l.pendingForgets, user)
-	}
-	l.evac.Forget(user)
+	l.ctl.Forget(user)
 	l.mu.Unlock()
 }
 
 // Health returns the coordinator's time-series store (nil when neither
 // LiveConfig.Health nor the evacuation loop enabled one). Mount it on
 // /debug/health via tsdb.Handler.
-func (l *Live) Health() *tsdb.Store { return l.health }
+func (l *Live) Health() *tsdb.Store { return l.ctl.Health() }
 
 // Evacuations reports how many sessions the SLO-pressure loop has moved.
-func (l *Live) Evacuations() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evacuations
+func (l *Live) Evacuations() int { return l.Outcome().Evacuations }
+
+func (l *Live) paging(user uint32) bool {
+	slo := l.cfg.Base.SLO
+	return slo != nil && slo.State(user) == obs.SLOStatePage
 }
 
-// EvacBatches reports how many cooldown-spaced evacuation batches fired.
-func (l *Live) EvacBatches() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evac.Batches()
+func (l *Live) sessionInfo(user uint32, shard int) SessionInfo {
+	return SessionInfo{ID: user, Zone: shard % l.cfg.Zones, DemandMbps: l.cfg.Base.InitialUserMbps}
+}
+
+// ownedLocked lists the sessions bound to shard i, ascending (the owner
+// map's walk is unordered; what follows must not be). Caller holds l.mu.
+func (l *Live) ownedLocked(i int) []uint32 {
+	var users []uint32
+	l.ctl.EachOwner(func(user uint32, shard int) {
+		if shard == i {
+			users = append(users, user)
+		}
+	})
+	slices.Sort(users)
+	return users
 }
 
 // Migrate moves one session to the best-scoring other shard: export on the
@@ -310,24 +215,22 @@ func (l *Live) EvacBatches() int {
 // constants. Returns the target shard.
 func (l *Live) Migrate(user uint32, reason string) (int, error) {
 	l.mu.Lock()
-	from, ok := l.cluster.Lookup(user)
+	from, ok := l.ctl.Owner(user)
 	if !ok {
 		l.mu.Unlock()
 		return -1, fmt.Errorf("fleet: migrate: unknown session %d", user)
 	}
-	if !l.cluster.Available() {
+	if !l.ctl.Available() {
 		// Refuse to even start: an export that cannot commit its
 		// ownership flip would only be rolled back again.
 		l.mu.Unlock()
 		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, coord.ErrUnavailable)
 	}
-	sess := SessionInfo{ID: user, Zone: l.shards[from].zone, DemandMbps: l.cfg.Base.InitialUserMbps}
-	to := l.router.Place(l.slot, sess, l.statesLocked(), reason, from)
+	to := l.ctl.Route(l.sessionInfo(user, from), from, reason)
+	l.mu.Unlock()
 	if to < 0 {
-		l.mu.Unlock()
 		return -1, fmt.Errorf("fleet: migrate: no shard can adopt session %d", user)
 	}
-	l.mu.Unlock()
 
 	// Ordering is the whole protocol: snapshot the state, register it on
 	// the adopting shard, commit the ownership flip (so the client's
@@ -346,323 +249,204 @@ func (l *Live) Migrate(user uint32, reason string) (int, error) {
 		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, err)
 	}
 	l.mu.Lock()
-	perr := l.cluster.Propose(coord.Op{Kind: coord.OpFlip, Session: user, From: from, Shard: to})
-	if perr != nil {
-		l.mu.Unlock()
+	err = l.ctl.Flip(user, from, to, l.paging(user))
+	l.mu.Unlock()
+	if err != nil {
 		// The flip did not commit: the source keeps the session. Undo the
 		// adoption before it can consume a redial, then clear the handoff
 		// flag so the session retires normally.
 		l.servers[to].DropAdopted(user)
 		l.servers[from].CancelExport(user)
-		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, perr)
+		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, err)
 	}
-	l.shards[from].migratedOut++
-	l.shards[to].migratedIn++
-	l.migrations++
-	l.mu.Unlock()
-
 	if err := l.servers[from].ReleaseSession(user); err != nil {
 		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, err)
 	}
 	return to, nil
 }
 
-// DrainShard marks a shard draining (no new placements) and migrates every
-// session it owns to the rest of the fleet, in ascending session order.
-// Returns how many sessions moved; the first migration error aborts.
-func (l *Live) DrainShard(i int) (int, error) {
+// resplit re-splits the budget and pushes the committed shares to the
+// servers. A shard out of the split keeps its last budget for whatever it
+// still serves (SetBudget ignores a zero share; a dead server is closed).
+func (l *Live) resplit() {
 	l.mu.Lock()
-	l.shards[i].draining = true
-	users := make([]uint32, 0)
-	l.cluster.Each(func(user uint32, shard int) {
-		if shard == i {
-			users = append(users, user)
-		}
-	})
+	shares := l.ctl.Resplit()
 	l.mu.Unlock()
-	// Ascending order: the map walk above is unordered, the migrations
-	// must not be.
-	for a := 1; a < len(users); a++ {
-		for b := a; b > 0 && users[b] < users[b-1]; b-- {
-			users[b], users[b-1] = users[b-1], users[b]
-		}
+	l.setBudgets(shares)
+}
+
+func (l *Live) setBudgets(shares []float64) {
+	for i, share := range shares {
+		l.servers[i].SetBudget(share)
 	}
-	moved := 0
-	for _, user := range users {
-		if _, err := l.Migrate(user, obs.PlaceShardDrain); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
 }
 
 // KillShard abruptly kills a shard: its server closes (handoff state is
-// lost — a kill is a crash, not a drain) and its sessions are re-placed on
+// lost — a kill is a crash, not a drain) and its sessions are re-owned by
 // the survivors so the clients' Redirect hooks resolve elsewhere when their
-// reconnect fires. Returns how many sessions were re-placed.
+// reconnect fires. Returns how many were re-owned; Tick re-owns the rest.
 func (l *Live) KillShard(i int) int {
-	l.mu.Lock()
-	if l.shards[i].dead {
-		l.mu.Unlock()
-		return 0
-	}
-	l.shards[i].dead = true
-	replaced := l.sweepDeadLocked(i)
-	l.mu.Unlock()
-	l.servers[i].Close()
-	return replaced
+	n, _ := l.shardEvent(ShardEvent{ShardKilled, i})
+	return n
 }
 
-// sweepDeadLocked re-places every session still owned by dead shard i on
-// the survivors. Sessions whose proposals the coordinator rejects (it may
-// be mid-election when the shard dies) keep their stale binding and are
-// retried by Tick once the cluster recovers — their clients keep
-// reconnect-polling Addr in the meantime. Caller holds l.mu.
-func (l *Live) sweepDeadLocked(i int) int {
-	users := make([]uint32, 0)
-	l.cluster.Each(func(user uint32, shard int) {
-		if shard == i {
-			users = append(users, user)
-		}
-	})
-	for a := 1; a < len(users); a++ {
-		for b := a; b > 0 && users[b] < users[b-1]; b-- {
-			users[b], users[b-1] = users[b-1], users[b]
+// shardEvent applies one shard event and performs its effects: a killed
+// shard's sessions are re-owned at once and its server closed; a draining
+// shard (no placements, no budget share) migrates its sessions in ascending
+// order, the first error aborting; every event ends in a budget re-split.
+func (l *Live) shardEvent(ev ShardEvent) (moved int, err error) {
+	l.mu.Lock()
+	if !l.ctl.Apply(ev) {
+		l.mu.Unlock()
+		return 0, nil
+	}
+	var users []uint32
+	if ev.Kind != ShardDrainEnded {
+		users = l.ownedLocked(ev.Shard)
+	}
+	if ev.Kind == ShardKilled {
+		moved = l.rerouteLocked(users)
+	}
+	l.mu.Unlock()
+	switch ev.Kind {
+	case ShardKilled:
+		l.servers[ev.Shard].Close()
+	case ShardDrainStarted:
+		for _, user := range users {
+			if _, err = l.Migrate(user, obs.PlaceShardDrain); err != nil {
+				break
+			}
+			moved++
 		}
 	}
+	l.resplit()
+	return moved, err
+}
+
+// rerouteLocked re-owns sessions bound to dead shards. A session no shard
+// can take, and every session once the coordinator turns out leaderless,
+// keeps its stale binding — this engine's pending flip: its client keeps
+// reconnect-polling Addr — and Tick retries it. Caller holds l.mu.
+func (l *Live) rerouteLocked(users []uint32) int {
 	replaced := 0
 	for _, user := range users {
-		if !l.cluster.Available() {
+		from, _ := l.ctl.Owner(user)
+		to, pending := l.ctl.Reroute(l.sessionInfo(user, from), from, l.paging(user))
+		if pending {
 			break
 		}
-		sess := SessionInfo{ID: user, Zone: l.shards[i].zone, DemandMbps: l.cfg.Base.InitialUserMbps}
-		to := l.router.Place(l.slot, sess, l.statesLocked(), obs.PlaceShardKill, i)
-		if to < 0 {
-			if l.cluster.Propose(coord.Op{Kind: coord.OpForget, Session: user}) != nil {
-				l.pendingForgets = append(l.pendingForgets, user)
-			}
-			continue
+		if to >= 0 {
+			replaced++
 		}
-		if l.cluster.Propose(coord.Op{Kind: coord.OpFlip, Session: user, From: i, Shard: to}) != nil {
-			break
-		}
-		l.shards[i].migratedOut++
-		l.shards[to].migratedIn++
-		l.migrations++
-		replaced++
 	}
 	return replaced
 }
 
-// Tick advances the coordinator's slot clock: demand and health-series
-// observation every slot, on the rebalance cadence a budget re-split
-// applied to the shards via SetBudget, and — when the evacuation loop is
-// enabled — the SLO-pressure check that live-migrates sessions off shards
-// whose windowed page fraction stays above the enter threshold.
+// ApplyFaults applies the chaos profile's coordinator and shard faults due at
+// slot (Controller.Faults). Call it before the slot's placements and Tick, as
+// the virtual-time engine does.
+func (l *Live) ApplyFaults(p *chaos.Profile, slot int) {
+	l.mu.Lock()
+	events := l.ctl.Faults(p, slot)
+	l.mu.Unlock()
+	for _, ev := range events {
+		moved, err := l.shardEvent(ev)
+		l.cfg.Base.Logf("fleet: chaos at slot %d: shard %d %s (%d sessions moved, err=%v)", slot, ev.Shard,
+			[...]string{ShardKilled: "killed", ShardDrainStarted: "draining", ShardDrainEnded: "drain ended"}[ev.Kind], moved, err)
+	}
+}
+
+// Tick advances the coordinator's slot clock: the cluster tick and the
+// retries it unblocks, this slot's observation of every binding, the health
+// series, on the rebalance cadence a budget re-split pushed to the shards,
+// and — when the evacuation loop is enabled — the live migration of sessions
+// off shards whose windowed page fraction stays above the enter threshold.
 func (l *Live) Tick(slot int) {
 	l.mu.Lock()
-	l.slot = slot
-	// Advance the coordinator first: lease renewal, elections, catch-up.
-	// Everything below sees the post-election cluster.
-	l.cluster.Tick(int64(slot))
-	epoch := uint64(0)
-	if term := l.cluster.Term(); term != l.lastTerm {
-		l.lastTerm = term
-		epoch = term // broadcast the new fencing epoch below, outside l.mu
-	}
-	// Replay departures that arrived while the cluster was leaderless.
-	if len(l.pendingForgets) > 0 && l.cluster.Available() {
-		kept := l.pendingForgets[:0]
-		for _, user := range l.pendingForgets {
-			if l.cluster.Propose(coord.Op{Kind: coord.OpForget, Session: user}) != nil {
-				kept = append(kept, user)
-			}
+	epoch := l.ctl.Tick(slot) // first: everything below sees the post-election cluster
+	// The live observe pass: one sweep of the owner map tallies every
+	// session into the router's view and finds the ones stranded on shards
+	// that died while the coordinator could not commit.
+	l.ctl.ResetTallies()
+	var stranded []uint32
+	view := l.ctl.States()
+	l.ctl.EachOwner(func(user uint32, shard int) {
+		l.ctl.Tally(shard, l.paging(user))
+		if !view[shard].Alive {
+			stranded = append(stranded, user)
 		}
-		l.pendingForgets = kept
+	})
+	slices.Sort(stranded)
+	rerouted := l.rerouteLocked(stranded)
+	for i, st := range l.ctl.States() {
+		l.ctl.ObserveDemand(i, st.DemandMbps)
 	}
-	// Re-place sessions stranded on shards that died while the
-	// coordinator could not commit (see sweepDeadLocked).
-	if l.cluster.Available() {
-		for i := range l.shards {
-			if l.shards[i].dead {
-				l.sweepDeadLocked(i)
-			}
-		}
-	}
-	states := l.statesLocked()
-	alive := make([]bool, len(states))
-	for i, st := range states {
-		alive[i] = st.Alive
-		l.rb.Observe(i, st.DemandMbps)
-	}
-	if l.health != nil {
-		total := 0
-		for i, st := range states {
-			l.hseries[i].sessions.Observe(int64(slot), float64(st.Sessions))
-			l.hseries[i].budget.Observe(int64(slot), st.BudgetMbps)
-			l.hseries[i].demand.Observe(int64(slot), st.DemandMbps)
-			l.hseries[i].pageFrac.Observe(int64(slot), st.PageFrac)
-			total += st.Sessions
-		}
-		l.hFleetSess.Observe(int64(slot), float64(total))
-		l.hEvacTotal.Observe(int64(slot), float64(l.evacuations))
-	}
-	due := l.rb.Due(slot)
-	var shares []float64
-	if due {
-		shares = l.rb.Shares(l.cfg.GlobalBudgetMbps, alive)
-		// The split goes through the log so a post-failover leader knows
-		// the committed shares; if the cluster cannot commit it, the old
-		// split stays in force until the next due rebalance.
-		if l.cluster.Propose(coord.Op{Kind: coord.OpBudgetSplit, Shares: shares}) != nil {
-			due = false
-		}
+	l.ctl.SampleHealth(slot, nil, nil, 0)
+	shares := l.ctl.Rebalance(slot)
+	if shares == nil && rerouted > 0 {
+		// The split the kill asked for was postponed with the flips.
+		shares = l.ctl.Resplit()
 	}
 	// Evacuation decisions happen under the lock (stable view of ownership
 	// and the pressure windows); the migrations themselves run after it —
 	// Migrate re-takes the lock and talks to the shard servers.
-	var victims []uint32
-	if l.evac != nil && l.cluster.Available() {
-		victims = l.evacVictimsLocked(slot, states)
+	var victims []EvacCandidate
+	for i := range l.servers {
+		if !l.ctl.EvacDue(i, slot) {
+			continue
+		}
+		var cands []EvacCandidate
+		for _, user := range l.ownedLocked(i) {
+			cands = append(cands, EvacCandidate{ID: user, Paging: l.paging(user)})
+		}
+		victims = append(victims, l.ctl.EvacBatch(cands, slot)...)
 	}
-	l.mirrorCoordMetricsLocked()
 	l.mu.Unlock()
+
 	if epoch > 0 {
 		// A new term is live: fence every shard before any migration
 		// decided under it exports state, so a deposed leader's stale
 		// flips are rejected at adoption.
-		for i, srv := range l.servers {
-			if !l.shardDead(i) {
-				srv.SetCoordEpoch(epoch)
-			}
+		for _, srv := range l.servers {
+			srv.SetCoordEpoch(epoch)
 		}
 	}
-	if due {
-		for i, share := range shares {
-			if alive[i] {
-				l.servers[i].SetBudget(share)
-			}
-		}
-	}
-	for _, user := range victims {
-		if _, err := l.Migrate(user, obs.PlaceSLOPressure); err != nil {
+	l.setBudgets(shares)
+	for _, v := range victims {
+		if _, err := l.Migrate(v.ID, obs.PlaceSLOPressure); err != nil {
 			continue
 		}
 		l.mu.Lock()
-		l.evac.NoteMigration(user, int64(slot))
-		l.evacuations++
+		l.ctl.NoteEvacuated(v.ID, slot)
 		l.mu.Unlock()
 	}
-}
-
-// evacVictimsLocked runs one slot of the hysteresis controller over every
-// live, non-draining shard and collects the sessions to evacuate: paging
-// sessions first, then ascending session ID, capped per shard at
-// BatchSessions, each respecting the per-session re-migration cooldown.
-// Caller holds l.mu.
-func (l *Live) evacVictimsLocked(slot int, states []ShardState) []uint32 {
-	slo := l.cfg.Base.SLO
-	window := l.evac.Config().WindowSlots
-	batch := l.evac.Config().BatchSessions
-	var victims []uint32
-	for i, st := range states {
-		if !st.Alive || st.Draining {
-			continue
-		}
-		w := l.hseries[i].pageFrac.Stats(window)
-		pressure := 0.0
-		if w.Count > 0 {
-			pressure = w.Mean()
-		}
-		if !l.evac.Update(i, int64(slot), pressure, w.Count) {
-			continue
-		}
-		var users []uint32
-		l.cluster.Each(func(user uint32, shard int) {
-			if shard == i && l.evac.AllowSession(user, int64(slot)) {
-				users = append(users, user)
-			}
-		})
-		// Deterministic order: paging sessions first (they are the ones
-		// burning the SLO), ties broken by ascending session ID. The map
-		// walk above is unordered, so sort fully.
-		for a := 1; a < len(users); a++ {
-			for b := a; b > 0 && evacLess(slo, users[b], users[b-1]); b-- {
-				users[b], users[b-1] = users[b-1], users[b]
-			}
-		}
-		if len(users) > batch {
-			users = users[:batch]
-		}
-		victims = append(victims, users...)
-	}
-	return victims
-}
-
-// evacLess orders evacuation candidates: paging before non-paging, then by
-// session ID.
-func evacLess(slo *obs.SLOMonitor, a, b uint32) bool {
-	if slo != nil {
-		pa := slo.State(a) == obs.SLOStatePage
-		pb := slo.State(b) == obs.SLOStatePage
-		if pa != pb {
-			return pa
-		}
-	}
-	return a < b
 }
 
 // Snapshot builds the /debug/fleet document with up to n recent placement
 // records.
 func (l *Live) Snapshot(n int) obs.FleetSnapshot {
-	l.mu.Lock()
-	states := l.statesLocked()
-	snap := obs.FleetSnapshot{
-		Scorer:           l.router.ScorerName(),
-		GlobalBudgetMbps: l.cfg.GlobalBudgetMbps,
-		Slot:             l.slot,
-		Placements:       l.router.Placed(),
-		Migrations:       l.migrations,
-		Rebalances:       l.rb.Rebalances(),
-		Evacuations:      l.evacuations,
-		RingCapacity:     l.cfg.Recorder.RingCapacity(),
-		RingDropped:      l.cfg.Recorder.Dropped(),
-	}
-	for i, st := range states {
-		snap.Shards = append(snap.Shards, obs.FleetShardState{
-			Shard:       i,
-			Zone:        st.Zone,
-			Alive:       st.Alive,
-			Draining:    st.Draining,
-			Sessions:    st.Sessions,
-			BudgetMbps:  st.BudgetMbps,
-			DemandMbps:  st.DemandMbps,
-			PageFrac:    st.PageFrac,
-			Placed:      l.shards[i].placed,
-			MigratedIn:  l.shards[i].migratedIn,
-			MigratedOut: l.shards[i].migratedOut,
-		})
-	}
-	l.mu.Unlock()
+	snap := l.Outcome().Fleet
 	snap.Recent = l.cfg.Recorder.Recent(n)
 	return snap
+}
+
+// Outcome is the control plane's accounting so far (see Controller.Outcome).
+func (l *Live) Outcome() Outcome {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ctl.Outcome()
 }
 
 // Drain gracefully drains every live shard (concurrently), bounded by
 // timeout per shard. Reports whether every shard flushed.
 func (l *Live) Drain(timeout time.Duration) bool {
-	l.mu.Lock()
-	dead := make([]bool, len(l.servers))
-	for i := range l.shards {
-		dead[i] = l.shards[i].dead
-	}
-	l.mu.Unlock()
 	var wg sync.WaitGroup
 	flushed := make([]bool, len(l.servers))
 	for i := range l.servers {
-		if dead[i] {
-			flushed[i] = true
+		l.mu.Lock()
+		flushed[i] = !l.ctl.States()[i].Alive // nothing to flush
+		l.mu.Unlock()
+		if flushed[i] {
 			continue
 		}
 		wg.Add(1)
@@ -672,11 +456,7 @@ func (l *Live) Drain(timeout time.Duration) bool {
 		}(i)
 	}
 	wg.Wait()
-	ok := true
-	for _, f := range flushed {
-		ok = ok && f
-	}
-	return ok
+	return !slices.Contains(flushed, false)
 }
 
 // Close shuts every shard down.
@@ -690,36 +470,13 @@ func (l *Live) Close() error {
 	return first
 }
 
-// shardDead reports whether shard i has been killed.
-func (l *Live) shardDead(i int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.shards[i].dead
-}
-
 // CoordKill crashes coordinator replica i (chaos fault coord_kill). A
 // killed leader stalls ownership mutations until its lease drains and the
 // survivors elect; placements and migrations fail fast in the window and
 // their callers retry.
 func (l *Live) CoordKill(i int) {
 	l.mu.Lock()
-	l.cluster.Kill(i)
-	l.mu.Unlock()
-}
-
-// CoordRestart revives a crashed coordinator replica; it rejoins as a
-// follower and is caught up (log suffix or snapshot) on the next Tick.
-func (l *Live) CoordRestart(i int) {
-	l.mu.Lock()
-	l.cluster.Restart(i)
-	l.mu.Unlock()
-}
-
-// CoordPartition cuts coordinator replica i from its peers until the given
-// slot (chaos fault coord_partition).
-func (l *Live) CoordPartition(i int, untilSlot int) {
-	l.mu.Lock()
-	l.cluster.Partition(i, int64(untilSlot))
+	l.ctl.CoordKill(i)
 	l.mu.Unlock()
 }
 
@@ -727,44 +484,5 @@ func (l *Live) CoordPartition(i int, untilSlot int) {
 func (l *Live) CoordStatus() coord.Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.cluster.Status()
-}
-
-// coordMetrics mirrors the cluster's internal counters into the obs
-// registry on every Tick. All instruments are nil-safe no-ops when
-// observability is disabled, so the default path pays nothing.
-type coordMetrics struct {
-	term      *obs.Gauge
-	leader    *obs.Gauge
-	elections *obs.Counter
-	commits   *obs.Counter
-	rejected  *obs.Counter
-	installs  *obs.Counter
-}
-
-func newCoordMetrics(r *obs.Registry) coordMetrics {
-	return coordMetrics{
-		term:      r.Gauge("collabvr_fleet_coord_term"),
-		leader:    r.Gauge("collabvr_fleet_coord_leader"),
-		elections: r.Counter("collabvr_fleet_coord_elections_total"),
-		commits:   r.Counter("collabvr_fleet_coord_commits_total"),
-		rejected:  r.Counter("collabvr_fleet_coord_rejected_total"),
-		installs:  r.Counter("collabvr_fleet_coord_snapshot_installs_total"),
-	}
-}
-
-// mirrorCoordMetricsLocked publishes the cluster's counters as registry
-// deltas. Caller holds l.mu.
-func (l *Live) mirrorCoordMetricsLocked() {
-	if l.cm.term == nil {
-		return
-	}
-	st := l.cluster.Status()
-	l.cm.term.Set(float64(st.Term))
-	l.cm.leader.Set(float64(st.Leader))
-	l.cm.elections.Add(st.Elections - l.cmPrev.Elections)
-	l.cm.commits.Add(st.Commits - l.cmPrev.Commits)
-	l.cm.rejected.Add(st.Rejected - l.cmPrev.Rejected)
-	l.cm.installs.Add(st.SnapshotInstalls - l.cmPrev.SnapshotInstalls)
-	l.cmPrev = st
+	return l.ctl.CoordStatus()
 }

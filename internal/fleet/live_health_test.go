@@ -30,22 +30,25 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 	store := tsdb.New(tsdb.Options{})
 	sampler := tsdb.NewSampler(tsdb.SamplerOptions{Store: store, Registry: reg, SLO: slo})
 
-	l := newTestLive(t, reg, slo, nil, rec)
-	defer l.Close()
 	// Route the coordinator's fleet series into the same store the sampler
 	// writes, like cmd/collabvr-fleet does: one /debug/health document.
-	l.health = store
-	l.hseries = make([]liveShardSeries, l.Shards())
-	for i := 0; i < l.Shards(); i++ {
-		l.hseries[i] = liveShardSeries{
-			sessions: store.ShardSeries("fleet_shard_sessions", tsdb.Gauge, i),
-			budget:   store.ShardSeries("fleet_shard_budget_mbps", tsdb.Gauge, i),
-			demand:   store.ShardSeries("fleet_shard_demand_mbps", tsdb.Gauge, i),
-			pageFrac: store.ShardSeries("fleet_shard_page_frac", tsdb.Gauge, i),
-		}
+	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
+	base.SlotDuration = 5 * time.Millisecond
+	base.Metrics = reg
+	base.SLO = slo
+	base.Logf = t.Logf
+	l, err := NewLive(LiveConfig{
+		Shards:           2,
+		Base:             base,
+		NewAllocator:     newShardAllocator,
+		GlobalBudgetMbps: 400,
+		Recorder:         rec,
+		Health:           store,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	l.hFleetSess = store.Series("fleet_active_sessions", tsdb.Gauge)
-	l.hEvacTotal = store.Series("fleet_evacuations_total", tsdb.Counter)
+	defer l.Close()
 
 	const user = 11
 	shard, err := l.Place(SessionInfo{ID: user})
@@ -206,8 +209,8 @@ func TestLiveEvacuationTrigger(t *testing.T) {
 
 	// Fake ownership: both sessions on shard 0, paging hard.
 	l.mu.Lock()
-	l.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: 1, Shard: 0})
-	l.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: 2, Shard: 0})
+	l.ctl.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: 1, Shard: 0})
+	l.ctl.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: 2, Shard: 0})
 	l.mu.Unlock()
 	for i := 0; i < 50; i++ {
 		slo.ObserveSlot(1, false, 0)

@@ -269,9 +269,9 @@ func TestLiveTickRebalance(t *testing.T) {
 
 	for id := uint32(1); id <= 4; id++ {
 		// Skew ownership without real connections.
-		l.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: id, Shard: 0})
+		l.ctl.cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: id, Shard: 0})
 	}
-	cadence := l.rb.cfg.EverySlots
+	cadence := l.ctl.rb.cfg.EverySlots
 	for slot := 1; slot <= cadence; slot++ {
 		l.Tick(slot)
 	}

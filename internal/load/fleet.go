@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -52,11 +51,11 @@ type FleetSimConfig struct {
 	// history, so an internal health store is created when Health is nil.
 	Evac fleet.EvacConfig
 	// Coordinators is the coordinator replica count for the replicated
-	// owner map (default 1 — a single replica, the zero-cost path,
-	// byte-identical to the pre-replication engine; 2f+1 replicas tolerate
-	// f crashes, with ownership mutations stalling at most Coord.LeaseSlots
-	// per leader loss). -1 disables the cluster entirely — the legacy
-	// direct-ownership path, kept as the bench control.
+	// owner map (zero or less means 1 — a single replica commits every
+	// proposal directly, allocation-free, and decides exactly what a
+	// fault-free larger cluster decides; 2f+1 replicas tolerate f crashes,
+	// with ownership mutations stalling at most Coord.LeaseSlots per leader
+	// loss).
 	Coordinators int
 	// Coord tunes the replicated coordinator beyond the replica count
 	// (lease length, snapshot cadence). Coordinators overrides
@@ -78,29 +77,11 @@ func (c FleetSimConfig) withDefaults() FleetSimConfig {
 	if c.MigrationOutageSlots < 0 {
 		c.MigrationOutageSlots = 0
 	}
-	if c.Coordinators == 0 {
+	if c.Coordinators <= 0 {
 		c.Coordinators = 1
 	}
+	c.Coord.Replicas = c.Coordinators
 	return c
-}
-
-// ShardOutcome is one shard's end-of-run accounting.
-type ShardOutcome struct {
-	Shard int `json:"shard"`
-	Zone  int `json:"zone"`
-	// Placed counts arrival placements; MigratedIn/Out count sessions
-	// adopted from / handed to other shards.
-	Placed      int `json:"placed"`
-	MigratedIn  int `json:"migrated_in"`
-	MigratedOut int `json:"migrated_out"`
-	// KilledSlot/DrainSlot are the slots the shard died / began draining
-	// (-1 when it never did).
-	KilledSlot int `json:"killed_slot"`
-	DrainSlot  int `json:"drain_slot"`
-	// PeakSessions is the shard's maximum concurrent session count.
-	PeakSessions int `json:"peak_sessions"`
-	// FinalBudgetMbps is the shard's budget share at the horizon.
-	FinalBudgetMbps float64 `json:"final_budget_mbps"`
 }
 
 // FleetReport aggregates one fleet-sim run: the fleet-wide RunReport plus
@@ -108,9 +89,9 @@ type ShardOutcome struct {
 // for.
 type FleetReport struct {
 	RunReport
-	Scorer     string         `json:"scorer"`
-	Shards     []ShardOutcome `json:"shards"`
-	Placements int            `json:"placements"`
+	Scorer     string               `json:"scorer"`
+	Shards     []fleet.ShardOutcome `json:"shards"`
+	Placements int                  `json:"placements"`
 	// PlacementsFailed counts arrivals no shard could accept (dropped).
 	PlacementsFailed int `json:"placements_failed"`
 	Migrations       int `json:"migrations"`
@@ -122,28 +103,22 @@ type FleetReport struct {
 	// EvacBatches how many cooldown-spaced batches fired.
 	Evacuations int `json:"evacuations,omitempty"`
 	EvacBatches int `json:"evac_batches,omitempty"`
-	// Coord summarizes the replicated coordinator's run; nil when the
-	// cluster was disabled (Coordinators -1).
-	Coord *CoordOutcome `json:"coord,omitempty"`
+	// Coord summarizes the replicated coordinator's run.
+	Coord *fleet.CoordOutcome `json:"coord,omitempty"`
+	// Fleet is the control plane's final /debug/fleet document.
+	Fleet obs.FleetSnapshot `json:"-"`
 }
 
-// CoordOutcome is the replicated coordinator's end-of-run accounting: the
-// leadership history, the log frontier counters, and the convergence
-// verdict the acceptance campaigns assert on.
-type CoordOutcome struct {
-	Replicas         int    `json:"replicas"`
-	Term             uint64 `json:"term"`
-	Elections        uint64 `json:"elections"`
-	Commits          uint64 `json:"commits"`
-	Rejected         uint64 `json:"rejected"`
-	SnapshotInstalls uint64 `json:"snapshot_installs"`
-	// LeaderlessSlots counts slots during which the cluster could not
-	// accept ownership mutations (dead leader's lease draining, or quorum
-	// lost) — the control-plane blackout the election timeout bounds.
-	LeaderlessSlots int `json:"leaderless_slots"`
-	// Converged reports whether every alive replica finished with an
-	// identical applied owner map — the single-owner invariant.
-	Converged bool `json:"converged"`
+// setControl copies the control plane's accounting into the report.
+func (r *FleetReport) setControl(o fleet.Outcome) {
+	r.Shards = o.Shards
+	r.Placements = o.Placements
+	r.Migrations = o.Migrations
+	r.Rebalances = o.Rebalances
+	r.Evacuations = o.Evacuations
+	r.EvacBatches = o.EvacBatches
+	r.Coord = &o.Coord
+	r.Fleet = o.Fleet
 }
 
 // FormatFleet renders the fleet addendum under the standard report.
@@ -175,10 +150,8 @@ type fleetSession struct {
 	// pendingFlip marks a session whose ownership flip could not commit —
 	// the coordinator was leaderless when its shard failed. The session is
 	// blacked out (exported but not adopted) until the survivors elect and
-	// the flip commits through the log; pendingReason carries the
-	// placement reason to record at commit time.
-	pendingFlip   bool
-	pendingReason string
+	// the flip commits through the log.
+	pendingFlip bool
 	// paging mirrors the session's SLO state as of its last observation (the
 	// state only changes there), so the router view and the evacuation
 	// ordering read a field instead of locking the monitor.
@@ -300,31 +273,26 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		return nil, fmt.Errorf("load: empty workload")
 	}
 	sim := &cfg.Sim
-	if m := sim.Chaos.MaxShard(); m >= cfg.Shards {
-		return nil, fmt.Errorf("load: chaos profile targets shard %d but the fleet has %d shards", m, cfg.Shards)
+	if err := fleet.CheckProfile(sim.Chaos, cfg.Shards, cfg.Coordinators); err != nil {
+		return nil, err
 	}
-
-	// Replicated coordinator: every ownership mutation (place, flip,
-	// forget, evac batch, budget split) commits through its log. A single
-	// replica is the zero-cost default — proposals apply directly, no
-	// allocation, bit-identical to the pre-replication engine. -1 disables
-	// the cluster entirely (the bench control).
-	var cluster *coord.Cluster
-	if cfg.Coordinators >= 1 {
-		ccfg := cfg.Coord
-		ccfg.Replicas = cfg.Coordinators
-		cluster = coord.New(ccfg)
+	scorer, err := fleet.ScorerByName(cfg.Scorer)
+	if err != nil {
+		return nil, err
 	}
-	coordFaults := sim.Chaos.CoordFaults()
-	if m := sim.Chaos.MaxReplica(); m >= 0 {
-		if cluster == nil {
-			return nil, fmt.Errorf("load: chaos profile carries coordinator faults but the cluster is disabled (Coordinators %d)", cfg.Coordinators)
-		}
-		if m >= cfg.Coordinators {
-			return nil, fmt.Errorf("load: chaos profile targets coordinator replica %d but the cluster has %d", m, cfg.Coordinators)
-		}
-	}
-	coordUp := func() bool { return cluster == nil || cluster.Available() }
+	// The control plane — owner map, router view, budget split, evacuation
+	// hysteresis, health series — is the state machine fleet.Live runs.
+	ctl := fleet.NewController(fleet.ControllerConfig{
+		Shards:           cfg.Shards,
+		Zones:            cfg.Zones,
+		GlobalBudgetMbps: sim.BudgetMbps,
+		Scorer:           scorer,
+		Recorder:         cfg.Recorder,
+		Rebalance:        cfg.Rebalance,
+		Evac:             cfg.Evac,
+		Health:           cfg.Health,
+		Coord:            cfg.Coord,
+	})
 	horizon := w.Cfg.HorizonSlots
 	env := newSimEnv(w, sim)
 	deadlineMs := env.deadlineMs
@@ -335,41 +303,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	shards := make([]fleetShard, cfg.Shards)
 	for i := range shards {
 		shards[i].alloc = sim.NewAllocator()
-	}
-	scorer, err := fleet.ScorerByName(cfg.Scorer)
-	if err != nil {
-		return nil, err
-	}
-	router := fleet.NewRouter(scorer, cfg.Recorder)
-	rb := fleet.NewRebalancer(cfg.Rebalance, cfg.Shards)
-
-	// Health plane: per-shard and fleet-aggregate series on the slot clock.
-	// The evacuation loop reads its pressure signal from the page-frac
-	// series, so it gets a private store when the caller did not ask for one.
-	evac := fleet.NewEvacuator(cfg.Evac, cfg.Shards)
-	health := cfg.Health
-	if health == nil && evac != nil {
-		health = tsdb.New(tsdb.Options{})
-	}
-	type shardHealth struct {
-		sessions, budget, demand, pageFrac, quality *tsdb.Series
-	}
-	var sh []shardHealth
-	var fleetQuality, fleetSessions, fleetEvacTotal *tsdb.Series
-	if health != nil {
-		sh = make([]shardHealth, cfg.Shards)
-		for i := range sh {
-			sh[i] = shardHealth{
-				sessions: health.ShardSeries("fleet_shard_sessions", tsdb.Gauge, i),
-				budget:   health.ShardSeries("fleet_shard_budget_mbps", tsdb.Gauge, i),
-				demand:   health.ShardSeries("fleet_shard_demand_mbps", tsdb.Gauge, i),
-				pageFrac: health.ShardSeries("fleet_shard_page_frac", tsdb.Gauge, i),
-				quality:  health.ShardSeries("fleet_shard_slot_quality", tsdb.Gauge, i),
-			}
-		}
-		fleetQuality = health.Series("fleet_slot_quality", tsdb.Gauge)
-		fleetSessions = health.Series("fleet_active_sessions", tsdb.Gauge)
-		fleetEvacTotal = health.Series("fleet_evacuations_total", tsdb.Counter)
 	}
 
 	byArrive := make(map[int][]SessionSpec)
@@ -385,28 +318,12 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			Spawned:        len(w.Sessions),
 			PeakConcurrent: w.PeakConcurrent(),
 		},
-		Scorer: router.ScorerName(),
-		Shards: make([]ShardOutcome, cfg.Shards),
-	}
-	for i := range report.Shards {
-		report.Shards[i] = ShardOutcome{
-			Shard: i, Zone: i % cfg.Zones, KilledSlot: -1, DrainSlot: -1,
-			FinalBudgetMbps: sim.BudgetMbps / float64(cfg.Shards),
-		}
-	}
-
-	// Mutable shard state.
-	dead := make([]bool, cfg.Shards)
-	draining := make([]bool, cfg.Shards)
-	budget := make([]float64, cfg.Shards)
-	demand := make([]float64, cfg.Shards)
-	for i := range budget {
-		budget[i] = sim.BudgetMbps / float64(cfg.Shards)
+		Scorer: scorer.Name(),
 	}
 
 	var active []*fleetSession
 	serverInj := chaos.NewServerInjector(sim.Chaos)
-	shardFaults := sim.Chaos.ShardFaults()
+	shardFaults := sim.Chaos.ShardFaults() // the brown-outs among them are the data plane's
 	report.SlotQuality = make([]float64, 0, horizon)
 
 	var regretRef core.Allocator
@@ -414,266 +331,113 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		regretRef = core.DPOptimal{Resolution: sim.RegretResolution}
 	}
 
-	// pendingForgets queues departures that arrived while the coordinator
-	// was leaderless; they replay once a leader is back. A stale binding is
-	// never load-bearing, so deferral is safe.
-	var pendingForgets []uint32
-	coordLeaderless := 0
-
 	finish := func(s *fleetSession) {
 		s.ensureInputs(env) // a session that departs the slot it was placed
 		sim.SLO.Retire(s.spec.ID)
 		sim.Breaker.Retire(s.spec.ID)
-		evac.Forget(s.spec.ID)
-		if cluster != nil {
-			if err := cluster.Propose(coord.Op{Kind: coord.OpForget, Session: s.spec.ID}); err != nil {
-				pendingForgets = append(pendingForgets, s.spec.ID)
-			}
-		}
+		ctl.Forget(s.spec.ID)
 		out := s.outcome()
 		report.Outcomes = append(report.Outcomes, out)
 		report.Completed++
 		lm.observeOutcome(out)
 	}
 
-	// shardStates refreshes the router's view in place, in shard-index
-	// order: budgets and demand from the fleet layer, sessions and page
-	// fractions from the per-shard tallies. Every slot observe counts each
-	// active session once (sessions[] and paging[]); until the next slot's
-	// tally, placements and moves keep the counts current, so a view costs
-	// O(shards), not a sweep of the active set under the monitor's lock.
-	// Nothing retains the slice past the call it is handed to.
-	sessions := make([]int, cfg.Shards)
-	paging := make([]int, cfg.Shards)
-	view := make([]fleet.ShardState, cfg.Shards)
-	shardStates := func() []fleet.ShardState {
-		for i := range view {
-			view[i] = fleet.ShardState{
-				ID: i, Zone: i % cfg.Zones,
-				Alive: !dead[i], Draining: draining[i],
-				Sessions: sessions[i], BudgetMbps: budget[i], DemandMbps: demand[i],
-			}
-			if sessions[i] > 0 {
-				view[i].PageFrac = float64(paging[i]) / float64(sessions[i])
-			}
-		}
-		return view
-	}
 	// observe feeds one session's slot outcome to the SLO monitor and the
 	// monitor's verdict to the breaker, and tallies the session into the
-	// router view under that verdict. Every active session goes through it
-	// exactly once per slot, served or blacked out.
+	// router view under that verdict. Every active session passes it once per
+	// slot, served or blacked out, so a view costs O(shards), not a sweep of
+	// the active set under the monitor's lock.
 	observe := func(s *fleetSession, displayed bool, quality float64) {
 		sim.SLO.ObserveSlot(s.spec.ID, displayed, quality)
 		state := sim.SLO.State(s.spec.ID)
 		sim.Breaker.Observe(s.spec.ID, state)
 		s.paging = state == obs.SLOStatePage
-		sessions[s.shard]++
-		if s.paging {
-			paging[s.shard]++
-		}
+		ctl.Tally(s.shard, s.paging)
 	}
-	// move hands a session to another shard; it pays the migration outage.
-	move := func(slot int, s *fleetSession, to int) {
-		sessions[s.shard]--
-		sessions[to]++
-		if s.paging {
-			paging[s.shard]--
-			paging[to]++
-		}
-		report.Shards[s.shard].MigratedOut++
-		report.Shards[to].MigratedIn++
-		report.Migrations++
+	// moved is the virtual handoff: the session is on its new shard at once
+	// and pays the migration outage.
+	moved := func(slot int, s *fleetSession, to int) {
 		s.shard = to
 		s.outageUntil = slot + cfg.MigrationOutageSlots
-	}
-
-	// applyShares re-splits the global budget over accepting shards. The
-	// split commits through the coordinator log first: a leaderless cluster
-	// postpones the re-split (budgets ride unchanged until the next due
-	// tick), so every replica replays the same share history.
-	applyShares := func() {
-		accepting := make([]bool, cfg.Shards)
-		for i := range accepting {
-			accepting[i] = !dead[i] && !draining[i]
-		}
-		shares := rb.Shares(sim.BudgetMbps, accepting)
-		if cluster != nil {
-			if err := cluster.Propose(coord.Op{Kind: coord.OpBudgetSplit, Shares: shares}); err != nil {
-				return
-			}
-		}
-		for i, share := range shares {
-			if accepting[i] {
-				budget[i] = share
-			} else {
-				budget[i] = 0
-			}
-		}
-	}
-
-	// commitFlip routes one exported session at commit time and flips its
-	// ownership through the coordinator log; the session then pays the
-	// migration outage. Returns false when there is nowhere to go or the
-	// flip could not commit.
-	commitFlip := func(slot int, s *fleetSession, reason string) bool {
-		from := s.shard
-		sess := fleet.SessionInfo{ID: s.spec.ID, Zone: s.zone}
-		to := router.Place(slot, sess, shardStates(), reason, from)
-		if to < 0 {
-			return false // nowhere to go: the session rides the dead shard (0 quality)
-		}
-		if cluster != nil {
-			if err := cluster.Propose(coord.Op{Kind: coord.OpFlip, Session: s.spec.ID, Shard: to, From: from}); err != nil {
-				return false
-			}
-		}
-		move(slot, s, to)
 		s.pendingFlip = false
-		return true
 	}
-
-	// migrateShard hands every session of a failing shard to the best
-	// survivor, in arrival order; each migrated session pays the outage.
-	// When the coordinator is leaderless (the leader died between the
-	// export and the flip) the session is queued instead: exported but not
-	// adopted, blacked out until the survivors elect and the flip commits —
-	// degraded for the election window, never dropped, never double-owned.
-	migrateShard := func(slot, from int, reason string) {
-		for _, s := range active {
-			if s.shard != from || s.pendingFlip {
-				continue
-			}
-			if !coordUp() {
-				s.pendingFlip = true
-				s.pendingReason = reason
-				continue
-			}
-			commitFlip(slot, s, reason)
+	// reroute hands one session of a failing shard to the best survivor.
+	// Under a leaderless coordinator (the leader died between the export and
+	// the flip) it is left pending instead: exported but not adopted, blacked
+	// out until the survivors elect and the flip commits — degraded for the
+	// election window, never dropped, never double-owned. A session no shard
+	// can take rides the dead shard at zero quality.
+	reroute := func(slot int, s *fleetSession) bool {
+		to, pending := ctl.Reroute(fleet.SessionInfo{ID: s.spec.ID, Zone: s.zone}, s.shard, s.paging)
+		if to >= 0 {
+			moved(slot, s, to)
+		} else if pending {
+			s.pendingFlip = true
 		}
+		return to >= 0
 	}
 
 	degrade := make([]float64, cfg.Shards)
 	shardQualSum := make([]float64, cfg.Shards)
 	shardQualCnt := make([]int, cfg.Shards)
-	var evacCands []*fleetSession
+	var evacCands []fleet.EvacCandidate
 
 	for slot := 0; slot < horizon; slot++ {
 		// Coordinator faults and the cluster tick come first: a leader
 		// killed this slot is already dead when the shard faults below try
-		// to flip ownership, and an election lands before any retry. The
-		// tick also drains leases and heals laggards.
-		if cluster != nil {
-			for _, f := range coordFaults {
-				switch f.Kind {
-				case chaos.FaultCoordKill:
-					if f.StartSlot == slot {
-						cluster.Kill(f.Replica)
-					}
-					if f.DurationSlots > 0 && f.StartSlot+f.DurationSlots == slot {
-						cluster.Restart(f.Replica)
-					}
-				case chaos.FaultCoordPartition:
-					if f.StartSlot == slot {
-						cluster.Partition(f.Replica, int64(slot+f.DurationSlots))
+		// to flip ownership, and an election lands before any retry.
+		events := ctl.Faults(sim.Chaos, slot)
+		ctl.Tick(slot)
+
+		// Kill and drain windows open (and drains close) before arrivals see
+		// the shard states; a failing shard's sessions move in arrival order.
+		for _, ev := range events {
+			if !ctl.Apply(ev) {
+				continue
+			}
+			if ev.Kind != fleet.ShardDrainEnded {
+				for _, s := range active {
+					if s.shard == ev.Shard && !s.pendingFlip {
+						reroute(slot, s)
 					}
 				}
 			}
-			cluster.Tick(int64(slot))
-			if !cluster.Available() {
-				coordLeaderless++
-			}
+			ctl.Resplit()
 		}
-
-		// Shard faults: kill and drain windows open (and drains close) on
-		// slot boundaries, before arrivals see the shard states. Degrade
-		// windows recompute each slot — a browned-out shard's sessions see
-		// their link capacity multiplied by the fault factor.
 		for i := range degrade {
 			degrade[i] = 1
 		}
 		for _, f := range shardFaults {
-			if f.Shard >= cfg.Shards {
-				continue
-			}
-			switch f.Kind {
-			case chaos.FaultShardDegrade:
-				if slot >= f.StartSlot && (f.DurationSlots == 0 || slot < f.StartSlot+f.DurationSlots) {
-					degrade[f.Shard] *= f.Factor
-				}
-			case chaos.FaultShardKill:
-				if f.StartSlot == slot && !dead[f.Shard] {
-					dead[f.Shard] = true
-					report.Shards[f.Shard].KilledSlot = slot
-					migrateShard(slot, f.Shard, obs.PlaceShardKill)
-					applyShares()
-				}
-			case chaos.FaultShardDrain:
-				if f.StartSlot == slot && !draining[f.Shard] && !dead[f.Shard] {
-					draining[f.Shard] = true
-					report.Shards[f.Shard].DrainSlot = slot
-					migrateShard(slot, f.Shard, obs.PlaceShardDrain)
-					applyShares()
-				}
-				if f.DurationSlots > 0 && f.StartSlot+f.DurationSlots == slot && draining[f.Shard] {
-					draining[f.Shard] = false // drained shard rejoins empty
-					applyShares()
-				}
+			// A browned-out shard's sessions see their link capacity
+			// multiplied by the fault factor while the window is open.
+			if f.Kind == chaos.FaultShardDegrade && slot >= f.StartSlot &&
+				(f.DurationSlots == 0 || slot < f.StartSlot+f.DurationSlots) {
+				degrade[f.Shard] *= f.Factor
 			}
 		}
 
-		// Pending replays: departures and flips rejected during a
-		// leaderless window commit now, in arrival order — ownership
-		// converges the first slot a leader is back, and each re-placed
-		// session starts its bounded migration outage.
-		if cluster != nil && cluster.Available() {
-			for len(pendingForgets) > 0 {
-				if err := cluster.Propose(coord.Op{Kind: coord.OpForget, Session: pendingForgets[0]}); err != nil {
-					break
-				}
-				pendingForgets = pendingForgets[1:]
-			}
-			rerouted := false
-			for _, s := range active {
-				if !s.pendingFlip {
-					continue
-				}
-				if commitFlip(slot, s, s.pendingReason) {
-					rerouted = true
-				}
-			}
-			if rerouted {
-				applyShares()
+		// Pending flips commit the first slot a leader is back, in arrival
+		// order, and each re-placed session starts its bounded outage.
+		rerouted := false
+		for _, s := range active {
+			if s.pendingFlip && reroute(slot, s) {
+				rerouted = true
 			}
 		}
+		if rerouted {
+			ctl.Resplit()
+		}
 
-		// Arrivals route through the scorer.
+		// Arrivals route through the scorer; one the cluster cannot own
+		// (leaderless) or no shard can accept fails fast, like Live.Place.
 		for _, spec := range byArrive[slot] {
 			zone := int(spec.ID) % cfg.Zones
-			if !coordUp() {
-				// Leaderless cluster: the arrival cannot be owned, so it
-				// fails fast like Live.Place — the caller-visible contract.
+			to, err := ctl.Place(fleet.SessionInfo{ID: spec.ID, Zone: zone})
+			if err != nil {
 				report.Failed++
 				report.PlacementsFailed++
 				continue
 			}
-			to := router.Place(slot, fleet.SessionInfo{ID: spec.ID, Zone: zone},
-				shardStates(), obs.PlaceArrival, -1)
-			if to < 0 {
-				report.Failed++
-				report.PlacementsFailed++
-				continue
-			}
-			if cluster != nil {
-				if err := cluster.Propose(coord.Op{Kind: coord.OpPlace, Session: spec.ID, Shard: to}); err != nil {
-					report.Failed++
-					report.PlacementsFailed++
-					continue
-				}
-			}
-			report.Placements++
-			report.Shards[to].Placed++
-			sessions[to]++
 			// Only the spec for now: the placed shard's step regenerates the
 			// session's inputs (ensureInputs), off the serial path.
 			active = append(active, &fleetSession{simSession: simSession{spec: spec}, zone: zone, shard: to})
@@ -689,8 +453,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 		active = next
 		// observe re-tallies the router view from the sessions that are left.
-		clear(sessions)
-		clear(paging)
+		ctl.ResetTallies()
 		if len(active) == 0 {
 			report.SlotQuality = append(report.SlotQuality, 0)
 			sim.Health.Sample(int64(slot))
@@ -709,18 +472,14 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		for _, s := range active {
 			shards[s.shard].owned = append(shards[s.shard].owned, s)
 		}
-		for i := range shards {
-			if n := len(shards[i].owned); n > report.Shards[i].PeakSessions {
-				report.Shards[i].PeakSessions = n
-			}
-		}
 
 		// The slot's one fork-join: every shard sets up its arrivals, builds,
 		// solves against its own budget share and settles, on up to Workers
 		// goroutines. One, not one per phase — a slot is about a millisecond
 		// of work and every fork-join pays a goroutine wake-up.
+		view := ctl.States()
 		forEachShard(len(shards), sim.Workers, func(i int) {
-			shards[i].step(env, slot, dead[i], budget[i], degrade[i], stallMs)
+			shards[i].step(env, slot, !view[i].Alive, view[i].BudgetMbps, degrade[i], stallMs)
 		})
 
 		// Observe, serially, in shard-then-arrival order: the decision
@@ -732,8 +491,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		for i := range shards {
 			fs := &shards[i]
 			shardQualSum[i], shardQualCnt[i] = 0, 0
-			demand[i] = fs.demand
-			rb.Observe(i, fs.demand)
+			ctl.ObserveDemand(i, fs.demand)
 			if len(fs.serving) == 0 {
 				continue
 			}
@@ -765,7 +523,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		// out this slot: the frame is a forced miss, charged like a
 		// deadline miss — degraded, not dropped.
 		for _, s := range active {
-			if !s.blackedOut(slot) && !dead[s.shard] {
+			if !s.blackedOut(slot) && view[s.shard].Alive {
 				continue
 			}
 			local := slot - s.spec.ArriveSlot
@@ -780,116 +538,38 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			report.OutageSlots++
 			observe(s, false, 0)
 		}
+		slotQuality := 0.0
 		if counted > 0 {
-			report.SlotQuality = append(report.SlotQuality, qualitySum/float64(counted))
-		} else {
-			report.SlotQuality = append(report.SlotQuality, 0)
+			slotQuality = qualitySum / float64(counted)
 		}
+		report.SlotQuality = append(report.SlotQuality, slotQuality)
 
 		// Health plane: fold this slot's shard states into the store. The
 		// evacuation loop below reads the page-frac window from here, so
 		// sampling must precede it.
-		if health != nil {
-			states := shardStates()
-			for i, st := range states {
-				sh[i].sessions.Observe(int64(slot), float64(st.Sessions))
-				sh[i].budget.Observe(int64(slot), st.BudgetMbps)
-				sh[i].demand.Observe(int64(slot), st.DemandMbps)
-				sh[i].pageFrac.Observe(int64(slot), st.PageFrac)
-				q := 0.0
-				if shardQualCnt[i] > 0 {
-					q = shardQualSum[i] / float64(shardQualCnt[i])
-				}
-				sh[i].quality.Observe(int64(slot), q)
-			}
-			fleetSessions.Observe(int64(slot), float64(len(active)))
-			fleetQuality.Observe(int64(slot), report.SlotQuality[len(report.SlotQuality)-1])
-			fleetEvacTotal.Observe(int64(slot), float64(report.Evacuations))
-		}
+		ctl.SampleHealth(slot, shardQualSum, shardQualCnt, slotQuality)
 
-		// SLO-pressure evacuation: a shard whose ROLLING page-frac window
-		// (never the instantaneous sample) crosses the enter threshold
-		// hands a cooldown-spaced batch to the rest of the fleet. Paging
-		// sessions move first — they are the ones a fresh shard can still
-		// save — and no session moves twice inside one cooldown window.
-		if evac != nil {
-			for shard := 0; shard < cfg.Shards; shard++ {
-				if dead[shard] || draining[shard] {
-					continue
+		// SLO-pressure evacuation: a shard whose rolling page-frac window
+		// crosses the enter threshold hands a cooldown-spaced batch of its
+		// sessions — not the ones still mid-handoff — to the rest of the fleet.
+		for shard := range shards {
+			if !ctl.EvacDue(shard, slot) {
+				continue
+			}
+			evacCands = evacCands[:0]
+			for i, s := range active {
+				if s.shard == shard && slot >= s.outageUntil {
+					evacCands = append(evacCands, fleet.EvacCandidate{ID: s.spec.ID, Zone: s.zone, Paging: s.paging, Ref: i})
 				}
-				if !coordUp() {
-					// No leader, no batch: the controller state is left
-					// untouched so the same batch fires once one is back.
-					continue
-				}
-				w := sh[shard].pageFrac.Stats(evac.Config().WindowSlots)
-				pressure := 0.0
-				if w.Count > 0 {
-					pressure = w.Mean()
-				}
-				if !evac.Update(shard, int64(slot), pressure, w.Count) {
-					continue
-				}
-				evacCands = evacCands[:0]
-				for _, s := range active {
-					if s.shard != shard || slot < s.outageUntil {
-						continue
-					}
-					if !evac.AllowSession(s.spec.ID, int64(slot)) {
-						continue
-					}
-					evacCands = append(evacCands, s)
-				}
-				sort.SliceStable(evacCands, func(i, j int) bool {
-					return evacCands[i].paging && !evacCands[j].paging
-				})
-				moved := 0
-				var batchTo []int       // distinct targets, first-seen order
-				var batchIDs [][]uint32 // sessions per target, move order
-				for _, s := range evacCands {
-					if moved >= evac.Config().BatchSessions {
-						break
-					}
-					to := router.Place(slot, fleet.SessionInfo{ID: s.spec.ID, Zone: s.zone},
-						shardStates(), obs.PlaceSLOPressure, shard)
-					if to < 0 {
-						break
-					}
-					move(slot, s, to)
-					evac.NoteMigration(s.spec.ID, int64(slot))
-					report.Evacuations++
-					moved++
-					if cluster != nil {
-						found := false
-						for i, t := range batchTo {
-							if t == to {
-								batchIDs[i] = append(batchIDs[i], s.spec.ID)
-								found = true
-								break
-							}
-						}
-						if !found {
-							batchTo = append(batchTo, to)
-							batchIDs = append(batchIDs, []uint32{s.spec.ID})
-						}
-					}
-				}
-				// The batch commits through the log grouped by target —
-				// availability was checked up front and nothing between
-				// there and here can depose the leader, so these cannot
-				// fail.
-				for i, to := range batchTo {
-					_ = cluster.Propose(coord.Op{
-						Kind: coord.OpEvacBatch, Shard: to, From: shard, Batch: batchIDs[i],
-					})
-				}
+			}
+			victims := ctl.EvacBatch(evacCands, slot)
+			for k, to := range ctl.Evacuate(shard, slot, victims) {
+				moved(slot, active[victims[k].Ref], to)
 			}
 		}
 
 		// Periodic rebalance from the demand EMAs.
-		if rb.Due(slot) {
-			applyShares()
-		}
+		ctl.Rebalance(slot)
 		// Registry/SLO sampling (Sim.Health) rides the same virtual clock
 		// as the fleet series above.
 		sim.Health.Sample(int64(slot))
@@ -898,22 +578,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		finish(s)
 	}
 	sortOutcomes(report.Outcomes)
-	report.Rebalances = rb.Rebalances()
-	report.EvacBatches = evac.Batches()
-	for i := range report.Shards {
-		report.Shards[i].FinalBudgetMbps = budget[i]
-	}
-	if cluster != nil {
-		report.Coord = &CoordOutcome{
-			Replicas:         cluster.Replicas(),
-			Term:             cluster.Term(),
-			Elections:        cluster.Elections(),
-			Commits:          cluster.Commits(),
-			Rejected:         cluster.Rejected(),
-			SnapshotInstalls: cluster.SnapshotInstalls(),
-			LeaderlessSlots:  coordLeaderless,
-			Converged:        cluster.Converged(),
-		}
-	}
+	report.setControl(ctl.Outcome())
 	return report, nil
 }

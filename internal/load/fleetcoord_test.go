@@ -119,10 +119,12 @@ func TestFleetCoordLeaderKillMidMigration(t *testing.T) {
 }
 
 // TestFleetSimSingleReplicaByteIdentical pins the zero-cost-default
-// guarantee: the single-replica coordinator (the default) must produce a
-// report byte-identical to the cluster-disabled legacy path on a faulted
-// golden campaign — same placements, same migrations, same QoE, down to
-// every float.
+// guarantee without a second code path to compare against: nothing the
+// fleet decides depends on the replica count while no replica fails, so the
+// single-replica coordinator (the default) must produce a report
+// byte-identical — same placements, same migrations, same QoE, down to
+// every float — to a fault-free 3-replica run of the same faulted golden
+// campaign, once the coordinator's own accounting is set aside.
 func TestFleetSimSingleReplicaByteIdentical(t *testing.T) {
 	w := fleetWorkload(t)
 	mk := func(coordinators int) *FleetReport {
@@ -135,12 +137,12 @@ func TestFleetSimSingleReplicaByteIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	replicated := mk(1) // the default
-	legacy := mk(-1)    // cluster disabled entirely
+	single := mk(0) // the default: zero or less means one replica
+	replicated := mk(3)
 
-	co := replicated.Coord
-	if co == nil || legacy.Coord != nil {
-		t.Fatal("coord outcome presence is inverted")
+	co := single.Coord
+	if co == nil || replicated.Coord == nil {
+		t.Fatal("no coord outcome in the report")
 	}
 	// Single-replica mode never elects, never rejects, never leaves term 0
 	// — so the fencing epoch never perturbs a handoff token.
@@ -153,15 +155,17 @@ func TestFleetSimSingleReplicaByteIdentical(t *testing.T) {
 	if co.Commits == 0 {
 		t.Error("no commits — ownership mutations bypassed the cluster")
 	}
-	replicated.Coord = nil
-	if !reflect.DeepEqual(replicated, legacy) {
-		t.Error("single-replica run is not byte-identical to the cluster-disabled path")
+	if rc := replicated.Coord; rc.Replicas != 3 || rc.Commits != co.Commits || rc.Elections != 0 {
+		t.Errorf("fault-free 3-replica outcome %+v, want the single replica's %d commits and no election", rc, co.Commits)
+	}
+	single.Coord, replicated.Coord = nil, nil
+	if !reflect.DeepEqual(single, replicated) {
+		t.Error("single-replica run is not byte-identical to the fault-free 3-replica run")
 	}
 }
 
 // TestFleetSimCoordFaultValidation: a profile naming a replica outside the
-// cluster — or any coordinator fault with the cluster disabled — is a
-// config error, mirroring the shard-range check.
+// cluster is a config error, mirroring the shard-range check.
 func TestFleetSimCoordFaultValidation(t *testing.T) {
 	w := fleetWorkload(t)
 	kill := &chaos.Profile{
@@ -174,9 +178,9 @@ func TestFleetSimCoordFaultValidation(t *testing.T) {
 	if _, err := SimulateFleet(w, cfg); err == nil {
 		t.Error("replica 3 fault accepted by a 3-replica cluster")
 	}
-	cfg.Coordinators = -1
+	cfg.Coordinators = -1 // zero or less means one replica
 	if _, err := SimulateFleet(w, cfg); err == nil {
-		t.Error("coordinator fault accepted with the cluster disabled")
+		t.Error("replica 3 fault accepted by the default single replica")
 	}
 }
 

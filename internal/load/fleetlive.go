@@ -5,16 +5,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/fleet"
 	"repro/internal/fleet/coord"
-	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
-	"repro/internal/server"
-	"repro/internal/transport"
 )
 
 // FleetLiveConfig parametrizes a live fleet execution: N real in-process
@@ -85,14 +80,8 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 	if cfg.Zones <= 0 {
 		cfg.Zones = cfg.Shards
 	}
-	if m := cfg.Live.Chaos.MaxShard(); m >= cfg.Shards {
-		return nil, fmt.Errorf("load: chaos profile targets shard %d but the fleet has %d shards", m, cfg.Shards)
-	}
-	if cfg.Coordinators <= 0 {
-		cfg.Coordinators = 1
-	}
-	if m := cfg.Live.Chaos.MaxReplica(); m >= cfg.Coordinators {
-		return nil, fmt.Errorf("load: chaos profile targets coordinator replica %d but the cluster has %d", m, cfg.Coordinators)
+	if err := fleet.CheckProfile(cfg.Live.Chaos, cfg.Shards, cfg.Coordinators); err != nil {
+		return nil, err
 	}
 	scorer, err := fleet.ScorerByName(cfg.Scorer)
 	if err != nil {
@@ -101,46 +90,8 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 	start := time.Now()
 	lm := newLoadMetrics(cfg.Live.Metrics)
 
-	// Per-session shaping, session-keyed so it follows the session across
-	// shards (every shard shares the lookup).
-	nets := make(map[uint32]*sessionNet, len(w.Sessions))
-	if !cfg.Live.Unshaped {
-		for _, spec := range w.Sessions {
-			caps := w.CapSlots(spec)
-			n := &sessionNet{
-				bucket: netem.NewTokenBucket(caps[0], 16<<10, start),
-				caps:   caps,
-			}
-			if cfg.Live.LossProb > 0 {
-				n.loss = netem.NewLossModel(cfg.Live.LossProb, w.Cfg.Seed+int64(spec.ID)*131)
-			}
-			n.inj = chaos.NewInjector(cfg.Live.Chaos, spec.ID)
-			nets[spec.ID] = n
-		}
-	}
-
-	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
-	base.Params = cfg.Live.Params
-	base.SlotDuration = cfg.Live.SlotDuration
-	base.TotalSlots = w.Cfg.HorizonSlots
-	base.MaxSessions = cfg.Live.MaxSessions
-	base.Metrics = cfg.Live.Metrics
-	base.Recorder = cfg.Live.Recorder
-	base.Tracer = cfg.Live.Tracer
-	base.TraceEpoch = cfg.Live.TraceEpoch
-	base.SLO = cfg.Live.SLO
-	base.Breaker = cfg.Live.Breaker
-	base.RetryPolicy = cfg.Live.RetryPolicy
-	base.Chaos = chaos.NewServerInjector(cfg.Live.Chaos)
-	base.Logf = cfg.Live.Logf
-	if !cfg.Live.Unshaped {
-		base.ShaperFor = func(user uint32) transport.Shaper {
-			if n, ok := nets[user]; ok {
-				return n
-			}
-			return nil
-		}
-	}
+	nets := newSessionNets(w, cfg.Live, start)
+	base := cfg.Live.serverConfig(w, nil, nets) // per-shard allocators via NewAllocator
 
 	live, err := fleet.NewLive(fleet.LiveConfig{
 		Shards:           cfg.Shards,
@@ -172,40 +123,9 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 		},
 		Scorer: scorer.Name(),
 	}
-	qoeParams := metrics.QoEParams{Alpha: cfg.Live.Params.Alpha, Beta: cfg.Live.Params.Beta}
 
-	var (
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		active int
-	)
-	noteEnd := func(res *client.Result, err error) {
-		defer wg.Done()
-		mu.Lock()
-		defer mu.Unlock()
-		active--
-		lm.active.Add(-1)
-		if err != nil || res == nil || res.Slots == 0 {
-			report.Failed++
-			lm.failed.Inc()
-			return
-		}
-		out := SessionOutcome{
-			ID:       res.User,
-			Slots:    res.Slots,
-			QoE:      res.Report.QoE,
-			Quality:  res.Report.Quality,
-			DelayMs:  res.Report.Delay,
-			Variance: res.Report.Variance,
-			Coverage: res.Report.Coverage,
-			MissFrac: 1 - res.Report.FPSFrac,
-			SetupMs:  res.SetupMs,
-		}
-		report.Outcomes = append(report.Outcomes, out)
-		report.Completed++
-		lm.completed.Inc()
-		lm.observeOutcome(out)
-	}
+	var wg sync.WaitGroup
+	tally := liveTally{report: &report.RunReport, lm: lm}
 
 	launch := func(spec SessionSpec) {
 		shard, err := live.Place(fleet.SessionInfo{
@@ -214,31 +134,19 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 			DemandMbps: base.InitialUserMbps,
 		})
 		if err != nil {
-			mu.Lock()
+			tally.mu.Lock()
 			report.Failed++
 			report.PlacementsFailed++
-			mu.Unlock()
+			tally.mu.Unlock()
 			lm.failed.Inc()
 			cfg.Live.Logf("loadgen: session %d: %v", spec.ID, err)
 			return
 		}
-		mu.Lock()
-		active++
-		if active > report.PeakConcurrent {
-			report.PeakConcurrent = active
-		}
-		mu.Unlock()
-		lm.active.Add(1)
-		lm.spawned.Inc()
+		tally.start()
 		wg.Add(1)
 		go func() {
-			trace := w.MotionTrace(spec, 64)
-			ccfg := client.DefaultConfig(spec.ID, live.ShardAddr(shard), trace)
-			ccfg.SlotDuration = cfg.Live.SlotDuration
-			ccfg.Params = qoeParams
-			ccfg.Slots = spec.Slots()
-			ccfg.Metrics = cfg.Live.Metrics
-			ccfg.Tracer = cfg.Live.Tracer
+			defer wg.Done()
+			ccfg := cfg.Live.clientConfig(w, spec, live.ShardAddr(shard))
 			// Migration is a forced redial: reconnect is not optional in a
 			// fleet, and the Redirect hook tracks the owning shard.
 			ccfg.Reconnect = true
@@ -248,84 +156,24 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 				cfg.Live.Logf("loadgen: session %d: %v", spec.ID, err)
 			}
 			live.Forget(spec.ID)
-			noteEnd(res, err)
+			tally.end(res, err)
 		}()
 	}
-
-	// Shard and coordinator fault schedules, applied on the coordinator's
-	// slot clock.
-	shardFaults := cfg.Live.Chaos.ShardFaults()
-	coordFaults := cfg.Live.Chaos.CoordFaults()
-	killSlot := make(map[int]int)
-	drainSlot := make(map[int]int)
-	coordLeaderless := 0
 
 	ticker := time.NewTicker(cfg.Live.SlotDuration)
 	next := 0
 	for slot := 0; slot < w.Cfg.HorizonSlots; slot++ {
 		now := <-ticker.C
-		// Coordinator faults land before this slot's placements and ticks,
-		// like the virtual-time engine: a leader killed here is already
-		// dead when the fleet proposes.
-		for _, f := range coordFaults {
-			switch f.Kind {
-			case chaos.FaultCoordKill:
-				if f.StartSlot == slot {
-					live.CoordKill(f.Replica)
-					cfg.Live.Logf("loadgen: chaos killed coordinator replica %d at slot %d", f.Replica, slot)
-				}
-				if f.DurationSlots > 0 && f.StartSlot+f.DurationSlots == slot {
-					live.CoordRestart(f.Replica)
-					cfg.Live.Logf("loadgen: coordinator replica %d restarted at slot %d", f.Replica, slot)
-				}
-			case chaos.FaultCoordPartition:
-				if f.StartSlot == slot {
-					live.CoordPartition(f.Replica, slot+f.DurationSlots)
-					cfg.Live.Logf("loadgen: chaos partitioned coordinator replica %d until slot %d", f.Replica, slot+f.DurationSlots)
-				}
-			}
-		}
+		// Faults land before this slot's placements and tick, like the
+		// virtual-time engine: a leader killed here is already dead when the
+		// fleet proposes, and an arrival never lands on a shard dying now.
+		live.ApplyFaults(cfg.Live.Chaos, slot)
 		for next < len(w.Sessions) && w.Sessions[next].ArriveSlot <= slot {
 			launch(w.Sessions[next])
 			next++
 		}
-		for _, f := range shardFaults {
-			if f.StartSlot != slot {
-				continue
-			}
-			switch f.Kind {
-			case chaos.FaultShardKill:
-				if _, done := killSlot[f.Shard]; !done {
-					killSlot[f.Shard] = slot
-					replaced := live.KillShard(f.Shard)
-					cfg.Live.Logf("loadgen: chaos killed shard %d at slot %d (%d sessions re-placed)", f.Shard, slot, replaced)
-				}
-			case chaos.FaultShardDrain:
-				if _, done := drainSlot[f.Shard]; !done {
-					drainSlot[f.Shard] = slot
-					moved, err := live.DrainShard(f.Shard)
-					cfg.Live.Logf("loadgen: chaos drained shard %d at slot %d (%d migrated, err=%v)", f.Shard, slot, moved, err)
-				}
-			}
-		}
-		if !cfg.Live.Unshaped {
-			for _, spec := range w.Sessions[:next] {
-				local := slot - spec.ArriveSlot
-				n := nets[spec.ID]
-				if local < 0 || local >= len(n.caps) {
-					continue
-				}
-				n.inj.Advance(slot)
-				rate := n.caps[local] * n.inj.CapFactor()
-				if rate != n.bucket.Rate() {
-					n.bucket.SetRate(rate, now)
-				}
-			}
-		}
+		driveNets(nets, w.Sessions[:next], slot, now)
 		live.Tick(slot)
-		if cfg.Coordinators > 1 && !live.CoordStatus().Available {
-			coordLeaderless++
-		}
 		// Registry/SLO sampling rides the coordinator's clock so the
 		// stored series share the fleet series' slot axis.
 		cfg.Sampler.Sample(int64(slot))
@@ -348,39 +196,6 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 		report.SlotDecisionP99Ms = h.Quantile(0.99)
 	}
 
-	// Fold the coordinator's view into the report.
-	snap := live.Snapshot(0)
-	for _, s := range snap.Shards {
-		out := ShardOutcome{
-			Shard: s.Shard, Zone: s.Zone,
-			Placed: s.Placed, MigratedIn: s.MigratedIn, MigratedOut: s.MigratedOut,
-			KilledSlot: -1, DrainSlot: -1,
-			FinalBudgetMbps: s.BudgetMbps,
-		}
-		if slot, ok := killSlot[s.Shard]; ok {
-			out.KilledSlot = slot
-			out.FinalBudgetMbps = 0
-		}
-		if slot, ok := drainSlot[s.Shard]; ok {
-			out.DrainSlot = slot
-		}
-		report.Shards = append(report.Shards, out)
-	}
-	report.Placements = int(snap.Placements)
-	report.Migrations = int(snap.Migrations)
-	report.Rebalances = int(snap.Rebalances)
-	report.Evacuations = snap.Evacuations
-	report.EvacBatches = live.EvacBatches()
-	cst := live.CoordStatus()
-	report.Coord = &CoordOutcome{
-		Replicas:         cst.Replicas,
-		Term:             cst.Term,
-		Elections:        cst.Elections,
-		Commits:          cst.Commits,
-		Rejected:         cst.Rejected,
-		SnapshotInstalls: cst.SnapshotInstalls,
-		LeaderlessSlots:  coordLeaderless,
-		Converged:        cst.Converged,
-	}
+	report.setControl(live.Outcome())
 	return report, nil
 }

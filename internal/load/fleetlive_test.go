@@ -258,3 +258,123 @@ func TestRunLiveFleetCoordLeaderKill(t *testing.T) {
 		t.Error("out-of-range coordinator replica fault accepted")
 	}
 }
+
+// TestRunLiveFleetBoundedDrainEnds: the live runner ends a bounded
+// shard_drain like the virtual-time engine does — after start + duration the
+// shard takes arrivals and a budget share again (before the control planes
+// were merged the live runner never ended a drain).
+func TestRunLiveFleetBoundedDrainEnds(t *testing.T) {
+	const drainStart, drainSlots = 40, 40
+	w, err := Generate(Config{Shape: Poisson, Seed: 3, HorizonSlots: 240, RatePerSec: 8, MeanHoldSec: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for _, s := range w.Sessions {
+		if s.ArriveSlot > drainStart+drainSlots {
+			late++
+		}
+	}
+	if late < 4 {
+		t.Fatalf("workload has only %d arrivals after the drain window", late)
+	}
+	rec := obs.NewPlacementRecorder(obs.PlacementRecorderOptions{RingSize: 256})
+	prof := &chaos.Profile{Name: "live-bounded-drain", Seed: 7, Faults: []chaos.Fault{
+		{Kind: chaos.FaultShardDrain, StartSlot: drainStart, DurationSlots: drainSlots, Shard: 1},
+	}}
+	rep, err := RunLiveFleet(w, FleetLiveConfig{
+		Shards:   2,
+		Recorder: rec,
+		Live: LiveConfig{
+			SlotDuration: 5 * time.Millisecond,
+			BudgetMbps:   300,
+			Unshaped:     true,
+			Chaos:        prof,
+			Logf:         t.Logf,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlacementsFailed != 0 {
+		t.Errorf("%d placements refused", rep.PlacementsFailed)
+	}
+	// The router scores accepting shards only, so the arrival records show
+	// when shard 1 was a candidate: never inside the window, always after it.
+	after := 0
+	for _, r := range rec.Recent(256) {
+		if r.Reason != obs.PlaceArrival || r.Slot < drainStart {
+			continue
+		}
+		candidate := false
+		for _, sc := range r.Scores {
+			candidate = candidate || sc.Shard == 1
+		}
+		draining := r.Slot < drainStart+drainSlots
+		if candidate == draining {
+			t.Errorf("slot %d: shard 1 a placement candidate = %v while draining = %v", r.Slot, candidate, draining)
+		}
+		if !draining {
+			after++
+		}
+	}
+	if after == 0 {
+		t.Errorf("no arrival recorded after the drain ended at slot %d (%d arrived later)", drainStart+drainSlots, late)
+	}
+	if s1 := rep.Shards[1]; s1.DrainSlot != drainStart || s1.FinalBudgetMbps <= 0 {
+		t.Errorf("shard 1 outcome %+v, want a drain at slot %d and a budget share at the horizon", s1, drainStart)
+	}
+
+	// The virtual-time engine on the same workload and profile agrees.
+	scfg := FleetSimConfig{Shards: 2}
+	scfg.Sim.Chaos = prof
+	sim, err := SimulateFleet(w, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1 := sim.Shards[1]; s1.DrainSlot != drainStart || s1.FinalBudgetMbps <= 0 {
+		t.Errorf("sim shard 1 outcome %+v, want the same drain and a budget share", s1)
+	}
+}
+
+// TestFleetLeaderlessSlotsCountedAlike: a slot the cluster cannot commit in
+// is leaderless at any replica count, in both engines (the live runner used
+// to skip the count at one replica).
+func TestFleetLeaderlessSlotsCountedAlike(t *testing.T) {
+	const down = 20
+	w := liveFleetWorkload(t, 4, 160)
+	prof := &chaos.Profile{Name: "single-replica-restart", Seed: 7, Faults: []chaos.Fault{
+		{Kind: chaos.FaultCoordKill, StartSlot: 60, DurationSlots: down, Replica: 0},
+	}}
+	scfg := FleetSimConfig{Shards: 2}
+	scfg.Sim.Chaos = prof
+	sim, err := SimulateFleet(w, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := RunLiveFleet(w, FleetLiveConfig{
+		Shards: 2,
+		Live: LiveConfig{
+			SlotDuration: 5 * time.Millisecond,
+			BudgetMbps:   300,
+			Unshaped:     true,
+			Chaos:        prof,
+			Logf:         t.Logf,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*FleetReport{"sim": sim, "live": live} {
+		co := rep.Coord
+		if co == nil {
+			t.Fatalf("%s: no coord outcome", name)
+		}
+		if co.Replicas != 1 || co.LeaderlessSlots != down || co.Term != 0 || !co.Converged {
+			t.Errorf("%s: coord outcome %+v, want 1 replica leaderless for exactly the %d slots it was down", name, co, down)
+		}
+		if rep.PlacementsFailed != 0 {
+			t.Errorf("%s: %d placements refused (every session arrives before the kill)", name, rep.PlacementsFailed)
+		}
+	}
+}

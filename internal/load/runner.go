@@ -150,6 +150,140 @@ func (n *sessionNet) Drop() bool {
 }
 func (n *sessionNet) PacketFault() transport.PacketFault { return n.inj.PacketFault() }
 
+// newSessionNets builds every session's shaping state before any server
+// starts, so ShaperFor is a pure lookup; it is keyed by session, so it follows
+// a session across shards. Empty when the run is unshaped.
+func newSessionNets(w *Workload, cfg LiveConfig, start time.Time) map[uint32]*sessionNet {
+	nets := make(map[uint32]*sessionNet, len(w.Sessions))
+	if cfg.Unshaped {
+		return nets
+	}
+	for _, spec := range w.Sessions {
+		caps := w.CapSlots(spec)
+		n := &sessionNet{
+			bucket: netem.NewTokenBucket(caps[0], 16<<10, start),
+			caps:   caps,
+		}
+		if cfg.LossProb > 0 {
+			n.loss = netem.NewLossModel(cfg.LossProb, w.Cfg.Seed+int64(spec.ID)*131)
+		}
+		n.inj = chaos.NewInjector(cfg.Chaos, spec.ID)
+		nets[spec.ID] = n
+	}
+	return nets
+}
+
+// driveNets moves each launched session's shaping rate along its network
+// trace at slot.
+func driveNets(nets map[uint32]*sessionNet, launched []SessionSpec, slot int, now time.Time) {
+	if len(nets) == 0 {
+		return
+	}
+	for _, spec := range launched {
+		local := slot - spec.ArriveSlot
+		n := nets[spec.ID]
+		if local < 0 || local >= len(n.caps) {
+			continue
+		}
+		n.inj.Advance(slot)
+		// Cliffs scale the shaped rate; blackouts drop on the packet path
+		// instead (a zero-rate bucket would stall Admit for an hour, not a
+		// fault window).
+		rate := n.caps[local] * n.inj.CapFactor()
+		if rate != n.bucket.Rate() {
+			n.bucket.SetRate(rate, now)
+		}
+	}
+}
+
+// serverConfig is the server a live run's config describes, less its budget:
+// RunLive starts one, RunLiveFleet one per shard from this template.
+func (cfg LiveConfig) serverConfig(w *Workload, alloc core.Allocator, nets map[uint32]*sessionNet) server.Config {
+	sc := server.DefaultConfig(alloc)
+	sc.Params = cfg.Params
+	sc.SlotDuration = cfg.SlotDuration
+	sc.TotalSlots = w.Cfg.HorizonSlots
+	sc.MaxSessions = cfg.MaxSessions
+	sc.Metrics = cfg.Metrics
+	sc.Recorder = cfg.Recorder
+	sc.Tracer = cfg.Tracer
+	sc.TraceEpoch = cfg.TraceEpoch
+	sc.SLO = cfg.SLO
+	sc.Breaker = cfg.Breaker
+	sc.RetryPolicy = cfg.RetryPolicy
+	sc.Chaos = chaos.NewServerInjector(cfg.Chaos)
+	sc.Logf = cfg.Logf
+	if !cfg.Unshaped {
+		sc.ShaperFor = func(user uint32) transport.Shaper {
+			if n, ok := nets[user]; ok {
+				return n
+			}
+			return nil
+		}
+	}
+	return sc
+}
+
+// clientConfig is the emulated client of one session, dialling addr.
+func (cfg LiveConfig) clientConfig(w *Workload, spec SessionSpec, addr string) client.Config {
+	ccfg := client.DefaultConfig(spec.ID, addr, w.MotionTrace(spec, 64))
+	ccfg.SlotDuration = cfg.SlotDuration
+	ccfg.Params = metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta}
+	ccfg.Slots = spec.Slots()
+	ccfg.Metrics = cfg.Metrics
+	ccfg.Tracer = cfg.Tracer
+	ccfg.Reconnect = cfg.Reconnect
+	return ccfg
+}
+
+// liveTally is a live run's session accounting: client goroutines report
+// into the run's RunReport and load metrics under one lock.
+type liveTally struct {
+	mu     sync.Mutex
+	active int
+	report *RunReport
+	lm     loadMetrics
+}
+
+func (t *liveTally) start() {
+	t.mu.Lock()
+	t.active++
+	if t.active > t.report.PeakConcurrent {
+		t.report.PeakConcurrent = t.active
+	}
+	t.mu.Unlock()
+	t.lm.active.Add(1)
+	t.lm.spawned.Inc()
+}
+
+func (t *liveTally) end(res *client.Result, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.active--
+	t.lm.active.Add(-1)
+	if err != nil || res == nil || res.Slots == 0 {
+		// Errored, or rejected by backpressure before serving a slot.
+		t.report.Failed++
+		t.lm.failed.Inc()
+		return
+	}
+	out := SessionOutcome{
+		ID:       res.User,
+		Slots:    res.Slots,
+		QoE:      res.Report.QoE,
+		Quality:  res.Report.Quality,
+		DelayMs:  res.Report.Delay,
+		Variance: res.Report.Variance,
+		Coverage: res.Report.Coverage,
+		MissFrac: 1 - res.Report.FPSFrac,
+		SetupMs:  res.SetupMs,
+	}
+	t.report.Outcomes = append(t.report.Outcomes, out)
+	t.report.Completed++
+	t.lm.completed.Inc()
+	t.lm.observeOutcome(out)
+}
+
 // RunLive executes the workload against a live server over loopback
 // sockets. Sessions are launched on a real-time slot clock at their arrival
 // slots, run as independent client goroutines for their configured
@@ -168,47 +302,9 @@ func RunLive(w *Workload, cfg LiveConfig) (*RunReport, error) {
 	start := time.Now()
 	lm := newLoadMetrics(cfg.Metrics)
 
-	// Per-session shaping state, built before the server starts so
-	// ShaperFor is a pure lookup.
-	nets := make(map[uint32]*sessionNet, len(w.Sessions))
-	if !cfg.Unshaped {
-		for _, spec := range w.Sessions {
-			caps := w.CapSlots(spec)
-			n := &sessionNet{
-				bucket: netem.NewTokenBucket(caps[0], 16<<10, start),
-				caps:   caps,
-			}
-			if cfg.LossProb > 0 {
-				n.loss = netem.NewLossModel(cfg.LossProb, w.Cfg.Seed+int64(spec.ID)*131)
-			}
-			n.inj = chaos.NewInjector(cfg.Chaos, spec.ID)
-			nets[spec.ID] = n
-		}
-	}
-
-	srvCfg := server.DefaultConfig(cfg.NewAllocator())
-	srvCfg.Params = cfg.Params
-	srvCfg.SlotDuration = cfg.SlotDuration
+	nets := newSessionNets(w, cfg, start)
+	srvCfg := cfg.serverConfig(w, cfg.NewAllocator(), nets)
 	srvCfg.BudgetMbps = cfg.BudgetMbps
-	srvCfg.TotalSlots = w.Cfg.HorizonSlots
-	srvCfg.MaxSessions = cfg.MaxSessions
-	srvCfg.Metrics = cfg.Metrics
-	srvCfg.Recorder = cfg.Recorder
-	srvCfg.Tracer = cfg.Tracer
-	srvCfg.TraceEpoch = cfg.TraceEpoch
-	srvCfg.SLO = cfg.SLO
-	srvCfg.Breaker = cfg.Breaker
-	srvCfg.RetryPolicy = cfg.RetryPolicy
-	srvCfg.Chaos = chaos.NewServerInjector(cfg.Chaos)
-	srvCfg.Logf = cfg.Logf
-	if !cfg.Unshaped {
-		srvCfg.ShaperFor = func(user uint32) transport.Shaper {
-			if n, ok := nets[user]; ok {
-				return n
-			}
-			return nil
-		}
-	}
 	srv, err := server.New(srvCfg)
 	if err != nil {
 		return nil, err
@@ -220,69 +316,20 @@ func RunLive(w *Workload, cfg LiveConfig) (*RunReport, error) {
 		HorizonSlots: w.Cfg.HorizonSlots,
 		Spawned:      len(w.Sessions),
 	}
-	qoeParams := metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta}
 
-	var (
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		active int
-	)
-	noteStart := func() {
-		mu.Lock()
-		active++
-		if active > report.PeakConcurrent {
-			report.PeakConcurrent = active
-		}
-		mu.Unlock()
-		lm.active.Add(1)
-		lm.spawned.Inc()
-	}
-	noteEnd := func(res *client.Result, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		active--
-		lm.active.Add(-1)
-		if err != nil || res == nil || res.Slots == 0 {
-			// Errored, or rejected by backpressure before serving a slot.
-			report.Failed++
-			lm.failed.Inc()
-			return
-		}
-		out := SessionOutcome{
-			ID:       res.User,
-			Slots:    res.Slots,
-			QoE:      res.Report.QoE,
-			Quality:  res.Report.Quality,
-			DelayMs:  res.Report.Delay,
-			Variance: res.Report.Variance,
-			Coverage: res.Report.Coverage,
-			MissFrac: 1 - res.Report.FPSFrac,
-			SetupMs:  res.SetupMs,
-		}
-		report.Outcomes = append(report.Outcomes, out)
-		report.Completed++
-		lm.completed.Inc()
-		lm.observeOutcome(out)
-	}
+	var wg sync.WaitGroup
+	tally := liveTally{report: report, lm: lm}
 
 	launch := func(spec SessionSpec) {
-		noteStart()
+		tally.start()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			trace := w.MotionTrace(spec, 64)
-			ccfg := client.DefaultConfig(spec.ID, srv.ControlAddr(), trace)
-			ccfg.SlotDuration = cfg.SlotDuration
-			ccfg.Params = qoeParams
-			ccfg.Slots = spec.Slots()
-			ccfg.Metrics = cfg.Metrics
-			ccfg.Tracer = cfg.Tracer
-			ccfg.Reconnect = cfg.Reconnect
-			res, err := client.Run(ccfg)
+			res, err := client.Run(cfg.clientConfig(w, spec, srv.ControlAddr()))
 			if err != nil {
 				cfg.Logf("loadgen: session %d: %v", spec.ID, err)
 			}
-			noteEnd(res, err)
+			tally.end(res, err)
 		}()
 	}
 
@@ -304,23 +351,7 @@ func RunLive(w *Workload, cfg LiveConfig) (*RunReport, error) {
 					launch(w.Sessions[next])
 					next++
 				}
-				if !cfg.Unshaped {
-					for _, spec := range w.Sessions[:next] {
-						local := slot - spec.ArriveSlot
-						n := nets[spec.ID]
-						if local < 0 || local >= len(n.caps) {
-							continue
-						}
-						n.inj.Advance(slot)
-						// Cliffs scale the shaped rate; blackouts drop on the
-						// packet path instead (a zero-rate bucket would stall
-						// Admit for an hour, not a fault window).
-						rate := n.caps[local] * n.inj.CapFactor()
-						if rate != n.bucket.Rate() {
-							n.bucket.SetRate(rate, now)
-						}
-					}
-				}
+				driveNets(nets, w.Sessions[:next], slot, now)
 				slot++
 			}
 		}
