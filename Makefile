@@ -25,21 +25,24 @@ lint: vet
 # load.Simulate's build shards, load.SimulateFleet's shard steps) run at
 # GOMAXPROCS 1, 2 and 4, so an ordering or sharding bug that only shows with
 # two or more workers fails here rather than on whichever box happens to
-# have the cores. internal/transport rides along: its allocation gates run a
-# sender beside a receiver.
+# have the cores. internal/step, the slot step all three drive, runs with
+# them; internal/transport rides along: its allocation gates run a sender
+# beside a receiver.
 test:
-	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|transport)$$')
-	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/transport
+	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|step|transport)$$')
+	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/step ./internal/transport
 
 # The fleet engine's shards step concurrently; its worker-count differential
 # runs ten times over under the detector, since a race only shows on the
 # interleavings a run happens to take. The fleet Controller's tests have no
 # sockets and no sleeps, so twenty passes at three GOMAXPROCS cost seconds
-# and their verdict cannot depend on the wall clock.
+# and their verdict cannot depend on the wall clock; the slot step's tests
+# are the same kind.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
 
 # What CI runs (see .github/workflows/ci.yml).
 ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke
@@ -190,10 +193,11 @@ health-baseline:
 	$(GO) run ./cmd/collabvr-health -write-baseline results/health_baseline.json \
 		results/health_smoke.jsonl
 
-# Non-test Go lines of the packages ROADMAP item 3 shrinks, so each of its
-# PRs reports the same count.
+# Non-test Go lines of the packages ROADMAP item 5 shrinks, so each of its
+# PRs reports the same count (internal/step holds the slot step moved out of
+# sim, load and server).
 loc:
-	@cat $$(find internal/load internal/fleet internal/sim internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l
+	@cat $$(find internal/load internal/fleet internal/sim internal/step internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l
 
 clean:
 	rm -f results/results_bench.txt results/results_bench_full.txt \

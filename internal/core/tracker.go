@@ -13,10 +13,47 @@ type Tracker struct {
 	users  []userState
 }
 
+// ViewState is one user's streaming state behind h_n: the slots observed,
+// the sum of successfully-viewed quality and the count of covered slots.
+// It is the single definition of delta_n and qbar_n(t-1); Tracker, the
+// virtual-time sessions and the live server's sessions all embed it, and a
+// session handoff copies it whole.
+type ViewState struct {
+	T          int     // observed slots
+	SumViewedQ float64 // sum of q*1
+	Covered    int     // count of 1_n(t) = 1
+}
+
+// Delta returns the running estimate of the prediction success probability
+// delta_n: the covered fraction with one optimistic pseudo-observation, so a
+// fresh user starts at 1.
+func (s *ViewState) Delta() float64 { return s.delta(1) }
+
+func (s *ViewState) delta(prior float64) float64 {
+	return (prior + float64(s.Covered)) / float64(1+s.T)
+}
+
+// MeanQ returns qbar_n(t-1): the running mean of successfully-viewed
+// quality, 0 before any observation.
+func (s *ViewState) MeanQ() float64 {
+	if s.T == 0 {
+		return 0
+	}
+	return s.SumViewedQ / float64(s.T)
+}
+
+// Observe folds in one slot's outcome: level q was delivered, and covered
+// says whether the delivered portion covered the actual FoV.
+func (s *ViewState) Observe(q int, covered bool) {
+	s.T++
+	if covered {
+		s.Covered++
+		s.SumViewedQ += float64(q)
+	}
+}
+
 type userState struct {
-	t          int     // observed slots
-	sumViewedQ float64 // sum of q*1
-	covered    int     // count of 1_n(t) = 1
+	ViewState
 	deltaPrior float64
 	viewedVar  estimate.Welford
 	delaySum   float64
@@ -47,25 +84,19 @@ func (tr *Tracker) Slot() int {
 	if len(tr.users) == 0 {
 		return 1
 	}
-	return tr.users[0].t + 1
+	return tr.users[0].T + 1
 }
 
 // MeanQ returns qbar_n(t-1) for user n: the running mean of successfully-
 // viewed quality, 0 before any observation.
-func (tr *Tracker) MeanQ(n int) float64 {
-	u := &tr.users[n]
-	if u.t == 0 {
-		return 0
-	}
-	return u.sumViewedQ / float64(u.t)
-}
+func (tr *Tracker) MeanQ(n int) float64 { return tr.users[n].MeanQ() }
 
 // Delta returns the running estimate of the prediction success probability
 // for user n, blending the prior with observations (Laplace-style smoothing
 // with one pseudo-observation).
 func (tr *Tracker) Delta(n int) float64 {
 	u := &tr.users[n]
-	return (u.deltaPrior + float64(u.covered)) / float64(1+u.t)
+	return u.delta(u.deltaPrior)
 }
 
 // UserInput assembles the allocator input for user n given this slot's rate
@@ -85,13 +116,11 @@ func (tr *Tracker) UserInput(n int, rate, delay []float64, cap_ float64) UserInp
 // delivery delay.
 func (tr *Tracker) Record(n, q int, covered bool, delay float64) {
 	u := &tr.users[n]
-	u.t++
+	u.Observe(q, covered)
 	viewedQ := 0.0
 	if covered {
 		viewedQ = float64(q)
-		u.covered++
 	}
-	u.sumViewedQ += viewedQ
 	u.viewedVar.Add(viewedQ)
 	u.delaySum += delay
 }
@@ -103,11 +132,11 @@ func (tr *Tracker) Variance(n int) float64 { return tr.users[n].viewedVar.Varian
 // avg(q*1) - alpha*avg(d) - beta*sigma^2.
 func (tr *Tracker) QoE(n int) float64 {
 	u := &tr.users[n]
-	if u.t == 0 {
+	if u.T == 0 {
 		return 0
 	}
-	t := float64(u.t)
-	return u.sumViewedQ/t - tr.params.Alpha*u.delaySum/t - tr.params.Beta*u.viewedVar.Variance()
+	t := float64(u.T)
+	return u.SumViewedQ/t - tr.params.Alpha*u.delaySum/t - tr.params.Beta*u.viewedVar.Variance()
 }
 
 // TotalQoE returns the sum of per-user QoE values — the system objective of

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fleet/coord"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/step"
 )
 
 // FleetSimConfig parametrizes the deterministic fleet engine: N virtual
@@ -234,11 +235,11 @@ func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, 
 		return
 	}
 	sh.problem = core.SlotProblem{T: slot + 1, Budget: budget, Users: sh.users, Values: sh.values}
-	sh.allocation, sh.trace = solveSlot(sim, sh.alloc, &sh.problem)
+	sh.allocation, sh.trace = step.Solve(sh.alloc, sim.Params, &sh.problem, sim.Recorder.Enabled(), sim.CounterfactualK)
 
 	overloadMs := 0.0
 	if sh.allocation.Rate > budget && budget > 0 {
-		overloadMs = (sh.allocation.Rate/budget - 1) * env.slotMs
+		overloadMs = (sh.allocation.Rate/budget - 1) * env.SlotMs
 	}
 	for i, s := range sh.serving {
 		s.slotLevel = sh.allocation.Levels[i]
@@ -295,7 +296,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	})
 	horizon := w.Cfg.HorizonSlots
 	env := newSimEnv(w, sim)
-	deadlineMs := env.deadlineMs
 	lm := newLoadMetrics(sim.Metrics)
 
 	// One allocator instance per shard: some allocators keep state, a real
@@ -528,11 +528,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			}
 			local := slot - s.spec.ArriveSlot
 			s.pred.Observe(s.trace[local]) // the head keeps moving
-			s.served++
 			s.missed++
-			s.t++
-			s.acc.Observe(1, false, deadlineMs)
-			s.acc.ObserveFrame(false)
+			s.ForcedMiss(s.acc, env.deadlineMs)
 			counted++
 			shardQualCnt[s.shard]++
 			report.OutageSlots++

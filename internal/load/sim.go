@@ -11,6 +11,7 @@ import (
 	"repro/internal/motion"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/step"
 	"repro/internal/trace"
 )
 
@@ -148,7 +149,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	}
 	horizon := w.Cfg.HorizonSlots
 	env := newSimEnv(w, &cfg)
-	slotMs := env.slotMs
+	slotMs := env.SlotMs
 	alloc := cfg.NewAllocator()
 	lm := newLoadMetrics(cfg.Metrics)
 
@@ -187,6 +188,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	}
 
 	var problem core.SlotProblem
+	spans := step.VirtualSpans{Tracer: cfg.Tracer, Epoch: cfg.TraceEpoch, Algo: cfg.AllocName, SlotMs: slotMs}
 
 	for slot := 0; slot < horizon; slot++ {
 		// Arrivals: regenerating a session's motion and capacity traces
@@ -237,11 +239,9 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		if cfg.Tracer.Enabled() {
 			solveStart = time.Now()
 		}
-		allocation, slotTr := solveSlot(&cfg, alloc, &problem)
-		var slotNs, solveNs int64
+		allocation, slotTr := step.Solve(alloc, cfg.Params, &problem, cfg.Recorder.Enabled(), cfg.CounterfactualK)
 		if cfg.Tracer.Enabled() {
-			solveNs = time.Since(solveStart).Nanoseconds()
-			slotNs = int64(float64(slot) * slotMs * 1e6)
+			spans.Slot, spans.SolveNs, spans.Users = uint32(slot), time.Since(solveStart).Nanoseconds(), n
 		}
 		if cfg.Recorder.Enabled() {
 			ids := make([]uint32, n)
@@ -281,36 +281,8 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 			cfg.SLO.ObserveSlot(s.spec.ID, !missed, quality)
 			cfg.Breaker.Observe(s.spec.ID, cfg.SLO.State(s.spec.ID))
 
-			if tr := cfg.Tracer; tr.Enabled() {
-				user, vslot := s.spec.ID, uint32(slot)
-				tid := trace.TileTraceID(cfg.TraceEpoch, user, vslot)
-				delayNs := int64(delay * 1e6)
-				// rate Mbps over a slotMs slot = rate*slotMs*125 bytes.
-				bytes := int(rate * slotMs * 125)
-
-				d := tr.StartAt(tid, trace.StageDecide, trace.SideServer, user, vslot, slotNs)
-				d.SetAlgo(cfg.AllocName)
-				d.SetLevel(q)
-				d.SetTiles(n)
-				d.EndAt(slotNs + solveNs)
-
-				tx := tr.StartAt(tid, trace.StageSend, trace.SideServer, user, vslot, slotNs)
-				tx.SetLevel(q)
-				tx.SetBytes(bytes)
-				tx.EndAt(slotNs + delayNs)
-
-				rx := tr.StartAt(tid, trace.StageRecv, trace.SideClient, user, vslot, slotNs)
-				rx.SetBytes(bytes)
-				rx.EndAt(slotNs + delayNs)
-
-				disp := tr.StartAt(tid, trace.StageDisplay, trace.SideClient, user, vslot, slotNs+delayNs)
-				disp.SetLevel(q)
-				if missed {
-					disp.SetOutcome(trace.OutcomeMissed)
-				} else {
-					disp.SetOutcome(trace.OutcomeDisplayed)
-				}
-				disp.EndAt(slotNs + delayNs)
+			if cfg.Tracer.Enabled() {
+				spans.Emit(s.spec.ID, q, rate, delay, missed)
 			}
 		}
 		report.SlotQuality = append(report.SlotQuality, qualitySum/float64(n))
@@ -332,32 +304,8 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 // and the attributor alias them.
 func recordSimSlot(cfg *SimConfig, slot int, p *core.SlotProblem, a core.Allocation,
 	tr *core.SlotTrace, ids []uint32, ref core.Allocator) {
-	rec := obs.SlotRecord{
-		Algorithm:  cfg.AllocName,
-		Slot:       slot,
-		Levels:     a.Levels,
-		Value:      a.Value,
-		RateMbps:   a.Rate,
-		BudgetMbps: p.Budget,
-		SessionIDs: ids,
-		UserValues: make([]float64, len(p.Users)),
-	}
-	if p.Budget > 0 {
-		rec.Utilization = a.Rate / p.Budget
-	}
-	if tr != nil {
-		rec.Branch = tr.Branch
-		rec.Upgrades = tr.Upgrades
-		rec.Rejections = tr.Rejections
-		rec.Alternatives = tr.Alternatives
-	}
-	for i := range p.Users {
-		terms := core.ObjectiveTerms(cfg.Params, p.T, p.Users[i], a.Levels[i])
-		rec.UserValues[i] = terms.Quality - terms.Delay - terms.Variance
-		rec.QualityTerm += terms.Quality
-		rec.DelayTerm += terms.Delay
-		rec.VarianceTerm += terms.Variance
-	}
+	rec := step.Record(cfg.AllocName, cfg.Params, slot, p, a, tr)
+	rec.SessionIDs = ids
 	if ref != nil {
 		opt := ref.Allocate(cfg.Params, p)
 		rec.HasRegret = true

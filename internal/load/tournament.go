@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -106,27 +107,6 @@ func DefaultCandidates(base core.Params) []Candidate {
 		Candidate{Name: "dvgreedy-beta2x", NewAllocator: registered("dvgreedy"), Params: &betaHi})
 }
 
-// jainIndex is Jain's fairness index over non-negative xs: (sum x)^2 /
-// (n * sum x^2), 1 when perfectly equal, 1/n when one user takes all.
-// Negative values (a session with net-negative QoE) clamp to zero.
-func jainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		if x < 0 {
-			x = 0
-		}
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // RunTournament runs every candidate through the deterministic virtual-time
 // engine on the identical workload and ranks them by fitness. Each candidate
 // gets a hermetic run: its own allocator, flight recorder and regret
@@ -184,7 +164,7 @@ func RunTournament(w *Workload, cfg TournamentConfig) (*TournamentResult, error)
 		}
 		entry := TournamentEntry{
 			Name:          c.Name,
-			Fairness:      jainIndex(qoe),
+			Fairness:      metrics.JainIndex(qoe),
 			MissRate:      report.AggregateMissRate(),
 			Completed:     report.Completed,
 			DegradedSlots: report.DegradedSlots,

@@ -17,6 +17,10 @@ func TestJainIndexKnownValues(t *testing.T) {
 		{"half", []float64{1, 1, 0, 0}, 0.5},
 		{"empty", nil, 0},
 		{"all-zero", []float64{0, 0}, 1},
+		// A negative entry shifts the vector by its minimum, it is not
+		// clamped: {-1, 1, 3} is scored as {0, 2, 4}, 36/(3*20).
+		{"negative-shifts", []float64{-1, 1, 3}, 0.6},
+		{"all-negative-equal", []float64{-2, -2}, 1},
 	}
 	for _, tt := range tests {
 		if got := JainIndex(tt.give); math.Abs(got-tt.want) > 1e-12 {

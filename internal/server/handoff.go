@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/core"
 )
 
 // HandoffState is the portable snapshot of one session's server-side
@@ -28,10 +30,9 @@ type HandoffState struct {
 	// double-ownership. 0 in single-replica mode — fencing disabled.
 	Epoch uint64
 
-	// Streaming QoE state (drives MeanQ and delta of h_n).
-	T          int
-	SumViewedQ float64
-	Covered    int
+	// Streaming QoE state (drives MeanQ and delta of h_n): T, SumViewedQ,
+	// Covered.
+	core.ViewState
 
 	// Throughput estimator state: the EMA value and the goodput max-filter
 	// window feeding the capacity estimate.
@@ -95,9 +96,7 @@ func (s *Server) ExportSession(user uint32) (*HandoffState, error) {
 		FromShard:  s.cfg.ShardID,
 		Slot:       slot,
 		Epoch:      epoch,
-		T:          sess.t,
-		SumViewedQ: sess.sumViewedQ,
-		Covered:    sess.covered,
+		ViewState:  sess.ViewState,
 		EstMbps:    sess.ema.Value(),
 		EMAPrimed:  sess.ema.Primed(),
 		CapSamples: append([]float64(nil), sess.capSamples...),
@@ -224,9 +223,7 @@ func (s *Server) DropAdopted(user uint32) bool {
 func (sess *session) resume(st *HandoffState) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.t = st.T
-	sess.sumViewedQ = st.SumViewedQ
-	sess.covered = st.Covered
+	sess.ViewState = st.ViewState
 	if st.EMAPrimed && st.EstMbps > 0 {
 		// The EMA's first Update adopts the sample directly, so the
 		// estimate continues exactly where the exporting shard left it.

@@ -3,7 +3,6 @@ package server
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -94,45 +93,6 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 // sender.
 func (m *serverMetrics) instrumentSender(s *transport.Sender) {
 	s.Instrument(m.txPackets, m.txBytes, m.txDropped)
-}
-
-// recordSlot feeds one slot's decision into the flight recorder. The server
-// has no co-running optimal, so records carry no regret (the attributor
-// falls back to the forgone-gain proxy over the counterfactual
-// alternatives); the trace still explains every greedy decision (branch,
-// upgrades, rejections, top-K alternatives).
-func recordSlot(rec *obs.Recorder, name string, params core.Params, slot uint32,
-	problem *core.SlotProblem, alloc core.Allocation, tr *core.SlotTrace, ids []uint32) {
-	if !rec.Enabled() {
-		return
-	}
-	r := obs.SlotRecord{
-		Algorithm:  name,
-		Slot:       int(slot),
-		Levels:     alloc.Levels,
-		Value:      alloc.Value,
-		RateMbps:   alloc.Rate,
-		BudgetMbps: problem.Budget,
-		SessionIDs: ids,
-		UserValues: make([]float64, len(problem.Users)),
-	}
-	if problem.Budget > 0 {
-		r.Utilization = alloc.Rate / problem.Budget
-	}
-	if tr != nil {
-		r.Branch = tr.Branch
-		r.Upgrades = tr.Upgrades
-		r.Rejections = tr.Rejections
-		r.Alternatives = tr.Alternatives
-	}
-	for i, u := range problem.Users {
-		terms := core.ObjectiveTerms(params, problem.T, u, alloc.Levels[i])
-		r.UserValues[i] = terms.Quality - terms.Delay - terms.Variance
-		r.QualityTerm += terms.Quality
-		r.DelayTerm += terms.Delay
-		r.VarianceTerm += terms.Variance
-	}
-	rec.Record(&r)
 }
 
 // observeDecision records slot pipeline timing and deadline misses.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/step"
 	"repro/internal/tiles"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -173,7 +174,7 @@ type UserStats struct {
 // Server is the edge server.
 type Server struct {
 	cfg     Config
-	model   *tiles.SizeModel
+	env     step.Env // what every session's slot step reads; fixed at New
 	store   *tiles.Store
 	metrics serverMetrics
 
@@ -211,13 +212,6 @@ type Server struct {
 	pool *slotPool
 	free batchFreeList
 
-	// sharedAlloc/tracingAlloc cache the allocator's optional interfaces:
-	// the obs-disabled hot path solves through AllocateShared (results
-	// alias solver scratch, zero per-slot allocations), the recorded path
-	// through AllocateTraced (results are cloned before retention).
-	sharedAlloc  core.SharedAllocator
-	tracingAlloc core.TracingAllocator
-
 	// Slot-loop scratch. The slot loop is the only writer and slots are
 	// strictly sequential, so these live across slots unlocked. buildFn
 	// and dispatchFn are bound once (method values) so forEach receives
@@ -237,21 +231,17 @@ type slotCtx struct {
 	sessions    []*session
 	plans       []slotPlan
 	slot        uint32
-	slotMs      float64
 	levels      []int
 	decideStart int64
 	decideEnd   int64
 }
 
-// slotPlan is one session's build-phase output, consumed by the merged
-// solve and the dispatch phase. sel and rates alias the session's scratch
-// buffers: valid for this slot only.
+// slotPlan is one session's build-phase verdict: ok when the session has
+// posed and its step.Plan (cell, selection, rate ladder — session scratch,
+// valid for this slot only) and problem row are built.
 type slotPlan struct {
-	sess  *session
-	ok    bool
-	cell  tiles.CellID
-	sel   []tiles.TileID
-	rates []float64
+	sess *session
+	ok   bool
 }
 
 // batchFreeList recycles tileJob batches. A nil list is valid (bare test
@@ -305,11 +295,11 @@ type session struct {
 	ledger    *tiles.DeliveryLedger
 	ema       *estimate.EMA
 
-	// Streaming state for h_n: observed slots, viewed-quality sum, covered
-	// count (the same semantics as core.Tracker, but per dynamic session).
-	t          int
-	sumViewedQ float64
-	covered    int
+	// The slot step's state: the h_n estimators (one definition with
+	// core.Tracker and the virtual-time sessions; a handoff copies them) and
+	// the per-slot plan and delay-table scratch. Stepped by exactly one pool
+	// worker per slot (the phase barrier orders slots), under mu.
+	step.Session
 
 	// handoff marks a session exported to another shard: retirement keeps
 	// the fleet-shared SLO window and breaker state alive (the adopting
@@ -346,13 +336,10 @@ type session struct {
 
 	// Slot-loop scratch: written by exactly one pool worker per slot (the
 	// phase barrier orders slots), so no lock beyond the sections that
-	// already take mu. fitter is only used under mu (delayTableInto).
-	selBuf    []tiles.TileID
-	ratesBuf  []float64
-	delaysBuf []float64
-	modelBuf  []float64
-	idsBuf    []tiles.VideoID
-	fitter    estimate.PolyFitter
+	// already take mu. fitter is only used under mu (DelayTableInto).
+	modelBuf []float64
+	idsBuf   []tiles.VideoID
+	fitter   estimate.PolyFitter
 
 	tilesSent    int
 	tilesSkipped int
@@ -471,7 +458,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		metrics:  newServerMetrics(cfg.Metrics),
-		model:    model,
+		env:      step.Env{Model: model, Coverage: cfg.Coverage, SlotMs: cfg.SlotDuration.Seconds() * 1000},
 		store:    tiles.NewStore(model, cfg.CacheTiles, 1/cfg.SlotDuration.Seconds()),
 		udp:      udp,
 		tcpLn:    tcpLn,
@@ -489,12 +476,6 @@ func New(cfg Config) (*Server, error) {
 	s.free = make(batchFreeList, 256)
 	s.buildFn = s.buildOne
 	s.dispatchFn = s.dispatchOne
-	if sa, ok := cfg.Allocator.(core.SharedAllocator); ok {
-		s.sharedAlloc = sa
-	}
-	if ta, ok := cfg.Allocator.(core.TracingAllocator); ok {
-		s.tracingAlloc = ta
-	}
 	if cfg.PrefetchRadius > 0 {
 		s.prefetchCh = make(chan prefetchReq, 64)
 		s.prefetchFree = make(chan []tiles.TileID, 64)
@@ -656,7 +637,7 @@ func (s *Server) Stats() []UserStats {
 			TilesSent:    sess.tilesSent,
 			TilesSkipped: sess.tilesSkipped,
 			Retransmits:  sess.retransmits,
-			Delta:        sess.deltaLocked(),
+			Delta:        sess.Delta(),
 			EstMbps:      sess.ema.Value(),
 		}
 		if sess.slotsServed > 0 {
@@ -728,11 +709,8 @@ func (s *Server) handleConn(ctrl *transport.Conn) {
 		sendCh:     make(chan []tileJob, 32),
 		sendDone:   make(chan struct{}),
 		free:       s.free,
-		selBuf:     make([]tiles.TileID, 0, tiles.NumTiles),
-		ratesBuf:   make([]float64, tiles.Levels),
-		delaysBuf:  make([]float64, tiles.Levels),
-		modelBuf:   make([]float64, tiles.Levels),
 	}
+	sess.Sel = make([]tiles.TileID, 0, tiles.NumTiles)
 	sess.sender.SetBatchSize(s.cfg.SenderBatch)
 	s.metrics.instrumentSender(sess.sender)
 
@@ -824,7 +802,7 @@ func (s *Server) retireSession(sess *session) {
 	}
 	sess.retired = true
 	served := sess.slotsServed
-	meanQ := sess.meanQLocked()
+	meanQ := sess.MeanQ()
 	handedOff := sess.handoff
 	sess.mu.Unlock()
 
@@ -1001,11 +979,7 @@ func (s *Server) handleACK(sess *session, ack transport.TileACK) {
 	if ok {
 		delete(sess.allocated, ack.Slot)
 		// Streaming QoE state (drives MeanQ and delta of h_n).
-		sess.t++
-		if ack.Covered {
-			sess.covered++
-			sess.sumViewedQ += float64(rec.level)
-		}
+		sess.Observe(rec.level, ack.Covered)
 		quality := 0.0
 		if ack.Displayed {
 			quality = float64(rec.level)
@@ -1144,17 +1118,6 @@ func (sess *session) capEstimateLocked(fallback float64) float64 {
 	return est
 }
 
-func (sess *session) deltaLocked() float64 {
-	return (1 + float64(sess.covered)) / float64(1+sess.t)
-}
-
-func (sess *session) meanQLocked() float64 {
-	if sess.t == 0 {
-		return 0
-	}
-	return sess.sumViewedQ / float64(sess.t)
-}
-
 // slotLoop is the per-slot decision pipeline.
 func (s *Server) slotLoop() {
 	defer close(s.loopDone)
@@ -1227,7 +1190,6 @@ func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	s.metrics.slots.Inc()
 	s.cur.sessions = sessions
 	s.cur.slot = slot
-	s.cur.slotMs = s.cfg.SlotDuration.Seconds() * 1000
 	if cap(s.planBuf) < len(sessions) {
 		s.planBuf = make([]slotPlan, len(sessions))
 		s.userBuf = make([]core.UserInput, len(sessions))
@@ -1254,28 +1216,21 @@ func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	s.probBuf = core.SlotProblem{T: int(slot) + 1, Budget: budget, Users: users}
 	problem := &s.probBuf
 	decideStart := s.cfg.Tracer.Now()
-	var allocation core.Allocation
-	var slotTrace *core.SlotTrace
 	recording := s.cfg.Recorder.Enabled()
-	switch {
-	case recording && s.tracingAlloc != nil:
-		slotTrace = &core.SlotTrace{TopK: s.cfg.CounterfactualK}
-		allocation = s.tracingAlloc.AllocateTraced(s.cfg.Params, problem, slotTrace)
-	case !recording && s.sharedAlloc != nil:
-		// Hot path: the returned Levels alias solver scratch — valid until
-		// the next solve, which is the next slot, after dispatch completed.
-		allocation = s.sharedAlloc.AllocateShared(s.cfg.Params, problem)
-	default:
-		allocation = s.cfg.Allocator.Allocate(s.cfg.Params, problem)
-	}
+	// Unrecorded, the Levels may alias solver scratch — valid until the next
+	// solve, which is the next slot, after dispatch completed.
+	allocation, slotTrace := step.Solve(s.cfg.Allocator, s.cfg.Params, problem, recording, s.cfg.CounterfactualK)
 	decideEnd := s.cfg.Tracer.Now()
 	if recording {
-		ids := make([]uint32, len(plans))
+		// The server has no co-running optimum, so the record carries no
+		// regret (the attributor falls back to the forgone-gain proxy over
+		// the counterfactual alternatives).
+		rec := step.Record(s.cfg.Allocator.Name(), s.cfg.Params, int(slot), problem, allocation, slotTrace)
+		rec.SessionIDs = make([]uint32, len(plans))
 		for i := range plans {
-			ids[i] = plans[i].sess.user
+			rec.SessionIDs[i] = plans[i].sess.user
 		}
-		recordSlot(s.cfg.Recorder, s.cfg.Allocator.Name(), s.cfg.Params, slot,
-			problem, allocation, slotTrace, ids)
+		s.cfg.Recorder.Record(&rec)
 	}
 	s.metrics.observeDecision(time.Since(started), s.cfg.SlotDuration)
 	s.metrics.cacheHitRatio.Set(s.store.HitRatio())
@@ -1286,42 +1241,21 @@ func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	s.pool.forEach(len(plans), s.dispatchFn)
 }
 
-// buildOne is the parallel build phase for one session: predict the pose,
-// estimate capacity, select tiles and fill the plan and user input at the
-// session's snapshot index. All outputs land on per-session or per-index
-// scratch, so workers never contend.
+// buildOne is the parallel build phase for one session: the slot step on
+// the predicted pose, shown the session's capacity estimate and its own
+// delay model, into the user input at the session's snapshot index. All
+// outputs land on per-session or per-index scratch, so workers never
+// contend.
 func (s *Server) buildOne(i int) {
 	sess := s.cur.sessions[i]
 	p := &s.planBuf[i]
 	p.sess = sess
-	p.ok = false
 	sess.mu.Lock()
-	if !sess.havePose {
-		sess.mu.Unlock()
-		return
-	}
-	predicted := sess.predictor.Predict()
-	capEst := sess.capEstimateLocked(s.cfg.InitialUserMbps)
-	cell := tiles.CellFor(predicted.Pos)
-	sess.selBuf = tiles.ForViewAppend(sess.selBuf[:0], predicted, s.cfg.Coverage.FoV, s.cfg.Coverage.MarginDeg)
-	if len(sess.ratesBuf) != tiles.Levels {
-		sess.ratesBuf = make([]float64, tiles.Levels)
-		sess.delaysBuf = make([]float64, tiles.Levels)
-	}
-	s.model.RateTableInto(sess.ratesBuf, cell, sess.selBuf)
-	s.delayTableInto(sess, sess.delaysBuf, sess.ratesBuf, capEst, s.cur.slotMs)
-	s.userBuf[i] = core.UserInput{
-		Rate:  sess.ratesBuf,
-		Delay: sess.delaysBuf,
-		Delta: sess.deltaLocked(),
-		MeanQ: sess.meanQLocked(),
-		Cap:   capEst,
+	if p.ok = sess.havePose; p.ok {
+		sess.Select(&s.env, sess.predictor.Predict())
+		s.userBuf[i] = sess.Input(&s.env, sess.capEstimateLocked(s.cfg.InitialUserMbps), sess)
 	}
 	sess.mu.Unlock()
-	p.cell = cell
-	p.sel = sess.selBuf
-	p.rates = sess.ratesBuf
-	p.ok = true
 }
 
 // dispatchOne is the parallel dispatch phase for one planned session:
@@ -1359,8 +1293,8 @@ func (s *Server) dispatchOne(i int) {
 	asp := s.cfg.Tracer.Start(traceID, trace.StageAdmit, trace.SideServer, p.sess.user, slot)
 	ids := p.sess.idsBuf[:0]
 	skipped := 0
-	for _, tile := range p.sel {
-		id, err := tiles.PackVideoID(p.cell, tile, level)
+	for _, tile := range p.sess.Sel {
+		id, err := tiles.PackVideoID(p.sess.Cell, tile, level)
 		if err != nil {
 			s.cfg.Logf("server: pack id: %v", err)
 			continue
@@ -1397,7 +1331,7 @@ func (s *Server) dispatchOne(i int) {
 			}
 		}
 	}
-	p.sess.allocated[slot] = allocRecord{level: level, rate: p.rates[level-1]}
+	p.sess.allocated[slot] = allocRecord{level: level, rate: p.sess.Rates[level-1]}
 	p.sess.levelSum += level
 	p.sess.slotsServed++
 	p.sess.tilesSent += len(batch)
@@ -1407,16 +1341,16 @@ func (s *Server) dispatchOne(i int) {
 	s.metrics.tilesSkipped.Add(uint64(skipped))
 
 	if s.prefetchCh != nil {
-		// Hand the prefetcher an owned copy of the selection: p.sel aliases
-		// the session's scratch, which the next slot's build overwrites.
+		// Hand the prefetcher an owned copy of the selection: the session's
+		// own is scratch the next slot's build overwrites.
 		var sel []tiles.TileID
 		select {
 		case sel = <-s.prefetchFree:
 		default:
 		}
-		sel = append(sel[:0], p.sel...)
+		sel = append(sel[:0], p.sess.Sel...)
 		select {
-		case s.prefetchCh <- prefetchReq{cell: p.cell, sel: sel, level: level}:
+		case s.prefetchCh <- prefetchReq{cell: p.sess.Cell, sel: sel, level: level}:
 		default: // prefetcher busy; skip
 			select {
 			case s.prefetchFree <- sel:
@@ -1430,25 +1364,18 @@ func (s *Server) dispatchOne(i int) {
 	}
 }
 
-// delayTable predicts the delivery delay of each ladder rate. It combines
-// the two delay sources the paper uses: the polynomial regression over
-// measured ACK delays (Section V) and the analytic M/M/1 queueing model at
-// the estimated capacity (Section II / eq. (13)). The measured samples are
-// bounded by the slot pipeline, so they cannot reveal the queueing cliff at
-// the link capacity; the M/M/1 term restores it, which is what keeps the
-// allocator from riding the estimate into overload.
-func (s *Server) delayTable(sess *session, rates []float64, capMbps, slotMs float64) []float64 {
-	out := make([]float64, len(rates))
-	s.delayTableInto(sess, out, rates, capMbps, slotMs)
-	return out
-}
-
-// delayTableInto is delayTable on the session's scratch: the M/M/1 table
-// lands in sess.modelBuf and the regression runs on the session's
-// PolyFitter, so a steady-state call allocates nothing. len(out) must
-// equal len(rates); the caller holds sess.mu (delayRates/fitter are
-// mu-guarded).
-func (s *Server) delayTableInto(sess *session, out, rates []float64, capMbps, slotMs float64) {
+// DelayTableInto is the server's delay model (a step.DelayModel): it
+// predicts the delivery delay of each ladder rate from the two delay sources
+// the paper uses, the polynomial regression over measured ACK delays
+// (Section V) and the analytic M/M/1 queueing model at the estimated
+// capacity (Section II / eq. (13)). The measured samples are bounded by the
+// slot pipeline, so they cannot reveal the queueing cliff at the link
+// capacity; the M/M/1 term restores it, which is what keeps the allocator
+// from riding the estimate into overload. The M/M/1 table lands in
+// sess.modelBuf and the regression runs on the session's PolyFitter, so a
+// steady-state call allocates nothing. len(out) must equal len(rates); the
+// caller holds sess.mu (delayRates/fitter are mu-guarded).
+func (sess *session) DelayTableInto(out, rates []float64, capMbps, slotMs float64) {
 	if len(sess.modelBuf) < len(rates) {
 		sess.modelBuf = make([]float64, len(rates))
 	}

@@ -237,7 +237,8 @@ func TestDelayTableFallsBackToMM1(t *testing.T) {
 		ema:       estimate.NewEMA(0.2),
 	}
 	rates := []float64{5, 10, 20, 30, 40, 45}
-	table := srv.delayTable(sess, rates, 50, 1000.0/60)
+	table := make([]float64, len(rates))
+	sess.DelayTableInto(table, rates, 50, 1000.0/60)
 	if len(table) != len(rates) {
 		t.Fatalf("table length %d", len(table))
 	}
@@ -268,7 +269,8 @@ func TestDelayTableUsesRegression(t *testing.T) {
 		sess.delayMs = append(sess.delayMs, 0.01*r*r+0.5)
 	}
 	rates := []float64{10, 20, 30}
-	table := srv.delayTable(sess, rates, 500, 1000.0/60)
+	table := make([]float64, len(rates))
+	sess.DelayTableInto(table, rates, 500, 1000.0/60)
 	for i, r := range rates {
 		want := 0.01*r*r + 0.5
 		if diff := table[i] - want; diff > 0.5 || diff < -0.5 {
@@ -277,7 +279,8 @@ func TestDelayTableUsesRegression(t *testing.T) {
 	}
 	// Near the estimated capacity the M/M/1 floor takes over: the table
 	// must blow up past the bounded regression forecast.
-	cliff := srv.delayTable(sess, []float64{48}, 50, 1000.0/60)
+	cliff := make([]float64, 1)
+	sess.DelayTableInto(cliff, []float64{48}, 50, 1000.0/60)
 	if cliff[0] < 100 {
 		t.Errorf("delay at 96%% of capacity = %v ms, want the M/M/1 cliff", cliff[0])
 	}
@@ -409,8 +412,8 @@ func TestHandleACKUpdatesEstimates(t *testing.T) {
 	if got := sess.ema.Value(); got < 40 || got > 56 {
 		t.Errorf("EMA estimate = %v, want about 48", got)
 	}
-	if sess.t != 1 || sess.covered != 1 || sess.sumViewedQ != 4 {
-		t.Errorf("QoE state = t%d covered%d sum%v", sess.t, sess.covered, sess.sumViewedQ)
+	if sess.T != 1 || sess.Covered != 1 || sess.SumViewedQ != 4 {
+		t.Errorf("QoE state = t%d covered%d sum%v", sess.T, sess.Covered, sess.SumViewedQ)
 	}
 	if len(sess.delayRates) != 1 || sess.delayRates[0] != 30 {
 		t.Errorf("delay sample not recorded: %v", sess.delayRates)

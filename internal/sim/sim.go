@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -18,9 +19,9 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/metrics"
 	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/nettrace"
 	"repro/internal/obs"
+	"repro/internal/step"
 	"repro/internal/tiles"
 	"repro/internal/trace"
 )
@@ -138,6 +139,11 @@ func (r *Result) CDFs() (qoe, quality, delay, variance *metrics.CDF) {
 		metrics.NewCDF(r.Delay), metrics.NewCDF(r.Variance)
 }
 
+// deadlineSlots is the display pipeline's tolerance under imperfect
+// estimation: decode at t+1, display at t+2 (load.SimConfig.DeadlineSlots'
+// default).
+const deadlineSlots = 2
+
 // slotInput is the precomputed, algorithm-independent input of one
 // (slot, user) pair.
 type slotInput struct {
@@ -229,30 +235,26 @@ func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) (
 		}
 	}
 
-	// Motion traces and the algorithm-independent pipeline: prediction,
-	// tile selection, rate ladders, coverage.
-	sizeModel := tiles.NewSizeModel(uint64(cfg.Seed))
+	// Motion traces and the algorithm-independent half of the slot step:
+	// prediction, tile selection, rate ladders, coverage — computed once per
+	// (user, slot) and replayed under every algorithm.
+	env := &step.Env{
+		Model:    tiles.NewSizeModel(uint64(cfg.Seed)),
+		Coverage: cfg.Coverage,
+		SlotMs:   1000 / cfg.SlotsPerSecond,
+	}
 	inputs := make([][]slotInput, cfg.Users) // [user][slot]
 	scenes := motion.Scenes()
 	for u := 0; u < cfg.Users; u++ {
 		mt := motion.Generate(scenes[u%2], u, slots, cfg.SlotsPerSecond, seed)
 		pred := motion.NewPredictor(cfg.PredictorWindow)
 		inputs[u] = make([]slotInput, slots)
+		ladders := make([]float64, slots*tiles.Levels) // every slot's ladder, one slab
+		var plan step.Plan
 		for s := 0; s < slots; s++ {
-			predicted := pred.Predict()
-			if s <= cfg.PredictorWindow {
-				// Cold start: assume perfect knowledge until the regression
-				// window has data (the real system warms up the same way).
-				predicted = mt[s]
-			}
-			cell := tiles.CellFor(predicted.Pos)
-			sel := tiles.ForView(predicted, cfg.Coverage.FoV, cfg.Coverage.MarginDeg)
-			inputs[u][s] = slotInput{
-				rates:   sizeModel.RateTable(cell, sel),
-				covered: cfg.Coverage.Covered(predicted, mt[s]),
-				cap_:    caps[u][s],
-			}
-			pred.Observe(mt[s])
+			plan.Rates = ladders[s*tiles.Levels : (s+1)*tiles.Levels : (s+1)*tiles.Levels]
+			covered := plan.Follow(env, pred, s <= cfg.PredictorWindow, mt[s])
+			inputs[u][s] = slotInput{rates: plan.Rates, covered: covered, cap_: caps[u][s]}
 		}
 	}
 
@@ -260,7 +262,7 @@ func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) (
 	out := make([]*Result, len(algorithms))
 	records := make([][]obs.SlotRecord, len(algorithms))
 	for i, factory := range algorithms {
-		out[i], records[i] = replayAlgorithm(cfg, slots, budget, inputs, factory, seed, run)
+		out[i], records[i] = replayAlgorithm(cfg, env, slots, budget, inputs, factory, seed, run)
 	}
 	emitRecords(cfg, algorithms, records)
 	return out, nil
@@ -307,23 +309,23 @@ func emitRecords(cfg Config, algorithms []AlgorithmFactory, records [][]obs.Slot
 // collects per-user metrics. With a recorder attached it also returns one
 // flight-recorder record per slot (regret is filled in later by
 // emitRecords, once the optimum's values are known).
-func replayAlgorithm(cfg Config, slots int, budget float64, inputs [][]slotInput, factory AlgorithmFactory, seed int64, run int) (*Result, []obs.SlotRecord) {
+func replayAlgorithm(cfg Config, env *step.Env, slots int, budget float64, inputs [][]slotInput, factory AlgorithmFactory, seed int64, run int) (*Result, []obs.SlotRecord) {
 	alloc := factory.New()
 	recording := cfg.Recorder.Enabled()
 	// Spans: the campaign's runs beyond the first are statistical repeats,
 	// so only run 0 is traced; the epoch salt keeps each algorithm's replay
 	// of the identical inputs in its own trace space.
-	spanning := cfg.Tracer.Enabled() && run == 0
-	var epoch uint64
-	if spanning {
-		epoch = algoEpoch(cfg.TraceEpoch, factory.Name)
+	spans := step.VirtualSpans{Algo: factory.Name, SlotMs: env.SlotMs, Users: cfg.Users}
+	if run == 0 {
+		spans.Tracer = cfg.Tracer
+		spans.Epoch = algoEpoch(cfg.TraceEpoch, factory.Name)
 	}
-	tracer, canTrace := alloc.(core.TracingAllocator)
+	spanning := spans.Tracer.Enabled()
 	var records []obs.SlotRecord
 	if recording {
 		records = make([]obs.SlotRecord, 0, slots)
 	}
-	tracker := core.NewTracker(cfg.Params, cfg.Users, 1)
+	sessions := make([]step.Session, cfg.Users)
 	acc := make([]*metrics.UserQoE, cfg.Users)
 	qoeParams := metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta}
 	for u := range acc {
@@ -343,8 +345,15 @@ func replayAlgorithm(cfg Config, slots int, budget float64, inputs [][]slotInput
 		}
 		estRng = rand.New(rand.NewSource(seed ^ 0x5EED))
 	}
+	// Under the paper's perfect knowledge nothing misses: the full queueing
+	// delay is charged. Under imperfect estimation content that takes longer
+	// than the display pipeline tolerates is dropped, as on the real client,
+	// rather than charged an unbounded delay.
+	deadlineMs := math.Inf(1)
+	if estimators != nil {
+		deadlineMs = deadlineSlots * env.SlotMs
+	}
 
-	slotMs := 1000 / cfg.SlotsPerSecond
 	users := make([]core.UserInput, cfg.Users)
 	for s := 0; s < slots; s++ {
 		var capErr []float64
@@ -369,49 +378,29 @@ func replayAlgorithm(cfg Config, slots int, budget float64, inputs [][]slotInput
 			if capErr != nil && in.cap_ > 0 {
 				capErr[u] = (seenCap - in.cap_) / in.cap_
 			}
-			users[u] = tracker.UserInput(u, in.rates,
-				netem.DelayTableMs(in.rates, seenCap, slotMs), seenCap)
+			sessions[u].Rates = in.rates
+			users[u] = sessions[u].Input(env, seenCap, nil)
 		}
 		problem := &core.SlotProblem{T: s + 1, Budget: budget, Users: users}
-		var allocation core.Allocation
-		var slotTrace *core.SlotTrace
 		var solveStart time.Time
 		if spanning {
 			solveStart = time.Now()
 		}
-		if recording && canTrace {
-			slotTrace = &core.SlotTrace{TopK: cfg.CounterfactualK}
-			allocation = tracer.AllocateTraced(cfg.Params, problem, slotTrace)
-		} else {
-			allocation = alloc.Allocate(cfg.Params, problem)
-		}
-		var slotNs, solveNs int64
+		allocation, slotTrace := step.Solve(alloc, cfg.Params, problem, recording, cfg.CounterfactualK)
 		if spanning {
-			solveNs = time.Since(solveStart).Nanoseconds()
-			slotNs = int64(float64(s) * slotMs * 1e6)
+			spans.Slot, spans.SolveNs = uint32(s), time.Since(solveStart).Nanoseconds()
 		}
 		if recording {
-			records = append(records, slotRecord(cfg, factory.Name, run, s, budget, problem, allocation, slotTrace, capErr))
+			rec := step.Record(factory.Name, cfg.Params, s, problem, allocation, slotTrace)
+			rec.Run, rec.CapErr = run, capErr
+			records = append(records, rec)
 		}
 		for u := 0; u < cfg.Users; u++ {
 			in := inputs[u][s]
 			q := allocation.Levels[u]
-			rate := in.rates[q-1]
-			delay := netem.DelayMs(rate, in.cap_, slotMs)
-			covered := in.covered
-			if estimators != nil && delay > 2*slotMs {
-				// Imperfect-estimation mode: content that takes longer
-				// than the pipeline budget misses its display deadline —
-				// the frame is dropped (as on the real client) rather than
-				// charged an unbounded queueing delay.
-				covered = false
-				delay = 2 * slotMs
-			}
-			tracker.Record(u, q, covered, delay)
-			acc[u].Observe(q, covered, delay)
+			rate, delay, missed := sessions[u].Settle(env, acc[u], q, in.cap_, in.covered, false, 0, 0, deadlineMs)
 			if spanning {
-				emitSimSpans(cfg.Tracer, epoch, factory.Name, uint32(u), uint32(s),
-					slotNs, solveNs, q, len(users), rate*slotMs*125, delay, delay <= 2*slotMs)
+				spans.Emit(uint32(u), q, rate, delay, missed)
 			}
 		}
 	}
@@ -436,70 +425,4 @@ func algoEpoch(base uint64, name string) uint64 {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
 	return h
-}
-
-// emitSimSpans writes one slot's virtual-time spans for one user: the solve
-// (its duration is the only wall-clock measurement inside a virtual slot),
-// the virtual transmit/receive window, and the display outcome.
-func emitSimSpans(tr *trace.Tracer, epoch uint64, algo string, user, slot uint32,
-	slotNs, solveNs int64, level, tilesN int, bytes, delayMs float64, displayed bool) {
-	tid := trace.TileTraceID(epoch, user, slot)
-	delayNs := int64(delayMs * 1e6)
-
-	d := tr.StartAt(tid, trace.StageDecide, trace.SideServer, user, slot, slotNs)
-	d.SetAlgo(algo)
-	d.SetLevel(level)
-	d.SetTiles(tilesN)
-	d.EndAt(slotNs + solveNs)
-
-	tx := tr.StartAt(tid, trace.StageSend, trace.SideServer, user, slot, slotNs)
-	tx.SetLevel(level)
-	tx.SetBytes(int(bytes))
-	tx.EndAt(slotNs + delayNs)
-
-	rx := tr.StartAt(tid, trace.StageRecv, trace.SideClient, user, slot, slotNs)
-	rx.SetBytes(int(bytes))
-	rx.EndAt(slotNs + delayNs)
-
-	disp := tr.StartAt(tid, trace.StageDisplay, trace.SideClient, user, slot, slotNs+delayNs)
-	disp.SetLevel(level)
-	if displayed {
-		disp.SetOutcome(trace.OutcomeDisplayed)
-	} else {
-		disp.SetOutcome(trace.OutcomeMissed)
-	}
-	disp.EndAt(slotNs + delayNs)
-}
-
-// slotRecord builds one flight-recorder entry for a decided slot. capErr
-// (when non-nil) is the signed relative channel-estimate error per user.
-func slotRecord(cfg Config, name string, run, s int, budget float64, problem *core.SlotProblem, allocation core.Allocation, tr *core.SlotTrace, capErr []float64) obs.SlotRecord {
-	rec := obs.SlotRecord{
-		Algorithm:  name,
-		Run:        run,
-		Slot:       s,
-		Levels:     allocation.Levels,
-		Value:      allocation.Value,
-		RateMbps:   allocation.Rate,
-		BudgetMbps: budget,
-		CapErr:     capErr,
-	}
-	if budget > 0 {
-		rec.Utilization = allocation.Rate / budget
-	}
-	if tr != nil {
-		rec.Branch = tr.Branch
-		rec.Upgrades = tr.Upgrades
-		rec.Rejections = tr.Rejections
-		rec.Alternatives = tr.Alternatives
-	}
-	rec.UserValues = make([]float64, len(allocation.Levels))
-	for u, q := range allocation.Levels {
-		terms := core.ObjectiveTerms(cfg.Params, problem.T, problem.Users[u], q)
-		rec.QualityTerm += terms.Quality
-		rec.DelayTerm += terms.Delay
-		rec.VarianceTerm += terms.Variance
-		rec.UserValues[u] = terms.Quality - terms.Delay - terms.Variance
-	}
-	return rec
 }
