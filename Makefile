@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke health-baseline loc clean
+.PHONY: all build vet test race lint fmt-check cross bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke health-baseline loc clean
 
 all: build vet test
 
@@ -12,9 +12,21 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Any file gofmt would rewrite fails the build.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l is not clean:"; echo "$$out"; exit 1; \
+	fi
+
+# The sender's train path is Linux-only; this keeps the portable one-write-
+# per-datagram fallback compiling (stdlib only, works offline).
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/transport/
+	GOOS=windows $(GO) build ./internal/... ./cmd/...
+
 # staticcheck when available (CI installs it; locally the target degrades to
 # a notice rather than failing on a missing tool).
-lint: vet
+lint: vet fmt-check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -37,15 +49,18 @@ test:
 # interleavings a run happens to take. The fleet Controller's tests have no
 # sockets and no sleeps, so twenty passes at three GOMAXPROCS cost seconds
 # and their verdict cannot depend on the wall clock; the slot step's tests
-# are the same kind.
+# are the same kind. internal/transport's senders share one socket, as the
+# server's sessions do; its tests (the train path's among them) run at three
+# GOMAXPROCS.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
+	$(GO) test -race -cpu 1,2,4 ./internal/transport
 
 # What CI runs (see .github/workflows/ci.yml).
-ci: build lint test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke
+ci: build lint cross test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke
 
 # The repository benchmark (four workloads end to end plus the layer walk;
 # protocol, -compare and the baseline are in bench/README.md), then every Go

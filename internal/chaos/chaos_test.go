@@ -150,7 +150,7 @@ func TestWindowBoundariesAndCapFactors(t *testing.T) {
 		}
 	}
 	check(99, false, 1, 1)
-	check(100, true, 1, 0)  // blackout first slot; live cap untouched
+	check(100, true, 1, 0) // blackout first slot; live cap untouched
 	check(119, true, 0.25, 0)
 	check(120, false, 0.25, 0.25) // blackout over, cliff still active
 	check(135, false, 0.25*0.5, 0.25*0.5)

@@ -415,7 +415,8 @@ func (c *runner) run() (*Result, error) {
 		// that already displayed (e.g. NACK retransmissions) are
 		// re-bucketed into the next display slot: their frame is gone, but
 		// the content still feeds RAM for upcoming frames.
-		for _, tile := range c.reasm.Flush() {
+		harvest := c.reasm.Flush()
+		for _, tile := range harvest {
 			slot := tile.Slot
 			if slot < processed {
 				slot = processed
@@ -428,6 +429,9 @@ func (c *runner) run() (*Result, error) {
 			c.obs.tiles.Inc()
 			c.obs.bytes.Add(uint64(len(tile.Payload)))
 		}
+		// Only the payloads' lengths are read: the buffers go back to the
+		// reassembler for the next tiles.
+		c.reasm.Reclaim(harvest)
 
 		// Display pipeline. Tiles for server slot t are decoded during t+1
 		// and displayed at t+2 (the paper's pipelining), which here means a

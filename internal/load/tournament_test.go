@@ -104,7 +104,7 @@ func TestSimulateRecordingDoesNotPerturb(t *testing.T) {
 		t.Fatal(err)
 	}
 	recorded, err := Simulate(w, SimConfig{BudgetMbps: 60,
-		Recorder: obs.NewRecorder(obs.RecorderOptions{RingSize: 1}),
+		Recorder:        obs.NewRecorder(obs.RecorderOptions{RingSize: 1}),
 		CounterfactualK: 3, RegretRef: true, RegretResolution: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -35,6 +35,10 @@ type serverMetrics struct {
 	txPackets *obs.Counter
 	txBytes   *obs.Counter
 	txDropped *obs.Counter
+	// txWrites counts writes handed to the socket: txPackets over it is the
+	// mean datagrams per write, above 1 where the senders' trains form.
+	txWrites      *obs.Counter
+	txGSOFallback *obs.Counter
 
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
@@ -72,6 +76,8 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 		txPackets:        r.Counter("collabvr_server_tx_packets_total"),
 		txBytes:          r.Counter("collabvr_server_tx_bytes_total"),
 		txDropped:        r.Counter("collabvr_server_tx_dropped_total"),
+		txWrites:         r.Counter("collabvr_server_tx_writes_total"),
+		txGSOFallback:    r.Counter("collabvr_server_tx_gso_fallback_total"),
 		cacheHits:        r.Counter("collabvr_server_tile_cache_hits_total"),
 		cacheMisses:      r.Counter("collabvr_server_tile_cache_misses_total"),
 		cacheHitRatio:    r.Gauge("collabvr_server_tile_cache_hit_ratio"),
@@ -93,6 +99,7 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 // sender.
 func (m *serverMetrics) instrumentSender(s *transport.Sender) {
 	s.Instrument(m.txPackets, m.txBytes, m.txDropped)
+	s.InstrumentWrites(m.txWrites, m.txGSOFallback)
 }
 
 // observeDecision records slot pipeline timing and deadline misses.

@@ -155,12 +155,16 @@ func (s *Store) Cached() int {
 // end-to-end integrity checks in the transport tests).
 func synthesize(seed uint64, n int) []byte {
 	out := make([]byte, n)
-	var block [8]byte
 	x := seed
-	for i := 0; i < n; i += 8 {
+	i := 0
+	for ; i+8 <= n; i += 8 {
 		x = splitmix(x)
-		binary.LittleEndian.PutUint64(block[:], x)
-		copy(out[i:], block[:])
+		binary.LittleEndian.PutUint64(out[i:i+8], x)
+	}
+	if i < n {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], splitmix(x))
+		copy(out[i:], tail[:])
 	}
 	return out
 }

@@ -25,17 +25,17 @@ import (
 // decide -> admit -> fetch -> send (and ack/retry as feedback arrives); the
 // client half runs recv -> decode -> display.
 const (
-	StageDecide  = "slot.decide"  // knapsack solve over the slot's active set
-	StageAdmit   = "budget.admit" // per-user level admission + ledger filtering
-	StageFetch   = "tile.fetch"   // tile payload fetch/encode from the store
-	StageSend    = "tx.send"      // transport pacing + UDP writes of the batch
-	StageRetry   = "tx.retry"     // NACK-driven retransmission of lost tiles
-	StageAbandon = "tx.abandon"   // retry budget exhausted: tile given up on
-	StageAck     = "tx.ack"       // ACK ingest: estimators + QoE fold-in
+	StageDecide  = "slot.decide"     // knapsack solve over the slot's active set
+	StageAdmit   = "budget.admit"    // per-user level admission + ledger filtering
+	StageFetch   = "tile.fetch"      // tile payload fetch/encode from the store
+	StageSend    = "tx.send"         // transport pacing + UDP writes of the batch
+	StageRetry   = "tx.retry"        // NACK-driven retransmission of lost tiles
+	StageAbandon = "tx.abandon"      // retry budget exhausted: tile given up on
+	StageAck     = "tx.ack"          // ACK ingest: estimators + QoE fold-in
 	StageBreaker = "session.breaker" // circuit breaker capped the slot's quality
-	StageRecv    = "rx.recv"      // first-to-last fragment arrival window
-	StageDecode  = "rx.decode"    // decoder-pool admission
-	StageDisplay = "rx.display"   // display-deadline outcome
+	StageRecv    = "rx.recv"         // first-to-last fragment arrival window
+	StageDecode  = "rx.decode"       // decoder-pool admission
+	StageDisplay = "rx.display"      // display-deadline outcome
 )
 
 // Span sides: which half of the system emitted the span.

@@ -57,6 +57,7 @@ type Reassembler struct {
 	flushed []CompleteTile // what the last Flush returned, next to be filled
 
 	free    []*partialTile // finished or dropped tiles' bookkeeping, reused
+	spare   [][]byte       // payload buffers handed back through Reclaim
 	largest int            // bytes of the largest tile completed so far
 	starts  []uint32       // scratch of inIndexOrder: payload offset of each fragment index
 
@@ -73,6 +74,10 @@ type tileKey struct {
 // maxFreeTiles bounds the bookkeeping kept for reuse; a client holds a few
 // tiles of one or two slots in flight at a time.
 const maxFreeTiles = 32
+
+// maxSpareBuffers bounds the payload buffers kept for reuse: a slot's tiles
+// for one client, a few times over.
+const maxSpareBuffers = 64
 
 // partialTile is a tile still missing fragments.
 type partialTile struct {
@@ -188,9 +193,39 @@ func (r *Reassembler) newPartial(p *Packet) *partialTile {
 	pt.count = int(p.FragCount)
 	want := min(pt.count*len(p.Payload), max(r.largest, len(p.Payload)))
 	if cap(pt.buf) < want {
-		pt.buf = make([]byte, 0, want)
+		pt.buf = r.buffer(want)[:0]
 	}
 	return pt
+}
+
+// buffer returns n bytes of unspecified content for a payload: a buffer
+// handed back through Reclaim that is large enough, else a new one.
+func (r *Reassembler) buffer(n int) []byte {
+	for i := len(r.spare) - 1; i >= 0; i-- {
+		if b := r.spare[i]; cap(b) >= n {
+			last := len(r.spare) - 1
+			r.spare[i], r.spare[last] = r.spare[last], nil
+			r.spare = r.spare[:last]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// Reclaim hands the payloads of flushed tiles back for reuse by later
+// tiles, and clears them in done. It is the one way a payload stops being
+// the caller's: after Reclaim the caller must hold no reference to any of
+// them, and a payload never passed to Reclaim is never written again. At
+// most maxSpareBuffers are kept.
+func (r *Reassembler) Reclaim(done []CompleteTile) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range done {
+		if b := done[i].Payload; cap(b) > 0 && len(r.spare) < maxSpareBuffers {
+			r.spare = append(r.spare, b)
+		}
+		done[i].Payload = nil
+	}
 }
 
 // recycle keeps a finished or dropped tile's bookkeeping for the next tile.
@@ -221,7 +256,7 @@ func (r *Reassembler) inIndexOrder(pt *partialTile) []byte {
 		starts[i] = at
 		at += n
 	}
-	out := make([]byte, len(pt.buf))
+	out := r.buffer(len(pt.buf)) // every byte is overwritten below
 	from = 0
 	for _, a := range pt.arrivals {
 		copy(out[starts[a.idx]:], pt.buf[from:a.end])
@@ -232,7 +267,7 @@ func (r *Reassembler) inIndexOrder(pt *partialTile) []byte {
 
 // Flush returns (and clears) the tiles completed so far. The slice is the
 // caller's until the next Flush, which takes it back to fill again; the
-// payloads stay the caller's.
+// payloads stay the caller's, unless and until it passes them to Reclaim.
 func (r *Reassembler) Flush() []CompleteTile {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -58,25 +59,51 @@ func (c ChainShaper) Drop() bool {
 // stream.
 //
 // Tiles can be sent immediately (SendTile/SendTileTraced) or staged with
-// QueueTile/QueueTileTraced and transmitted together by Flush — the
-// writev/sendmmsg-style batch the slot loop uses to pay one call per
-// session per slot instead of one per tile. Batched or not, the wire path
-// is the same code: byte-identical datagrams, identical per-packet fault
-// and shaper decisions, in queue order.
+// QueueTile/QueueTileTraced and transmitted together by Flush. Batched or
+// not, the wire path is the same code: byte-identical datagrams, identical
+// per-packet fault and shaper decisions, in queue order.
+//
+// On Linux, over a *net.UDPConn, the wire path writes one pacing run per
+// system call: datagrams the shaper admits without a sleep are encoded back
+// to back into a train and handed to the kernel as one UDP_SEGMENT write,
+// which splits them into ordinary datagrams again (see stage and
+// writeTrain). A train never outlives the call that staged it and is written
+// before every pacing sleep. Everywhere else a train is one datagram and
+// every datagram is one write.
 type Sender struct {
 	conn   net.PacketConn
 	dst    net.Addr
 	shaper Shaper
 	mtu    int
 
+	// udp and dstAP are conn and dst where both are UDP: the single-datagram
+	// write then skips the net.Addr to sockaddr conversion, and trains are
+	// possible at all.
+	udp   *net.UDPConn
+	dstAP netip.AddrPort
+
 	// sendMu serializes the wire path (fragment encode, fault/shaper
-	// decisions, WriteTo) and guards the batch queue and scratch buffers.
+	// decisions, writes) and guards the batch queue, the train and the
+	// scratch buffers.
 	sendMu    sync.Mutex
-	encBuf    []byte // fragment encode scratch, one MTU
 	heldBuf   []byte // at most one reorder-held datagram
 	batch     []queuedTile
 	qPkts     int // wire packets the current batch will produce
 	batchSize int // auto-flush threshold; <= 1 sends immediately
+
+	// The train: datagrams admitted and not yet written, as back-to-back
+	// [header|fragment] records. Every record is segSize bytes long except
+	// the last, which may be shorter: the shape UDP_SEGMENT takes, and the
+	// shape of a tile's fragments.
+	train        []byte
+	segs         int // records in the train
+	segSize      int // length of the train's first record
+	maxSegs      int // trainSegs where the socket takes trains, 1 where every datagram is its own write
+	pendingDrops int // drops decided since the last write, counted with it
+	// segWrite writes a train of two or more records as one segmented
+	// datagram (nil where maxSegs is 1). A field so a test can refuse one.
+	segWrite func(train []byte, segSize int) error
+	oob      []byte // segWrite's control message
 
 	mu        sync.Mutex
 	faults    FaultInjector // nil = no fault injection
@@ -86,9 +113,11 @@ type Sender struct {
 	dropped   int
 
 	// Optional observability counters (nil means disabled; see Instrument).
-	cPackets *obs.Counter
-	cBytes   *obs.Counter
-	cDropped *obs.Counter
+	cPackets  *obs.Counter
+	cBytes    *obs.Counter
+	cDropped  *obs.Counter
+	cWrites   *obs.Counter
+	cFallback *obs.Counter
 }
 
 // queuedTile is one staged tile awaiting Flush. The payload is aliased,
@@ -110,7 +139,15 @@ func NewSender(conn net.PacketConn, dst net.Addr, shaper Shaper, mtu int) *Sende
 	if mtu <= HeaderSize {
 		mtu = DefaultMTU
 	}
-	s := &Sender{conn: conn, dst: dst, shaper: shaper, mtu: mtu}
+	s := &Sender{conn: conn, dst: dst, shaper: shaper, mtu: mtu, maxSegs: 1}
+	// An address the netip write would refuse (a UDPAddr without an IP, which
+	// WriteTo reads as the unspecified address) stays on WriteTo.
+	udp, _ := conn.(*net.UDPConn)
+	ua, _ := dst.(*net.UDPAddr)
+	if ap := ua.AddrPort(); udp != nil && ap.IsValid() {
+		s.udp, s.dstAP = udp, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+		s.enableTrains()
+	}
 	// A shaper that also injects packet faults (the chaos layer's
 	// per-session injectors) is picked up automatically, so the server's
 	// ShaperFor plumbing carries chaos without a second hook.
@@ -139,6 +176,16 @@ func (s *Sender) Instrument(packets, bytes, dropped *obs.Counter) {
 	s.cPackets, s.cBytes, s.cDropped = packets, bytes, dropped
 }
 
+// InstrumentWrites attaches counters for the writes handed to the socket
+// (packets over writes is the mean train length) and for a socket that
+// refused a segmented write and went back to one write per datagram. Nil
+// counters are allowed. Call before the first SendTile.
+func (s *Sender) InstrumentWrites(writes, gsoFallback *obs.Counter) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cWrites, s.cFallback = writes, gsoFallback
+}
+
 // SendTile fragments and transmits one tile for a slot, pacing against the
 // shaper. It blocks until the last fragment conforms.
 func (s *Sender) SendTile(user, slot uint32, id tiles.VideoID, payload []byte) error {
@@ -155,7 +202,16 @@ func (s *Sender) SendTileTraced(user, slot uint32, id tiles.VideoID, payload []b
 	if err := s.flushLocked(); err != nil {
 		return err
 	}
-	return s.sendTileLocked(user, slot, id, payload, traceID, retry)
+	return s.sendNowLocked(user, slot, id, payload, traceID, retry)
+}
+
+// sendNowLocked sends one tile and writes what is left of its train.
+func (s *Sender) sendNowLocked(user, slot uint32, id tiles.VideoID, payload []byte, traceID uint64, retry uint8) error {
+	err := s.sendTileLocked(user, slot, id, payload, traceID, retry)
+	if werr := s.writeTrain(); err == nil {
+		err = werr
+	}
+	return err
 }
 
 // SetBatchSize sets the number of wire packets QueueTile* stages before
@@ -187,7 +243,7 @@ func (s *Sender) QueueTileTraced(user, slot uint32, id tiles.VideoID, payload []
 		if err := s.flushLocked(); err != nil {
 			return err
 		}
-		return s.sendTileLocked(user, slot, id, payload, traceID, retry)
+		return s.sendNowLocked(user, slot, id, payload, traceID, retry)
 	}
 	s.batch = append(s.batch, queuedTile{
 		user: user, slot: slot, id: id,
@@ -201,10 +257,12 @@ func (s *Sender) QueueTileTraced(user, slot uint32, id tiles.VideoID, payload []
 }
 
 // Flush transmits every staged tile in queue order — the slot-boundary
-// flush of the batched send path. On a transmit error the already-sent
-// prefix stays on the wire, the remaining tiles are discarded (a lost
-// datagram and a lost batch tail look the same to the receiver: NACK and
-// retransmit), the batch is cleared and the error is returned.
+// flush of the batched send path. The tiles share trains: where the socket
+// takes them, a flush costs one write per pacing run, not one per datagram.
+// On a transmit error the already-sent prefix stays on the wire, the
+// remaining tiles are discarded (a lost datagram and a lost batch tail look
+// the same to the receiver: NACK and retransmit), the batch is cleared and
+// the error is returned.
 func (s *Sender) Flush() error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
@@ -232,6 +290,9 @@ func (s *Sender) flushLocked() error {
 			break
 		}
 		sent++
+	}
+	if werr := s.writeTrain(); err == nil {
+		err = werr
 	}
 	// Zero the staged entries so the reusable batch buffer does not retain
 	// payload memory across slots.
@@ -263,11 +324,26 @@ func packetCount(payloadLen, mtu int) int {
 	return count
 }
 
-// sendTileLocked is the wire path: fragment, inject faults, shape, write.
-// It walks the fragments in place on the sender's encode scratch — no
-// per-tile packet slice, no per-call buffer — producing exactly the
+// Pacing sleeps are batched: token-bucket debt below sleepQuantum is carried
+// instead of slept, so the OS sleep overshoot (tens of microseconds per
+// wakeup) is amortized over several packets and the achieved rate stays
+// close to the shaped rate.
+const sleepQuantum = time.Millisecond
+
+// A train holds at most trainSegs records (UDP_MAX_SEGMENTS in the kernels
+// that first took UDP_SEGMENT) and trainBytes bytes (under the 65 507 a UDP
+// datagram can carry).
+const (
+	trainSegs  = 64
+	trainBytes = 64000
+)
+
+// sendTileLocked is the wire path: fragment, inject faults, shape, stage.
+// It walks the fragments in place, encoding each straight into the train —
+// no per-tile packet slice, no per-call buffer — and produces exactly the
 // datagram bytes, order and per-packet fault decisions of the historical
-// Fragment-then-send loop. Callers hold sendMu.
+// Fragment-then-send loop. What it leaves in the train is the caller's to
+// write (writeTrain) before sendMu is released. Callers hold sendMu.
 func (s *Sender) sendTileLocked(user, slot uint32, id tiles.VideoID, payload []byte, traceID uint64, retry uint8) error {
 	mtu := s.mtu
 	if mtu <= HeaderSize {
@@ -279,33 +355,15 @@ func (s *Sender) sendTileLocked(user, slot uint32, id tiles.VideoID, payload []b
 	s.mu.Lock()
 	seq := s.seq
 	s.seq += uint32(count)
-	cPackets, cBytes, cDropped := s.cPackets, s.cBytes, s.cDropped
 	faults := s.faults
 	s.mu.Unlock()
 
-	// Pacing sleeps are batched: token-bucket debt below sleepQuantum is
-	// carried instead of slept, so the OS sleep overshoot (tens of
-	// microseconds per wakeup) is amortized over several packets and the
-	// achieved rate stays close to the shaped rate.
-	const sleepQuantum = time.Millisecond
-
-	if cap(s.encBuf) < mtu {
-		s.encBuf = make([]byte, mtu)
-	}
-	emit := func(wire []byte) error {
-		if d := s.shaper.Admit(len(wire), time.Now()); d >= sleepQuantum {
-			time.Sleep(d)
+	if cap(s.train) == 0 {
+		size := mtu
+		if s.maxSegs > 1 {
+			size = max(trainBytes, mtu)
 		}
-		if _, err := s.conn.WriteTo(wire, s.dst); err != nil {
-			return fmt.Errorf("transport: send fragment: %w", err)
-		}
-		s.mu.Lock()
-		s.sentPkts++
-		s.sentBytes += len(wire)
-		s.mu.Unlock()
-		cPackets.Inc()
-		cBytes.Add(uint64(len(wire)))
-		return nil
+		s.train = make([]byte, 0, size)
 	}
 	// heldBuf carries at most one datagram the injector ordered behind its
 	// successor — real on-the-wire reordering, not just added latency.
@@ -315,6 +373,14 @@ func (s *Sender) sendTileLocked(user, slot uint32, id tiles.VideoID, payload []b
 		hi := lo + chunk
 		if hi > len(payload) {
 			hi = len(payload)
+		}
+		var f PacketFault
+		if faults != nil {
+			f = faults.PacketFault()
+		}
+		if f.Drop || s.shaper.Drop() {
+			s.pendingDrops++
+			continue
 		}
 		p := Packet{
 			Type:      PacketTile,
@@ -328,51 +394,153 @@ func (s *Sender) sendTileLocked(user, slot uint32, id tiles.VideoID, payload []b
 			Trace:     traceID,
 			Payload:   payload[lo:hi],
 		}
-		wire := p.Encode(s.encBuf)
-		var f PacketFault
-		if faults != nil {
-			f = faults.PacketFault()
+		hold := f.Hold && !haveHeld
+		into := s.heldBuf
+		if !hold {
+			var err error
+			if into, err = s.stage(HeaderSize + hi - lo); err != nil {
+				return err
+			}
 		}
-		if f.Drop || s.shaper.Drop() {
-			s.mu.Lock()
-			s.dropped++
-			s.mu.Unlock()
-			cDropped.Inc()
-			continue
-		}
-		if f.CorruptXOR != 0 && len(wire) > 0 {
+		wire := p.Encode(into)
+		if f.CorruptXOR != 0 {
 			pos := f.CorruptPos % len(wire)
 			if pos < 0 {
 				pos += len(wire)
 			}
 			wire[pos] ^= f.CorruptXOR
 		}
-		if f.Hold && !haveHeld {
-			s.heldBuf = append(s.heldBuf[:0], wire...)
+		if hold {
+			s.heldBuf = wire
 			haveHeld = true
 			continue
 		}
-		if err := emit(wire); err != nil {
+		if err := s.staged(); err != nil {
 			return err
 		}
 		if f.Duplicate {
-			if err := emit(wire); err != nil {
+			if err := s.emit(wire); err != nil {
 				return err
 			}
 		}
 		if haveHeld {
-			if err := emit(s.heldBuf); err != nil {
+			if err := s.emit(s.heldBuf); err != nil {
 				return err
 			}
 			haveHeld = false
 		}
 	}
 	if haveHeld {
-		if err := emit(s.heldBuf); err != nil {
+		if err := s.emit(s.heldBuf); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stage admits the next datagram, n bytes long, and returns the end of the
+// train for the caller to encode it into, followed by a call to staged. The
+// shaper is charged here, per datagram, exactly as when every datagram was
+// its own write; a wait worth sleeping ends the train first, so no datagram
+// is held across a pacing sleep. The train also ends where the next record
+// would break its shape (longer than the first, or following a short one)
+// or its size.
+func (s *Sender) stage(n int) ([]byte, error) {
+	if d := s.shaper.Admit(n, time.Now()); d >= sleepQuantum {
+		if err := s.writeTrain(); err != nil {
+			return nil, err
+		}
+		time.Sleep(d)
+	}
+	lastShort := len(s.train) < s.segs*s.segSize
+	if s.segs > 0 && (n > s.segSize || lastShort || len(s.train)+n > trainBytes) {
+		if err := s.writeTrain(); err != nil {
+			return nil, err
+		}
+	}
+	if s.segs == 0 {
+		s.segSize = n
+	}
+	s.segs++
+	at := len(s.train)
+	s.train = s.train[:at+n]
+	return s.train[at:], nil
+}
+
+// staged follows the encoding of the record stage returned: a full train is
+// written at once, which where maxSegs is 1 is every datagram, right after
+// its admission.
+func (s *Sender) staged() error {
+	if s.segs < s.maxSegs {
+		return nil
+	}
+	return s.writeTrain()
+}
+
+// emit stages a copy of an encoded datagram: a duplicate, or the held one.
+// wire may be a record of the train itself, which stage may have just
+// written out and rewound; the bytes are still there and copy allows the
+// overlap.
+func (s *Sender) emit(wire []byte) error {
+	rec, err := s.stage(len(wire))
+	if err != nil {
+		return err
+	}
+	copy(rec, wire)
+	return s.staged()
+}
+
+// writeTrain writes the staged train, as one segmented datagram where it
+// holds several records and the socket takes that, and empties it whatever
+// the outcome. A socket that refuses a segmented write queued none of it:
+// the train is replayed one datagram per write and the sender stays on
+// single writes from then on. The transmit ledger and counters move here,
+// once per train.
+func (s *Sender) writeTrain() error {
+	train, segs, segSize, drops := s.train, s.segs, s.segSize, s.pendingDrops
+	s.train, s.segs, s.pendingDrops = s.train[:0], 0, 0
+	if segs == 0 && drops == 0 {
+		return nil
+	}
+	var err error
+	sent, sentBytes, writes, fellBack := 0, 0, 0, false
+	if segs > 1 {
+		if err = s.segWrite(train, segSize); err == nil {
+			sent, sentBytes, writes = segs, len(train), 1
+		} else if segmentRefused(err) {
+			s.maxSegs, fellBack, err = 1, true, nil
+		}
+	}
+	for off := sentBytes; off < len(train) && err == nil; {
+		end := min(off+segSize, len(train))
+		if s.udp != nil {
+			_, err = s.udp.WriteToUDPAddrPort(train[off:end], s.dstAP)
+		} else {
+			_, err = s.conn.WriteTo(train[off:end], s.dst)
+		}
+		if err == nil {
+			sent, sentBytes, writes = sent+1, end, writes+1
+			off = end
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("transport: send fragment: %w", err)
+	}
+
+	s.mu.Lock()
+	s.sentPkts += sent
+	s.sentBytes += sentBytes
+	s.dropped += drops
+	cPackets, cBytes, cDropped, cWrites, cFallback := s.cPackets, s.cBytes, s.cDropped, s.cWrites, s.cFallback
+	s.mu.Unlock()
+	cPackets.Add(uint64(sent))
+	cBytes.Add(uint64(sentBytes))
+	cDropped.Add(uint64(drops))
+	cWrites.Add(uint64(writes))
+	if fellBack {
+		cFallback.Inc()
+	}
+	return err
 }
 
 // Stats returns cumulative transmit counters.
