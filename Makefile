@@ -49,14 +49,16 @@ test:
 # interleavings a run happens to take. The fleet Controller's tests have no
 # sockets and no sleeps, so twenty passes at three GOMAXPROCS cost seconds
 # and their verdict cannot depend on the wall clock; the slot step's tests
-# are the same kind. internal/transport's senders share one socket, as the
-# server's sessions do; its tests (the train path's among them) run at three
-# GOMAXPROCS.
+# are the same kind, and so are internal/knapsack's (the sorted-seed
+# differentials and the scratch-reuse gates; twenty passes, about a minute). internal/transport's senders
+# share one socket, as the server's sessions do; its tests (the train path's
+# among them) run at three GOMAXPROCS.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
+	$(GO) test -race -count=20 ./internal/knapsack
 	$(GO) test -race -cpu 1,2,4 ./internal/transport
 
 # What CI runs (see .github/workflows/ci.yml).
@@ -69,17 +71,19 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration compile-and-run of the Solve benchmarks (CI keeps them
-# building and panicking-free without paying for a full measurement).
+# One-iteration compile-and-run of the Solve and SeedSort benchmarks (CI
+# keeps them building and panicking-free without paying for a full
+# measurement).
 bench-smoke:
-	$(GO) test -run '^$$' -bench Solve -benchtime 1x ./internal/knapsack ./internal/core
+	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core
 
-# Brief native fuzzing of the greedy differential, the DP, the coordinator
-# log, the two wire decoders and the chaos profile parser (~10 s each) on top
+# Brief native fuzzing of the greedy differential, the seed order, the DP,
+# the coordinator log, the two wire decoders and the chaos profile parser (~10 s each) on top
 # of the checked-in seed corpora under testdata/fuzz (the profile parser
 # seeds from examples/chaos).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
+	$(GO) test -run '^$$' -fuzz '^FuzzSeedOrder$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 10s ./internal/transport

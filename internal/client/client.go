@@ -180,6 +180,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial server: %w", err)
 	}
+	return runOn(cfg, raw, udp, setupStart)
+}
+
+// runOn is Run past the dial: the handshake and the session over an
+// established control connection (which it closes) and UDP socket.
+func runOn(cfg Config, raw net.Conn, udp *net.UDPConn, setupStart time.Time) (*Result, error) {
 	ctrl := transport.NewConn(raw)
 
 	if err := ctrl.Send(transport.Hello{
@@ -248,15 +254,22 @@ type runner struct {
 	endCh   chan struct{}
 }
 
-// send delivers one control message over the current connection. During a
-// reconnect window sends fail silently and the message is lost — the same
-// contract as a dropped datagram; the server's NACK/ACK machinery absorbs it.
-func (c *runner) send(msg any) error {
+// conn is the current control connection (the reader swaps it on reconnect).
+func (c *runner) conn() *transport.Conn {
 	c.ctrlMu.Lock()
-	ctrl := c.ctrl
-	c.ctrlMu.Unlock()
-	return ctrl.Send(msg)
+	defer c.ctrlMu.Unlock()
+	return c.ctrl
 }
+
+// send queues one control message on the current connection; the tick loop
+// writes a tick's messages together with flush. During a reconnect window
+// flushes fail silently and the messages are lost, as are any queued on a
+// connection that is swapped out before its flush — the same contract as a
+// dropped datagram; the server's NACK/ACK machinery absorbs it.
+func (c *runner) send(msg any) error { return c.conn().Queue(msg) }
+
+// flush writes what send queued on the current connection as one write.
+func (c *runner) flush() error { return c.conn().Flush() }
 
 // closeCtrl marks the run as shutting down (so the control reader stops
 // redialing) and closes the live connection.
@@ -398,17 +411,14 @@ func (c *runner) run() (*Result, error) {
 			running = false
 		}
 
-		// Upload the current pose (trace replay). With reconnect enabled a
-		// failed send is a transient outage — the control reader is already
-		// redialing, and it closes endCh if that fails for good.
+		// Upload the current pose (trace replay): first in this tick's
+		// control write, ahead of the displayed slots' NACK, Release and ACK.
 		pose := c.cfg.Trace[localSlot%len(c.cfg.Trace)]
-		if err := c.send(transport.PoseUpdate{
+		_ = c.send(transport.PoseUpdate{
 			User: c.cfg.User,
 			Slot: uint32(localSlot),
 			Pose: pose,
-		}); err != nil && !c.cfg.Reconnect {
-			running = false
-		}
+		})
 		localSlot++
 
 		// Harvest completed tiles into per-slot buckets. Tiles for slots
@@ -461,6 +471,13 @@ func (c *runner) run() (*Result, error) {
 				}
 			}
 			prevMax = maxSlot
+		}
+
+		// One control write per tick. With reconnect enabled a failed write
+		// is a transient outage — the control reader is already redialing,
+		// and it closes endCh if that fails for good.
+		if err := c.flush(); err != nil && !c.cfg.Reconnect {
+			running = false
 		}
 	}
 

@@ -1,15 +1,31 @@
 package knapsack
 
-// This file implements the fast path of Algorithm 1: an incremental,
-// heap-based rewrite of the greedy passes. The reference scan in
-// knapsack.go recomputes all N upgrade scores on every pick, i.e.
-// O(N * picks) score evaluations per pass; the Solver keeps a max-heap of
-// one pending upgrade per item, so each pick costs O(log N) and a full
-// pass is O(N log N + picks * log N).
+import "math"
+
+// This file implements the fast path of Algorithm 1: an incremental rewrite
+// of the greedy passes. The reference scan in knapsack.go recomputes all N
+// upgrade scores on every pick, i.e. O(N * picks) score evaluations per
+// pass; the Solver keeps one pending upgrade per item and always takes the
+// best of them.
 //
-// The Solver is decision-for-decision identical to the reference scan:
-// both rank candidates with upgradeScore and break ties with the rule in
-// betterCandidate (equal score -> lower item index), both accept or
+// The pending upgrades live in two places. The N first-upgrade entries are
+// all known before the first pick, so they are sorted once (sortSeed) and
+// read front to back; only an entry re-pushed after an accepted upgrade goes
+// into a binary max-heap. A pick takes whichever of the sorted list's front
+// and the heap's top is entryBefore the other. A pass reads the whole seed
+// (a budget rejection retires the item and the loop goes on) while well
+// under one upgrade per item is accepted under a binding budget, so the
+// heap stays small and the seed costs O(N) instead of N full-depth
+// sift-downs.
+//
+// entryBefore is a strict total order over live entries (one per item), so
+// "the best pending entry" names one entry whatever structure holds it: the
+// pick sequence is the one a single heap over all entries would pop, and
+// the one the reference scan finds by rescanning.
+//
+// The Solver is therefore decision-for-decision identical to the reference
+// scan: both rank candidates with upgradeScore and break ties with the rule
+// in betterCandidate (equal score -> lower item index), both accept or
 // reject an upgrade with the same quality_verification arithmetic in the
 // same order, so values and weights accumulate through the identical
 // sequence of float64 operations and the returned solutions (and traces)
@@ -17,14 +33,14 @@ package knapsack
 
 // heapEntry is one pending upgrade: the score of raising item from its
 // current level to the next. An item has at most one live entry; entries
-// are consumed on pop and re-pushed only after an accepted upgrade, so the
-// heap never holds stale scores.
+// are consumed when picked and re-pushed only after an accepted upgrade, so
+// neither the seed nor the heap ever holds a stale score.
 type heapEntry struct {
 	score float64
 	item  int32
 }
 
-// entryBefore orders the max-heap: higher score first, ties to the lower
+// entryBefore orders pending upgrades: higher score first, ties to the lower
 // item index — the same total order betterCandidate gives the reference
 // scan.
 func entryBefore(a, b heapEntry) bool {
@@ -76,15 +92,97 @@ func siftDown(h []heapEntry, i int) {
 	}
 }
 
-// heapify builds a valid max-heap in place (Floyd's O(n) algorithm). Because
-// entryBefore is a strict total order over distinct items, the pop sequence
-// of any valid heap over the same entry set is identical — so a heap built
-// here pops bit-identically to one grown by successive heapPush calls, and
-// to the reference scan's pick order.
-func heapify(h []heapEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+// seedKey maps a score to a uint64 whose ascending unsigned order is
+// entryBefore's score order (descending score): IEEE-754 bits with the
+// magnitude of non-negative scores inverted, so +Inf < ... < +0 < -denormal
+// < ... < -Inf. -0 takes +0's key because entryBefore ties them.
+func seedKey(score float64) uint64 {
+	b := math.Float64bits(score)
+	if b == 1<<63 {
+		b = 0
 	}
+	return b ^ (^uint64(int64(b)>>63) >> 1)
+}
+
+// seedInsertionMax is the largest seed ordered by insertion sort; above
+// it the radix sort's fixed cost (zeroing 8 KB of histograms, a 256-entry
+// prefix sum per digit) is repaid. Measured, not derived: see EXPERIMENTS.md
+// "Serial solve: order the seed once".
+const seedInsertionMax = 48
+
+// sortSeed returns the first-upgrade entries in a, which the caller built in
+// ascending item order, in entryBefore order: in place for a small seed, in
+// solver scratch otherwise. entryBefore is a strict total order over entries
+// of distinct items, so there is one such arrangement and it is the sequence
+// a heap over the same entries would pop. Both kernels are stable, which is
+// how equal scores keep ascending item index.
+func (s *Solver) sortSeed(a []heapEntry) []heapEntry {
+	if len(a) > seedInsertionMax {
+		return s.radixSortSeed(a)
+	}
+	for i := 1; i < len(a); i++ {
+		e := a[i]
+		j := i
+		for ; j > 0 && entryBefore(e, a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = e
+	}
+	return a
+}
+
+// radixSortSeed is an LSD byte radix sort on seedKey. What moves through the
+// passes is a 4-byte position into a, not the 16-byte entry: the keys stay
+// put and the entries are gathered once at the end. It is its own function
+// so that the histograms are on the stack of large solves only.
+func (s *Solver) radixSortSeed(a []heapEntry) []heapEntry {
+	n := len(a)
+	if len(s.keys) < n {
+		s.keys = make([]uint64, cap(a))
+		s.order = make([]uint32, 2*cap(a))
+		s.sorted = make([]heapEntry, cap(a))
+	}
+	keys := s.keys[:n]
+	from, to := s.order[:n], s.order[n:2*n]
+	var hist [8][256]uint32
+	for i := range a {
+		k := seedKey(a[i].score)
+		keys[i] = k
+		from[i] = uint32(i)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	for d := range hist {
+		h := &hist[d]
+		shift := uint(8 * d)
+		if int(h[byte(keys[0]>>shift)]) == n {
+			// Every key agrees on this digit, so the pass would move
+			// nothing. Scores of one pass share a sign and most exponent
+			// bits, which drops the top byte or two.
+			continue
+		}
+		var sum uint32
+		for v, c := range h {
+			h[v], sum = sum, sum+c
+		}
+		for _, pos := range from {
+			v := byte(keys[pos] >> shift)
+			to[h[v]] = pos
+			h[v]++
+		}
+		from, to = to, from
+	}
+	sorted := s.sorted[:n]
+	for i, pos := range from {
+		sorted[i] = a[pos]
+	}
+	return sorted
 }
 
 // Solver runs the greedy passes of Algorithm 1 with reusable scratch
@@ -99,9 +197,13 @@ func heapify(h []heapEntry) {
 //
 // The zero value is ready to use.
 type Solver struct {
-	heap []heapEntry
-	bufD []int // density-pass levels (also Combined's density branch)
-	bufV []int // value-pass levels (also Combined's value branch)
+	seed   []heapEntry // first-upgrade entries in item order
+	sorted []heapEntry // the radix sort's output
+	keys   []uint64    // seedKey per seed entry
+	order  []uint32    // two ping-pong position buffers
+	heap   []heapEntry // entries re-pushed after an accepted upgrade
+	bufD   []int       // density-pass levels (also Combined's density branch)
+	bufV   []int       // value-pass levels (also Combined's value branch)
 }
 
 // run executes one greedy pass over p, storing levels in *buf (grown as
@@ -122,18 +224,26 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 	}
 	*buf = levels
 
-	h := s.heap[:0]
+	seed := s.seed[:0]
 	for i := 0; i < n; i++ {
 		it := &p.Items[i]
 		if it.Levels() > 1 {
-			h = append(h, heapEntry{score: upgradeScore(it, 1, kind), item: int32(i)})
+			seed = append(seed, heapEntry{score: upgradeScore(it, 1, kind), item: int32(i)})
 		}
 	}
-	heapify(h)
+	s.seed = seed
+	seed = s.sortSeed(seed)
 
-	for len(h) > 0 {
+	// Every live entry is either unread in seed or in h; the next pop is
+	// whichever front is entryBefore the other.
+	h := s.heap[:0]
+	for len(seed) > 0 || len(h) > 0 {
 		var e heapEntry
-		e, h = heapPop(h)
+		if len(h) > 0 && (len(seed) == 0 || entryBefore(h[0], seed[0])) {
+			e, h = heapPop(h)
+		} else {
+			e, seed = seed[0], seed[1:]
+		}
 		if e.score < 0 {
 			// "if eta < 0 then I = {}": the best remaining upgrade is
 			// unprofitable, so every remaining one is too. For the
@@ -149,17 +259,19 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 					Gain:   it.Values[old] - it.Values[old-1],
 					Reason: RejectUnprofitable,
 				})
-				for _, f := range h {
-					i := int(f.item)
-					old := levels[i]
-					it := &p.Items[i]
-					tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, Alternative{
-						Item:   i,
-						Level:  old + 1,
-						Score:  f.score,
-						Gain:   it.Values[old] - it.Values[old-1],
-						Reason: RejectUnprofitable,
-					})
+				for _, pending := range [2][]heapEntry{seed, h} {
+					for _, f := range pending {
+						i := int(f.item)
+						old := levels[i]
+						it := &p.Items[i]
+						tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, Alternative{
+							Item:   i,
+							Level:  old + 1,
+							Score:  f.score,
+							Gain:   it.Values[old] - it.Values[old-1],
+							Reason: RejectUnprofitable,
+						})
+					}
 				}
 			}
 			break

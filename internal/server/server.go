@@ -806,6 +806,18 @@ func (s *Server) retireSession(sess *session) {
 	handedOff := sess.handoff
 	sess.mu.Unlock()
 
+	// Counted before the session leaves the map, so an observer that sees it
+	// gone sees it counted.
+	s.metrics.sessionsActive.Add(-1)
+	if handedOff {
+		s.metrics.handoffsOut.Inc()
+	} else {
+		s.metrics.sessionsLeft.Inc()
+		if served > 0 {
+			s.metrics.sessionMeanQ.Observe(meanQ)
+		}
+	}
+
 	s.mu.Lock()
 	current := false
 	if cur, ok := s.sessions[sess.user]; ok && cur == sess {
@@ -824,15 +836,6 @@ func (s *Server) retireSession(sess *session) {
 	}
 	sess.ctrl.Close()
 	sess.closeSend()
-	s.metrics.sessionsActive.Add(-1)
-	if handedOff {
-		s.metrics.handoffsOut.Inc()
-		return
-	}
-	s.metrics.sessionsLeft.Inc()
-	if served > 0 {
-		s.metrics.sessionMeanQ.Observe(meanQ)
-	}
 }
 
 // sendLoop transmits one slot's tile batch at a time, absorbing the

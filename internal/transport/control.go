@@ -123,8 +123,9 @@ type Conn struct {
 	// rd holds a whole frame, so Recv decodes in place from its buffer.
 	rd *bufio.Reader
 
-	sendMu sync.Mutex
-	wbuf   []byte // encode scratch, guarded by sendMu
+	sendMu  sync.Mutex
+	wbuf    []byte // encode scratch, guarded by sendMu
+	pending []byte // whole frames queued for the next write, guarded by sendMu
 }
 
 // NewConn wraps an established TCP connection.
@@ -132,20 +133,64 @@ func NewConn(raw net.Conn) *Conn {
 	return &Conn{raw: raw, rd: bufio.NewReaderSize(raw, 2+MaxControlFrame)}
 }
 
-// Send writes one control message: a Hello, Welcome, PoseUpdate, TileACK,
-// Release or Nack value.
+// Send writes one control message — a Hello, Welcome, PoseUpdate, TileACK,
+// Release or Nack value — behind anything queued, in the same write.
 func (c *Conn) Send(msg any) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	frame, err := appendFrame(c.wbuf[:0], msg)
-	c.wbuf = frame[:0]
+	err := c.queueLocked(msg)
 	if err == nil {
-		_, err = c.raw.Write(frame)
+		err = c.flushLocked()
 	}
 	if err != nil {
 		return fmt.Errorf("transport: send control: %w", err)
 	}
 	return nil
+}
+
+// Queue encodes msg behind the frames already queued and writes nothing:
+// Flush (or the next Send) hands them to the connection in one write, in
+// queueing order. A message that does not encode is refused and leaves the
+// queue as it was.
+func (c *Conn) Queue(msg any) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	if err := c.queueLocked(msg); err != nil {
+		return fmt.Errorf("transport: queue control: %w", err)
+	}
+	return nil
+}
+
+// Flush writes the queued frames, if any, as one write. Whatever the write
+// reports, the queue is empty afterwards: the stream behind a failed write
+// is not one to append to.
+func (c *Conn) Flush() error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	if err := c.flushLocked(); err != nil {
+		return fmt.Errorf("transport: flush control: %w", err)
+	}
+	return nil
+}
+
+// queueLocked encodes into wbuf first because appendFrame sets the length at
+// buf[0]: it cannot append to frames already in pending.
+func (c *Conn) queueLocked(msg any) error {
+	frame, err := appendFrame(c.wbuf[:0], msg)
+	c.wbuf = frame[:0]
+	if err == nil {
+		c.pending = append(c.pending, frame...)
+	}
+	return err
+}
+
+func (c *Conn) flushLocked() error {
+	if len(c.pending) == 0 {
+		return nil
+	}
+	_, err := c.raw.Write(c.pending)
+	c.pending = c.pending[:0]
+	return err
 }
 
 // Recv reads the next control message, blocking until one arrives or the

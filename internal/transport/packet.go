@@ -60,9 +60,9 @@ var (
 	ErrBadChecksum = errors.New("transport: checksum mismatch")
 )
 
-// checksumBlock is the most bytes checksum sums between folds: 128 words of
-// 0xFF put 128*510 = 65280 in a 16-bit lane, the last count that fits.
-const checksumBlock = 128 * 8
+// checksumBlock is the most bytes checksum sums between folds: 256 words of
+// 0xFF put 256*255 = 65280 in a 16-bit lane, the last count that fits.
+const checksumBlock = 256 * 8
 
 // checksum is the 16-bit additive checksum carried in header bytes 30-31:
 // the sum of every datagram byte with the checksum field taken as zero. It is
@@ -70,10 +70,11 @@ const checksumBlock = 128 * 8
 // injectors, or real on a radio link) is counted and dropped at Decode
 // instead of feeding garbage tiles into reassembly.
 //
-// The sum runs eight bytes at a time: a word's even and odd bytes are added
-// as four 16-bit lanes, each gaining at most 2*0xFF per word, and the lanes are
-// folded into the wide sum every checksumBlock bytes, before one could carry
-// into its neighbour.
+// The sum runs four 8-byte words at a time: the words' even bytes are added
+// as four 16-bit lanes of one accumulator and their odd bytes as four lanes
+// of another, each lane gaining at most 0xFF per word, and both are folded
+// into the wide sum every checksumBlock bytes, before a lane could carry into
+// its neighbour.
 func checksum(data []byte) uint16 {
 	const (
 		lanes16 = 0x00FF00FF00FF00FF
@@ -91,14 +92,23 @@ func checksum(data []byte) uint16 {
 			block = block[:checksumBlock]
 		}
 		block = block[:len(block)&^7]
-		var acc uint64
-		for i := 0; i < len(block); i += 8 {
-			w := binary.LittleEndian.Uint64(block[i:])
-			acc += w&lanes16 + (w>>8)&lanes16
-		}
-		acc = acc&lanes32 + (acc>>16)&lanes32
-		sum += acc&0xFFFFFFFF + acc>>32
 		data = data[len(block):]
+		var even, odd uint64
+		for ; len(block) >= 32; block = block[32:] {
+			w0 := binary.LittleEndian.Uint64(block)
+			w1 := binary.LittleEndian.Uint64(block[8:])
+			w2 := binary.LittleEndian.Uint64(block[16:])
+			w3 := binary.LittleEndian.Uint64(block[24:])
+			even += w0&lanes16 + w1&lanes16 + w2&lanes16 + w3&lanes16
+			odd += (w0>>8)&lanes16 + (w1>>8)&lanes16 + (w2>>8)&lanes16 + (w3>>8)&lanes16
+		}
+		for ; len(block) >= 8; block = block[8:] {
+			w := binary.LittleEndian.Uint64(block)
+			even += w & lanes16
+			odd += (w >> 8) & lanes16
+		}
+		acc := even&lanes32 + (even>>16)&lanes32 + odd&lanes32 + (odd>>16)&lanes32
+		sum += acc&0xFFFFFFFF + acc>>32
 	}
 	for _, b := range data {
 		sum += uint64(b)
