@@ -52,10 +52,13 @@ test:
 # are the same kind, and so are internal/knapsack's (the sorted-seed
 # differentials and the scratch-reuse gates; twenty passes, about a minute). internal/transport's senders
 # share one socket, as the server's sessions do; its tests (the train path's
-# among them) run at three GOMAXPROCS.
+# among them) run at three GOMAXPROCS. internal/testbed drives the whole
+# live rig (load.RunLive: server, clients, slot clock); ten passes catch a
+# race or a flaky verdict that one pass would miss.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
+	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
 	$(GO) test -race -count=20 ./internal/knapsack
@@ -212,11 +215,12 @@ health-baseline:
 	$(GO) run ./cmd/collabvr-health -write-baseline results/health_baseline.json \
 		results/health_smoke.jsonl
 
-# Non-test Go lines of the packages ROADMAP item 5 shrinks, so each of its
-# PRs reports the same count (internal/step holds the slot step moved out of
-# sim, load and server).
+# Non-test Go lines: first the packages ROADMAP item 7 shrinks, so each of
+# its PRs reports the same count (internal/step holds the slot step moved
+# out of sim, load and server), then the whole tree outside bench/.
 loc:
-	@cat $$(find internal/load internal/fleet internal/sim internal/step internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l
+	@echo "subset: $$(cat $$(find internal/load internal/fleet internal/sim internal/step internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l)"
+	@echo "tree outside bench/: $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*') | wc -l)"
 
 clean:
 	rm -f results/results_bench.txt results/results_bench_full.txt \

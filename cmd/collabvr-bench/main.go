@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -397,7 +398,9 @@ func figSim(users int, seed int64, full bool, rec *obs.Recorder) error {
 	return nil
 }
 
-// figTestbed runs the Section VI real-system experiment.
+// figTestbed runs the Section VI real-system experiment: by default
+// EXPERIMENTS.md's recipe (1200 slots of 8 ms, 5 repeats), with -full the
+// paper's real-time 60 Hz slots.
 func figTestbed(setupID int, seed int64, full bool) error {
 	setup := testbed.Setup1()
 	if setupID == 2 {
@@ -405,22 +408,21 @@ func figTestbed(setupID int, seed int64, full bool) error {
 	}
 	cfg := testbed.Config{
 		Setup:        setup,
-		Slots:        900,
+		Slots:        1200,
 		SlotDuration: 8 * time.Millisecond,
 		Seed:         seed,
 		Params:       core.DefaultSystemParams(),
 	}
-	repeats := 2
+	const repeats = 5 // the paper's repetition count
 	if full {
 		cfg.Slots = 3600
 		cfg.SlotDuration = time.Second / 60
-		repeats = 5 // the paper's repetition count
 	}
-	fmt.Printf("# Fig %d: real-system run on %s (%d slots x %d repeats)\n",
-		setupID+6, setup.Name, cfg.Slots, repeats)
+	fmt.Printf("# Fig %d: real-system run on %s (%d slots of %v x %d repeats, seed %d)\n",
+		setupID+6, setup.Name, cfg.Slots, cfg.SlotDuration, repeats, seed)
 
-	names := []string{"proposed", "firefly", "pavq"}
-	agg := make([]metrics.Report, len(names))
+	names := []string{"proposed", "firefly", "pavq"} // testbed.RunAll's order
+	runs := make([][]metrics.Report, len(names))     // one aggregate per repeat
 	for rep := 0; rep < repeats; rep++ {
 		cfg.Seed = seed + int64(rep)*1009
 		results, err := testbed.RunAll(cfg)
@@ -428,28 +430,20 @@ func figTestbed(setupID int, seed int64, full bool) error {
 			return err
 		}
 		for i, r := range results {
-			agg[i].QoE += r.Aggregate.QoE / float64(repeats)
-			agg[i].Quality += r.Aggregate.Quality / float64(repeats)
-			agg[i].Delay += r.Aggregate.Delay / float64(repeats)
-			agg[i].Variance += r.Aggregate.Variance / float64(repeats)
-			agg[i].Coverage += r.Aggregate.Coverage / float64(repeats)
-			agg[i].FPSFrac += r.Aggregate.FPSFrac / float64(repeats)
+			runs[i] = append(runs[i], r.Aggregate)
 		}
 	}
+	agg := make([]metrics.Report, len(runs))
+	for i := range runs {
+		agg[i] = metrics.Mean(runs[i])
+	}
 	fmt.Print(metrics.FormatComparison("average per-user metrics (delay in ms)",
-		names, agg, 1000/cfg.SlotDuration.Seconds()/1000))
+		names, agg, 1/cfg.SlotDuration.Seconds()))
 	if agg[1].QoE != 0 && agg[2].QoE != 0 {
 		fmt.Printf("QoE improvement of proposed: vs firefly %+.1f%%, vs pavq %+.1f%%\n",
-			(agg[0].QoE-agg[1].QoE)/abs(agg[1].QoE)*100,
-			(agg[0].QoE-agg[2].QoE)/abs(agg[2].QoE)*100)
+			(agg[0].QoE-agg[1].QoE)/math.Abs(agg[1].QoE)*100,
+			(agg[0].QoE-agg[2].QoE)/math.Abs(agg[2].QoE)*100)
 	}
 	fmt.Println()
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -1,8 +1,6 @@
 package load
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -66,14 +64,12 @@ type FleetLiveConfig struct {
 // sessions migrate to the survivors through the Welcome-resume path
 // instead of being dropped.
 func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
-	if len(w.Sessions) == 0 {
-		return nil, fmt.Errorf("load: empty workload")
+	report := &FleetReport{RunReport: RunReport{Mode: "fleet-live"}}
+	rig, err := newLiveRig(w, cfg.Live, &report.RunReport)
+	if err != nil {
+		return nil, err
 	}
-	sps := w.Cfg.SlotsPerSecond
-	if sps <= 0 {
-		sps = 60
-	}
-	cfg.Live = cfg.Live.withDefaults(sps)
+	cfg.Live = rig.cfg
 	if cfg.Shards <= 0 {
 		cfg.Shards = 3
 	}
@@ -87,11 +83,8 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	lm := newLoadMetrics(cfg.Live.Metrics)
-
-	nets := newSessionNets(w, cfg.Live, start)
-	base := cfg.Live.serverConfig(w, nil, nets) // per-shard allocators via NewAllocator
+	report.Scorer = scorer.Name()
+	base := cfg.Live.serverConfig(w, nil, rig.nets) // per-shard allocators via NewAllocator
 
 	live, err := fleet.NewLive(fleet.LiveConfig{
 		Shards:           cfg.Shards,
@@ -114,19 +107,6 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 		cfg.CoordDebug(live.CoordStatus)
 	}
 
-	report := &FleetReport{
-		RunReport: RunReport{
-			Mode:         "fleet-live",
-			Algorithm:    cfg.Live.AllocName,
-			HorizonSlots: w.Cfg.HorizonSlots,
-			Spawned:      len(w.Sessions),
-		},
-		Scorer: scorer.Name(),
-	}
-
-	var wg sync.WaitGroup
-	tally := liveTally{report: &report.RunReport, lm: lm}
-
 	launch := func(spec SessionSpec) {
 		shard, err := live.Place(fleet.SessionInfo{
 			ID:         spec.ID,
@@ -134,45 +114,33 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 			DemandMbps: base.InitialUserMbps,
 		})
 		if err != nil {
-			tally.mu.Lock()
+			rig.mu.Lock()
 			report.Failed++
 			report.PlacementsFailed++
-			tally.mu.Unlock()
-			lm.failed.Inc()
+			rig.mu.Unlock()
+			rig.lm.failed.Inc()
 			cfg.Live.Logf("loadgen: session %d: %v", spec.ID, err)
 			return
 		}
-		tally.start()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		rig.run(spec.ID, func() (*client.Result, error) {
+			defer live.Forget(spec.ID)
 			ccfg := cfg.Live.clientConfig(w, spec, live.ShardAddr(shard))
 			// Migration is a forced redial: reconnect is not optional in a
 			// fleet, and the Redirect hook tracks the owning shard.
 			ccfg.Reconnect = true
 			ccfg.Redirect = func() string { return live.Addr(spec.ID) }
-			res, err := client.Run(ccfg)
-			if err != nil {
-				cfg.Live.Logf("loadgen: session %d: %v", spec.ID, err)
-			}
-			live.Forget(spec.ID)
-			tally.end(res, err)
-		}()
+			return client.Run(ccfg)
+		})
 	}
 
 	ticker := time.NewTicker(cfg.Live.SlotDuration)
-	next := 0
 	for slot := 0; slot < w.Cfg.HorizonSlots; slot++ {
 		now := <-ticker.C
 		// Faults land before this slot's placements and tick, like the
 		// virtual-time engine: a leader killed here is already dead when the
 		// fleet proposes, and an arrival never lands on a shard dying now.
 		live.ApplyFaults(cfg.Live.Chaos, slot)
-		for next < len(w.Sessions) && w.Sessions[next].ArriveSlot <= slot {
-			launch(w.Sessions[next])
-			next++
-		}
-		driveNets(nets, w.Sessions[:next], slot, now)
+		rig.arrive(slot, now, launch)
 		live.Tick(slot)
 		// Registry/SLO sampling rides the coordinator's clock so the
 		// stored series share the fleet series' slot axis.
@@ -188,14 +156,7 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 	if err := live.Close(); err != nil {
 		cfg.Live.Logf("loadgen: fleet close: %v", err)
 	}
-	wg.Wait()
-	report.WallSec = time.Since(start).Seconds()
-	sortOutcomes(report.Outcomes)
-	if h := cfg.Live.Metrics.Histogram("collabvr_server_slot_decision_ms", obs.DefaultLatencyBuckets()); h.Count() > 0 {
-		report.SlotDecisionP50Ms = h.Quantile(0.50)
-		report.SlotDecisionP99Ms = h.Quantile(0.99)
-	}
-
+	rig.finish()
 	report.setControl(live.Outcome())
 	return report, nil
 }

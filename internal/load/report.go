@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/server"
 )
 
 // SessionOutcome is the measured result of one completed session.
@@ -54,7 +56,13 @@ type RunReport struct {
 	DegradedSlots int
 	// Outcomes holds every completed session, sorted by ID.
 	Outcomes []SessionOutcome
+
+	serverStats []server.UserStats
 }
+
+// ServerStats returns the server's per-user counters at the end of a
+// RunLive run (nil for the other engines).
+func (r *RunReport) ServerStats() []server.UserStats { return r.serverStats }
 
 // MeanSlotQuality averages SlotQuality over [from, to) (slot indexes are
 // clamped to the recorded range; returns 0 when the window is empty).

@@ -51,7 +51,7 @@ func (m *loadMetrics) observeOutcome(o SessionOutcome) {
 // LiveConfig parametrizes a live workload execution: a real
 // internal/server.Server on loopback sockets, one emulated client per
 // session, per-session token-bucket shaping driven by each session's
-// assigned network trace.
+// assigned network trace or by a Topology.
 type LiveConfig struct {
 	Params core.Params
 	// NewAllocator builds the server's allocator; nil means the paper's
@@ -71,6 +71,9 @@ type LiveConfig struct {
 	LossProb float64
 	// Unshaped disables per-session token buckets (pure server-limit runs).
 	Unshaped bool
+	// Topology, when non-nil, shapes a (shaped) run as the paper's testbed
+	// instead of by the sessions' network traces.
+	Topology *Topology
 	// Metrics receives server, client and harness instruments (shared
 	// registry); nil disables.
 	Metrics *obs.Registry
@@ -93,8 +96,8 @@ type LiveConfig struct {
 	// Breaker, when non-nil, is handed to the server for SLO-driven quality
 	// capping; requires SLO.
 	Breaker *obs.Breaker
-	// RetryPolicy forwards to server.Config.RetryPolicy (NACK backoff and
-	// abandonment); zero keeps immediate retransmission.
+	// RetryPolicy, when enabled, turns loss handling on: clients NACK lost
+	// tiles and the server retransmits them under it. Zero sends no NACK.
 	RetryPolicy transport.RetryPolicy
 	// Reconnect enables the clients' control-channel redial path.
 	Reconnect bool
@@ -105,7 +108,7 @@ type LiveConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c LiveConfig) withDefaults(sps float64) LiveConfig {
+func (c LiveConfig) withDefaults(w *Workload) LiveConfig {
 	if c.Params.Levels == 0 {
 		c.Params = core.DefaultSystemParams()
 	}
@@ -122,7 +125,10 @@ func (c LiveConfig) withDefaults(sps float64) LiveConfig {
 		c.BudgetMbps = 400
 	}
 	if c.SlotDuration <= 0 {
-		c.SlotDuration = time.Duration(float64(time.Second) / sps)
+		c.SlotDuration = time.Second / 60
+		if sps := w.Cfg.SlotsPerSecond; sps > 0 {
+			c.SlotDuration = time.Duration(float64(time.Second) / sps)
+		}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -131,17 +137,27 @@ func (c LiveConfig) withDefaults(sps float64) LiveConfig {
 }
 
 // sessionNet is the per-session transmit path: the session's token bucket
-// (rate driven by its network trace), optional i.i.d. loss, and optional
-// chaos faults. It implements transport.Shaper, and transport.FaultInjector
-// by delegation — the Sender detects the latter and consults it per packet.
+// (rate driven along caps), a Topology's router behind it, optional i.i.d.
+// loss and chaos faults. It implements transport.Shaper, and
+// transport.FaultInjector by delegation, which the Sender consults per packet.
 type sessionNet struct {
 	bucket *netem.TokenBucket
+	router *netem.TokenBucket // nil without a Topology
 	loss   *netem.LossModel
 	inj    *chaos.Injector // nil without a chaos profile
 	caps   []float64
 }
 
-func (n *sessionNet) Admit(size int, now time.Time) time.Duration { return n.bucket.Admit(size, now) }
+// Admit charges the packet to the session's link and its router; it waits
+// for the slower of the two.
+func (n *sessionNet) Admit(size int, now time.Time) time.Duration {
+	wait := n.bucket.Admit(size, now)
+	if n.router != nil {
+		wait = max(wait, n.router.Admit(size, now))
+	}
+	return wait
+}
+
 func (n *sessionNet) Drop() bool {
 	if n.loss == nil {
 		return false
@@ -152,29 +168,45 @@ func (n *sessionNet) PacketFault() transport.PacketFault { return n.inj.PacketFa
 
 // newSessionNets builds every session's shaping state before any server
 // starts, so ShaperFor is a pure lookup; it is keyed by session, so it follows
-// a session across shards. Empty when the run is unshaped.
-func newSessionNets(w *Workload, cfg LiveConfig, start time.Time) map[uint32]*sessionNet {
+// a session across shards. Empty when the run is unshaped. A Topology's cap
+// table, drawn from the workload seed + 1, replaces the network traces.
+func newSessionNets(w *Workload, cfg LiveConfig, start time.Time) (map[uint32]*sessionNet, error) {
 	nets := make(map[uint32]*sessionNet, len(w.Sessions))
-	if cfg.Unshaped {
-		return nets
+	topo := cfg.Topology
+	if topo != nil && (cfg.Unshaped || topo.Routers < 1 || len(topo.Throttles) == 0) {
+		return nil, fmt.Errorf("load: a Topology needs a shaped run, routers and throttles")
 	}
-	for _, spec := range w.Sessions {
-		caps := w.CapSlots(spec)
-		n := &sessionNet{
-			bucket: netem.NewTokenBucket(caps[0], 16<<10, start),
-			caps:   caps,
+	if cfg.Unshaped {
+		return nets, nil
+	}
+	var table [][]float64
+	var routers []*netem.TokenBucket
+	if topo != nil {
+		table = topo.caps(len(w.Sessions), w.Cfg.HorizonSlots, w.Cfg.Seed+1)
+		for range topo.Routers {
+			routers = append(routers, netem.NewTokenBucket(cfg.BudgetMbps/float64(topo.Routers), routerBurst, start))
 		}
+	}
+	for i, spec := range w.Sessions {
+		n := &sessionNet{}
+		if topo != nil {
+			n.caps = table[i][spec.ArriveSlot:spec.DepartSlot]
+			n.router = routers[i%topo.Routers]
+		} else {
+			n.caps = w.CapSlots(spec)
+		}
+		n.bucket = netem.NewTokenBucket(n.caps[0], linkBurst, start)
 		if cfg.LossProb > 0 {
 			n.loss = netem.NewLossModel(cfg.LossProb, w.Cfg.Seed+int64(spec.ID)*131)
 		}
 		n.inj = chaos.NewInjector(cfg.Chaos, spec.ID)
 		nets[spec.ID] = n
 	}
-	return nets
+	return nets, nil
 }
 
-// driveNets moves each launched session's shaping rate along its network
-// trace at slot.
+// driveNets moves each launched session's shaping rate along its caps at
+// slot.
 func driveNets(nets map[uint32]*sessionNet, launched []SessionSpec, slot int, now time.Time) {
 	if len(nets) == 0 {
 		return
@@ -203,6 +235,7 @@ func (cfg LiveConfig) serverConfig(w *Workload, alloc core.Allocator, nets map[u
 	sc.Params = cfg.Params
 	sc.SlotDuration = cfg.SlotDuration
 	sc.TotalSlots = w.Cfg.HorizonSlots
+	sc.SizeModelSeed = uint64(w.Cfg.Seed)
 	sc.MaxSessions = cfg.MaxSessions
 	sc.Metrics = cfg.Metrics
 	sc.Recorder = cfg.Recorder
@@ -211,6 +244,7 @@ func (cfg LiveConfig) serverConfig(w *Workload, alloc core.Allocator, nets map[u
 	sc.SLO = cfg.SLO
 	sc.Breaker = cfg.Breaker
 	sc.RetryPolicy = cfg.RetryPolicy
+	sc.RetransmitOnNack = cfg.RetryPolicy.Enabled()
 	sc.Chaos = chaos.NewServerInjector(cfg.Chaos)
 	sc.Logf = cfg.Logf
 	if !cfg.Unshaped {
@@ -233,38 +267,79 @@ func (cfg LiveConfig) clientConfig(w *Workload, spec SessionSpec, addr string) c
 	ccfg.Metrics = cfg.Metrics
 	ccfg.Tracer = cfg.Tracer
 	ccfg.Reconnect = cfg.Reconnect
+	ccfg.NackLost = cfg.RetryPolicy.Enabled()
 	return ccfg
 }
 
-// liveTally is a live run's session accounting: client goroutines report
-// into the run's RunReport and load metrics under one lock.
-type liveTally struct {
+// liveRig is what RunLive and RunLiveFleet share: the defaulted config, the
+// sessions' transmit paths, and the client goroutines, which report into the
+// run's RunReport and load metrics under mu.
+type liveRig struct {
+	w       *Workload
+	cfg     LiveConfig
+	started time.Time
+	nets    map[uint32]*sessionNet
+	next    int // the first session not yet launched
+	wg      sync.WaitGroup
+
 	mu     sync.Mutex
 	active int
 	report *RunReport
 	lm     loadMetrics
 }
 
-func (t *liveTally) start() {
-	t.mu.Lock()
-	t.active++
-	if t.active > t.report.PeakConcurrent {
-		t.report.PeakConcurrent = t.active
+// newLiveRig defaults cfg for w, builds the sessions' transmit paths and
+// starts the report's session accounting.
+func newLiveRig(w *Workload, cfg LiveConfig, report *RunReport) (*liveRig, error) {
+	if len(w.Sessions) == 0 {
+		return nil, fmt.Errorf("load: empty workload")
 	}
-	t.mu.Unlock()
-	t.lm.active.Add(1)
-	t.lm.spawned.Inc()
+	r := &liveRig{w: w, cfg: cfg.withDefaults(w), started: time.Now(), report: report}
+	r.lm = newLoadMetrics(r.cfg.Metrics)
+	report.Algorithm, report.HorizonSlots, report.Spawned = r.cfg.AllocName, w.Cfg.HorizonSlots, len(w.Sessions)
+	var err error
+	r.nets, err = newSessionNets(w, r.cfg, r.started)
+	return r, err
 }
 
-func (t *liveTally) end(res *client.Result, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.active--
-	t.lm.active.Add(-1)
+// arrive launches every session arriving by slot, then moves the launched
+// sessions' links along their caps.
+func (r *liveRig) arrive(slot int, now time.Time, launch func(SessionSpec)) {
+	for r.next < len(r.w.Sessions) && r.w.Sessions[r.next].ArriveSlot <= slot {
+		launch(r.w.Sessions[r.next])
+		r.next++
+	}
+	driveNets(r.nets, r.w.Sessions[:r.next], slot, now)
+}
+
+// run plays a session on its own goroutine; play runs its client.
+func (r *liveRig) run(id uint32, play func() (*client.Result, error)) {
+	r.mu.Lock()
+	r.active++
+	r.report.PeakConcurrent = max(r.report.PeakConcurrent, r.active)
+	r.mu.Unlock()
+	r.lm.active.Add(1)
+	r.lm.spawned.Inc()
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		res, err := play()
+		if err != nil {
+			r.cfg.Logf("loadgen: session %d: %v", id, err)
+		}
+		r.end(res, err)
+	}()
+}
+
+func (r *liveRig) end(res *client.Result, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.active--
+	r.lm.active.Add(-1)
 	if err != nil || res == nil || res.Slots == 0 {
 		// Errored, or rejected by backpressure before serving a slot.
-		t.report.Failed++
-		t.lm.failed.Inc()
+		r.report.Failed++
+		r.lm.failed.Inc()
 		return
 	}
 	out := SessionOutcome{
@@ -278,10 +353,21 @@ func (t *liveTally) end(res *client.Result, err error) {
 		MissFrac: 1 - res.Report.FPSFrac,
 		SetupMs:  res.SetupMs,
 	}
-	t.report.Outcomes = append(t.report.Outcomes, out)
-	t.report.Completed++
-	t.lm.completed.Inc()
-	t.lm.observeOutcome(out)
+	r.report.Outcomes = append(r.report.Outcomes, out)
+	r.report.Completed++
+	r.lm.completed.Inc()
+	r.lm.observeOutcome(out)
+}
+
+// finish waits for every client and completes the report.
+func (r *liveRig) finish() {
+	r.wg.Wait()
+	r.report.WallSec = time.Since(r.started).Seconds()
+	sortOutcomes(r.report.Outcomes)
+	if h := r.cfg.Metrics.Histogram("collabvr_server_slot_decision_ms", obs.DefaultLatencyBuckets()); h.Count() > 0 {
+		r.report.SlotDecisionP50Ms = h.Quantile(0.50)
+		r.report.SlotDecisionP99Ms = h.Quantile(0.99)
+	}
 }
 
 // RunLive executes the workload against a live server over loopback
@@ -291,74 +377,42 @@ func (t *liveTally) end(res *client.Result, err error) {
 // ends when the horizon's slots have elapsed on the server; stragglers are
 // drained by the server shutdown.
 func RunLive(w *Workload, cfg LiveConfig) (*RunReport, error) {
-	if len(w.Sessions) == 0 {
-		return nil, fmt.Errorf("load: empty workload")
+	report := &RunReport{Mode: "live"}
+	rig, err := newLiveRig(w, cfg, report)
+	if err != nil {
+		return nil, err
 	}
-	sps := w.Cfg.SlotsPerSecond
-	if sps <= 0 {
-		sps = 60
-	}
-	cfg = cfg.withDefaults(sps)
-	start := time.Now()
-	lm := newLoadMetrics(cfg.Metrics)
-
-	nets := newSessionNets(w, cfg, start)
-	srvCfg := cfg.serverConfig(w, cfg.NewAllocator(), nets)
+	cfg = rig.cfg
+	srvCfg := cfg.serverConfig(w, cfg.NewAllocator(), rig.nets)
 	srvCfg.BudgetMbps = cfg.BudgetMbps
 	srv, err := server.New(srvCfg)
 	if err != nil {
 		return nil, err
 	}
-
-	report := &RunReport{
-		Mode:         "live",
-		Algorithm:    cfg.AllocName,
-		HorizonSlots: w.Cfg.HorizonSlots,
-		Spawned:      len(w.Sessions),
-	}
-
-	var wg sync.WaitGroup
-	tally := liveTally{report: report, lm: lm}
-
 	launch := func(spec SessionSpec) {
-		tally.start()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := client.Run(cfg.clientConfig(w, spec, srv.ControlAddr()))
-			if err != nil {
-				cfg.Logf("loadgen: session %d: %v", spec.ID, err)
-			}
-			tally.end(res, err)
-		}()
+		rig.run(spec.ID, func() (*client.Result, error) {
+			return client.Run(cfg.clientConfig(w, spec, srv.ControlAddr()))
+		})
 	}
 
-	// Slot-clock scheduler: launches arrivals and drives each active
-	// session's shaping rate along its network trace.
-	schedDone := make(chan struct{})
-	go func() {
-		defer close(schedDone)
-		ticker := time.NewTicker(cfg.SlotDuration)
-		defer ticker.Stop()
-		slot := 0
-		next := 0
-		for slot < w.Cfg.HorizonSlots {
-			select {
-			case <-srv.Done():
-				return
-			case now := <-ticker.C:
-				for next < len(w.Sessions) && w.Sessions[next].ArriveSlot <= slot {
-					launch(w.Sessions[next])
-					next++
-				}
-				driveNets(nets, w.Sessions[:next], slot, now)
-				slot++
-			}
+	// Slot k starts k slot durations after the server: slot-0 sessions join
+	// before its first slot (a tick later halves a testbed user's QoE, the
+	// client's display clock never catching up with the server's slots).
+	ticker := time.NewTicker(cfg.SlotDuration)
+	now := time.Now()
+clock:
+	for slot := 0; slot < w.Cfg.HorizonSlots; slot++ {
+		rig.arrive(slot, now, launch)
+		select {
+		case <-srv.Done():
+			break clock
+		case now = <-ticker.C:
 		}
-	}()
+	}
+	ticker.Stop()
 
 	<-srv.Done()
-	<-schedDone
+	report.serverStats = srv.Stats()
 	if cfg.DrainTimeout > 0 {
 		if !srv.Drain(cfg.DrainTimeout) {
 			cfg.Logf("loadgen: drain timed out with unflushed sessions")
@@ -367,12 +421,6 @@ func RunLive(w *Workload, cfg LiveConfig) (*RunReport, error) {
 	if err := srv.Close(); err != nil {
 		cfg.Logf("loadgen: server close: %v", err)
 	}
-	wg.Wait()
-	report.WallSec = time.Since(start).Seconds()
-	sortOutcomes(report.Outcomes)
-	if h := cfg.Metrics.Histogram("collabvr_server_slot_decision_ms", obs.DefaultLatencyBuckets()); h.Count() > 0 {
-		report.SlotDecisionP50Ms = h.Quantile(0.50)
-		report.SlotDecisionP99Ms = h.Quantile(0.99)
-	}
+	rig.finish()
 	return report, nil
 }

@@ -126,26 +126,37 @@ type Report struct {
 
 // Aggregate averages the per-user metrics of a run.
 func Aggregate(users []*UserQoE) Report {
-	var r Report
-	if len(users) == 0 {
-		return r
+	reports := make([]Report, len(users))
+	for i, u := range users {
+		reports[i] = Report{QoE: u.QoE(), Quality: u.AvgQuality(), Delay: u.AvgDelay(),
+			Variance: u.Variance(), Coverage: u.CoverageRate(), FPSFrac: u.FrameRate()}
 	}
-	for _, u := range users {
-		r.QoE += u.QoE()
-		r.Quality += u.AvgQuality()
-		r.Delay += u.AvgDelay()
-		r.Variance += u.Variance()
-		r.Coverage += u.CoverageRate()
-		r.FPSFrac += u.FrameRate()
+	return Mean(reports)
+}
+
+// Mean averages reports field by field — per-user reports into a run's, or
+// runs' into a multi-repeat figure. It returns the zero Report for none.
+func Mean(reports []Report) Report {
+	var m Report
+	if len(reports) == 0 {
+		return m
 	}
-	n := float64(len(users))
-	r.QoE /= n
-	r.Quality /= n
-	r.Delay /= n
-	r.Variance /= n
-	r.Coverage /= n
-	r.FPSFrac /= n
-	return r
+	for _, r := range reports {
+		m.QoE += r.QoE
+		m.Quality += r.Quality
+		m.Delay += r.Delay
+		m.Variance += r.Variance
+		m.Coverage += r.Coverage
+		m.FPSFrac += r.FPSFrac
+	}
+	n := float64(len(reports))
+	m.QoE /= n
+	m.Quality /= n
+	m.Delay /= n
+	m.Variance /= n
+	m.Coverage /= n
+	m.FPSFrac /= n
+	return m
 }
 
 // FormatComparison renders a table of named reports, one per algorithm, the

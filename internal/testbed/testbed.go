@@ -1,24 +1,21 @@
-// Package testbed orchestrates the real-system experiments of Section VI:
-// an in-process edge server plus N emulated smartphone clients communicating
-// over real loopback UDP/TCP sockets, with token-bucket throttles standing
-// in for the Linux TC rate limits and router capacities of the paper's
-// physical testbed. Setup 1 is 8 users behind one router (400 Mbps); setup
-// 2 is 15 users behind two bridged routers (800 Mbps) with extra rate
-// variance from wireless interference.
+// Package testbed reproduces the real-system experiments of Section VI on
+// the one live rig, load.RunLive: an in-process edge server plus N emulated
+// smartphone clients over real loopback UDP/TCP sockets, with the paper's
+// physical testbed — per-user Linux TC throttles behind shared routers — as
+// a load.Topology. Setup 1 is 8 users behind one router (400 Mbps); setup 2
+// is 15 users behind two bridged routers (800 Mbps) with extra rate
+// variance from wireless interference. `collabvr-bench -fig 7|8` prints
+// both comparisons.
 package testbed
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/load"
 	"repro/internal/metrics"
-	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/server"
 	"repro/internal/transport"
 )
@@ -30,8 +27,9 @@ type Setup struct {
 	Routers int
 	// ServerBudgetMbps is B(t) (paper: 400 for setup 1, 800 for setup 2).
 	ServerBudgetMbps float64
-	// Throttles are the per-user shaping rates, assigned round-robin after
-	// a seeded shuffle (paper: {40, 45, 50, 55, 60} Mbps).
+	// Throttles are the per-user shaping rates, assigned round-robin: user
+	// u's link is Throttles[u % len(Throttles)] (paper: {40, 45, 50, 55,
+	// 60} Mbps).
 	Throttles []float64
 	// JitterFrac is the amplitude of the time-varying rate perturbation;
 	// the two-router setup suffers more variance from interference.
@@ -77,9 +75,6 @@ type Config struct {
 	SlotDuration time.Duration
 	Seed         int64
 	Params       core.Params
-	// ClientParams weight the client-side QoE accounting; zero value means
-	// derive from Params.
-	ClientParams metrics.QoEParams
 	// LossHandling enables the Discussion-section extension: clients NACK
 	// fragment-lost tiles and the server retransmits them.
 	LossHandling bool
@@ -99,6 +94,8 @@ type Result struct {
 }
 
 // Run executes one algorithm on the given setup and returns its result.
+// Every user joins at slot 0 and stays for the whole run; an error from any
+// client fails the run.
 func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("testbed: Slots must be positive")
@@ -106,155 +103,37 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 	if cfg.SlotDuration <= 0 {
 		cfg.SlotDuration = time.Second / 60
 	}
-	if cfg.Params.Levels == 0 {
-		cfg.Params = core.DefaultSystemParams()
-	}
-	if cfg.ClientParams == (metrics.QoEParams{}) {
-		cfg.ClientParams = metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta}
-	}
 	setup := cfg.Setup
-	if setup.Users <= 0 || setup.Routers <= 0 {
-		return nil, fmt.Errorf("testbed: setup needs users and routers")
+	w := &load.Workload{Cfg: load.Config{Seed: cfg.Seed, HorizonSlots: cfg.Slots, SlotsPerSecond: 1 / cfg.SlotDuration.Seconds()}}
+	for u := 0; u < setup.Users; u++ {
+		w.Sessions = append(w.Sessions, load.SessionSpec{ID: uint32(u), DepartSlot: cfg.Slots, Scene: u % 2, MotionSeed: cfg.Seed})
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	now := time.Now()
-
-	// Router buckets: the shared capacity of each router.
-	// Bucket bursts are kept small (a few MTUs) so that pacing — not burst
-	// absorption — shapes the stream; this is what makes the client's
-	// first-to-last packet delay measurement and the server's goodput-based
-	// throughput estimate meaningful, as on a real throttled link.
-	routers := make([]*netem.TokenBucket, setup.Routers)
-	perRouter := setup.ServerBudgetMbps / float64(setup.Routers)
-	for i := range routers {
-		routers[i] = netem.NewTokenBucket(perRouter, 16<<10, now)
+	live := load.LiveConfig{
+		Params:       cfg.Params,
+		NewAllocator: func() core.Allocator { return alloc },
+		AllocName:    allocName,
+		BudgetMbps:   setup.ServerBudgetMbps,
+		SlotDuration: cfg.SlotDuration,
+		LossProb:     setup.LossProb,
+		Topology:     &load.Topology{Routers: setup.Routers, Throttles: setup.Throttles, Fade: setup.JitterFrac},
 	}
-
-	// Per-user throttles: shuffled assignment from the guideline list.
-	userRate := make([]float64, setup.Users)
-	for i := range userRate {
-		userRate[i] = setup.Throttles[rng.Intn(len(setup.Throttles))]
+	if cfg.LossHandling {
+		live.RetryPolicy = transport.DefaultRetryPolicy(cfg.SlotDuration)
 	}
-	userBuckets := make([]*netem.TokenBucket, setup.Users)
-	for i := range userBuckets {
-		userBuckets[i] = netem.NewTokenBucket(userRate[i], 4<<10, now)
+	rep, err := load.RunLive(w, live)
+	if err == nil && rep.Failed > 0 {
+		err = fmt.Errorf("%d of %d clients failed", rep.Failed, rep.Spawned)
 	}
-
-	// Time-varying capacity: besides small per-interval jitter, links
-	// suffer sustained fades — the wireless-interference behaviour that
-	// makes the two-router setup hostile to estimation-driven algorithms
-	// in the paper's Fig. 8. Fade probability and depth scale with
-	// JitterFrac.
-	jitterStop := make(chan struct{})
-	var jitterWG sync.WaitGroup
-	jitterWG.Add(1)
-	go func() {
-		defer jitterWG.Done()
-		jrng := rand.New(rand.NewSource(cfg.Seed + 1))
-		fadeLeft := make([]int, setup.Users) // remaining fade intervals
-		fadeDepth := make([]float64, setup.Users)
-		ticker := time.NewTicker(10 * cfg.SlotDuration)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-jitterStop:
-				return
-			case <-ticker.C:
-				t := time.Now()
-				for i, b := range userBuckets {
-					if fadeLeft[i] > 0 {
-						fadeLeft[i]--
-					} else if jrng.Float64() < setup.JitterFrac*0.25 {
-						// Enter a fade lasting 4-12 intervals (40-120
-						// slots) with depth growing with JitterFrac.
-						fadeLeft[i] = 4 + jrng.Intn(9)
-						floor := 1 - 2.8*setup.JitterFrac
-						if floor < 0.1 {
-							floor = 0.1
-						}
-						fadeDepth[i] = floor + jrng.Float64()*(0.6-floor)
-						if fadeDepth[i] < floor {
-							fadeDepth[i] = floor
-						}
-					}
-					factor := 1 + jrng.NormFloat64()*0.08
-					if fadeLeft[i] > 0 {
-						factor = fadeDepth[i] * (1 + jrng.NormFloat64()*0.05)
-					}
-					if factor < 0.05 {
-						factor = 0.05
-					}
-					b.SetRate(userRate[i]*factor, t)
-				}
-			}
-		}
-	}()
-	defer func() {
-		close(jitterStop)
-		jitterWG.Wait()
-	}()
-
-	// The server shapes each user's stream through its throttle and its
-	// router, with i.i.d. loss.
-	shaperFor := func(user uint32) transport.Shaper {
-		u := int(user) % setup.Users
-		router := routers[u%setup.Routers]
-		loss := netem.NewLossModel(setup.LossProb, cfg.Seed+int64(user)*131)
-		return transport.ChainShaper{
-			bucketShaper{userBuckets[u]},
-			bucketShaper{router},
-			lossShaper{loss},
-		}
-	}
-
-	srvCfg := server.DefaultConfig(alloc)
-	srvCfg.Params = cfg.Params
-	srvCfg.SlotDuration = cfg.SlotDuration
-	srvCfg.BudgetMbps = setup.ServerBudgetMbps
-	srvCfg.TotalSlots = cfg.Slots
-	srvCfg.ShaperFor = shaperFor
-	srvCfg.SizeModelSeed = uint64(cfg.Seed)
-	srvCfg.RetransmitOnNack = cfg.LossHandling
-	srv, err := server.New(srvCfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("testbed: %w", err)
 	}
 
-	// Clients: one goroutine per emulated smartphone, replaying a
-	// generated motion trace.
-	scenes := motion.Scenes()
-	results := make([]*client.Result, setup.Users)
-	errs := make([]error, setup.Users)
-	var wg sync.WaitGroup
-	for u := 0; u < setup.Users; u++ {
-		trace := motion.Generate(scenes[u%2], u, cfg.Slots+64, 1/cfg.SlotDuration.Seconds(), cfg.Seed)
-		ccfg := client.DefaultConfig(uint32(u), srv.ControlAddr(), trace)
-		ccfg.SlotDuration = cfg.SlotDuration
-		ccfg.Params = cfg.ClientParams
-		ccfg.NackLost = cfg.LossHandling
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			results[u], errs[u] = client.Run(ccfg)
-		}(u)
+	res := &Result{Algorithm: allocName, ServerStats: rep.ServerStats()}
+	for _, o := range rep.Outcomes {
+		res.PerUser = append(res.PerUser, metrics.Report{QoE: o.QoE, Quality: o.Quality, Delay: o.DelayMs,
+			Variance: o.Variance, Coverage: o.Coverage, FPSFrac: 1 - o.MissFrac})
 	}
-
-	<-srv.Done()
-	serverStats := srv.Stats()
-	srv.Close() // closes control conns; clients drain and return
-	wg.Wait()
-
-	res := &Result{Algorithm: allocName, ServerStats: serverStats}
-	var users []metrics.Report
-	for u := 0; u < setup.Users; u++ {
-		if errs[u] != nil {
-			return nil, fmt.Errorf("testbed: client %d: %w", u, errs[u])
-		}
-		users = append(users, results[u].Report)
-	}
-	res.PerUser = users
-	res.Aggregate = averageReports(users)
+	res.Aggregate = metrics.Mean(res.PerUser)
 	res.FPS = res.Aggregate.FPSFrac / cfg.SlotDuration.Seconds()
 	return res, nil
 }
@@ -262,59 +141,17 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 // RunAll executes the standard algorithm set (proposed, Firefly, PAVQ) on a
 // setup, reusing the configuration for comparability.
 func RunAll(cfg Config) ([]*Result, error) {
-	algs := []struct {
-		name string
-		mk   func() core.Allocator
-	}{
-		{"proposed", func() core.Allocator { return core.NewSolverAllocator() }},
-		{"firefly", func() core.Allocator { return newFirefly() }},
-		{"pavq", func() core.Allocator { return newPAVQ() }},
-	}
-	out := make([]*Result, 0, len(algs))
-	for _, a := range algs {
-		r, err := Run(cfg, a.name, a.mk())
+	var out []*Result
+	for _, name := range []string{"proposed", "firefly", "pavq"} {
+		mk, err := baseline.Constructor(name)
 		if err != nil {
-			return nil, fmt.Errorf("testbed: %s: %w", a.name, err)
+			return nil, err
+		}
+		r, err := Run(cfg, name, mk())
+		if err != nil {
+			return nil, fmt.Errorf("testbed: %s: %w", name, err)
 		}
 		out = append(out, r)
 	}
 	return out, nil
 }
-
-func averageReports(users []metrics.Report) metrics.Report {
-	var agg metrics.Report
-	if len(users) == 0 {
-		return agg
-	}
-	for _, r := range users {
-		agg.QoE += r.QoE
-		agg.Quality += r.Quality
-		agg.Delay += r.Delay
-		agg.Variance += r.Variance
-		agg.Coverage += r.Coverage
-		agg.FPSFrac += r.FPSFrac
-	}
-	n := float64(len(users))
-	agg.QoE /= n
-	agg.Quality /= n
-	agg.Delay /= n
-	agg.Variance /= n
-	agg.Coverage /= n
-	agg.FPSFrac /= n
-	return agg
-}
-
-func newFirefly() core.Allocator { return baseline.NewFirefly() }
-func newPAVQ() core.Allocator    { return baseline.NewPAVQ() }
-
-// bucketShaper adapts netem.TokenBucket to transport.Shaper.
-type bucketShaper struct{ b *netem.TokenBucket }
-
-func (s bucketShaper) Admit(n int, now time.Time) time.Duration { return s.b.Admit(n, now) }
-func (s bucketShaper) Drop() bool                               { return false }
-
-// lossShaper adapts netem.LossModel to transport.Shaper.
-type lossShaper struct{ l *netem.LossModel }
-
-func (s lossShaper) Admit(int, time.Time) time.Duration { return 0 }
-func (s lossShaper) Drop() bool                         { return s.l.Drop() }
