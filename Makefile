@@ -96,12 +96,12 @@ fuzz-smoke:
 # Regenerate every paper figure (scaled down; ~minutes).
 figures:
 	@mkdir -p results
-	$(GO) run ./cmd/collabvr-bench | tee results/results_bench.txt
+	$(GO) run ./cmd/collabvr-figures | tee results/results_bench.txt
 
 # Paper-scale parameters (much longer; run on an idle machine).
 figures-full:
 	@mkdir -p results
-	$(GO) run ./cmd/collabvr-bench -full | tee results/results_bench_full.txt
+	$(GO) run ./cmd/collabvr-figures -full | tee results/results_bench_full.txt
 
 # Load-harness smoke (< 30 s): a live loopback run with ~100 churning
 # sessions plus a record/replay determinism check, then a sim-mode capacity
@@ -130,7 +130,7 @@ chaos-smoke:
 		-chaos examples/chaos/smoke.json
 
 # Tracing smoke (< 30 s): a sim-mode loadgen run with span export on,
-# asserting the exporter dropped nothing, then the span-analysis CLI over
+# asserting the exporter dropped nothing, then collabvr-inspect spans over
 # the exported JSONL (it exits nonzero on malformed or empty input).
 trace-smoke:
 	@mkdir -p results
@@ -138,23 +138,23 @@ trace-smoke:
 		-sessions 50 -slots 240 -slo -span-out results/smoke_spans.jsonl \
 		| tee results/smoke_spans.txt
 	grep -q 'dropped 0' results/smoke_spans.txt
-	$(GO) run ./cmd/collabvr-spans results/smoke_spans.jsonl
+	$(GO) run ./cmd/collabvr-inspect spans results/smoke_spans.jsonl
 
 # Regret/tournament smoke (< 30 s): record a seeded sim run's decisions
 # with counterfactuals and the DP regret reference, attribute them with
-# collabvr-regret, then run the deterministic policy tournament twice and
-# assert the two ranked tables are byte-identical.
+# collabvr-inspect regret, then run the deterministic policy tournament
+# twice and assert the two ranked tables are byte-identical.
 regret-smoke:
 	@mkdir -p results
 	$(GO) run ./cmd/collabvr-loadgen -arrivals steady -sessions 6 -slots 240 \
 		-budget 60 -seed 7 -decisions-out results/smoke_decisions.jsonl \
 		-counterfactual-k 3 -regret-ref | tee results/regret_smoke.txt
 	grep -q 'decisions: recorded' results/regret_smoke.txt
-	$(GO) run ./cmd/collabvr-regret results/smoke_decisions.jsonl
-	$(GO) run ./cmd/collabvr-regret -tournament -sessions 4 -slots 120 \
-		-budget 60 -seed 7 -regret-resolution 2 > results/tournament_a.txt
-	$(GO) run ./cmd/collabvr-regret -tournament -sessions 4 -slots 120 \
-		-budget 60 -seed 7 -regret-resolution 2 > results/tournament_b.txt
+	$(GO) run ./cmd/collabvr-inspect regret results/smoke_decisions.jsonl
+	$(GO) run ./cmd/collabvr-loadgen -tournament -regret-ref -counterfactual-k 3 \
+		-sessions 4 -slots 120 -budget 60 -seed 7 -regret-resolution 2 > results/tournament_a.txt
+	$(GO) run ./cmd/collabvr-loadgen -tournament -regret-ref -counterfactual-k 3 \
+		-sessions 4 -slots 120 -budget 60 -seed 7 -regret-resolution 2 > results/tournament_b.txt
 	cmp results/tournament_a.txt results/tournament_b.txt
 	grep -q 'dvgreedy' results/tournament_a.txt
 
@@ -166,13 +166,13 @@ regret-smoke:
 # Welcome-resume migration path end to end.
 fleet-smoke:
 	@mkdir -p results
-	$(GO) run ./cmd/collabvr-fleet -chaos examples/chaos/fleet.json -chaos-check
-	$(GO) run ./cmd/collabvr-fleet -shards 3 -sessions 9 -slots 1200 -seed 42 \
+	$(GO) run ./cmd/collabvr-loadgen -shards 3 -chaos examples/chaos/fleet.json -chaos-check
+	$(GO) run ./cmd/collabvr-loadgen -shards 3 -sessions 9 -slots 1200 -seed 42 \
 		-chaos examples/chaos/fleet.json -verify-recovery | tee results/fleet_smoke.txt
 	grep -q 'degrades-not-drops: OK' results/fleet_smoke.txt
 	grep -q 'determinism: OK' results/fleet_smoke.txt
 	grep -q 'recovery: OK' results/fleet_smoke.txt
-	$(GO) run ./cmd/collabvr-fleet -mode live -shards 2 -sessions 4 \
+	$(GO) run ./cmd/collabvr-loadgen -mode live -shards 2 -sessions 4 \
 		-slots 240 -slotms 10 -budget 300
 
 # Coordinator smoke (< 60 s): validate the coordinator-fault profile, then
@@ -183,8 +183,8 @@ fleet-smoke:
 # exercises the same failover on the real slot clock.
 coord-smoke:
 	@mkdir -p results
-	$(GO) run ./cmd/collabvr-fleet -coordinators 3 -chaos examples/chaos/coordkill.json -chaos-check
-	$(GO) run ./cmd/collabvr-fleet -shards 3 -sessions 9 -slots 1200 -seed 42 \
+	$(GO) run ./cmd/collabvr-loadgen -shards 3 -coordinators 3 -chaos examples/chaos/coordkill.json -chaos-check
+	$(GO) run ./cmd/collabvr-loadgen -shards 3 -sessions 9 -slots 1200 -seed 42 \
 		-coordinators 3 -chaos examples/chaos/coordkill.json -verify-recovery \
 		| tee results/coord_smoke.txt
 	grep -q 'degrades-not-drops: OK' results/coord_smoke.txt
@@ -194,8 +194,8 @@ coord-smoke:
 		./internal/load ./internal/server
 
 # Health smoke (< 60 s): the seeded 3-shard evacuation campaign exports
-# its health time-series (bit-identical per seed), then collabvr-health
-# gates the export against the checked-in baseline — trend drift past the
+# its health time-series (bit-identical per seed), then collabvr-inspect
+# health gates the export against the checked-in baseline — trend drift past the
 # tolerance on any bad-direction series fails the build.
 health-smoke:
 	@mkdir -p results
@@ -203,7 +203,7 @@ health-smoke:
 		-budget 300 -seed 5 -evac -health-out results/health_smoke.jsonl \
 		| tee results/health_smoke.txt
 	grep -q 'health: exported' results/health_smoke.txt
-	$(GO) run ./cmd/collabvr-health -baseline results/health_baseline.json \
+	$(GO) run ./cmd/collabvr-inspect health -baseline results/health_baseline.json \
 		results/health_smoke.jsonl
 
 # Regenerate the checked-in health baseline from the same seeded campaign
@@ -212,15 +212,17 @@ health-baseline:
 	@mkdir -p results
 	$(GO) run ./cmd/collabvr-loadgen -shards 3 -sessions 6 -slots 240 \
 		-budget 300 -seed 5 -evac -health-out results/health_smoke.jsonl
-	$(GO) run ./cmd/collabvr-health -write-baseline results/health_baseline.json \
+	$(GO) run ./cmd/collabvr-inspect health -write-baseline results/health_baseline.json \
 		results/health_smoke.jsonl
 
 # Non-test Go lines: first the packages ROADMAP item 7 shrinks, so each of
 # its PRs reports the same count (internal/step holds the slot step moved
-# out of sim, load and server), then the whole tree outside bench/.
+# out of sim, load and server), then the whole tree outside bench/, then
+# the number of binaries under cmd/.
 loc:
 	@echo "subset: $$(cat $$(find internal/load internal/fleet internal/sim internal/step internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l)"
 	@echo "tree outside bench/: $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*') | wc -l)"
+	@echo "binaries: $$(ls -d cmd/*/ | wc -l)"
 
 clean:
 	rm -f results/results_bench.txt results/results_bench_full.txt \

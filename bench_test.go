@@ -3,7 +3,7 @@
 // workload and reports the headline quantity (mean QoE, mean RTT, ...) via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as the experiment
 // driver. Benchmark sizes are scaled down from the paper's (300 s x 100
-// runs) so a full sweep stays laptop-friendly; cmd/collabvr-bench -full
+// runs) so a full sweep stays laptop-friendly; cmd/collabvr-figures -full
 // runs the paper-scale versions.
 package repro
 

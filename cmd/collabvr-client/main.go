@@ -38,7 +38,7 @@ func run(args []string) error {
 		seconds    = fs.Float64("seconds", 300, "generated trace length")
 		seed       = fs.Int64("seed", 1, "generation seed")
 		ram        = fs.Int("ram", 512, "client RAM threshold in tiles")
-		spanOut    = fs.String("span-out", "", "write client-side request spans to this JSONL file (merge with the server's via collabvr-spans a.jsonl b.jsonl)")
+		spanOut    = fs.String("span-out", "", "write client-side request spans to this JSONL file (merge with the server's via collabvr-inspect spans a.jsonl b.jsonl)")
 		spanSample = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -5,6 +5,16 @@
 // bit-identically, verify the record/replay round trip, and binary-search the
 // server's session capacity against a deadline-miss target.
 //
+// With -shards > 1 the run goes to a sharded fleet: a scored router places
+// arriving sessions, the coordinator rebalances the global budget B(t) across
+// shards, and killed or draining shards migrate their sessions instead of
+// dropping them. -verify-recovery then asserts that a shard or coordinator
+// chaos campaign degrades instead of dropping, reproduces bit for bit and
+// recovers.
+//
+// With -tournament every candidate allocator replays the workload through
+// the virtual-time engine and the ranked fitness table is printed.
+//
 // Usage:
 //
 //	collabvr-loadgen -arrivals poisson -rate 20 -mean-hold 3 -slots 1200
@@ -12,23 +22,30 @@
 //	collabvr-loadgen -record w.jsonl -check-replay
 //	collabvr-loadgen -replay w.jsonl
 //	collabvr-loadgen -find-capacity -miss-target 0.01 -budget 120
+//	collabvr-loadgen -shards 3 -sessions 9 -slots 1200 -seed 42 -chaos examples/chaos/fleet.json -verify-recovery
+//	collabvr-loadgen -mode live -shards 2 -sessions 6 -slotms 10 -evac -health-out h.jsonl
+//	collabvr-loadgen -tournament -regret-ref -counterfactual-k 3 -sessions 8 -budget 80 -seed 7
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/fleet/coord"
 	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
@@ -60,7 +77,7 @@ func run(args []string, out io.Writer) error {
 
 		shards       = fs.Int("shards", 1, "run against a sharded fleet of this many servers (1 = single server)")
 		scorer       = fs.String("scorer", "least-loaded", "fleet placement scorer: least-loaded, locality, slo-burn")
-		coordinators = fs.Int("coordinators", 1, "replicated coordinator size for the fleet owner map (1 = single, no replication cost)")
+		coordinators = fs.Int("coordinators", 1, "replicated coordinator size for the fleet owner map (2f+1 tolerates f crashes; 1 = single, no replication cost)")
 		alpha        = fs.Float64("alpha", 0.1, "QoE delay weight")
 		beta         = fs.Float64("beta", 0.5, "QoE variance weight")
 
@@ -71,48 +88,49 @@ func run(args []string, out io.Writer) error {
 		replay      = fs.String("replay", "", "replay a recorded workload instead of generating one")
 		checkReplay = fs.Bool("check-replay", false, "verify the record/replay round trip is bit-identical, then run")
 
-		findCap    = fs.Bool("find-capacity", false, "binary-search max concurrent sessions under -miss-target")
+		findCap    = fs.Bool("find-capacity", false, "binary-search max concurrent sessions under -miss-target (fleet total and per-shard with -shards > 1)")
 		missTarget = fs.Float64("miss-target", 0.01, "capacity-search deadline-miss rate target")
 		capLo      = fs.Int("cap-lo", 1, "capacity-search floor (sessions)")
 		capHi      = fs.Int("cap-hi", 1024, "capacity-search ceiling (sessions)")
 
-		chaosPath  = fs.String("chaos", "", "chaos profile JSON injecting faults into the run (enables SLO + breaker)")
-		chaosCheck = fs.Bool("chaos-check", false, "validate the -chaos profile, print its schedule, and exit")
-		drainT     = fs.Duration("drain-timeout", 0, "live mode: gracefully drain the server for up to this long before closing (0 = immediate close)")
-		reconnect  = fs.Bool("reconnect", false, "live mode: clients redial the control channel when it drops")
-		httpAddr   = fs.String("http", "", "observability HTTP listen address serving /metrics (empty = disabled)")
-		debug      = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
-		spanOut    = fs.String("span-out", "", "write end-to-end request spans to this JSONL file (analyze with collabvr-spans)")
-		spanSample = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
-		sloOn      = fs.Bool("slo", false, "track per-session QoE SLO burn rates (served on /debug/slo with -http)")
-		verbose    = fs.Bool("v", false, "verbose logging")
+		chaosPath      = fs.String("chaos", "", "chaos profile JSON injecting faults into the run (enables SLO + breaker)")
+		chaosCheck     = fs.Bool("chaos-check", false, "validate the -chaos profile, print its schedule, and exit")
+		verifyRecovery = fs.Bool("verify-recovery", false, "sim mode, -shards > 1: assert the shard/coordinator chaos campaign degrades-not-drops, reproduces bit-for-bit, and recovers tail quality to within 10% of fault-free")
+		drainT         = fs.Duration("drain-timeout", 0, "live mode: gracefully drain the server for up to this long before closing (0 = immediate close)")
+		reconnect      = fs.Bool("reconnect", false, "live mode: clients redial the control channel when it drops")
+		httpAddr       = fs.String("http", "", "observability HTTP listen address serving /metrics, plus /debug/fleet and /debug/coord with -shards > 1 (empty = disabled)")
+		debug          = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
+		spanOut        = fs.String("span-out", "", "write end-to-end request spans to this JSONL file (analyze with collabvr-inspect spans)")
+		spanSample     = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
+		sloOn          = fs.Bool("slo", false, "track per-session QoE SLO burn rates (served on /debug/slo with -http)")
+		verbose        = fs.Bool("v", false, "verbose logging")
 
-		healthOut   = fs.String("health-out", "", "sim mode: write the health-plane time-series export to this JSONL file (analyze with collabvr-health)")
-		healthEvery = fs.Int("health-every", 1, "sim mode: registry/SLO sampling cadence in slots")
-		evacOn      = fs.Bool("evac", false, "sim mode, -shards > 1: enable the SLO-pressure evacuation loop (implies -slo)")
+		healthOut     = fs.String("health-out", "", "sim mode or -shards > 1: write the health-plane time-series export to this JSONL file (analyze with collabvr-inspect health)")
+		healthEvery   = fs.Int("health-every", 1, "registry/SLO health sampling cadence in slots")
+		evacOn        = fs.Bool("evac", false, "-shards > 1: enable the SLO-pressure evacuation loop (implies -slo)")
+		placementsOut = fs.String("placements-out", "", "-shards > 1: write placement-decision records to this JSONL file")
 
-		decisionsOut = fs.String("decisions-out", "", "sim mode: write one decision record per allocated slot to this JSONL file (analyze with collabvr-regret)")
+		decisionsOut = fs.String("decisions-out", "", "sim mode: write one decision record per allocated slot to this JSONL file (analyze with collabvr-inspect regret)")
 		slotsRing    = fs.Int("slots-ring", 1024, "decision flight-recorder ring capacity (served with capacity and drop count on /debug/slots with -http)")
 		counterK     = fs.Int("counterfactual-k", 0, "sim mode: record the top-K unchosen upgrades per decision (0 = off)")
 		regretRef    = fs.Bool("regret-ref", false, "sim mode: score every recorded decision against the per-slot DP optimum (fills the regret fields; slower)")
+		regretRes    = fs.Float64("regret-resolution", 0, "DP budget grid step in Mbps for -regret-ref (0 = budget/2048)")
+
+		tournament = fs.Bool("tournament", false, "rank every candidate allocator on the workload in virtual time instead of running it")
+		asJSON     = fs.Bool("json", false, "with -tournament: emit the ranked result as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q (the workload comes from flags or -replay)", fs.Args())
 	}
 	newAlloc, err := baseline.Constructor(*algo)
 	if err != nil {
 		return err
 	}
-	if *mode != "sim" && *mode != "live" {
-		return fmt.Errorf("unknown mode %q (want sim or live)", *mode)
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1")
-	}
-	if *shards > 1 {
-		if _, err := fleet.ScorerByName(*scorer); err != nil {
-			return err
-		}
+	if _, err := fleet.ScorerByName(*scorer); err != nil {
+		return err
 	}
 	params := core.DefaultSystemParams()
 	params.Alpha = *alpha
@@ -125,11 +143,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if chaosProf.HasShardFaults() && *shards == 1 {
-			return fmt.Errorf("chaos profile %q has shard faults; run with -shards > 1 (or use collabvr-fleet)", chaosProf.Name)
+		if (chaosProf.HasShardFaults() || chaosProf.HasCoordFaults()) && *shards == 1 {
+			return fmt.Errorf("chaos profile %q has shard or coordinator faults; run with -shards > 1", chaosProf.Name)
 		}
-		if chaosProf.HasCoordFaults() && *shards == 1 {
-			return fmt.Errorf("chaos profile %q has coordinator faults; run with -shards > 1 (or use collabvr-fleet)", chaosProf.Name)
+		if m := chaosProf.MaxShard(); m >= *shards {
+			return fmt.Errorf("chaos profile %q targets shard %d but -shards is %d", chaosProf.Name, m, *shards)
 		}
 		if m := chaosProf.MaxReplica(); m >= *coordinators {
 			return fmt.Errorf("chaos profile %q targets coordinator replica %d; run with -coordinators > %d", chaosProf.Name, m, m)
@@ -142,6 +160,29 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, chaosProf.Summary())
 		return nil
 	}
+	recordDecisions := *decisionsOut != "" || *counterK > 0 || *regretRef
+	switch {
+	case *mode != "sim" && *mode != "live":
+		return fmt.Errorf("unknown mode %q (want sim or live)", *mode)
+	case *shards < 1:
+		return fmt.Errorf("-shards must be at least 1")
+	case *evacOn && *shards < 2:
+		return fmt.Errorf("-evac needs -shards > 1 (the loop migrates sessions between shards)")
+	case *placementsOut != "" && *shards < 2:
+		return fmt.Errorf("-placements-out needs -shards > 1")
+	case *healthOut != "" && *mode == "live" && *shards < 2:
+		return fmt.Errorf("-health-out needs -mode sim or -shards > 1 (a single live server samples via its own -health endpoint)")
+	case recordDecisions && *mode != "sim":
+		return fmt.Errorf("-decisions-out/-counterfactual-k/-regret-ref need -mode sim (the live server records via its own -http endpoint)")
+	case *verifyRecovery && *mode != "sim":
+		return fmt.Errorf("-verify-recovery needs -mode sim (determinism is a virtual-time property)")
+	case *verifyRecovery && !chaosProf.HasShardFaults() && !chaosProf.HasCoordFaults():
+		return fmt.Errorf("-verify-recovery needs -chaos with shard_kill/shard_drain or coord_kill/coord_partition faults")
+	case *tournament && (*mode != "sim" || *shards > 1):
+		return fmt.Errorf("-tournament needs -mode sim and one shard (candidates replay the workload in virtual time)")
+	case *asJSON && !*tournament:
+		return fmt.Errorf("-json needs -tournament")
+	}
 
 	base := load.Config{
 		Shape:          load.Shape(*arrivals),
@@ -151,14 +192,6 @@ func run(args []string, out io.Writer) error {
 		Sessions:       *sessions,
 		RatePerSec:     *rate,
 		MeanHoldSec:    *meanHold,
-	}
-
-	wantHealth := *healthOut != "" || *evacOn
-	if wantHealth && *mode != "sim" {
-		return fmt.Errorf("-health-out/-evac need -mode sim (the live server samples via its own -health endpoint)")
-	}
-	if *evacOn && *shards < 2 {
-		return fmt.Errorf("-evac needs -shards > 1 (the loop migrates sessions between shards)")
 	}
 
 	reg := obs.NewRegistry()
@@ -175,10 +208,6 @@ func run(args []string, out io.Writer) error {
 		bcfg := obs.DefaultBreakerConfig()
 		bcfg.Levels = params.Levels
 		brk = obs.NewBreaker(bcfg, reg)
-	}
-	recordDecisions := *decisionsOut != "" || *counterK > 0 || *regretRef
-	if recordDecisions && *mode != "sim" {
-		return fmt.Errorf("-decisions-out/-counterfactual-k/-regret-ref need -mode sim (the live server records via its own -http endpoint)")
 	}
 	var (
 		rec       *obs.Recorder
@@ -199,14 +228,29 @@ func run(args []string, out io.Writer) error {
 		}
 		rec = obs.NewRecorder(ropts)
 	}
+	// The placement recorder exists only when something reads it: its
+	// collabvr_fleet_* counters would otherwise join the health export.
+	var placements *obs.PlacementRecorder
+	if *shards > 1 && (*placementsOut != "" || *httpAddr != "") {
+		popts := obs.PlacementRecorderOptions{RingSize: 512, Metrics: reg}
+		if *placementsOut != "" {
+			f, err := os.Create(*placementsOut)
+			if err != nil {
+				return fmt.Errorf("placement export: %w", err)
+			}
+			defer f.Close()
+			popts.Writer = f
+		}
+		placements = obs.NewPlacementRecorder(popts)
+	}
 	// Health plane: one store for both the fleet series (fed by the fleet
-	// engine) and the registry/SLO samples (fed by the sampler on the
-	// virtual slot clock).
+	// engine) and the registry/SLO samples (fed by the sampler on the slot
+	// clock), so /debug/health and the export are a single document.
 	var (
 		healthStore   *tsdb.Store
 		healthSampler *tsdb.Sampler
 	)
-	if wantHealth {
+	if *healthOut != "" || *evacOn {
 		healthStore = tsdb.New(tsdb.Options{})
 		healthSampler = tsdb.NewSampler(tsdb.SamplerOptions{
 			Store:      healthStore,
@@ -231,6 +275,14 @@ func run(args []string, out io.Writer) error {
 		spanExp = trace.NewExporter(trace.ExporterOptions{Writer: f, Sync: *mode == "sim"})
 		tracer = trace.New(trace.Options{Sample: *spanSample, Exporter: spanExp})
 	}
+	// /debug/fleet and /debug/coord serve the run in progress (placement
+	// counters and tail, the live coordinator's status) and, once it has
+	// finished, its report.
+	var (
+		snapMu      sync.Mutex
+		fleetRep    *load.FleetReport
+		coordStatus func() coord.Status
+	)
 	if *httpAddr != "" {
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
@@ -240,6 +292,36 @@ func run(args []string, out io.Writer) error {
 		mopts := obs.MuxOptions{SLO: slo, Regret: attr, Debug: *debug}
 		if healthStore != nil {
 			mopts.Health = tsdb.Handler(healthStore, nil)
+		}
+		if *shards > 1 {
+			mopts.Fleet = func(n int) obs.FleetSnapshot {
+				f := obs.FleetSnapshot{
+					Scorer:           *scorer,
+					GlobalBudgetMbps: *budget,
+					Placements:       reg.Counter("collabvr_fleet_placements_total").Value(),
+					Migrations:       int(reg.Counter("collabvr_fleet_migrations_total").Value()),
+				}
+				snapMu.Lock()
+				if fleetRep != nil {
+					f = fleetRep.Fleet
+				}
+				snapMu.Unlock()
+				f.Recent = placements.Recent(n)
+				return f
+			}
+			mopts.Coord = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				snapMu.Lock()
+				status, done := coordStatus, fleetRep
+				snapMu.Unlock()
+				var doc any
+				if status != nil {
+					doc = status()
+				} else if done != nil {
+					doc = done.Coord
+				}
+				w.Header().Set("Content-Type", "application/json")
+				_ = writeJSON(w, doc) // a failed write means the client left
+			})
 		}
 		go http.Serve(ln, obs.NewMuxOpts(reg, rec, mopts))
 		fmt.Fprintf(out, "observability on http://%s/metrics\n", ln.Addr())
@@ -255,94 +337,85 @@ func run(args []string, out io.Writer) error {
 	if *slotMs > 0 {
 		slotDur = time.Duration(*slotMs * float64(time.Millisecond))
 	}
-	// Fleet dispatch: -shards > 1 routes the run through the sharded
-	// engines; the last fleet report is kept for the fleet addendum.
-	var fleetRep *load.FleetReport
-	execute := func(w *load.Workload, r *obs.Registry) (*load.RunReport, error) {
-		if *mode == "live" {
-			lcfg := load.LiveConfig{
-				Params:       params,
-				NewAllocator: newAlloc,
-				AllocName:    *algo,
-				BudgetMbps:   *budget,
-				SlotDuration: slotDur,
-				MaxSessions:  *maxSessions,
-				Metrics:      r,
-				Tracer:       tracer,
-				TraceEpoch:   uint64(*seed),
-				SLO:          slo,
-				Chaos:        chaosProf,
-				Breaker:      brk,
-				Reconnect:    *reconnect,
-				DrainTimeout: *drainT,
-				Logf:         logf,
-			}
-			if chaosProf != nil {
-				// Faults on the wire need the adaptive retransmission path;
-				// the retry slot tracks the display-slot clock.
-				retrySlot := slotDur
-				if retrySlot <= 0 && *sps > 0 {
-					retrySlot = time.Duration(float64(time.Second) / *sps)
-				}
-				lcfg.RetryPolicy = transport.DefaultRetryPolicy(retrySlot)
-			}
-			if *shards > 1 {
-				frep, err := load.RunLiveFleet(w, load.FleetLiveConfig{
-					Live:         lcfg,
-					Shards:       *shards,
-					Scorer:       *scorer,
-					Coordinators: *coordinators,
-				})
-				if err != nil {
-					return nil, err
-				}
-				fleetRep = frep
-				return &frep.RunReport, nil
-			}
-			return load.RunLive(w, lcfg)
+	// configs builds every run's engine config from the flags: the measured
+	// run, the capacity probes, the tournament and the verification reruns
+	// all start here; a single-server run uses the Sim or Live field.
+	// withChaos selects the fault schedule; withObs wires the shared
+	// observers. Only the measured run observes, so stateful observers
+	// carried across runs cannot perturb a probe's verdict or a bit-for-bit
+	// comparison.
+	configs := func(withChaos, withObs bool) (load.FleetSimConfig, load.FleetLiveConfig) {
+		sim := load.SimConfig{
+			Params:           params,
+			NewAllocator:     newAlloc,
+			AllocName:        *algo,
+			BudgetMbps:       *budget,
+			CounterfactualK:  *counterK,
+			RegretRef:        *regretRef,
+			RegretResolution: *regretRes,
 		}
-		scfg := load.SimConfig{
+		live := load.LiveConfig{
 			Params:       params,
 			NewAllocator: newAlloc,
 			AllocName:    *algo,
 			BudgetMbps:   *budget,
-			Metrics:      r,
-			Tracer:       tracer,
-			TraceEpoch:   uint64(*seed),
-			SLO:          slo,
-			Chaos:        chaosProf,
-			Breaker:      brk,
+			SlotDuration: slotDur,
+			MaxSessions:  *maxSessions,
+			Reconnect:    *reconnect,
+			DrainTimeout: *drainT,
+			Logf:         logf,
 		}
-		// Decision recording applies to the measured run only, not to
-		// capacity-search probes (which pass a nil registry). Same for
-		// health sampling: probes must not pollute the exported series.
-		if r != nil {
-			scfg.Recorder = rec
-			scfg.CounterfactualK = *counterK
-			scfg.RegretRef = *regretRef
-			scfg.Health = healthSampler
+		fsim := load.FleetSimConfig{Shards: *shards, Scorer: *scorer, Coordinators: *coordinators}
+		flive := load.FleetLiveConfig{Shards: *shards, Scorer: *scorer, Coordinators: *coordinators}
+		if withChaos && chaosProf != nil {
+			sim.Chaos, live.Chaos = chaosProf, chaosProf
+			// Faults on the wire need the adaptive retransmission path;
+			// the retry slot tracks the display-slot clock.
+			retrySlot := slotDur
+			if retrySlot <= 0 && *sps > 0 {
+				retrySlot = time.Duration(float64(time.Second) / *sps)
+			}
+			live.RetryPolicy = transport.DefaultRetryPolicy(retrySlot)
 		}
-		if *shards > 1 {
-			fcfg := load.FleetSimConfig{
-				Sim:          scfg,
-				Shards:       *shards,
-				Scorer:       *scorer,
-				Coordinators: *coordinators,
+		if withObs {
+			sim.Metrics, sim.Tracer, sim.TraceEpoch, sim.SLO, sim.Breaker = reg, tracer, uint64(*seed), slo, brk
+			live.Metrics, live.Tracer, live.TraceEpoch, live.SLO, live.Breaker = reg, tracer, uint64(*seed), slo, brk
+			sim.Recorder, sim.Health = rec, healthSampler
+			evac := fleet.EvacConfig{Enabled: *evacOn}
+			fsim.Recorder, fsim.Health, fsim.Evac = placements, healthStore, evac
+			flive.Recorder, flive.Health, flive.Sampler, flive.Evac = placements, healthStore, healthSampler, evac
+			flive.CoordDebug = func(status func() coord.Status) {
+				snapMu.Lock()
+				coordStatus = status
+				snapMu.Unlock()
 			}
-			if r != nil {
-				fcfg.Health = healthStore
-				if *evacOn {
-					fcfg.Evac = fleet.EvacConfig{Enabled: true}
-				}
-			}
-			frep, err := load.SimulateFleet(w, fcfg)
-			if err != nil {
-				return nil, err
-			}
-			fleetRep = frep
-			return &frep.RunReport, nil
 		}
-		return load.Simulate(w, scfg)
+		fsim.Sim, flive.Live = sim, live
+		return fsim, flive
+	}
+	// execute runs w on the engine the flags select.
+	execute := func(w *load.Workload, withChaos, withObs bool) (*load.RunReport, *load.FleetReport, error) {
+		fsim, flive := configs(withChaos, withObs)
+		var (
+			frep *load.FleetReport
+			err  error
+		)
+		switch {
+		case *shards == 1 && *mode == "live":
+			rep, err := load.RunLive(w, flive.Live)
+			return rep, nil, err
+		case *shards == 1:
+			rep, err := load.Simulate(w, fsim.Sim)
+			return rep, nil, err
+		case *mode == "live":
+			frep, err = load.RunLiveFleet(w, flive)
+		default:
+			frep, err = load.SimulateFleet(w, fsim)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return &frep.RunReport, frep, nil
 	}
 
 	if *findCap {
@@ -361,13 +434,9 @@ func run(args []string, out io.Writer) error {
 				if err != nil {
 					return 0, err
 				}
-				fcfg := load.FleetSimConfig{Shards: nShards, Scorer: *scorer}
-				fcfg.Sim = load.SimConfig{
-					Params:       params,
-					NewAllocator: newAlloc,
-					AllocName:    *algo,
-					BudgetMbps:   globalBudget,
-				}
+				fcfg, _ := configs(false, false)
+				fcfg.Shards = nShards
+				fcfg.Sim.BudgetMbps = globalBudget
 				rep, err := load.SimulateFleet(pw, fcfg)
 				if err != nil {
 					return 0, err
@@ -389,7 +458,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return 0, err
 			}
-			rep, err := execute(pw, nil)
+			rep, _, err := execute(pw, false, false)
 			if err != nil {
 				return 0, err
 			}
@@ -442,20 +511,46 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *checkReplay {
-		if err := verifyReplay(w, *recordPoses, params, newAlloc, *budget); err != nil {
+		fsim, _ := configs(false, false)
+		if err := verifyReplay(w, *recordPoses, fsim.Sim); err != nil {
 			return err
 		}
 		fmt.Fprintln(out, "replay check: OK (byte-identical JSONL, identical replayed report)")
 	}
 
-	rep, err := execute(w, reg)
+	if *tournament {
+		fsim, _ := configs(true, false)
+		res, err := load.RunTournament(w, load.TournamentConfig{Sim: fsim.Sim, SkipRegret: !*regretRef})
+		if err != nil {
+			return err
+		}
+		if *asJSON {
+			return writeJSON(out, res)
+		}
+		fmt.Fprint(out, res.Format())
+		return nil
+	}
+
+	rep, frep, err := execute(w, true, true)
 	if err != nil {
 		return err
 	}
-	if fleetRep != nil {
-		fmt.Fprint(out, fleetRep.FormatFleet())
+	if frep != nil {
+		snapMu.Lock()
+		fleetRep = frep
+		snapMu.Unlock()
+		fmt.Fprint(out, frep.FormatFleet())
 	} else {
 		fmt.Fprint(out, rep.Format())
+	}
+	if *verifyRecovery {
+		fleetCfg := func(withChaos bool) load.FleetSimConfig {
+			fsim, _ := configs(withChaos, false)
+			return fsim
+		}
+		if err := verifyFleetRecovery(out, w, fleetCfg, chaosProf); err != nil {
+			return err
+		}
 	}
 	if spanExp != nil {
 		if err := spanExp.Close(); err != nil {
@@ -472,13 +567,19 @@ func run(args []string, out io.Writer) error {
 		}
 		if *regretRef {
 			regRep := attr.Report()
-			fmt.Fprintf(out, "regret: total %.5f, attributed %.1f%% across %d rows (full report: collabvr-regret %s)\n",
+			fmt.Fprintf(out, "regret: total %.5f, attributed %.1f%% across %d rows (full report: collabvr-inspect regret %s)\n",
 				regRep.TotalRegret, 100*regRep.AttributedFraction, regRep.Rows, *decisionsOut)
 		}
 	}
-	if fleetRep != nil && *evacOn {
+	if *placementsOut != "" {
+		if err := placements.Err(); err != nil {
+			return fmt.Errorf("placement export: %w", err)
+		}
+		fmt.Fprintf(out, "placements: exported %d records to %s\n", placements.Records(), *placementsOut)
+	}
+	if frep != nil && *evacOn {
 		fmt.Fprintf(out, "evac: %d session(s) moved in %d batch(es)\n",
-			fleetRep.Evacuations, fleetRep.EvacBatches)
+			frep.Evacuations, frep.EvacBatches)
 	}
 	if *healthOut != "" {
 		f, err := os.Create(*healthOut)
@@ -514,6 +615,12 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+func writeJSON(out io.Writer, v any) error {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 // faultWindow returns the earliest start and latest bounded end slot across
 // the profile's faults (end 0 when every fault is open-ended).
 func faultWindow(p *chaos.Profile) (start, end int) {
@@ -534,8 +641,7 @@ func faultWindow(p *chaos.Profile) (start, end int) {
 // workload, reading it back, and serializing again must give identical bytes,
 // and simulating the original and the round-tripped workload must give the
 // identical report.
-func verifyReplay(w *load.Workload, poses bool, params core.Params,
-	newAlloc func() core.Allocator, budget float64) error {
+func verifyReplay(w *load.Workload, poses bool, simCfg load.SimConfig) error {
 	var b1 bytes.Buffer
 	if err := w.WriteJSONL(&b1, poses); err != nil {
 		return fmt.Errorf("replay check: %w", err)
@@ -552,7 +658,6 @@ func verifyReplay(w *load.Workload, poses bool, params core.Params,
 		return fmt.Errorf("replay check: JSONL round trip is not byte-identical (%d vs %d bytes)",
 			b1.Len(), b2.Len())
 	}
-	simCfg := load.SimConfig{Params: params, NewAllocator: newAlloc, BudgetMbps: budget}
 	r1, err := load.Simulate(w, simCfg)
 	if err != nil {
 		return fmt.Errorf("replay check: %w", err)
@@ -565,4 +670,78 @@ func verifyReplay(w *load.Workload, poses bool, params core.Params,
 		return fmt.Errorf("replay check: replayed workload produced a different report")
 	}
 	return nil
+}
+
+// verifyFleetRecovery runs the campaign three times on fresh,
+// observer-free configs to assert the resilience contract: shard faults
+// degrade instead of dropping, identical runs reproduce bit for bit, and
+// tail quality recovers to within 10% of the fault-free run.
+func verifyFleetRecovery(out io.Writer, w *load.Workload,
+	fleetCfg func(withChaos bool) load.FleetSimConfig, prof *chaos.Profile) error {
+	faulted, err := load.SimulateFleet(w, fleetCfg(true))
+	if err != nil {
+		return err
+	}
+
+	// Degrades, not drops: every spawned session completed.
+	if faulted.Completed != faulted.Spawned || faulted.Failed > 0 {
+		return fmt.Errorf("verify-recovery: %d/%d sessions completed (%d failed) — shard faults dropped sessions",
+			faulted.Completed, faulted.Spawned, faulted.Failed)
+	}
+	if prof.HasShardFaults() && faulted.Migrations == 0 {
+		return fmt.Errorf("verify-recovery: shard faults migrated no sessions")
+	}
+	fmt.Fprintln(out, "degrades-not-drops: OK")
+
+	// Bit for bit: an identical second run must be deep-equal.
+	again, err := load.SimulateFleet(w, fleetCfg(true))
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(faulted, again) {
+		return fmt.Errorf("verify-recovery: two identical runs produced different reports — determinism broken")
+	}
+	fmt.Fprintln(out, "determinism: OK")
+
+	// Tail quality against the fault-free run, after the migrations settle.
+	clean, err := load.SimulateFleet(w, fleetCfg(false))
+	if err != nil {
+		return err
+	}
+	tailFrom := lastShardFaultSlot(prof) + 100
+	tail := faulted.MeanSlotQuality(tailFrom, len(faulted.SlotQuality))
+	want := clean.MeanSlotQuality(tailFrom, len(clean.SlotQuality))
+	if want <= 0 {
+		return fmt.Errorf("verify-recovery: no tail window after slot %d (horizon %d too short)",
+			tailFrom, faulted.HorizonSlots)
+	}
+	if tail < 0.90*want {
+		return fmt.Errorf("verify-recovery: post-fault tail quality %.3f < 90%% of fault-free %.3f", tail, want)
+	}
+	fmt.Fprintf(out, "recovery: OK (tail quality %.3f vs fault-free %.3f from slot %d)\n", tail, want, tailFrom)
+
+	// Coordinator failover contract: when the campaign kills or partitions
+	// coordinator replicas, every alive replica must still converge to one
+	// owner map (no split brain), and a leader loss must have cost only a
+	// bounded leaderless window.
+	if prof.HasCoordFaults() {
+		co := faulted.Coord
+		if !co.Converged {
+			return fmt.Errorf("verify-recovery: coordinator replicas did not converge — split-brain ownership")
+		}
+		fmt.Fprintf(out, "coord failover: OK (term %d, elections %d, rejected %d, leaderless slots %d, converged)\n",
+			co.Term, co.Elections, co.Rejected, co.LeaderlessSlots)
+	}
+	return nil
+}
+
+// lastShardFaultSlot returns the latest slot a shard fault begins.
+func lastShardFaultSlot(p *chaos.Profile) int {
+	last := 0
+	for _, f := range p.ShardFaults() {
+		if f.StartSlot > last {
+			last = f.StartSlot
+		}
+	}
+	return last
 }

@@ -51,7 +51,7 @@ func run(args []string) error {
 		ringOld    = fs.Int("trace-ring", 0, "deprecated alias for -slots-ring")
 		counterK   = fs.Int("counterfactual-k", 0, "record the top-K unchosen upgrades per slot (0 = off; served on /debug/slots and /debug/regret)")
 		debug      = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
-		spanOut    = fs.String("span-out", "", "write server-side request spans to this JSONL file (analyze with collabvr-spans)")
+		spanOut    = fs.String("span-out", "", "write server-side request spans to this JSONL file (analyze with collabvr-inspect spans)")
 		spanSample = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
 		traceEpoch = fs.Uint64("trace-epoch", 0, "trace-ID epoch salt (clients stitching must share it)")
 		sloOn      = fs.Bool("slo", false, "track per-session QoE SLO burn rates (served on /debug/slo with -http)")

@@ -31,7 +31,7 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 	sampler := tsdb.NewSampler(tsdb.SamplerOptions{Store: store, Registry: reg, SLO: slo})
 
 	// Route the coordinator's fleet series into the same store the sampler
-	// writes, like cmd/collabvr-fleet does: one /debug/health document.
+	// writes, like collabvr-loadgen -shards does: one /debug/health document.
 	base := server.DefaultConfig(nil) // per-shard allocators via NewAllocator
 	base.SlotDuration = 5 * time.Millisecond
 	base.Metrics = reg

@@ -18,7 +18,7 @@ import (
 func newShardAllocator() core.Allocator { return core.NewSolverAllocator() }
 
 // newTestLive builds a 2-shard live fleet with shared observability wired
-// the way cmd/collabvr-fleet does it: one registry, one SLO monitor, one
+// the way collabvr-loadgen -shards does it: one registry, one SLO monitor, one
 // tracer across every shard.
 func newTestLive(t *testing.T, reg *obs.Registry, slo *obs.SLOMonitor,
 	tracer *trace.Tracer, rec *obs.PlacementRecorder) *Live {

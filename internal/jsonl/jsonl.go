@@ -4,7 +4,7 @@
 // document per line, and both are routinely read from files another process
 // is still appending to. A reader that races the writer sees a truncated
 // final line (or several, if the writer buffers); treating that as fatal
-// makes `collabvr-spans live.jsonl` flaky for no good reason. At the same
+// makes `collabvr-inspect spans live.jsonl` flaky for no good reason. At the same
 // time, corruption in the interior of a file — a bad line followed by more
 // good ones — is a real problem worth failing loudly on, not skipping.
 //

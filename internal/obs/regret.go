@@ -66,7 +66,7 @@ type RegretShare struct {
 }
 
 // RegretReport is the attributor's aggregate document (/debug/regret and
-// the collabvr-regret CLI).
+// collabvr-inspect regret).
 type RegretReport struct {
 	Slots       int `json:"slots"`
 	RegretSlots int `json:"regret_slots"`

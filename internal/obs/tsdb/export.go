@@ -127,7 +127,7 @@ func (st *Store) Snapshot() []SeriesSnapshot {
 }
 
 // WriteJSONL writes the snapshot as line-delimited JSON, one series+tier per
-// line — the collabvr-health CLI's input format. Deterministic for a
+// line — collabvr-inspect health's input format. Deterministic for a
 // deterministic store.
 func (st *Store) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)

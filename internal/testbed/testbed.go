@@ -4,7 +4,7 @@
 // physical testbed — per-user Linux TC throttles behind shared routers — as
 // a load.Topology. Setup 1 is 8 users behind one router (400 Mbps); setup 2
 // is 15 users behind two bridged routers (800 Mbps) with extra rate
-// variance from wireless interference. `collabvr-bench -fig 7|8` prints
+// variance from wireless interference. `collabvr-figures -fig 7|8` prints
 // both comparisons.
 package testbed
 

@@ -86,8 +86,10 @@ func TestThrottledUserGetsLowerQuality(t *testing.T) {
 	cfg.Setup.Throttles = []float64{10} // user 0 and 1 both at 10 first...
 	// Assign asymmetric throttles deterministically by overriding after the
 	// shuffle would apply: use two values and a fixed seed such that both
-	// appear.
-	cfg.Setup.Throttles = []float64{8, 80}
+	// appear. The generous link stays slow enough (40 Mbps) that a slot's
+	// tiles take longer than the server's 0.2 ms minimum goodput window to
+	// arrive, so both throughput estimators prime.
+	cfg.Setup.Throttles = []float64{8, 40}
 	res, err := Run(cfg, "proposed", core.NewSolverAllocator())
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ type TraceBreakdown struct {
 	Stages  []StageDur `json:"stages"`
 }
 
-// Analysis is the trace-level aggregation collabvr-spans prints.
+// Analysis is the trace-level aggregation collabvr-inspect spans prints.
 type Analysis struct {
 	Spans  int `json:"spans"`
 	Traces int `json:"traces"`
@@ -277,7 +277,7 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 	return a
 }
 
-// Format renders the analysis as the report collabvr-spans prints.
+// Format renders the analysis as the report collabvr-inspect spans prints.
 func (a *Analysis) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# span analysis: %d spans, %d traces (%d stitched server+client, %d retried)\n",

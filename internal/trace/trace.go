@@ -52,7 +52,7 @@ const (
 
 // SpanRecord is the exported span schema, one JSON line per span. Both the
 // live loopback engine and the virtual-time engine emit this exact schema;
-// cmd/collabvr-spans consumes it.
+// collabvr-inspect spans consumes it.
 type SpanRecord struct {
 	Trace   uint64 `json:"trace"`
 	Span    uint64 `json:"span"`
