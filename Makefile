@@ -39,10 +39,13 @@ lint: vet fmt-check
 # two or more workers fails here rather than on whichever box happens to
 # have the cores. internal/step, the slot step all three drive, runs with
 # them; internal/transport rides along: its allocation gates run a sender
-# beside a receiver.
+# beside a receiver. So do the live data plane's other allocation gates and
+# the tile store's pin hammer (internal/tiles, internal/server,
+# internal/client).
 test:
-	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|step|transport)$$')
-	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/step ./internal/transport
+	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|step|transport|tiles|server|client)$$')
+	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/step ./internal/transport \
+		./internal/tiles ./internal/server ./internal/client
 
 # The fleet engine's shards step concurrently; its worker-count differential
 # runs ten times over under the detector, since a race only shows on the
@@ -54,7 +57,9 @@ test:
 # share one socket, as the server's sessions do; its tests (the train path's
 # among them) run at three GOMAXPROCS. internal/testbed drives the whole
 # live rig (load.RunLive: server, clients, slot clock); ten passes catch a
-# race or a flaky verdict that one pass would miss.
+# race or a flaky verdict that one pass would miss. The tile store's pins
+# are taken and released from the slot workers, the send loops and the
+# prefetcher at once; its hammer runs twenty times at three GOMAXPROCS.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
@@ -63,6 +68,7 @@ race:
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
 	$(GO) test -race -count=20 ./internal/knapsack
 	$(GO) test -race -cpu 1,2,4 ./internal/transport
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/tiles
 
 # What CI runs (see .github/workflows/ci.yml).
 ci: build lint cross test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke

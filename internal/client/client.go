@@ -235,8 +235,15 @@ type runner struct {
 
 	mu      sync.Mutex
 	byslot  map[uint32][]tiles.VideoID // complete tiles per server slot
+	lists   [][]tiles.VideoID          // emptied byslot lists, for the next slots
 	maxSlot uint32
 	anySlot bool
+
+	// Display scratch, touched only by the tick loop: the tiles a slot
+	// releases from RAM and NACKs, and the tiles its actual view needs.
+	released []tiles.VideoID
+	lost     []tiles.VideoID
+	needed   []tiles.TileID
 
 	tilesTotal int
 	bytesTotal int
@@ -421,27 +428,7 @@ func (c *runner) run() (*Result, error) {
 		})
 		localSlot++
 
-		// Harvest completed tiles into per-slot buckets. Tiles for slots
-		// that already displayed (e.g. NACK retransmissions) are
-		// re-bucketed into the next display slot: their frame is gone, but
-		// the content still feeds RAM for upcoming frames.
-		harvest := c.reasm.Flush()
-		for _, tile := range harvest {
-			slot := tile.Slot
-			if slot < processed {
-				slot = processed
-			}
-			c.mu.Lock()
-			c.byslot[slot] = append(c.byslot[slot], tile.VideoID)
-			c.tilesTotal++
-			c.bytesTotal += len(tile.Payload)
-			c.mu.Unlock()
-			c.obs.tiles.Inc()
-			c.obs.bytes.Add(uint64(len(tile.Payload)))
-		}
-		// Only the payloads' lengths are read: the buffers go back to the
-		// reassembler for the next tiles.
-		c.reasm.Reclaim(harvest)
+		c.harvest(processed)
 
 		// Display pipeline. Tiles for server slot t are decoded during t+1
 		// and displayed at t+2 (the paper's pipelining), which here means a
@@ -508,6 +495,31 @@ func (c *runner) run() (*Result, error) {
 	}, nil
 }
 
+// harvest buckets the tiles completed since the last tick by server slot.
+// Tiles for slots already displayed (below processed; NACK retransmissions,
+// say) go to the next display slot: their frame is gone, but the content
+// still feeds RAM for upcoming frames.
+func (c *runner) harvest(processed uint32) {
+	done := c.reasm.Flush()
+	c.mu.Lock()
+	for _, tile := range done {
+		slot := max(tile.Slot, processed)
+		ids, ok := c.byslot[slot]
+		if n := len(c.lists); !ok && n > 0 {
+			ids, c.lists = c.lists[n-1], c.lists[:n-1]
+		}
+		c.byslot[slot] = append(ids, tile.VideoID)
+		c.tilesTotal++
+		c.bytesTotal += len(tile.Payload)
+		c.obs.tiles.Inc()
+		c.obs.bytes.Add(uint64(len(tile.Payload)))
+	}
+	c.mu.Unlock()
+	// Only the payloads' lengths are read: the buffers go back to the
+	// reassembler for the next tiles.
+	c.reasm.Reclaim(done)
+}
+
 // receiveLoop ingests datagrams into the reassembler.
 func (c *runner) receiveLoop(done chan<- struct{}) {
 	defer close(done)
@@ -544,7 +556,8 @@ func (c *runner) receiveLoop(done chan<- struct{}) {
 // slot and reports the ACK.
 func (c *runner) displaySlot(slot uint32) {
 	if c.cfg.NackLost {
-		if lost := c.reasm.Incomplete(slot); len(lost) > 0 {
+		c.lost = c.reasm.IncompleteAppend(c.lost[:0], slot)
+		if lost := c.lost; len(lost) > 0 {
 			c.nacks += len(lost)
 			c.obs.nacks.Add(uint64(len(lost)))
 			_ = c.send(transport.Nack{User: c.cfg.User, Slot: slot, Tiles: lost})
@@ -568,10 +581,11 @@ func (c *runner) displaySlot(slot uint32) {
 
 	// RAM admission: every complete tile enters RAM; evictions are
 	// released to the server.
-	var released []tiles.VideoID
+	released := c.released[:0]
 	for _, id := range ids {
-		released = append(released, c.ram.Add(id)...)
+		released = c.ram.AddAppend(released, id)
 	}
+	c.released = released
 	if len(released) > 0 {
 		c.releases += len(released)
 		c.obs.releases.Add(uint64(len(released)))
@@ -626,6 +640,12 @@ func (c *runner) displaySlot(slot uint32) {
 		Covered:   covered && decodable,
 		Displayed: displayed,
 	})
+	// Queue encoded the ACK and kept nothing: the list serves a later slot.
+	if ids != nil {
+		c.mu.Lock()
+		c.lists = append(c.lists, ids[:0])
+		c.mu.Unlock()
+	}
 }
 
 // coverage checks whether the tiles needed by the actual FoV are available
@@ -634,7 +654,8 @@ func (c *runner) displaySlot(slot uint32) {
 // the best version held for each.
 func (c *runner) coverage(actual vrmath.Pose, delivered []tiles.VideoID) (int, bool) {
 	cell := tiles.CellFor(actual.Pos)
-	needed := tiles.ForView(actual, c.cfg.Coverage.FoV, 0)
+	c.needed = tiles.ForViewAppend(c.needed[:0], actual, c.cfg.Coverage.FoV, 0)
+	needed := c.needed
 
 	// bestLevel finds the highest available quality of one tile.
 	bestLevel := func(tile tiles.TileID) int {

@@ -245,9 +245,10 @@ type slotPlan struct {
 }
 
 // batchFreeList recycles tileJob batches. A nil list is valid (bare test
-// sessions): get falls back to make, put discards. The zeroing on put is
-// what releases payload references, so a parked batch never pins tile
-// bytes in memory.
+// sessions): get falls back to make, put discards. put is where a batch
+// dies, whoever drops it: it releases every job's store pin, and its
+// zeroing drops the payload references, so a parked batch holds no tile
+// bytes.
 type batchFreeList chan []tileJob
 
 func (fl batchFreeList) get() []tileJob {
@@ -264,6 +265,7 @@ func (fl batchFreeList) put(b []tileJob) {
 		return
 	}
 	for i := range b {
+		b[i].pin.Release()
 		b[i] = tileJob{}
 	}
 	select {
@@ -400,6 +402,7 @@ type tileJob struct {
 	slot    uint32
 	id      tiles.VideoID
 	payload []byte
+	pin     tiles.Pin // holds payload until batchFreeList.put
 	// trace is the request's trace ID (0 = untraced); origSlot the slot the
 	// ID derives from (a NACK retransmission keeps the original request's
 	// trace while transmitting under the current slot); retry the tile's
@@ -498,7 +501,8 @@ func (s *Server) prefetchLoop() {
 				cell := tiles.CellID{X: req.cell.X + dx, Z: req.cell.Z + dz}
 				for _, tile := range req.sel {
 					if id, err := tiles.PackVideoID(cell, tile, req.level); err == nil {
-						s.store.Payload(id)
+						_, pin := s.store.Pin(id)
+						pin.Release()
 					}
 				}
 			}
@@ -896,37 +900,39 @@ func (sess *session) sendLoop() {
 	}
 }
 
-// controlLoop consumes pose updates, ACKs and release notices.
+// controlLoop consumes pose updates, ACKs and release notices. Every
+// message decodes into the one Message, whose tile lists the handlers read
+// and do not keep.
 func (s *Server) controlLoop(sess *session) {
+	var m transport.Message
 	for {
-		msg, err := sess.ctrl.Recv()
-		if err != nil {
+		if err := sess.ctrl.RecvInto(&m); err != nil {
 			return
 		}
-		switch m := msg.(type) {
-		case transport.PoseUpdate:
+		switch m.Kind {
+		case transport.KindPoseUpdate:
 			sess.mu.Lock()
-			sess.pose = m.Pose
+			sess.pose = m.Pose.Pose
 			sess.havePose = true
-			sess.predictor.Observe(m.Pose)
+			sess.predictor.Observe(m.Pose.Pose)
 			sess.mu.Unlock()
-		case transport.TileACK:
+		case transport.KindTileACK:
 			// Chaos slow-ack: stale feedback is one of the failure modes the
 			// estimators must tolerate, so the injection point is right
 			// before the estimator fold-in.
 			if d := s.cfg.Chaos.AckDelay(); d > 0 {
 				time.Sleep(d)
 			}
-			s.handleACK(sess, m)
-		case transport.Release:
-			sess.ledger.MarkReleased(m.Tiles...)
-		case transport.Nack:
+			s.handleACK(sess, m.ACK)
+		case transport.KindRelease:
+			sess.ledger.MarkReleased(m.Release.Tiles...)
+		case transport.KindNack:
 			if d := s.cfg.Chaos.AckDelay(); d > 0 {
 				time.Sleep(d)
 			}
-			s.handleNack(sess, m)
+			s.handleNack(sess, m.Nack)
 		default:
-			s.cfg.Logf("server: unexpected control message %T", msg)
+			s.cfg.Logf("server: unexpected control message %T", m.Value())
 		}
 	}
 }
@@ -991,14 +997,18 @@ func (s *Server) handleACK(sess *session, ack transport.TileACK) {
 		// The breaker rides the SLO's alert state, one observation per
 		// ACKed display slot.
 		s.cfg.Breaker.Observe(sess.user, s.cfg.SLO.State(sess.user))
-		// Delay regression sample.
+		// Delay regression sample. A full window drops its oldest sample
+		// by copying the rest down, so the window's array is reused and
+		// the samples keep their order.
 		if ack.DelayMs > 0 {
+			if n := len(sess.delayRates); n == maxDelaySamples {
+				copy(sess.delayRates, sess.delayRates[1:])
+				copy(sess.delayMs, sess.delayMs[1:])
+				sess.delayRates = sess.delayRates[:n-1]
+				sess.delayMs = sess.delayMs[:n-1]
+			}
 			sess.delayRates = append(sess.delayRates, rec.rate)
 			sess.delayMs = append(sess.delayMs, ack.DelayMs)
-			if len(sess.delayRates) > maxDelaySamples {
-				sess.delayRates = sess.delayRates[1:]
-				sess.delayMs = sess.delayMs[1:]
-			}
 		}
 	}
 	// Drop stale allocation records.
@@ -1062,8 +1072,9 @@ func (s *Server) handleNack(sess *session, nack transport.Nack) {
 		if sess.retries[id] < 0xFF {
 			sess.retries[id]++
 		}
+		payload, pin := s.store.Pin(id)
 		batch = append(batch, tileJob{
-			slot: curSlot, id: id, payload: s.store.Payload(id),
+			slot: curSlot, id: id, payload: payload, pin: pin,
 			trace: traceID, origSlot: nack.Slot, retry: sess.retries[id],
 		})
 	}
@@ -1318,9 +1329,9 @@ func (s *Server) dispatchOne(i int) {
 	batch := s.free.get()
 	fetched := 0
 	for _, id := range ids {
-		payload := s.store.Payload(id)
+		payload, pin := s.store.Pin(id)
 		fetched += len(payload)
-		batch = append(batch, tileJob{slot: slot, origSlot: slot, id: id, payload: payload, trace: traceID})
+		batch = append(batch, tileJob{slot: slot, origSlot: slot, id: id, payload: payload, pin: pin, trace: traceID})
 	}
 	fsp.SetTiles(len(batch))
 	fsp.SetBytes(fetched)

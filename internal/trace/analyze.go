@@ -128,6 +128,19 @@ func stageLess(a, b string) bool {
 	}
 }
 
+// outcomeBefore reports whether outcome a of stage sa yields to outcome b
+// of stage sb as a trace's outcome.
+func outcomeBefore(sa, a, sb, b string) bool {
+	switch {
+	case (sa == StageDisplay) != (sb == StageDisplay):
+		return sb == StageDisplay
+	case sa != sb:
+		return stageLess(sa, sb)
+	default:
+		return a < b
+	}
+}
+
 // quantile returns the nearest-rank q-quantile of sorted (ascending) values.
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
@@ -156,26 +169,26 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 		server     bool
 		client     bool
 		outcome    string
+		outStage   string // the stage of the span outcome came from
 		retries    int
 		minStart   int64
 		maxEnd     int64
-		stageMs    map[string]float64
+		// stageNs sums each stage's spans in integer nanoseconds, so the
+		// sum does not depend on the order the spans come in.
+		stageNs map[string]int64
 	}
 	traces := make(map[uint64]*traceAgg)
 	durs := make(map[string][]float64)
 
 	for _, s := range spans {
-		d := s.DurationMs()
-		if d < 0 {
-			d = 0
-		}
-		durs[s.Stage] = append(durs[s.Stage], d)
+		ns := max(s.EndNs-s.StartNs, 0)
+		durs[s.Stage] = append(durs[s.Stage], float64(ns)/1e6)
 
 		tr := traces[s.Trace]
 		if tr == nil {
 			tr = &traceAgg{user: s.User, slot: s.Slot,
 				minStart: s.StartNs, maxEnd: s.EndNs,
-				stageMs: make(map[string]float64)}
+				stageNs: make(map[string]int64)}
 			traces[s.Trace] = tr
 		}
 		if s.StartNs < tr.minStart {
@@ -184,7 +197,7 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 		if s.EndNs > tr.maxEnd {
 			tr.maxEnd = s.EndNs
 		}
-		tr.stageMs[s.Stage] += d
+		tr.stageNs[s.Stage] += ns
 		switch s.Side {
 		case SideServer:
 			tr.server = true
@@ -192,9 +205,11 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 			tr.client = true
 		}
 		// The display outcome wins; the server's ack outcome fills in when
-		// no display span was captured.
-		if s.Outcome != "" && (tr.outcome == "" || s.Stage == StageDisplay) {
-			tr.outcome = s.Outcome
+		// no display span was captured. Between two others the later
+		// stage wins, and within a stage the greater outcome, so the
+		// verdict does not depend on the order of the spans.
+		if s.Outcome != "" && (tr.outcome == "" || outcomeBefore(tr.outStage, tr.outcome, s.Stage, s.Outcome)) {
+			tr.outcome, tr.outStage = s.Outcome, s.Stage
 		}
 		if s.Retry > tr.retries {
 			tr.retries = s.Retry
@@ -217,39 +232,41 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 		if tr.retries > 0 {
 			a.Retried++
 		}
-		if _, ok := tr.stageMs[StageAbandon]; ok {
+		if _, ok := tr.stageNs[StageAbandon]; ok {
 			a.Abandoned++
 		}
-		if _, ok := tr.stageMs[StageBreaker]; ok {
+		if _, ok := tr.stageNs[StageBreaker]; ok {
 			a.Degraded++
 		}
-		critStage, critMs := "", -1.0
 		bd := TraceBreakdown{
 			Trace: id, User: tr.user, Slot: tr.slot,
 			TotalMs: float64(tr.maxEnd-tr.minStart) / 1e6,
 			Outcome: tr.outcome, Retries: tr.retries,
 		}
-		for stage, ms := range tr.stageMs {
-			bd.Stages = append(bd.Stages, StageDur{Stage: stage, Ms: ms})
-			if ms > critMs {
-				critStage, critMs = stage, ms
-			}
+		for stage, ns := range tr.stageNs {
+			bd.Stages = append(bd.Stages, StageDur{Stage: stage, Ms: float64(ns) / 1e6})
 		}
 		sort.Slice(bd.Stages, func(i, j int) bool { return stageLess(bd.Stages[i].Stage, bd.Stages[j].Stage) })
-		if critStage != "" {
-			critical[critStage]++
+		// The critical stage is the longest; a tie goes to the stage
+		// earliest in the pipeline, which is the first in bd.Stages.
+		crit := -1
+		for i, sd := range bd.Stages {
+			if crit < 0 || sd.Ms > bd.Stages[crit].Ms {
+				crit = i
+			}
+		}
+		if crit >= 0 {
+			critical[bd.Stages[crit].Stage]++
 		}
 		breakdowns = append(breakdowns, bd)
 	}
 
-	totalAll := 0.0
 	for stage, ds := range durs {
 		sort.Float64s(ds)
 		total := 0.0
 		for _, d := range ds {
 			total += d
 		}
-		totalAll += total
 		a.Stages = append(a.Stages, StageStat{
 			Stage: stage, Count: len(ds),
 			P50Ms: quantile(ds, 0.50), P95Ms: quantile(ds, 0.95),
@@ -257,12 +274,18 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 			TotalMs: total, Critical: critical[stage],
 		})
 	}
+	// Sorted before summing, so the shares' denominator is the same sum
+	// whatever order the map gave the stages in.
+	sort.Slice(a.Stages, func(i, j int) bool { return stageLess(a.Stages[i].Stage, a.Stages[j].Stage) })
+	totalAll := 0.0
+	for _, st := range a.Stages {
+		totalAll += st.TotalMs
+	}
 	for i := range a.Stages {
 		if totalAll > 0 {
 			a.Stages[i].Share = a.Stages[i].TotalMs / totalAll
 		}
 	}
-	sort.Slice(a.Stages, func(i, j int) bool { return stageLess(a.Stages[i].Stage, a.Stages[j].Stage) })
 
 	sort.Slice(breakdowns, func(i, j int) bool {
 		if breakdowns[i].TotalMs != breakdowns[j].TotalMs {

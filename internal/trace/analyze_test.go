@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,9 +49,9 @@ func TestAnalyze(t *testing.T) {
 	if got := byStage[StageRetry]; got.Count != 1 || got.P50Ms != 20 || got.P99Ms != 20 {
 		t.Errorf("retry stat = %+v", got)
 	}
-	// Critical-path attribution: trace 1 is dominated by send or recv (2ms
-	// each -> first max wins, deterministic per map iteration is not — accept
-	// either), trace 2 by recv (24ms).
+	// Critical-path attribution: trace 1 is dominated by send and recv (2ms
+	// each; TestAnalyzeOrderIndependent pins the tie to send), trace 2 by
+	// recv (24ms).
 	if got := byStage[StageRecv].Critical + byStage[StageSend].Critical; got != 2 {
 		t.Errorf("critical attribution = %+v", a.Stages)
 	}
@@ -82,6 +84,48 @@ func TestAnalyze(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAnalyzeOrderIndependent: the same spans in any order give the same
+// analysis, critical-path ties and shares included. A tie goes to the stage
+// earlier in the pipeline.
+func TestAnalyzeOrderIndependent(t *testing.T) {
+	spans := synthSpans()
+	// A third trace whose four stages each take a third of a millisecond:
+	// a tie four ways, and durations whose float sums depend on order.
+	t3 := TileTraceID(1, 3, 11)
+	for i, stage := range []string{StageDisplay, StageRecv, StageSend, StageAdmit} {
+		spans = append(spans, SpanRecord{Trace: t3, Span: uint64(20 + i), Stage: stage, Side: SideServer,
+			User: 3, Slot: 11, StartNs: int64(i) * 333_333, EndNs: int64(i+1) * 333_333})
+	}
+	// Two outcomes from stages other than display: the later stage's wins.
+	t4 := TileTraceID(1, 4, 12)
+	spans = append(spans,
+		SpanRecord{Trace: t4, Span: 30, Stage: StageAbandon, Side: SideServer, User: 4, Slot: 12, EndNs: 100, Outcome: OutcomeMissed},
+		SpanRecord{Trace: t4, Span: 31, Stage: StageAck, Side: SideServer, User: 4, Slot: 12, EndNs: 100, Outcome: OutcomeDisplayed})
+	want := Analyze(spans, 4)
+	rng := rand.New(rand.NewSource(5))
+	for i := range 20 {
+		shuffled := append([]SpanRecord(nil), spans...)
+		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+		if got := Analyze(shuffled, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %d: analysis differs:\n%s\nwant\n%s", i, got.Format(), want.Format())
+		}
+	}
+	byStage := map[string]StageStat{}
+	for _, s := range want.Stages {
+		byStage[s.Stage] = s
+	}
+	// Trace 1 ties send and recv, trace 3 ties admit, send, recv and display.
+	if got := byStage[StageSend].Critical; got != 1 {
+		t.Errorf("send critical in %d traces, want 1 (trace 1's tie)", got)
+	}
+	if got := byStage[StageAdmit].Critical; got != 1 {
+		t.Errorf("admit critical in %d traces, want 1 (trace 3's tie)", got)
+	}
+	if want.Displayed != 2 || want.Missed != 1 {
+		t.Errorf("displayed %d, missed %d; want trace 4 displayed by its ack", want.Displayed, want.Missed)
 	}
 }
 

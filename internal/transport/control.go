@@ -193,37 +193,95 @@ func (c *Conn) flushLocked() error {
 	return err
 }
 
+// Kind names the message type a Message holds.
+type Kind uint8
+
+// The kinds, one per control message type; the zero Kind is none.
+const (
+	KindHello Kind = iota + 1
+	KindWelcome
+	KindPoseUpdate
+	KindTileACK
+	KindRelease
+	KindNack
+)
+
+// Message is a control message decoded in place by RecvInto: Kind names the
+// one field that holds it, and the other fields are left as earlier frames
+// set them. A tile list in it is Message-owned scratch, valid until the next
+// RecvInto into the same Message, which reuses it; an empty list is nil.
+type Message struct {
+	Kind    Kind
+	Hello   Hello
+	Welcome Welcome
+	Pose    PoseUpdate
+	ACK     TileACK
+	Release Release
+	Nack    Nack
+
+	ids []tiles.VideoID // the tile-list buffer the fields above alias
+}
+
+// Value returns the message Kind names as the value Recv would return.
+func (m *Message) Value() any {
+	switch m.Kind {
+	case KindHello:
+		return m.Hello
+	case KindWelcome:
+		return m.Welcome
+	case KindPoseUpdate:
+		return m.Pose
+	case KindTileACK:
+		return m.ACK
+	case KindRelease:
+		return m.Release
+	case KindNack:
+		return m.Nack
+	}
+	return nil
+}
+
 // Recv reads the next control message, blocking until one arrives or the
 // connection fails. A tile list in the result is the caller's own. A frame
 // that does not decode is left unread: the stream has lost its framing and
 // every later Recv reports the same error.
 func (c *Conn) Recv() (any, error) {
-	msg, err := c.recv()
-	if err != nil {
-		return nil, fmt.Errorf("transport: recv control: %w", err)
+	var m Message // no tile buffer: decoding allocates the list afresh
+	if err := c.RecvInto(&m); err != nil {
+		return nil, err
 	}
-	return msg, nil
+	return m.Value(), nil
 }
 
-func (c *Conn) recv() (any, error) {
+// RecvInto is Recv decoding into m: the same frames, the same errors, and no
+// allocation once m's tile buffer has grown to the longest list received.
+// On an error m's Kind is zero.
+func (c *Conn) RecvInto(m *Message) error {
+	if err := c.recvInto(m); err != nil {
+		m.Kind = 0
+		return fmt.Errorf("transport: recv control: %w", err)
+	}
+	return nil
+}
+
+func (c *Conn) recvInto(m *Message) error {
 	head, err := c.rd.Peek(2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := int(binary.BigEndian.Uint16(head))
 	if n > MaxControlFrame {
-		return nil, ErrFrameTooLong
+		return ErrFrameTooLong
 	}
 	frame, err := c.rd.Peek(2 + n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	msg, err := decodeBody(frame[2:])
-	if err != nil {
-		return nil, err
+	if err := decodeInto(m, frame[2:]); err != nil {
+		return err
 	}
 	c.rd.Discard(len(frame)) // cannot fail: the bytes are buffered
-	return msg, nil
+	return nil
 }
 
 // appendFrame appends msg's frame to buf. It does not retain msg, so a
@@ -341,9 +399,10 @@ func (r *bodyReader) flags(used uint) (bit0, bit1 bool) {
 	return f&1 != 0, f&2 != 0
 }
 
-// tiles reads a tile list, which must end the body. The count is checked
-// against the bytes present before the list is allocated.
-func (r *bodyReader) tiles() []tiles.VideoID {
+// tiles reads a tile list, which must end the body, into buf's storage
+// (*buf grows to fit). The count is checked against the bytes present before
+// the list is stored. An empty list is nil.
+func (r *bodyReader) tiles(buf *[]tiles.VideoID) []tiles.VideoID {
 	n := int(r.u16())
 	if len(r.b) != 8*n {
 		r.bad = true
@@ -352,53 +411,63 @@ func (r *bodyReader) tiles() []tiles.VideoID {
 	if n == 0 {
 		return nil
 	}
-	ids := make([]tiles.VideoID, n)
+	ids := *buf
+	if cap(ids) < n {
+		ids = make([]tiles.VideoID, n)
+	}
+	ids = ids[:n]
 	for i := range ids {
 		ids[i] = tiles.VideoID(r.u64())
 	}
+	*buf = ids
 	return ids
 }
 
-// decodeBody parses the bytes after a frame's length field. It accepts
-// exactly what appendFrame produces: a body that is short, long, or sets a
-// bit the layout leaves zero is ErrBadFrame.
-func decodeBody(body []byte) (any, error) {
+// decodeInto parses the bytes after a frame's length field into m. It
+// accepts exactly what appendFrame produces: a body that is short, long, or
+// sets a bit the layout leaves zero is ErrBadFrame.
+func decodeInto(m *Message, body []byte) error {
 	if len(body) == 0 {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
 	r := bodyReader{b: body[1:]}
-	var msg any
 	switch body[0] {
 	case typeHello:
-		m := Hello{User: r.u32(), RAMThreshold: int(int64(r.u64()))}
-		m.UDPAddr = string(r.take(int(r.u8())))
-		msg = m
+		m.Kind = KindHello
+		m.Hello = Hello{User: r.u32(), RAMThreshold: int(int64(r.u64()))}
+		m.Hello.UDPAddr = string(r.take(int(r.u8())))
 	case typeWelcome:
-		m := Welcome{User: r.u32()}
-		m.Resumed, _ = r.flags(1)
-		m.Shard = int(int64(r.u64()))
-		msg = m
+		m.Kind = KindWelcome
+		m.Welcome = Welcome{User: r.u32()}
+		m.Welcome.Resumed, _ = r.flags(1)
+		m.Welcome.Shard = int(int64(r.u64()))
 	case typePoseUpdate:
-		m := PoseUpdate{User: r.u32(), Slot: r.u32()}
-		m.Pose.Pos.X, m.Pose.Pos.Y, m.Pose.Pos.Z = r.f64(), r.f64(), r.f64()
-		m.Pose.Yaw, m.Pose.Pitch, m.Pose.Roll = r.f64(), r.f64(), r.f64()
-		msg = m
+		m.Kind = KindPoseUpdate
+		p := &m.Pose
+		p.User, p.Slot = r.u32(), r.u32()
+		p.Pose.Pos.X, p.Pose.Pos.Y, p.Pose.Pos.Z = r.f64(), r.f64(), r.f64()
+		p.Pose.Yaw, p.Pose.Pitch, p.Pose.Roll = r.f64(), r.f64(), r.f64()
 	case typeTileACK:
-		m := TileACK{User: r.u32(), Slot: r.u32(), DelayMs: r.f64(), Bytes: int(int64(r.u64()))}
-		m.Covered, m.Displayed = r.flags(2)
-		m.Tiles = r.tiles()
-		msg = m
+		m.Kind = KindTileACK
+		a := &m.ACK
+		a.User, a.Slot, a.DelayMs, a.Bytes = r.u32(), r.u32(), r.f64(), int(int64(r.u64()))
+		a.Covered, a.Displayed = r.flags(2)
+		a.Tiles = r.tiles(&m.ids)
 	case typeRelease:
-		msg = Release{User: r.u32(), Tiles: r.tiles()}
+		m.Kind = KindRelease
+		m.Release.User = r.u32()
+		m.Release.Tiles = r.tiles(&m.ids)
 	case typeNack:
-		msg = Nack{User: r.u32(), Slot: r.u32(), Tiles: r.tiles()}
+		m.Kind = KindNack
+		m.Nack.User, m.Nack.Slot = r.u32(), r.u32()
+		m.Nack.Tiles = r.tiles(&m.ids)
 	default:
-		return nil, ErrUnknownFrame
+		return ErrUnknownFrame
 	}
 	if r.bad || len(r.b) != 0 {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
-	return msg, nil
+	return nil
 }
 
 // SetDeadline bounds both directions.

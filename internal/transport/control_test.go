@@ -295,6 +295,7 @@ func TestControlOversizeLengthAllocatesNothing(t *testing.T) {
 // outcome is an error, or a message whose encoding is exactly the bytes
 // consumed. It must never panic, and never allocate what an oversize length
 // prefix asks for (MaxControlFrame bounds the read buffer, fixed at NewConn).
+// RecvInto must agree with Recv on every frame and every error.
 func FuzzControlFrame(f *testing.F) {
 	for _, g := range goldenMessages() {
 		if frame, err := appendFrame(nil, g.msg); err == nil && len(frame) < 200 {
@@ -316,15 +317,27 @@ func FuzzControlFrame(f *testing.F) {
 			ra.Close()
 		}()
 		c := NewConn(rb)
+		// The typed receive reads the same bytes into one Message, after a
+		// frame with the longest tile list has filled its buffer: a shorter
+		// list that kept a stale ID would differ from what Recv returns.
+		typed, m := typedAfterLongest(t, data)
 		rest := data
 		for {
 			msg, err := c.Recv()
+			terr := typed.RecvInto(m)
+			if (err == nil) != (terr == nil) || err != nil && err.Error() != terr.Error() {
+				t.Fatalf("Recv error %v, RecvInto error %v", err, terr)
+			}
 			if err != nil {
 				return
 			}
 			again, err := appendFrame(nil, msg)
 			if err != nil {
 				t.Fatalf("received %#v, which does not encode: %v", msg, err)
+			}
+			// Compared as encodings, which hold a NaN's bits as they are.
+			if typed, err := appendFrame(nil, m.Value()); err != nil || !bytes.Equal(typed, again) {
+				t.Fatalf("RecvInto decoded %#v, Recv %#v", m.Value(), msg)
 			}
 			if len(again) > len(rest) || !bytes.Equal(again, rest[:len(again)]) {
 				t.Fatalf("received %#v from % x, which encodes to % x", msg, rest, again)

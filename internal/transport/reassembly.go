@@ -56,10 +56,11 @@ type Reassembler struct {
 	done    []CompleteTile
 	flushed []CompleteTile // what the last Flush returned, next to be filled
 
-	free    []*partialTile // finished or dropped tiles' bookkeeping, reused
-	spare   [][]byte       // payload buffers handed back through Reclaim
-	largest int            // bytes of the largest tile completed so far
-	starts  []uint32       // scratch of inIndexOrder: payload offset of each fragment index
+	free      []*partialTile // finished or dropped tiles' bookkeeping, reused
+	freeStats []*SlotStats   // flushed slots' stats, reused
+	spare     [][]byte       // payload buffers handed back through Reclaim
+	largest   int            // bytes of the largest tile completed so far
+	starts    []uint32       // scratch of inIndexOrder: payload offset of each fragment index
 
 	// Optional observability counters (nil means disabled; see Instrument).
 	cDuplicates *obs.Counter
@@ -74,6 +75,10 @@ type tileKey struct {
 // maxFreeTiles bounds the bookkeeping kept for reuse; a client holds a few
 // tiles of one or two slots in flight at a time.
 const maxFreeTiles = 32
+
+// maxFreeStats bounds the slot stats kept for reuse: a client has a slot or
+// two arriving at a time.
+const maxFreeStats = 8
 
 // maxSpareBuffers bounds the payload buffers kept for reuse: a slot's tiles
 // for one client, a few times over.
@@ -123,7 +128,12 @@ func (r *Reassembler) Ingest(p *Packet, now time.Time) {
 
 	st := r.stats[p.Slot]
 	if st == nil {
-		st = &SlotStats{Slot: p.Slot, First: now, Last: now}
+		if n := len(r.freeStats); n > 0 {
+			st, r.freeStats = r.freeStats[n-1], r.freeStats[:n-1]
+		} else {
+			st = new(SlotStats)
+		}
+		*st = SlotStats{Slot: p.Slot, First: now, Last: now}
 		r.stats[p.Slot] = st
 	}
 	if now.Before(st.First) {
@@ -283,10 +293,17 @@ func (r *Reassembler) Flush() []CompleteTile {
 func (r *Reassembler) FlushSlot(slot uint32) (SlotStats, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	var out SlotStats
 	st, ok := r.stats[slot]
-	for s := range r.stats {
+	if ok {
+		out = *st
+	}
+	for s, old := range r.stats {
 		if s <= slot {
 			delete(r.stats, s)
+			if len(r.freeStats) < maxFreeStats {
+				r.freeStats = append(r.freeStats, old)
+			}
 		}
 	}
 	for k, pt := range r.pending {
@@ -299,7 +316,7 @@ func (r *Reassembler) FlushSlot(slot uint32) (SlotStats, bool) {
 	if !ok {
 		return SlotStats{Slot: slot}, false
 	}
-	return *st, true
+	return out, true
 }
 
 // PendingTiles reports the number of incomplete tiles (diagnostics).
@@ -313,13 +330,17 @@ func (r *Reassembler) PendingTiles() int {
 // their fragments — the candidates for a loss NACK. Call before FlushSlot,
 // which discards the partial state.
 func (r *Reassembler) Incomplete(slot uint32) []tiles.VideoID {
+	return r.IncompleteAppend(nil, slot)
+}
+
+// IncompleteAppend is Incomplete appending to dst.
+func (r *Reassembler) IncompleteAppend(dst []tiles.VideoID, slot uint32) []tiles.VideoID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []tiles.VideoID
 	for k := range r.pending {
 		if k.slot == slot {
-			out = append(out, k.id)
+			dst = append(dst, k.id)
 		}
 	}
-	return out
+	return dst
 }
