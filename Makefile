@@ -49,13 +49,16 @@ test:
 
 # The fleet engine's shards step concurrently; its worker-count differential
 # runs ten times over under the detector, since a race only shows on the
-# interleavings a run happens to take. The fleet Controller's tests have no
-# sockets and no sleeps, so twenty passes at three GOMAXPROCS cost seconds
-# and their verdict cannot depend on the wall clock; the slot step's tests
-# are the same kind, and so are internal/knapsack's (the sorted-seed
-# differentials and the scratch-reuse gates; twenty passes, about a minute). internal/transport's senders
-# share one socket, as the server's sessions do; its tests (the train path's
-# among them) run at three GOMAXPROCS. internal/testbed drives the whole
+# interleavings a run happens to take. The shards' steps observe their
+# sessions in the one SLO monitor and breaker, whose disjoint-session
+# differential runs the same way at three GOMAXPROCS. The fleet Controller's
+# tests have no sockets and no sleeps, so twenty passes at three GOMAXPROCS
+# cost seconds and their verdict cannot depend on the wall clock; the slot
+# step's tests are the same kind, and so are internal/knapsack's (the
+# sorted-seed differentials and the scratch-reuse gates; twenty passes, about
+# a minute). internal/transport's senders share one socket, as the server's
+# sessions do; its tests (the train path's among them) run at three
+# GOMAXPROCS. internal/testbed drives the whole
 # live rig (load.RunLive: server, clients, slot clock); ten passes catch a
 # race or a flaky verdict that one pass would miss. The tile store's pins
 # are taken and released from the slot workers, the send loops and the
@@ -63,6 +66,7 @@ test:
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
+	$(GO) test -race -count=10 -cpu 1,2,4 -run '^TestMonitorConcurrentObserve$$' ./internal/obs
 	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
@@ -80,11 +84,13 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration compile-and-run of the Solve and SeedSort benchmarks (CI
-# keeps them building and panicking-free without paying for a full
-# measurement).
+# One-iteration compile-and-run of the Solve and SeedSort benchmarks and of
+# the two virtual-engine working loops, sim_dense and fleet_churn rebuilt in
+# internal/load (CI keeps them building and panicking-free without paying
+# for a full measurement).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core
+	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x ./internal/load
 
 # Brief native fuzzing of the greedy differential, the seed order, the DP,
 # the coordinator log, the two wire decoders and the chaos profile parser (~10 s each) on top

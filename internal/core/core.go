@@ -111,31 +111,55 @@ type Terms struct {
 // at quality level q (1-based) in slot t — the per-slot objective terms the
 // flight recorder exports.
 func ObjectiveTerms(params Params, t int, u UserInput, q int) Terms {
-	tf := float64(t)
-	varWeight := (tf - 1) / tf
-	dq := float64(q) - u.MeanQ
-	variance := u.Delta*varWeight*dq*dq + (1-u.Delta)*varWeight*u.MeanQ*u.MeanQ
-	return Terms{
-		Quality:  u.Delta * float64(q),
-		Delay:    params.Alpha * u.Delay[q-1],
-		Variance: params.Beta * variance,
-	}
+	return rowWeights(t, &u).terms(params, &u, q)
 }
 
 // Objective evaluates h_n(q) of eq. (9) for one user at quality level q
 // (1-based) in slot t.
 func Objective(params Params, t int, u UserInput, q int) float64 {
-	terms := ObjectiveTerms(params, t, u, q)
-	return terms.Quality - terms.Delay - terms.Variance
+	return ObjectiveTerms(params, t, u, q).value()
 }
 
 // ObjectiveRow writes h_n(q) for q = 1..len(dst) into dst: user n's row of
-// the lowered value table (see SlotProblem.Values).
+// the lowered value table (see SlotProblem.Values). The level-invariant
+// factors are formed once for the row; every entry is Objective's bit for
+// bit.
 func ObjectiveRow(dst []float64, params Params, t int, u UserInput) {
+	w := rowWeights(t, &u)
 	for q := range dst {
-		dst[q] = Objective(params, t, u, q+1)
+		dst[q] = w.terms(params, &u, q+1).value()
 	}
 }
+
+// levelWeights are the factors of h_n(q)'s variance term that do not depend
+// on q, with the variance weight (t-1)/t folded in.
+type levelWeights struct {
+	switchW float64 // delta_n * (t-1)/t, the weight of (q - qbar)^2
+	missW   float64 // (1-delta_n) * (t-1)/t * qbar^2, the whole miss term
+}
+
+func rowWeights(t int, u *UserInput) levelWeights {
+	tf := float64(t)
+	varWeight := (tf - 1) / tf
+	return levelWeights{
+		switchW: u.Delta * varWeight,
+		missW:   (1 - u.Delta) * varWeight * u.MeanQ * u.MeanQ,
+	}
+}
+
+// terms is eq. (9)'s decomposition at level q: the one per-level expression
+// ObjectiveTerms, Objective and ObjectiveRow share.
+func (w levelWeights) terms(params Params, u *UserInput, q int) Terms {
+	dq := float64(q) - u.MeanQ
+	return Terms{
+		Quality:  u.Delta * float64(q),
+		Delay:    params.Alpha * u.Delay[q-1],
+		Variance: params.Beta * (w.switchW*dq*dq + w.missW),
+	}
+}
+
+// value is h_n(q) from its terms.
+func (tr Terms) value() float64 { return tr.Quality - tr.Delay - tr.Variance }
 
 // valueTable returns the slot's lowered n x Levels value table: p.Values
 // when the caller pre-lowered it, else computed into buf (regrown when too

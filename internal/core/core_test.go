@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/netem"
 )
 
 // testUser builds a UserInput with the M/M/1 delay of eq. (13) for a
@@ -293,5 +295,68 @@ func TestDVGreedyTraceExplainsBranch(t *testing.T) {
 	}
 	if !sawRejection {
 		t.Error("no quality_verification rejection observed across 200 random slots")
+	}
+}
+
+// objectiveEq9 is h_n(q) of eq. (9) written out in one expression, the form
+// ObjectiveRow's level-invariant factoring must reproduce bit for bit.
+func objectiveEq9(params Params, t int, u UserInput, q int) float64 {
+	tf := float64(t)
+	varWeight := (tf - 1) / tf
+	dq := float64(q) - u.MeanQ
+	variance := u.Delta*varWeight*dq*dq + (1-u.Delta)*varWeight*u.MeanQ*u.MeanQ
+	return u.Delta*float64(q) - params.Alpha*u.Delay[q-1] - params.Beta*variance
+}
+
+// TestObjectiveRowBitIdentical: ObjectiveRow forms the level-invariant
+// factors once per row, and every entry must still be Objective's, the sum
+// of ObjectiveTerms' terms and eq. (9)'s to the last bit — the engines'
+// goldens rest on these values. The inputs reach the corners: the first slot
+// (no variance weight), delta 0 and 1, a zero mean, zero weights and rows
+// saturated at netem.MaxDelay.
+func TestObjectiveRowBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	params := Params{Levels: 6}
+	row := make([]float64, params.Levels)
+	pick := func(corner float64, p float64, draw func() float64) float64 {
+		if rng.Float64() < p {
+			return corner
+		}
+		return draw()
+	}
+	for trial := 0; trial < 20000; trial++ {
+		params.Alpha = pick(0, 0.2, func() float64 { return rng.Float64() })
+		params.Beta = pick(0, 0.2, func() float64 { return rng.Float64() })
+		slot := 1
+		if rng.Intn(4) > 0 {
+			slot = 1 + rng.Intn(100000)
+		}
+		u := UserInput{
+			Rate:  ladder,
+			Delay: make([]float64, params.Levels),
+			Delta: pick(float64(rng.Intn(2)), 0.3, func() float64 { return rng.Float64() }),
+			MeanQ: pick(0, 0.2, func() float64 { return 6 * rng.Float64() }),
+		}
+		saturated := rng.Intn(5) == 0
+		for q := range u.Delay {
+			u.Delay[q] = rng.ExpFloat64()
+			if saturated {
+				u.Delay[q] = netem.MaxDelay
+			}
+		}
+		ObjectiveRow(row, params, slot, u)
+		for q := 1; q <= params.Levels; q++ {
+			terms := ObjectiveTerms(params, slot, u, q)
+			for _, want := range []float64{
+				Objective(params, slot, u, q),
+				terms.Quality - terms.Delay - terms.Variance,
+				objectiveEq9(params, slot, u, q),
+			} {
+				if math.Float64bits(row[q-1]) != math.Float64bits(want) {
+					t.Fatalf("trial %d (t=%d, %+v, %+v): h(%d) = %v in the row, %v by the per-level form",
+						trial, slot, params, u, q, row[q-1], want)
+				}
+			}
+		}
 	}
 }

@@ -158,12 +158,28 @@ type fleetSession struct {
 	// ordering read a field instead of locking the monitor.
 	paging bool
 
-	// What the shard's step decided for the session this slot, read by the
-	// serial observe pass: the level delivered (after the breaker's cap),
-	// whether the cap bit, and whether the frame missed its deadline.
-	slotLevel  int
-	slotCapped bool
-	slotMissed bool
+	// What the shard's step charged the session this slot, read by the
+	// serial tally after the join: whether it was blacked out, else the
+	// quality displayed (0 for a miss) and whether the breaker's cap bit.
+	slotOutage  bool
+	slotQuality float64
+	slotCapped  bool
+}
+
+// observe is simSession.observe, keeping the verdict for the router view.
+func (s *fleetSession) observe(cfg *SimConfig, displayed bool, quality float64) {
+	s.paging = s.simSession.observe(cfg, displayed, quality) == obs.SLOStatePage
+}
+
+// blackout charges the session's slot as a forced miss, like a deadline
+// miss — degraded, not dropped: it is mid-handoff, stranded on a dead shard,
+// or exported with its flip waiting on a coordinator election. The head
+// keeps moving, so the predictor still sees the pose.
+func (s *fleetSession) blackout(env *simEnv, slot int) {
+	s.pred.Observe(s.trace[slot-s.spec.ArriveSlot])
+	s.missed++
+	s.ForcedMiss(s.acc, env.deadlineMs)
+	s.observe(env.cfg, false, 0)
 }
 
 // ensureInputs regenerates the session's inputs (traces, predictor, QoE
@@ -201,24 +217,25 @@ type fleetShard struct {
 }
 
 // step runs the shard's share of one slot: set up the sessions placed on it
-// this slot, build its slot problem, solve it against its budget share and
-// settle every served session. It writes only the shard's scratch and its own
-// sessions and reads the env, the config and the breaker's caps (which only
-// the serial observe pass changes), so shards step concurrently; everything
-// whose order or lock the report depends on is left to that pass.
+// this slot, build its slot problem, solve it against its budget share,
+// settle every served session, charge every blacked-out one (all of them on a
+// dead shard) and observe each in the SLO monitor and the breaker. It writes
+// only the shard's scratch and its own sessions, reads the env and the
+// config, and touches the monitor and the breaker only at its own sessions'
+// entries, whose transition counters are atomic — so shards step
+// concurrently. Everything whose order the report depends on is left to the
+// serial tally after the join.
 func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, stallMs float64) {
 	for _, s := range sh.owned {
 		s.ensureInputs(env)
 	}
 	sh.users, sh.values, sh.serving = sh.users[:0], sh.values[:0], sh.serving[:0]
 	sh.demand = 0
-	if dead {
-		return // stranded sessions black out in the outage pass
-	}
 	sim := env.cfg
 	levels := sim.Params.Levels
 	for _, s := range sh.owned {
-		if s.blackedOut(slot) {
+		if s.slotOutage = dead || s.blackedOut(slot); s.slotOutage {
+			s.blackout(env, slot)
 			continue
 		}
 		// Growing the slab may move it; rows are only aliased once the
@@ -242,12 +259,14 @@ func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, 
 		overloadMs = (sh.allocation.Rate/budget - 1) * env.SlotMs
 	}
 	for i, s := range sh.serving {
-		s.slotLevel = sh.allocation.Levels[i]
-		bcap := sim.Breaker.Cap(s.spec.ID)
-		if s.slotCapped = bcap > 0 && s.slotLevel > bcap; s.slotCapped {
-			s.slotLevel = bcap
+		var q int
+		q, s.slotCapped = s.clamp(sh.allocation.Levels[i])
+		_, _, missed := s.settle(env, q, overloadMs, stallMs)
+		s.slotQuality = float64(q)
+		if missed {
+			s.slotQuality = 0
 		}
-		_, _, s.slotMissed = s.settle(env, s.slotLevel, overloadMs, stallMs)
+		s.observe(sim, !missed, s.slotQuality)
 	}
 }
 
@@ -261,13 +280,15 @@ func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, 
 // A slot has three parts. The control step is serial: coordinator and shard
 // faults, pending replays, arrivals (placement only), departures, bucketing
 // by shard. Then one fork-join steps every shard on up to Sim.Workers
-// goroutines (fleetShard.step: arrival set-up, build, solve, settle — state
-// no other shard touches). Then the observe pass, serial again and in
-// shard-then-arrival order, does what is order- or lock-sensitive: the
-// decision recorder, quality sums, SLO monitor, breaker, rebalancer demand,
-// the outage charges, health series, evacuation. Nothing a shard's step
-// reads is written during the fork-join and each result is consumed in a
-// fixed order after it, so the worker count never reaches the report.
+// goroutines (fleetShard.step: arrival set-up, build, solve, settle, the
+// blackout charges, and each session's SLO monitor and breaker observation —
+// per-session state no other shard touches, with order-free atomic
+// counters). Then the tally, serial again and in shard-then-arrival order,
+// does what is order-sensitive: the decision recorder, quality sums,
+// degraded and outage counts, rebalancer demand, the router view's tallies,
+// health series, evacuation. Nothing a shard's step reads is written during
+// the fork-join and each result is consumed in a fixed order after it, so
+// the worker count never reaches the report.
 func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
@@ -342,18 +363,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		lm.observeOutcome(out)
 	}
 
-	// observe feeds one session's slot outcome to the SLO monitor and the
-	// monitor's verdict to the breaker, and tallies the session into the
-	// router view under that verdict. Every active session passes it once per
-	// slot, served or blacked out, so a view costs O(shards), not a sweep of
-	// the active set under the monitor's lock.
-	observe := func(s *fleetSession, displayed bool, quality float64) {
-		sim.SLO.ObserveSlot(s.spec.ID, displayed, quality)
-		state := sim.SLO.State(s.spec.ID)
-		sim.Breaker.Observe(s.spec.ID, state)
-		s.paging = state == obs.SLOStatePage
-		ctl.Tally(s.shard, s.paging)
-	}
 	// moved is the virtual handoff: the session is on its new shard at once
 	// and pays the migration outage.
 	moved := func(slot int, s *fleetSession, to int) {
@@ -452,7 +461,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			next = append(next, s)
 		}
 		active = next
-		// observe re-tallies the router view from the sessions that are left.
+		// The tally after the step re-counts the router view from the sessions
+		// that are left.
 		ctl.ResetTallies()
 		if len(active) == 0 {
 			report.SlotQuality = append(report.SlotQuality, 0)
@@ -474,66 +484,47 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 
 		// The slot's one fork-join: every shard sets up its arrivals, builds,
-		// solves against its own budget share and settles, on up to Workers
-		// goroutines. One, not one per phase — a slot is about a millisecond
-		// of work and every fork-join pays a goroutine wake-up.
+		// solves against its own budget share, settles or blacks out each of
+		// its sessions and observes it, on up to Workers goroutines. One, not
+		// one per phase — a slot is about a millisecond of work and every
+		// fork-join pays a goroutine wake-up.
 		view := ctl.States()
 		forEachShard(len(shards), sim.Workers, func(i int) {
 			shards[i].step(env, slot, !view[i].Alive, view[i].BudgetMbps, degrade[i], stallMs)
 		})
 
-		// Observe, serially, in shard-then-arrival order: the decision
-		// recorder, the SLO monitor and the breaker take locks and keep
-		// ordered state, and the quality sums are floating-point, so the
-		// order the shards happened to finish in must not reach any of them.
+		// Tally, serially, in shard-then-arrival order: the decision recorder
+		// keeps ordered state and the quality sums are floating-point, so the
+		// order the shards happened to finish in must not reach them. Every
+		// owned session is tallied into the router view under its verdict, so
+		// a view costs O(shards), not a sweep of the active set.
 		qualitySum := 0.0
 		counted := 0
 		for i := range shards {
 			fs := &shards[i]
 			shardQualSum[i], shardQualCnt[i] = 0, 0
 			ctl.ObserveDemand(i, fs.demand)
-			if len(fs.serving) == 0 {
-				continue
-			}
-			if sim.Recorder.Enabled() {
+			if sim.Recorder.Enabled() && len(fs.serving) > 0 {
 				ids := make([]uint32, len(fs.serving))
 				for j, s := range fs.serving {
 					ids[j] = s.spec.ID
 				}
 				recordSimSlot(sim, slot, &fs.problem, fs.allocation, fs.trace, ids, regretRef)
 			}
-			for _, s := range fs.serving {
+			for _, s := range fs.owned {
+				ctl.Tally(i, s.paging)
+				counted++
+				shardQualCnt[i]++
+				if s.slotOutage {
+					report.OutageSlots++
+					continue
+				}
 				if s.slotCapped {
 					report.DegradedSlots++
 				}
-				quality := float64(s.slotLevel)
-				if s.slotMissed {
-					quality = 0
-				}
-				qualitySum += quality
-				counted++
-				shardQualSum[i] += quality
-				shardQualCnt[i]++
-				observe(s, !s.slotMissed, quality)
+				qualitySum += s.slotQuality
+				shardQualSum[i] += s.slotQuality
 			}
-		}
-
-		// Sessions mid-handoff (or stranded on a dead shard, or exported
-		// with their flip waiting on a coordinator election) are blacked
-		// out this slot: the frame is a forced miss, charged like a
-		// deadline miss — degraded, not dropped.
-		for _, s := range active {
-			if !s.blackedOut(slot) && view[s.shard].Alive {
-				continue
-			}
-			local := slot - s.spec.ArriveSlot
-			s.pred.Observe(s.trace[local]) // the head keeps moving
-			s.missed++
-			s.ForcedMiss(s.acc, env.deadlineMs)
-			counted++
-			shardQualCnt[s.shard]++
-			report.OutageSlots++
-			observe(s, false, 0)
 		}
 		slotQuality := 0.0
 		if counted > 0 {

@@ -14,11 +14,11 @@ import (
 
 // fleetCampaign is one run's control plane for the per-shard fork-join
 // tests: SLO monitor, breaker and evacuation on, three coordinators, and a
-// profile that exercises every path the slot's serial step and observe pass
-// carry — a shard kill, a drain that rejoins, a brown-out that pages its
-// sessions, a leader kill during the drain and a partition of its successor,
-// over per-session capacity faults. The monitor and the breaker keep
-// per-session state, so every run gets fresh ones.
+// profile that exercises every path the slot's serial control step, the
+// shard steps and the tally carry — a shard kill, a drain that rejoins, a
+// brown-out that pages its sessions, a leader kill during the drain and a
+// partition of its successor, over per-session capacity faults. The monitor
+// and the breaker keep per-session state, so every run gets fresh ones.
 func fleetCampaign(horizon, workers int) FleetSimConfig {
 	bcfg := obs.DefaultBreakerConfig()
 	bcfg.Levels = core.DefaultSystemParams().Levels
@@ -47,12 +47,13 @@ func fleetCampaign(horizon, workers int) FleetSimConfig {
 }
 
 // TestFleetSimIdenticalAcrossWorkers: the fleet engine steps its shards on
-// up to Workers goroutines, and everything order- or lock-sensitive happens
-// in the serial pass after the join — so the report, the decision records
-// and the placement records are the same at any worker count, including
-// counts that do not divide the shards and counts above them. Run under
-// -race -count=10 (make race) it is also the check that a shard's step
-// touches nothing another's does.
+// up to Workers goroutines, each observing its own sessions in the shared
+// SLO monitor and breaker, and everything order-sensitive happens in the
+// serial tally after the join — so the report, the decision records and the
+// placement records are the same at any worker count, including counts that
+// do not divide the shards and counts above them. Run under -race -count=10
+// (make race) it is also the check that a shard's step touches nothing
+// another's does.
 func TestFleetSimIdenticalAcrossWorkers(t *testing.T) {
 	const horizon = 480
 	w, err := Generate(Config{Shape: Poisson, Seed: 31, HorizonSlots: horizon, RatePerSec: 60, MeanHoldSec: 2})

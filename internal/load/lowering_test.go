@@ -171,3 +171,34 @@ func TestSimulateFleetSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state fleet slot loop allocates %.3f times per session-slot, want <= 0.21", perSlot)
 	}
 }
+
+// denseBenchConfig is the repository benchmark's sim_dense workload
+// (bench/workloads.go) rebuilt from this package: 4000 steady sessions under
+// an 18 Mbps-per-session budget, which binds (the mean level sits near 1.4,
+// so the greedy does real upgrade work every slot), on the default allocator
+// and worker count.
+func denseBenchConfig(tb testing.TB, seed int64, horizon int) (*Workload, SimConfig) {
+	const sessions = 4000
+	w, err := Generate(Config{Shape: Steady, Seed: seed, Sessions: sessions, HorizonSlots: horizon})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w, SimConfig{BudgetMbps: 18 * sessions, AllocName: "proposed"}
+}
+
+// BenchmarkSimulateDense is the working loop for the single-server engine:
+// one pass of sim_dense (240 slots, seed 11) per iteration, reported as
+// session-slots per second like BenchmarkSimulateFleetChurn.
+//
+//	go test -run '^$' -bench SimulateDense -cpu 1,2 ./internal/load
+func BenchmarkSimulateDense(b *testing.B) {
+	w, cfg := denseBenchConfig(b, 11, 240)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(w, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sessionSlots(w))*float64(b.N)/b.Elapsed().Seconds(), "session-slots/s")
+}

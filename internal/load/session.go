@@ -51,6 +51,10 @@ type simSession struct {
 	inj   *chaos.Injector // nil without a chaos profile
 
 	missed int // frames that missed their deadline, of the T settled
+	// breakerCap is the quality ceiling the breaker returned at the
+	// session's last observation (0: uncapped), so the next slot's clamp
+	// reads a field instead of locking the breaker.
+	breakerCap int
 
 	// What build learnt about the slot, consumed by settle before the next
 	// build overwrites it.
@@ -108,6 +112,26 @@ func (s *simSession) settle(e *simEnv, q int, overloadMs, stallMs float64) (rate
 		s.missed++
 	}
 	return rate, delay, missed
+}
+
+// clamp applies the breaker's ceiling to the level the solve picked:
+// graceful degradation sheds the session's bytes before the session. It
+// reports whether the ceiling bit.
+func (s *simSession) clamp(q int) (int, bool) {
+	if s.breakerCap > 0 && q > s.breakerCap {
+		return s.breakerCap, true
+	}
+	return q, false
+}
+
+// observe feeds the slot's display outcome to the SLO monitor and the
+// monitor's verdict to the breaker, keeps the breaker's new ceiling for the
+// next slot's clamp and returns the verdict. Both keep per-session state
+// behind their own locks, so sessions may observe from any goroutine.
+func (s *simSession) observe(cfg *SimConfig, displayed bool, quality float64) string {
+	state := cfg.SLO.ObserveSlot(s.spec.ID, displayed, quality)
+	s.breakerCap = cfg.Breaker.Observe(s.spec.ID, state)
+	return state
 }
 
 // outcome is the session's end-of-run report row.

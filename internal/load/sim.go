@@ -21,8 +21,8 @@ import (
 // workloads usable as regression reproducers. Workers spreads the per-slot
 // work that shares nothing across goroutines — in Simulate the build phase,
 // each goroutine writing only its own sessions' indices before one serial
-// solve; in SimulateFleet whole shards, each building, solving and settling
-// on its own scratch — and everything order- or lock-sensitive stays on one
+// solve; in SimulateFleet whole shards, each building, solving, settling and
+// observing on its own scratch — and everything order-sensitive stays on one
 // goroutine in a fixed order, so the report is bit-identical at any worker
 // count.
 type SimConfig struct {
@@ -84,8 +84,10 @@ type SimConfig struct {
 	// shards the build phase (prediction, tile selection, rate/delay tables,
 	// per-session chaos advance, lowering) by session index and keeps the
 	// merged solve and the outcome accounting serial; SimulateFleet steps
-	// whole shards (arrival set-up, build, solve, settle) and keeps the
-	// observe pass serial. The report is bit-identical at any setting.
+	// whole shards (arrival set-up, build, solve, settle, and each session's
+	// SLO and breaker observation) and keeps the float sums, the recorder and
+	// the control plane's tallies serial. The report is bit-identical at any
+	// setting.
 	// 0 means GOMAXPROCS; 1 keeps the engine fully serial and spawns nothing.
 	Workers int
 	// Health, when non-nil, runs one health-sampler pass per virtual slot
@@ -263,12 +265,11 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 
 		qualitySum := 0.0
 		for i, s := range active {
-			q := allocation.Levels[i]
 			// Graceful degradation: while the session's SLO burns, the
 			// breaker caps its quality — shedding load (bytes) before
 			// shedding the user.
-			if bcap := cfg.Breaker.Cap(s.spec.ID); bcap > 0 && q > bcap {
-				q = bcap
+			q, capped := s.clamp(allocation.Levels[i])
+			if capped {
 				report.DegradedSlots++
 			}
 			rate, delay, missed := s.settle(env, q, overloadMs, stallMs)
@@ -278,8 +279,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 				quality = 0
 			}
 			qualitySum += quality
-			cfg.SLO.ObserveSlot(s.spec.ID, !missed, quality)
-			cfg.Breaker.Observe(s.spec.ID, cfg.SLO.State(s.spec.ID))
+			s.observe(&cfg, !missed, quality)
 
 			if cfg.Tracer.Enabled() {
 				spans.Emit(s.spec.ID, q, rate, delay, missed)

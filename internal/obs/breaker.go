@@ -111,10 +111,12 @@ func (b *Breaker) Config() BreakerConfig {
 }
 
 // Observe folds one slot's SLO alert state ("ok"/"warn"/"page"; "" is
-// treated as ok) into the session's breaker. Call once per display slot.
-func (b *Breaker) Observe(session uint32, sloState string) {
+// treated as ok) into the session's breaker. Call once per display slot. It
+// returns the session's quality ceiling after the slot, what Cap would
+// report (0: uncapped, and always from the disabled breaker).
+func (b *Breaker) Observe(session uint32, sloState string) int {
 	if b == nil {
-		return
+		return 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -161,6 +163,7 @@ func (b *Breaker) Observe(session uint32, sloState string) {
 			b.trip(s, BreakerClosed)
 		}
 	}
+	return b.capOf(s)
 }
 
 // trip moves a session to a new state (b.mu held).
@@ -184,7 +187,12 @@ func (b *Breaker) Cap(session uint32) int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := b.sessions[session]
+	return b.capOf(b.sessions[session])
+}
+
+// capOf is the ceiling of a session in s's state, 0 for an unknown session
+// (b.mu held).
+func (b *Breaker) capOf(s *breakerSession) int {
 	if s == nil {
 		return 0
 	}

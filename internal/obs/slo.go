@@ -173,10 +173,15 @@ func (m *SLOMonitor) Enabled() bool { return m != nil }
 
 // ObserveSlot folds one session's display-slot outcome into its rolling
 // window: whether the frame met its display deadline and the quality level
-// delivered (0 for a missed frame).
-func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64) {
+// delivered (0 for a missed frame). It returns the session's alert state after
+// the slot, what State would report ("" from the disabled monitor), so a
+// caller feeding the breaker needs no second lookup. Sessions are
+// independent and the transition counters are atomic: observing distinct
+// sessions from several goroutines ends in the same states and counts in
+// any order.
+func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64) string {
 	if m == nil {
-		return
+		return ""
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -242,6 +247,7 @@ func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64
 	}
 
 	m.transition(s)
+	return s.state
 }
 
 // transition recomputes the session's alert state (m.mu held).

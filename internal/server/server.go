@@ -993,10 +993,9 @@ func (s *Server) handleACK(sess *session, ack transport.TileACK) {
 		if ack.Displayed {
 			quality = float64(rec.level)
 		}
-		s.cfg.SLO.ObserveSlot(sess.user, ack.Displayed, quality)
 		// The breaker rides the SLO's alert state, one observation per
 		// ACKed display slot.
-		s.cfg.Breaker.Observe(sess.user, s.cfg.SLO.State(sess.user))
+		s.cfg.Breaker.Observe(sess.user, s.cfg.SLO.ObserveSlot(sess.user, ack.Displayed, quality))
 		// Delay regression sample. A full window drops its oldest sample
 		// by copying the rest down, so the window's array is reused and
 		// the samples keep their order.

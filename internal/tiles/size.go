@@ -49,7 +49,9 @@ func (m *SizeModel) TileRate(cell CellID, tile TileID, level int) float64 {
 	if level > Levels {
 		level = Levels
 	}
-	return baseTileRates[level-1] * m.complexity(cell, tile)
+	// The conversion rounds the product, so no architecture fuses it into a
+	// caller's sum and RateTableInto's sums stay SelectionRate's bit for bit.
+	return float64(baseTileRates[level-1] * m.complexity(cell, tile))
 }
 
 // SelectionRate returns f^R_c(q): the total rate in Mbps of delivering the
@@ -67,17 +69,23 @@ func (m *SizeModel) SelectionRate(cell CellID, sel []TileID, level int) float64 
 // SelectionRate at level q. The table is convex and increasing in q.
 func (m *SizeModel) RateTable(cell CellID, sel []TileID) []float64 {
 	table := make([]float64, Levels)
-	for q := 1; q <= Levels; q++ {
-		table[q-1] = m.SelectionRate(cell, sel, q)
-	}
+	m.RateTableInto(table, cell, sel)
 	return table
 }
 
 // RateTableInto is RateTable writing into caller-provided table
-// (len(table) must be Levels); identical values, no allocation.
+// (len(table) must be Levels); identical values, no allocation. A tile's
+// complexity does not depend on the level, so each tile is hashed once and
+// its Levels products are added in tile order: every entry is the sum
+// SelectionRate forms, term for term and in the same order.
 func (m *SizeModel) RateTableInto(table []float64, cell CellID, sel []TileID) {
-	for q := 1; q <= Levels; q++ {
-		table[q-1] = m.SelectionRate(cell, sel, q)
+	table = table[:Levels]
+	clear(table)
+	for _, t := range sel {
+		c := m.complexity(cell, t)
+		for q, base := range baseTileRates {
+			table[q] += float64(base * c)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package tiles
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -126,5 +128,36 @@ func TestTileBytes(t *testing.T) {
 	wantBits := m.TileRate(cell, 0, 3) * 1e6 / 60
 	if got := float64(b60 * 8); got < wantBits || got > wantBits+8 {
 		t.Errorf("bytes %v do not match rate %v bits", got, wantBits)
+	}
+}
+
+// TestRateTableIntoBitIdentical: RateTableInto hashes each tile once and adds
+// its ladder in tile order, and every entry must be SelectionRate's to the
+// last bit — the engines' goldens rest on these sums. Cells span the whole
+// int32 plane, negative coordinates included; selections hold 0 to 8 tiles,
+// repeats allowed, so adding the tiles in any other order changes some
+// entry's low bits and fails here. The table starts dirty, as a reused one
+// does.
+func TestRateTableIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	table := make([]float64, Levels)
+	sel := make([]TileID, 0, 8)
+	for trial := 0; trial < 20000; trial++ {
+		m := NewSizeModel(rng.Uint64())
+		cell := CellID{X: int32(rng.Uint32()), Z: int32(rng.Uint32())}
+		sel = sel[:rng.Intn(9)]
+		for i := range sel {
+			sel[i] = TileID(rng.Intn(NumTiles))
+		}
+		for q := range table {
+			table[q] = math.NaN()
+		}
+		m.RateTableInto(table, cell, sel)
+		for q := 1; q <= Levels; q++ {
+			if want := m.SelectionRate(cell, sel, q); math.Float64bits(table[q-1]) != math.Float64bits(want) {
+				t.Fatalf("trial %d (cell %v, tiles %v): level %d = %v, SelectionRate %v",
+					trial, cell, sel, q, table[q-1], want)
+			}
+		}
 	}
 }
