@@ -84,18 +84,19 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration compile-and-run of the Solve and SeedSort benchmarks and of
-# the two virtual-engine working loops, sim_dense and fleet_churn rebuilt in
-# internal/load (CI keeps them building and panicking-free without paying
-# for a full measurement).
+# One-iteration compile-and-run of the Solve, SeedSort and source-seeding
+# benchmarks and of the two virtual-engine working loops, sim_dense and
+# fleet_churn rebuilt in internal/load, with their bytes and allocations per
+# pass (CI keeps them building and panicking-free without paying for a full
+# measurement).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core
-	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x ./internal/load
+	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core ./internal/randsrc
+	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x -benchmem ./internal/load
 
 # Brief native fuzzing of the greedy differential, the seed order, the DP,
-# the coordinator log, the two wire decoders and the chaos profile parser (~10 s each) on top
-# of the checked-in seed corpora under testdata/fuzz (the profile parser
-# seeds from examples/chaos).
+# the coordinator log, the two wire decoders, the chaos profile parser and
+# the math/rand-identical source (~10 s each) on top of the checked-in seed
+# corpora under testdata/fuzz (the profile parser seeds from examples/chaos).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
 	$(GO) test -run '^$$' -fuzz '^FuzzSeedOrder$$' -fuzztime 10s ./internal/knapsack
@@ -104,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzControlFrame$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzChaosProfile$$' -fuzztime 10s ./internal/chaos
+	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/randsrc
 
 # Regenerate every paper figure (scaled down; ~minutes).
 figures:

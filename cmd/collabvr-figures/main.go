@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/nettrace"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/render"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -349,7 +349,7 @@ func fig1b(seed int64, full bool) {
 		samples = 100000 // the paper's sample count
 	}
 	q := netem.NewQueueSim(15)
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.NewRand(seed)
 	rates := []float64{3, 6, 9, 12, 14}
 	fmt.Printf("# Fig 1b: RTT under a 15 Mbps cap (%d samples per rate)\n", samples)
 	names := make([]string, len(rates))

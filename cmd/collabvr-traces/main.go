@@ -12,12 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 
 	"repro/internal/motion"
 	"repro/internal/nettrace"
+	"repro/internal/randsrc"
 )
 
 func main() {
@@ -55,7 +55,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("wrote %d motion traces (%d slots each) to %s\n", *users, slots, *out)
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := randsrc.NewRand(*seed)
 	cfg := nettrace.DefaultConfig()
 	cfg.Seconds = *seconds
 	traces := nettrace.GenerateMix(*netCount, cfg, rng)

@@ -11,10 +11,10 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/netem"
+	"repro/internal/randsrc"
 )
 
 func main() {
@@ -77,7 +77,7 @@ func report(params core.Params, name string, p *core.SlotProblem) {
 func randomizedStudy() {
 	fmt.Println("## Randomized study: mean fraction of the per-slot optimum")
 	params := core.DefaultSimParams()
-	rng := rand.New(rand.NewSource(7))
+	rng := randsrc.NewRand(7)
 	ladder := []float64{8, 13, 21, 34, 55, 89}
 
 	var dSum, vSum, dvSum float64

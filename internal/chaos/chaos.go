@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/randsrc"
 	"repro/internal/transport"
 )
 
@@ -59,7 +60,7 @@ func NewInjector(p *Profile, session uint32) *Injector {
 		}
 		inj.faults = append(inj.faults, &faultRT{
 			f:   f,
-			rng: rand.New(rand.NewSource(mixSeed(p.Seed, session, i))),
+			rng: randsrc.NewRand(mixSeed(p.Seed, session, i)),
 		})
 	}
 	if len(inj.faults) == 0 {

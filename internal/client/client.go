@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/motion"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/tiles"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -206,7 +207,7 @@ func runOn(cfg Config, raw net.Conn, udp *net.UDPConn, setupStart time.Time) (*R
 		ram:    tiles.NewClientRAM(cfg.RAMThreshold),
 		acc:    metrics.NewUserQoE(cfg.Params),
 		byslot: make(map[uint32][]tiles.VideoID),
-		rng:    rand.New(rand.NewSource(int64(cfg.User)*40503 + 7)),
+		rng:    randsrc.NewRand(int64(cfg.User)*40503 + 7),
 	}
 	defer c.closeCtrl()
 	c.reasm.Instrument(c.obs.duplicates, c.obs.incomplete)

@@ -174,18 +174,20 @@ func (s *fleetSession) observe(cfg *SimConfig, displayed bool, quality float64) 
 // blackout charges the session's slot as a forced miss, like a deadline
 // miss — degraded, not dropped: it is mid-handoff, stranded on a dead shard,
 // or exported with its flip waiting on a coordinator election. The head
-// keeps moving, so the predictor still sees the pose.
-func (s *fleetSession) blackout(env *simEnv, slot int) {
-	s.pred.Observe(s.trace[slot-s.spec.ArriveSlot])
+// keeps moving, so the predictor still sees the pose, and the link's
+// capacity moves on with the slot.
+func (s *fleetSession) blackout(env *simEnv) {
+	s.pred.Observe(s.walk.Next())
+	s.caps.Next()
 	s.missed++
 	s.ForcedMiss(s.acc, env.deadlineMs)
 	s.observe(env.cfg, false, 0)
 }
 
-// ensureInputs regenerates the session's inputs (traces, predictor, QoE
-// accumulator, chaos injector) if its placement deferred them. Placement
-// only needs the spec; the regeneration is the expensive part of an arrival
-// and shares nothing, so it runs in the placed shard's step.
+// ensureInputs sets up the session's inputs (walker, capacity cursor,
+// predictor, QoE accumulator, chaos injector) if its placement deferred
+// them. Placement only needs the spec; the set-up is the expensive part of
+// an arrival and shares nothing, so it runs in the placed shard's step.
 func (s *fleetSession) ensureInputs(env *simEnv) {
 	if s.pred == nil {
 		s.simSession = env.newSession(s.spec)
@@ -235,7 +237,7 @@ func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, 
 	levels := sim.Params.Levels
 	for _, s := range sh.owned {
 		if s.slotOutage = dead || s.blackedOut(slot); s.slotOutage {
-			s.blackout(env, slot)
+			s.blackout(env)
 			continue
 		}
 		// Growing the slab may move it; rows are only aliased once the
@@ -447,7 +449,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				report.PlacementsFailed++
 				continue
 			}
-			// Only the spec for now: the placed shard's step regenerates the
+			// Only the spec for now: the placed shard's step sets up the
 			// session's inputs (ensureInputs), off the serial path.
 			active = append(active, &fleetSession{simSession: simSession{spec: spec}, zone: zone, shard: to})
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/motion"
 )
 
 // The JSONL workload format is one event object per line:
@@ -60,9 +62,9 @@ func (w *Workload) WriteJSONL(out io.Writer, includePoses bool) error {
 			maxSlot = s.DepartSlot
 		}
 	}
-	var traces map[int][]eventPose
+	var walks map[int]*motion.Walker // the active sessions' motion, streamed
 	if includePoses {
-		traces = make(map[int][]eventPose, len(w.Sessions))
+		walks = make(map[int]*motion.Walker, len(w.Sessions))
 	}
 	active := make([]int, 0)
 	for slot := 0; slot <= maxSlot; slot++ {
@@ -72,12 +74,8 @@ func (w *Workload) WriteJSONL(out io.Writer, includePoses bool) error {
 				return fmt.Errorf("load: write arrive: %w", err)
 			}
 			if includePoses {
-				tr := w.MotionTrace(s, 0)
-				ps := make([]eventPose, len(tr))
-				for k, p := range tr {
-					ps[k] = eventPose{p.Pos.X, p.Pos.Y, p.Pos.Z, p.Yaw, p.Pitch, p.Roll}
-				}
-				traces[i] = ps
+				walk := w.walker(s, nil)
+				walks[i] = &walk
 				active = insertSorted(active, i, w.Sessions)
 			}
 		}
@@ -89,10 +87,10 @@ func (w *Workload) WriteJSONL(out io.Writer, includePoses bool) error {
 					continue
 				}
 				next = append(next, i)
-				p := traces[i][slot-s.ArriveSlot]
+				p := walks[i].Next()
 				id := s.ID
 				if err := enc.Encode(event{E: "pose", Slot: slot, ID: &id,
-					X: p.x, Y: p.y, Z: p.z, Yaw: p.yaw, Pitch: p.pitch, Roll: p.roll}); err != nil {
+					X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z, Yaw: p.Yaw, Pitch: p.Pitch, Roll: p.Roll}); err != nil {
 					return fmt.Errorf("load: write pose: %w", err)
 				}
 			}
@@ -103,13 +101,11 @@ func (w *Workload) WriteJSONL(out io.Writer, includePoses bool) error {
 			if err := enc.Encode(event{E: "depart", Slot: slot, ID: &id}); err != nil {
 				return fmt.Errorf("load: write depart: %w", err)
 			}
-			delete(traces, i)
+			delete(walks, i)
 		}
 	}
 	return bw.Flush()
 }
-
-type eventPose struct{ x, y, z, yaw, pitch, roll float64 }
 
 // insertSorted keeps the active-index list ordered by session ID.
 func insertSorted(list []int, idx int, specs []SessionSpec) []int {

@@ -1,10 +1,14 @@
 package load
 
 import (
+	"math/rand"
+
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/motion"
+	"repro/internal/nettrace"
+	"repro/internal/randsrc"
 	"repro/internal/step"
 	"repro/internal/tiles"
 )
@@ -36,19 +40,23 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 }
 
 // simSession is one active session of a virtual-time run: its slot-step
-// state (the same step.Session the live server's sessions embed), the traces
-// and predictor that drive it, and its QoE accumulator. Both virtual-time
-// engines drive it through the same two calls per slot: build (the session's
-// row of the slot problem) and settle (the outcome of the level the solve
-// picked).
+// state (the same step.Session the live server's sessions embed), the
+// streamed inputs and predictor that drive it, and its QoE accumulator. The
+// inputs are a motion walker and a capacity cursor, each advanced exactly
+// once per slot the session lives — by build, or by the fleet's blackout —
+// so the session holds its walk state and its network trace's few
+// segments, not a pose and a capacity for every slot. Both virtual-time
+// engines drive it through the same two calls per slot: build (the
+// session's row of the slot problem) and settle (the outcome of the level
+// the solve picked).
 type simSession struct {
 	step.Session
-	spec  SessionSpec
-	trace motion.Trace
-	caps  []float64
-	pred  *motion.Predictor
-	acc   *metrics.UserQoE
-	inj   *chaos.Injector // nil without a chaos profile
+	spec SessionSpec
+	walk motion.Walker
+	caps nettrace.SlotCursor
+	pred *motion.Predictor
+	acc  *metrics.UserQoE
+	inj  *chaos.Injector // nil without a chaos profile
 
 	missed int // frames that missed their deadline, of the T settled
 	// breakerCap is the quality ceiling the breaker returned at the
@@ -63,18 +71,21 @@ type simSession struct {
 	dropped bool    // chaos lost this slot's content on the wire
 }
 
-// newSession regenerates a session's inputs from its spec. It reads only the
+// newSession sets up a session's inputs from its spec. It reads only the
 // env, so arrivals may be set up concurrently.
 func (e *simEnv) newSession(spec SessionSpec) simSession {
 	tables := make([]float64, 2*tiles.Levels)
 	s := simSession{
-		spec:  spec,
-		trace: e.w.MotionTrace(spec, 0),
-		caps:  e.w.CapSlots(spec),
-		pred:  motion.NewPredictor(e.cfg.PredictorWindow),
-		acc:   metrics.NewUserQoE(e.qoe),
-		inj:   chaos.NewInjector(e.cfg.Chaos, spec.ID),
+		spec: spec,
+		pred: motion.NewPredictor(e.cfg.PredictorWindow),
+		acc:  metrics.NewUserQoE(e.qoe),
+		inj:  chaos.NewInjector(e.cfg.Chaos, spec.ID),
 	}
+	// One source draws the network trace and is then reseeded for the walk,
+	// which keeps it.
+	rng := rand.New(new(randsrc.Source))
+	s.caps = e.w.netTrace(spec, rng).Cursor(e.w.Cfg.SlotsPerSecond)
+	s.walk = e.w.walker(spec, rng)
 	s.Rates, s.Delays = tables[:tiles.Levels:tiles.Levels], tables[tiles.Levels:]
 	return s
 }
@@ -89,12 +100,12 @@ func (e *simEnv) newSession(spec SessionSpec) simSession {
 // otherwise). It touches only s and the read-only env.
 func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []float64) core.UserInput {
 	local := slot - s.spec.ArriveSlot
-	s.inView = s.Follow(&e.Env, s.pred, local <= e.cfg.PredictorWindow, s.trace[local])
+	s.inView = s.Follow(&e.Env, s.pred, local <= e.cfg.PredictorWindow, s.walk.Next())
 	// Chaos capacity faults: cliffs scale the link, a blackout zeroes it
 	// (MM1Delay then saturates and the frame misses); a per-slot drop loses
 	// the slot's content outright.
 	s.inj.Advance(slot)
-	s.linkCap = s.caps[local] * s.inj.SimCapFactor() * capFactor
+	s.linkCap = s.caps.Next() * s.inj.SimCapFactor() * capFactor
 	s.dropped = s.inj.Drop()
 	u := s.Input(&e.Env, s.linkCap, nil)
 	core.ObjectiveRow(values, e.cfg.Params, slot+1, u)

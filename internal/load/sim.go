@@ -193,9 +193,9 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	spans := step.VirtualSpans{Tracer: cfg.Tracer, Epoch: cfg.TraceEpoch, Algo: cfg.AllocName, SlotMs: slotMs}
 
 	for slot := 0; slot < horizon; slot++ {
-		// Arrivals: regenerating a session's motion and capacity traces
-		// reads only its spec, so a burst sets up in parallel, each session
-		// landing on its arrival-order index.
+		// Arrivals: setting up a session's motion walker and capacity
+		// cursor reads only its spec, so a burst sets up in parallel, each
+		// session landing on its arrival-order index.
 		if specs := byArrive[slot]; len(specs) > 0 {
 			base := len(active)
 			active = append(active, make([]*simSession, len(specs))...)

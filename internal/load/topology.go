@@ -1,6 +1,6 @@
 package load
 
-import "math/rand"
+import "repro/internal/randsrc"
 
 // Topology is the paper's physical testbed (Section VI) as a value. Session
 // i of the workload has a link throttled to Throttles[i % len] Mbps (the
@@ -40,7 +40,7 @@ func (t *Topology) caps(sessions, slots int, seed int64) [][]float64 {
 	if t.Fade == 0 {
 		return table
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.NewRand(seed)
 	fadeLeft := make([]int, sessions) // intervals left in the current fade
 	fadeDepth := make([]float64, sessions)
 	floor := max(1-2.8*t.Fade, 0.1)

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/motion"
 	"repro/internal/nettrace"
+	"repro/internal/randsrc"
 )
 
 // Shape selects the session-arrival process.
@@ -180,7 +181,7 @@ func Generate(cfg Config) (*Workload, error) {
 	if cfg.Shape == Steady && cfg.Sessions <= 0 {
 		return nil, fmt.Errorf("load: steady workload needs Sessions > 0")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.NewRand(cfg.Seed)
 	w := &Workload{Cfg: cfg}
 
 	if cfg.Shape == Steady {
@@ -299,49 +300,77 @@ func poissonSample(rng *rand.Rand, lambda float64) int {
 }
 
 // PeakConcurrent returns the maximum number of simultaneously active
-// sessions over the horizon.
+// sessions over the horizon: a prefix sum over per-slot arrival and
+// departure counts, O(sessions + horizon).
 func (w *Workload) PeakConcurrent() int {
 	if len(w.Sessions) == 0 {
 		return 0
 	}
-	delta := make(map[int]int)
+	lo, hi := w.Sessions[0].ArriveSlot, w.Sessions[0].ArriveSlot
 	for _, s := range w.Sessions {
-		delta[s.ArriveSlot]++
-		delta[s.DepartSlot]--
+		lo, hi = min(lo, s.ArriveSlot, s.DepartSlot), max(hi, s.ArriveSlot, s.DepartSlot)
 	}
-	slots := make([]int, 0, len(delta))
-	for s := range delta {
-		slots = append(slots, s)
-	}
-	// Small slice; insertion sort keeps the package dependency-free.
-	for i := 1; i < len(slots); i++ {
-		for j := i; j > 0 && slots[j-1] > slots[j]; j-- {
-			slots[j-1], slots[j] = slots[j], slots[j-1]
-		}
+	delta := make([]int, hi-lo+1)
+	for _, s := range w.Sessions {
+		delta[s.ArriveSlot-lo]++
+		delta[s.DepartSlot-lo]--
 	}
 	cur, peak := 0, 0
-	for _, s := range slots {
-		cur += delta[s]
-		if cur > peak {
-			peak = cur
-		}
+	for _, d := range delta {
+		cur += d
+		peak = max(peak, cur)
 	}
 	return peak
+}
+
+// walker starts the session's motion walk, drawing from rng (reseeded; nil
+// allocates one). Deterministic in the spec.
+func (w *Workload) walker(spec SessionSpec, rng *rand.Rand) motion.Walker {
+	scenes := motion.Scenes()
+	var walk motion.Walker
+	walk.Reset(scenes[spec.Scene%len(scenes)], int(spec.ID), w.Cfg.SlotsPerSecond, spec.MotionSeed, rng)
+	return walk
 }
 
 // MotionTrace regenerates the session's motion trace: the walk it replays
 // from arrival to departure (plus extraSlots of slack so a live client never
 // wraps early). Deterministic in the spec.
 func (w *Workload) MotionTrace(spec SessionSpec, extraSlots int) motion.Trace {
-	scenes := motion.Scenes()
-	return motion.Generate(scenes[spec.Scene%len(scenes)], int(spec.ID),
-		spec.Slots()+extraSlots, w.Cfg.SlotsPerSecond, spec.MotionSeed)
+	walk := w.walker(spec, nil)
+	tr := make(motion.Trace, spec.Slots()+extraSlots)
+	for i := range tr {
+		tr[i] = walk.Next()
+	}
+	return tr
+}
+
+// netTrace regenerates the session's network trace, drawing from rng
+// (reseeded with the spec's seed; nil allocates one). It is generated only
+// as far as the session reads it — to its last slot plus a second of slack
+// — where the Net config is valid and the session ends before the full
+// trace would wrap. Its segments are then a prefix of the full trace's (the
+// generator draws segment by segment, and only the clipped last hold
+// differs), so every slot the session reads is bit-identical to the full
+// trace's.
+func (w *Workload) netTrace(spec SessionSpec, rng *rand.Rand) *nettrace.Trace {
+	if rng == nil {
+		rng = randsrc.NewRand(spec.NetSeed)
+	} else {
+		rng.Seed(spec.NetSeed)
+	}
+	cfg := w.Cfg.Net
+	sps := w.Cfg.SlotsPerSecond
+	if sps <= 0 {
+		sps = 60
+	}
+	if need := float64(spec.Slots())/sps + 1; cfg.MaxMbps > cfg.MinMbps && need < cfg.Seconds {
+		cfg.Seconds = need
+	}
+	return nettrace.Generate(spec.NetKind, cfg, rng)
 }
 
 // CapSlots regenerates the session's per-slot link capacity in Mbps from its
 // assigned network trace. Deterministic in the spec.
 func (w *Workload) CapSlots(spec SessionSpec) []float64 {
-	rng := rand.New(rand.NewSource(spec.NetSeed))
-	tr := nettrace.Generate(spec.NetKind, w.Cfg.Net, rng)
-	return tr.Slotted(spec.Slots(), w.Cfg.SlotsPerSecond)
+	return w.netTrace(spec, nil).Slotted(spec.Slots(), w.Cfg.SlotsPerSecond)
 }

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -190,5 +191,54 @@ func TestPeakConcurrent(t *testing.T) {
 	}}
 	if got := w.PeakConcurrent(); got != 3 {
 		t.Errorf("peak concurrent = %d, want 3", got)
+	}
+}
+
+// TestPeakConcurrentMatchesBruteForce holds the prefix-sum peak to a
+// slot-by-slot count of live sessions on generated workloads of every
+// arrival shape with churn, and on random specs whose arrivals and
+// departures collide on the same slots.
+func TestPeakConcurrentMatchesBruteForce(t *testing.T) {
+	brute := func(w *Workload) int {
+		end := 0
+		for _, s := range w.Sessions {
+			end = max(end, s.DepartSlot)
+		}
+		peak := 0
+		for slot := 0; slot < end; slot++ {
+			n := 0
+			for _, s := range w.Sessions {
+				if s.ArriveSlot <= slot && slot < s.DepartSlot {
+					n++
+				}
+			}
+			peak = max(peak, n)
+		}
+		return peak
+	}
+	var cases []*Workload
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, shape := range []Shape{Steady, Poisson, MMPP, Flash, Diurnal} {
+			w, err := Generate(Config{Shape: shape, Seed: seed, Sessions: 120, HorizonSlots: 900,
+				RatePerSec: 20, MeanHoldSec: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, w)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 50; i++ {
+		w := &Workload{}
+		for id := 0; id < 1+rng.Intn(60); id++ {
+			arrive := rng.Intn(40)
+			w.Sessions = append(w.Sessions, SessionSpec{ID: uint32(id), ArriveSlot: arrive, DepartSlot: arrive + 1 + rng.Intn(20)})
+		}
+		cases = append(cases, w)
+	}
+	for i, w := range cases {
+		if got, want := w.PeakConcurrent(), brute(w); got != want {
+			t.Errorf("case %d (%d sessions): peak concurrent %d, brute force %d", i, len(w.Sessions), got, want)
+		}
 	}
 }

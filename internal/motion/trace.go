@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"repro/internal/randsrc"
 	"repro/internal/vrmath"
 )
 
@@ -48,66 +49,86 @@ func Scenes() [2]Scene {
 }
 
 // Generate synthesizes a trace of the given number of slots for one user of
-// a scene. Motion is a random-waypoint walk; head yaw follows the walking
-// direction through a smoothed process with noise, pitch and roll revert to
-// neutral. The generator is deterministic in (scene, user, seed).
+// a scene: the walk's first poses, one per slot (see Walker). The generator
+// is deterministic in (scene, user, seed).
 func Generate(scene Scene, user int, slots int, slotsPerSecond float64, seed int64) Trace {
+	var w Walker
+	w.Reset(scene, user, slotsPerSecond, seed, nil)
+	trace := make(Trace, slots)
+	for i := range trace {
+		trace[i] = w.Next()
+	}
+	return trace
+}
+
+// Walker streams one user's motion a slot at a time, so a session that
+// reads one pose per slot holds its walk state and random source instead of
+// its whole trace. Motion is a random-waypoint walk; head yaw follows the
+// walking direction through a smoothed process with noise, pitch and roll
+// revert to neutral.
+type Walker struct {
+	scene            Scene
+	dt               float64
+	rng              *rand.Rand
+	pos, target      vrmath.Vec3
+	speed            float64
+	yaw, pitch, roll float64
+}
+
+// Reset starts the walk of (scene, user, seed) at slotsPerSecond (60 when
+// not positive). It reseeds rng and keeps drawing from it, so a caller that
+// owns a *rand.Rand can lend it for the walk's life instead of paying for a
+// fresh one; nil allocates one.
+func (w *Walker) Reset(scene Scene, user int, slotsPerSecond float64, seed int64, rng *rand.Rand) {
 	if slotsPerSecond <= 0 {
 		slotsPerSecond = 60
 	}
-	dt := 1 / slotsPerSecond
-	rng := rand.New(rand.NewSource(seed ^ int64(user)*0x9E3779B9 ^ int64(len(scene.Name))))
-
-	trace := make(Trace, slots)
-	pos := vrmath.Vec3{
-		X: rng.Float64() * scene.Width,
-		Z: rng.Float64() * scene.Depth,
+	seed ^= int64(user)*0x9E3779B9 ^ int64(len(scene.Name))
+	if rng == nil {
+		rng = randsrc.NewRand(seed)
+	} else {
+		rng.Seed(seed)
 	}
-	target := vrmath.Vec3{
-		X: rng.Float64() * scene.Width,
-		Z: rng.Float64() * scene.Depth,
+	*w = Walker{scene: scene, dt: 1 / slotsPerSecond, rng: rng}
+	w.pos = vrmath.Vec3{X: rng.Float64() * scene.Width, Z: rng.Float64() * scene.Depth}
+	w.target = vrmath.Vec3{X: rng.Float64() * scene.Width, Z: rng.Float64() * scene.Depth}
+	w.speed = scene.WalkSpeed * (0.7 + 0.6*rng.Float64())
+	w.yaw = rng.Float64()*360 - 180
+}
+
+// Next advances the walk one slot and returns the slot's pose.
+func (w *Walker) Next() vrmath.Pose {
+	scene, rng, dt := &w.scene, w.rng, w.dt
+	// Walk toward the waypoint; pick a new one when close.
+	to := w.target.Sub(w.pos)
+	dist := to.Norm()
+	if dist < 0.1 {
+		w.target = vrmath.Vec3{X: rng.Float64() * scene.Width, Z: rng.Float64() * scene.Depth}
+		w.speed = scene.WalkSpeed * (0.7 + 0.6*rng.Float64())
+		to = w.target.Sub(w.pos)
+		dist = to.Norm()
 	}
-	speed := scene.WalkSpeed * (0.7 + 0.6*rng.Float64())
-	yaw := rng.Float64()*360 - 180
-	pitch := 0.0
-	roll := 0.0
-
-	for i := 0; i < slots; i++ {
-		// Walk toward the waypoint; pick a new one when close.
-		to := target.Sub(pos)
-		dist := to.Norm()
-		if dist < 0.1 {
-			target = vrmath.Vec3{
-				X: rng.Float64() * scene.Width,
-				Z: rng.Float64() * scene.Depth,
-			}
-			speed = scene.WalkSpeed * (0.7 + 0.6*rng.Float64())
-			to = target.Sub(pos)
-			dist = to.Norm()
-		}
-		step := speed * dt
-		if step > dist {
-			step = dist
-		}
-		if dist > 0 {
-			pos = pos.Add(to.Scale(step / dist))
-		}
-
-		// Head yaw chases the walking direction with exponential smoothing
-		// plus a slow wander and white jitter.
-		walkYaw := math.Atan2(to.X, to.Z) * 180 / math.Pi
-		yawErr := vrmath.AngleDiff(walkYaw, yaw)
-		maxTurn := scene.TurnRate * dt
-		turn := clamp(yawErr*0.05, -maxTurn, maxTurn)
-		yaw = vrmath.NormalizeAngle(yaw + turn + rng.NormFloat64()*scene.Jitter*dt*10)
-
-		// Pitch and roll: mean-reverting with noise.
-		pitch = clamp(pitch*0.995+rng.NormFloat64()*scene.Jitter*dt*8, -60, 60)
-		roll = clamp(roll*0.99+rng.NormFloat64()*scene.Jitter*dt*4, -30, 30)
-
-		trace[i] = vrmath.Pose{Pos: pos, Yaw: yaw, Pitch: pitch, Roll: roll}
+	step := w.speed * dt
+	if step > dist {
+		step = dist
 	}
-	return trace
+	if dist > 0 {
+		w.pos = w.pos.Add(to.Scale(step / dist))
+	}
+
+	// Head yaw chases the walking direction with exponential smoothing
+	// plus a slow wander and white jitter.
+	walkYaw := math.Atan2(to.X, to.Z) * 180 / math.Pi
+	yawErr := vrmath.AngleDiff(walkYaw, w.yaw)
+	maxTurn := scene.TurnRate * dt
+	turn := clamp(yawErr*0.05, -maxTurn, maxTurn)
+	w.yaw = vrmath.NormalizeAngle(w.yaw + turn + rng.NormFloat64()*scene.Jitter*dt*10)
+
+	// Pitch and roll: mean-reverting with noise.
+	w.pitch = clamp(w.pitch*0.995+rng.NormFloat64()*scene.Jitter*dt*8, -60, 60)
+	w.roll = clamp(w.roll*0.99+rng.NormFloat64()*scene.Jitter*dt*4, -30, 30)
+
+	return vrmath.Pose{Pos: w.pos, Yaw: w.yaw, Pitch: w.pitch, Roll: w.roll}
 }
 
 func clamp(x, lo, hi float64) float64 {

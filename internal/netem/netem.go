@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/randsrc"
 )
 
 // MaxDelay caps the M/M/1 delay for loads at or beyond capacity, where the
@@ -211,7 +213,7 @@ type LossModel struct {
 
 // NewLossModel returns a loss model with the given drop probability.
 func NewLossModel(p float64, seed int64) *LossModel {
-	return &LossModel{prob: p, rng: rand.New(rand.NewSource(seed))}
+	return &LossModel{prob: p, rng: randsrc.NewRand(seed)}
 }
 
 // SetProb changes the drop probability (values are clamped to [0, 1]).

@@ -159,35 +159,59 @@ func clip(x, lo, hi float64) float64 {
 	return x
 }
 
-// Slotted expands the trace into per-slot throughput values: consecutive
-// slots share a segment's bandwidth until its duration is consumed, exactly
-// the paper's mapping ("we just let multiple continuous slots share the same
-// bandwidth until their cumulative time reaches the trace's duration"). If
-// the trace is shorter than slots*slotDur, it wraps around.
+// Slotted expands the trace into per-slot throughput values: the first
+// slots values of its Cursor.
 func (t *Trace) Slotted(slots int, slotsPerSecond float64) []float64 {
+	out := make([]float64, slots)
+	c := t.Cursor(slotsPerSecond)
+	for i := range out {
+		out[i] = c.Next()
+	}
+	return out
+}
+
+// SlotCursor walks a trace slot by slot: consecutive slots share a
+// segment's bandwidth until its duration is consumed, exactly the paper's
+// mapping ("we just let multiple continuous slots share the same bandwidth
+// until their cumulative time reaches the trace's duration"). Past the
+// trace's end it wraps around. An empty trace yields zeros.
+type SlotCursor struct {
+	segs      []Segment
+	seg       int
+	remaining float64 // seconds left in segs[seg]
+	dt        float64
+}
+
+// Cursor returns a cursor at the trace's first slot, at slotsPerSecond (60
+// when not positive).
+func (t *Trace) Cursor(slotsPerSecond float64) SlotCursor {
 	if slotsPerSecond <= 0 {
 		slotsPerSecond = 60
 	}
-	out := make([]float64, slots)
-	if len(t.Segments) == 0 {
-		return out
+	c := SlotCursor{segs: t.Segments, dt: 1 / slotsPerSecond}
+	if len(c.segs) > 0 {
+		c.remaining = c.segs[0].Seconds
 	}
-	seg := 0
-	remaining := t.Segments[0].Seconds
-	dt := 1 / slotsPerSecond
-	for i := 0; i < slots; i++ {
-		out[i] = t.Segments[seg].Mbps
-		remaining -= dt
-		for remaining <= 0 {
-			seg = (seg + 1) % len(t.Segments)
-			remaining += t.Segments[seg].Seconds
-			if t.Segments[seg].Seconds <= 0 {
-				// Zero-length segment guard: skip without looping forever.
-				remaining += dt
-			}
+	return c
+}
+
+// Next returns the current slot's throughput in Mbps and moves to the next
+// slot.
+func (c *SlotCursor) Next() float64 {
+	if len(c.segs) == 0 {
+		return 0
+	}
+	mbps := c.segs[c.seg].Mbps
+	c.remaining -= c.dt
+	for c.remaining <= 0 {
+		c.seg = (c.seg + 1) % len(c.segs)
+		c.remaining += c.segs[c.seg].Seconds
+		if c.segs[c.seg].Seconds <= 0 {
+			// Zero-length segment guard: skip without looping forever.
+			c.remaining += c.dt
 		}
 	}
-	return out
+	return mbps
 }
 
 // WriteCSV serializes the trace as mbps,seconds rows.

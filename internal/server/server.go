@@ -26,6 +26,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/randsrc"
 	"repro/internal/step"
 	"repro/internal/tiles"
 	"repro/internal/trace"
@@ -709,7 +710,7 @@ func (s *Server) handleConn(ctrl *transport.Conn) {
 		allocated:  make(map[uint32]allocRecord),
 		retries:    make(map[tiles.VideoID]uint8),
 		retryFirst: make(map[tiles.VideoID]time.Time),
-		rng:        rand.New(rand.NewSource(int64(hello.User)*2654435761 + 1)),
+		rng:        randsrc.NewRand(int64(hello.User)*2654435761 + 1),
 		sendCh:     make(chan []tileJob, 32),
 		sendDone:   make(chan struct{}),
 		free:       s.free,

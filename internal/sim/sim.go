@@ -21,6 +21,7 @@ import (
 	"repro/internal/motion"
 	"repro/internal/nettrace"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/step"
 	"repro/internal/tiles"
 	"repro/internal/trace"
@@ -218,7 +219,7 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 // every algorithm over the identical inputs.
 func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) ([]*Result, error) {
 	seed := cfg.Seed + int64(run)*7919
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.NewRand(seed)
 
 	// Network traces: the paper's half-broadband/half-LTE mix, or an
 	// explicit per-user profile, fresh per run.
@@ -343,7 +344,7 @@ func replayAlgorithm(cfg Config, env *step.Env, slots int, budget float64, input
 		for u := range estimators {
 			estimators[u] = estimate.NewEMA(cfg.EstimateAlpha)
 		}
-		estRng = rand.New(rand.NewSource(seed ^ 0x5EED))
+		estRng = randsrc.NewRand(seed ^ 0x5EED)
 	}
 	// Under the paper's perfect knowledge nothing misses: the full queueing
 	// delay is charged. Under imperfect estimation content that takes longer
