@@ -63,6 +63,9 @@ test:
 # race or a flaky verdict that one pass would miss. The tile store's pins
 # are taken and released from the slot workers, the send loops and the
 # prefetcher at once; its hammer runs twenty times at three GOMAXPROCS.
+# The record sink behind the recorders and the span exporter takes Put,
+# Recent and Close from several goroutines at once; its tests run the same
+# way.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
@@ -73,6 +76,7 @@ race:
 	$(GO) test -race -count=20 ./internal/knapsack
 	$(GO) test -race -cpu 1,2,4 ./internal/transport
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/tiles
+	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/jsonl
 
 # What CI runs (see .github/workflows/ci.yml).
 ci: build lint cross test race bench-smoke fuzz-smoke loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke

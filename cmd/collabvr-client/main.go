@@ -92,7 +92,7 @@ func run(args []string) error {
 			return fmt.Errorf("span export: %w", err)
 		}
 		fmt.Printf("spans: exported %d dropped %d to %s\n",
-			spanExp.Exported(), spanExp.Dropped(), *spanOut)
+			spanExp.Records(), spanExp.Dropped(), *spanOut)
 	}
 	r := res.Report
 	fmt.Printf("user %d: slots=%d tiles=%d bytes=%d releases=%d\n",

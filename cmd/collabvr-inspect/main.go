@@ -80,7 +80,7 @@ func spans(args []string, out io.Writer) error {
 	noteSkipped(out, skipped, *asJSON)
 	a := trace.Analyze(recs, *topN)
 	if *asJSON {
-		return writeJSON(out, a)
+		return obs.WriteJSON(out, a)
 	}
 	fmt.Fprint(out, a.Format())
 	return nil
@@ -113,7 +113,7 @@ func regret(args []string, out io.Writer) error {
 	noteSkipped(out, skipped, *asJSON)
 	rep := attr.Report()
 	if *asJSON {
-		return writeJSON(out, rep)
+		return obs.WriteJSON(out, rep)
 	}
 	fmt.Fprint(out, rep.Format())
 	return nil
@@ -203,7 +203,7 @@ func health(args []string, out io.Writer) error {
 	}
 
 	if *asJSON {
-		if err := writeJSON(out, rep); err != nil {
+		if err := obs.WriteJSON(out, rep); err != nil {
 			return err
 		}
 	} else {
@@ -284,10 +284,4 @@ func noteSkipped(out io.Writer, skipped int, asJSON bool) {
 	if skipped > 0 && !asJSON {
 		fmt.Fprintf(out, "# skipped %d partial trailing line(s) (live writer)\n", skipped)
 	}
-}
-
-func writeJSON(out io.Writer, v any) error {
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

@@ -29,7 +29,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -319,8 +318,7 @@ func run(args []string, out io.Writer) error {
 				} else if done != nil {
 					doc = done.Coord
 				}
-				w.Header().Set("Content-Type", "application/json")
-				_ = writeJSON(w, doc) // a failed write means the client left
+				obs.ServeJSON(w, doc)
 			})
 		}
 		go http.Serve(ln, obs.NewMuxOpts(reg, rec, mopts))
@@ -525,7 +523,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if *asJSON {
-			return writeJSON(out, res)
+			return obs.WriteJSON(out, res)
 		}
 		fmt.Fprint(out, res.Format())
 		return nil
@@ -557,7 +555,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("span export: %w", err)
 		}
 		fmt.Fprintf(out, "spans: exported %d dropped %d to %s\n",
-			spanExp.Exported(), spanExp.Dropped(), *spanOut)
+			spanExp.Records(), spanExp.Dropped(), *spanOut)
 	}
 	if rec != nil && rec.Records() > 0 {
 		fmt.Fprintf(out, "decisions: recorded %d slots (ring %d, dropped %d)\n",
@@ -613,12 +611,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func writeJSON(out io.Writer, v any) error {
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // faultWindow returns the earliest start and latest bounded end slot across

@@ -1,13 +1,17 @@
-// Package jsonl reads line-delimited JSON streams tolerantly.
+// Package jsonl owns the repository's line-delimited JSON, writing and
+// reading.
 //
-// Both the span exporter and the decision flight recorder write one JSON
-// document per line, and both are routinely read from files another process
-// is still appending to. A reader that races the writer sees a truncated
+// Sink writes it: the decision flight recorder, the placement recorder and
+// the span exporter each put their records into one, which keeps the most
+// recent in a Ring for the /debug endpoints and writes every record as one
+// JSON document per line.
+//
+// Decode reads it. Those files are routinely read while another process is
+// still appending to them. A reader that races the writer sees a truncated
 // final line (or several, if the writer buffers); treating that as fatal
-// makes `collabvr-inspect spans live.jsonl` flaky for no good reason. At the same
-// time, corruption in the interior of a file — a bad line followed by more
-// good ones — is a real problem worth failing loudly on, not skipping.
-//
+// makes `collabvr-inspect spans live.jsonl` flaky for no good reason. At the
+// same time, corruption in the interior of a file — a bad line followed by
+// more good ones — is a real problem worth failing loudly on, not skipping.
 // Decode implements exactly that policy: interior malformed lines are hard
 // errors, a trailing run of malformed or partial lines is skipped and
 // counted.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -92,10 +91,7 @@ func runtimeHandler(r *Registry) http.Handler {
 			"gc_pause_p99_seconds": r.Gauge("collabvr_runtime_gc_pause_p99_seconds").Value(),
 			"gc_pause_max_seconds": r.Gauge("collabvr_runtime_gc_pause_max_seconds").Value(),
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		ServeJSON(w, doc)
 	})
 }
 
@@ -109,26 +105,4 @@ func AttachDebug(mux *http.ServeMux, r *Registry) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/runtime", runtimeHandler(r))
-}
-
-// RegretHandler serves the attributor's report as the /debug/regret JSON
-// page (a nil attributor serves an empty report).
-func RegretHandler(a *RegretAttributor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(a.Report())
-	})
-}
-
-// SLOHandler serves the SLO monitor's snapshot as the /debug/slo JSON page
-// (a nil monitor serves an empty snapshot).
-func SLOHandler(m *SLOMonitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(m.Snapshot())
-	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -29,32 +30,44 @@ type slotsResponse struct {
 // JSON. The `n` query parameter bounds the record count (default 64).
 func SlotsHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 64
-		if s := req.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		if n, ok := queryN(w, req); ok {
+			ServeJSON(w, slotsResponse{
+				Summary:      rec.Summary(),
+				RingCapacity: rec.RingCapacity(),
+				RingDropped:  rec.Dropped(),
+				Recent:       rec.Recent(n),
+			})
 		}
-		w.Header().Set("Content-Type", "application/json")
-		resp := slotsResponse{
-			Summary:      rec.Summary(),
-			RingCapacity: rec.RingCapacity(),
-			RingDropped:  rec.Dropped(),
-			Recent:       rec.Recent(n),
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(resp)
 	})
 }
 
-// NewMux returns an http.ServeMux with the standard observability routes:
-// /metrics (Prometheus text) and /debug/slots (flight-recorder JSON).
-func NewMux(r *Registry, rec *Recorder) *http.ServeMux {
-	return NewMuxOpts(r, rec, MuxOptions{})
+// queryN reads the `n` query parameter that bounds a /debug page's record
+// tail (default 64). A bad value is answered with 400 and reported false.
+func queryN(w http.ResponseWriter, req *http.Request) (int, bool) {
+	s := req.URL.Query().Get("n")
+	if s == "" {
+		return 64, true
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 0 {
+		http.Error(w, "bad n", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
+// WriteJSON writes v as indented JSON: the body of every /debug page and
+// of the CLIs' -json reports.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// ServeJSON answers an HTTP request with v as indented JSON.
+func ServeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = WriteJSON(w, v) // a failed write means the client left
 }
 
 // MuxOptions selects the optional observability routes.
@@ -72,16 +85,18 @@ type MuxOptions struct {
 	// not depend on the health store package.
 	Health http.Handler
 	// Coord, when non-nil, adds /debug/coord serving the replicated
-	// coordinator's leadership and log-frontier document. The handler comes
-	// from fleet/coord (coord.Handler), a plain http.Handler here so obs
-	// does not depend on the coordinator package.
+	// coordinator's leadership and log-frontier document (a coord.Status),
+	// a plain http.Handler here so obs does not depend on the coordinator
+	// package.
 	Coord http.Handler
 	// Debug adds the pprof endpoints and /debug/runtime, and samples the
 	// runtime into collabvr_runtime_* gauges on every /metrics scrape.
 	Debug bool
 }
 
-// NewMuxOpts is NewMux with the optional routes.
+// NewMuxOpts returns an http.ServeMux with the standard observability
+// routes, /metrics (Prometheus text) and /debug/slots (flight-recorder
+// JSON), plus the optional ones opts selects.
 func NewMuxOpts(r *Registry, rec *Recorder, opts MuxOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	metricsHandler := MetricsHandler(r)
@@ -94,10 +109,14 @@ func NewMuxOpts(r *Registry, rec *Recorder, opts MuxOptions) *http.ServeMux {
 	}))
 	mux.Handle("/debug/slots", SlotsHandler(rec))
 	if opts.SLO != nil {
-		mux.Handle("/debug/slo", SLOHandler(opts.SLO))
+		mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, _ *http.Request) {
+			ServeJSON(w, opts.SLO.Snapshot())
+		})
 	}
 	if opts.Regret != nil {
-		mux.Handle("/debug/regret", RegretHandler(opts.Regret))
+		mux.HandleFunc("/debug/regret", func(w http.ResponseWriter, _ *http.Request) {
+			ServeJSON(w, opts.Regret.Report())
+		})
 	}
 	if opts.Fleet != nil {
 		mux.Handle("/debug/fleet", FleetHandler(opts.Fleet))

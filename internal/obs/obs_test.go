@@ -235,7 +235,7 @@ func TestHTTPHandlers(t *testing.T) {
 	rec := NewRecorder(RecorderOptions{RingSize: 8})
 	rec.Record(&SlotRecord{Algorithm: "proposed", Slot: 1, Levels: []int{2}})
 
-	mux := NewMux(reg, rec)
+	mux := NewMuxOpts(reg, rec, MuxOptions{})
 
 	w := httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))

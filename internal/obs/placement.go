@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -68,17 +66,12 @@ type PlacementRecorderOptions struct {
 	Metrics *Registry
 }
 
-// PlacementRecorder is the concurrency-safe ring of fleet placement
+// PlacementRecorder is the concurrency-safe jsonl.Sink of fleet placement
 // decisions. A nil *PlacementRecorder is the disabled recorder: Record is
 // a no-op, so the router never branches on observability being wired.
 type PlacementRecorder struct {
-	mu         sync.Mutex
-	ring       []PlacementRecord
-	next       int
-	full       bool
-	enc        *json.Encoder
-	writeErr   error
-	records    uint64
+	mu         sync.Mutex // held across every Put, so Seq follows ring order
+	sink       *jsonl.Sink[PlacementRecord]
 	placements *Counter
 	migrations *Counter
 	failed     *Counter
@@ -86,12 +79,8 @@ type PlacementRecorder struct {
 
 // NewPlacementRecorder builds a placement recorder.
 func NewPlacementRecorder(opts PlacementRecorderOptions) *PlacementRecorder {
-	if opts.RingSize <= 0 {
-		opts.RingSize = 256
-	}
-	r := &PlacementRecorder{ring: make([]PlacementRecord, opts.RingSize)}
-	if opts.Writer != nil {
-		r.enc = json.NewEncoder(opts.Writer)
+	r := &PlacementRecorder{
+		sink: jsonl.NewSink[PlacementRecord](jsonl.SinkOptions{RingSize: opts.RingSize, Writer: opts.Writer, Sync: true}),
 	}
 	if opts.Metrics != nil {
 		r.placements = opts.Metrics.Counter("collabvr_fleet_placements_total")
@@ -108,17 +97,8 @@ func (r *PlacementRecorder) Record(rec *PlacementRecord) {
 		return
 	}
 	r.mu.Lock()
-	r.records++
-	rec.Seq = r.records
-	r.ring[r.next] = *rec
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
-	if r.enc != nil && r.writeErr == nil {
-		r.writeErr = r.enc.Encode(rec)
-	}
+	rec.Seq = r.sink.Records() + 1
+	r.sink.Put(rec)
 	r.mu.Unlock()
 	if rec.Chosen < 0 {
 		r.failed.Inc()
@@ -130,70 +110,30 @@ func (r *PlacementRecorder) Record(rec *PlacementRecord) {
 	}
 }
 
-// Err returns the first JSONL write error, if any.
-func (r *PlacementRecorder) Err() error {
+// sinkOrNil is the recorder's sink, nil when the recorder is.
+func (r *PlacementRecorder) sinkOrNil() *jsonl.Sink[PlacementRecord] {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.writeErr
+	return r.sink
 }
+
+// Err returns the first JSONL write error, if any.
+func (r *PlacementRecorder) Err() error { return r.sinkOrNil().Err() }
 
 // Records returns the total number of decisions ingested.
-func (r *PlacementRecorder) Records() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.records
-}
+func (r *PlacementRecorder) Records() uint64 { return r.sinkOrNil().Records() }
 
 // Recent returns up to n of the most recent records, oldest first.
-func (r *PlacementRecorder) Recent(n int) []PlacementRecord {
-	if r == nil || n <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	size := r.next
-	if r.full {
-		size = len(r.ring)
-	}
-	if n > size {
-		n = size
-	}
-	out := make([]PlacementRecord, n)
-	for i := 0; i < n; i++ {
-		idx := (r.next - n + i + len(r.ring)) % len(r.ring)
-		out[i] = r.ring[idx]
-	}
-	return out
-}
+func (r *PlacementRecorder) Recent(n int) []PlacementRecord { return r.sinkOrNil().Recent(n) }
 
 // RingCapacity returns the configured ring size.
-func (r *PlacementRecorder) RingCapacity() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
+func (r *PlacementRecorder) RingCapacity() int { return r.sinkOrNil().Cap() }
 
 // Dropped returns how many records have already fallen out of the ring —
 // the same ring_capacity/ring_dropped accounting /debug/slots reports for
 // the flight recorder.
-func (r *PlacementRecorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.records <= uint64(len(r.ring)) {
-		return 0
-	}
-	return r.records - uint64(len(r.ring))
-}
+func (r *PlacementRecorder) Dropped() uint64 { return r.sinkOrNil().Evicted() }
 
 // ValidatePlacement is the JSONL reader's per-record check.
 func ValidatePlacement(rec *PlacementRecord) error {
@@ -272,18 +212,8 @@ func (s FleetSnapshot) Format() string {
 // parameter bounds the placement-record tail (default 64).
 func FleetHandler(snapshot func(n int) FleetSnapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 64
-		if s := req.URL.Query().Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				http.Error(w, "bad n", http.StatusBadRequest)
-				return
-			}
-			n = v
+		if n, ok := queryN(w, req); ok {
+			ServeJSON(w, snapshot(n))
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snapshot(n))
 	})
 }

@@ -1,12 +1,13 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/jsonl"
 )
 
 // Constraint names of a quality_verification rejection, matching the two
@@ -125,36 +126,25 @@ type algAgg struct {
 	regretHist  *Histogram
 }
 
-// Recorder is the concurrency-safe decision flight recorder. A nil
+// Recorder is the concurrency-safe decision flight recorder: a jsonl.Sink
+// of SlotRecords plus the per-algorithm aggregation behind Summary. A nil
 // *Recorder is the disabled recorder: Enabled reports false and Record is
 // an allocation-free no-op.
 type Recorder struct {
-	mu       sync.Mutex
-	ring     []SlotRecord
-	next     int
-	full     bool
-	enc      *json.Encoder
-	writeErr error
-	attr     *RegretAttributor
-	aggs     map[string]*algAgg
-	order    []string // algorithm names in first-seen order
-	records  uint64
+	mu    sync.Mutex // held across every Put, so Summary's count matches aggs
+	sink  *jsonl.Sink[SlotRecord]
+	attr  *RegretAttributor
+	aggs  map[string]*algAgg
+	order []string // algorithm names in first-seen order
 }
 
 // NewRecorder builds a recorder.
 func NewRecorder(opts RecorderOptions) *Recorder {
-	if opts.RingSize <= 0 {
-		opts.RingSize = 256
-	}
-	r := &Recorder{
-		ring: make([]SlotRecord, opts.RingSize),
+	return &Recorder{
+		sink: jsonl.NewSink[SlotRecord](jsonl.SinkOptions{RingSize: opts.RingSize, Writer: opts.Writer, Sync: true}),
 		aggs: make(map[string]*algAgg),
 		attr: opts.Attributor,
 	}
-	if opts.Writer != nil {
-		r.enc = json.NewEncoder(opts.Writer)
-	}
-	return r
 }
 
 // Enabled reports whether records will be kept. Use it to skip building a
@@ -170,14 +160,7 @@ func (r *Recorder) Record(rec *SlotRecord) {
 	r.attr.Observe(rec)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.records++
-
-	r.ring[r.next] = *rec
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
+	r.sink.Put(rec)
 
 	agg := r.aggs[rec.Algorithm]
 	if agg == nil {
@@ -204,77 +187,32 @@ func (r *Recorder) Record(rec *SlotRecord) {
 		}
 		agg.regretHist.Observe(rec.Regret)
 	}
+}
 
-	if r.enc != nil && r.writeErr == nil {
-		r.writeErr = r.enc.Encode(rec)
+// sinkOrNil is the recorder's sink, nil when the recorder is.
+func (r *Recorder) sinkOrNil() *jsonl.Sink[SlotRecord] {
+	if r == nil {
+		return nil
 	}
+	return r.sink
 }
 
 // Err returns the first JSONL write error, if any.
-func (r *Recorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.writeErr
-}
+func (r *Recorder) Err() error { return r.sinkOrNil().Err() }
 
 // Records returns the total number of records ingested.
-func (r *Recorder) Records() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.records
-}
+func (r *Recorder) Records() uint64 { return r.sinkOrNil().Records() }
 
 // RingCapacity returns the configured ring size (0 when disabled).
-func (r *Recorder) RingCapacity() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
+func (r *Recorder) RingCapacity() int { return r.sinkOrNil().Cap() }
 
-// Dropped returns how many records have fallen out of the ring: ingested
-// records beyond the ring's capacity. A JSONL writer still saw them; the
-// /debug/slots ring did not.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	held := uint64(r.next)
-	if r.full {
-		held = uint64(len(r.ring))
-	}
-	return r.records - held
-}
+// Dropped returns how many records have fallen out of the ring (the sink's
+// Evicted count). A JSONL writer still saw them; the /debug/slots ring did
+// not.
+func (r *Recorder) Dropped() uint64 { return r.sinkOrNil().Evicted() }
 
 // Recent returns up to n of the most recent records, oldest first.
-func (r *Recorder) Recent(n int) []SlotRecord {
-	if r == nil || n <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	size := r.next
-	if r.full {
-		size = len(r.ring)
-	}
-	if n > size {
-		n = size
-	}
-	out := make([]SlotRecord, n)
-	for i := 0; i < n; i++ {
-		idx := (r.next - n + i + len(r.ring)) % len(r.ring)
-		out[i] = r.ring[idx]
-	}
-	return out
-}
+func (r *Recorder) Recent(n int) []SlotRecord { return r.sinkOrNil().Recent(n) }
 
 // AlgorithmSummary aggregates one algorithm's records.
 type AlgorithmSummary struct {
@@ -311,7 +249,7 @@ func (r *Recorder) Summary() Summary {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Summary{Records: r.records}
+	s := Summary{Records: r.sink.Records()}
 	names := append([]string(nil), r.order...)
 	sort.Strings(names)
 	for _, name := range names {

@@ -316,8 +316,8 @@ func TestSLOHandlerAndMux(t *testing.T) {
 		t.Errorf("runtime doc = %v", doc)
 	}
 
-	// Plain NewMux keeps the old surface and omits the debug routes.
-	plain := NewMux(reg, nil)
+	// A mux without options keeps the old surface and omits the debug routes.
+	plain := NewMuxOpts(reg, nil, MuxOptions{})
 	rw = httptest.NewRecorder()
 	plain.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rw.Code == 200 {

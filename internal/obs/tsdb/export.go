@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/jsonl"
+	"repro/internal/obs"
 )
 
 // SnapPoint is one exported point. For raw-tier points Value is the sample
@@ -69,10 +70,9 @@ func snapshotSeries(s *Series) []SeriesSnapshot {
 	out := make([]SeriesSnapshot, 0, 3)
 
 	raw := SeriesSnapshot{Name: s.name, Kind: s.kind.String(), Shard: s.shard, Tier: 1}
-	raw.Points = make([]SnapPoint, 0, s.rawLen)
-	for i := 0; i < s.rawLen; i++ {
-		idx := (s.rawNext - s.rawLen + i + len(s.raw)) % len(s.raw)
-		p := s.raw[idx]
+	raw.Points = make([]SnapPoint, 0, s.raw.Len())
+	for i := 0; i < s.raw.Len(); i++ {
+		p := s.raw.At(i)
 		raw.Points = append(raw.Points, SnapPoint{Slot: p.Slot, Value: p.Value})
 	}
 	out = append(out, raw)
@@ -80,10 +80,9 @@ func snapshotSeries(s *Series) []SeriesSnapshot {
 	for ti := range s.tiers {
 		t := &s.tiers[ti]
 		snap := SeriesSnapshot{Name: s.name, Kind: s.kind.String(), Shard: s.shard, Tier: int(t.width)}
-		snap.Points = make([]SnapPoint, 0, t.filled+1)
-		for i := 0; i < t.filled; i++ {
-			idx := (t.next - t.filled + i + len(t.pts)) % len(t.pts)
-			a := t.pts[idx]
+		snap.Points = make([]SnapPoint, 0, t.pts.Len()+1)
+		for i := 0; i < t.pts.Len(); i++ {
+			a := t.pts.At(i)
 			snap.Points = append(snap.Points, SnapPoint{
 				Slot: a.Slot, Value: a.value(s.kind), Count: a.Count, Min: a.Min, Max: a.Max,
 			})
@@ -227,9 +226,6 @@ func Handler(st *Store, onServe func(HealthDoc)) http.Handler {
 		if onServe != nil {
 			onServe(doc)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		obs.ServeJSON(w, doc)
 	})
 }

@@ -22,6 +22,8 @@ package tsdb
 import (
 	"math"
 	"sync"
+
+	"repro/internal/jsonl"
 )
 
 // Kind tells the downsampler (and readers) how to aggregate a series.
@@ -143,9 +145,7 @@ func (a *AggPoint) value(kind Kind) float64 {
 // tier is one downsampled ring plus the partially-filled current window.
 type tier struct {
 	width  int64
-	pts    []AggPoint
-	next   int
-	filled int
+	pts    jsonl.Ring[AggPoint]
 	cur    AggPoint
 	curWin int64 // cur's window index; -1 when cur is empty
 }
@@ -153,11 +153,7 @@ type tier struct {
 func (t *tier) observe(slot int64, v float64) {
 	win := slot / t.width
 	if t.curWin != win && t.cur.Count > 0 {
-		t.pts[t.next] = t.cur
-		t.next = (t.next + 1) % len(t.pts)
-		if t.filled < len(t.pts) {
-			t.filled++
-		}
+		t.pts.Push(t.cur)
 		t.cur = AggPoint{}
 	}
 	if t.cur.Count == 0 {
@@ -175,11 +171,9 @@ type Series struct {
 	kind  Kind
 	shard int
 
-	raw     []Point
-	rawNext int
-	rawLen  int
-	tiers   [2]tier
-	total   uint64 // observations ever made
+	raw   jsonl.Ring[Point]
+	tiers [2]tier
+	total uint64 // observations ever made
 }
 
 // Name, Kind and Shard identify the series (Shard is FleetShard for
@@ -213,11 +207,7 @@ func (s *Series) Observe(slot int64, v float64) {
 		return
 	}
 	s.store.mu.Lock()
-	s.raw[s.rawNext] = Point{Slot: slot, Value: v}
-	s.rawNext = (s.rawNext + 1) % len(s.raw)
-	if s.rawLen < len(s.raw) {
-		s.rawLen++
-	}
+	s.raw.Push(Point{Slot: slot, Value: v})
 	s.tiers[0].observe(slot, v)
 	s.tiers[1].observe(slot, v)
 	s.total++
@@ -255,12 +245,9 @@ func (s *Series) Stats(n int) WindowStats {
 	}
 	s.store.mu.Lock()
 	defer s.store.mu.Unlock()
-	if n > s.rawLen {
-		n = s.rawLen
-	}
+	n = min(n, s.raw.Len())
 	for i := 0; i < n; i++ {
-		idx := (s.rawNext - n + i + len(s.raw)) % len(s.raw)
-		v := s.raw[idx].Value
+		v := s.raw.At(s.raw.Len() - n + i).Value
 		if i == 0 {
 			w.First, w.Min, w.Max = v, v, v
 		} else {
@@ -332,10 +319,10 @@ func (st *Store) ShardSeries(name string, kind Kind, shard int) *Series {
 		name:  name,
 		kind:  kind,
 		shard: shard,
-		raw:   make([]Point, st.opts.RawSlots),
+		raw:   jsonl.NewRing[Point](st.opts.RawSlots),
 	}
-	s.tiers[0] = tier{width: Tier10, pts: make([]AggPoint, st.opts.TierPoints), curWin: -1}
-	s.tiers[1] = tier{width: Tier100, pts: make([]AggPoint, st.opts.TierPoints), curWin: -1}
+	s.tiers[0] = tier{width: Tier10, pts: jsonl.NewRing[AggPoint](st.opts.TierPoints), curWin: -1}
+	s.tiers[1] = tier{width: Tier100, pts: jsonl.NewRing[AggPoint](st.opts.TierPoints), curWin: -1}
 	st.series = append(st.series, s)
 	st.byKey[key] = s
 	return s

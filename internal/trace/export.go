@@ -1,177 +1,21 @@
 package trace
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/jsonl"
 
-// ExporterOptions configures an Exporter.
-type ExporterOptions struct {
-	// RingSize bounds the in-memory span ring (default 4096; the ring holds
-	// the most recent spans for tests and debug endpoints).
-	RingSize int
-	// Writer, when non-nil, receives every span as one JSON line.
-	Writer io.Writer
-	// QueueSize bounds the async writer queue (default 65536). When the
-	// queue is full the span is counted as dropped instead of blocking the
-	// hot path. Ignored with Sync.
-	QueueSize int
-	// Sync writes each span's JSON line synchronously under the exporter
-	// lock instead of through the async queue. Deterministic engines
-	// (virtual time) use it: ordering is stable and nothing can drop.
-	Sync bool
-}
+// ExporterOptions configures an Exporter: RingSize (default 4096 here),
+// Writer and Sync, as jsonl.SinkOptions documents them. The live engines
+// leave Sync off to keep JSON encoding off the pipeline hot path; their
+// Dropped count is the spans the full writer queue turned away.
+type ExporterOptions = jsonl.SinkOptions
 
-// Exporter receives finished spans: always into a preallocated ring, and —
-// when a writer is configured — as JSONL, either synchronously or through a
-// bounded queue drained by a background goroutine.
-type Exporter struct {
-	mu   sync.Mutex
-	ring []SpanRecord
-	next int
-	full bool
-
-	sync bool
-	enc  *json.Encoder
-	ch   chan SpanRecord
-
-	wmu      sync.Mutex
-	writeErr error
-	drainWG  sync.WaitGroup
-
-	exported atomic.Uint64
-	dropped  atomic.Uint64
-}
+// Exporter receives finished spans: always into the ring that Recent
+// reads, and, with a Writer, as JSONL.
+type Exporter = jsonl.Sink[SpanRecord]
 
 // NewExporter builds an exporter.
 func NewExporter(opts ExporterOptions) *Exporter {
 	if opts.RingSize <= 0 {
 		opts.RingSize = 4096
 	}
-	if opts.QueueSize <= 0 {
-		opts.QueueSize = 65536
-	}
-	e := &Exporter{ring: make([]SpanRecord, opts.RingSize), sync: opts.Sync}
-	if opts.Writer != nil {
-		e.enc = json.NewEncoder(opts.Writer)
-		if !opts.Sync {
-			e.ch = make(chan SpanRecord, opts.QueueSize)
-			e.drainWG.Add(1)
-			go e.drain(e.ch)
-		}
-	}
-	return e
-}
-
-// export ingests one finished span (copied; the caller reuses rec).
-func (e *Exporter) export(rec *SpanRecord) {
-	e.exported.Add(1)
-	e.mu.Lock()
-	e.ring[e.next] = *rec
-	e.next++
-	if e.next == len(e.ring) {
-		e.next = 0
-		e.full = true
-	}
-	switch {
-	case e.enc != nil && e.sync:
-		if e.writeErr == nil {
-			e.writeErr = e.enc.Encode(rec)
-		}
-	case e.ch != nil:
-		select {
-		case e.ch <- *rec:
-		default:
-			e.dropped.Add(1)
-		}
-	}
-	e.mu.Unlock()
-}
-
-// drain writes queued spans as JSONL off the hot path. The channel is
-// passed in (not read from e.ch) because Close nils e.ch before closing it.
-func (e *Exporter) drain(ch chan SpanRecord) {
-	defer e.drainWG.Done()
-	for rec := range ch {
-		e.wmu.Lock()
-		if e.writeErr == nil {
-			e.writeErr = e.enc.Encode(&rec)
-		}
-		e.wmu.Unlock()
-	}
-}
-
-// Close flushes the async writer queue and stops the drain goroutine. It
-// returns the first write error, if any. Spans exported after Close are
-// kept in the ring but no longer written.
-func (e *Exporter) Close() error {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	ch := e.ch
-	e.ch = nil
-	e.mu.Unlock()
-	if ch != nil {
-		close(ch)
-		e.drainWG.Wait()
-	}
-	return e.Err()
-}
-
-// Err returns the first JSONL write error, if any.
-func (e *Exporter) Err() error {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	err := e.writeErr
-	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	return e.writeErr
-}
-
-// Exported returns the number of spans handed to the exporter.
-func (e *Exporter) Exported() uint64 {
-	if e == nil {
-		return 0
-	}
-	return e.exported.Load()
-}
-
-// Dropped returns the number of spans the async writer queue rejected.
-// With a Sync exporter (or no writer) this is always 0.
-func (e *Exporter) Dropped() uint64 {
-	if e == nil {
-		return 0
-	}
-	return e.dropped.Load()
-}
-
-// Recent returns up to n of the most recent spans, oldest first.
-func (e *Exporter) Recent(n int) []SpanRecord {
-	if e == nil || n <= 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	size := e.next
-	if e.full {
-		size = len(e.ring)
-	}
-	if n > size {
-		n = size
-	}
-	out := make([]SpanRecord, n)
-	for i := 0; i < n; i++ {
-		idx := (e.next - n + i + len(e.ring)) % len(e.ring)
-		out[i] = e.ring[idx]
-	}
-	return out
+	return jsonl.NewSink[SpanRecord](opts)
 }

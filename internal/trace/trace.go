@@ -292,7 +292,7 @@ func (sp *Span) EndAt(endNs int64) {
 	}
 	sp.rec.EndNs = endNs
 	t := sp.t
-	t.exp.export(&sp.rec)
+	t.exp.Put(&sp.rec)
 	sp.t = nil
 	t.pool.Put(sp)
 }

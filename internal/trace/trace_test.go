@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/jsonl"
 )
 
 func TestTileTraceIDDeterministicAndNonZero(t *testing.T) {
@@ -130,7 +132,7 @@ func TestNilSafety(t *testing.T) {
 
 	// Exporter nil-safety.
 	var e *Exporter
-	if e.Close() != nil || e.Err() != nil || e.Exported() != 0 || e.Dropped() != 0 || e.Recent(4) != nil {
+	if e.Close() != nil || e.Err() != nil || e.Records() != 0 || e.Dropped() != 0 || e.Recent(4) != nil {
 		t.Fatal("nil exporter not inert")
 	}
 
@@ -199,8 +201,8 @@ func TestSyncExporterJSONL(t *testing.T) {
 	if rec.Stage != StageDecide || rec.Algo != "dvgreedy" || rec.StartNs != 42 {
 		t.Errorf("decoded = %+v", rec)
 	}
-	if exp.Exported() != 3 || exp.Dropped() != 0 {
-		t.Errorf("exported=%d dropped=%d", exp.Exported(), exp.Dropped())
+	if exp.Records() != 3 || exp.Dropped() != 0 {
+		t.Errorf("exported=%d dropped=%d", exp.Records(), exp.Dropped())
 	}
 	// Round-trip through the reader.
 	spans, err := ReadSpans(strings.NewReader(buf.String()))
@@ -227,16 +229,17 @@ func (g *gate) Write(p []byte) (int, error) {
 func TestAsyncExporterDropsWhenQueueFull(t *testing.T) {
 	g := &gate{}
 	g.mu.Lock() // hold the writer so the drain goroutine stalls
-	exp := NewExporter(ExporterOptions{Writer: g, QueueSize: 4, RingSize: 8})
+	exp := NewExporter(ExporterOptions{Writer: g, RingSize: 8})
 	tr := New(Options{Exporter: exp, Clock: func() int64 { return 0 }})
-	for i := 0; i < 64; i++ {
+	const spans = jsonl.QueueSize + 64
+	for i := 0; i < spans; i++ {
 		tr.Start(TileTraceID(2, uint32(i), 0), StageSend, SideServer, uint32(i), 0).End()
 	}
 	if exp.Dropped() == 0 {
 		t.Error("full queue dropped nothing")
 	}
-	if exp.Exported() != 64 {
-		t.Errorf("exported=%d", exp.Exported())
+	if exp.Records() != spans {
+		t.Errorf("exported=%d", exp.Records())
 	}
 	g.mu.Unlock()
 	if err := exp.Close(); err != nil {
@@ -244,7 +247,7 @@ func TestAsyncExporterDropsWhenQueueFull(t *testing.T) {
 	}
 	// Everything that wasn't dropped must have been written.
 	got := uint64(len(strings.Split(strings.TrimSpace(g.buf.String()), "\n")))
-	if want := exp.Exported() - exp.Dropped(); got != want {
+	if want := exp.Records() - exp.Dropped(); got != want {
 		t.Errorf("wrote %d lines, want %d", got, want)
 	}
 	// The ring still holds the most recent spans regardless of drops.
@@ -255,7 +258,7 @@ func TestAsyncExporterDropsWhenQueueFull(t *testing.T) {
 
 func TestAsyncExporterNoDropsWhenDrained(t *testing.T) {
 	var g gate
-	exp := NewExporter(ExporterOptions{Writer: &g, QueueSize: 1024})
+	exp := NewExporter(ExporterOptions{Writer: &g})
 	tr := New(Options{Exporter: exp, Clock: func() int64 { return 0 }})
 	for i := 0; i < 512; i++ {
 		tr.Start(TileTraceID(3, uint32(i), 0), StageSend, SideServer, uint32(i), 0).End()
@@ -272,6 +275,27 @@ func TestAsyncExporterNoDropsWhenDrained(t *testing.T) {
 	}
 	if len(spans) != 512 {
 		t.Errorf("read %d spans", len(spans))
+	}
+}
+
+// TestExporterStopsWritingAfterClose: a span exported after Close still
+// enters the ring but reaches the writer in neither mode.
+func TestExporterStopsWritingAfterClose(t *testing.T) {
+	for _, syncWrite := range []bool{true, false} {
+		var g gate
+		exp := NewExporter(ExporterOptions{Writer: &g, Sync: syncWrite})
+		tr := New(Options{Exporter: exp, Clock: func() int64 { return 0 }})
+		tr.Start(TileTraceID(4, 1, 0), StageSend, SideServer, 1, 0).End()
+		if err := exp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tr.Start(TileTraceID(4, 1, 1), StageSend, SideServer, 1, 1).End()
+		if got := strings.Count(g.buf.String(), "\n"); got != 1 {
+			t.Errorf("sync %v: %d lines written, want 1", syncWrite, got)
+		}
+		if got := len(exp.Recent(4)); got != 2 {
+			t.Errorf("sync %v: ring holds %d spans, want 2", syncWrite, got)
+		}
 	}
 }
 
