@@ -68,8 +68,8 @@ test:
 # way.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
-	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
-	$(GO) test -race -count=10 -cpu 1,2,4 -run '^TestMonitorConcurrentObserve$$' ./internal/obs
+	$(GO) test -race -count=10 -run '^(TestFleetSimIdenticalAcrossWorkers|TestParallelForCoversAll)$$' ./internal/load
+	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse)$$' ./internal/obs
 	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step

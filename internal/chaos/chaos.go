@@ -42,12 +42,12 @@ type Injector struct {
 
 // NewInjector builds the per-session injector. It returns nil when the
 // profile has no delivery-path faults targeting the session — the zero-cost
-// disabled state.
+// disabled state, which allocates nothing.
 func NewInjector(p *Profile, session uint32) *Injector {
 	if p == nil {
 		return nil
 	}
-	inj := &Injector{session: session}
+	var inj *Injector
 	for i := range p.Faults {
 		f := &p.Faults[i]
 		switch f.Kind {
@@ -58,13 +58,13 @@ func NewInjector(p *Profile, session uint32) *Injector {
 		if !f.appliesTo(session) {
 			continue
 		}
+		if inj == nil {
+			inj = &Injector{session: session}
+		}
 		inj.faults = append(inj.faults, &faultRT{
 			f:   f,
 			rng: randsrc.NewRand(mixSeed(p.Seed, session, i)),
 		})
-	}
-	if len(inj.faults) == 0 {
-		return nil
 	}
 	return inj
 }

@@ -185,6 +185,29 @@ func TestSessionTargeting(t *testing.T) {
 	}
 }
 
+// TestNoSessionFaultNoAllocation: a profile whose faults are all server-,
+// shard- or coordinator-scoped, or target other sessions, builds no
+// per-session injector, and finding that out allocates nothing — the
+// virtual engines ask once per arriving session.
+func TestNoSessionFaultNoAllocation(t *testing.T) {
+	p := mustParse(t, `{
+		"seed": 1,
+		"faults": [
+			{"kind": "server-stall", "start_slot": 5, "duration_slots": 3, "delay_ms": 10},
+			{"kind": "shard_drain", "start_slot": 10, "duration_slots": 30, "shard": 1},
+			{"kind": "shard_kill", "start_slot": 50, "shard": 0},
+			{"kind": "coord_kill", "start_slot": 12, "duration_slots": 20, "replica": 0},
+			{"kind": "blackout", "start_slot": 0, "sessions": [7]}
+		]}`)
+	var in *Injector
+	if allocs := testing.AllocsPerRun(100, func() { in = NewInjector(p, 3) }); allocs != 0 || in != nil {
+		t.Fatalf("NewInjector for an untargeted session: %v allocations, injector %v; want 0 and nil", allocs, in)
+	}
+	if NewInjector(p, 7) == nil {
+		t.Fatal("targeted session got a nil injector")
+	}
+}
+
 func TestServerInjector(t *testing.T) {
 	p := mustParse(t, `{
 		"seed": 1,

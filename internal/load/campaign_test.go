@@ -77,17 +77,71 @@ func diffReports(tb testing.TB, label string, a, b *RunReport) {
 	tb.Fatalf("%s: reports diverge outside outcomes/slot quality:\n  a=%+v\n  b=%+v", label, a, b)
 }
 
+// TestParallelForCoversAll: a forkJoin loop calls every index exactly once,
+// at both grains the engines use, for any worker count and loop size, and
+// one forkJoin runs loop after loop.
 func TestParallelForCoversAll(t *testing.T) {
 	for _, workers := range []int{1, 2, 5, 16} {
-		for _, n := range []int{0, 1, 7, 8, 9, 100, 1000} {
-			hits := make([]int32, n)
-			parallelFor(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
+		fj := newForkJoin(workers)
+		for _, grain := range []int{1, simShard} {
+			for _, n := range []int{0, 1, 7, 8, 9, 100, 1000} {
+				hits := make([]int32, n)
+				fj.run(n, grain, func(i int) { atomic.AddInt32(&hits[i], 1) })
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("workers=%d grain=%d n=%d: index %d hit %d times", workers, grain, n, i, h)
+					}
 				}
 			}
 		}
+		fj.stop()
+	}
+}
+
+// TestForkJoinDoesNotAllocate: once a run's forkJoin has started its
+// helpers, a loop — the wake-up, the cursor, the join — allocates nothing,
+// at either grain.
+func TestForkJoinDoesNotAllocate(t *testing.T) {
+	fj := newForkJoin(2)
+	defer fj.stop()
+	var hits [64]int32
+	body := func(i int) { atomic.AddInt32(&hits[i], 1) }
+	fj.run(len(hits), simShard, body) // starts the helper
+	for _, grain := range []int{1, simShard} {
+		if allocs := testing.AllocsPerRun(200, func() { fj.run(len(hits), grain, body) }); allocs != 0 {
+			t.Errorf("grain %d: a loop allocates %v times, want 0", grain, allocs)
+		}
+	}
+	for i, h := range hits {
+		if want := int32(1 + 2*201); h != want {
+			t.Fatalf("index %d hit %d times, want %d", i, h, want)
+		}
+	}
+}
+
+// TestArrivalIndexStable: the arrival index lists each slot's sessions in
+// the workload's order, for an unsorted workload too, and drops the ones
+// arriving outside the horizon.
+func TestArrivalIndexStable(t *testing.T) {
+	const horizon = 6
+	var sessions []SessionSpec
+	for i, arrive := range []int{3, 0, 3, -1, 5, 0, 9, 3, 6, 1} {
+		sessions = append(sessions, SessionSpec{ID: uint32(100 - i), ArriveSlot: arrive})
+	}
+	idx := indexArrivals(sessions, horizon)
+	for slot := 0; slot < horizon; slot++ {
+		var want []SessionSpec
+		for _, s := range sessions {
+			if s.ArriveSlot == slot {
+				want = append(want, s)
+			}
+		}
+		if got := idx.at(slot); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Errorf("slot %d: arrivals %+v, want %+v", slot, got, want)
+		}
+	}
+	if len(idx.specs) != 7 {
+		t.Errorf("indexed %d sessions, want the 7 inside the horizon", len(idx.specs))
 	}
 }
 

@@ -145,6 +145,12 @@ func (r *FleetReport) FormatFleet() string {
 // fleetSession wraps a simSession with its fleet coordinates.
 type fleetSession struct {
 	simSession
+	fleetPlace
+}
+
+// fleetPlace is a fleet session's coordinates and slot flags: what
+// placement sets, whole, when an arena value becomes a new arrival.
+type fleetPlace struct {
 	zone        int
 	shard       int
 	outageUntil int // slot before which the session is mid-handoff
@@ -157,6 +163,8 @@ type fleetSession struct {
 	// state only changes there), so the router view and the evacuation
 	// ordering read a field instead of locking the monitor.
 	paging bool
+	// ready marks the session's inputs set up (ensureInputs).
+	ready bool
 
 	// What the shard's step charged the session this slot, read by the
 	// serial tally after the join: whether it was blacked out, else the
@@ -177,10 +185,10 @@ func (s *fleetSession) observe(cfg *SimConfig, displayed bool, quality float64) 
 // keeps moving, so the predictor still sees the pose, and the link's
 // capacity moves on with the slot.
 func (s *fleetSession) blackout(env *simEnv) {
-	s.pred.Observe(s.walk.Next())
-	s.caps.Next()
+	s.in.pred.Observe(s.in.walk.Next())
+	s.in.caps.Next()
 	s.missed++
-	s.ForcedMiss(s.acc, env.deadlineMs)
+	s.ForcedMiss(&s.acc, env.deadlineMs)
 	s.observe(env.cfg, false, 0)
 }
 
@@ -189,8 +197,9 @@ func (s *fleetSession) blackout(env *simEnv) {
 // them. Placement only needs the spec; the set-up is the expensive part of
 // an arrival and shares nothing, so it runs in the placed shard's step.
 func (s *fleetSession) ensureInputs(env *simEnv) {
-	if s.pred == nil {
-		s.simSession = env.newSession(s.spec)
+	if !s.ready {
+		env.setUp(&s.simSession, s.spec)
+		s.ready = true
 	}
 }
 
@@ -328,10 +337,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		shards[i].alloc = sim.NewAllocator()
 	}
 
-	byArrive := make(map[int][]SessionSpec)
-	for _, s := range w.Sessions {
-		byArrive[s.ArriveSlot] = append(byArrive[s.ArriveSlot], s)
-	}
+	arrivals := indexArrivals(w.Sessions, horizon)
 
 	report := &FleetReport{
 		RunReport: RunReport{
@@ -344,7 +350,10 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		Scorer: scorer.Name(),
 	}
 
-	var active []*fleetSession
+	var (
+		sessions sessionArena[fleetSession, *fleetSession]
+		active   []*fleetSession
+	)
 	serverInj := chaos.NewServerInjector(sim.Chaos)
 	shardFaults := sim.Chaos.ShardFaults() // the brown-outs among them are the data plane's
 	report.SlotQuality = make([]float64, 0, horizon)
@@ -393,7 +402,20 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	shardQualCnt := make([]int, cfg.Shards)
 	var evacCands []fleet.EvacCandidate
 
-	for slot := 0; slot < horizon; slot++ {
+	// The slot's one parallel loop, made once over what the serial control
+	// step leaves for it.
+	var (
+		slot    int
+		view    []fleet.ShardState
+		stallMs float64
+	)
+	fj := newForkJoin(sim.Workers)
+	defer fj.stop()
+	stepShard := func(i int) {
+		shards[i].step(env, slot, !view[i].Alive, view[i].BudgetMbps, degrade[i], stallMs)
+	}
+
+	for slot = 0; slot < horizon; slot++ {
 		// Coordinator faults and the cluster tick come first: a leader
 		// killed this slot is already dead when the shard faults below try
 		// to flip ownership, and an election lands before any retry.
@@ -441,7 +463,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 
 		// Arrivals route through the scorer; one the cluster cannot own
 		// (leaderless) or no shard can accept fails fast, like Live.Place.
-		for _, spec := range byArrive[slot] {
+		for _, spec := range arrivals.at(slot) {
 			zone := int(spec.ID) % cfg.Zones
 			to, err := ctl.Place(fleet.SessionInfo{ID: spec.ID, Zone: zone})
 			if err != nil {
@@ -449,15 +471,21 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				report.PlacementsFailed++
 				continue
 			}
-			// Only the spec for now: the placed shard's step sets up the
-			// session's inputs (ensureInputs), off the serial path.
-			active = append(active, &fleetSession{simSession: simSession{spec: spec}, zone: zone, shard: to})
+			// A session value from the arena — a departed session's, else a
+			// fresh one — with only the spec for now: the placed shard's step
+			// sets up the session's inputs (ensureInputs), off the serial
+			// path.
+			s := sessions.get()
+			s.spec, s.fleetPlace = spec, fleetPlace{zone: zone, shard: to}
+			active = append(active, s)
 		}
-		// Departures.
+		// Departures: the arena takes each session back for a later
+		// arrival.
 		next := active[:0]
 		for _, s := range active {
 			if slot >= s.spec.DepartSlot {
 				finish(s)
+				sessions.put(s)
 				continue
 			}
 			next = append(next, s)
@@ -473,7 +501,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 
 		serverInj.Advance(slot)
-		stallMs := float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
+		stallMs = float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
 
 		// Bucket the active set by owning shard, in arrival order. That ends
 		// the slot's serial control step: from here each shard's problem is
@@ -490,10 +518,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		// its sessions and observes it, on up to Workers goroutines. One, not
 		// one per phase — a slot is about a millisecond of work and every
 		// fork-join pays a goroutine wake-up.
-		view := ctl.States()
-		forEachShard(len(shards), sim.Workers, func(i int) {
-			shards[i].step(env, slot, !view[i].Alive, view[i].BudgetMbps, degrade[i], stallMs)
-		})
+		view = ctl.States()
+		fj.run(len(shards), 1, stepShard)
 
 		// Tally, serially, in shard-then-arrival order: the decision recorder
 		// keeps ordered state and the quality sums are floating-point, so the

@@ -141,13 +141,34 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSimulateArrivalAllocs gates what arrivals cost Simulate: over a
+// churning workload whose sessions come and go all run long, the whole run
+// may allocate at most once per session it sets up. A departed session is
+// set up again in place for a later arrival and a fresh one comes out of an
+// arena chunk, so a session set-up that allocated again (about ten
+// allocations each before sessions were recycled) fails it.
+func TestSimulateArrivalAllocs(t *testing.T) {
+	w := churnWorkload(t, 3000, 900, 41)
+	mustSimulate(t, w, SimConfig{Workers: 2}) // warm the runtime's own pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustSimulate(t, w, SimConfig{Workers: 2})
+	runtime.ReadMemStats(&after)
+	perSession := float64(after.Mallocs-before.Mallocs) / float64(len(w.Sessions))
+	t.Logf("mallocs: %d for %d sessions (peak %d concurrent): %.3f per session",
+		after.Mallocs-before.Mallocs, len(w.Sessions), w.PeakConcurrent(), perSession)
+	if perSession > 1 {
+		t.Errorf("Simulate allocates %.2f times per session set up, want <= 1", perSession)
+	}
+}
+
 // TestSimulateFleetSteadyStateAllocs is the same gate for the fleet engine
 // on a churning workload with the whole control plane on: the slots a
-// doubled horizon adds may cost at most 0.21 heap allocations per added
+// doubled horizon adds may cost at most 0.03 heap allocations per added
 // session-slot. Unlike Simulate's gate the bound includes the arrivals of
-// the added slots (about 30 allocations per session set-up, a session every
-// 180 session-slots here), which is most of it; the per-slot fork-join and
-// the coordinator log are the rest.
+// the added slots (a session every 180 session-slots here); the SLO windows
+// and breaker entries of new sessions beyond the run's peak, the coordinator
+// log and the solver's scratch growth are most of it.
 func TestSimulateFleetSteadyStateAllocs(t *testing.T) {
 	const horizon = 300
 	measure := func(h int) (mallocs uint64, slots int) {
@@ -167,8 +188,8 @@ func TestSimulateFleetSteadyStateAllocs(t *testing.T) {
 	long, longSlots := measure(2 * horizon)
 	perSlot := (float64(long) - float64(short)) / float64(longSlots-shortSlots)
 	t.Logf("mallocs: %d over %d session-slots, %d over %d: %.4f per added session-slot", short, shortSlots, long, longSlots, perSlot)
-	if perSlot > 0.21 {
-		t.Errorf("steady-state fleet slot loop allocates %.3f times per session-slot, want <= 0.21", perSlot)
+	if perSlot > 0.03 {
+		t.Errorf("steady-state fleet slot loop allocates %.4f times per session-slot, want <= 0.03", perSlot)
 	}
 }
 

@@ -49,13 +49,16 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 // engines drive it through the same two calls per slot: build (the
 // session's row of the slot problem) and settle (the outcome of the level
 // the solve picked).
+//
+// A session is a value in a sessionArena and never moves, and neither do
+// its inputs: the predictor's windows, the rate and delay tables and the
+// inputs' storage point into themselves. When a session departs, the arena
+// hands the value to a later arrival, and setUp makes it that session in
+// place.
 type simSession struct {
 	step.Session
 	spec SessionSpec
-	walk motion.Walker
-	caps nettrace.SlotCursor
-	pred *motion.Predictor
-	acc  *metrics.UserQoE
+	acc  metrics.UserQoE
 	inj  *chaos.Injector // nil without a chaos profile
 
 	missed int // frames that missed their deadline, of the T settled
@@ -69,26 +72,101 @@ type simSession struct {
 	linkCap float64 // link capacity after chaos and shard faults
 	inView  bool    // delivered portion covers the actual view
 	dropped bool    // chaos lost this slot's content on the wire
+
+	tables [2 * tiles.Levels]float64 // Rates, then Delays
+	in     *sessionInputs            // the value's own, from the arena
 }
 
-// newSession sets up a session's inputs from its spec. It reads only the
-// env, so arrivals may be set up concurrently.
-func (e *simEnv) newSession(spec SessionSpec) simSession {
-	tables := make([]float64, 2*tiles.Levels)
-	s := simSession{
-		spec: spec,
-		pred: motion.NewPredictor(e.cfg.PredictorWindow),
-		acc:  metrics.NewUserQoE(e.qoe),
-		inj:  chaos.NewInjector(e.cfg.Chaos, spec.ID),
+// sessionInputs is what only a session's build (and the fleet's blackout)
+// reads: the motion walker, the capacity cursor and the predictor, and the
+// storage they point into — the random source both draw from, the trace's
+// segments and the tile selection's array. It is kept apart from the rest of
+// the session, in a chunk of its own, because the serial solve and settle
+// read every session's ladder and counters every slot: with these 5.7 KB
+// inline they would sit a source apart.
+type sessionInputs struct {
+	walk motion.Walker
+	caps nettrace.SlotCursor
+	pred motion.Predictor
+	net  nettrace.Trace // the trace caps walks
+	src  randsrc.Source // draws the trace, then the walk
+	rng  rand.Rand      // over src
+	sel  [tiles.NumTiles]tiles.TileID
+	segs [sessionSegments]nettrace.Segment // net.Segments' array until it outgrows it
+}
+
+// sessionSegments is how many capacity-trace segments a session holds
+// inline: a 4-s session on an LTE trace (1-5 s holds, to its last slot
+// plus a second) needs two or three. A session value whose trace outgrew
+// them keeps the larger array for its later lives.
+const sessionSegments = 4
+
+// setUp makes s, a value from a sessionArena, the session spec describes,
+// in place. s is fresh or a departed session's; either way the session's
+// state starts from zero and every input is drawn anew, so it is bit for
+// bit what a fresh value would be. It reads only the env and writes only s
+// and its inputs, so arrivals may be set up concurrently.
+func (e *simEnv) setUp(s *simSession, spec SessionSpec) {
+	in := s.in
+	*s = simSession{in: in}
+	s.spec, s.inj = spec, chaos.NewInjector(e.cfg.Chaos, spec.ID)
+	s.Sel = in.sel[:0]
+	s.Rates, s.Delays = s.tables[:tiles.Levels:tiles.Levels], s.tables[tiles.Levels:]
+	s.acc.Reset(e.qoe)
+	in.pred.Reset(e.cfg.PredictorWindow)
+	if cap(in.net.Segments) < len(in.segs) {
+		in.net.Segments = in.segs[:0]
 	}
 	// One source draws the network trace and is then reseeded for the walk,
 	// which keeps it.
-	rng := rand.New(new(randsrc.Source))
-	s.caps = e.w.netTrace(spec, rng).Cursor(e.w.Cfg.SlotsPerSecond)
-	s.walk = e.w.walker(spec, rng)
-	s.Rates, s.Delays = tables[:tiles.Levels:tiles.Levels], tables[tiles.Levels:]
+	in.rng = *rand.New(&in.src)
+	e.w.netTraceInto(&in.net, spec, &in.rng)
+	in.caps = in.net.Cursor(e.w.Cfg.SlotsPerSecond)
+	in.walk = e.w.walker(spec, &in.rng)
+}
+
+// arenaChunk is how many sessions one arena chunk holds (about 25 KB of
+// simSessions and 370 KB of their inputs): a run that peaks at a few
+// thousand concurrent sessions makes tens of allocations for them and
+// leaves at most a chunk's tail unused.
+const arenaChunk = 64
+
+// sessionArena hands out the session values of one run: a departed
+// session's first, last departed first, else the next value of the current
+// chunk, so fresh sessions and their inputs lie in memory in arrival order.
+// A chunk is allocated once and never moves, so neither does a session or
+// its inputs. Only the serial part of a slot calls it. P is *T: the arena
+// gives a fresh value its inputs through it.
+type sessionArena[T any, P interface {
+	*T
+	sim() *simSession
+}] struct {
+	chunk  []T             // the current chunk's values not yet handed out
+	inputs []sessionInputs // their inputs, index for index
+	free   []*T            // departed sessions
+}
+
+// sim is the simSession a session value holds, for the arena.
+func (s *simSession) sim() *simSession { return s }
+
+// get returns a session value for an arrival to set up.
+func (a *sessionArena[T, P]) get() *T {
+	if n := len(a.free); n > 0 {
+		s := a.free[n-1]
+		a.free = a.free[:n-1]
+		return s
+	}
+	if len(a.chunk) == 0 {
+		a.chunk, a.inputs = make([]T, arenaChunk), make([]sessionInputs, arenaChunk)
+	}
+	s := &a.chunk[0]
+	P(s).sim().in = &a.inputs[0]
+	a.chunk, a.inputs = a.chunk[1:], a.inputs[1:]
 	return s
 }
+
+// put takes back a departed session for a later arrival.
+func (a *sessionArena[T, P]) put(s *T) { a.free = append(a.free, s) }
 
 // build runs the session's share of one slot's decision pipeline — the
 // step's trace-driven prologue (predict, select, rate ladder, coverage,
@@ -100,12 +178,12 @@ func (e *simEnv) newSession(spec SessionSpec) simSession {
 // otherwise). It touches only s and the read-only env.
 func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []float64) core.UserInput {
 	local := slot - s.spec.ArriveSlot
-	s.inView = s.Follow(&e.Env, s.pred, local <= e.cfg.PredictorWindow, s.walk.Next())
+	s.inView = s.Follow(&e.Env, &s.in.pred, local <= e.cfg.PredictorWindow, s.in.walk.Next())
 	// Chaos capacity faults: cliffs scale the link, a blackout zeroes it
 	// (MM1Delay then saturates and the frame misses); a per-slot drop loses
 	// the slot's content outright.
 	s.inj.Advance(slot)
-	s.linkCap = s.caps.Next() * s.inj.SimCapFactor() * capFactor
+	s.linkCap = s.in.caps.Next() * s.inj.SimCapFactor() * capFactor
 	s.dropped = s.inj.Drop()
 	u := s.Input(&e.Env, s.linkCap, nil)
 	core.ObjectiveRow(values, e.cfg.Params, slot+1, u)
@@ -118,7 +196,7 @@ func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []floa
 // delivered rate, the charged delay and whether the frame missed its
 // deadline.
 func (s *simSession) settle(e *simEnv, q int, overloadMs, stallMs float64) (rate, delay float64, missed bool) {
-	rate, delay, missed = s.Settle(&e.Env, s.acc, q, s.linkCap, s.inView, s.dropped, overloadMs, stallMs, e.deadlineMs)
+	rate, delay, missed = s.Settle(&e.Env, &s.acc, q, s.linkCap, s.inView, s.dropped, overloadMs, stallMs, e.deadlineMs)
 	if missed {
 		s.missed++
 	}

@@ -155,10 +155,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	alloc := cfg.NewAllocator()
 	lm := newLoadMetrics(cfg.Metrics)
 
-	byArrive := make(map[int][]SessionSpec)
-	for _, s := range w.Sessions {
-		byArrive[s.ArriveSlot] = append(byArrive[s.ArriveSlot], s)
-	}
+	arrivals := indexArrivals(w.Sessions, horizon)
 
 	report := &RunReport{
 		Mode:           "sim",
@@ -167,10 +164,13 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		Spawned:        len(w.Sessions),
 		PeakConcurrent: w.PeakConcurrent(),
 	}
-	var active []*simSession
-	users := make([]core.UserInput, 0, 64)
-	levels := cfg.Params.Levels
-	var values []float64 // the slot's n x levels objective table, one slab
+	var (
+		sessions sessionArena[simSession, *simSession]
+		active   []*simSession
+		users    = make([]core.UserInput, 0, 64)
+		levels   = cfg.Params.Levels
+		values   []float64 // the slot's n x levels objective table, one slab
+	)
 
 	finish := func(s *simSession) {
 		cfg.SLO.Retire(s.spec.ID)
@@ -179,6 +179,21 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		report.Outcomes = append(report.Outcomes, out)
 		report.Completed++
 		lm.observeOutcome(out)
+	}
+
+	// The slot's two parallel loops, made once: set up the slot's arrivals
+	// (specs, landing at active[base:]), and build every active session's
+	// row. Each writes only its own indices.
+	var (
+		slot  int
+		base  int
+		specs []SessionSpec
+	)
+	fj := newForkJoin(cfg.Workers)
+	defer fj.stop()
+	setUp := func(i int) { env.setUp(active[base+i], specs[i]) }
+	build := func(i int) {
+		users[i] = active[i].build(env, slot, 1, values[i*levels:(i+1)*levels])
 	}
 
 	serverInj := chaos.NewServerInjector(cfg.Chaos)
@@ -192,23 +207,26 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 	var problem core.SlotProblem
 	spans := step.VirtualSpans{Tracer: cfg.Tracer, Epoch: cfg.TraceEpoch, Algo: cfg.AllocName, SlotMs: slotMs}
 
-	for slot := 0; slot < horizon; slot++ {
-		// Arrivals: setting up a session's motion walker and capacity
-		// cursor reads only its spec, so a burst sets up in parallel, each
-		// session landing on its arrival-order index.
-		if specs := byArrive[slot]; len(specs) > 0 {
-			base := len(active)
-			active = append(active, make([]*simSession, len(specs))...)
-			parallelFor(len(specs), cfg.Workers, func(i int) {
-				s := env.newSession(specs[i])
-				active[base+i] = &s
-			})
+	for slot = 0; slot < horizon; slot++ {
+		// Arrivals: each takes a session value from the arena — a departed
+		// session's, else a fresh one — here, and sets it up in the parallel
+		// loop: setting up a session's motion walker and capacity cursor
+		// reads only its spec, so a burst sets up in parallel, each session
+		// landing on its arrival-order index.
+		if specs = arrivals.at(slot); len(specs) > 0 {
+			base = len(active)
+			for range specs {
+				active = append(active, sessions.get())
+			}
+			fj.run(len(specs), simShard, setUp)
 		}
-		// Departures.
+		// Departures: the arena takes each session back for a later
+		// arrival.
 		next := active[:0]
 		for _, s := range active {
 			if slot >= s.spec.DepartSlot {
 				finish(s)
+				sessions.put(s)
 				continue
 			}
 			next = append(next, s)
@@ -233,9 +251,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		n := len(active)
 		users = slices.Grow(users[:0], n)[:n]
 		values = slices.Grow(values[:0], n*levels)[:n*levels]
-		parallelFor(n, cfg.Workers, func(i int) {
-			users[i] = active[i].build(env, slot, 1, values[i*levels:(i+1)*levels])
-		})
+		fj.run(n, simShard, build)
 		problem = core.SlotProblem{T: slot + 1, Budget: cfg.BudgetMbps, Users: users, Values: values}
 		var solveStart time.Time
 		if cfg.Tracer.Enabled() {

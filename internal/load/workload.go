@@ -344,15 +344,16 @@ func (w *Workload) MotionTrace(spec SessionSpec, extraSlots int) motion.Trace {
 	return tr
 }
 
-// netTrace regenerates the session's network trace, drawing from rng
-// (reseeded with the spec's seed; nil allocates one). It is generated only
+// netTraceInto regenerates the session's network trace into t, reusing its
+// segment array, drawing from rng (reseeded with the spec's seed; nil
+// allocates one). It is generated only
 // as far as the session reads it — to its last slot plus a second of slack
 // — where the Net config is valid and the session ends before the full
 // trace would wrap. Its segments are then a prefix of the full trace's (the
 // generator draws segment by segment, and only the clipped last hold
 // differs), so every slot the session reads is bit-identical to the full
 // trace's.
-func (w *Workload) netTrace(spec SessionSpec, rng *rand.Rand) *nettrace.Trace {
+func (w *Workload) netTraceInto(t *nettrace.Trace, spec SessionSpec, rng *rand.Rand) {
 	if rng == nil {
 		rng = randsrc.NewRand(spec.NetSeed)
 	} else {
@@ -366,11 +367,13 @@ func (w *Workload) netTrace(spec SessionSpec, rng *rand.Rand) *nettrace.Trace {
 	if need := float64(spec.Slots())/sps + 1; cfg.MaxMbps > cfg.MinMbps && need < cfg.Seconds {
 		cfg.Seconds = need
 	}
-	return nettrace.Generate(spec.NetKind, cfg, rng)
+	t.GenerateInto(spec.NetKind, cfg, rng)
 }
 
 // CapSlots regenerates the session's per-slot link capacity in Mbps from its
 // assigned network trace. Deterministic in the spec.
 func (w *Workload) CapSlots(spec SessionSpec) []float64 {
-	return w.netTrace(spec, nil).Slotted(spec.Slots(), w.Cfg.SlotsPerSecond)
+	var t nettrace.Trace
+	w.netTraceInto(&t, spec, nil)
+	return t.Slotted(spec.Slots(), w.Cfg.SlotsPerSecond)
 }

@@ -31,7 +31,15 @@ type UserQoE struct {
 
 // NewUserQoE returns an accumulator with the given weights.
 func NewUserQoE(params QoEParams) *UserQoE {
-	return &UserQoE{params: params}
+	u := &UserQoE{}
+	u.Reset(params)
+	return u
+}
+
+// Reset empties the accumulator in place and sets its weights, as if it
+// were new.
+func (u *UserQoE) Reset(params QoEParams) {
+	*u = UserQoE{params: params}
 }
 
 // Observe records one slot: the allocated quality level q, whether the

@@ -123,3 +123,24 @@ func TestFormatComparison(t *testing.T) {
 		t.Errorf("FPS column should scale by slot rate: %q", out)
 	}
 }
+
+// A reset accumulator reports what a new one does after the same slots.
+func TestUserQoEReset(t *testing.T) {
+	p := QoEParams{Alpha: 0.02, Beta: 0.5}
+	u := NewUserQoE(QoEParams{Alpha: 1, Beta: 1})
+	for i := 0; i < 40; i++ {
+		u.Observe(1+i%5, i%3 != 0, float64(i))
+		u.ObserveFrame(i%2 == 0)
+	}
+	u.Reset(p)
+	fresh := NewUserQoE(p)
+	for i := 0; i < 25; i++ {
+		u.Observe(5-i%5, i%4 != 0, float64(2*i))
+		fresh.Observe(5-i%5, i%4 != 0, float64(2*i))
+		u.ObserveFrame(i%3 == 0)
+		fresh.ObserveFrame(i%3 == 0)
+	}
+	if *u != *fresh {
+		t.Fatalf("reset accumulator %+v, new one %+v", *u, *fresh)
+	}
+}

@@ -236,3 +236,30 @@ func TestNewPredictorIsOneAllocation(t *testing.T) {
 		t.Errorf("NewPredictor(0) allocates %v times, want 1", allocs)
 	}
 }
+
+// A predictor reset for a new user predicts what a new one does, slot for
+// slot, whatever it held before — at the default window without touching
+// the heap, and across a change of window.
+func TestPredictorResetMatchesNew(t *testing.T) {
+	old := Generate(Scenes()[1], 4, 150, 60, 9)
+	next := Generate(Scenes()[0], 2, 150, 60, 5)
+	for _, window := range []int{DefaultWindow, 3, DefaultWindow + 4} {
+		p := NewPredictor(DefaultWindow + 4)
+		for _, pose := range old {
+			p.Observe(pose)
+		}
+		p.Reset(window)
+		fresh := NewPredictor(window)
+		for i, pose := range next {
+			if got, want := p.Predict(), fresh.Predict(); got != want {
+				t.Fatalf("window %d, slot %d: reset predictor says %+v, new one %+v", window, i, got, want)
+			}
+			p.Observe(pose)
+			fresh.Observe(pose)
+		}
+	}
+	p := NewPredictor(0)
+	if allocs := testing.AllocsPerRun(100, func() { p.Reset(0) }); allocs != 0 {
+		t.Errorf("Reset(0) allocates %v times, want 0", allocs)
+	}
+}

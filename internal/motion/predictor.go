@@ -10,7 +10,7 @@ import (
 // (Section V). Yaw is unwrapped into a cumulative angle before regression so
 // that crossing the +/-180 seam does not break the fit. A Predictor's windows
 // point into its own storage: use it through the pointer NewPredictor
-// returns and do not copy it.
+// returns, or Reset one that lives where it will stay, and do not copy it.
 type Predictor struct {
 	axes [numAxes]estimate.SlidingWindow
 
@@ -40,13 +40,24 @@ const DefaultWindow = 8
 // NewPredictor returns a predictor with the given regression window
 // (minimum 2; DefaultWindow if <= 0).
 func NewPredictor(window int) *Predictor {
+	p := &Predictor{}
+	p.Reset(window)
+	return p
+}
+
+// Reset empties the predictor in place and sets its regression window
+// (minimum 2; DefaultWindow if <= 0): afterwards it predicts exactly what
+// NewPredictor(window) would. A session reused for a new user resets its
+// predictor instead of allocating one; up to DefaultWindow this touches no
+// heap.
+func (p *Predictor) Reset(window int) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	if window < 2 {
 		window = 2
 	}
-	p := &Predictor{}
+	p.lastYaw, p.cumYaw, p.havePrior = 0, 0, false
 	buf := p.store[:]
 	if window > DefaultWindow {
 		buf = make([]float64, numAxes*window)
@@ -54,7 +65,6 @@ func NewPredictor(window int) *Predictor {
 	for i := range p.axes {
 		p.axes[i] = estimate.WindowOver(buf[i*window : (i+1)*window])
 	}
-	return p
 }
 
 // Observe feeds the pose of the current slot.

@@ -67,11 +67,20 @@ func DefaultConfig() Config { return Config{MinMbps: 20, MaxMbps: 100, Seconds: 
 
 // Generate produces one trace of the given kind.
 func Generate(kind Kind, cfg Config, rng *rand.Rand) *Trace {
+	t := &Trace{}
+	t.GenerateInto(kind, cfg, rng)
+	return t
+}
+
+// GenerateInto replaces t's segments with a trace of the given kind — the
+// one Generate draws from the same rng — reusing the Segments array when it
+// has room.
+func (t *Trace) GenerateInto(kind Kind, cfg Config, rng *rand.Rand) {
 	if cfg.MaxMbps <= cfg.MinMbps {
 		cfg = DefaultConfig()
 	}
 	span := cfg.MaxMbps - cfg.MinMbps
-	var segs []Segment
+	segs := t.Segments[:0]
 	elapsed := 0.0
 
 	switch kind {
@@ -131,7 +140,7 @@ func Generate(kind Kind, cfg Config, rng *rand.Rand) *Trace {
 			elapsed += hold
 		}
 	}
-	return &Trace{Segments: segs}
+	t.Segments = segs
 }
 
 // GenerateMix builds n traces, half Broadband and half LTE, as the paper

@@ -180,3 +180,28 @@ func TestReadCSVErrors(t *testing.T) {
 		t.Error("short row should error")
 	}
 }
+
+// GenerateInto draws the trace Generate does from the same seed, over a
+// trace that held another one, and reuses its segment array when it has
+// room.
+func TestGenerateIntoMatchesGenerate(t *testing.T) {
+	cfg := DefaultConfig()
+	var tr Trace
+	for seed, kind := range []Kind{LTE, Broadband, MmWave, LTE} {
+		tr.GenerateInto(kind, cfg, rand.New(rand.NewSource(int64(seed))))
+		want := Generate(kind, cfg, rand.New(rand.NewSource(int64(seed))))
+		if len(tr.Segments) != len(want.Segments) {
+			t.Fatalf("%v seed %d: %d segments, want %d", kind, seed, len(tr.Segments), len(want.Segments))
+		}
+		for i := range want.Segments {
+			if tr.Segments[i] != want.Segments[i] {
+				t.Fatalf("%v seed %d: segment %d = %+v, want %+v", kind, seed, i, tr.Segments[i], want.Segments[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	tr.Segments = make([]Segment, 0, 512)
+	if allocs := testing.AllocsPerRun(20, func() { tr.GenerateInto(LTE, cfg, rng) }); allocs != 0 {
+		t.Errorf("GenerateInto with room allocates %v times, want 0", allocs)
+	}
+}

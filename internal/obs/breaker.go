@@ -82,6 +82,9 @@ type Breaker struct {
 
 	mu       sync.Mutex
 	sessions map[uint32]*breakerSession
+	// free holds retired sessions' entries for the next new session to
+	// reuse, last retired first.
+	free []*breakerSession
 
 	cOpened, cDegraded, cClosed *Counter
 	gOpen, gDegraded            *Gauge
@@ -122,7 +125,13 @@ func (b *Breaker) Observe(session uint32, sloState string) int {
 	defer b.mu.Unlock()
 	s := b.sessions[session]
 	if s == nil {
-		s = &breakerSession{state: BreakerClosed}
+		if n := len(b.free); n > 0 {
+			s = b.free[n-1]
+			b.free = b.free[:n-1]
+		} else {
+			s = new(breakerSession)
+		}
+		*s = breakerSession{state: BreakerClosed}
 		b.sessions[session] = s
 	}
 	page := sloState == SLOStatePage
@@ -220,13 +229,17 @@ func (b *Breaker) State(session uint32) string {
 	return ""
 }
 
-// Retire drops a departed session's breaker.
+// Retire drops a departed session's breaker and keeps its entry for the
+// next session the breaker sees.
 func (b *Breaker) Retire(session uint32) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	delete(b.sessions, session)
+	if s := b.sessions[session]; s != nil {
+		delete(b.sessions, session)
+		b.free = append(b.free, s)
+	}
 	b.mu.Unlock()
 }
 

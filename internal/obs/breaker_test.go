@@ -73,6 +73,97 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerRetireReuse: a new session's breaker entry is a retired
+// session's, and it starts closed whatever the old one left. The same SLO
+// state sequence on the recycled entry and on a fresh breaker returns the
+// same caps and states every slot, moves the transition counters by the
+// same amounts and ends in the same counts.
+func TestBreakerRetireReuse(t *testing.T) {
+	cfg := BreakerConfig{Levels: 5, RecoverySlots: 10, HalfOpenSlots: 4}
+	// script walks a breaker through degraded, open, half-open, open again
+	// and closed.
+	script := func(i int) string {
+		switch {
+		case i%70 < 5:
+			return SLOStateWarn
+		case i%70 < 8, i%70 == 25:
+			return SLOStatePage
+		}
+		return SLOStateOK
+	}
+	type run struct {
+		caps                  []int
+		states                []string
+		opened, degr, closed  uint64
+		nClosed, nDegr, nOpen int
+		nHalf                 int
+	}
+	counters := func(reg *Registry) (uint64, uint64, uint64) {
+		return reg.Counter("collabvr_breaker_open_transitions_total").Value(),
+			reg.Counter("collabvr_breaker_degraded_transitions_total").Value(),
+			reg.Counter("collabvr_breaker_close_transitions_total").Value()
+	}
+	observe := func(b *Breaker, reg *Registry, id uint32, slots int) run {
+		o0, d0, c0 := counters(reg)
+		var r run
+		for i := 0; i < slots; i++ {
+			r.caps = append(r.caps, b.Observe(id, script(i)))
+			r.states = append(r.states, b.State(id))
+		}
+		o1, d1, c1 := counters(reg)
+		r.opened, r.degr, r.closed = o1-o0, d1-d0, c1-c0
+		r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.Counts()
+		return r
+	}
+
+	freshReg := NewRegistry()
+	fresh := observe(NewBreaker(cfg, freshReg), freshReg, 2, 300)
+	if fresh.opened < 2 || fresh.degr == 0 || fresh.closed == 0 {
+		t.Fatalf("script too tame: %d opens, %d degrades, %d closes", fresh.opened, fresh.degr, fresh.closed)
+	}
+
+	reg := NewRegistry()
+	b := NewBreaker(cfg, reg)
+	// Leave session 1 open with a recovery streak under way.
+	observe(b, reg, 1, 12)
+	if b.State(1) != BreakerOpen {
+		t.Fatalf("session 1 is %q before retiring, want open", b.State(1))
+	}
+	old := b.sessions[1]
+	b.Retire(1)
+	recycled := observe(b, reg, 2, 300)
+	if b.sessions[2] != old {
+		t.Fatal("session 2 did not reuse session 1's retired entry")
+	}
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Fatalf("recycled entry diverges from a fresh breaker:\n  recycled %+v\n  fresh    %+v", recycled, fresh)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		b.Retire(2)
+		b.Observe(3, SLOStateOK)
+		b.Retire(3)
+		b.Observe(2, SLOStateOK)
+	}); allocs != 0 {
+		t.Errorf("retire and re-observe allocates %v times, want 0", allocs)
+	}
+
+	// Under churn on four goroutines the breakers end where one goroutine
+	// leaves them; make race runs this under the detector at -cpu 1,2,4.
+	serial := observeChurn(1)
+	if serial.opened == 0 || serial.closed == 0 {
+		t.Fatalf("churn script too tame: %d breaker opens, %d closes", serial.opened, serial.closed)
+	}
+	got := observeChurn(4)
+	if !reflect.DeepEqual(got.breakerStates, serial.breakerStates) || !reflect.DeepEqual(got.caps, serial.caps) ||
+		got.opened != serial.opened || got.degr != serial.degr || got.closed != serial.closed ||
+		got.nClosed != serial.nClosed || got.nDegr != serial.nDegr || got.nOpen != serial.nOpen || got.nHalf != serial.nHalf {
+		t.Fatalf("four goroutines under churn:\n  %+v\none goroutine:\n  %+v", got, serial)
+	}
+	if got.brkEntries > 16 {
+		t.Errorf("%d breaker entries for 16 concurrent sessions: retired ones were not reused", got.brkEntries)
+	}
+}
+
 func TestBreakerDegradedRecoversOnOKStreak(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Levels: 5, RecoverySlots: 5}, nil)
 	b.Observe(1, SLOStateWarn)
@@ -262,4 +353,70 @@ func TestMonitorConcurrentObserve(t *testing.T) {
 	if got := run(workers); !reflect.DeepEqual(got, serial) {
 		t.Errorf("%d goroutines ended differently from one:\n got %+v\nwant %+v", workers, got, serial)
 	}
+}
+
+// churnResult is what observeChurn leaves in the monitor and the breaker.
+type churnResult struct {
+	slo                    SLOSnapshot
+	sloStates              []string
+	breakerStates          []string
+	caps                   []int
+	warn, page             uint64
+	opened, degr, closed   uint64
+	nClosed, nDegr, nOpen  int
+	nHalf                  int
+	sloEntries, brkEntries int // sessions kept plus free entries
+}
+
+// observeChurn feeds one monitor and one breaker from goroutines on disjoint
+// sessions, as the fleet engine's shard steps do, while sessions depart and
+// new ones take their place: lane l hosts session l+16k in its k-th life,
+// and on leaving a session is retired from both, so every new session may
+// take any goroutine's retired entry. Which one it takes depends on the
+// interleaving; what it observes must not.
+func observeChurn(goroutines int) churnResult {
+	const lanes, slots = 16, 480
+	reg := NewRegistry()
+	m := NewSLOMonitor(SLOConfig{WindowSlots: 120, ShortWindowSlots: 30}, reg)
+	b := NewBreaker(BreakerConfig{Levels: 6, RecoverySlots: 40}, reg)
+	session := func(lane, i int) uint32 { return uint32(lane + lanes*(i/(70+3*lane))) }
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < slots; i++ {
+				for lane := g; lane < lanes; lane += goroutines {
+					id := session(lane, i)
+					if prev := session(lane, i-1); i > 0 && prev != id {
+						m.Retire(prev)
+						b.Retire(prev)
+					}
+					phase := (i + lane*37) % 200
+					ok := phase < 120 || (phase < 160 && phase%(2+lane%5) != 0)
+					q := float64(1 + (i+lane)%6)
+					if !ok {
+						q = 0
+					}
+					b.Observe(id, m.ObserveSlot(id, ok, q))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	r := churnResult{slo: m.Snapshot()}
+	for lane := 0; lane < lanes; lane++ {
+		id := session(lane, slots-1)
+		r.sloStates = append(r.sloStates, m.State(id))
+		r.breakerStates = append(r.breakerStates, b.State(id))
+		r.caps = append(r.caps, b.Cap(id))
+	}
+	r.warn = reg.Counter("collabvr_slo_warn_transitions_total").Value()
+	r.page = reg.Counter("collabvr_slo_page_transitions_total").Value()
+	r.opened = reg.Counter("collabvr_breaker_open_transitions_total").Value()
+	r.degr = reg.Counter("collabvr_breaker_degraded_transitions_total").Value()
+	r.closed = reg.Counter("collabvr_breaker_close_transitions_total").Value()
+	r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.Counts()
+	r.sloEntries, r.brkEntries = len(m.sessions)+len(m.free), len(b.sessions)+len(b.free)
+	return r
 }

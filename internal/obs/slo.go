@@ -135,6 +135,9 @@ type SLOMonitor struct {
 
 	mu       sync.Mutex
 	sessions map[uint32]*sloSession
+	// free holds retired sessions' windows for the next new session to
+	// reuse, last retired first.
+	free []*sloSession
 
 	// Gauges/counters mirrored into the registry (nil-safe when reg is nil).
 	gOK, gWarn, gPage       *Gauge
@@ -187,11 +190,7 @@ func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64
 	defer m.mu.Unlock()
 	s := m.sessions[session]
 	if s == nil {
-		s = &sloSession{
-			flags:   make([]uint8, m.cfg.WindowSlots),
-			quality: make([]float32, m.cfg.WindowSlots),
-			state:   SLOStateOK,
-		}
+		s = m.newSession()
 		m.sessions[session] = s
 	}
 
@@ -250,6 +249,25 @@ func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64
 	return s.state
 }
 
+// newSession returns an empty window: a retired session's, cleared, when
+// there is one (m.mu held).
+func (m *SLOMonitor) newSession() *sloSession {
+	n := len(m.free)
+	if n == 0 {
+		return &sloSession{
+			flags:   make([]uint8, m.cfg.WindowSlots),
+			quality: make([]float32, m.cfg.WindowSlots),
+			state:   SLOStateOK,
+		}
+	}
+	s := m.free[n-1]
+	m.free = m.free[:n-1]
+	clear(s.flags)
+	clear(s.quality)
+	*s = sloSession{flags: s.flags, quality: s.quality, state: SLOStateOK}
+	return s
+}
+
 // transition recomputes the session's alert state (m.mu held).
 func (m *SLOMonitor) transition(s *sloSession) {
 	state := SLOStateOK
@@ -281,13 +299,17 @@ func (m *SLOMonitor) transition(s *sloSession) {
 	}
 }
 
-// Retire drops a departed session's window.
+// Retire drops a departed session's window and keeps its storage for the
+// next session the monitor sees.
 func (m *SLOMonitor) Retire(session uint32) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	delete(m.sessions, session)
+	if s := m.sessions[session]; s != nil {
+		delete(m.sessions, session)
+		m.free = append(m.free, s)
+	}
 	m.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,99 @@ func TestSLORetire(t *testing.T) {
 	}
 	if m.State(1) != "" {
 		t.Error("retired session still has a state")
+	}
+}
+
+// TestSLORetireReuse: a new session's window is a retired session's,
+// cleared, and nothing of the old session shows through it. The same
+// observe sequence on the recycled entry and on a fresh monitor returns the
+// same state every slot, moves the transition counters by the same amounts
+// and ends in the same snapshot.
+func TestSLORetireReuse(t *testing.T) {
+	// script is session id's outcome at slot i. Session 1 misses every
+	// frame. Session 2 opens with a miss burst that pages, recovers, then
+	// warns on isolated misses.
+	script := func(id uint32, i int) (bool, float64) {
+		phase := (i + 40) % 160
+		switch {
+		case id == 1:
+			return false, 0
+		case phase >= 40 && phase < 70:
+			return false, 0
+		case phase >= 110 && phase%9 == 0:
+			return false, 0
+		}
+		return true, float64(1 + (i+int(id))%5)
+	}
+	type run struct {
+		states     []string
+		windows    []SLOSessionState // the session's snapshot row after each slot
+		warn, page uint64
+		snap       SLOSnapshot
+	}
+	observe := func(m *SLOMonitor, reg *Registry, id uint32, slots int) run {
+		warn0 := reg.Counter("collabvr_slo_warn_transitions_total").Value()
+		page0 := reg.Counter("collabvr_slo_page_transitions_total").Value()
+		var r run
+		for i := 0; i < slots; i++ {
+			displayed, quality := script(id, i)
+			r.states = append(r.states, m.ObserveSlot(id, displayed, quality))
+			r.windows = append(r.windows, m.Snapshot().Sessions[0])
+		}
+		r.warn = reg.Counter("collabvr_slo_warn_transitions_total").Value() - warn0
+		r.page = reg.Counter("collabvr_slo_page_transitions_total").Value() - page0
+		r.snap = m.Snapshot()
+		return r
+	}
+
+	freshReg := NewRegistry()
+	fresh := observe(NewSLOMonitor(SLOConfig{WindowSlots: 100, ShortWindowSlots: 20}, freshReg), freshReg, 2, 400)
+	if fresh.page == 0 || fresh.warn == 0 {
+		t.Fatalf("script too tame: %d warn and %d page transitions", fresh.warn, fresh.page)
+	}
+
+	reg := NewRegistry()
+	m := NewSLOMonitor(SLOConfig{WindowSlots: 100, ShortWindowSlots: 20}, reg)
+	// Leave session 1 mid-burst: misses and stalls in both windows, the
+	// last frame missed, and the page state.
+	observe(m, reg, 1, 60)
+	if m.State(1) != SLOStatePage {
+		t.Fatalf("session 1 is %q before retiring, want page", m.State(1))
+	}
+	old := m.sessions[1]
+	m.Retire(1)
+	if len(m.Snapshot().Sessions) != 0 {
+		t.Fatal("a retired session is still in the snapshot")
+	}
+	recycled := observe(m, reg, 2, 400)
+	if m.sessions[2] != old {
+		t.Fatal("session 2 did not reuse session 1's retired window")
+	}
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Fatalf("recycled window diverges from a fresh monitor:\n  recycled %+v\n  fresh    %+v", recycled, fresh)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Retire(2)
+		m.ObserveSlot(3, true, 3)
+		m.Retire(3)
+		m.ObserveSlot(2, true, 3)
+	}); allocs != 0 {
+		t.Errorf("retire and re-observe allocates %v times, want 0", allocs)
+	}
+
+	// Under churn on four goroutines the windows end where one goroutine
+	// leaves them; make race runs this under the detector at -cpu 1,2,4.
+	serial := observeChurn(1)
+	if serial.page == 0 || serial.warn == 0 {
+		t.Fatalf("churn script too tame: %d warn and %d page transitions", serial.warn, serial.page)
+	}
+	got := observeChurn(4)
+	if !reflect.DeepEqual(got.slo, serial.slo) || !reflect.DeepEqual(got.sloStates, serial.sloStates) ||
+		got.warn != serial.warn || got.page != serial.page {
+		t.Fatalf("four goroutines under churn:\n  %+v\none goroutine:\n  %+v", got, serial)
+	}
+	if got.sloEntries > 16 {
+		t.Errorf("%d SLO windows for 16 concurrent sessions: retired ones were not reused", got.sloEntries)
 	}
 }
 
