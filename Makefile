@@ -33,12 +33,12 @@ lint: vet fmt-check
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# The engines that shard work across goroutines (sim.Run's run workers,
-# load.Simulate's build shards, load.SimulateFleet's shard steps) run at
-# GOMAXPROCS 1, 2 and 4, so an ordering or sharding bug that only shows with
-# two or more workers fails here rather than on whichever box happens to
-# have the cores. internal/step, the slot step all three drive, runs with
-# them; internal/transport rides along: its allocation gates run a sender
+# The engines that split work across goroutines (sim.Run's runs,
+# load.Simulate's build, load.SimulateFleet's shard steps, the server's slot
+# phases) run at GOMAXPROCS 1, 2 and 4, so an ordering or sharding bug that
+# only shows with two or more workers fails here rather than on whichever
+# box happens to have the cores. internal/step, the slot step they all drive
+# and the one fork-join they all split it with, runs with them; internal/transport rides along: its allocation gates run a sender
 # beside a receiver. So do the live data plane's other allocation gates and
 # the tile store's pin hammer (internal/tiles, internal/server,
 # internal/client).
@@ -54,7 +54,9 @@ test:
 # differential runs the same way at three GOMAXPROCS. The fleet Controller's
 # tests have no sockets and no sleeps, so twenty passes at three GOMAXPROCS
 # cost seconds and their verdict cannot depend on the wall clock; the slot
-# step's tests are the same kind, and so are internal/knapsack's (the
+# step's tests are the same kind (the fork-join every engine splits its loops
+# with among them: coverage, zero allocations, panics joined and re-thrown,
+# Close), and so are internal/knapsack's (the
 # sorted-seed differentials and the scratch-reuse gates; twenty passes, about
 # a minute). internal/transport's senders share one socket, as the server's
 # sessions do; its tests (the train path's among them) run at three
@@ -68,7 +70,7 @@ test:
 # way.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
-	$(GO) test -race -count=10 -run '^(TestFleetSimIdenticalAcrossWorkers|TestParallelForCoversAll)$$' ./internal/load
+	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
 	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse)$$' ./internal/obs
 	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet

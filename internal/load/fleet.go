@@ -409,8 +409,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		view    []fleet.ShardState
 		stallMs float64
 	)
-	fj := newForkJoin(sim.Workers)
-	defer fj.stop()
+	fj := step.NewForkJoin(sim.Workers)
+	defer fj.Close()
 	stepShard := func(i int) {
 		shards[i].step(env, slot, !view[i].Alive, view[i].BudgetMbps, degrade[i], stallMs)
 	}
@@ -519,7 +519,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		// one per phase — a slot is about a millisecond of work and every
 		// fork-join pays a goroutine wake-up.
 		view = ctl.States()
-		fj.run(len(shards), 1, stepShard)
+		fj.Run(len(shards), 1, stepShard)
 
 		// Tally, serially, in shard-then-arrival order: the decision recorder
 		// keeps ordered state and the quality sums are floating-point, so the

@@ -2,7 +2,6 @@ package load
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -88,7 +87,8 @@ type SimConfig struct {
 	// SLO and breaker observation) and keeps the float sums, the recorder and
 	// the control plane's tallies serial. The report is bit-identical at any
 	// setting.
-	// 0 means GOMAXPROCS; 1 keeps the engine fully serial and spawns nothing.
+	// 0 or less means GOMAXPROCS; 1 keeps the engine fully serial and spawns
+	// nothing.
 	Workers int
 	// Health, when non-nil, runs one health-sampler pass per virtual slot
 	// (after the slot's outcomes have landed in Metrics/SLO), so the sim
@@ -120,12 +120,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	}
 	if c.Coverage == (motion.CoverageConfig{}) {
 		c.Coverage = motion.DefaultCoverage()
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -189,8 +183,8 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		base  int
 		specs []SessionSpec
 	)
-	fj := newForkJoin(cfg.Workers)
-	defer fj.stop()
+	fj := step.NewForkJoin(cfg.Workers)
+	defer fj.Close()
 	setUp := func(i int) { env.setUp(active[base+i], specs[i]) }
 	build := func(i int) {
 		users[i] = active[i].build(env, slot, 1, values[i*levels:(i+1)*levels])
@@ -218,7 +212,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 			for range specs {
 				active = append(active, sessions.get())
 			}
-			fj.run(len(specs), simShard, setUp)
+			fj.Run(len(specs), step.Grain, setUp)
 		}
 		// Departures: the arena takes each session back for a later
 		// arrival.
@@ -251,7 +245,7 @@ func Simulate(w *Workload, cfg SimConfig) (*RunReport, error) {
 		n := len(active)
 		users = slices.Grow(users[:0], n)[:n]
 		values = slices.Grow(values[:0], n*levels)[:n*levels]
-		fj.run(n, simShard, build)
+		fj.Run(n, step.Grain, build)
 		problem = core.SlotProblem{T: slot + 1, Budget: cfg.BudgetMbps, Users: users, Values: values}
 		var solveStart time.Time
 		if cfg.Tracer.Enabled() {

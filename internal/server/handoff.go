@@ -272,9 +272,6 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-// ShardID returns the configured shard identity.
-func (s *Server) ShardID() int { return s.cfg.ShardID }
-
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool {
 	s.mu.Lock()

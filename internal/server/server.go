@@ -129,8 +129,8 @@ type Config struct {
 	ShardID int
 	// SlotWorkers shards the slot pipeline's per-session phases
 	// (predict/estimate/admit before the merged solve, fetch/dispatch
-	// after it) across a persistent worker pool of this total parallelism,
-	// the slot loop included. 0 means GOMAXPROCS; 1 runs the pipeline
+	// after it) across a step.ForkJoin of this total parallelism, the slot
+	// loop included. 0 means GOMAXPROCS; 1 runs the pipeline
 	// serially inline. Decisions are identical at any setting: the solve
 	// itself stays a single merged pass over the sorted session snapshot.
 	SlotWorkers int
@@ -207,15 +207,15 @@ type Server struct {
 	prefetchFree chan []tiles.TileID
 	prefetchWG   sync.WaitGroup
 
-	// pool shards the per-session slot phases (Config.SlotWorkers); free
+	// pool runs the per-session slot phases (Config.SlotWorkers); free
 	// recycles tileJob batches between the slot loop, the NACK path and
 	// the send loops so steady-state slots allocate nothing.
-	pool *slotPool
+	pool *step.ForkJoin
 	free batchFreeList
 
 	// Slot-loop scratch. The slot loop is the only writer and slots are
 	// strictly sequential, so these live across slots unlocked. buildFn
-	// and dispatchFn are bound once (method values) so forEach receives
+	// and dispatchFn are bound once (method values) so pool.Run receives
 	// the same closure every slot instead of allocating one.
 	buildFn    func(int)
 	dispatchFn func(int)
@@ -226,8 +226,8 @@ type Server struct {
 	cur        slotCtx
 }
 
-// slotCtx is the slot-scoped state the pool workers read during a phase;
-// the slot loop writes it serially before each forEach barrier.
+// slotCtx is the slot-scoped state the pool's participants read during a
+// phase; the slot loop writes it serially before each pool.Run.
 type slotCtx struct {
 	sessions    []*session
 	plans       []slotPlan
@@ -472,11 +472,7 @@ func New(cfg Config) (*Server, error) {
 		loopDone: make(chan struct{}),
 	}
 	s.store.Instrument(s.metrics.cacheHits, s.metrics.cacheMisses)
-	workers := cfg.SlotWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.pool = newSlotPool(workers)
+	s.pool = step.NewForkJoin(cfg.SlotWorkers)
 	s.free = make(batchFreeList, 256)
 	s.buildFn = s.buildOne
 	s.dispatchFn = s.dispatchOne
@@ -580,7 +576,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	s.tcpLn.Close() // stop admitting new sessions
 	s.signalStop()  // no new slots after the in-flight one
 	<-s.loopDone
-	s.pool.Close() // workers park between slots; release them now
+	s.pool.Close() // helpers park between slots; release them now
 
 	// Closing the send queues lets each sendLoop drain what is already
 	// enqueued and exit; the deadline bounds how long a pathologically
@@ -1192,7 +1188,7 @@ func (s *Server) safeRunSlot(slot uint32, sessions []*session, budget float64) {
 }
 
 // runSlot predicts, allocates and dispatches one slot. The per-session
-// phases are sharded across the slot pool: a parallel build phase fills
+// phases are split across the slot's fork-join: a parallel build phase fills
 // one plan per session (predict, capacity estimate, tile selection, rate
 // and delay tables), a serial merged solve decides every user's level in
 // one pass, and a parallel dispatch phase admits, fetches and enqueues
@@ -1211,7 +1207,7 @@ func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	s.planBuf = s.planBuf[:len(sessions)]
 	s.userBuf = s.userBuf[:len(sessions)]
 
-	s.pool.forEach(len(sessions), s.buildFn)
+	s.pool.Run(len(sessions), step.Grain, s.buildFn)
 
 	// Stable compaction: drop sessions that have not posed yet, keeping
 	// the user-ID order the allocator's tie-breaking relies on. The append
@@ -1252,7 +1248,7 @@ func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	s.cur.plans = plans
 	s.cur.levels = allocation.Levels
 	s.cur.decideStart, s.cur.decideEnd = decideStart, decideEnd
-	s.pool.forEach(len(plans), s.dispatchFn)
+	s.pool.Run(len(plans), step.Grain, s.dispatchFn)
 }
 
 // buildOne is the parallel build phase for one session: the slot step on

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/baseline"
@@ -175,31 +173,16 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 		results[i] = &Result{Name: alg.Name}
 	}
 
-	// Workers: one run at a time per goroutine. Each run lands in its own
-	// slot and the merge below walks them in run order, so the sample
-	// vectors do not depend on which worker finished first.
+	// One run per claim of a fork-join over the runs. Each run lands in its
+	// own slot and the merge below walks them in run order, so the sample
+	// vectors do not depend on which participant finished first.
 	perRun := make([][]*Result, cfg.Runs)
 	errs := make([]error, cfg.Runs)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-	runCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for run := range runCh {
-				perRun[run], errs[run] = simulateOneRun(cfg, slots, run, algorithms)
-			}
-		}()
-	}
-	for run := 0; run < cfg.Runs; run++ {
-		runCh <- run
-	}
-	close(runCh)
-	wg.Wait()
+	fj := step.NewForkJoin(0)
+	defer fj.Close()
+	fj.Run(cfg.Runs, 1, func(run int) {
+		perRun[run], errs[run] = simulateOneRun(cfg, slots, run, algorithms)
+	})
 	for run, runResults := range perRun {
 		if errs[run] != nil {
 			return nil, errs[run]

@@ -286,13 +286,15 @@ func TestRecorderDisabledMatchesEnabledResults(t *testing.T) {
 	}
 }
 
-// Run hands runs to GOMAXPROCS workers; the merged sample vectors must not
-// depend on how many there are or which finishes first.
+// Run splits its runs across GOMAXPROCS participants; the merged sample
+// vectors must not depend on how many there are or which finishes first,
+// and Run leaves no goroutine behind.
 func TestRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Seconds = 2
 	cfg.Runs = 8
 	var ref []*Result
+	base := obs.LeakSnapshot()
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		got, err := Run(cfg, StandardAlgorithms(false))
@@ -300,6 +302,7 @@ func TestRunIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		obs.AssertNoLeaks(t, base)
 		if ref == nil {
 			ref = got
 		} else if !reflect.DeepEqual(got, ref) {

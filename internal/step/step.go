@@ -9,9 +9,10 @@
 // the server's goodput filter) and the delay model (M/M/1, or the server's
 // regression over measured ACK delays).
 //
-// Nothing here locks, allocates in steady state, reads a clock or keeps
-// cross-session state: a Session is touched by one goroutine at a time (the
-// server wraps its calls in the session mutex) and an Env is read-only.
+// Nothing in the step locks, allocates in steady state, reads a clock or
+// keeps cross-session state: a Session is touched by one goroutine at a time
+// (the server wraps its calls in the session mutex) and an Env is read-only.
+// ForkJoin is the one loop every driver splits its sessions' steps across.
 package step
 
 import (

@@ -71,11 +71,6 @@ type SpanRecord struct {
 	Err     string `json:"err,omitempty"`
 }
 
-// DurationMs returns the span's duration in milliseconds.
-func (r SpanRecord) DurationMs() float64 {
-	return float64(r.EndNs-r.StartNs) / 1e6
-}
-
 // TileTraceID derives the trace ID of one tile request deterministically
 // from (epoch, user, slot) via a splitmix64 finalizer. Both halves of the
 // system compute the same ID for the same request — the server when it

@@ -475,6 +475,3 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// RemoteAddr exposes the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
