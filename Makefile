@@ -33,10 +33,10 @@ lint: vet fmt-check
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# The engines that split work across goroutines (sim.Run's runs,
-# load.Simulate's build, load.SimulateFleet's shard steps, the server's slot
-# phases) run at GOMAXPROCS 1, 2 and 4, so an ordering or sharding bug that
-# only shows with two or more workers fails here rather than on whichever
+# The engines that split work across goroutines (sim.Run's runs, the
+# virtual engine's build-and-solve loop, the server's slot phases) run at
+# GOMAXPROCS 1, 2 and 4, so an ordering or sharding bug that only shows
+# with two or more workers fails here rather than on whichever
 # box happens to have the cores. internal/step, the slot step they all drive
 # and the one fork-join they all split it with, runs with them; internal/transport rides along: its allocation gates run a sender
 # beside a receiver. So do the live data plane's other allocation gates and
@@ -47,9 +47,12 @@ test:
 	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/step ./internal/transport \
 		./internal/tiles ./internal/server ./internal/client
 
-# The fleet engine's shards step concurrently; its worker-count differential
-# runs ten times over under the detector, since a race only shows on the
-# interleavings a run happens to take. The shards' steps observe their
+# The virtual engine builds sessions in parallel chunks and hands each
+# shard's built rows to whichever goroutine solves it; its worker-count
+# differentials (the fleet campaign, the one-shard churn run, the deferred
+# set-up and empty-shard edges) run ten times over under the detector at
+# three GOMAXPROCS, since a race only shows on the interleavings a run
+# happens to take. The build loop and the solves observe their
 # sessions in the one SLO monitor and breaker, whose disjoint-session
 # differential runs the same way at three GOMAXPROCS. The fleet Controller's
 # tests have no sockets and no sleeps, so twenty passes at three GOMAXPROCS
@@ -70,7 +73,7 @@ test:
 # way.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
-	$(GO) test -race -count=10 -run '^TestFleetSimIdenticalAcrossWorkers$$' ./internal/load
+	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestFleetSimIdenticalAcrossWorkers|TestSimShardedMatchesSerial|TestFleetSimDeferredSetupEdges)$$' ./internal/load
 	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse)$$' ./internal/obs
 	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet

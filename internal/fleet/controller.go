@@ -212,6 +212,9 @@ func NewController(cfg ControllerConfig) *Controller {
 	return c
 }
 
+// Reserve sizes the owner map for sessions concurrent sessions.
+func (c *Controller) Reserve(sessions int) { c.cluster.Reserve(sessions) }
+
 // Faults opens a slot: it sets the clock, applies the profile's coordinator
 // faults due (kills, the restart that ends a bounded kill, partitions) and
 // lists the shard faults that fire, in profile order — a bounded drain ends at

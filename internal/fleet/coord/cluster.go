@@ -138,6 +138,16 @@ func New(cfg Config) *Cluster {
 // Replicas returns the configured replica count.
 func (c *Cluster) Replicas() int { return len(c.reps) }
 
+// Reserve sizes each replica's empty owner map for sessions bindings, so an
+// engine that knows its peak does not grow the maps as sessions arrive.
+func (c *Cluster) Reserve(sessions int) {
+	for _, r := range c.reps {
+		if len(r.st.Owner) == 0 {
+			r.st.Owner = make(map[uint32]int, sessions)
+		}
+	}
+}
+
 // Term returns the current leader term — the fencing epoch baked into
 // handoff tokens. 0 in single-replica mode.
 func (c *Cluster) Term() uint64 { return c.term }

@@ -79,11 +79,10 @@ func diffReports(tb testing.TB, label string, a, b *RunReport) {
 	tb.Fatalf("%s: reports diverge outside outcomes/slot quality:\n  a=%+v\n  b=%+v", label, a, b)
 }
 
-// TestParallelForCoversAll: the fork-join the virtual engines split their
-// loops with calls every index exactly once, at the grains they use (1 for
-// SimulateFleet's shard steps, step.Grain for Simulate's set-up and build),
-// for any worker count and loop size, one ForkJoin running loop after loop
-// as a run does.
+// TestParallelForCoversAll: the fork-join the virtual engine splits its
+// slot with calls every index exactly once, at grain 1 (the engine's chunks)
+// and at step.Grain, for any worker count and loop size, one ForkJoin
+// running loop after loop as a run does.
 func TestParallelForCoversAll(t *testing.T) {
 	for _, workers := range []int{1, 2, 5, 16} {
 		fj := step.NewForkJoin(workers)

@@ -200,3 +200,35 @@ func TestRunLiveChaosDrain(t *testing.T) {
 	}
 	obs.AssertNoLeaks(t, baseGoroutines)
 }
+
+// TestSimulateShardFaults: Simulate is the fleet engine at one shard, so a
+// profile's fleet faults act on that shard instead of being dropped: a
+// brown-out of shard 0 lowers the displayed quality inside its window, and
+// a fault on a shard the one-shard fleet does not have is an error.
+func TestSimulateShardFaults(t *testing.T) {
+	w, err := Generate(Config{Shape: Steady, Sessions: 6, HorizonSlots: 240, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degrade := func(shard int) *chaos.Profile {
+		return &chaos.Profile{Name: "degrade", Seed: 1, Faults: []chaos.Fault{
+			{Kind: chaos.FaultShardDegrade, StartSlot: 60, DurationSlots: 120, Shard: shard, Factor: 0.1},
+		}}
+	}
+	if _, err := Simulate(w, SimConfig{Chaos: degrade(1)}); err == nil {
+		t.Fatal("a shard_degrade on shard 1 ran without error on the one-shard engine")
+	}
+	clean := mustSimulate(t, w, SimConfig{})
+	faulted := mustSimulate(t, w, SimConfig{Chaos: degrade(0)})
+	if faulted.Mode != "sim" {
+		t.Errorf("mode %q, want sim", faulted.Mode)
+	}
+	in, out := faulted.MeanSlotQuality(60, 180), clean.MeanSlotQuality(60, 180)
+	t.Logf("slot quality in the brown-out: %.3f, fault-free %.3f", in, out)
+	if in >= out {
+		t.Errorf("a brown-out of shard 0 left slot quality at %.3f, fault-free %.3f", in, out)
+	}
+	if a, b := faulted.MeanSlotQuality(0, 60), clean.MeanSlotQuality(0, 60); a != b {
+		t.Errorf("slot quality before the brown-out %.3f, fault-free %.3f", a, b)
+	}
+}

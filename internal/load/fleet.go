@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
@@ -20,9 +21,8 @@ import (
 type FleetSimConfig struct {
 	// Sim carries the per-shard engine knobs. Sim.BudgetMbps is the
 	// fleet-wide budget B(t); the rebalancer splits it across shards.
-	// Sim.Chaos may carry shard_kill/shard_drain faults — they drive the
-	// fleet layer; its session-scoped faults apply per session as in
-	// Simulate.
+	// Sim.Chaos's shard and coordinator faults drive the fleet layer; its
+	// session-scoped faults apply per session.
 	Sim SimConfig
 	// Shards is the virtual shard count (default 3).
 	Shards int
@@ -142,18 +142,15 @@ func (r *FleetReport) FormatFleet() string {
 	return b.String()
 }
 
-// fleetSession wraps a simSession with its fleet coordinates.
-type fleetSession struct {
-	simSession
-	fleetPlace
-}
-
-// fleetPlace is a fleet session's coordinates and slot flags: what
+// fleetPlace is a session's fleet coordinates and slot flags: what
 // placement sets, whole, when an arena value becomes a new arrival.
 type fleetPlace struct {
 	zone        int
 	shard       int
 	outageUntil int // slot before which the session is mid-handoff
+	// row is the session's row in its shard's slot problem, set by the
+	// slot's bucketing pass; -1 when it is blacked out this slot.
+	row int32
 	// pendingFlip marks a session whose ownership flip could not commit —
 	// the coordinator was leaderless when its shard failed. The session is
 	// blacked out (exported but not adopted) until the survivors elect and
@@ -165,18 +162,6 @@ type fleetPlace struct {
 	paging bool
 	// ready marks the session's inputs set up (ensureInputs).
 	ready bool
-
-	// What the shard's step charged the session this slot, read by the
-	// serial tally after the join: whether it was blacked out, else the
-	// quality displayed (0 for a miss) and whether the breaker's cap bit.
-	slotOutage  bool
-	slotQuality float64
-	slotCapped  bool
-}
-
-// observe is simSession.observe, keeping the verdict for the router view.
-func (s *fleetSession) observe(cfg *SimConfig, displayed bool, quality float64) {
-	s.paging = s.simSession.observe(cfg, displayed, quality) == obs.SLOStatePage
 }
 
 // blackout charges the session's slot as a forced miss, like a deadline
@@ -184,7 +169,7 @@ func (s *fleetSession) observe(cfg *SimConfig, displayed bool, quality float64) 
 // or exported with its flip waiting on a coordinator election. The head
 // keeps moving, so the predictor still sees the pose, and the link's
 // capacity moves on with the slot.
-func (s *fleetSession) blackout(env *simEnv) {
+func (s *simSession) blackout(env *simEnv) {
 	s.in.pred.Observe(s.in.walk.Next())
 	s.in.caps.Next()
 	s.missed++
@@ -195,90 +180,131 @@ func (s *fleetSession) blackout(env *simEnv) {
 // ensureInputs sets up the session's inputs (walker, capacity cursor,
 // predictor, QoE accumulator, chaos injector) if its placement deferred
 // them. Placement only needs the spec; the set-up is the expensive part of
-// an arrival and shares nothing, so it runs in the placed shard's step.
-func (s *fleetSession) ensureInputs(env *simEnv) {
+// an arrival and shares nothing, so it runs in the slot's build loop.
+func (s *simSession) ensureInputs(env *simEnv) {
 	if !s.ready {
-		env.setUp(&s.simSession, s.spec)
+		env.setUp(s, s.spec)
 		s.ready = true
 	}
 }
 
-// blackedOut reports whether the session is mid-handoff this slot: migrating
-// (the client is redialling) or exported with its flip waiting on a
-// coordinator election.
-func (s *fleetSession) blackedOut(slot int) bool {
-	return slot < s.outageUntil || s.pendingFlip
-}
-
 // fleetShard is one virtual shard's slot scratch. Once the budget is split
-// the shards' slot problems share nothing, so each shard steps on its own
-// allocator and its own buffers while the others do the same.
+// the shards' slot problems share nothing, so each shard solves on its own
+// allocator and its own buffers while the others build or solve.
 type fleetShard struct {
-	alloc   core.Allocator
-	owned   []*fleetSession // the sessions placed on the shard, arrival order
-	serving []*fleetSession // owned minus the blacked out: the problem's rows
-	users   []core.UserInput
-	values  []float64 // the shard's objective table, one slab (see Simulate)
+	alloc  core.Allocator
+	owned  []*simSession // the sessions placed on the shard, arrival order
+	rows   []servedRow   // owned minus the blacked out: the problem's rows
+	users  []core.UserInput
+	values []float64 // the shard's objective table, one slab, row by row
+	// pending counts the shard's chunks still to build this slot; whoever
+	// builds the last one solves the shard.
+	pending atomic.Int32
 
-	// One slot's results, valid until the shard's next step.
+	// One slot's results, valid until the shard's next solve.
 	demand     float64
+	solveNs    int64 // the solve's wall time, measured only for spans
 	problem    core.SlotProblem
 	allocation core.Allocation
 	trace      *core.SlotTrace
 }
 
-// step runs the shard's share of one slot: set up the sessions placed on it
-// this slot, build its slot problem, solve it against its budget share,
-// settle every served session, charge every blacked-out one (all of them on a
-// dead shard) and observe each in the SLO monitor and the breaker. It writes
-// only the shard's scratch and its own sessions, reads the env and the
-// config, and touches the monitor and the breaker only at its own sessions'
-// entries, whose transition counters are atomic — so shards step
-// concurrently. Everything whose order the report depends on is left to the
-// serial tally after the join.
-func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, stallMs float64) {
-	for _, s := range sh.owned {
-		s.ensureInputs(env)
+// servedRow is one row of a shard's slot problem: the session and, once the
+// shard is solved, its charge for the tally — the level after the breaker's
+// clamp, the delivered rate and delay, the miss and whether the clamp bit.
+type servedRow struct {
+	s              *simSession
+	q              int
+	rate, delay    float64
+	missed, capped bool
+}
+
+// quality is the displayed quality: the level, or 0 for a miss.
+func (r *servedRow) quality() float64 {
+	if r.missed {
+		return 0
 	}
-	sh.users, sh.values, sh.serving = sh.users[:0], sh.values[:0], sh.serving[:0]
-	sh.demand = 0
-	sim := env.cfg
-	levels := sim.Params.Levels
-	for _, s := range sh.owned {
-		if s.slotOutage = dead || s.blackedOut(slot); s.slotOutage {
-			s.blackout(env)
-			continue
-		}
-		// Growing the slab may move it; rows are only aliased once the
-		// shard's problem is complete.
-		sh.values = slices.Grow(sh.values, levels)[:len(sh.values)+levels]
-		u := s.build(env, slot, capFactor, sh.values[len(sh.values)-levels:])
+	return float64(r.q)
+}
+
+// fleetChunk is at most step.Grain of one shard's owned sessions, the unit
+// the slot's parallel loop claims.
+type fleetChunk struct{ shard, lo, hi int }
+
+// solve runs the shard's share of one slot once every row is built: sum its
+// demand, solve against its budget share, then settle and observe every
+// served session. It writes only the shard's scratch and its own sessions
+// and touches the monitor and the breaker only at their entries, whose
+// transition counters are atomic — so shards solve concurrently with each
+// other and with the building of other shards' chunks.
+func (sh *fleetShard) solve(env *simEnv, slot int, budget, stallMs float64) {
+	for i := range sh.users {
 		// Demand proxy: what the session could usefully take this slot — its
 		// top ladder rate, clipped by its link.
+		u := &sh.users[i]
 		sh.demand += min(u.Rate[len(u.Rate)-1], u.Cap)
-		sh.users = append(sh.users, u)
-		sh.serving = append(sh.serving, s)
 	}
 	if len(sh.users) == 0 {
 		return
 	}
+	sim := env.cfg
 	sh.problem = core.SlotProblem{T: slot + 1, Budget: budget, Users: sh.users, Values: sh.values}
+	var start time.Time
+	if sim.Tracer.Enabled() {
+		start = time.Now()
+	}
 	sh.allocation, sh.trace = step.Solve(sh.alloc, sim.Params, &sh.problem, sim.Recorder.Enabled(), sim.CounterfactualK)
+	if sim.Tracer.Enabled() {
+		sh.solveNs = time.Since(start).Nanoseconds()
+	}
 
+	// Shared-egress overload: the allocator respects the budget when it can,
+	// but when even the mandatory minimum levels exceed it (the overload
+	// regime capacity search hunts for), delivering R Mbps of slot content
+	// over a B-Mbps egress takes R/B slot-times; the excess is charged to
+	// every session.
 	overloadMs := 0.0
 	if sh.allocation.Rate > budget && budget > 0 {
 		overloadMs = (sh.allocation.Rate/budget - 1) * env.SlotMs
 	}
-	for i, s := range sh.serving {
-		var q int
-		q, s.slotCapped = s.clamp(sh.allocation.Levels[i])
-		_, _, missed := s.settle(env, q, overloadMs, stallMs)
-		s.slotQuality = float64(q)
-		if missed {
-			s.slotQuality = 0
-		}
-		s.observe(sim, !missed, s.slotQuality)
+	for i := range sh.rows {
+		// Graceful degradation: while the session's SLO burns, the breaker
+		// caps its quality — shedding load (bytes) before shedding the user.
+		r := &sh.rows[i]
+		r.q, r.capped = r.s.clamp(sh.allocation.Levels[i])
+		r.rate, r.delay, r.missed = r.s.settle(env, r.q, overloadMs, stallMs)
+		r.s.observe(sim, !r.missed, r.quality())
 	}
+}
+
+// record builds and records the decision flight-recorder entry for the
+// shard's slot: the chosen allocation with its per-user objective
+// decomposition, the trace's rejections and counterfactual alternatives, and
+// (when a regret reference is configured) the DP optimum's view of the same
+// problem. Every slice is freshly allocated because the recorder ring and the
+// attributor alias them.
+func (sh *fleetShard) record(cfg *SimConfig, slot int, ref core.Allocator) {
+	p := &sh.problem
+	rec := step.Record(cfg.AllocName, cfg.Params, slot, p, sh.allocation, sh.trace)
+	rec.SessionIDs = make([]uint32, len(sh.rows))
+	for i, r := range sh.rows {
+		rec.SessionIDs[i] = r.s.spec.ID
+	}
+	if ref != nil {
+		opt := ref.Allocate(cfg.Params, p)
+		rec.HasRegret = true
+		rec.OptimalValue = opt.Value
+		// Sub-1e-9 differences are summation-order noise between the DP and
+		// greedy engines evaluating the same allocation; call them a tie.
+		if r := opt.Value - sh.allocation.Value; r > 1e-9 {
+			rec.Regret = r
+		}
+		rec.UserRegret = make([]float64, len(p.Users))
+		for i := range p.Users {
+			rec.UserRegret[i] = core.Objective(cfg.Params, p.T, p.Users[i], opt.Levels[i]) - rec.UserValues[i]
+		}
+	}
+	cfg.Recorder.Record(&rec)
 }
 
 // SimulateFleet replays the workload through N virtual shards behind the
@@ -286,20 +312,24 @@ func (sh *fleetShard) step(env *simEnv, slot int, dead bool, budget, capFactor, 
 // per-shard allocation against the rebalanced budget split, and — when the
 // chaos profile kills or drains a shard — live migration of its sessions
 // to the survivors, each paying a short forced-miss outage instead of being
-// dropped. Same workload + config is bit-identical, like Simulate.
+// dropped. Same workload + config is bit-identical at any worker count.
 //
 // A slot has three parts. The control step is serial: coordinator and shard
-// faults, pending replays, arrivals (placement only), departures, bucketing
-// by shard. Then one fork-join steps every shard on up to Sim.Workers
-// goroutines (fleetShard.step: arrival set-up, build, solve, settle, the
-// blackout charges, and each session's SLO monitor and breaker observation —
-// per-session state no other shard touches, with order-free atomic
-// counters). Then the tally, serial again and in shard-then-arrival order,
-// does what is order-sensitive: the decision recorder, quality sums,
-// degraded and outage counts, rebalancer demand, the router view's tallies,
-// health series, evacuation. Nothing a shard's step reads is written during
-// the fork-join and each result is consumed in a fixed order after it, so
-// the worker count never reaches the report.
+// faults, pending replays, arrivals (placement only), departures. The
+// departures pass also files the sessions that stay by shard in arrival
+// order and gives each served one its row in its shard's problem; each
+// shard's sessions are cut into chunks of at most step.Grain. Then one
+// fork-join over the chunks, on up to Sim.Workers goroutines, sets up,
+// builds or blacks out each session; whoever builds a shard's last chunk
+// solves that shard, settles its served sessions and observes each in the
+// SLO monitor and the breaker (fleetShard.solve) — per-session and
+// per-shard state no other chunk touches, with order-free atomic counters.
+// Then the tally, serial again and in shard-then-arrival order, does what is
+// order-sensitive: the decision recorder, the spans, quality sums, degraded
+// and outage counts, rebalancer demand, the router view's tallies, health
+// series, evacuation. Nothing the loop reads is written during it and each
+// result is consumed in a fixed order after it, so the worker count never
+// reaches the report.
 func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
@@ -329,16 +359,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	horizon := w.Cfg.HorizonSlots
 	env := newSimEnv(w, sim)
 	lm := newLoadMetrics(sim.Metrics)
-
-	// One allocator instance per shard: some allocators keep state, a real
-	// fleet runs one per server, and the shards solve concurrently.
-	shards := make([]fleetShard, cfg.Shards)
-	for i := range shards {
-		shards[i].alloc = sim.NewAllocator()
-	}
-
 	arrivals := indexArrivals(w.Sessions, horizon)
-
 	report := &FleetReport{
 		RunReport: RunReport{
 			Mode:           "fleet-sim",
@@ -350,9 +371,24 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		Scorer: scorer.Name(),
 	}
 
+	// One allocator instance per shard: some allocators keep state, a real
+	// fleet runs one per server, and the shards solve concurrently. The
+	// run-long slices and the owner map start at the workload's peak, so
+	// they do not grow.
+	peak := report.PeakConcurrent
+	ctl.Reserve(peak)
+	report.Outcomes = make([]SessionOutcome, 0, len(w.Sessions))
+	shards := make([]fleetShard, cfg.Shards)
+	for i := range shards {
+		shards[i].alloc = sim.NewAllocator()
+		shards[i].owned = make([]*simSession, 0, peak)
+		shards[i].rows = make([]servedRow, 0, peak)
+	}
 	var (
-		sessions sessionArena[fleetSession, *fleetSession]
-		active   []*fleetSession
+		sessions sessionArena
+		active   = make([]*simSession, 0, peak)
+		chunks   = make([]fleetChunk, 0, peak/step.Grain+cfg.Shards)
+		levels   = sim.Params.Levels
 	)
 	serverInj := chaos.NewServerInjector(sim.Chaos)
 	shardFaults := sim.Chaos.ShardFaults() // the brown-outs among them are the data plane's
@@ -362,8 +398,9 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	if sim.Recorder.Enabled() && sim.RegretRef {
 		regretRef = core.DPOptimal{Resolution: sim.RegretResolution}
 	}
+	spans := step.VirtualSpans{Tracer: sim.Tracer, Epoch: sim.TraceEpoch, Algo: sim.AllocName, SlotMs: env.SlotMs}
 
-	finish := func(s *fleetSession) {
+	finish := func(s *simSession) {
 		s.ensureInputs(env) // a session that departs the slot it was placed
 		sim.SLO.Retire(s.spec.ID)
 		sim.Breaker.Retire(s.spec.ID)
@@ -376,7 +413,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 
 	// moved is the virtual handoff: the session is on its new shard at once
 	// and pays the migration outage.
-	moved := func(slot int, s *fleetSession, to int) {
+	moved := func(slot int, s *simSession, to int) {
 		s.shard = to
 		s.outageUntil = slot + cfg.MigrationOutageSlots
 		s.pendingFlip = false
@@ -387,7 +424,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	// out until the survivors elect and the flip commits — degraded for the
 	// election window, never dropped, never double-owned. A session no shard
 	// can take rides the dead shard at zero quality.
-	reroute := func(slot int, s *fleetSession) bool {
+	reroute := func(slot int, s *simSession) bool {
 		to, pending := ctl.Reroute(fleet.SessionInfo{ID: s.spec.ID, Zone: s.zone}, s.shard, s.paging)
 		if to >= 0 {
 			moved(slot, s, to)
@@ -402,8 +439,9 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	shardQualCnt := make([]int, cfg.Shards)
 	var evacCands []fleet.EvacCandidate
 
-	// The slot's one parallel loop, made once over what the serial control
-	// step leaves for it.
+	// The slot's one parallel loop, made once over what the serial
+	// passes leave for it: a chunk sets up, builds or blacks out its
+	// sessions, and the chunk that completes its shard solves it.
 	var (
 		slot    int
 		view    []fleet.ShardState
@@ -411,8 +449,21 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	)
 	fj := step.NewForkJoin(sim.Workers)
 	defer fj.Close()
-	stepShard := func(i int) {
-		shards[i].step(env, slot, !view[i].Alive, view[i].BudgetMbps, degrade[i], stallMs)
+	buildChunk := func(c int) {
+		ch := chunks[c]
+		sh := &shards[ch.shard]
+		for _, s := range sh.owned[ch.lo:ch.hi] {
+			s.ensureInputs(env)
+			if s.row < 0 {
+				s.blackout(env)
+				continue
+			}
+			row := int(s.row)
+			sh.users[row] = s.build(env, slot, degrade[ch.shard], sh.values[row*levels:(row+1)*levels])
+		}
+		if sh.pending.Add(-1) == 0 {
+			sh.solve(env, slot, view[ch.shard].BudgetMbps, stallMs)
+		}
 	}
 
 	for slot = 0; slot < horizon; slot++ {
@@ -472,7 +523,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				continue
 			}
 			// A session value from the arena — a departed session's, else a
-			// fresh one — with only the spec for now: the placed shard's step
+			// fresh one — with only the spec for now: the slot's build loop
 			// sets up the session's inputs (ensureInputs), off the serial
 			// path.
 			s := sessions.get()
@@ -480,7 +531,16 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			active = append(active, s)
 		}
 		// Departures: the arena takes each session back for a later
-		// arrival.
+		// arrival. The same pass buckets the sessions that stay by owning
+		// shard, in arrival order: one on a dead shard is blacked out, and so
+		// is one mid-handoff — migrating (the client is redialling) or
+		// exported with its flip waiting on a coordinator election. Every
+		// other session gets its row in its shard's problem.
+		view = ctl.States()
+		for i := range shards {
+			sh := &shards[i]
+			sh.owned, sh.rows, sh.demand = sh.owned[:0], sh.rows[:0], 0
+		}
 		next := active[:0]
 		for _, s := range active {
 			if slot >= s.spec.DepartSlot {
@@ -489,10 +549,17 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				continue
 			}
 			next = append(next, s)
+			sh := &shards[s.shard]
+			sh.owned = append(sh.owned, s)
+			s.row = -1
+			if view[s.shard].Alive && slot >= s.outageUntil && !s.pendingFlip {
+				s.row = int32(len(sh.rows))
+				sh.rows = append(sh.rows, servedRow{s: s})
+			}
 		}
 		active = next
-		// The tally after the step re-counts the router view from the sessions
-		// that are left.
+		// The tally after the loop re-counts the router view from the
+		// sessions that are left.
 		ctl.ResetTallies()
 		if len(active) == 0 {
 			report.SlotQuality = append(report.SlotQuality, 0)
@@ -503,61 +570,58 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		serverInj.Advance(slot)
 		stallMs = float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
 
-		// Bucket the active set by owning shard, in arrival order. That ends
-		// the slot's serial control step: from here each shard's problem is
-		// its own.
+		// Cut each shard's sessions into chunks. That ends the slot's serial
+		// control step: from here each shard's problem is its own.
+		chunks = chunks[:0]
 		for i := range shards {
-			shards[i].owned = shards[i].owned[:0]
-		}
-		for _, s := range active {
-			shards[s.shard].owned = append(shards[s.shard].owned, s)
+			sh := &shards[i]
+			n := len(sh.rows)
+			sh.users = slices.Grow(sh.users[:0], n)[:n]
+			sh.values = slices.Grow(sh.values[:0], n*levels)[:n*levels]
+			sh.pending.Store(int32((len(sh.owned) + step.Grain - 1) / step.Grain))
+			for lo := 0; lo < len(sh.owned); lo += step.Grain {
+				chunks = append(chunks, fleetChunk{i, lo, min(lo+step.Grain, len(sh.owned))})
+			}
 		}
 
-		// The slot's one fork-join: every shard sets up its arrivals, builds,
-		// solves against its own budget share, settles or blacks out each of
-		// its sessions and observes it, on up to Workers goroutines. One, not
-		// one per phase — a slot is about a millisecond of work and every
-		// fork-join pays a goroutine wake-up.
-		view = ctl.States()
-		fj.Run(len(shards), 1, stepShard)
+		// The slot's one fork-join, at session grain across every shard, the
+		// solves riding on it: one wake-up per slot, not one per phase.
+		fj.Run(len(chunks), 1, buildChunk)
 
 		// Tally, serially, in shard-then-arrival order: the decision recorder
-		// keeps ordered state and the quality sums are floating-point, so the
-		// order the shards happened to finish in must not reach them. Every
-		// owned session is tallied into the router view under its verdict, so
-		// a view costs O(shards), not a sweep of the active set.
+		// and the tracer keep ordered state and the quality sums are
+		// floating-point, so the order the shards happened to finish in must
+		// not reach them. Every owned session is tallied into the router view
+		// under its verdict, so a view costs O(shards), not a sweep of the
+		// active set.
 		qualitySum := 0.0
-		counted := 0
 		for i := range shards {
 			fs := &shards[i]
-			shardQualSum[i], shardQualCnt[i] = 0, 0
+			shardQualSum[i], shardQualCnt[i] = 0, len(fs.owned)
 			ctl.ObserveDemand(i, fs.demand)
-			if sim.Recorder.Enabled() && len(fs.serving) > 0 {
-				ids := make([]uint32, len(fs.serving))
-				for j, s := range fs.serving {
-					ids[j] = s.spec.ID
-				}
-				recordSimSlot(sim, slot, &fs.problem, fs.allocation, fs.trace, ids, regretRef)
+			if sim.Recorder.Enabled() && len(fs.rows) > 0 {
+				fs.record(sim, slot, regretRef)
 			}
+			spans.Slot, spans.SolveNs, spans.Users = uint32(slot), fs.solveNs, len(fs.rows)
 			for _, s := range fs.owned {
 				ctl.Tally(i, s.paging)
-				counted++
-				shardQualCnt[i]++
-				if s.slotOutage {
+				if s.row < 0 {
 					report.OutageSlots++
 					continue
 				}
-				if s.slotCapped {
+				r := &fs.rows[s.row]
+				if r.capped {
 					report.DegradedSlots++
 				}
-				qualitySum += s.slotQuality
-				shardQualSum[i] += s.slotQuality
+				q := r.quality()
+				qualitySum += q
+				shardQualSum[i] += q
+				if sim.Tracer.Enabled() {
+					spans.Emit(s.spec.ID, r.q, r.rate, r.delay, r.missed)
+				}
 			}
 		}
-		slotQuality := 0.0
-		if counted > 0 {
-			slotQuality = qualitySum / float64(counted)
-		}
+		slotQuality := qualitySum / float64(len(active))
 		report.SlotQuality = append(report.SlotQuality, slotQuality)
 
 		// Health plane: fold this slot's shard states into the store. The

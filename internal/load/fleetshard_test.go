@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -10,12 +11,13 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleet/coord"
 	"repro/internal/obs"
+	"repro/internal/obs/tsdb"
 )
 
-// fleetCampaign is one run's control plane for the per-shard fork-join
-// tests: SLO monitor, breaker and evacuation on, three coordinators, and a
-// profile that exercises every path the slot's serial control step, the
-// shard steps and the tally carry — a shard kill, a drain that rejoins, a
+// fleetCampaign is one run's control plane for the fork-join tests: SLO
+// monitor, breaker and evacuation on, three coordinators, and a profile that
+// exercises every path the slot's serial control step, the build loop, the
+// shards' solves and the tally carry — a shard kill, a drain that rejoins, a
 // brown-out that pages its sessions, a leader kill during the drain and a
 // partition of its successor, over per-session capacity faults. The monitor
 // and the breaker keep per-session state, so every run gets fresh ones.
@@ -46,14 +48,15 @@ func fleetCampaign(horizon, workers int) FleetSimConfig {
 	return cfg
 }
 
-// TestFleetSimIdenticalAcrossWorkers: the fleet engine steps its shards on
-// up to Workers goroutines, each observing its own sessions in the shared
-// SLO monitor and breaker, and everything order-sensitive happens in the
-// serial tally after the join — so the report, the decision records and the
-// placement records are the same at any worker count, including counts that
-// do not divide the shards and counts above them. Run under -race -count=10
-// (make race) it is also the check that a shard's step touches nothing
-// another's does.
+// TestFleetSimIdenticalAcrossWorkers: the fleet engine builds its sessions
+// and solves its shards on up to Workers goroutines, each observing its own
+// sessions in the shared SLO monitor and breaker, and everything
+// order-sensitive happens in the serial tally after the join — so the
+// report, the decision records and the placement records are the same at
+// any worker count, including counts that do not divide the shards and
+// counts above them. Run under -race -count=10 -cpu 1,2,4 (make race) it is
+// also the check that a chunk's build or a shard's solve touches nothing
+// another's does, and that a shard's built rows reach whoever solves it.
 func TestFleetSimIdenticalAcrossWorkers(t *testing.T) {
 	const horizon = 480
 	w, err := Generate(Config{Shape: Poisson, Seed: 31, HorizonSlots: horizon, RatePerSec: 60, MeanHoldSec: 2})
@@ -111,12 +114,17 @@ func TestFleetSimIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestFleetSimDeferredSetupEdges: placement keeps only the spec and the
-// placed shard's step regenerates the session's inputs, so nothing may read
+// slot's build loop regenerates the session's inputs, so nothing may read
 // them first. A replayed workload can hold what Generate never emits — a
 // session that departs the slot it arrives (finish reads its accumulator
-// before any step ran) and a one-slot session — and a shard can die the slot
+// before any build ran) and a one-slot session — and a shard can die the slot
 // after it took an arrival (the migration's outage pass reads the trace and
 // the predictor of a session that was never served on its new shard).
+//
+// The build loop's chunk countdown has two edges of its own: a shard that
+// owns no session has no chunk, so nothing solves it, and a shard whose
+// sessions are all blacked out solves an empty problem. Neither may leave a
+// decision record or a demand from an earlier slot.
 func TestFleetSimDeferredSetupEdges(t *testing.T) {
 	const horizon, killSlot = 40, 21
 	recorded, err := Generate(Config{Shape: Steady, Seed: 9, HorizonSlots: horizon, Sessions: 9})
@@ -175,6 +183,78 @@ func TestFleetSimDeferredSetupEdges(t *testing.T) {
 		if got := run(2, shard); !reflect.DeepEqual(got, rep) {
 			t.Errorf("kill shard %d: two workers report differently from one", shard)
 		}
+	}
+
+	// Six sessions over two shards. Shard 1 drains over [10, 20) and rejoins
+	// empty, so it owns nothing from slot 10; shard 0 dies at 25 and its
+	// sessions all move to shard 1, which owns only blacked-out sessions for
+	// the two slots of their outage. Shard 0 owns nothing after that.
+	const drainSlot, drainEnd, deadSlot = 10, 20, 25
+	const outageEnd = deadSlot + 2
+	w.Sessions = w.Sessions[:6]
+	for i := range w.Sessions {
+		// Staggered: the scorer spreads arrivals once it has seen demand.
+		w.Sessions[i].ArriveSlot, w.Sessions[i].DepartSlot = i, horizon
+	}
+	edges := func(workers int) (*FleetReport, map[int]int, [2][]tsdb.SnapPoint) {
+		cfg := FleetSimConfig{Shards: 2, Health: tsdb.New(tsdb.Options{})}
+		cfg.Sim.Workers = workers
+		cfg.Sim.Recorder = obs.NewRecorder(obs.RecorderOptions{RingSize: 4 * horizon})
+		cfg.Sim.Chaos = &chaos.Profile{Name: "empty-shards", Seed: 1, Faults: []chaos.Fault{
+			{Kind: chaos.FaultShardDrain, StartSlot: drainSlot, DurationSlots: drainEnd - drainSlot, Shard: 1},
+			{Kind: chaos.FaultShardKill, StartSlot: deadSlot, Shard: 0},
+		}}
+		rep, err := SimulateFleet(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := make(map[int]int)
+		for _, r := range cfg.Sim.Recorder.Recent(4 * horizon) {
+			records[r.Slot]++
+		}
+		var demand [2][]tsdb.SnapPoint
+		for _, sn := range cfg.Health.Snapshot() {
+			if sn.Name == "fleet_shard_demand_mbps" && sn.Tier == 1 {
+				demand[sn.Shard] = sn.Points
+			}
+		}
+		return rep, records, demand
+	}
+	rep, records, demand := edges(1)
+	// Shard 1 serves from its first arrival's slot until the drain.
+	served1 := slices.IndexFunc(demand[1], func(p tsdb.SnapPoint) bool { return p.Value > 0 })
+	if served1 < 0 || served1 >= drainSlot {
+		t.Fatalf("shard 1 served no one before its drain (first demand at slot %d)", served1)
+	}
+	for slot := 0; slot < horizon; slot++ {
+		want := 1 // shard 0 alone before the kill, shard 1 alone after the outage
+		switch {
+		case slot >= served1 && slot < drainSlot:
+			want = 2
+		case slot >= deadSlot && slot < outageEnd:
+			want = 0
+		}
+		if records[slot] != want {
+			t.Errorf("slot %d: %d decision records, want %d", slot, records[slot], want)
+		}
+	}
+	for shard, pts := range demand {
+		if len(pts) != horizon {
+			t.Fatalf("shard %d: %d demand samples, want %d", shard, len(pts), horizon)
+		}
+		for _, p := range pts {
+			empty := shard == 1 && (p.Slot < int64(served1) || p.Slot >= drainSlot && p.Slot < outageEnd) ||
+				shard == 0 && p.Slot >= deadSlot
+			if served := p.Value > 0; served == empty {
+				t.Errorf("shard %d slot %d: demand %v, want it zero exactly while the shard serves no one", shard, p.Slot, p.Value)
+			}
+		}
+	}
+	if rep.OutageSlots == 0 || rep.Shards[1].MigratedIn == 0 {
+		t.Fatalf("the edges did not happen: outage slots %d, migrated into shard 1 %d", rep.OutageSlots, rep.Shards[1].MigratedIn)
+	}
+	if got, _, _ := edges(4); !reflect.DeepEqual(got, rep) {
+		t.Error("empty and blacked-out shards: four workers report differently from one")
 	}
 }
 

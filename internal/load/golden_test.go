@@ -1,11 +1,12 @@
 package load
 
-// Golden digests of what the two virtual-time engines compute on a small
-// churned workload under a chaos profile with every recorder on: the report,
-// the decision SlotRecord stream, the virtual span stream and (fleet) the
-// placement records. Every float enters the digest by bit pattern. Recorded
-// at the commit before the slot step was merged into internal/step;
-// regenerate only for a deliberate behaviour change:
+// Golden digests of what the virtual-time engine computes at one shard
+// (Simulate) and at three (SimulateFleet) on a small churned workload under a
+// chaos profile with every recorder on: the report, the decision SlotRecord
+// stream, the virtual span stream (one shard) and the placement records
+// (three). Every float enters the digest by bit pattern. Recorded when the
+// two were separate engines, at the commit before the slot step was merged
+// into internal/step; regenerate only for a deliberate behaviour change:
 //
 //	go test ./internal/load -run TestGoldenSim -update-golden
 
@@ -168,7 +169,10 @@ func goldenSimulateFleet(t *testing.T) map[string]string {
 			chaos.Fault{Kind: chaos.FaultShardKill, StartSlot: 300, Shard: 2},
 		),
 	}
-	cfg.Sim.Tracer = nil // the fleet engine emits no spans
+	// The simulate entry already pins the tally's spans (one shard, the same
+	// code), and this entry predates the fleet's spans: it has no spans
+	// digest to hold them to.
+	cfg.Sim.Tracer = nil
 	rep, err := SimulateFleet(goldenWorkload(t), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -109,21 +109,9 @@ type LiveConfig struct {
 }
 
 func (c LiveConfig) withDefaults(w *Workload) LiveConfig {
-	if c.Params.Levels == 0 {
-		c.Params = core.DefaultSystemParams()
-	}
-	if c.NewAllocator == nil {
-		c.NewAllocator = func() core.Allocator { return core.NewSolverAllocator() }
-		if c.AllocName == "" {
-			c.AllocName = "proposed"
-		}
-	}
-	if c.AllocName == "" {
-		c.AllocName = "custom"
-	}
-	if c.BudgetMbps <= 0 {
-		c.BudgetMbps = 400
-	}
+	// The allocator and budget default as in the virtual-time engine.
+	d := SimConfig{Params: c.Params, NewAllocator: c.NewAllocator, AllocName: c.AllocName, BudgetMbps: c.BudgetMbps}.withDefaults()
+	c.Params, c.NewAllocator, c.AllocName, c.BudgetMbps = d.Params, d.NewAllocator, d.AllocName, d.BudgetMbps
 	if c.SlotDuration <= 0 {
 		c.SlotDuration = time.Second / 60
 		if sps := w.Cfg.SlotsPerSecond; sps > 0 {

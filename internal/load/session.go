@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/motion"
 	"repro/internal/nettrace"
+	"repro/internal/obs"
 	"repro/internal/randsrc"
 	"repro/internal/step"
 	"repro/internal/tiles"
@@ -41,14 +42,13 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 
 // simSession is one active session of a virtual-time run: its slot-step
 // state (the same step.Session the live server's sessions embed), the
-// streamed inputs and predictor that drive it, and its QoE accumulator. The
-// inputs are a motion walker and a capacity cursor, each advanced exactly
-// once per slot the session lives — by build, or by the fleet's blackout —
-// so the session holds its walk state and its network trace's few
-// segments, not a pose and a capacity for every slot. Both virtual-time
-// engines drive it through the same two calls per slot: build (the
-// session's row of the slot problem) and settle (the outcome of the level
-// the solve picked).
+// streamed inputs and predictor that drive it, its QoE accumulator and its
+// fleet coordinates. The inputs are a motion walker and a capacity cursor,
+// each advanced exactly once per slot the session lives — by build, or by
+// blackout — so the session holds its walk state and its network trace's
+// few segments, not a pose and a capacity for every slot. A served slot
+// takes two calls: build (the session's row of the slot problem) and settle
+// (the outcome of the level the solve picked).
 //
 // A session is a value in a sessionArena and never moves, and neither do
 // its inputs: the predictor's windows, the rate and delay tables and the
@@ -75,10 +75,11 @@ type simSession struct {
 
 	tables [2 * tiles.Levels]float64 // Rates, then Delays
 	in     *sessionInputs            // the value's own, from the arena
+	fleetPlace
 }
 
-// sessionInputs is what only a session's build (and the fleet's blackout)
-// reads: the motion walker, the capacity cursor and the predictor, and the
+// sessionInputs is what only a session's build (and its blackout) reads:
+// the motion walker, the capacity cursor and the predictor, and the
 // storage they point into — the random source both draw from, the trace's
 // segments and the tile selection's array. It is kept apart from the rest of
 // the session, in a chunk of its own, because the serial solve and settle
@@ -103,12 +104,12 @@ const sessionSegments = 4
 
 // setUp makes s, a value from a sessionArena, the session spec describes,
 // in place. s is fresh or a departed session's; either way the session's
-// state starts from zero and every input is drawn anew, so it is bit for
-// bit what a fresh value would be. It reads only the env and writes only s
-// and its inputs, so arrivals may be set up concurrently.
+// state but its placement starts from zero and every input is drawn anew, so
+// it is bit for bit what a fresh value would be. It reads only the env and
+// writes only s and its inputs, so arrivals may be set up concurrently.
 func (e *simEnv) setUp(s *simSession, spec SessionSpec) {
 	in := s.in
-	*s = simSession{in: in}
+	*s = simSession{in: in, fleetPlace: s.fleetPlace}
 	s.spec, s.inj = spec, chaos.NewInjector(e.cfg.Chaos, spec.ID)
 	s.Sel = in.sel[:0]
 	s.Rates, s.Delays = s.tables[:tiles.Levels:tiles.Levels], s.tables[tiles.Levels:]
@@ -135,38 +136,31 @@ const arenaChunk = 64
 // session's first, last departed first, else the next value of the current
 // chunk, so fresh sessions and their inputs lie in memory in arrival order.
 // A chunk is allocated once and never moves, so neither does a session or
-// its inputs. Only the serial part of a slot calls it. P is *T: the arena
-// gives a fresh value its inputs through it.
-type sessionArena[T any, P interface {
-	*T
-	sim() *simSession
-}] struct {
-	chunk  []T             // the current chunk's values not yet handed out
+// its inputs. Only the serial part of a slot calls it.
+type sessionArena struct {
+	chunk  []simSession    // the current chunk's values not yet handed out
 	inputs []sessionInputs // their inputs, index for index
-	free   []*T            // departed sessions
+	free   []*simSession   // departed sessions
 }
 
-// sim is the simSession a session value holds, for the arena.
-func (s *simSession) sim() *simSession { return s }
-
 // get returns a session value for an arrival to set up.
-func (a *sessionArena[T, P]) get() *T {
+func (a *sessionArena) get() *simSession {
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
 		a.free = a.free[:n-1]
 		return s
 	}
 	if len(a.chunk) == 0 {
-		a.chunk, a.inputs = make([]T, arenaChunk), make([]sessionInputs, arenaChunk)
+		a.chunk, a.inputs = make([]simSession, arenaChunk), make([]sessionInputs, arenaChunk)
 	}
 	s := &a.chunk[0]
-	P(s).sim().in = &a.inputs[0]
+	s.in = &a.inputs[0]
 	a.chunk, a.inputs = a.chunk[1:], a.inputs[1:]
 	return s
 }
 
 // put takes back a departed session for a later arrival.
-func (a *sessionArena[T, P]) put(s *T) { a.free = append(a.free, s) }
+func (a *sessionArena) put(s *simSession) { a.free = append(a.free, s) }
 
 // build runs the session's share of one slot's decision pipeline — the
 // step's trace-driven prologue (predict, select, rate ladder, coverage,
@@ -214,13 +208,14 @@ func (s *simSession) clamp(q int) (int, bool) {
 }
 
 // observe feeds the slot's display outcome to the SLO monitor and the
-// monitor's verdict to the breaker, keeps the breaker's new ceiling for the
-// next slot's clamp and returns the verdict. Both keep per-session state
-// behind their own locks, so sessions may observe from any goroutine.
-func (s *simSession) observe(cfg *SimConfig, displayed bool, quality float64) string {
+// monitor's verdict to the breaker, and keeps the breaker's new ceiling for
+// the next slot's clamp and the verdict for the router view. Both keep
+// per-session state behind their own locks, so sessions may observe from any
+// goroutine.
+func (s *simSession) observe(cfg *SimConfig, displayed bool, quality float64) {
 	state := cfg.SLO.ObserveSlot(s.spec.ID, displayed, quality)
 	s.breakerCap = cfg.Breaker.Observe(s.spec.ID, state)
-	return state
+	s.paging = state == obs.SLOStatePage
 }
 
 // outcome is the session's end-of-run report row.

@@ -23,7 +23,7 @@ func TestCapTraceHorizonBitIdentical(t *testing.T) {
 		for _, sps := range []float64{30, 60, 90} {
 			w := &Workload{Cfg: Config{SlotsPerSecond: sps, Net: net}}
 			env := newSimEnv(w, &SimConfig{})
-			var arena sessionArena[simSession, *simSession]
+			var arena sessionArena
 			for _, secs := range []float64{0, 1.0 / 30, 1, 4, 37.3, 298, 299, 299.5, 300, 301, 320} {
 				slots := max(1, int(secs*sps))
 				spec := SessionSpec{ArriveSlot: 7, DepartSlot: 7 + slots, NetKind: kind, NetSeed: pick.Int63()}
@@ -65,7 +65,7 @@ func TestSimSessionRetainedBytes(t *testing.T) {
 	w.Sessions = w.Sessions[:sessions]
 	cfg = cfg.withDefaults()
 	env := newSimEnv(w, &cfg)
-	var arena sessionArena[simSession, *simSession]
+	var arena sessionArena
 	kept := make([]*simSession, sessions)
 
 	var before, after runtime.MemStats
@@ -133,7 +133,7 @@ func TestRecycledSessionMatchesFresh(t *testing.T) {
 		return rows, s.outcome()
 	}
 
-	var arena sessionArena[simSession, *simSession]
+	var arena sessionArena
 	old := arena.get()
 	env.setUp(old, first)
 	if len(old.in.net.Segments) <= sessionSegments {

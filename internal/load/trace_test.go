@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 // same span schema as the live engine: a single Simulate run produces
 // server- and client-side spans that stitch into per-request traces, with
 // every trace ID derivable from (epoch, user, slot) and the solve labelled
-// with the algorithm name.
+// with the algorithm name. At three shards the engine emits four spans per
+// served session-slot, the same stream at any worker count.
 func TestSimulateEmitsStitchedSpans(t *testing.T) {
 	const epoch = 9
 	w, err := Generate(Config{Shape: Steady, Sessions: 4, HorizonSlots: 60,
@@ -71,6 +73,36 @@ func TestSimulateEmitsStitchedSpans(t *testing.T) {
 	if a.Displayed+a.Missed != a.Traces {
 		t.Errorf("outcome accounting: displayed %d + missed %d != traces %d",
 			a.Displayed, a.Missed, a.Traces)
+	}
+
+	fleetSpans := func(workers int) []trace.SpanRecord {
+		exp := trace.NewExporter(trace.ExporterOptions{RingSize: 1 << 14})
+		cfg := FleetSimConfig{Shards: 3}
+		cfg.Sim = SimConfig{Tracer: trace.New(trace.Options{Exporter: exp}), TraceEpoch: epoch, Workers: workers}
+		rep, err := SimulateFleet(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := exp.Recent(1 << 14)
+		served := -rep.OutageSlots
+		for _, o := range rep.Outcomes {
+			served += o.Slots
+		}
+		if len(spans) != 4*served || served == 0 {
+			t.Fatalf("workers %d: %d spans for %d served session-slots, want 4 each", workers, len(spans), served)
+		}
+		for i := range spans {
+			if spans[i].Stage == trace.StageDecide {
+				spans[i].EndNs = 0 // wall-measured solve duration
+			}
+		}
+		return spans
+	}
+	serial := fleetSpans(1)
+	for _, workers := range []int{2, 4} {
+		if got := fleetSpans(workers); !reflect.DeepEqual(got, serial) {
+			t.Errorf("workers %d: the fleet's spans differ from the serial run's", workers)
+		}
 	}
 }
 

@@ -284,8 +284,8 @@ func TestObserveReturnsWhatLookupsReport(t *testing.T) {
 	}
 }
 
-// TestMonitorConcurrentObserve: the fleet engine observes each shard's
-// sessions from that shard's step, concurrently with the other shards. The
+// TestMonitorConcurrentObserve: the fleet engine observes each session from
+// the slot's build loop or its shard's solve, concurrently with the others. The
 // monitor and the breaker keep per-session state behind their locks and count
 // transitions atomically, so four goroutines on disjoint sessions must end
 // with the states, windows and counters one goroutine leaves. make race runs
@@ -369,7 +369,7 @@ type churnResult struct {
 }
 
 // observeChurn feeds one monitor and one breaker from goroutines on disjoint
-// sessions, as the fleet engine's shard steps do, while sessions depart and
+// sessions, as the fleet engine's build loop does, while sessions depart and
 // new ones take their place: lane l hosts session l+16k in its k-th life,
 // and on leaving a session is retired from both, so every new session may
 // take any goroutine's retired entry. Which one it takes depends on the

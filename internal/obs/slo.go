@@ -163,14 +163,6 @@ func NewSLOMonitor(cfg SLOConfig, reg *Registry) *SLOMonitor {
 	}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (m *SLOMonitor) Config() SLOConfig {
-	if m == nil {
-		return SLOConfig{}
-	}
-	return m.cfg
-}
-
 // Enabled reports whether the monitor records observations.
 func (m *SLOMonitor) Enabled() bool { return m != nil }
 

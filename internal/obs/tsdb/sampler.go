@@ -119,14 +119,6 @@ func NewSampler(opts SamplerOptions) *Sampler {
 	return s
 }
 
-// Store returns the sampler's store (nil on a nil sampler).
-func (s *Sampler) Store() *Store {
-	if s == nil {
-		return nil
-	}
-	return s.store
-}
-
 // Sample runs one sampling pass at the given slot. Passes off the cadence
 // are skipped; a nil sampler never samples. Steady-state passes do not
 // allocate (series are created on first sight of each instrument).

@@ -176,29 +176,6 @@ type Series struct {
 	total uint64 // observations ever made
 }
 
-// Name, Kind and Shard identify the series (Shard is FleetShard for
-// fleet-wide series).
-func (s *Series) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-func (s *Series) Kind() Kind {
-	if s == nil {
-		return Gauge
-	}
-	return s.kind
-}
-
-func (s *Series) Shard() int {
-	if s == nil {
-		return FleetShard
-	}
-	return s.shard
-}
-
 // Observe records one sample at the given slot. Samples are expected in
 // nondecreasing slot order (the slot clock only moves forward); a repeated
 // slot folds into the same downsample windows. Never allocates.

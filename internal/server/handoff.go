@@ -272,30 +272,6 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Sessions returns the IDs of the admitted sessions in ascending order —
-// the deterministic iteration a fleet coordinator migrates in.
-func (s *Server) Sessions() []uint32 {
-	s.mu.Lock()
-	out := make([]uint32, 0, len(s.sessions))
-	for id := range s.sessions {
-		out = append(out, id)
-	}
-	s.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // WaitSession blocks until the user has an admitted, unretired session or
 // the timeout elapses; fleet migration uses it to confirm the client's
 // redial landed on the adopting shard.

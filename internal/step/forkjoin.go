@@ -13,7 +13,7 @@ import (
 const Grain = 8
 
 // ForkJoin runs one owner's parallel loops: the server's slot phases, a
-// virtual engine run's set-up, build and shard steps, sim.Run's runs. Its
+// virtual engine run's build-and-solve loops, sim.Run's runs. Its
 // helper goroutines start at the first loop that splits and park between
 // loops; Close ends them, so the owner is goroutine-free at rest. A loop
 // allocates nothing: the cursor and the WaitGroup are the ForkJoin's own,
