@@ -56,7 +56,9 @@ test:
 # sessions in the one SLO monitor and breaker, whose disjoint-session
 # differential runs the same way at three GOMAXPROCS. The fleet Controller's
 # tests have no sockets and no sleeps, so twenty passes at three GOMAXPROCS
-# cost seconds and their verdict cannot depend on the wall clock; the slot
+# cost seconds and their verdict cannot depend on the wall clock. The
+# server's decision core (the decider) has the same kind of tests: they
+# drive it with no socket and no sleep, so they run the same way. The slot
 # step's tests are the same kind (the fork-join every engine splits its loops
 # with among them: coverage, zero allocations, panics joined and re-thrown,
 # Close), and so are internal/knapsack's (the
@@ -77,6 +79,7 @@ race:
 	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse)$$' ./internal/obs
 	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestHandleNack|TestHandleACK|TestRetireSessionIdempotent|TestCapEstimate|TestDelayTable|TestRunSlot|TestAllocatedMapBounded|TestSlotPoolForEachCoversAll|TestEnqueueDropOldestAndShutdown|TestDecider)' ./internal/server
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/step
 	$(GO) test -race -count=20 ./internal/knapsack
 	$(GO) test -race -cpu 1,2,4 ./internal/transport

@@ -1,7 +1,10 @@
 package load
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,6 +202,64 @@ func TestRunLiveChaosDrain(t *testing.T) {
 		t.Error("blackout dropped no packets on the live transmit path")
 	}
 	obs.AssertNoLeaks(t, baseGoroutines)
+}
+
+// TestRunLiveFleetChaosDrain is TestRunLiveChaosDrain for a live fleet: one
+// of two shards is killed mid-run, and the run ends in a fleet drain that
+// skips the dead shard and flushes the live one.
+func TestRunLiveFleetChaosDrain(t *testing.T) {
+	base := obs.LeakSnapshot()
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	rep, err := RunLiveFleet(liveFleetWorkload(t, 4, 120), FleetLiveConfig{
+		Shards: 2,
+		Live: LiveConfig{
+			SlotDuration: 5 * time.Millisecond,
+			BudgetMbps:   300,
+			Unshaped:     true,
+			DrainTimeout: 2 * time.Second,
+			Chaos: &chaos.Profile{
+				Name:   "live-kill-drain",
+				Seed:   7,
+				Faults: []chaos.Fault{{Kind: chaos.FaultShardKill, StartSlot: 40, Shard: 0}},
+			},
+			Logf: logf,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed+rep.Failed != rep.Spawned {
+		t.Errorf("accounting leak: completed %d + failed %d != spawned %d",
+			rep.Completed, rep.Failed, rep.Spawned)
+	}
+	if rep.Shards[0].KilledSlot != 40 {
+		t.Errorf("shard 0 KilledSlot = %d, want 40", rep.Shards[0].KilledSlot)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	drained := 0
+	for _, line := range logs {
+		switch {
+		case strings.Contains(line, "fleet drain timed out"):
+			t.Errorf("fleet drain did not flush: %q", line)
+		case strings.HasPrefix(line, "server: drained "):
+			drained++
+			if !strings.HasSuffix(line, "(flushed=true)") {
+				t.Errorf("live shard did not flush: %q", line)
+			}
+		}
+	}
+	// The killed shard's server is closed: only the live shard drains.
+	if drained != 1 {
+		t.Errorf("%d shards drained, want the live one only", drained)
+	}
+	obs.AssertNoLeaks(t, base)
 }
 
 // TestSimulateShardFaults: Simulate is the fleet engine at one shard, so a

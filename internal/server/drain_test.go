@@ -1,13 +1,11 @@
 package server
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/estimate"
 	"repro/internal/obs"
 	"repro/internal/tiles"
 	"repro/internal/transport"
@@ -128,22 +126,8 @@ func TestHandleNackRetryPolicy(t *testing.T) {
 		Base: time.Millisecond, Cap: 4 * time.Millisecond,
 		MaxAttempts: 2, Budget: time.Minute,
 	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		ema:        estimate.NewEMA(0.2),
-		ledger:     tiles.NewDeliveryLedger(),
-		allocated:  map[uint32]allocRecord{},
-		retries:    map[tiles.VideoID]uint8{},
-		retryFirst: map[tiles.VideoID]time.Time{},
-		rng:        rand.New(rand.NewSource(1)),
-		sendCh:     make(chan []tileJob, 4),
-		sendDone:   make(chan struct{}),
-	}
+	srv := testServer(t, cfg)
+	sess := bareSession(t, srv.decider, 1, 4)
 	lost, err := tiles.PackVideoID(tiles.CellID{X: 2}, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -191,29 +175,18 @@ func TestHandleNackRetryPolicy(t *testing.T) {
 // move exactly once.
 func TestRetireSessionIdempotent(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
-	cfg.SlotDuration = 5 * time.Millisecond
 	cfg.Metrics = obs.NewRegistry()
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	c := testDecider(t, cfg)
+	sess := bareSession(t, c, 9, 1)
+
+	c.retire(sess)
+	c.retire(sess)
+	// The control loop's own retirement (after the closed conn) must not
+	// decrement again either.
+	c.retire(sess)
+	if n := c.SessionCount(); n != 0 {
+		t.Errorf("session count = %d, want 0", n)
 	}
-	defer srv.Close()
-
-	fc := dialFake(t, srv, 9)
-	defer fc.close()
-	waitFor(t, "session admitted", func() bool { return sessionCount(srv) == 1 })
-	srv.mu.Lock()
-	sess := srv.sessions[9]
-	srv.mu.Unlock()
-
-	srv.retireSession(sess)
-	srv.retireSession(sess)
-	// The control loop's own retirement (triggered by the closed conn)
-	// must not decrement again either.
-	waitFor(t, "gauge settled", func() bool {
-		return cfg.Metrics.Counter("collabvr_server_sessions_left_total").Value() >= 1
-	})
-	time.Sleep(20 * time.Millisecond)
 	if got := cfg.Metrics.Gauge("collabvr_server_sessions_active").Value(); got != 0 {
 		t.Errorf("sessions_active = %v, want 0 after redundant retires", got)
 	}

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/estimate"
-	"repro/internal/tiles"
 	"repro/internal/transport"
 )
 
@@ -14,26 +12,17 @@ import (
 // the estimate down; only the window maximum counts.
 func TestCapEstimateMaxFilter(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		ema:       estimate.NewEMA(0.2),
-		ledger:    tiles.NewDeliveryLedger(),
-		allocated: map[uint32]allocRecord{},
-	}
+	c := testDecider(t, cfg)
+	sess := bareSession(t, c, 1, 1)
 	// No samples: fall back to the configured initial estimate.
-	if got := sess.capEstimateLocked(30); got != 30 {
+	if got := sess.capEstimate(30); got != 30 {
 		t.Errorf("fallback estimate = %v, want 30", got)
 	}
 
 	// Mixed goodput samples: many small, one near the true rate.
 	feed := func(slot uint32, bytes int, delayMs float64) {
 		sess.allocated[slot] = allocRecord{level: 3, rate: 20}
-		srv.handleACK(sess, transport.TileACK{
+		c.ack(sess, transport.TileACK{
 			User: 1, Slot: slot, Bytes: bytes, DelayMs: delayMs, Covered: true,
 		})
 	}
@@ -42,10 +31,7 @@ func TestCapEstimateMaxFilter(t *testing.T) {
 	feed(3, 50000, 8) // 50 Mbps — a saturating train
 	feed(4, 9000, 8)  // 9 Mbps
 
-	sess.mu.Lock()
-	got := sess.capEstimateLocked(30)
-	sess.mu.Unlock()
-	if got < 45 || got > 55 {
+	if got := sess.capEstimate(30); got < 45 || got > 55 {
 		t.Errorf("max-filter estimate = %v, want about 50", got)
 	}
 }
@@ -55,33 +41,23 @@ func TestCapEstimateMaxFilter(t *testing.T) {
 // noticed.
 func TestCapEstimateWindowEvicts(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		ema:       estimate.NewEMA(0.2),
-		ledger:    tiles.NewDeliveryLedger(),
-		allocated: map[uint32]allocRecord{},
-	}
+	c := testDecider(t, cfg)
+	sess := bareSession(t, c, 1, 1)
 	feed := func(slot uint32, mbps float64) {
 		sess.allocated[slot] = allocRecord{level: 3, rate: 20}
-		// bytes over 10 ms giving the desired Mbps.
-		bytes := int(mbps * 1e6 / 8 * 0.010)
-		srv.handleACK(sess, transport.TileACK{
-			User: 1, Slot: slot, Bytes: bytes, DelayMs: 10, Covered: true,
-		})
+		c.ack(sess, goodputACK(slot, mbps))
 	}
 	feed(0, 60)
 	for s := uint32(1); s <= capWindow+5; s++ {
 		feed(s, 20)
 	}
-	sess.mu.Lock()
-	got := sess.capEstimateLocked(30)
-	sess.mu.Unlock()
-	if got > 25 {
+	if got := sess.capEstimate(30); got > 25 {
 		t.Errorf("estimate = %v, want the stale 60 Mbps sample evicted (~20)", got)
 	}
+}
+
+// goodputACK is an ACK for slot whose goodput sample reads mbps: its bytes
+// over 10 ms.
+func goodputACK(slot uint32, mbps float64) transport.TileACK {
+	return transport.TileACK{User: 1, Slot: slot, Bytes: int(mbps * 1e6 / 8 * 0.010), DelayMs: 10, Covered: true}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -100,12 +98,4 @@ func newServerMetrics(r *obs.Registry) serverMetrics {
 func (m *serverMetrics) instrumentSender(s *transport.Sender) {
 	s.Instrument(m.txPackets, m.txBytes, m.txDropped)
 	s.InstrumentWrites(m.txWrites, m.txGSOFallback)
-}
-
-// observeDecision records slot pipeline timing and deadline misses.
-func (m *serverMetrics) observeDecision(elapsed, slotDuration time.Duration) {
-	m.slotDecisionMs.Observe(float64(elapsed) / float64(time.Millisecond))
-	if elapsed > slotDuration {
-		m.deadlineMiss.Inc()
-	}
 }

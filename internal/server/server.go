@@ -5,33 +5,29 @@
 // from the content size model, delays from a polynomial-regression
 // predictor, throughput from an EMA estimator) and hands it to any
 // core.Allocator. Chosen tiles stream to each user over the RTP-like UDP
-// transport, skipping tiles the user already holds.
+// transport, skipping tiles the user already holds. The decider (core.go)
+// makes every decision behind one lock and reads no clock; the performers
+// here own every socket, goroutine and clock, and call into it.
 package server
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/estimate"
 	"repro/internal/motion"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
-	"repro/internal/randsrc"
 	"repro/internal/step"
 	"repro/internal/tiles"
 	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/vrmath"
 )
 
 // Config parametrizes a Server.
@@ -172,84 +168,34 @@ type UserStats struct {
 	EstMbps      float64 // final throughput estimate
 }
 
-// Server is the edge server.
+// Server is the edge server: its decider and the performers around it.
 type Server struct {
-	cfg     Config
-	env     step.Env // what every session's slot step reads; fixed at New
-	store   *tiles.Store
-	metrics serverMetrics
+	*decider
+	store *tiles.Store
 
 	udp   net.PacketConn
 	tcpLn net.Listener
 
-	mu       sync.Mutex
-	sessions map[uint32]*session
-	slot     uint32
-	// budget is the live value of B(t); it starts at Config.BudgetMbps and
-	// a fleet coordinator moves it via SetBudget on rebalance.
-	budget float64
-	// adopted holds handed-off session state awaiting the client's redial
-	// (keyed by user; consumed by the next Hello for that user).
-	adopted map[uint32]*HandoffState
-	// coordEpoch is the highest coordinator term this shard has witnessed;
-	// AdoptSession fences out handoff state stamped by an older (deposed)
-	// leader. 0 — the single-replica coordinator's forever-term — disables
-	// fencing entirely, keeping the default path byte-identical.
-	coordEpoch uint64
+	stop       chan struct{}
+	stopOnce   sync.Once
+	loopDone   chan struct{}
+	acceptWG   sync.WaitGroup
+	prefetchCh chan prefetchReq
+	prefetchWG sync.WaitGroup
 
-	stop         chan struct{}
-	stopOnce     sync.Once
-	loopDone     chan struct{}
-	acceptWG     sync.WaitGroup
-	closed       bool
-	draining     bool
-	prefetchCh   chan prefetchReq
-	prefetchFree chan []tiles.TileID
-	prefetchWG   sync.WaitGroup
-
-	// pool runs the per-session slot phases (Config.SlotWorkers); free
-	// recycles tileJob batches between the slot loop, the NACK path and
-	// the send loops so steady-state slots allocate nothing.
-	pool *step.ForkJoin
+	// free recycles tileJob batches between the dispatch phase, the NACK
+	// path and the send loops so steady-state slots allocate nothing.
 	free batchFreeList
 
-	// Slot-loop scratch. The slot loop is the only writer and slots are
-	// strictly sequential, so these live across slots unlocked. buildFn
-	// and dispatchFn are bound once (method values) so pool.Run receives
-	// the same closure every slot instead of allocating one.
-	buildFn    func(int)
+	// The dispatch phase's scratch; dispatchFn is bound once, like buildFn.
 	dispatchFn func(int)
-	sessBuf    []*session
-	planBuf    []slotPlan
-	userBuf    []core.UserInput
-	probBuf    core.SlotProblem
-	cur        slotCtx
+	plan       []planned
+	planSlot   uint32
 }
 
-// slotCtx is the slot-scoped state the pool's participants read during a
-// phase; the slot loop writes it serially before each pool.Run.
-type slotCtx struct {
-	sessions    []*session
-	plans       []slotPlan
-	slot        uint32
-	levels      []int
-	decideStart int64
-	decideEnd   int64
-}
-
-// slotPlan is one session's build-phase verdict: ok when the session has
-// posed and its step.Plan (cell, selection, rate ladder — session scratch,
-// valid for this slot only) and problem row are built.
-type slotPlan struct {
-	sess *session
-	ok   bool
-}
-
-// batchFreeList recycles tileJob batches. A nil list is valid (bare test
-// sessions): get falls back to make, put discards. put is where a batch
-// dies, whoever drops it: it releases every job's store pin, and its
-// zeroing drops the payload references, so a parked batch holds no tile
-// bytes.
+// batchFreeList recycles tileJob batches. put is where a batch dies,
+// whoever drops it: it releases every job's store pin, and its zeroing
+// drops the payload references, so a parked batch holds no tile bytes.
 type batchFreeList chan []tileJob
 
 func (fl batchFreeList) get() []tileJob {
@@ -275,128 +221,13 @@ func (fl batchFreeList) put(b []tileJob) {
 	}
 }
 
-// prefetchReq asks the prefetcher to warm one cell neighbourhood. sel is
-// an owned copy (the slot loop reuses its per-session selection scratch
-// while the prefetcher runs); it is recycled through prefetchFree.
+// prefetchReq asks the prefetcher to warm one cell neighbourhood: the
+// session's selection, copied (the next slot's build overwrites it).
 type prefetchReq struct {
 	cell  tiles.CellID
-	sel   []tiles.TileID
 	level int
-}
-
-// session is one connected user.
-type session struct {
-	user   uint32
-	ctrl   *transport.Conn
-	sender *transport.Sender
-	tracer *trace.Tracer
-
-	mu        sync.Mutex
-	pose      vrmath.Pose
-	havePose  bool
-	predictor *motion.Predictor
-	ledger    *tiles.DeliveryLedger
-	ema       *estimate.EMA
-
-	// The slot step's state: the h_n estimators (one definition with
-	// core.Tracker and the virtual-time sessions; a handoff copies them) and
-	// the per-slot plan and delay-table scratch. Stepped by exactly one pool
-	// worker per slot (the phase barrier orders slots), under mu.
-	step.Session
-
-	// handoff marks a session exported to another shard: retirement keeps
-	// the fleet-shared SLO window and breaker state alive (the adopting
-	// shard continues them) and counts a handoff instead of a departure.
-	handoff bool
-
-	// capSamples is a ring of recent goodput samples; the capacity
-	// estimate is their maximum (a BBR-style max filter — goodput of a
-	// shaped train only reaches the link rate when the train saturates it,
-	// so the mean underestimates while the windowed max tracks it).
-	capSamples []float64
-	capIdx     int
-
-	// allocated maps recent slots to the level and rate chosen, so ACK
-	// feedback can be joined back for the delay regression.
-	allocated map[uint32]allocRecord
-
-	// retries counts NACK-driven retransmissions per tile, so each resend
-	// carries its attempt number in the packet header; ACKed tiles are
-	// forgotten. retryFirst records when each tile was first NACKed, which
-	// is what the retry policy's wall-clock budget is measured against.
-	retries    map[tiles.VideoID]uint8
-	retryFirst map[tiles.VideoID]time.Time
-	// rng jitters retransmission backoff (seeded per user so campaigns are
-	// reproducible); guarded by mu.
-	rng *rand.Rand
-
-	// delaySamples feed the polynomial delay predictor.
-	delayRates []float64
-	delayMs    []float64
-
-	// free is the server-wide batch free list (nil in bare test sessions).
-	free batchFreeList
-
-	// Slot-loop scratch: written by exactly one pool worker per slot (the
-	// phase barrier orders slots), so no lock beyond the sections that
-	// already take mu. fitter is only used under mu (DelayTableInto).
-	modelBuf []float64
-	idsBuf   []tiles.VideoID
-	fitter   estimate.PolyFitter
-
-	tilesSent    int
-	tilesSkipped int
-	retransmits  int
-	levelSum     int
-	slotsServed  int
-
-	sendCh     chan []tileJob
-	sendDone   chan struct{}
-	sendClosed bool
-	retired    bool
-}
-
-// enqueue hands a batch to the send loop without blocking: when the queue
-// is full the oldest batch is skipped (stale VR frames are worthless), and
-// after shutdown the batch is dropped. Reports whether the batch was
-// queued.
-func (sess *session) enqueue(batch []tileJob) bool {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.sendClosed {
-		return false
-	}
-	select {
-	case sess.sendCh <- batch:
-		return true
-	default:
-	}
-	select {
-	case old := <-sess.sendCh:
-		sess.free.put(old)
-	default:
-	}
-	select {
-	case sess.sendCh <- batch:
-		return true
-	default:
-		return false
-	}
-}
-
-// closeSend stops the send loop; safe to call once per session.
-func (sess *session) closeSend() {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if !sess.sendClosed {
-		sess.sendClosed = true
-		close(sess.sendCh)
-	}
-}
-
-type allocRecord struct {
-	level int
-	rate  float64
+	n     int
+	sel   [tiles.NumTiles]tiles.TileID
 }
 
 type tileJob struct {
@@ -416,69 +247,62 @@ type tileJob struct {
 	notBefore time.Time
 }
 
-// maxDelaySamples bounds the regression window.
-const maxDelaySamples = 240
+// enqueue hands a batch to the send loop without blocking: a full queue
+// skips its oldest batch (stale VR frames are worthless); after closeSend
+// the batch is refused. Reports whether it was queued. The one lock orders
+// it against closeSend.
+func (s *Server) enqueue(sess *session, batch []tileJob) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sess.sendClosed {
+		return false
+	}
+	select {
+	case sess.sendCh <- batch:
+		return true
+	default:
+	}
+	select {
+	case old := <-sess.sendCh:
+		s.free.put(old)
+	default:
+	}
+	select {
+	case sess.sendCh <- batch:
+		return true
+	default:
+		return false
+	}
+}
 
-// maxAllocRecords bounds a session's slot->allocation join map: ACK-less
-// sessions (a dead display path, a one-way network) would otherwise grow
-// it by one entry per slot forever. When the map reaches the bound, the
-// slot loop drops entries older than allocRecordTTL slots — the same
-// staleness horizon handleACK applies on the feedback path.
-const (
-	maxAllocRecords = 256
-	allocRecordTTL  = 120
-)
+// closeSend lets the send loop send what is queued and exit; idempotent.
+func (s *Server) closeSend(sess *session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !sess.sendClosed {
+		sess.sendClosed = true
+		close(sess.sendCh)
+	}
+}
 
 // New creates a server listening on loopback ephemeral ports.
 func New(cfg Config) (*Server, error) {
 	if cfg.Allocator == nil {
 		return nil, errors.New("server: allocator required")
 	}
-	if cfg.SlotDuration <= 0 {
-		cfg.SlotDuration = time.Second / 60
-	}
-	if cfg.MTU <= transport.HeaderSize {
-		cfg.MTU = transport.DefaultMTU
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.UDPAddr == "" {
-		cfg.UDPAddr = "127.0.0.1:0"
-	}
-	if cfg.TCPAddr == "" {
-		cfg.TCPAddr = "127.0.0.1:0"
-	}
-	udp, err := net.ListenPacket("udp", cfg.UDPAddr)
-	if err != nil {
+	s := newServer(cfg)
+	s.cfg.UDPAddr = cmp.Or(s.cfg.UDPAddr, "127.0.0.1:0")
+	s.cfg.TCPAddr = cmp.Or(s.cfg.TCPAddr, "127.0.0.1:0")
+	var err error
+	if s.udp, err = net.ListenPacket("udp", s.cfg.UDPAddr); err != nil {
 		return nil, fmt.Errorf("server: listen udp: %w", err)
 	}
-	tcpLn, err := net.Listen("tcp", cfg.TCPAddr)
-	if err != nil {
-		udp.Close()
+	if s.tcpLn, err = net.Listen("tcp", s.cfg.TCPAddr); err != nil {
+		s.udp.Close()
 		return nil, fmt.Errorf("server: listen tcp: %w", err)
 	}
-	model := tiles.NewSizeModel(cfg.SizeModelSeed)
-	s := &Server{
-		cfg:      cfg,
-		metrics:  newServerMetrics(cfg.Metrics),
-		env:      step.Env{Model: model, Coverage: cfg.Coverage, SlotMs: cfg.SlotDuration.Seconds() * 1000},
-		store:    tiles.NewStore(model, cfg.CacheTiles, 1/cfg.SlotDuration.Seconds()),
-		udp:      udp,
-		tcpLn:    tcpLn,
-		sessions: make(map[uint32]*session),
-		budget:   cfg.BudgetMbps,
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
-	s.store.Instrument(s.metrics.cacheHits, s.metrics.cacheMisses)
-	s.pool = step.NewForkJoin(cfg.SlotWorkers)
-	s.free = make(batchFreeList, 256)
-	s.buildFn = s.buildOne
-	s.dispatchFn = s.dispatchOne
-	if cfg.PrefetchRadius > 0 {
+	if s.cfg.PrefetchRadius > 0 {
 		s.prefetchCh = make(chan prefetchReq, 64)
-		s.prefetchFree = make(chan []tiles.TileID, 64)
 		s.prefetchWG.Add(1)
 		go s.prefetchLoop()
 	}
@@ -486,6 +310,20 @@ func New(cfg Config) (*Server, error) {
 	go s.acceptLoop()
 	go s.slotLoop()
 	return s, nil
+}
+
+// newServer builds a server without sockets or goroutines: New adds them.
+func newServer(cfg Config) *Server {
+	s := &Server{
+		decider:  newDecider(cfg),
+		stop:     make(chan struct{}),
+		loopDone: make(chan struct{}),
+		free:     make(batchFreeList, 256),
+	}
+	s.store = tiles.NewStore(s.env.Model, s.cfg.CacheTiles, 1/s.cfg.SlotDuration.Seconds())
+	s.store.Instrument(s.metrics.cacheHits, s.metrics.cacheMisses)
+	s.dispatchFn = s.dispatch
+	return s
 }
 
 // prefetchLoop warms the tile cache off the slot loop's critical path.
@@ -496,17 +334,13 @@ func (s *Server) prefetchLoop() {
 		for dx := -r; dx <= r; dx++ {
 			for dz := -r; dz <= r; dz++ {
 				cell := tiles.CellID{X: req.cell.X + dx, Z: req.cell.Z + dz}
-				for _, tile := range req.sel {
+				for _, tile := range req.sel[:req.n] {
 					if id, err := tiles.PackVideoID(cell, tile, req.level); err == nil {
 						_, pin := s.store.Pin(id)
 						pin.Release()
 					}
 				}
 			}
-		}
-		select {
-		case s.prefetchFree <- req.sel:
-		default:
 		}
 	}
 }
@@ -517,34 +351,28 @@ func (s *Server) ControlAddr() string { return s.tcpLn.Addr().String() }
 // Done is closed when the slot loop finishes (after TotalSlots, if set).
 func (s *Server) Done() <-chan struct{} { return s.loopDone }
 
-// signalStop stops the slot loop exactly once (Close and Drain share it).
-func (s *Server) signalStop() { s.stopOnce.Do(func() { close(s.stop) }) }
+// halt stops admitting sessions and stops the slot clock after the
+// in-flight slot, then releases the pool's parked helpers.
+func (s *Server) halt() {
+	s.tcpLn.Close()
+	s.stopOnce.Do(func() { close(s.stop) })
+	<-s.loopDone
+	s.pool.Close()
+}
 
 // Close shuts the server down and waits for its goroutines.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	sessions, ok := s.shut(false)
+	if !ok {
 		return nil
 	}
-	s.closed = true
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	s.signalStop()
-
-	s.tcpLn.Close()
-	<-s.loopDone
-	s.pool.Close()
+	s.halt()
 	if s.prefetchCh != nil {
 		close(s.prefetchCh)
 		s.prefetchWG.Wait()
 	}
 	for _, sess := range sessions {
-		sess.ctrl.Close()
-		sess.closeSend()
+		s.hangUp(sess)
 	}
 	s.acceptWG.Wait()
 	return s.udp.Close()
@@ -561,39 +389,24 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
+	sessions, ok := s.shut(true)
+	if !ok {
 		return true
 	}
-	s.draining = true
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-
-	s.tcpLn.Close() // stop admitting new sessions
-	s.signalStop()  // no new slots after the in-flight one
-	<-s.loopDone
-	s.pool.Close() // helpers park between slots; release them now
+	s.halt()
 
 	// Closing the send queues lets each sendLoop drain what is already
 	// enqueued and exit; the deadline bounds how long a pathologically
 	// shaped session can hold the drain hostage.
 	for _, sess := range sessions {
-		sess.closeSend()
+		s.closeSend(sess)
 	}
 	deadline := time.Now().Add(timeout)
 	flushed := true
 	for _, sess := range sessions {
-		remain := time.Until(deadline)
-		if remain < 0 {
-			remain = 0
-		}
 		select {
 		case <-sess.sendDone:
-		case <-time.After(remain):
+		case <-time.After(max(time.Until(deadline), 0)):
 			flushed = false
 			s.cfg.Logf("server: drain: user %d send queue not flushed within %v", sess.user, timeout)
 		}
@@ -618,38 +431,6 @@ func (s *Server) recovered(where string, r any) {
 		s.cfg.Logf("server: flight record slot=%d algo=%s levels=%v value=%.3f util=%.3f",
 			rec.Slot, rec.Algorithm, rec.Levels, rec.Value, rec.Utilization)
 	}
-}
-
-// Stats snapshots per-user server-side statistics.
-func (s *Server) Stats() []UserStats {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-
-	out := make([]UserStats, 0, len(sessions))
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		st := UserStats{
-			User:         sess.user,
-			SlotsServed:  sess.slotsServed,
-			TilesSent:    sess.tilesSent,
-			TilesSkipped: sess.tilesSkipped,
-			Retransmits:  sess.retransmits,
-			Delta:        sess.Delta(),
-			EstMbps:      sess.ema.Value(),
-		}
-		if sess.slotsServed > 0 {
-			st.MeanLevel = float64(sess.levelSum) / float64(sess.slotsServed)
-		}
-		_, bytes_, _ := sess.sender.Stats()
-		st.BytesSent = bytes_
-		sess.mu.Unlock()
-		out = append(out, st)
-	}
-	return out
 }
 
 // acceptLoop admits client control connections.
@@ -696,147 +477,64 @@ func (s *Server) handleConn(ctrl *transport.Conn) {
 		shaper = s.cfg.ShaperFor(hello.User)
 	}
 	sess := &session{
-		user:       hello.User,
-		ctrl:       ctrl,
-		sender:     transport.NewSender(s.udp, dst, shaper, s.cfg.MTU),
-		tracer:     s.cfg.Tracer,
-		predictor:  motion.NewPredictor(s.cfg.PredictorWindow),
-		ledger:     tiles.NewDeliveryLedger(),
-		ema:        estimate.NewEMA(s.cfg.EMAAlpha),
-		allocated:  make(map[uint32]allocRecord),
-		retries:    make(map[tiles.VideoID]uint8),
-		retryFirst: make(map[tiles.VideoID]time.Time),
-		rng:        randsrc.NewRand(int64(hello.User)*2654435761 + 1),
-		sendCh:     make(chan []tileJob, 32),
-		sendDone:   make(chan struct{}),
-		free:       s.free,
+		user:     hello.User,
+		ctrl:     ctrl,
+		sender:   transport.NewSender(s.udp, dst, shaper, s.cfg.MTU),
+		sendCh:   make(chan []tileJob, 32),
+		sendDone: make(chan struct{}),
 	}
-	sess.Sel = make([]tiles.TileID, 0, tiles.NumTiles)
 	sess.sender.SetBatchSize(s.cfg.SenderBatch)
 	s.metrics.instrumentSender(sess.sender)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	prev, resumed, ok := s.admit(sess)
+	if !ok {
 		ctrl.Close()
 		return
 	}
-	if s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		s.metrics.sessionsRejected.Inc()
-		s.cfg.Logf("server: rejecting user %d, session limit %d reached",
-			hello.User, s.cfg.MaxSessions)
-		ctrl.Close()
-		return
-	}
-	prev := s.sessions[hello.User]
-	s.sessions[hello.User] = sess
-	// A pending adoption (fleet live migration) is consumed by the first
-	// Hello for its user: the redialing client resumes here.
-	st := s.adopted[hello.User]
-	if st != nil {
-		delete(s.adopted, hello.User)
-	}
-	s.mu.Unlock()
 	if prev != nil {
 		// A reconnect superseded a live session with the same ID: retire
 		// the old one so its goroutines and queues do not leak.
-		prev.ctrl.Close()
-		prev.closeSend()
+		s.hangUp(prev)
 	}
-	if st != nil {
-		sess.resume(st)
-		s.metrics.handoffsIn.Inc()
-		s.cfg.Logf("server: user %d resumed from shard %d (token %016x)",
-			hello.User, st.FromShard, st.Token)
-	} else {
+	if !resumed {
 		s.cfg.Logf("server: user %d joined from %s", hello.User, hello.UDPAddr)
 	}
-	s.metrics.sessionsJoined.Inc()
-	s.metrics.sessionsActive.Add(1)
 	s.metrics.sessionSetupMs.Observe(float64(time.Since(accepted)) / float64(time.Millisecond))
-	if err := ctrl.Send(transport.Welcome{
-		User:    hello.User,
-		Resumed: st != nil,
-		Shard:   s.cfg.ShardID,
-	}); err != nil {
+	if err := ctrl.Send(transport.Welcome{User: hello.User, Resumed: resumed, Shard: s.cfg.ShardID}); err != nil {
 		s.retireSession(sess)
 		return
 	}
 
 	go func() {
 		defer close(sess.sendDone)
-		defer func() {
-			if r := recover(); r != nil {
-				s.recovered(fmt.Sprintf("send loop (user %d)", sess.user), r)
-				s.retireSession(sess)
-			}
-		}()
-		sess.sendLoop()
+		defer s.retireOnPanic("send loop", sess)
+		s.sendLoop(sess)
 	}()
 	func() {
-		// A panic while handling one session's control traffic (a malformed
-		// message, a bad estimator sample) must cost that session, not the
-		// server: recover, retire, keep serving everyone else.
-		defer func() {
-			if r := recover(); r != nil {
-				s.recovered(fmt.Sprintf("control loop (user %d)", sess.user), r)
-			}
-		}()
+		defer s.retireOnPanic("control loop", sess)
 		s.controlLoop(sess)
 	}()
 	s.retireSession(sess)
 }
 
-// retireSession removes a departed session from the slot loop's view and
-// releases its resources; with thousands of short sessions this is what
-// keeps server state bounded. The final mean viewed quality feeds the
-// per-session QoE histogram.
+// retireOnPanic, deferred, turns a panic in a session's goroutine (a bad
+// message or estimator sample) into its retirement, not the server's crash.
+func (s *Server) retireOnPanic(where string, sess *session) {
+	if r := recover(); r != nil {
+		s.recovered(fmt.Sprintf("%s (user %d)", where, sess.user), r)
+		s.retireSession(sess)
+	}
+}
+
+// retireSession retires a departed session and hangs it up.
 func (s *Server) retireSession(sess *session) {
-	// Idempotent: the panic-recovery paths and the normal control-loop exit
-	// can both reach here for the same session, and the active-session gauge
-	// must only move once.
-	sess.mu.Lock()
-	if sess.retired {
-		sess.mu.Unlock()
-		return
-	}
-	sess.retired = true
-	served := sess.slotsServed
-	meanQ := sess.MeanQ()
-	handedOff := sess.handoff
-	sess.mu.Unlock()
+	s.retire(sess)
+	s.hangUp(sess)
+}
 
-	// Counted before the session leaves the map, so an observer that sees it
-	// gone sees it counted.
-	s.metrics.sessionsActive.Add(-1)
-	if handedOff {
-		s.metrics.handoffsOut.Inc()
-	} else {
-		s.metrics.sessionsLeft.Inc()
-		if served > 0 {
-			s.metrics.sessionMeanQ.Observe(meanQ)
-		}
-	}
-
-	s.mu.Lock()
-	current := false
-	if cur, ok := s.sessions[sess.user]; ok && cur == sess {
-		delete(s.sessions, sess.user)
-		current = true
-	}
-	s.mu.Unlock()
-	if current && !handedOff {
-		// Only the current session retires the SLO window and breaker: a
-		// superseding reconnect with the same ID keeps accumulating into
-		// them (session-resume keeps the QoE history). A handed-off session
-		// keeps them too — the adopting shard shares the monitor and
-		// continues the windows.
-		s.cfg.SLO.Retire(sess.user)
-		s.cfg.Breaker.Retire(sess.user)
-	}
+// hangUp closes a session's control connection and its send queue.
+func (s *Server) hangUp(sess *session) {
 	sess.ctrl.Close()
-	sess.closeSend()
+	s.closeSend(sess)
 }
 
 // sendLoop transmits one slot's tile batch at a time, absorbing the
@@ -845,56 +543,59 @@ func (s *Server) retireSession(sess *session) {
 // (the sender auto-flushes mid-batch at Config.SenderBatch datagrams), so
 // the wire sees one burst per slot instead of one syscall cascade per
 // tile. Spent batches return to the free list.
-func (sess *session) sendLoop() {
+func (s *Server) sendLoop(sess *session) {
 	for batch := range sess.sendCh {
-		if len(batch) == 0 {
-			sess.free.put(batch)
-			continue
-		}
-		// A retransmission batch carries its backoff deadline; fresh slot
-		// batches have a zero notBefore and pass straight through. The sleep
-		// is bounded by the retry policy's Cap (about two slots), so a
-		// backoff can delay at most a couple of fresh frames — which the
-		// lossy queue in enqueue already treats as droppable.
-		if nb := batch[0].notBefore; !nb.IsZero() {
-			if d := time.Until(nb); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		stage := trace.StageSend
-		maxRetry := 0
-		for _, job := range batch {
-			if int(job.retry) > maxRetry {
-				maxRetry = int(job.retry)
-			}
-		}
-		if maxRetry > 0 {
-			stage = trace.StageRetry
-		}
-		sp := sess.tracer.Start(batch[0].trace, stage, trace.SideServer, sess.user, batch[0].origSlot)
-		bytes := 0
-		var err error
-		for _, job := range batch {
-			if err = sess.sender.QueueTileTraced(sess.user, job.slot, job.id, job.payload, job.trace, job.retry); err != nil {
-				break
-			}
-			bytes += len(job.payload)
-		}
-		if err == nil {
-			err = sess.sender.Flush()
-		}
-		if err != nil {
-			sp.SetErr("send-failed")
-			sp.End()
-			sess.free.put(batch)
+		if !s.send(sess, batch) {
 			return
 		}
-		sp.SetTiles(len(batch))
-		sp.SetBytes(bytes)
-		sp.SetRetry(maxRetry)
-		sp.End()
-		sess.free.put(batch)
 	}
+}
+
+// send transmits one batch and frees it; false on a transmit error.
+func (s *Server) send(sess *session, batch []tileJob) bool {
+	defer s.free.put(batch)
+	if len(batch) == 0 {
+		return true
+	}
+	// A retransmission batch carries its backoff deadline; fresh slot
+	// batches have a zero notBefore and pass straight through. The sleep is
+	// bounded by the retry policy's Cap (about two slots), so a backoff can
+	// delay at most a couple of fresh frames — which the lossy queue in
+	// enqueue already treats as droppable.
+	if nb := batch[0].notBefore; !nb.IsZero() {
+		if d := time.Until(nb); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	maxRetry := 0
+	for _, job := range batch {
+		maxRetry = max(maxRetry, int(job.retry))
+	}
+	stage := trace.StageSend
+	if maxRetry > 0 {
+		stage = trace.StageRetry
+	}
+	sp := s.cfg.Tracer.Start(batch[0].trace, stage, trace.SideServer, sess.user, batch[0].origSlot)
+	defer sp.End()
+	bytes := 0
+	var err error
+	for _, job := range batch {
+		if err = sess.sender.QueueTileTraced(sess.user, job.slot, job.id, job.payload, job.trace, job.retry); err != nil {
+			break
+		}
+		bytes += len(job.payload)
+	}
+	if err == nil {
+		err = sess.sender.Flush()
+	}
+	if err != nil {
+		sp.SetErr("send-failed")
+		return false
+	}
+	sp.SetTiles(len(batch))
+	sp.SetBytes(bytes)
+	sp.SetRetry(maxRetry)
+	return true
 }
 
 // controlLoop consumes pose updates, ACKs and release notices. Every
@@ -908,508 +609,114 @@ func (s *Server) controlLoop(sess *session) {
 		}
 		switch m.Kind {
 		case transport.KindPoseUpdate:
-			sess.mu.Lock()
-			sess.pose = m.Pose.Pose
-			sess.havePose = true
-			sess.predictor.Observe(m.Pose.Pose)
-			sess.mu.Unlock()
-		case transport.KindTileACK:
+			s.pose(sess, m.Pose.Pose)
+		case transport.KindTileACK, transport.KindNack:
 			// Chaos slow-ack: stale feedback is one of the failure modes the
 			// estimators must tolerate, so the injection point is right
 			// before the estimator fold-in.
 			if d := s.cfg.Chaos.AckDelay(); d > 0 {
 				time.Sleep(d)
 			}
-			s.handleACK(sess, m.ACK)
+			if m.Kind == transport.KindNack {
+				s.handleNack(sess, m.Nack)
+			} else {
+				s.ack(sess, m.ACK)
+			}
 		case transport.KindRelease:
 			sess.ledger.MarkReleased(m.Release.Tiles...)
-		case transport.KindNack:
-			if d := s.cfg.Chaos.AckDelay(); d > 0 {
-				time.Sleep(d)
-			}
-			s.handleNack(sess, m.Nack)
 		default:
 			s.cfg.Logf("server: unexpected control message %T", m.Value())
 		}
 	}
 }
 
-// handleACK folds client feedback into the estimators and the QoE state.
-func (s *Server) handleACK(sess *session, ack transport.TileACK) {
-	s.metrics.acks.Inc()
-	traceID := trace.TileTraceID(s.cfg.TraceEpoch, sess.user, ack.Slot)
-	sp := s.cfg.Tracer.Start(traceID, trace.StageAck, trace.SideServer, sess.user, ack.Slot)
-	sp.SetTiles(len(ack.Tiles))
-	sp.SetBytes(ack.Bytes)
-	if ack.Displayed {
-		sp.SetOutcome(trace.OutcomeDisplayed)
-	} else {
-		sp.SetOutcome(trace.OutcomeMissed)
-	}
-	defer sp.End()
-	for _, id := range ack.Tiles {
-		sess.ledger.MarkDelivered(id)
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	for _, id := range ack.Tiles {
-		delete(sess.retries, id)
-		delete(sess.retryFirst, id)
-	}
-
-	// Throughput estimate: goodput across the slot's arrival window
-	// approximates the bottleneck rate when the link is the constraint.
-	// The EMA smooths; the windowed max (see capEstimateLocked) tracks the
-	// actual capacity.
-	if ack.DelayMs > 0.2 && ack.Bytes > 0 {
-		mbps := float64(ack.Bytes) * 8 / (ack.DelayMs / 1000) / 1e6
-		// Capacity-estimate error: how far the estimate the allocator
-		// used was from the goodput the slot actually measured.
-		if prior := sess.capEstimateLocked(s.cfg.InitialUserMbps); prior > 0 {
-			rel := (prior - mbps) / mbps
-			if rel < 0 {
-				rel = -rel
-			}
-			s.metrics.capEstRelErr.Observe(rel)
-		}
-		sess.ema.Update(mbps)
-		if len(sess.capSamples) < capWindow {
-			sess.capSamples = append(sess.capSamples, mbps)
-		} else {
-			sess.capSamples[sess.capIdx] = mbps
-			sess.capIdx = (sess.capIdx + 1) % capWindow
-		}
-	}
-
-	rec, ok := sess.allocated[ack.Slot]
-	if ok {
-		delete(sess.allocated, ack.Slot)
-		// Streaming QoE state (drives MeanQ and delta of h_n).
-		sess.Observe(rec.level, ack.Covered)
-		quality := 0.0
-		if ack.Displayed {
-			quality = float64(rec.level)
-		}
-		// The breaker rides the SLO's alert state, one observation per
-		// ACKed display slot.
-		s.cfg.Breaker.Observe(sess.user, s.cfg.SLO.ObserveSlot(sess.user, ack.Displayed, quality))
-		// Delay regression sample. A full window drops its oldest sample
-		// by copying the rest down, so the window's array is reused and
-		// the samples keep their order.
-		if ack.DelayMs > 0 {
-			if n := len(sess.delayRates); n == maxDelaySamples {
-				copy(sess.delayRates, sess.delayRates[1:])
-				copy(sess.delayMs, sess.delayMs[1:])
-				sess.delayRates = sess.delayRates[:n-1]
-				sess.delayMs = sess.delayMs[:n-1]
-			}
-			sess.delayRates = append(sess.delayRates, rec.rate)
-			sess.delayMs = append(sess.delayMs, ack.DelayMs)
-		}
-	}
-	// Drop stale allocation records.
-	for slot := range sess.allocated {
-		if slot+120 < ack.Slot {
-			delete(sess.allocated, slot)
-		}
-	}
-}
-
-// handleNack retransmits tiles the client reported as fragment-lost (the
-// Discussion-section loss-handling extension; enabled by RetransmitOnNack).
+// handleNack fetches and queues the retransmissions the decider picks.
 func (s *Server) handleNack(sess *session, nack transport.Nack) {
-	s.metrics.nacks.Inc()
-	s.metrics.nackTiles.Add(uint64(len(nack.Tiles)))
-	if !s.cfg.RetransmitOnNack {
-		return
+	batch := s.nack(sess, nack, time.Now(), s.free.get())
+	for i := range batch {
+		batch[i].payload, batch[i].pin = s.store.Pin(batch[i].id)
 	}
-	// Retransmit under the *current* slot number: the original frame's
-	// deadline has passed, but the tile content is per-cell and feeds the
-	// client's RAM for upcoming frames.
-	s.mu.Lock()
-	curSlot := s.slot
-	s.mu.Unlock()
-	// The retransmission keeps the original request's trace: the NACKed
-	// slot derives the ID, so the retry span lands in the same trace as the
-	// first transmission and the client's eventual receive.
-	traceID := trace.TileTraceID(s.cfg.TraceEpoch, sess.user, nack.Slot)
-	policy := s.cfg.RetryPolicy
-	now := time.Now()
-	batch := s.free.get()
-	abandoned := 0
-	sess.mu.Lock()
-	if sess.retries == nil {
-		sess.retries = make(map[tiles.VideoID]uint8)
-	}
-	if sess.retryFirst == nil {
-		sess.retryFirst = make(map[tiles.VideoID]time.Time)
-	}
-	maxAttempt := 0
-	for _, id := range nack.Tiles {
-		if sess.ledger.Has(id) {
-			continue // already confirmed via a later ACK
-		}
-		first, seen := sess.retryFirst[id]
-		if !seen {
-			first = now
-			sess.retryFirst[id] = first
-		}
-		if policy.Abandon(int(sess.retries[id]), now.Sub(first)) {
-			// Budget exhausted: give the tile up. The client's slot shows
-			// partial content; the ledger/RAM path supplies the cell later.
-			abandoned++
-			delete(sess.retries, id)
-			delete(sess.retryFirst, id)
-			continue
-		}
-		if int(sess.retries[id]) > maxAttempt {
-			maxAttempt = int(sess.retries[id])
-		}
-		if sess.retries[id] < 0xFF {
-			sess.retries[id]++
-		}
-		payload, pin := s.store.Pin(id)
-		batch = append(batch, tileJob{
-			slot: curSlot, id: id, payload: payload, pin: pin,
-			trace: traceID, origSlot: nack.Slot, retry: sess.retries[id],
-		})
-	}
-	var notBefore time.Time
-	if len(batch) > 0 && policy.Enabled() {
-		// One backoff per batch, sized by the most-retried tile: a batch is
-		// one wire transmission, and per-tile staggering would just shred it
-		// into per-fragment sends.
-		notBefore = now.Add(policy.Backoff(maxAttempt, sess.rng))
-		for i := range batch {
-			batch[i].notBefore = notBefore
-		}
-	}
-	if len(batch) > 0 {
-		sess.retransmits += len(batch)
-	}
-	sess.mu.Unlock()
-	if abandoned > 0 {
-		s.metrics.retryAbandoned.Add(uint64(abandoned))
-		sp := s.cfg.Tracer.Start(traceID, trace.StageAbandon, trace.SideServer, sess.user, nack.Slot)
-		sp.SetTiles(abandoned)
-		sp.SetOutcome(trace.OutcomeMissed)
-		sp.End()
-	}
-	if len(batch) == 0 {
-		s.free.put(batch)
-		return
-	}
-	s.metrics.retransmits.Add(uint64(len(batch)))
-	if !sess.enqueue(batch) {
+	if len(batch) == 0 || !s.enqueue(sess, batch) {
 		s.free.put(batch)
 	}
 }
 
-// capWindow is the size of the goodput max-filter window (about two
-// seconds of ACKed slots at 60 FPS).
-const capWindow = 120
-
-// capEstimateLocked returns the session's capacity estimate: the windowed
-// maximum of goodput samples, clamped from below by the EMA (caller holds
-// sess.mu).
-func (sess *session) capEstimateLocked(fallback float64) float64 {
-	if len(sess.capSamples) == 0 {
-		if sess.ema.Primed() {
-			return sess.ema.Value()
-		}
-		return fallback
-	}
-	est := sess.capSamples[0]
-	for _, v := range sess.capSamples[1:] {
-		if v > est {
-			est = v
-		}
-	}
-	return est
-}
-
-// slotLoop is the per-slot decision pipeline.
+// slotLoop is the slot clock: one decision and dispatch per tick.
 func (s *Server) slotLoop() {
 	defer close(s.loopDone)
 	ticker := time.NewTicker(s.cfg.SlotDuration)
 	defer ticker.Stop()
-	for {
+	for slot := uint32(0); ; slot++ {
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
 		}
-		s.mu.Lock()
-		slot := s.slot
-		s.slot++
-		budget := s.budget
-		s.sessBuf = s.sessBuf[:0]
-		for _, sess := range s.sessions {
-			s.sessBuf = append(s.sessBuf, sess)
-		}
-		s.mu.Unlock()
-		sessions := s.sessBuf
-		// Stable user order: Algorithm 1 breaks score ties toward the
-		// lowest index, so the snapshot is sorted by user ID — a tie then
-		// goes to the lowest user ID rather than to whoever map iteration
-		// order happened to put first this slot.
-		slices.SortFunc(sessions, func(a, b *session) int {
-			return cmp.Compare(a.user, b.user)
-		})
-
 		// Chaos server faults ride the slot clock: advance the injector's
 		// window and absorb any scheduled pipeline stall before deciding.
 		s.cfg.Chaos.Advance(int(slot))
 		if d := s.cfg.Chaos.StallFor(); d > 0 {
 			time.Sleep(d)
 		}
-		if len(sessions) > 0 {
-			s.safeRunSlot(slot, sessions, budget)
-		}
+		s.runSlot(slot)
 		// Health sampling rides the same slot clock so the stored series
 		// align with decisions; it runs after the slot's outcomes land.
 		s.cfg.Health.Sample(int64(slot))
-		if s.cfg.TotalSlots > 0 && int(s.slot) >= s.cfg.TotalSlots {
+		if s.cfg.TotalSlots > 0 && int(slot)+1 >= s.cfg.TotalSlots {
 			return
 		}
 	}
 }
 
-// safeRunSlot runs one slot with panic isolation: a crash in the pipeline
-// (an allocator bug on a pathological input, say) costs that slot — the
-// clients miss one frame — instead of the whole server.
-func (s *Server) safeRunSlot(slot uint32, sessions []*session, budget float64) {
+// runSlot decides one slot and dispatches its plan on the pool, outside the
+// lock. A panic costs the slot (one frame), not the server.
+func (s *Server) runSlot(slot uint32) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.recovered(fmt.Sprintf("slot pipeline (slot %d)", slot), r)
 		}
 	}()
-	s.runSlot(slot, sessions, budget)
-}
-
-// runSlot predicts, allocates and dispatches one slot. The per-session
-// phases are split across the slot's fork-join: a parallel build phase fills
-// one plan per session (predict, capacity estimate, tile selection, rate
-// and delay tables), a serial merged solve decides every user's level in
-// one pass, and a parallel dispatch phase admits, fetches and enqueues
-// each session's batch. Decisions are independent of SlotWorkers: the
-// build phase writes by index, compaction is stable, and the solve sees
-// the same sorted problem either way.
-func (s *Server) runSlot(slot uint32, sessions []*session, budget float64) {
 	started := time.Now()
-	s.metrics.slots.Inc()
-	s.cur.sessions = sessions
-	s.cur.slot = slot
-	if cap(s.planBuf) < len(sessions) {
-		s.planBuf = make([]slotPlan, len(sessions))
-		s.userBuf = make([]core.UserInput, len(sessions))
-	}
-	s.planBuf = s.planBuf[:len(sessions)]
-	s.userBuf = s.userBuf[:len(sessions)]
-
-	s.pool.Run(len(sessions), step.Grain, s.buildFn)
-
-	// Stable compaction: drop sessions that have not posed yet, keeping
-	// the user-ID order the allocator's tie-breaking relies on. The append
-	// targets trail the read index, so compacting in place is safe.
-	plans, users := s.planBuf[:0], s.userBuf[:0]
-	for i := range s.planBuf {
-		if s.planBuf[i].ok {
-			plans = append(plans, s.planBuf[i])
-			users = append(users, s.userBuf[i])
-		}
-	}
-	if len(plans) == 0 {
+	s.plan, s.planSlot = s.decide(slot), slot
+	if len(s.plan) == 0 {
 		return
 	}
-
-	s.probBuf = core.SlotProblem{T: int(slot) + 1, Budget: budget, Users: users}
-	problem := &s.probBuf
-	decideStart := s.cfg.Tracer.Now()
-	recording := s.cfg.Recorder.Enabled()
-	// Unrecorded, the Levels may alias solver scratch — valid until the next
-	// solve, which is the next slot, after dispatch completed.
-	allocation, slotTrace := step.Solve(s.cfg.Allocator, s.cfg.Params, problem, recording, s.cfg.CounterfactualK)
-	decideEnd := s.cfg.Tracer.Now()
-	if recording {
-		// The server has no co-running optimum, so the record carries no
-		// regret (the attributor falls back to the forgone-gain proxy over
-		// the counterfactual alternatives).
-		rec := step.Record(s.cfg.Allocator.Name(), s.cfg.Params, int(slot), problem, allocation, slotTrace)
-		rec.SessionIDs = make([]uint32, len(plans))
-		for i := range plans {
-			rec.SessionIDs[i] = plans[i].sess.user
-		}
-		s.cfg.Recorder.Record(&rec)
+	elapsed := time.Since(started)
+	s.metrics.slotDecisionMs.Observe(float64(elapsed) / float64(time.Millisecond))
+	if elapsed > s.cfg.SlotDuration {
+		s.metrics.deadlineMiss.Inc()
 	}
-	s.metrics.observeDecision(time.Since(started), s.cfg.SlotDuration)
 	s.metrics.cacheHitRatio.Set(s.store.HitRatio())
-
-	s.cur.plans = plans
-	s.cur.levels = allocation.Levels
-	s.cur.decideStart, s.cur.decideEnd = decideStart, decideEnd
-	s.pool.Run(len(plans), step.Grain, s.dispatchFn)
+	s.pool.Run(len(s.plan), step.Grain, s.dispatchFn)
 }
 
-// buildOne is the parallel build phase for one session: the slot step on
-// the predicted pose, shown the session's capacity estimate and its own
-// delay model, into the user input at the session's snapshot index. All
-// outputs land on per-session or per-index scratch, so workers never
-// contend.
-func (s *Server) buildOne(i int) {
-	sess := s.cur.sessions[i]
-	p := &s.planBuf[i]
-	p.sess = sess
-	sess.mu.Lock()
-	if p.ok = sess.havePose; p.ok {
-		sess.Select(&s.env, sess.predictor.Predict())
-		s.userBuf[i] = sess.Input(&s.env, sess.capEstimateLocked(s.cfg.InitialUserMbps), sess)
-	}
-	sess.mu.Unlock()
-}
-
-// dispatchOne is the parallel dispatch phase for one planned session:
-// breaker clamp, admission against the delivery ledger, payload fetch and
-// hand-off to the session's send loop.
-func (s *Server) dispatchOne(i int) {
-	p := &s.cur.plans[i]
-	slot := s.cur.slot
-	level := s.cur.levels[i]
-	traceID := trace.TileTraceID(s.cfg.TraceEpoch, p.sess.user, slot)
-	// Graceful degradation: a tripped breaker caps the session's quality
-	// level below what the allocator granted — fidelity is sacrificed
-	// before anyone considers dropping the user. The clamp happens after
-	// the solve so one struggling session cannot distort the shared
-	// budget arithmetic mid-decision.
-	if cap_ := s.cfg.Breaker.Cap(p.sess.user); cap_ > 0 && level > cap_ {
-		bsp := s.cfg.Tracer.Start(traceID, trace.StageBreaker, trace.SideServer, p.sess.user, slot)
-		bsp.SetLevel(cap_)
-		bsp.End()
-		s.metrics.breakerCapped.Inc()
-		level = cap_
-	}
-	s.metrics.allocLevel.Observe(float64(level))
-
-	// The solve ran once for the whole slot; each planned user's trace
-	// records it as its decision stage.
-	dsp := s.cfg.Tracer.StartAt(traceID, trace.StageDecide, trace.SideServer, p.sess.user, slot, s.cur.decideStart)
-	dsp.SetAlgo(s.cfg.Allocator.Name())
-	dsp.SetLevel(level)
-	dsp.SetTiles(len(s.cur.plans))
-	dsp.EndAt(s.cur.decideEnd)
-
-	// Admission: level assignment plus repetitive-tile suppression
-	// against the delivery ledger.
-	asp := s.cfg.Tracer.Start(traceID, trace.StageAdmit, trace.SideServer, p.sess.user, slot)
-	ids := p.sess.idsBuf[:0]
-	skipped := 0
-	for _, tile := range p.sess.Sel {
-		id, err := tiles.PackVideoID(p.sess.Cell, tile, level)
-		if err != nil {
-			s.cfg.Logf("server: pack id: %v", err)
-			continue
-		}
-		if p.sess.ledger.Has(id) {
-			skipped++
-			continue // repetitive-tile suppression
-		}
-		ids = append(ids, id)
-	}
-	p.sess.idsBuf = ids
-	asp.SetLevel(level)
-	asp.SetTiles(len(ids))
-	asp.End()
-
-	// Fetch/encode: tile payloads from the store (cache or generate).
-	fsp := s.cfg.Tracer.Start(traceID, trace.StageFetch, trace.SideServer, p.sess.user, slot)
+// dispatch fetches one planned session's tiles, hands the prefetcher its
+// neighbourhood and queues the batch.
+func (s *Server) dispatch(i int) {
+	p := &s.plan[i]
+	slot := s.planSlot
+	fsp := s.cfg.Tracer.Start(p.trace, trace.StageFetch, trace.SideServer, p.sess.user, slot)
 	batch := s.free.get()
 	fetched := 0
-	for _, id := range ids {
+	for _, id := range p.ids {
 		payload, pin := s.store.Pin(id)
 		fetched += len(payload)
-		batch = append(batch, tileJob{slot: slot, origSlot: slot, id: id, payload: payload, pin: pin, trace: traceID})
+		batch = append(batch, tileJob{slot: slot, origSlot: slot, id: id, payload: payload, pin: pin, trace: p.trace})
 	}
 	fsp.SetTiles(len(batch))
 	fsp.SetBytes(fetched)
 	fsp.End()
 
-	p.sess.mu.Lock()
-	if len(p.sess.allocated) >= maxAllocRecords {
-		for old := range p.sess.allocated {
-			if old+allocRecordTTL < slot {
-				delete(p.sess.allocated, old)
-			}
-		}
-	}
-	p.sess.allocated[slot] = allocRecord{level: level, rate: p.sess.Rates[level-1]}
-	p.sess.levelSum += level
-	p.sess.slotsServed++
-	p.sess.tilesSent += len(batch)
-	p.sess.tilesSkipped += skipped
-	p.sess.mu.Unlock()
-	s.metrics.tilesSent.Add(uint64(len(batch)))
-	s.metrics.tilesSkipped.Add(uint64(skipped))
-
 	if s.prefetchCh != nil {
-		// Hand the prefetcher an owned copy of the selection: the session's
-		// own is scratch the next slot's build overwrites.
-		var sel []tiles.TileID
+		req := prefetchReq{cell: p.sess.Cell, level: p.level}
+		req.n = copy(req.sel[:], p.sess.Sel)
 		select {
-		case sel = <-s.prefetchFree:
-		default:
-		}
-		sel = append(sel[:0], p.sess.Sel...)
-		select {
-		case s.prefetchCh <- prefetchReq{cell: p.sess.Cell, sel: sel, level: level}:
+		case s.prefetchCh <- req:
 		default: // prefetcher busy; skip
-			select {
-			case s.prefetchFree <- sel:
-			default:
-			}
 		}
 	}
-	if !p.sess.enqueue(batch) {
+	if !s.enqueue(p.sess, batch) {
 		s.free.put(batch)
 		s.cfg.Logf("server: user %d send queue full at slot %d", p.sess.user, slot)
-	}
-}
-
-// DelayTableInto is the server's delay model (a step.DelayModel): it
-// predicts the delivery delay of each ladder rate from the two delay sources
-// the paper uses, the polynomial regression over measured ACK delays
-// (Section V) and the analytic M/M/1 queueing model at the estimated
-// capacity (Section II / eq. (13)). The measured samples are bounded by the
-// slot pipeline, so they cannot reveal the queueing cliff at the link
-// capacity; the M/M/1 term restores it, which is what keeps the allocator
-// from riding the estimate into overload. The M/M/1 table lands in
-// sess.modelBuf and the regression runs on the session's PolyFitter, so a
-// steady-state call allocates nothing. len(out) must equal len(rates); the
-// caller holds sess.mu (delayRates/fitter are mu-guarded).
-func (sess *session) DelayTableInto(out, rates []float64, capMbps, slotMs float64) {
-	if len(sess.modelBuf) < len(rates) {
-		sess.modelBuf = make([]float64, len(rates))
-	}
-	model := sess.modelBuf[:len(rates)]
-	netem.DelayTableMsInto(model, rates, capMbps, slotMs)
-	if len(sess.delayRates) < 12 {
-		copy(out, model)
-		return
-	}
-	fit, err := sess.fitter.Fit(sess.delayRates, sess.delayMs, 2)
-	if err != nil {
-		copy(out, model)
-		return
-	}
-	for i, r := range rates {
-		d := fit.Predict(r)
-		if d < 0 {
-			d = 0
-		}
-		// Within the measured operating region trust the regression; near
-		// and beyond the estimated capacity impose the queueing cliff.
-		if r > 0.85*capMbps && model[i] > d {
-			d = model[i]
-		}
-		out[i] = d
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/estimate"
-	"repro/internal/motion"
 	"repro/internal/tiles"
 	"repro/internal/transport"
 	"repro/internal/vrmath"
@@ -225,17 +223,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDelayTableFallsBackToMM1(t *testing.T) {
-	cfg := DefaultConfig(core.NewSolverAllocator())
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		predictor: motion.NewPredictor(4),
-		ema:       estimate.NewEMA(0.2),
-	}
+	sess := &session{}
 	rates := []float64{5, 10, 20, 30, 40, 45}
 	table := make([]float64, len(rates))
 	sess.DelayTableInto(table, rates, 50, 1000.0/60)
@@ -250,17 +238,7 @@ func TestDelayTableFallsBackToMM1(t *testing.T) {
 }
 
 func TestDelayTableUsesRegression(t *testing.T) {
-	cfg := DefaultConfig(core.NewSolverAllocator())
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		predictor: motion.NewPredictor(4),
-		ema:       estimate.NewEMA(0.2),
-	}
+	sess := &session{}
 	// Feed a quadratic delay curve as ACK history. The capacity estimate is
 	// far above the probed rates, so the M/M/1 floor stays negligible and
 	// the regression dominates.
@@ -289,18 +267,8 @@ func TestDelayTableUsesRegression(t *testing.T) {
 func TestHandleNackRetransmits(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.RetransmitOnNack = true
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		ema:       estimate.NewEMA(0.2),
-		ledger:    tiles.NewDeliveryLedger(),
-		allocated: map[uint32]allocRecord{},
-		sendCh:    make(chan []tileJob, 4),
-	}
+	srv := testServer(t, cfg)
+	sess := bareSession(t, srv.decider, 1, 4)
 	lost, _ := tiles.PackVideoID(tiles.CellID{X: 1}, 0, 3)
 	acked, _ := tiles.PackVideoID(tiles.CellID{X: 1}, 1, 3)
 	sess.ledger.MarkDelivered(acked)
@@ -318,26 +286,15 @@ func TestHandleNackRetransmits(t *testing.T) {
 	default:
 		t.Fatal("nothing enqueued for retransmission")
 	}
-	sess.mu.Lock()
 	if sess.retransmits != 1 {
 		t.Errorf("retransmits = %d, want 1", sess.retransmits)
 	}
-	sess.mu.Unlock()
 }
 
 func TestHandleNackDisabled(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sess := &session{
-		ema:       estimate.NewEMA(0.2),
-		ledger:    tiles.NewDeliveryLedger(),
-		allocated: map[uint32]allocRecord{},
-		sendCh:    make(chan []tileJob, 4),
-	}
+	srv := testServer(t, cfg)
+	sess := bareSession(t, srv.decider, 1, 4)
 	id, _ := tiles.PackVideoID(tiles.CellID{X: 1}, 0, 3)
 	srv.handleNack(sess, transport.Nack{User: 1, Slot: 9, Tiles: []tiles.VideoID{id}})
 	select {
@@ -348,14 +305,15 @@ func TestHandleNackDisabled(t *testing.T) {
 }
 
 func TestEnqueueDropOldestAndShutdown(t *testing.T) {
+	srv := testServer(t, DefaultConfig(core.NewSolverAllocator()))
 	sess := &session{sendCh: make(chan []tileJob, 1)}
 	a := []tileJob{{slot: 1}}
 	b := []tileJob{{slot: 2}}
-	if !sess.enqueue(a) {
+	if !srv.enqueue(sess, a) {
 		t.Fatal("first enqueue failed")
 	}
 	// Queue full: the oldest batch is dropped, the new one queued.
-	if !sess.enqueue(b) {
+	if !srv.enqueue(sess, b) {
 		t.Fatal("drop-oldest enqueue failed")
 	}
 	got := <-sess.sendCh
@@ -363,11 +321,11 @@ func TestEnqueueDropOldestAndShutdown(t *testing.T) {
 		t.Errorf("queued slot = %d, want 2 (oldest dropped)", got[0].slot)
 	}
 	// After shutdown, enqueue refuses without panicking.
-	sess.closeSend()
-	if sess.enqueue(a) {
+	srv.closeSend(sess)
+	if srv.enqueue(sess, a) {
 		t.Error("enqueue after close should fail")
 	}
-	sess.closeSend() // idempotent
+	srv.closeSend(sess) // idempotent
 }
 
 func TestServerBadHelloUDPAddr(t *testing.T) {
@@ -388,21 +346,13 @@ func TestServerBadHelloUDPAddr(t *testing.T) {
 
 func TestHandleACKUpdatesEstimates(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	sess := &session{
-		predictor: motion.NewPredictor(4),
-		ema:       estimate.NewEMA(0.5),
-		ledger:    tiles.NewDeliveryLedger(),
-		allocated: map[uint32]allocRecord{5: {level: 4, rate: 30}},
-	}
+	cfg.EMAAlpha = 0.5
+	c := testDecider(t, cfg)
+	sess := bareSession(t, c, 1, 1)
+	sess.allocated[5] = allocRecord{level: 4, rate: 30}
 	id, _ := tiles.PackVideoID(tiles.CellID{X: 1}, 0, 4)
 	// 60 KB over 10 ms = 48 Mbps goodput.
-	srv.handleACK(sess, transport.TileACK{
+	c.ack(sess, transport.TileACK{
 		User: 1, Slot: 5, Tiles: []tiles.VideoID{id},
 		DelayMs: 10, Bytes: 60000, Covered: true, Displayed: true,
 	})

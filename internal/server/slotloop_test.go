@@ -9,11 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/estimate"
-	"repro/internal/motion"
 	"repro/internal/obs"
 	"repro/internal/step"
-	"repro/internal/tiles"
 	"repro/internal/transport"
 	"repro/internal/vrmath"
 )
@@ -25,7 +22,7 @@ import (
 func TestSlotPoolForEachCoversAll(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotWorkers = 4
-	srv := stoppedServer(t, cfg)
+	srv := testDecider(t, cfg)
 	var hits [1000]int32
 	srv.pool.Run(len(hits), step.Grain, func(i int) { atomic.AddInt32(&hits[i], 1) })
 	for i, h := range hits {
@@ -50,56 +47,30 @@ func TestSlotPoolForEachCoversAll(t *testing.T) {
 	}
 }
 
-// bareSession builds a session directly (no network) for driving runSlot.
-func bareSession(srv *Server, user uint32, pose vrmath.Pose, queue int) *session {
-	sess := &session{
-		user:      user,
-		predictor: motion.NewPredictor(srv.cfg.PredictorWindow),
-		ledger:    tiles.NewDeliveryLedger(),
-		ema:       estimate.NewEMA(srv.cfg.EMAAlpha),
-		allocated: make(map[uint32]allocRecord),
-		sendCh:    make(chan []tileJob, queue),
-		free:      srv.free,
-		pose:      pose,
-		havePose:  true,
-	}
-	sess.predictor.Observe(pose)
+// posedSession admits a bare session (see bareSession) that has posed once.
+func posedSession(t *testing.T, c *decider, user uint32, pose vrmath.Pose, queue int) *session {
+	t.Helper()
+	sess := bareSession(t, c, user, queue)
+	c.pose(sess, pose)
 	return sess
 }
 
-// stoppedServer builds a server whose slot clock has already finished, so
-// tests can drive runSlot directly without racing the ticker.
-func stoppedServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	cfg.TotalSlots = 1
-	cfg.SlotDuration = time.Millisecond
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	select {
-	case <-srv.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("slot clock did not stop")
-	}
-	return srv
-}
-
-// churnSessions builds a deterministic, diverse session population: a
+// churnSessions admits a deterministic, diverse session population: a
 // stable sorted user order with some sessions poseless, some with primed
 // throughput estimates and some with enough delay history to engage the
 // regression path.
-func churnSessions(srv *Server, n int) []*session {
+func churnSessions(t *testing.T, c *decider, n int) []*session {
 	sessions := make([]*session, 0, n)
 	for u := 1; u <= n; u++ {
 		pose := vrmath.Pose{
 			Pos: vrmath.Vec3{X: float64(u) * 0.3, Z: float64(u % 7)},
 			Yaw: float64((u*37)%360) - 180,
 		}
-		sess := bareSession(srv, uint32(u), pose, 8)
+		var sess *session
 		if u%5 == 0 {
-			sess.havePose = false
+			sess = bareSession(t, c, uint32(u), 8)
+		} else {
+			sess = posedSession(t, c, uint32(u), pose, 8)
 		}
 		if u%3 == 0 {
 			sess.ema.Update(20 + float64(u))
@@ -116,7 +87,7 @@ func churnSessions(srv *Server, n int) []*session {
 	return sessions
 }
 
-// sessionOutcome is the per-user decision trail of a runSlot sequence.
+// sessionOutcome is the per-user decision trail of a slot sequence.
 type sessionOutcome struct {
 	levels  []int
 	rates   []float64
@@ -128,14 +99,13 @@ func runSlotSequence(t *testing.T, workers, users, slots int) map[uint32]session
 	t.Helper()
 	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotWorkers = workers
-	srv := stoppedServer(t, cfg)
-	sessions := churnSessions(srv, users)
+	c := testDecider(t, cfg)
+	sessions := churnSessions(t, c, users)
 	for k := 0; k < slots; k++ {
-		srv.runSlot(uint32(k), sessions, cfg.BudgetMbps)
+		c.decide(uint32(k))
 	}
 	out := make(map[uint32]sessionOutcome, users)
 	for _, sess := range sessions {
-		sess.mu.Lock()
 		o := sessionOutcome{sent: sess.tilesSent, skipped: sess.tilesSkipped}
 		for k := 0; k < slots; k++ {
 			if rec, ok := sess.allocated[uint32(k)]; ok {
@@ -146,7 +116,6 @@ func runSlotSequence(t *testing.T, workers, users, slots int) map[uint32]session
 				o.rates = append(o.rates, -1)
 			}
 		}
-		sess.mu.Unlock()
 		out[sess.user] = o
 	}
 	return out
@@ -187,20 +156,20 @@ func TestRunSlotShardedMatchesSerial(t *testing.T) {
 
 // TestRunSlotSteadyStateAllocs gates the hot path: with observability
 // disabled (nil Metrics/Recorder/Tracer) and a shared allocator, a
-// steady-state slot must not allocate at all — scratch buffers, the batch
-// free list and the solver's reused heap absorb everything. At 4 workers
-// and 24 sessions the build and dispatch phases split across the slot's
-// fork-join, whose loops must allocate nothing either.
+// steady-state slot — the decision and the dispatch of its plan — must not
+// allocate at all: scratch buffers, the batch free list and the solver's
+// reused heap absorb everything. At 4 workers and 24 sessions the build and
+// dispatch phases split across the slot's fork-join, whose loops must
+// allocate nothing either.
 func TestRunSlotSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct{ workers, sessions int }{{1, 8}, {4, 24}} {
 		cfg := DefaultConfig(core.NewSolverAllocator())
 		cfg.SlotWorkers = c.workers
-		srv := stoppedServer(t, cfg)
+		srv := testServer(t, cfg)
 
-		sessions := make([]*session, 0, c.sessions)
 		for u := 1; u <= c.sessions; u++ {
 			pose := vrmath.Pose{Pos: vrmath.Vec3{X: float64(u), Z: 2}, Yaw: float64(u * 20)}
-			sess := bareSession(srv, uint32(u), pose, 1)
+			sess := posedSession(t, srv.decider, uint32(u), pose, 1)
 			if u%3 == 0 {
 				// Enough history to engage the regression branch of the delay
 				// table, which must also be allocation-free.
@@ -210,16 +179,15 @@ func TestRunSlotSteadyStateAllocs(t *testing.T) {
 					sess.delayMs = append(sess.delayMs, 0.02*r*r+0.3)
 				}
 			}
-			sessions = append(sessions, sess)
 		}
 
 		// A fixed slot number keeps the allocation-record map at size one.
 		const slot = 7
 		for i := 0; i < 50; i++ {
-			srv.runSlot(slot, sessions, cfg.BudgetMbps)
+			srv.runSlot(slot)
 		}
 		avg := testing.AllocsPerRun(200, func() {
-			srv.runSlot(slot, sessions, cfg.BudgetMbps)
+			srv.runSlot(slot)
 		})
 		if avg != 0 {
 			t.Fatalf("SlotWorkers %d, %d sessions: steady-state runSlot allocates %.2f allocs/op, want 0",
@@ -234,16 +202,12 @@ func TestRunSlotSteadyStateAllocs(t *testing.T) {
 func TestAllocatedMapBounded(t *testing.T) {
 	cfg := DefaultConfig(core.NewSolverAllocator())
 	cfg.SlotWorkers = 1
-	srv := stoppedServer(t, cfg)
-	sess := bareSession(srv, 1, vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}}, 1)
-	sessions := []*session{sess}
+	c := testDecider(t, cfg)
+	sess := posedSession(t, c, 1, vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}}, 1)
 	for k := 0; k < 4*maxAllocRecords; k++ {
-		srv.runSlot(uint32(k), sessions, cfg.BudgetMbps)
+		c.decide(uint32(k))
 	}
-	sess.mu.Lock()
-	n := len(sess.allocated)
-	sess.mu.Unlock()
-	if n > maxAllocRecords {
+	if n := len(sess.allocated); n > maxAllocRecords {
 		t.Fatalf("allocated map grew to %d entries, want <= %d", n, maxAllocRecords)
 	}
 }

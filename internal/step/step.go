@@ -11,7 +11,7 @@
 //
 // Nothing in the step locks, allocates in steady state, reads a clock or
 // keeps cross-session state: a Session is touched by one goroutine at a time
-// (the server wraps its calls in the session mutex) and an Env is read-only.
+// (the server's decider lock serialises its calls) and an Env is read-only.
 // ForkJoin is the one loop every driver splits its sessions' steps across.
 package step
 
