@@ -41,11 +41,12 @@ lint: vet fmt-check
 # and the one fork-join they all split it with, runs with them; internal/transport rides along: its allocation gates run a sender
 # beside a receiver. So do the live data plane's other allocation gates and
 # the tile store's pin hammer (internal/tiles, internal/server,
-# internal/client).
+# internal/client), and the SLO monitor and breaker that the engines'
+# workers observe their sessions in (internal/obs).
 test:
-	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|step|transport|tiles|server|client)$$')
+	$(GO) test $$($(GO) list ./... | grep -v -E '/internal/(sim|load|step|transport|tiles|server|client|obs)$$')
 	$(GO) test -cpu 1,2,4 ./internal/sim ./internal/load ./internal/step ./internal/transport \
-		./internal/tiles ./internal/server ./internal/client
+		./internal/tiles ./internal/server ./internal/client ./internal/obs
 
 # The virtual engine builds sessions in parallel chunks and hands each
 # shard's built rows to whichever goroutine solves it; its worker-count
@@ -53,8 +54,9 @@ test:
 # set-up and empty-shard edges) run ten times over under the detector at
 # three GOMAXPROCS, since a race only shows on the interleavings a run
 # happens to take. The build loop and the solves observe their
-# sessions in the one SLO monitor and breaker, whose disjoint-session
-# differential runs the same way at three GOMAXPROCS. The fleet Controller's
+# sessions in the one SLO monitor and breaker, through per-session handles
+# while readers scrape; their disjoint-session and churn differentials run
+# the same way at three GOMAXPROCS. The fleet Controller's
 # tests have no sockets and no sleeps, so twenty passes at three GOMAXPROCS
 # cost seconds and their verdict cannot depend on the wall clock. The
 # server's decision core (the decider) has the same kind of tests: they
@@ -76,7 +78,7 @@ test:
 race:
 	$(GO) test -race ./internal/... ./cmd/...
 	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestFleetSimIdenticalAcrossWorkers|TestSimShardedMatchesSerial|TestFleetSimDeferredSetupEdges)$$' ./internal/load
-	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse)$$' ./internal/obs
+	$(GO) test -race -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse|TestHandleChurnMatchesKeyed)$$' ./internal/obs
 	$(GO) test -race -count=10 ./internal/testbed
 	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
 	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestHandleNack|TestHandleACK|TestRetireSessionIdempotent|TestCapEstimate|TestDelayTable|TestRunSlot|TestAllocatedMapBounded|TestSlotPoolForEachCoversAll|TestEnqueueDropOldestAndShutdown|TestDecider)' ./internal/server

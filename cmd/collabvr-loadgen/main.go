@@ -288,7 +288,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("observability listen: %w", err)
 		}
 		defer ln.Close()
-		mopts := obs.MuxOptions{SLO: slo, Regret: attr, Debug: *debug}
+		mopts := obs.MuxOptions{SLO: slo, Breaker: brk, Regret: attr, Debug: *debug}
 		if healthStore != nil {
 			mopts.Health = tsdb.Handler(healthStore, nil)
 		}

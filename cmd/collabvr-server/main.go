@@ -148,7 +148,7 @@ func run(args []string) error {
 			return fmt.Errorf("observability listen: %w", err)
 		}
 		defer ln.Close()
-		mopts := obs.MuxOptions{SLO: cfg.SLO, Regret: attr, Debug: *debug}
+		mopts := obs.MuxOptions{SLO: cfg.SLO, Breaker: cfg.Breaker, Regret: attr, Debug: *debug}
 		if healthStore != nil {
 			mopts.Health = tsdb.Handler(healthStore, nil)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/knapsack"
 )
 
@@ -40,9 +42,9 @@ func (a *SolverAllocator) lower(params Params, p *SlotProblem) *knapsack.Problem
 	if len(p.Values) == 0 {
 		a.values = vals // keep the (possibly regrown) scratch, never the caller's slab
 	}
-	if cap(a.items) < n {
-		a.items = make([]knapsack.Item, n)
-	}
+	// The row count often creeps up a few rows a slot as sessions arrive:
+	// grow by append's amortized steps, not to exactly n each time.
+	a.items = slices.Grow(a.items[:0], n)
 	items := a.items[:n]
 	for i := range p.Users {
 		u := &p.Users[i]

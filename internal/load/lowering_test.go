@@ -164,11 +164,14 @@ func TestSimulateArrivalAllocs(t *testing.T) {
 
 // TestSimulateFleetSteadyStateAllocs is the same gate for the fleet engine
 // on a churning workload with the whole control plane on: the slots a
-// doubled horizon adds may cost at most 0.03 heap allocations per added
+// doubled horizon adds may cost at most 0.002 heap allocations per added
 // session-slot. Unlike Simulate's gate the bound includes the arrivals of
-// the added slots (a session every 180 session-slots here); the SLO windows
-// and breaker entries of new sessions beyond the run's peak, the coordinator
-// log and the solver's scratch growth are most of it.
+// the added slots (a session every 180 session-slots here). A new session
+// takes a departed session's value, SLO window and breaker entry, or the
+// next of a 64-entry chunk, and the solvers' item slices grow by amortized
+// steps; what is left is mostly the coordinator log. The figure is about
+// 0.0004; a window and a breaker entry allocated per new session, with
+// item slices regrown to exactly the row count, read about 0.004.
 func TestSimulateFleetSteadyStateAllocs(t *testing.T) {
 	const horizon = 300
 	measure := func(h int) (mallocs uint64, slots int) {
@@ -188,8 +191,8 @@ func TestSimulateFleetSteadyStateAllocs(t *testing.T) {
 	long, longSlots := measure(2 * horizon)
 	perSlot := (float64(long) - float64(short)) / float64(longSlots-shortSlots)
 	t.Logf("mallocs: %d over %d session-slots, %d over %d: %.4f per added session-slot", short, shortSlots, long, longSlots, perSlot)
-	if perSlot > 0.03 {
-		t.Errorf("steady-state fleet slot loop allocates %.4f times per session-slot, want <= 0.03", perSlot)
+	if perSlot > 0.002 {
+		t.Errorf("steady-state fleet slot loop allocates %.4f times per session-slot, want <= 0.002", perSlot)
 	}
 }
 

@@ -66,6 +66,13 @@ type simSession struct {
 	// session's last observation (0: uncapped), so the next slot's clamp
 	// reads a field instead of locking the breaker.
 	breakerCap int
+	// slo and brk are the session's SLO window and breaker entry, taken at
+	// its first observation (nil before, and always with the monitor or
+	// the breaker off). A handle is valid from then until Retire of the
+	// session's ID: finish retires both before the value goes back to the
+	// arena, and setUp zeroes them with the rest of the session.
+	slo *obs.SLOEntry
+	brk *obs.BreakerEntry
 
 	// What build learnt about the slot, consumed by settle before the next
 	// build overwrites it.
@@ -209,12 +216,18 @@ func (s *simSession) clamp(q int) (int, bool) {
 
 // observe feeds the slot's display outcome to the SLO monitor and the
 // monitor's verdict to the breaker, and keeps the breaker's new ceiling for
-// the next slot's clamp and the verdict for the router view. Both keep
-// per-session state behind their own locks, so sessions may observe from any
-// goroutine.
+// the next slot's clamp and the verdict for the router view. It goes
+// through the session's handles, which lock only the session's own
+// entries, so sessions may observe from any goroutine.
 func (s *simSession) observe(cfg *SimConfig, displayed bool, quality float64) {
-	state := cfg.SLO.ObserveSlot(s.spec.ID, displayed, quality)
-	s.breakerCap = cfg.Breaker.Observe(s.spec.ID, state)
+	if s.slo == nil {
+		s.slo = cfg.SLO.Entry(s.spec.ID)
+	}
+	if s.brk == nil {
+		s.brk = cfg.Breaker.Entry(s.spec.ID)
+	}
+	state := cfg.SLO.Observe(s.slo, displayed, quality)
+	s.breakerCap = cfg.Breaker.ObserveEntry(s.brk, state)
 	s.paging = state == obs.SLOStatePage
 }
 

@@ -67,8 +67,12 @@ func (c *BreakerConfig) fill() {
 	}
 }
 
-// breakerSession is one session's breaker state machine.
-type breakerSession struct {
+// BreakerEntry is one session's breaker state machine, and the session's
+// handle as SLOEntry is: take it once with Breaker.Entry and pass it to
+// ObserveEntry, which takes only the entry's own lock. It is valid until
+// Retire of the session.
+type BreakerEntry struct {
+	mu     sync.Mutex
 	state  string
 	streak int // consecutive recovery-qualifying slots in the current state
 }
@@ -80,11 +84,16 @@ type breakerSession struct {
 type Breaker struct {
 	cfg BreakerConfig
 
+	// mu guards the session map, the free list and the chunk; each entry's
+	// state is behind the entry's own lock. Whoever takes both takes mu
+	// first.
 	mu       sync.Mutex
-	sessions map[uint32]*breakerSession
+	sessions map[uint32]*BreakerEntry
 	// free holds retired sessions' entries for the next new session to
 	// reuse, last retired first.
-	free []*breakerSession
+	free []*BreakerEntry
+	// chunk is the current chunk's entries not yet handed out.
+	chunk []BreakerEntry
 
 	cOpened, cDegraded, cClosed *Counter
 	gOpen, gDegraded            *Gauge
@@ -96,7 +105,7 @@ func NewBreaker(cfg BreakerConfig, reg *Registry) *Breaker {
 	cfg.fill()
 	return &Breaker{
 		cfg:       cfg,
-		sessions:  make(map[uint32]*breakerSession),
+		sessions:  make(map[uint32]*BreakerEntry),
 		cOpened:   reg.Counter("collabvr_breaker_open_transitions_total"),
 		cDegraded: reg.Counter("collabvr_breaker_degraded_transitions_total"),
 		cClosed:   reg.Counter("collabvr_breaker_close_transitions_total"),
@@ -113,13 +122,12 @@ func (b *Breaker) Config() BreakerConfig {
 	return b.cfg
 }
 
-// Observe folds one slot's SLO alert state ("ok"/"warn"/"page"; "" is
-// treated as ok) into the session's breaker. Call once per display slot. It
-// returns the session's quality ceiling after the slot, what Cap would
-// report (0: uncapped, and always from the disabled breaker).
-func (b *Breaker) Observe(session uint32, sloState string) int {
+// Entry returns the session's entry, creating it closed on first use: a
+// retired session's when there is one, else the next of the current chunk.
+// It returns nil from the disabled breaker.
+func (b *Breaker) Entry(session uint32) *BreakerEntry {
 	if b == nil {
-		return 0
+		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -129,13 +137,38 @@ func (b *Breaker) Observe(session uint32, sloState string) int {
 			s = b.free[n-1]
 			b.free = b.free[:n-1]
 		} else {
-			s = new(breakerSession)
+			if len(b.chunk) == 0 {
+				b.chunk = make([]BreakerEntry, entryChunk)
+			}
+			s = &b.chunk[0]
+			b.chunk = b.chunk[1:]
 		}
-		*s = breakerSession{state: BreakerClosed}
+		*s = BreakerEntry{state: BreakerClosed}
 		b.sessions[session] = s
+	}
+	return s
+}
+
+// Observe folds one slot's SLO alert state ("ok"/"warn"/"page"; "" is
+// treated as ok) into the session's breaker. Call once per display slot. It
+// is ObserveEntry on the session's Entry.
+func (b *Breaker) Observe(session uint32, sloState string) int {
+	return b.ObserveEntry(b.Entry(session), sloState)
+}
+
+// ObserveEntry folds one slot's SLO alert state into s, an entry from
+// Entry, as Observe describes. It returns the session's quality ceiling
+// after the slot, what Cap would report (0: uncapped, and always from the
+// disabled breaker). It takes only the entry's lock and the transition
+// counters are atomic, so distinct sessions may observe concurrently.
+func (b *Breaker) ObserveEntry(s *BreakerEntry, sloState string) int {
+	if b == nil {
+		return 0
 	}
 	page := sloState == SLOStatePage
 	warn := sloState == SLOStateWarn
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	switch s.state {
 	case BreakerClosed:
@@ -175,8 +208,8 @@ func (b *Breaker) Observe(session uint32, sloState string) int {
 	return b.capOf(s)
 }
 
-// trip moves a session to a new state (b.mu held).
-func (b *Breaker) trip(s *breakerSession, state string) {
+// trip moves a session to a new state (s.mu held).
+func (b *Breaker) trip(s *BreakerEntry, state string) {
 	s.state = state
 	s.streak = 0
 	switch state {
@@ -196,15 +229,17 @@ func (b *Breaker) Cap(session uint32) int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.capOf(b.sessions[session])
-}
-
-// capOf is the ceiling of a session in s's state, 0 for an unknown session
-// (b.mu held).
-func (b *Breaker) capOf(s *breakerSession) int {
+	s := b.sessions[session]
 	if s == nil {
 		return 0
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return b.capOf(s)
+}
+
+// capOf is the ceiling of a session in e's state (s.mu held).
+func (b *Breaker) capOf(s *BreakerEntry) int {
 	switch s.state {
 	case BreakerDegraded:
 		return b.cfg.WarnCap
@@ -223,14 +258,17 @@ func (b *Breaker) State(session uint32) string {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if s := b.sessions[session]; s != nil {
-		return s.state
+	s := b.sessions[session]
+	if s == nil {
+		return ""
 	}
-	return ""
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
 }
 
 // Retire drops a departed session's breaker and keeps its entry for the
-// next session the breaker sees.
+// next session the breaker sees. The session's handle is void from here.
 func (b *Breaker) Retire(session uint32) {
 	if b == nil {
 		return
@@ -251,7 +289,10 @@ func (b *Breaker) Counts() (closed, degraded, open, halfOpen int) {
 	}
 	b.mu.Lock()
 	for _, s := range b.sessions {
-		switch s.state {
+		s.mu.Lock()
+		state := s.state
+		s.mu.Unlock()
+		switch state {
 		case BreakerDegraded:
 			degraded++
 		case BreakerOpen:

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -149,11 +150,11 @@ func TestBreakerRetireReuse(t *testing.T) {
 
 	// Under churn on four goroutines the breakers end where one goroutine
 	// leaves them; make race runs this under the detector at -cpu 1,2,4.
-	serial := observeChurn(1)
+	serial := observeChurn(1, false)
 	if serial.opened == 0 || serial.closed == 0 {
 		t.Fatalf("churn script too tame: %d breaker opens, %d closes", serial.opened, serial.closed)
 	}
-	got := observeChurn(4)
+	got := observeChurn(4, false)
 	if !reflect.DeepEqual(got.breakerStates, serial.breakerStates) || !reflect.DeepEqual(got.caps, serial.caps) ||
 		got.opened != serial.opened || got.degr != serial.degr || got.closed != serial.closed ||
 		got.nClosed != serial.nClosed || got.nDegr != serial.nDegr || got.nOpen != serial.nOpen || got.nHalf != serial.nHalf {
@@ -373,24 +374,50 @@ type churnResult struct {
 // new ones take their place: lane l hosts session l+16k in its k-th life,
 // and on leaving a session is retired from both, so every new session may
 // take any goroutine's retired entry. Which one it takes depends on the
-// interleaving; what it observes must not.
-func observeChurn(goroutines int) churnResult {
+// interleaving; what it observes must not. With handles each lane takes
+// its session's entries at the first observation and observes through
+// them, as the fleet engine does, instead of through the keyed calls. A
+// reader goroutine calls Snapshot, Totals, State, Cap and Counts
+// throughout, as a /metrics scrape or the health sampler would.
+func observeChurn(goroutines int, handles bool) churnResult {
 	const lanes, slots = 16, 480
 	reg := NewRegistry()
 	m := NewSLOMonitor(SLOConfig{WindowSlots: 120, ShortWindowSlots: 30}, reg)
 	b := NewBreaker(BreakerConfig{Levels: 6, RecoverySlots: 40}, reg)
 	session := func(lane, i int) uint32 { return uint32(lane + lanes*(i/(70+3*lane))) }
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for id := uint32(0); ; id = (id + 1) % (4 * lanes) {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			m.Snapshot()
+			m.Totals()
+			m.State(id)
+			b.Cap(id)
+			b.State(id)
+			b.Counts()
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			slo := make([]*SLOEntry, lanes)
+			brk := make([]*BreakerEntry, lanes)
 			for i := 0; i < slots; i++ {
 				for lane := g; lane < lanes; lane += goroutines {
 					id := session(lane, i)
 					if prev := session(lane, i-1); i > 0 && prev != id {
 						m.Retire(prev)
 						b.Retire(prev)
+						slo[lane], brk[lane] = nil, nil
 					}
 					phase := (i + lane*37) % 200
 					ok := phase < 120 || (phase < 160 && phase%(2+lane%5) != 0)
@@ -398,12 +425,21 @@ func observeChurn(goroutines int) churnResult {
 					if !ok {
 						q = 0
 					}
-					b.Observe(id, m.ObserveSlot(id, ok, q))
+					if !handles {
+						b.Observe(id, m.ObserveSlot(id, ok, q))
+						continue
+					}
+					if slo[lane] == nil {
+						slo[lane], brk[lane] = m.Entry(id), b.Entry(id)
+					}
+					b.ObserveEntry(brk[lane], m.Observe(slo[lane], ok, q))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	close(done)
+	reader.Wait()
 	r := churnResult{slo: m.Snapshot()}
 	for lane := 0; lane < lanes; lane++ {
 		id := session(lane, slots-1)
@@ -419,4 +455,116 @@ func observeChurn(goroutines int) churnResult {
 	r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.Counts()
 	r.sloEntries, r.brkEntries = len(m.sessions)+len(m.free), len(b.sessions)+len(b.free)
 	return r
+}
+
+// TestHandleChurnMatchesKeyed: sessions observing through their handles on
+// four goroutines, retiring and taking entries as they churn, with a reader
+// scraping throughout, end where one goroutine on the keyed calls leaves
+// them. make race runs it under the detector at -count=10 -cpu 1,2,4.
+func TestHandleChurnMatchesKeyed(t *testing.T) {
+	keyed := observeChurn(1, false)
+	if keyed.page == 0 || keyed.opened == 0 || keyed.closed == 0 {
+		t.Fatalf("churn script too tame: %d page transitions, %d breaker opens, %d closes", keyed.page, keyed.opened, keyed.closed)
+	}
+	for _, goroutines := range []int{1, 2, 4} {
+		if got := observeChurn(goroutines, true); !reflect.DeepEqual(got, keyed) {
+			t.Errorf("handles on %d goroutines under churn:\n  %+v\nkeyed on one goroutine:\n  %+v", goroutines, got, keyed)
+		}
+	}
+}
+
+// TestHandleMatchesKeyed: one random sequence of observations and
+// retirements, fed once through the keyed calls and once through per-session
+// handles (taken at a session's first observation, dropped at its
+// retirement), leaves equal states, caps, snapshots, counts and transition
+// counters after every step.
+func TestHandleMatchesKeyed(t *testing.T) {
+	type side struct {
+		reg *Registry
+		m   *SLOMonitor
+		b   *Breaker
+	}
+	mk := func() side {
+		reg := NewRegistry()
+		return side{reg,
+			NewSLOMonitor(SLOConfig{WindowSlots: 40, ShortWindowSlots: 8}, reg),
+			NewBreaker(BreakerConfig{Levels: 5, RecoverySlots: 12}, reg)}
+	}
+	keyed, handled := mk(), mk()
+	slo := map[uint32]*SLOEntry{}
+	brk := map[uint32]*BreakerEntry{}
+	rng := rand.New(rand.NewSource(38))
+	const sessions = 10
+	for step := 0; step < 20000; step++ {
+		id := uint32(rng.Intn(sessions))
+		if rng.Intn(150) == 0 {
+			keyed.m.Retire(id)
+			keyed.b.Retire(id)
+			handled.m.Retire(id)
+			handled.b.Retire(id)
+			delete(slo, id)
+			delete(brk, id)
+			continue
+		}
+		// Each session misses at its own rate, some often enough to page.
+		displayed := rng.Intn(100) >= int(id)*4
+		quality := 0.0
+		if displayed {
+			quality = float64(1 + rng.Intn(5))
+		}
+		kState := keyed.m.ObserveSlot(id, displayed, quality)
+		kCap := keyed.b.Observe(id, kState)
+		if slo[id] == nil {
+			slo[id], brk[id] = handled.m.Entry(id), handled.b.Entry(id)
+		}
+		hState := handled.m.Observe(slo[id], displayed, quality)
+		hCap := handled.b.ObserveEntry(brk[id], hState)
+		if hState != kState || hCap != kCap || handled.b.State(id) != keyed.b.State(id) || handled.b.Cap(id) != hCap {
+			t.Fatalf("step %d, session %d: handle state %q cap %d breaker %q, keyed %q cap %d breaker %q",
+				step, id, hState, hCap, handled.b.State(id), kState, kCap, keyed.b.State(id))
+		}
+		if step%97 == 0 {
+			if h, k := handled.m.Snapshot(), keyed.m.Snapshot(); !reflect.DeepEqual(h, k) {
+				t.Fatalf("step %d: snapshots differ:\n  handle %+v\n  keyed  %+v", step, h, k)
+			}
+			var hc, kc [4]int
+			hc[0], hc[1], hc[2], hc[3] = handled.b.Counts()
+			kc[0], kc[1], kc[2], kc[3] = keyed.b.Counts()
+			if hc != kc {
+				t.Fatalf("step %d: breaker counts %v, keyed %v", step, hc, kc)
+			}
+		}
+	}
+	for _, name := range []string{
+		"collabvr_slo_warn_transitions_total", "collabvr_slo_page_transitions_total",
+		"collabvr_breaker_open_transitions_total", "collabvr_breaker_degraded_transitions_total",
+		"collabvr_breaker_close_transitions_total",
+	} {
+		h, k := handled.reg.Counter(name).Value(), keyed.reg.Counter(name).Value()
+		if h != k || k == 0 {
+			t.Errorf("%s: handles %d, keyed %d (want equal and non-zero)", name, h, k)
+		}
+	}
+}
+
+// TestFreshEntriesComeInChunks: N fresh sessions cost the SLO monitor two
+// allocations per chunk of entries (the entries and their window slab) and
+// the breaker one, with the session maps already grown.
+func TestFreshEntriesComeInChunks(t *testing.T) {
+	const n = 200
+	m := NewSLOMonitor(SLOConfig{}, nil)
+	b := NewBreaker(BreakerConfig{}, nil)
+	// AllocsPerRun calls the function once before it measures: room for
+	// both calls' sessions.
+	m.sessions, b.sessions = make(map[uint32]*SLOEntry, 2*n), make(map[uint32]*BreakerEntry, 2*n)
+	next := uint32(0)
+	allocs := testing.AllocsPerRun(1, func() {
+		for end := next + n; next < end; next++ {
+			b.Observe(next, m.ObserveSlot(next, true, 3))
+		}
+	})
+	chunks := (n + entryChunk - 1) / entryChunk
+	if want := float64(3 * chunks); allocs > want {
+		t.Errorf("%d fresh sessions allocated %v times, want <= %v (%d chunks of %d)", n, allocs, want, chunks, entryChunk)
+	}
 }

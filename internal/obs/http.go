@@ -75,6 +75,9 @@ type MuxOptions struct {
 	// SLO, when non-nil, adds /debug/slo and refreshes the SLO gauges on
 	// every /metrics scrape.
 	SLO *SLOMonitor
+	// Breaker, when non-nil, refreshes the breaker's session gauges on
+	// every /metrics scrape.
+	Breaker *Breaker
 	// Regret, when non-nil, adds /debug/regret.
 	Regret *RegretAttributor
 	// Fleet, when non-nil, adds /debug/fleet serving the coordinator's
@@ -105,6 +108,7 @@ func NewMuxOpts(r *Registry, rec *Recorder, opts MuxOptions) *http.ServeMux {
 			CollectRuntime(r)
 		}
 		opts.SLO.RefreshGauges()
+		opts.Breaker.Counts()
 		metricsHandler.ServeHTTP(w, req)
 	}))
 	mux.Handle("/debug/slots", SlotsHandler(rec))

@@ -81,14 +81,21 @@ func (c *SLOConfig) fill() {
 	}
 }
 
-// sloSession is one session's rolling QoE window. Misses, stalls and quality
-// are kept as ring buffers of WindowSlots entries with incremental sums, so
-// ObserveSlot is O(1).
-type sloSession struct {
-	flags   []uint8 // bit 0: missed, bit 1: stalled
-	quality []float32
-	next    int
-	filled  int
+// SLOEntry is one session's rolling QoE window: one ring of WindowSlots
+// bytes with incremental sums, so an observation is O(1). A slot's byte
+// holds the miss in bit 0, the stall in bit 1 and the displayed level in
+// bits 2-7.
+//
+// An entry is also the session's handle. A caller that observes a session
+// every slot takes the entry once with SLOMonitor.Entry and passes it to
+// Observe, which takes the entry's own lock and no other. The handle is
+// valid from that call until Retire of the session; after that the
+// monitor hands the entry to a later session.
+type SLOEntry struct {
+	mu     sync.Mutex
+	window []uint8
+	next   int
+	filled int
 
 	missLong, stallLong   int
 	missShort, stallShort int
@@ -98,9 +105,17 @@ type sloSession struct {
 }
 
 const (
-	sloFlagMiss  = 1 << 0
-	sloFlagStall = 1 << 1
+	sloFlagMiss   = 1 << 0
+	sloFlagStall  = 1 << 1
+	sloLevelShift = 2
+	sloMaxLevel   = 1<<(8-sloLevelShift) - 1 // 63: bits 2-7
 )
+
+// entryChunk is how many fresh entries the SLO monitor and the breaker
+// carve at a time, as many as a chunk of the virtual engine's session
+// arena holds: a run that peaks at a few thousand concurrent sessions
+// makes tens of allocations for their entries.
+const entryChunk = 64
 
 // SLOSessionState is one session's externally visible SLO position.
 type SLOSessionState struct {
@@ -133,11 +148,18 @@ type SLOMonitor struct {
 	cfg SLOConfig
 	reg *Registry
 
+	// mu guards the session map, the free list and the chunk; each entry's
+	// window is behind the entry's own lock. Whoever takes both takes mu
+	// first.
 	mu       sync.Mutex
-	sessions map[uint32]*sloSession
-	// free holds retired sessions' windows for the next new session to
+	sessions map[uint32]*SLOEntry
+	// free holds retired sessions' entries for the next new session to
 	// reuse, last retired first.
-	free []*sloSession
+	free []*SLOEntry
+	// chunk is the current chunk's entries not yet handed out and windows
+	// their rings, WindowSlots bytes each.
+	chunk   []SLOEntry
+	windows []uint8
 
 	// Gauges/counters mirrored into the registry (nil-safe when reg is nil).
 	gOK, gWarn, gPage       *Gauge
@@ -152,7 +174,7 @@ func NewSLOMonitor(cfg SLOConfig, reg *Registry) *SLOMonitor {
 	return &SLOMonitor{
 		cfg:         cfg,
 		reg:         reg,
-		sessions:    make(map[uint32]*sloSession),
+		sessions:    make(map[uint32]*SLOEntry),
 		gOK:         reg.Gauge("collabvr_slo_sessions_ok"),
 		gWarn:       reg.Gauge("collabvr_slo_sessions_warn"),
 		gPage:       reg.Gauge("collabvr_slo_sessions_page"),
@@ -166,102 +188,125 @@ func NewSLOMonitor(cfg SLOConfig, reg *Registry) *SLOMonitor {
 // Enabled reports whether the monitor records observations.
 func (m *SLOMonitor) Enabled() bool { return m != nil }
 
-// ObserveSlot folds one session's display-slot outcome into its rolling
-// window: whether the frame met its display deadline and the quality level
-// delivered (0 for a missed frame). It returns the session's alert state after
-// the slot, what State would report ("" from the disabled monitor), so a
-// caller feeding the breaker needs no second lookup. Sessions are
-// independent and the transition counters are atomic: observing distinct
-// sessions from several goroutines ends in the same states and counts in
-// any order.
-func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64) string {
+// Entry returns the session's entry, creating it on first use: a retired
+// session's, cleared, when there is one, else the next of the current
+// chunk. It returns nil from the disabled monitor.
+func (m *SLOMonitor) Entry(session uint32) *SLOEntry {
 	if m == nil {
-		return ""
+		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.sessions[session]
 	if s == nil {
-		s = m.newSession()
+		s = m.newEntry()
 		m.sessions[session] = s
 	}
+	return s
+}
 
+// newEntry returns an empty entry (m.mu held).
+func (m *SLOMonitor) newEntry() *SLOEntry {
+	var s *SLOEntry
+	if n := len(m.free); n > 0 {
+		s = m.free[n-1]
+		m.free = m.free[:n-1]
+		clear(s.window)
+	} else {
+		w := m.cfg.WindowSlots
+		if len(m.chunk) == 0 {
+			m.chunk, m.windows = make([]SLOEntry, entryChunk), make([]uint8, entryChunk*w)
+		}
+		s = &m.chunk[0]
+		s.window = m.windows[:w:w]
+		m.chunk, m.windows = m.chunk[1:], m.windows[w:]
+	}
+	*s = SLOEntry{window: s.window, state: SLOStateOK}
+	return s
+}
+
+// ObserveSlot folds one session's display-slot outcome into its rolling
+// window: whether the frame met its display deadline and the quality
+// delivered, the displayed level 0..63 (0 for a missed frame). It
+// is Observe on the session's Entry.
+func (m *SLOMonitor) ObserveSlot(session uint32, displayed bool, quality float64) string {
+	return m.Observe(m.Entry(session), displayed, quality)
+}
+
+// Observe folds one display-slot outcome into the window of s, an entry
+// from Entry, as ObserveSlot describes. It returns the session's alert
+// state after the slot, what State would report ("" from the disabled
+// monitor), so a caller feeding the breaker needs no second lookup. It
+// takes only the entry's lock and the transition counters are atomic:
+// observing distinct sessions from several goroutines ends in the same
+// states and counts in any order.
+func (m *SLOMonitor) Observe(s *SLOEntry, displayed bool, quality float64) string {
+	if m == nil {
+		return ""
+	}
+	level := sloLevel(quality)
+	s.mu.Lock()
 	missed := !displayed
 	stalled := missed && s.prevMissed
 	s.prevMissed = missed
-	var flag uint8
+	slot := level << sloLevelShift
 	if missed {
-		flag |= sloFlagMiss
+		slot |= sloFlagMiss
 	}
 	if stalled {
-		flag |= sloFlagStall
+		slot |= sloFlagStall
 	}
 
 	// Retire the slot leaving the long window.
-	if s.filled == len(s.flags) {
-		old := s.flags[s.next]
-		if old&sloFlagMiss != 0 {
-			s.missLong--
-		}
-		if old&sloFlagStall != 0 {
-			s.stallLong--
-		}
-		s.qualitySum -= float64(s.quality[s.next])
+	if s.filled == len(s.window) {
+		old := s.window[s.next]
+		s.missLong -= int(old & sloFlagMiss)
+		s.stallLong -= int(old & sloFlagStall >> 1)
+		s.qualitySum -= float64(old >> sloLevelShift)
 	}
 	// Retire the slot leaving the short window.
 	shortN := m.cfg.ShortWindowSlots
 	if s.filled >= shortN {
-		idx := (s.next - shortN + len(s.flags)) % len(s.flags)
-		old := s.flags[idx]
-		if old&sloFlagMiss != 0 {
-			s.missShort--
-		}
-		if old&sloFlagStall != 0 {
-			s.stallShort--
-		}
+		old := s.window[(s.next-shortN+len(s.window))%len(s.window)]
+		s.missShort -= int(old & sloFlagMiss)
+		s.stallShort -= int(old & sloFlagStall >> 1)
 	}
 
-	s.flags[s.next] = flag
-	s.quality[s.next] = float32(quality)
-	s.qualitySum += quality
-	if flag&sloFlagMiss != 0 {
+	s.window[s.next] = slot
+	s.qualitySum += float64(level)
+	if missed {
 		s.missLong++
 		s.missShort++
 	}
-	if flag&sloFlagStall != 0 {
+	if stalled {
 		s.stallLong++
 		s.stallShort++
 	}
-	s.next = (s.next + 1) % len(s.flags)
-	if s.filled < len(s.flags) {
+	s.next = (s.next + 1) % len(s.window)
+	if s.filled < len(s.window) {
 		s.filled++
 	}
 
 	m.transition(s)
-	return s.state
+	state := s.state
+	s.mu.Unlock()
+	return state
 }
 
-// newSession returns an empty window: a retired session's, cleared, when
-// there is one (m.mu held).
-func (m *SLOMonitor) newSession() *sloSession {
-	n := len(m.free)
-	if n == 0 {
-		return &sloSession{
-			flags:   make([]uint8, m.cfg.WindowSlots),
-			quality: make([]float32, m.cfg.WindowSlots),
-			state:   SLOStateOK,
-		}
+// sloLevel is the level bits of a window slot for a displayed quality,
+// clamped to 0..63.
+func sloLevel(quality float64) uint8 {
+	switch {
+	case !(quality > 0):
+		return 0
+	case quality >= sloMaxLevel:
+		return sloMaxLevel
 	}
-	s := m.free[n-1]
-	m.free = m.free[:n-1]
-	clear(s.flags)
-	clear(s.quality)
-	*s = sloSession{flags: s.flags, quality: s.quality, state: SLOStateOK}
-	return s
+	return uint8(quality)
 }
 
-// transition recomputes the session's alert state (m.mu held).
-func (m *SLOMonitor) transition(s *sloSession) {
+// transition recomputes the session's alert state (s.mu held).
+func (m *SLOMonitor) transition(s *SLOEntry) {
 	state := SLOStateOK
 	// Alerting is gated until the short window has filled once: burn rates
 	// over a handful of slots are meaningless.
@@ -291,8 +336,8 @@ func (m *SLOMonitor) transition(s *sloSession) {
 	}
 }
 
-// Retire drops a departed session's window and keeps its storage for the
-// next session the monitor sees.
+// Retire drops a departed session's window and keeps its entry for the
+// next session the monitor sees. The session's handle is void from here.
 func (m *SLOMonitor) Retire(session uint32) {
 	if m == nil {
 		return
@@ -312,27 +357,27 @@ func (m *SLOMonitor) State(session uint32) string {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s := m.sessions[session]; s != nil {
-		return s.state
+	s := m.sessions[session]
+	if s == nil {
+		return ""
 	}
-	return ""
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
 }
 
-// Snapshot returns every live session's SLO position and refreshes the
-// mirrored registry gauges, so a /metrics scrape through RefreshGauges sees
-// current values.
-func (m *SLOMonitor) Snapshot() SLOSnapshot {
-	if m == nil {
-		return SLOSnapshot{}
-	}
+// each calls fn with the position of every session that has observed a
+// slot, in map order, under the monitor lock.
+func (m *SLOMonitor) each(fn func(SLOSessionState)) {
 	m.mu.Lock()
-	snap := SLOSnapshot{Config: m.cfg}
-	qualityLow := 0
+	defer m.mu.Unlock()
 	for id, s := range m.sessions {
-		longN := float64(s.filled)
-		if longN == 0 {
+		s.mu.Lock()
+		if s.filled == 0 {
+			s.mu.Unlock()
 			continue
 		}
+		longN := float64(s.filled)
 		shortN := float64(min(s.filled, m.cfg.ShortWindowSlots))
 		st := SLOSessionState{
 			Session:      id,
@@ -346,30 +391,65 @@ func (m *SLOMonitor) Snapshot() SLOSnapshot {
 			MeanQuality:  s.qualitySum / longN,
 		}
 		st.QualityLow = st.MeanQuality < m.cfg.MinMeanQuality && s.filled >= m.cfg.ShortWindowSlots
-		if st.QualityLow {
-			qualityLow++
-		}
-		switch s.state {
-		case SLOStatePage:
-			snap.Page++
-		case SLOStateWarn:
-			snap.Warn++
-		default:
-			snap.OK++
-		}
-		if st.MissBurn > snap.WorstMissBurn {
-			snap.WorstMissBurn = st.MissBurn
-		}
-		snap.Sessions = append(snap.Sessions, st)
+		s.mu.Unlock()
+		fn(st)
 	}
-	m.mu.Unlock()
-	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].Session < snap.Sessions[j].Session })
+}
 
-	m.gOK.Set(float64(snap.OK))
-	m.gWarn.Set(float64(snap.Warn))
-	m.gPage.Set(float64(snap.Page))
-	m.gWorstBurn.Set(snap.WorstMissBurn)
-	m.gQualityLow.Set(float64(qualityLow))
+// sloTally is the monitor's totals: sessions per alert state, sessions
+// under the quality floor and the worst long-window miss burn rate.
+type sloTally struct {
+	ok, warn, page, qualityLow int
+	worstBurn                  float64
+}
+
+func (t *sloTally) add(st SLOSessionState) {
+	switch st.State {
+	case SLOStatePage:
+		t.page++
+	case SLOStateWarn:
+		t.warn++
+	default:
+		t.ok++
+	}
+	if st.QualityLow {
+		t.qualityLow++
+	}
+	if st.MissBurn > t.worstBurn {
+		t.worstBurn = st.MissBurn
+	}
+}
+
+// tally counts the live sessions without building the snapshot document.
+func (m *SLOMonitor) tally() (t sloTally) {
+	m.each(t.add)
+	return t
+}
+
+// setGauges mirrors t into the registry gauges.
+func (m *SLOMonitor) setGauges(t sloTally) {
+	m.gOK.Set(float64(t.ok))
+	m.gWarn.Set(float64(t.warn))
+	m.gPage.Set(float64(t.page))
+	m.gWorstBurn.Set(t.worstBurn)
+	m.gQualityLow.Set(float64(t.qualityLow))
+}
+
+// Snapshot returns every live session's SLO position and refreshes the
+// mirrored registry gauges.
+func (m *SLOMonitor) Snapshot() SLOSnapshot {
+	if m == nil {
+		return SLOSnapshot{}
+	}
+	snap := SLOSnapshot{Config: m.cfg}
+	var t sloTally
+	m.each(func(st SLOSessionState) {
+		t.add(st)
+		snap.Sessions = append(snap.Sessions, st)
+	})
+	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].Session < snap.Sessions[j].Session })
+	snap.OK, snap.Warn, snap.Page, snap.WorstMissBurn = t.ok, t.warn, t.page, t.worstBurn
+	m.setGauges(t)
 	return snap
 }
 
@@ -380,33 +460,16 @@ func (m *SLOMonitor) Totals() (ok, warn, page int, worstBurn float64) {
 	if m == nil {
 		return 0, 0, 0, 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.sessions {
-		longN := float64(s.filled)
-		if longN == 0 {
-			continue
-		}
-		switch s.state {
-		case SLOStatePage:
-			page++
-		case SLOStateWarn:
-			warn++
-		default:
-			ok++
-		}
-		if burn := float64(s.missLong) / longN / m.cfg.MissTarget; burn > worstBurn {
-			worstBurn = burn
-		}
-	}
-	return ok, warn, page, worstBurn
+	t := m.tally()
+	return t.ok, t.warn, t.page, t.worstBurn
 }
 
-// RefreshGauges recomputes the mirrored registry gauges (Snapshot without
-// the document); the metrics handler calls it before serving a scrape.
+// RefreshGauges recomputes the mirrored registry gauges in one
+// allocation-free pass, as Totals does; the metrics handler calls it before
+// serving a scrape.
 func (m *SLOMonitor) RefreshGauges() {
 	if m == nil {
 		return
 	}
-	m.Snapshot()
+	m.setGauges(m.tally())
 }

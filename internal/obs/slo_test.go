@@ -224,11 +224,11 @@ func TestSLORetireReuse(t *testing.T) {
 
 	// Under churn on four goroutines the windows end where one goroutine
 	// leaves them; make race runs this under the detector at -cpu 1,2,4.
-	serial := observeChurn(1)
+	serial := observeChurn(1, false)
 	if serial.page == 0 || serial.warn == 0 {
 		t.Fatalf("churn script too tame: %d warn and %d page transitions", serial.warn, serial.page)
 	}
-	got := observeChurn(4)
+	got := observeChurn(4, false)
 	if !reflect.DeepEqual(got.slo, serial.slo) || !reflect.DeepEqual(got.sloStates, serial.sloStates) ||
 		got.warn != serial.warn || got.page != serial.page {
 		t.Fatalf("four goroutines under churn:\n  %+v\none goroutine:\n  %+v", got, serial)
@@ -429,5 +429,67 @@ func TestSLOObserveSlotZeroAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ObserveSlot allocates %.1f/op", allocs)
+	}
+}
+
+// TestMetricsScrapeRefreshesBreakerGauges: the breaker's session gauges are
+// set by Counts, which a /metrics scrape calls when the mux has the breaker.
+func TestMetricsScrapeRefreshesBreakerGauges(t *testing.T) {
+	reg := NewRegistry()
+	b := NewBreaker(BreakerConfig{}, reg)
+	b.Observe(1, SLOStatePage)
+	b.Observe(2, SLOStateOK)
+	mux := NewMuxOpts(reg, nil, MuxOptions{Breaker: b})
+	rw := httptest.NewRecorder()
+	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
+	body := rw.Body.String()
+	for _, want := range []string{
+		"collabvr_breaker_sessions_open 1\n",
+		"collabvr_breaker_sessions_degraded 0\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestSLORefreshGaugesOnePass: RefreshGauges sets the five gauges Snapshot
+// sets, to the same values, without allocating.
+func TestSLORefreshGaugesOnePass(t *testing.T) {
+	gauges := []string{
+		"collabvr_slo_sessions_ok", "collabvr_slo_sessions_warn", "collabvr_slo_sessions_page",
+		"collabvr_slo_worst_miss_burn", "collabvr_slo_sessions_quality_breach",
+	}
+	read := func(reg *Registry) []float64 {
+		var v []float64
+		for _, name := range gauges {
+			v = append(v, reg.Gauge(name).Value())
+		}
+		return v
+	}
+	viaSnapshot, viaRefresh := NewRegistry(), NewRegistry()
+	for _, reg := range []*Registry{viaSnapshot, viaRefresh} {
+		m := NewSLOMonitor(SLOConfig{WindowSlots: 50, ShortWindowSlots: 10}, reg)
+		for i := 0; i < 40; i++ {
+			m.ObserveSlot(1, true, 4)     // ok
+			m.ObserveSlot(2, i%8 != 0, 2) // warn, under the quality floor
+			m.ObserveSlot(3, i%2 == 0, 1) // page
+			m.ObserveSlot(4, i < 30, 5)   // page, the worst burn
+		}
+		if reg == viaSnapshot {
+			m.Snapshot()
+			continue
+		}
+		m.RefreshGauges()
+		if allocs := testing.AllocsPerRun(100, m.RefreshGauges); allocs != 0 {
+			t.Errorf("RefreshGauges allocates %v times, want 0", allocs)
+		}
+	}
+	want, got := read(viaSnapshot), read(viaRefresh)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RefreshGauges set %v, Snapshot %v (%v)", got, want, gauges)
+	}
+	if want[0] == 0 || want[1] == 0 || want[2] == 0 || want[4] == 0 {
+		t.Fatalf("script too tame: gauges %v (%v)", want, gauges)
 	}
 }
