@@ -1,0 +1,432 @@
+package repro
+
+// The dead-export gate: every exported func, method, type, const and var
+// under internal/ is named by a non-test file of another package of the
+// module, or has a line in testdata/exports_allowlist.txt saying why not.
+// Struct fields are out of scope (they are the JSON and wire schemas), and
+// so is a method that satisfies an interface: a call through the interface
+// names the interface's method, not the concrete one.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+const exportsAllowlist = "testdata/exports_allowlist.txt"
+
+// modPkg is one package of the module: its non-test files that the build
+// context selects, type-checked.
+type modPkg struct {
+	path  string
+	dir   string
+	files []string
+	types *types.Package
+	info  *types.Info
+}
+
+// module is every package under one go.mod, type-checked in one process.
+// Module imports resolve to packages the loader has parsed itself; only the
+// standard library goes through the source importer.
+type module struct {
+	fset *token.FileSet
+	path string
+	pkgs map[string]*modPkg
+	std  types.Importer
+}
+
+var (
+	stdOnce sync.Once
+	stdFset *token.FileSet
+	stdImp  types.Importer
+)
+
+// stdImporter is shared by every load in the test binary, so the standard
+// library is type-checked from source once. Cgo is off: the net package's
+// pure-Go resolver then stands in for its cgo one, and no C toolchain runs.
+func stdImporter() (*token.FileSet, types.Importer) {
+	stdOnce.Do(func() {
+		build.Default.CgoEnabled = false
+		stdFset = token.NewFileSet()
+		stdImp = importer.ForCompiler(stdFset, "source", nil)
+	})
+	return stdFset, stdImp
+}
+
+// loadModule type-checks every package under root, skipping testdata and
+// directories whose names start with "." or "_", as the go command does.
+func loadModule(root string) (*module, error) {
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	var modPath string
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			modPath = f[1]
+		}
+	}
+	if modPath == "" {
+		return nil, fmt.Errorf("%s/go.mod: no module line", root)
+	}
+	fset, std := stdImporter()
+	m := &module{fset: fset, path: modPath, pkgs: map[string]*modPkg{}, std: std}
+	err = filepath.WalkDir(root, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		path := modPath
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		m.pkgs[path] = &modPkg{path: path, dir: dir, files: bp.GoFiles}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for path := range m.pkgs {
+		if _, err := m.check(path); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// Import resolves a module import to the loader's own type-checked package
+// and anything else to the standard library.
+func (m *module) Import(path string) (*types.Package, error) {
+	if _, ok := m.pkgs[path]; ok {
+		return m.check(path)
+	}
+	return m.std.Import(path)
+}
+
+func (m *module) check(path string) (*types.Package, error) {
+	p := m.pkgs[path]
+	if p.types != nil {
+		return p.types, nil
+	}
+	files := make([]*ast.File, 0, len(p.files))
+	for _, name := range p.files {
+		f, err := parser.ParseFile(m.fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: m}
+	tp, err := conf.Check(path, m.fset, files, p.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
+	}
+	p.types = tp
+	return tp, nil
+}
+
+// finding is an export that no other package's non-test file names.
+type finding struct {
+	id  string // "pkg.Name", "pkg.T.M" or "pkg.(*T).M"; pkg is the path under internal/
+	pos string // file:line, relative to the module root
+}
+
+// deadExports lists the module's dead exports under internal/, sorted by id.
+func (m *module) deadExports(root string) []finding {
+	used := map[types.Object]bool{}
+	for _, p := range m.pkgs {
+		for _, obj := range p.info.Uses {
+			if obj.Pkg() == nil || obj.Pkg() == p.types {
+				continue
+			}
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			used[obj] = true
+		}
+	}
+	ifaces := m.interfaces()
+	prefix := m.path + "/internal/"
+	var out []finding
+	add := func(pkg string, obj types.Object, id string) {
+		pos := m.fset.Position(obj.Pos())
+		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+			pos.Filename = filepath.ToSlash(rel)
+		}
+		out = append(out, finding{id: pkg + "." + id, pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line)})
+	}
+	for path, p := range m.pkgs {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		pkg := strings.TrimPrefix(path, prefix)
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !used[obj] {
+				add(pkg, obj, name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				fn := named.Method(i)
+				if !fn.Exported() || used[fn] || satisfies(named, fn, ifaces) {
+					continue
+				}
+				recv := name
+				if _, ptr := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+					recv = "(*" + name + ")"
+				}
+				add(pkg, fn, recv+"."+fn.Name())
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// interfaces indexes, by method name, every package-level interface of the
+// module and of every standard-library package it imports, with error.
+func (m *module) interfaces() map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < it.NumMethods(); i++ {
+						byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
+					}
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range m.pkgs {
+		walk(p.types)
+	}
+	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+	byName["Error"] = append(byName["Error"], errIface)
+	return byName
+}
+
+// satisfies reports whether fn, a method of named, is one of the methods by
+// which named or its pointer implements an interface in ifaces.
+func satisfies(named *types.Named, fn *types.Func, ifaces map[string][]*types.Interface) bool {
+	if named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, it := range ifaces[fn.Name()] {
+		if it.NumMethods() == 0 {
+			continue
+		}
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// readAllowlist parses "id  reason" lines; blank lines and lines starting
+// with # are skipped.
+func readAllowlist(text string) (map[string]string, []string) {
+	entries := map[string]string{}
+	var problems []string
+	for i, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		id, reason, _ := strings.Cut(line, " ")
+		reason = strings.TrimSpace(reason)
+		switch {
+		case reason == "":
+			problems = append(problems, fmt.Sprintf("%s:%d: %s has no reason", exportsAllowlist, i+1, id))
+		case entries[id] != "":
+			problems = append(problems, fmt.Sprintf("%s:%d: %s is listed twice", exportsAllowlist, i+1, id))
+		default:
+			entries[id] = reason
+		}
+	}
+	return entries, problems
+}
+
+// gate returns one line per unlisted finding and per stale entry.
+func gate(findings []finding, allow map[string]string) []string {
+	var problems []string
+	found := map[string]bool{}
+	for _, f := range findings {
+		found[f.id] = true
+		if allow[f.id] == "" {
+			problems = append(problems, fmt.Sprintf("%s: %s is exported but no non-test file of another package names it: unexport it, delete it, move it into a _test.go file, or list it in %s with a reason", f.pos, f.id, exportsAllowlist))
+		}
+	}
+	var stale []string
+	for id := range allow {
+		if !found[id] {
+			stale = append(stale, id)
+		}
+	}
+	sort.Strings(stale)
+	for _, id := range stale {
+		problems = append(problems, fmt.Sprintf("%s: %s is stale (deleted, renamed, unexported or now named outside its package): remove the line", exportsAllowlist, id))
+	}
+	return problems
+}
+
+// exportProblems runs the gate over the module at root against the
+// allowlist text.
+func exportProblems(root, allowlist string) ([]string, error) {
+	m, err := loadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	allow, problems := readAllowlist(allowlist)
+	return append(problems, gate(m.deadExports(root), allow)...), nil
+}
+
+func TestExportsHaveOutsideCallers(t *testing.T) {
+	allowlist, err := os.ReadFile(exportsAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := exportProblems(".", string(allowlist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestExportGateRules runs the gate over small fixture modules, one rule
+// each.
+func TestExportGateRules(t *testing.T) {
+	lib := `package a
+
+import "fmt"
+
+var _ fmt.Stringer = Square{}
+
+type Shape interface{ Area() float64 }
+
+type Square struct{ Side float64 }
+
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+func (s Square) String() string { return "square" }
+
+func (s Square) Perimeter() float64 { return 4 * s.Side }
+
+func Used() Square { return Square{} }
+
+func Unused() {}
+`
+	main := `package main
+
+import "fix/internal/a"
+
+func main() {
+	var sh a.Shape = a.Used()
+	var sq a.Square
+	_, _ = sh, sq
+}
+`
+	for _, tc := range []struct {
+		name      string
+		files     map[string]string
+		allowlist string
+		want      []string // substrings, one problem each, in order
+	}{{
+		name:      "an unused export is flagged at its file:line",
+		files:     map[string]string{"internal/a/a.go": lib, "cmd/m/main.go": main},
+		allowlist: "a.Square.Perimeter  kept for the test\n",
+		want:      []string{"internal/a/a.go:19: a.Unused is exported but"},
+	}, {
+		name: "a reference from a _test.go file does not count",
+		files: map[string]string{"internal/a/a.go": lib, "cmd/m/main.go": main,
+			"cmd/m/main_test.go": "package main\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/a\"\n)\n\nfunc TestX(t *testing.T) { a.Unused(); _ = a.Square{}.Perimeter() }\n"},
+		want: []string{"a.Square.Perimeter is exported", "a.Unused is exported"},
+	}, {
+		name: "a method that satisfies an interface is exempt",
+		files: map[string]string{"internal/a/a.go": lib,
+			"cmd/m/main.go": strings.Replace(main, "_, _ = sh, sq", "_, _ = sh, sq.Perimeter()\n\ta.Unused()", 1)},
+	}, {
+		name: "a reference from a bench-like main package counts",
+		files: map[string]string{"internal/a/a.go": lib, "cmd/m/main.go": main,
+			"bench/main.go": "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.Unused(); _ = a.Square{}.Perimeter() }\n"},
+	}, {
+		name: "a stale allowlist entry fails",
+		files: map[string]string{"internal/a/a.go": lib, "cmd/m/main.go": main,
+			"bench/main.go": "package main\n\nimport \"fix/internal/a\"\n\nfunc main() { a.Unused(); _ = a.Square{}.Perimeter() }\n"},
+		allowlist: "a.Unused  once dead\n",
+		want:      []string{"a.Unused is stale"},
+	}, {
+		name:      "an entry without a reason fails",
+		files:     map[string]string{"internal/a/a.go": lib, "cmd/m/main.go": main},
+		allowlist: "a.Square.Perimeter  kept for the test\na.Unused\n",
+		want:      []string{"a.Unused has no reason", "a.Unused is exported but"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			tc.files["go.mod"] = "module fix\n\ngo 1.22\n"
+			for name, src := range tc.files {
+				path := filepath.Join(root, filepath.FromSlash(name))
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			problems, err := exportProblems(root, tc.allowlist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok := len(problems) == len(tc.want)
+			for i := 0; ok && i < len(problems); i++ {
+				ok = strings.Contains(problems[i], tc.want[i])
+			}
+			if !ok {
+				t.Errorf("problems:\n%s\nwant one containing each of %q", strings.Join(problems, "\n"), tc.want)
+			}
+		})
+	}
+}

@@ -126,8 +126,8 @@ func TestPAVQPriceConvergesUnderStationaryLoad(t *testing.T) {
 			t.Fatalf("slot %d: rate %v exceeds budget", slot, got.Rate)
 		}
 	}
-	if a.Lambda() <= 0 {
-		t.Errorf("binding budget should yield positive price, got %v", a.Lambda())
+	if a.lambda <= 0 {
+		t.Errorf("binding budget should yield positive price, got %v", a.lambda)
 	}
 	if lastRate <= 0 {
 		t.Errorf("PAVQ should allocate nonzero rate")
@@ -190,12 +190,12 @@ func TestPAVQLagsBehindCapacityDrop(t *testing.T) {
 	for slot := 1; slot <= 200; slot++ {
 		a.Allocate(params, slotProblem(slot, 80, users...))
 	}
-	priceBefore := a.Lambda()
+	priceBefore := a.lambda
 	// Capacity halves; the lagged price cannot reflect it immediately.
 	a.Allocate(params, slotProblem(201, 20, users...))
-	if a.Lambda() <= priceBefore {
+	if a.lambda <= priceBefore {
 		t.Errorf("price should rise after violation: before %v after %v",
-			priceBefore, a.Lambda())
+			priceBefore, a.lambda)
 	}
 }
 

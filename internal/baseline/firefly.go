@@ -16,13 +16,13 @@ import (
 	"repro/internal/core"
 )
 
-// Firefly reproduces Firefly's adaptive quality control. Each user requests
+// firefly reproduces Firefly's adaptive quality control. Each user requests
 // the highest quality level sustainable under its own link estimate; when
 // the aggregate rate exceeds the server budget, quality is reclaimed from
 // the least-recently-upgraded users first (the LRU policy the paper cites).
 // It is bandwidth-greedy: it considers neither the delay nor the variance
 // term of the QoE, which is what the paper's evaluation exposes.
-type Firefly struct {
+type firefly struct {
 	// Headroom scales the per-user link estimate when picking the target
 	// level; 1.0 (the default) saturates the estimated bandwidth, which is
 	// what gives Firefly its characteristic high delivery delay in the
@@ -37,13 +37,13 @@ type Firefly struct {
 
 // NewFirefly returns a Firefly allocator for any number of users; per-user
 // LRU state is created lazily.
-func NewFirefly() *Firefly { return &Firefly{Headroom: 1.0} }
+func NewFirefly() *firefly { return &firefly{Headroom: 1.0} }
 
 // Name implements core.Allocator.
-func (f *Firefly) Name() string { return "firefly" }
+func (f *firefly) Name() string { return "firefly" }
 
 // Allocate implements core.Allocator.
-func (f *Firefly) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
+func (f *firefly) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
 	n := len(p.Users)
 	f.ensure(n)
 
@@ -101,10 +101,10 @@ func (f *Firefly) Allocate(params core.Params, p *core.SlotProblem) core.Allocat
 	return core.Allocation{Levels: levels, Value: value, Rate: total}
 }
 
-func (f *Firefly) ensure(n int) {
+func (f *firefly) ensure(n int) {
 	for len(f.lastTouched) < n {
 		f.lastTouched = append(f.lastTouched, 0)
 	}
 }
 
-var _ core.Allocator = (*Firefly)(nil)
+var _ core.Allocator = (*firefly)(nil)

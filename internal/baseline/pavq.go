@@ -4,7 +4,7 @@ import (
 	"repro/internal/core"
 )
 
-// PAVQ reproduces the Practical Adaptive Variance-aware Quality allocation
+// pavq reproduces the Practical Adaptive Variance-aware Quality allocation
 // algorithm of Joseph and de Veciana (INFOCOM 2012), modified per the
 // paper's Section IV to include the delivery-delay term in its per-user
 // index mu_i^P.
@@ -16,7 +16,7 @@ import (
 // tracks the optimum closely (as in Fig. 2); under rapidly varying capacity
 // the lagging price over- or under-shoots, which is the degradation the
 // paper's real-system experiments expose (Figs. 7 and 8).
-type PAVQ struct {
+type pavq struct {
 	// StepSize is the dual subgradient step kappa (per unit of relative
 	// budget violation). The default used by NewPAVQ is 0.05.
 	StepSize float64
@@ -24,16 +24,13 @@ type PAVQ struct {
 }
 
 // NewPAVQ returns a PAVQ allocator with the default price step.
-func NewPAVQ() *PAVQ { return &PAVQ{StepSize: 0.05} }
+func NewPAVQ() *pavq { return &pavq{StepSize: 0.05} }
 
 // Name implements core.Allocator.
-func (a *PAVQ) Name() string { return "pavq" }
-
-// Lambda exposes the current congestion price (for tests and diagnostics).
-func (a *PAVQ) Lambda() float64 { return a.lambda }
+func (a *pavq) Name() string { return "pavq" }
 
 // Allocate implements core.Allocator.
-func (a *PAVQ) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
+func (a *pavq) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
 	n := len(p.Users)
 	levels := make([]int, n)
 	var total float64
@@ -101,4 +98,4 @@ func (a *PAVQ) Allocate(params core.Params, p *core.SlotProblem) core.Allocation
 	return core.Allocation{Levels: levels, Value: value, Rate: total}
 }
 
-var _ core.Allocator = (*PAVQ)(nil)
+var _ core.Allocator = (*pavq)(nil)

@@ -2,22 +2,22 @@ package baseline
 
 import "repro/internal/core"
 
-// Uniform allocates the same quality level to every user: the highest level
+// uniform allocates the same quality level to every user: the highest level
 // whose aggregate rate fits the server budget and every user's cap. It is
 // the natural "equal treatment" strawman for collaborative applications —
 // fair by construction, but oblivious to per-user link quality, delay and
 // variance, so it wastes budget on users whose links cannot exploit it and
 // starves users who could.
-type Uniform struct{}
+type uniform struct{}
 
 // NewUniform returns a Uniform allocator.
-func NewUniform() *Uniform { return &Uniform{} }
+func NewUniform() *uniform { return &uniform{} }
 
 // Name implements core.Allocator.
-func (*Uniform) Name() string { return "uniform" }
+func (*uniform) Name() string { return "uniform" }
 
 // Allocate implements core.Allocator.
-func (*Uniform) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
+func (*uniform) Allocate(params core.Params, p *core.SlotProblem) core.Allocation {
 	best := 1
 	for level := params.Levels; level >= 1; level-- {
 		var total float64
@@ -46,4 +46,4 @@ func (*Uniform) Allocate(params core.Params, p *core.SlotProblem) core.Allocatio
 	return core.Allocation{Levels: levels, Value: value, Rate: total}
 }
 
-var _ core.Allocator = (*Uniform)(nil)
+var _ core.Allocator = (*uniform)(nil)

@@ -69,14 +69,6 @@ func NewInjector(p *Profile, session uint32) *Injector {
 	return inj
 }
 
-// Session returns the session the injector targets.
-func (in *Injector) Session() uint32 {
-	if in == nil {
-		return 0
-	}
-	return in.session
-}
-
 // Advance moves the injector's slot clock. Fault windows are evaluated
 // against this slot until the next Advance.
 func (in *Injector) Advance(slot int) {
@@ -173,9 +165,9 @@ func (in *Injector) PacketFault() transport.PacketFault {
 	return pf
 }
 
-// Blackout reports whether a blackout window covers the current slot. It
+// blackout reports whether a blackout window covers the current slot. It
 // consumes no randomness.
-func (in *Injector) Blackout() bool {
+func (in *Injector) blackout() bool {
 	if in == nil {
 		return false
 	}
@@ -214,7 +206,7 @@ func (in *Injector) SimCapFactor() float64 {
 	if in == nil {
 		return 1
 	}
-	if in.Blackout() {
+	if in.blackout() {
 		return 0
 	}
 	return in.CapFactor()

@@ -10,7 +10,7 @@ import (
 
 func mustParse(t *testing.T, src string) *Profile {
 	t.Helper()
-	p, err := ParseProfile([]byte(src))
+	p, err := parseProfile([]byte(src))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestParseProfileValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseProfile([]byte(c.src))
+			_, err := parseProfile([]byte(c.src))
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Fatalf("err = %v, want substring %q", err, c.wantErr)
 			}
@@ -139,8 +139,8 @@ func TestWindowBoundariesAndCapFactors(t *testing.T) {
 	check := func(slot int, blackout bool, cap_, simCap float64) {
 		t.Helper()
 		in.Advance(slot)
-		if in.Blackout() != blackout {
-			t.Errorf("slot %d: Blackout = %v, want %v", slot, in.Blackout(), blackout)
+		if in.blackout() != blackout {
+			t.Errorf("slot %d: Blackout = %v, want %v", slot, in.blackout(), blackout)
 		}
 		if got := in.CapFactor(); got != cap_ {
 			t.Errorf("slot %d: CapFactor = %g, want %g", slot, got, cap_)
@@ -249,7 +249,7 @@ func TestServerInjector(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var in *Injector
 	in.Advance(5)
-	if in.Drop() || in.Blackout() || in.Session() != 0 {
+	if in.Drop() || in.blackout() {
 		t.Fatal("nil Injector produced faults")
 	}
 	if pf := in.PacketFault(); pf != (transport.PacketFault{}) {
@@ -264,10 +264,24 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil ServerInjector produced delays")
 	}
 	var p *Profile
-	if p.Validate() != nil || p.HasSessionFaults() || p.HasServerFaults() || p.EndSlot() != 0 {
+	if p.validate() != nil || p.HasSessionFaults() || p.HasServerFaults() || p.EndSlot() != 0 {
 		t.Fatal("nil Profile misbehaved")
 	}
 	if NewInjector(nil, 1) != nil || NewServerInjector(nil) != nil {
 		t.Fatal("nil profile produced injectors")
 	}
+}
+
+// HasServerFaults reports whether any fault targets the server pipeline.
+func (p *Profile) HasServerFaults() bool {
+	if p == nil {
+		return false
+	}
+	for i := range p.Faults {
+		switch p.Faults[i].Kind {
+		case FaultStall, FaultSlowACK:
+			return true
+		}
+	}
+	return false
 }

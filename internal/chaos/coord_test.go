@@ -18,7 +18,7 @@ func TestCoordFaultValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseProfile([]byte(tc.json))
+			_, err := parseProfile([]byte(tc.json))
 			if tc.ok && err != nil {
 				t.Fatalf("want valid, got %v", err)
 			}
@@ -30,7 +30,7 @@ func TestCoordFaultValidation(t *testing.T) {
 }
 
 func TestCoordFaultAccessors(t *testing.T) {
-	p, err := ParseProfile([]byte(`{
+	p, err := parseProfile([]byte(`{
 		"seed": 9,
 		"faults": [
 			{"kind": "coord_kill", "start_slot": 100, "replica": 2},
@@ -61,7 +61,7 @@ func TestCoordFaultAccessors(t *testing.T) {
 		t.Fatalf("ShardFaults polluted by coord kinds: %+v", sf)
 	}
 	// Coord-only profiles must not build per-session or server injectors.
-	coordOnly, err := ParseProfile([]byte(`{"seed":1,"faults":[{"kind":"coord_kill","start_slot":5,"replica":0}]}`))
+	coordOnly, err := parseProfile([]byte(`{"seed":1,"faults":[{"kind":"coord_kill","start_slot":5,"replica":0}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

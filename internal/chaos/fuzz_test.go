@@ -12,7 +12,7 @@ import (
 // jumps to the window edges (a profile may schedule a fault at any slot).
 const fuzzHorizon = 256
 
-// FuzzChaosProfile feeds arbitrary bytes to ParseProfile — the one place
+// FuzzChaosProfile feeds arbitrary bytes to parseProfile — the one place
 // operator-written JSON enters the fault layer. It must never panic; a
 // profile it accepts must survive marshal → parse unchanged (so a profile
 // inlined into a report or a bench config is the profile that ran); and
@@ -29,7 +29,7 @@ func FuzzChaosProfile(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := ParseProfile(data); err != nil {
+		if _, err := parseProfile(data); err != nil {
 			f.Fatalf("%s: shipped example rejected: %v", path, err)
 		}
 		f.Add(data)
@@ -39,14 +39,14 @@ func FuzzChaosProfile(f *testing.F) {
 	f.Add([]byte(`{"faults":[{"kind":"shard_kill","shard":1e3}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ParseProfile(data)
+		p, err := parseProfile(data)
 		if err != nil {
 			if p != nil {
 				t.Fatalf("rejected input returned a profile: %v", err)
 			}
 			return
 		}
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			t.Fatalf("accepted profile fails its own validation: %v", err)
 		}
 
@@ -54,7 +54,7 @@ func FuzzChaosProfile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted profile does not marshal: %v", err)
 		}
-		q, err := ParseProfile(wire)
+		q, err := parseProfile(wire)
 		if err != nil {
 			t.Fatalf("marshalled profile rejected: %v\n%s", err, wire)
 		}
@@ -101,7 +101,7 @@ func FuzzChaosProfile(f *testing.F) {
 			for _, in := range injectors {
 				in.Advance(slot)
 				in.Drop()
-				in.Blackout()
+				in.blackout()
 				in.PacketFault()
 				if c := in.CapFactor(); c < 0 || c > 1 {
 					t.Fatalf("slot %d: capacity factor %g outside [0, 1]", slot, c)

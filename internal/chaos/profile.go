@@ -216,8 +216,8 @@ type Profile struct {
 	Faults []Fault `json:"faults"`
 }
 
-// Validate checks every fault; a nil profile is valid (no chaos).
-func (p *Profile) Validate() error {
+// validate checks every fault; a nil profile is valid (no chaos).
+func (p *Profile) validate() error {
 	if p == nil {
 		return nil
 	}
@@ -232,17 +232,17 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// ParseProfile decodes and validates a JSON profile. Unknown fields are
+// parseProfile decodes and validates a JSON profile. Unknown fields are
 // rejected so a typoed knob fails loudly instead of silently injecting
 // nothing.
-func ParseProfile(data []byte) (*Profile, error) {
+func parseProfile(data []byte) (*Profile, error) {
 	var p Profile
 	dec := json.NewDecoder(newByteReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("chaos: parse profile: %w", err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return &p, nil
@@ -254,7 +254,7 @@ func LoadProfile(path string) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	p, err := ParseProfile(data)
+	p, err := parseProfile(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
@@ -345,20 +345,6 @@ func (p *Profile) MaxReplica() int {
 		}
 	}
 	return maxReplica
-}
-
-// HasServerFaults reports whether any fault targets the server pipeline.
-func (p *Profile) HasServerFaults() bool {
-	if p == nil {
-		return false
-	}
-	for i := range p.Faults {
-		switch p.Faults[i].Kind {
-		case FaultStall, FaultSlowACK:
-			return true
-		}
-	}
-	return false
 }
 
 // EndSlot returns the last slot any bounded fault is active (open-ended

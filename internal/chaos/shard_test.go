@@ -22,7 +22,7 @@ func TestShardFaultValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseProfile([]byte(tc.json))
+			_, err := parseProfile([]byte(tc.json))
 			if tc.ok && err != nil {
 				t.Fatalf("want valid, got %v", err)
 			}
@@ -34,7 +34,7 @@ func TestShardFaultValidation(t *testing.T) {
 }
 
 func TestShardFaultAccessors(t *testing.T) {
-	p, err := ParseProfile([]byte(`{
+	p, err := parseProfile([]byte(`{
 		"seed": 9,
 		"faults": [
 			{"kind": "shard_kill", "start_slot": 100, "shard": 2},
@@ -59,7 +59,7 @@ func TestShardFaultAccessors(t *testing.T) {
 	if !p.HasSessionFaults() {
 		t.Fatal("HasSessionFaults = false, want true (blackout present)")
 	}
-	shardOnly, err := ParseProfile([]byte(`{"seed":1,"faults":[{"kind":"shard_kill","start_slot":5,"shard":0},{"kind":"shard_degrade","start_slot":5,"duration_slots":10,"shard":0,"factor":0.2}]}`))
+	shardOnly, err := parseProfile([]byte(`{"seed":1,"faults":[{"kind":"shard_kill","start_slot":5,"shard":0},{"kind":"shard_degrade","start_slot":5,"duration_slots":10,"shard":0,"factor":0.2}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

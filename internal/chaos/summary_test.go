@@ -87,7 +87,7 @@ func TestSummaryNamesEveryKindsParameters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := ParseProfile(wire)
+		p, err := parseProfile(wire)
 		if err != nil {
 			t.Errorf("%s: the parser rejects the table's fault: %v", kind, err)
 			continue

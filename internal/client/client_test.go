@@ -122,7 +122,7 @@ func TestClientDisplaysDeliveredTiles(t *testing.T) {
 	// The client stands at (1,1) looking yaw=20: its FoV needs specific
 	// tiles for its actual cell.
 	cell := tiles.CellFor(vrmath.Vec3{X: 1, Z: 1})
-	needed := tiles.ForView(vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}, Yaw: 20}, vrmath.DefaultFoV, 0)
+	needed := tiles.ForViewAppend(nil, vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}, Yaw: 20}, vrmath.DefaultFoV, 0)
 
 	fs.serve(func(ctrl *transport.Conn, dst net.Addr) {
 		// Send the needed tiles at level 4 for a run of slots.
@@ -319,7 +319,7 @@ func TestCoverageUsesRAMFallback(t *testing.T) {
 	}
 	pose := vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}, Yaw: 20}
 	cell := tiles.CellFor(pose.Pos)
-	needed := tiles.ForView(pose, cfg.Coverage.FoV, 0)
+	needed := tiles.ForViewAppend(nil, pose, cfg.Coverage.FoV, 0)
 
 	// Nothing held: not covered.
 	if _, covered := r.coverage(pose, nil); covered {

@@ -116,7 +116,7 @@ func (rs *resumableServer) stream(user uint32, stop <-chan struct{}) {
 			return
 		}
 		cell := tiles.CellFor(vrmath.Vec3{X: 1, Z: 1})
-		needed := tiles.ForView(vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}, Yaw: 20},
+		needed := tiles.ForViewAppend(nil, vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}, Yaw: 20},
 			vrmath.DefaultFoV, 0)
 		s := transport.NewSender(rs.udp, dst, nil, transport.DefaultMTU)
 		payload := make([]byte, 1500)

@@ -134,3 +134,144 @@ func TestDPOptimalAllocator(t *testing.T) {
 		t.Errorf("name = %q", got)
 	}
 }
+
+// This file validates the decomposition at the heart of Section III:
+// solving problem (5)-(7) slot by slot loses almost nothing against the
+// clairvoyant optimum of problem (1)-(3) over the whole horizon (eq. (8)).
+// HorizonProblem states a tiny instance explicitly; SolveHorizonExhaustive
+// searches all (L^N)^T assignments for the exact offline maximum of the
+// realized QoE, and SolveHorizonSequential replays any per-slot Allocator.
+
+// HorizonSlot is the data of one slot of a horizon instance.
+type HorizonSlot struct {
+	Budget float64
+	// Rates[n][q-1] is user n's required rate at level q.
+	Rates [][]float64
+	// Delays[n][q-1] is user n's delivery delay at level q.
+	Delays [][]float64
+	// Caps[n] is B_n(t).
+	Caps []float64
+	// Covered[n] is the realized coverage indicator 1_n(t) (known to the
+	// clairvoyant solver, estimated online by the sequential one).
+	Covered []bool
+}
+
+// HorizonProblem is a complete finite-horizon instance.
+type HorizonProblem struct {
+	Params Params
+	Slots  []HorizonSlot
+	Users  int
+}
+
+// QoE evaluates the realized horizon QoE (eq. (1)) of a full assignment:
+// levels[t][n] is user n's quality level in slot t. Infeasible assignments
+// (budget or cap violations by upgraded users) return ok=false.
+func (h *HorizonProblem) QoE(levels [][]int) (qoe float64, ok bool) {
+	T := len(h.Slots)
+	if T == 0 {
+		return 0, true
+	}
+	viewed := make([][]float64, h.Users)
+	for n := range viewed {
+		viewed[n] = make([]float64, T)
+	}
+	var total float64
+	for t, slot := range h.Slots {
+		var used float64
+		for n := 0; n < h.Users; n++ {
+			q := levels[t][n]
+			rate := slot.Rates[n][q-1]
+			used += rate
+			if q > 1 && rate > slot.Caps[n]+1e-12 {
+				return 0, false
+			}
+			x := 0.0
+			if slot.Covered[n] {
+				x = float64(q)
+			}
+			viewed[n][t] = x
+			total += x - h.Params.Alpha*slot.Delays[n][q-1]
+		}
+		if used > slot.Budget+1e-12 && !allBase(levels[t]) {
+			return 0, false
+		}
+	}
+	for n := 0; n < h.Users; n++ {
+		total -= h.Params.Beta * HorizonVariance(viewed[n]) * float64(T)
+	}
+	return total, true
+}
+
+func allBase(levels []int) bool {
+	for _, l := range levels {
+		if l != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// SolveHorizonExhaustive finds the exact clairvoyant optimum by enumerating
+// every assignment. Cost is (L^N)^T — strictly for tiny validation
+// instances.
+func (h *HorizonProblem) SolveHorizonExhaustive() ([][]int, float64) {
+	T := len(h.Slots)
+	cur := make([][]int, T)
+	best := make([][]int, T)
+	for t := range cur {
+		cur[t] = make([]int, h.Users)
+		best[t] = make([]int, h.Users)
+		for n := range cur[t] {
+			cur[t][n] = 1
+			best[t][n] = 1
+		}
+	}
+	bestQoE, _ := h.QoE(best)
+
+	var rec func(t, n int)
+	rec = func(t, n int) {
+		if t == T {
+			if q, ok := h.QoE(cur); ok && q > bestQoE {
+				bestQoE = q
+				for tt := range cur {
+					copy(best[tt], cur[tt])
+				}
+			}
+			return
+		}
+		nt, nn := t, n+1
+		if nn == h.Users {
+			nt, nn = t+1, 0
+		}
+		for q := 1; q <= h.Params.Levels; q++ {
+			cur[t][n] = q
+			rec(nt, nn)
+		}
+		cur[t][n] = 1
+	}
+	rec(0, 0)
+	return best, bestQoE
+}
+
+// SolveHorizonSequential replays a per-slot allocator over the horizon,
+// feeding it the same online state (running mean, coverage estimate) the
+// real system maintains, and returns the realized horizon QoE.
+func (h *HorizonProblem) SolveHorizonSequential(alloc Allocator) ([][]int, float64) {
+	T := len(h.Slots)
+	tracker := NewTracker(h.Params, h.Users, 1)
+	levels := make([][]int, T)
+	for t, slot := range h.Slots {
+		users := make([]UserInput, h.Users)
+		for n := 0; n < h.Users; n++ {
+			users[n] = tracker.userInput(n, slot.Rates[n], slot.Delays[n], slot.Caps[n])
+		}
+		p := &SlotProblem{T: t + 1, Budget: slot.Budget, Users: users}
+		a := alloc.Allocate(h.Params, p)
+		levels[t] = a.Levels
+		for n := 0; n < h.Users; n++ {
+			tracker.Record(n, a.Levels[n], slot.Covered[n], slot.Delays[n][a.Levels[n]-1])
+		}
+	}
+	qoe, _ := h.QoE(levels)
+	return levels, qoe
+}

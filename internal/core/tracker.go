@@ -76,9 +76,6 @@ func NewTracker(params Params, n int, deltaPrior float64) *Tracker {
 	return &Tracker{params: params, users: users}
 }
 
-// NumUsers returns the number of tracked users.
-func (tr *Tracker) NumUsers() int { return len(tr.users) }
-
 // Slot returns the 1-based index of the next slot to allocate.
 func (tr *Tracker) Slot() int {
 	if len(tr.users) == 0 {
@@ -99,18 +96,6 @@ func (tr *Tracker) Delta(n int) float64 {
 	return u.delta(u.deltaPrior)
 }
 
-// UserInput assembles the allocator input for user n given this slot's rate
-// table, delay table and throughput cap.
-func (tr *Tracker) UserInput(n int, rate, delay []float64, cap_ float64) UserInput {
-	return UserInput{
-		Rate:  rate,
-		Delay: delay,
-		Delta: tr.Delta(n),
-		MeanQ: tr.MeanQ(n),
-		Cap:   cap_,
-	}
-}
-
 // Record stores the outcome of one slot for user n: the allocated level q,
 // whether the delivered portion covered the actual FoV, and the realized
 // delivery delay.
@@ -123,28 +108,4 @@ func (tr *Tracker) Record(n, q int, covered bool, delay float64) {
 	}
 	u.viewedVar.Add(viewedQ)
 	u.delaySum += delay
-}
-
-// Variance returns sigma_n^2(t) over the observed horizon for user n.
-func (tr *Tracker) Variance(n int) float64 { return tr.users[n].viewedVar.Variance() }
-
-// QoE returns the realized per-slot-average QoE of user n so far:
-// avg(q*1) - alpha*avg(d) - beta*sigma^2.
-func (tr *Tracker) QoE(n int) float64 {
-	u := &tr.users[n]
-	if u.T == 0 {
-		return 0
-	}
-	t := float64(u.T)
-	return u.SumViewedQ/t - tr.params.Alpha*u.delaySum/t - tr.params.Beta*u.viewedVar.Variance()
-}
-
-// TotalQoE returns the sum of per-user QoE values — the system objective of
-// eq. (1), expressed per slot.
-func (tr *Tracker) TotalQoE() float64 {
-	var sum float64
-	for n := range tr.users {
-		sum += tr.QoE(n)
-	}
-	return sum
 }

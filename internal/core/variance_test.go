@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/estimate"
 )
 
 func directVariance(xs []float64) float64 {
@@ -106,7 +104,7 @@ func TestTrackerMeanAndDelta(t *testing.T) {
 	if got := tr.Delta(0); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("Delta(0) = %v, want 2/3", got)
 	}
-	if got := tr.Variance(0); math.Abs(got-4) > 1e-12 {
+	if got := tr.variance(0); math.Abs(got-4) > 1e-12 {
 		t.Errorf("Variance(0) = %v, want 4", got)
 	}
 	// User 1: viewed {6}.
@@ -121,7 +119,7 @@ func TestTrackerQoEMatchesDefinition(t *testing.T) {
 	var viewed []float64
 	var delaySum float64
 	rng := rand.New(rand.NewSource(33))
-	var w estimate.Welford
+	var viewedSum float64
 	for i := 0; i < 300; i++ {
 		q := 1 + rng.Intn(6)
 		covered := rng.Float64() < 0.9
@@ -132,14 +130,14 @@ func TestTrackerQoEMatchesDefinition(t *testing.T) {
 			vq = float64(q)
 		}
 		viewed = append(viewed, vq)
-		w.Add(vq)
+		viewedSum += vq
 		delaySum += delay
 	}
-	want := w.Mean() - params.Alpha*delaySum/300 - params.Beta*directVariance(viewed)
-	if got := tr.QoE(0); math.Abs(got-want) > 1e-9 {
+	want := viewedSum/300 - params.Alpha*delaySum/300 - params.Beta*directVariance(viewed)
+	if got := tr.qoe(0); math.Abs(got-want) > 1e-9 {
 		t.Errorf("QoE = %v, want %v", got, want)
 	}
-	if got := tr.TotalQoE(); math.Abs(got-want) > 1e-9 {
+	if got := tr.totalQoE(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("TotalQoE = %v, want %v", got, want)
 	}
 }
@@ -160,7 +158,7 @@ func TestTrackerUserInput(t *testing.T) {
 	tr.Record(0, 3, true, 0)
 	rates := []float64{1, 2, 3, 4, 5, 6}
 	delays := []float64{0, 0, 0, 0, 0, 0}
-	u := tr.UserInput(0, rates, delays, 42)
+	u := tr.userInput(0, rates, delays, 42)
 	if u.MeanQ != 3 || u.Cap != 42 {
 		t.Errorf("UserInput = %+v", u)
 	}
@@ -171,13 +169,87 @@ func TestTrackerUserInput(t *testing.T) {
 
 func TestTrackerEmpty(t *testing.T) {
 	tr := NewTracker(DefaultSimParams(), 0, 1)
-	if tr.NumUsers() != 0 {
-		t.Errorf("NumUsers = %d", tr.NumUsers())
+	if len(tr.users) != 0 {
+		t.Errorf("NumUsers = %d", len(tr.users))
 	}
 	if got := tr.Slot(); got != 1 {
 		t.Errorf("Slot = %d, want 1", got)
 	}
-	if got := tr.TotalQoE(); got != 0 {
+	if got := tr.totalQoE(); got != 0 {
 		t.Errorf("TotalQoE = %v, want 0", got)
 	}
+}
+
+// VarianceTerms computes the per-slot terms of the paper's variance
+// decomposition (eq. (4) / Appendix A):
+//
+//	T*sigma^2(T) = sum_{t=1}^{T} (t-1)*(x_t - xbar_{t-1})^2 / t
+//
+// where x_t = q_n(t)*1_n(t) and xbar_t is the running mean. The returned
+// slice has one entry per slot; its prefix sums divided by t reproduce
+// sigma^2(t) exactly, which is what makes the per-slot decomposition of the
+// QoE objective lossless.
+func VarianceTerms(xs []float64) []float64 {
+	terms := make([]float64, len(xs))
+	var mean float64
+	for i, x := range xs {
+		t := float64(i + 1)
+		d := x - mean // x_t - xbar_{t-1}
+		terms[i] = (t - 1) * d * d / t
+		mean += d / t
+	}
+	return terms
+}
+
+// HorizonVariance returns sigma^2(T) computed through the decomposition:
+// (1/T) * sum of VarianceTerms. It must agree with the direct two-pass
+// variance — a property covered by tests.
+func HorizonVariance(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, term := range VarianceTerms(xs) {
+		sum += term
+	}
+	return sum / float64(len(xs))
+}
+
+// The tracker's read-outs below serve the tests: the realized per-user
+// and system QoE the eq. (8) horizon checks compare against.
+
+// userInput assembles the allocator input for user n given this slot's rate
+// table, delay table and throughput cap.
+func (tr *Tracker) userInput(n int, rate, delay []float64, cap_ float64) UserInput {
+	return UserInput{
+		Rate:  rate,
+		Delay: delay,
+		Delta: tr.Delta(n),
+		MeanQ: tr.MeanQ(n),
+		Cap:   cap_,
+	}
+}
+
+// variance returns sigma_n^2(t) over the observed horizon for user n.
+func (tr *Tracker) variance(n int) float64 { return tr.users[n].viewedVar.Variance() }
+
+// qoe returns the realized per-slot-average QoE of user n so far:
+// avg(q*1) - alpha*avg(d) - beta*sigma^2.
+func (tr *Tracker) qoe(n int) float64 {
+	u := &tr.users[n]
+	if u.T == 0 {
+		return 0
+	}
+	t := float64(u.T)
+	return u.SumViewedQ/t - tr.params.Alpha*u.delaySum/t - tr.params.Beta*u.viewedVar.Variance()
+}
+
+// totalQoE returns the sum of per-user QoE values — the system objective of
+// eq. (1), expressed per slot.
+func (tr *Tracker) totalQoE() float64 {
+	var sum float64
+	for n := range tr.users {
+		sum += tr.qoe(n)
+	}
+	return sum
 }

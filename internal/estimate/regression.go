@@ -5,103 +5,20 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when a regression's normal equations are singular
+// errSingular is returned when a regression's normal equations are singular
 // (e.g. fewer distinct samples than coefficients).
-var ErrSingular = errors.New("estimate: singular system, not enough distinct samples")
-
-// LinearFit holds the coefficients of y = Intercept + Slope*x.
-type LinearFit struct {
-	Intercept float64
-	Slope     float64
-}
-
-// FitLinear computes the ordinary-least-squares line through the points
-// (xs[i], ys[i]). It is the regression the paper uses per axis for 6-DoF
-// motion prediction ("The linear regression model is used to predict the
-// 6-DoF motion in the next time slot", Section IV).
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, errors.New("estimate: mismatched sample lengths")
-	}
-	n := float64(len(xs))
-	if len(xs) < 2 {
-		return LinearFit{}, ErrSingular
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	det := n*sxx - sx*sx
-	if math.Abs(det) < 1e-12 {
-		return LinearFit{}, ErrSingular
-	}
-	slope := (n*sxy - sx*sy) / det
-	intercept := (sy - slope*sx) / n
-	return LinearFit{Intercept: intercept, Slope: slope}, nil
-}
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
+var errSingular = errors.New("estimate: singular system, not enough distinct samples")
 
 // PolyFit holds polynomial coefficients; Coeffs[i] multiplies x^i.
 type PolyFit struct {
 	Coeffs []float64
 }
 
-// FitPoly computes the least-squares polynomial of the given degree through
-// the points (xs[i], ys[i]) by solving the normal equations with Gaussian
-// elimination. The paper uses polynomial regression to predict the
-// (non-linear) delay-vs-rate relationship on the server (Section V).
-func FitPoly(xs, ys []float64, degree int) (PolyFit, error) {
-	if len(xs) != len(ys) {
-		return PolyFit{}, errors.New("estimate: mismatched sample lengths")
-	}
-	if degree < 0 {
-		return PolyFit{}, errors.New("estimate: negative degree")
-	}
-	m := degree + 1
-	if len(xs) < m {
-		return PolyFit{}, ErrSingular
-	}
-
-	// Normal equations A c = b with A[i][j] = sum x^(i+j), b[i] = sum y x^i.
-	powSums := make([]float64, 2*m-1)
-	b := make([]float64, m)
-	for k := range xs {
-		p := 1.0
-		for i := 0; i < 2*m-1; i++ {
-			powSums[i] += p
-			if i < m {
-				b[i] += ys[k] * p
-			}
-			p *= xs[k]
-		}
-	}
-	a := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		a[i] = make([]float64, m)
-		for j := 0; j < m; j++ {
-			a[i][j] = powSums[i+j]
-		}
-	}
-
-	coeffs, err := solveGauss(a, b)
-	if err != nil {
-		return PolyFit{}, err
-	}
-	return PolyFit{Coeffs: coeffs}, nil
-}
-
-// PolyFitter computes FitPoly on reusable scratch: once its buffers have
-// grown, a fit performs zero heap allocations — the regime of the server's
-// per-slot delay-model refresh. The returned PolyFit.Coeffs alias
-// fitter-owned memory and are only valid until the next Fit on the same
-// fitter. The arithmetic is identical to FitPoly (same normal equations
-// accumulated in the same order, same pivoting), so the coefficients are
-// bit-identical. Not safe for concurrent use.
+// PolyFitter computes least-squares polynomial fits on reusable scratch:
+// once its buffers have grown, a fit performs zero heap allocations — the
+// regime of the server's per-slot delay-model refresh. The returned
+// PolyFit.Coeffs alias fitter-owned memory and are only valid until the
+// next Fit on the same fitter. Not safe for concurrent use.
 type PolyFitter struct {
 	powSums []float64
 	b       []float64
@@ -110,7 +27,10 @@ type PolyFitter struct {
 	coeffs  []float64
 }
 
-// Fit is FitPoly on the fitter's scratch.
+// Fit computes the least-squares polynomial of the given degree through the
+// points (xs[i], ys[i]) by solving the normal equations with Gaussian
+// elimination. The paper uses polynomial regression to predict the
+// (non-linear) delay-vs-rate relationship on the server (Section V).
 func (f *PolyFitter) Fit(xs, ys []float64, degree int) (PolyFit, error) {
 	if len(xs) != len(ys) {
 		return PolyFit{}, errors.New("estimate: mismatched sample lengths")
@@ -120,7 +40,7 @@ func (f *PolyFitter) Fit(xs, ys []float64, degree int) (PolyFit, error) {
 	}
 	m := degree + 1
 	if len(xs) < m {
-		return PolyFit{}, ErrSingular
+		return PolyFit{}, errSingular
 	}
 
 	f.powSums = growZeroed(f.powSums, 2*m-1)
@@ -177,18 +97,9 @@ func (f PolyFit) Predict(x float64) float64 {
 	return y
 }
 
-// solveGauss solves a dense linear system with partial pivoting. It mutates
-// its arguments.
-func solveGauss(a [][]float64, b []float64) ([]float64, error) {
-	x := make([]float64, len(a))
-	if err := solveGaussInto(a, b, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// solveGaussInto is solveGauss writing the solution into caller-provided x
-// (len(x) == len(a)); it mutates a and b.
+// solveGaussInto solves a dense linear system with partial pivoting,
+// writing the solution into caller-provided x (len(x) == len(a)); it
+// mutates a and b.
 func solveGaussInto(a [][]float64, b, x []float64) error {
 	n := len(a)
 	for col := 0; col < n; col++ {
@@ -200,7 +111,7 @@ func solveGaussInto(a [][]float64, b, x []float64) error {
 			}
 		}
 		if math.Abs(a[pivot][col]) < 1e-12 {
-			return ErrSingular
+			return errSingular
 		}
 		a[col], a[pivot] = a[pivot], a[col]
 		b[col], b[pivot] = b[pivot], b[col]
@@ -231,16 +142,6 @@ type SlidingWindow struct {
 	samples []float64
 }
 
-// NewSlidingWindow returns a window holding up to capacity samples
-// (minimum 2).
-func NewSlidingWindow(capacity int) *SlidingWindow {
-	if capacity < 2 {
-		capacity = 2
-	}
-	w := WindowOver(make([]float64, capacity))
-	return &w
-}
-
 // WindowOver returns an empty window that stores its samples in buf and
 // holds up to len(buf) of them, so a caller with several windows can back
 // them all with one allocation.
@@ -258,18 +159,16 @@ func (s *SlidingWindow) Push(x float64) {
 	s.samples = append(s.samples, x)
 }
 
-// Len returns the number of stored samples.
-func (s *SlidingWindow) Len() int { return len(s.samples) }
-
 // PredictNext extrapolates the series one step ahead using a linear fit over
 // the window. With fewer than two samples it returns the last sample (or 0
 // when empty).
 //
-// It is FitLinear over the abscissae 0..n-1 evaluated at n, with the sums
-// accumulated in place in FitLinear's order, so the result is bit-identical
-// to building the xs slice and calling it — without allocating. The
-// abscissa sums are small exact integers and det = n^2(n^2-1)/12 >= 1, so
-// FitLinear's singular fallback cannot trigger here.
+// It is the ordinary-least-squares line over the abscissae 0..n-1 evaluated
+// at n, with the sums accumulated in place in the order of the tests'
+// FitLinear reference, so the result is bit-identical to building the xs
+// slice and fitting it — without allocating. The abscissa sums are small
+// exact integers and det = n^2(n^2-1)/12 >= 1, so the fit cannot be
+// singular here.
 func (s *SlidingWindow) PredictNext() float64 {
 	n := len(s.samples)
 	switch n {
@@ -289,5 +188,5 @@ func (s *SlidingWindow) PredictNext() float64 {
 	nf := float64(n)
 	slope := (nf*sxy - sx*sy) / (nf*sxx - sx*sx)
 	intercept := (sy - slope*sx) / nf
-	return LinearFit{Intercept: intercept, Slope: slope}.Predict(nf)
+	return intercept + slope*nf
 }

@@ -43,10 +43,10 @@ func TestFitLinearNoisy(t *testing.T) {
 }
 
 func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{2}); !errors.Is(err, ErrSingular) {
+	if _, err := FitLinear([]float64{1}, []float64{2}); !errors.Is(err, errSingular) {
 		t.Errorf("single sample should be singular, got %v", err)
 	}
-	if _, err := FitLinear([]float64{1, 1, 1}, []float64{2, 3, 4}); !errors.Is(err, ErrSingular) {
+	if _, err := FitLinear([]float64{1, 1, 1}, []float64{2, 3, 4}); !errors.Is(err, errSingular) {
 		t.Errorf("constant x should be singular, got %v", err)
 	}
 	if _, err := FitLinear([]float64{1, 2}, []float64{2}); err == nil {
@@ -61,7 +61,7 @@ func TestFitPolyRecoversQuadratic(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, 2*x*x-3*x+1)
 	}
-	fit, err := FitPoly(xs, ys, 2)
+	fit, err := new(PolyFitter).Fit(xs, ys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFitPolyRecoversQuadratic(t *testing.T) {
 }
 
 func TestFitPolyDegreeZero(t *testing.T) {
-	fit, err := FitPoly([]float64{1, 2, 3}, []float64{4, 6, 8}, 0)
+	fit, err := new(PolyFitter).Fit([]float64{1, 2, 3}, []float64{4, 6, 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestFitPolyDegreeZero(t *testing.T) {
 }
 
 func TestFitPolyErrors(t *testing.T) {
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2}, 2); !errors.Is(err, ErrSingular) {
+	if _, err := new(PolyFitter).Fit([]float64{1, 2}, []float64{1, 2}, 2); !errors.Is(err, errSingular) {
 		t.Errorf("too few samples should be singular, got %v", err)
 	}
-	if _, err := FitPoly([]float64{1}, []float64{1, 2}, 1); err == nil {
+	if _, err := new(PolyFitter).Fit([]float64{1}, []float64{1, 2}, 1); err == nil {
 		t.Errorf("mismatched lengths should error")
 	}
-	if _, err := FitPoly([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
+	if _, err := new(PolyFitter).Fit([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
 		t.Errorf("negative degree should error")
 	}
 }
@@ -108,7 +108,7 @@ func TestFitPolyApproximatesMM1Delay(t *testing.T) {
 		xs = append(xs, r)
 		ys = append(ys, r/(budget-r))
 	}
-	fit, err := FitPoly(xs, ys, 3)
+	fit, err := new(PolyFitter).Fit(xs, ys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestSlidingWindowPredict(t *testing.T) {
 	}
 	// Window evicts: after pushing 6, window holds 2..6 and predicts 7.
 	w.Push(6)
-	if w.Len() != 5 {
-		t.Fatalf("window length = %d, want 5", w.Len())
+	if len(w.samples) != 5 {
+		t.Fatalf("window length = %d, want 5", len(w.samples))
 	}
 	if got := w.PredictNext(); math.Abs(got-7) > 1e-9 {
 		t.Errorf("PredictNext after eviction = %v, want 7", got)
@@ -162,8 +162,8 @@ func TestSlidingWindowMinCapacity(t *testing.T) {
 	w.Push(1)
 	w.Push(2)
 	w.Push(3)
-	if w.Len() != 2 {
-		t.Errorf("capacity should clamp to 2, len = %d", w.Len())
+	if len(w.samples) != 2 {
+		t.Errorf("capacity should clamp to 2, len = %d", len(w.samples))
 	}
 }
 
@@ -228,3 +228,50 @@ func TestPredictNextDoesNotAllocate(t *testing.T) {
 }
 
 var sink float64
+
+// LinearFit holds the coefficients of y = Intercept + Slope*x.
+type LinearFit struct {
+	Intercept float64
+	Slope     float64
+}
+
+// FitLinear computes the ordinary-least-squares line through the points
+// (xs[i], ys[i]). It is the regression the paper uses per axis for 6-DoF
+// motion prediction ("The linear regression model is used to predict the
+// 6-DoF motion in the next time slot", Section IV).
+func FitLinear(xs, ys []float64) (LinearFit, error) {
+	if len(xs) != len(ys) {
+		return LinearFit{}, errors.New("estimate: mismatched sample lengths")
+	}
+	n := float64(len(xs))
+	if len(xs) < 2 {
+		return LinearFit{}, errSingular
+	}
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
+		sxx += xs[i] * xs[i]
+		sxy += xs[i] * ys[i]
+	}
+	det := n*sxx - sx*sx
+	if math.Abs(det) < 1e-12 {
+		return LinearFit{}, errSingular
+	}
+	slope := (n*sxy - sx*sy) / det
+	intercept := (sy - slope*sx) / n
+	return LinearFit{Intercept: intercept, Slope: slope}, nil
+}
+
+// Predict evaluates the fitted line at x.
+func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
+
+// NewSlidingWindow returns a window holding up to capacity samples
+// (minimum 2).
+func NewSlidingWindow(capacity int) *SlidingWindow {
+	if capacity < 2 {
+		capacity = 2
+	}
+	w := WindowOver(make([]float64, capacity))
+	return &w
+}

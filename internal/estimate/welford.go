@@ -23,12 +23,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Count returns the number of observations so far.
-func (w *Welford) Count() int { return w.n }
-
-// Mean returns the running mean, or 0 before any observation.
-func (w *Welford) Mean() float64 { return w.mean }
-
 // Variance returns the population variance (dividing by n), matching the
 // paper's sigma_n^2(T) definition. It returns 0 before the second
 // observation.
@@ -37,30 +31,4 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the unbiased sample variance (dividing by n-1).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Merge combines another Welford accumulator into w, as if all of other's
-// observations had been Added to w.
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	n1, n2 := float64(w.n), float64(other.n)
-	delta := other.mean - w.mean
-	total := n1 + n2
-	w.mean += delta * n2 / total
-	w.m2 += other.m2 + delta*delta*n1*n2/total
-	w.n += other.n
 }

@@ -169,3 +169,38 @@ func TestEMAClampAlpha(t *testing.T) {
 		t.Errorf("alpha=1 should track input, got %v", e2.Value())
 	}
 }
+
+// The accessors and merge below are the rest of Welford's textbook
+// interface; the running totals the system needs are Add and Variance.
+
+// Count returns the number of observations so far.
+func (w *Welford) Count() int { return w.n }
+
+// Mean returns the running mean, or 0 before any observation.
+func (w *Welford) Mean() float64 { return w.mean }
+
+// SampleVariance returns the unbiased sample variance (dividing by n-1).
+func (w *Welford) SampleVariance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
+// Merge combines another Welford accumulator into w, as if all of other's
+// observations had been Added to w.
+func (w *Welford) Merge(other Welford) {
+	if other.n == 0 {
+		return
+	}
+	if w.n == 0 {
+		*w = other
+		return
+	}
+	n1, n2 := float64(w.n), float64(other.n)
+	delta := other.mean - w.mean
+	total := n1 + n2
+	w.mean += delta * n2 / total
+	w.m2 += other.m2 + delta*delta*n1*n2/total
+	w.n += other.n
+}

@@ -319,7 +319,7 @@ func (c *Controller) Place(sess SessionInfo) (int, error) {
 	if !c.cluster.Available() {
 		return -1, fmt.Errorf("fleet: place session %d: %w", sess.ID, coord.ErrUnavailable)
 	}
-	to := c.Route(sess, -1, obs.PlaceArrival)
+	to := c.route(sess, -1, obs.PlaceArrival)
 	if to < 0 {
 		return -1, fmt.Errorf("fleet: no shard can accept session %d", sess.ID)
 	}
@@ -336,19 +336,19 @@ func (c *Controller) Forget(user uint32) {
 	if c.cluster.Propose(coord.Op{Kind: coord.OpForget, Session: user}) != nil {
 		c.pendingForgets = append(c.pendingForgets, user)
 	}
-	c.evac.Forget(user)
+	c.evac.forget(user)
 }
 
-// Route picks the best shard other than from and records the decision under
+// route picks the best shard other than from and records the decision under
 // reason; -1 when none can take the session. It commits nothing: an engine
 // whose handoff can fail (Live's) calls Flip once the state has landed.
-func (c *Controller) Route(sess SessionInfo, from int, reason string) int {
+func (c *Controller) route(sess SessionInfo, from int, reason string) int {
 	return c.router.Place(c.slot, sess, c.States(), reason, from)
 }
 
-// Flip commits a session's move through the log and books it; on an error
+// flip commits a session's move through the log and books it; on an error
 // nothing changed.
-func (c *Controller) Flip(user uint32, from, to int, paging bool) error {
+func (c *Controller) flip(user uint32, from, to int, paging bool) error {
 	if err := c.cluster.Propose(coord.Op{Kind: coord.OpFlip, Session: user, From: from, Shard: to}); err != nil {
 		return err
 	}
@@ -381,7 +381,7 @@ func (c *Controller) Reroute(sess SessionInfo, from int, paging bool) (to int, p
 	if !c.view[from].Alive {
 		reason = obs.PlaceShardKill
 	}
-	if to = c.Route(sess, from, reason); to >= 0 && c.Flip(sess.ID, from, to, paging) != nil {
+	if to = c.route(sess, from, reason); to >= 0 && c.flip(sess.ID, from, to, paging) != nil {
 		return -1, true
 	}
 	return to, false
@@ -421,7 +421,7 @@ func (c *Controller) ObserveDemand(shard int, mbps float64) {
 // The result is the committed shares, zero for a shard that is not accepting.
 func (c *Controller) Resplit() []float64 {
 	for i := range c.view {
-		c.accepting[i] = c.view[i].Accepting()
+		c.accepting[i] = c.view[i].accepting()
 	}
 	shares := c.rb.Shares(c.cfg.GlobalBudgetMbps, c.accepting)
 	if c.cluster.Propose(coord.Op{Kind: coord.OpBudgetSplit, Shares: shares}) != nil {
@@ -435,7 +435,7 @@ func (c *Controller) Resplit() []float64 {
 
 // Rebalance is Resplit on the rebalancer's cadence; nil off it.
 func (c *Controller) Rebalance(slot int) []float64 {
-	if !c.rb.Due(slot) {
+	if !c.rb.due(slot) {
 		return nil
 	}
 	return c.Resplit()
@@ -484,7 +484,7 @@ func (c *Controller) SampleHealth(slot int, qualSum []float64, qualCnt []int, fl
 // with no leader the hysteresis is untouched, so the batch fires once one is
 // back.
 func (c *Controller) EvacDue(shard, slot int) bool {
-	if c.evac == nil || !c.view[shard].Accepting() || !c.cluster.Available() {
+	if c.evac == nil || !c.view[shard].accepting() || !c.cluster.Available() {
 		return false
 	}
 	w := c.series[shard].pageFrac.Stats(c.evac.Config().WindowSlots)
@@ -501,7 +501,7 @@ func (c *Controller) EvacDue(shard, slot int) bool {
 // BatchSessions. It reorders and trims cands in place.
 func (c *Controller) EvacBatch(cands []EvacCandidate, slot int) []EvacCandidate {
 	cands = slices.DeleteFunc(cands, func(v EvacCandidate) bool {
-		return !c.evac.AllowSession(v.ID, int64(slot))
+		return !c.evac.allowSession(v.ID, int64(slot))
 	})
 	slices.SortStableFunc(cands, func(a, b EvacCandidate) int {
 		switch {
@@ -515,9 +515,9 @@ func (c *Controller) EvacBatch(cands []EvacCandidate, slot int) []EvacCandidate 
 	return cands[:min(len(cands), c.evac.Config().BatchSessions)]
 }
 
-// NoteEvacuated books an SLO-pressure move and starts the session's cooldown.
-func (c *Controller) NoteEvacuated(user uint32, slot int) {
-	c.evac.NoteMigration(user, int64(slot))
+// noteEvacuated books an SLO-pressure move and starts the session's cooldown.
+func (c *Controller) noteEvacuated(user uint32, slot int) {
+	c.evac.noteMigration(user, int64(slot))
 	c.evacuations++
 }
 
@@ -525,16 +525,16 @@ func (c *Controller) NoteEvacuated(user uint32, slot int) {
 // engine's: victims are routed and booked in turn, up to the first no shard
 // can take, and commit as one evac-batch log entry per target. targets[k] is
 // victims[k]'s new shard, valid until the next call. (Live migrates each
-// victim, flipping it as its state lands, then calls NoteEvacuated.)
+// victim, flipping it as its state lands, then calls noteEvacuated.)
 func (c *Controller) Evacuate(from, slot int, victims []EvacCandidate) (targets []int) {
 	c.evacTo = c.evacTo[:0]
 	for _, v := range victims {
-		to := c.Route(SessionInfo{ID: v.ID, Zone: v.Zone}, from, obs.PlaceSLOPressure)
+		to := c.route(SessionInfo{ID: v.ID, Zone: v.Zone}, from, obs.PlaceSLOPressure)
 		if to < 0 {
 			break
 		}
 		c.moved(from, to, v.Paging)
-		c.NoteEvacuated(v.ID, slot)
+		c.noteEvacuated(v.ID, slot)
 		c.evacTo = append(c.evacTo, to)
 	}
 	// One entry per distinct target, first seen first, sessions in move order.
@@ -554,33 +554,33 @@ func (c *Controller) Evacuate(from, slot int, victims []EvacCandidate) (targets 
 	return c.evacTo
 }
 
-// Available reports whether the log would accept a mutation right now.
-func (c *Controller) Available() bool { return c.cluster.Available() }
+// available reports whether the log would accept a mutation right now.
+func (c *Controller) available() bool { return c.cluster.Available() }
 
-// Owner resolves a session's shard from the cluster's read replica (it may
+// owner resolves a session's shard from the cluster's read replica (it may
 // lag during a failover; a stale shard has no session and the next lookup
 // lands on the committed owner).
-func (c *Controller) Owner(user uint32) (int, bool) { return c.cluster.Lookup(user) }
+func (c *Controller) owner(user uint32) (int, bool) { return c.cluster.Lookup(user) }
 
-// EachOwner visits every binding, in map order — sort when order matters.
-func (c *Controller) EachOwner(fn func(user uint32, shard int)) { c.cluster.Each(fn) }
+// eachOwner visits every binding, in map order — sort when order matters.
+func (c *Controller) eachOwner(fn func(user uint32, shard int)) { c.cluster.Each(fn) }
 
-// Health is the store the fleet series land in, nil when nothing asked for one.
-func (c *Controller) Health() *tsdb.Store { return c.health }
+// healthStore is the store the fleet series land in, nil when nothing asked for one.
+func (c *Controller) healthStore() *tsdb.Store { return c.health }
 
-// CoordKill crashes coordinator replica i, as a coord_kill fault does.
-func (c *Controller) CoordKill(i int) { c.cluster.Kill(i) }
+// coordKill crashes coordinator replica i, as a coord_kill fault does.
+func (c *Controller) coordKill(i int) { c.cluster.Kill(i) }
 
-// CoordStatus snapshots the cluster for /debug/coord.
-func (c *Controller) CoordStatus() coord.Status { return c.cluster.Status() }
+// coordStatus snapshots the cluster for /debug/coord.
+func (c *Controller) coordStatus() coord.Status { return c.cluster.Status() }
 
 func (c *Controller) Outcome() Outcome {
 	o := Outcome{
 		Shards:      slices.Clone(c.book),
 		Migrations:  c.migrations,
-		Rebalances:  c.rb.Rebalances(),
+		Rebalances:  c.rb.rebalanceCount(),
 		Evacuations: c.evacuations,
-		EvacBatches: c.evac.Batches(),
+		EvacBatches: c.evac.batchCount(),
 		Coord: CoordOutcome{
 			Replicas:         c.cluster.Replicas(),
 			Term:             c.cluster.Term(),
@@ -592,12 +592,12 @@ func (c *Controller) Outcome() Outcome {
 			Converged:        c.cluster.Converged(),
 		},
 		Fleet: obs.FleetSnapshot{
-			Scorer:           c.router.ScorerName(),
+			Scorer:           c.router.scorerName(),
 			GlobalBudgetMbps: c.cfg.GlobalBudgetMbps,
 			Slot:             c.slot,
-			Placements:       c.router.Placed(),
+			Placements:       c.router.placedCount(),
 			Migrations:       c.migrations,
-			Rebalances:       c.rb.Rebalances(),
+			Rebalances:       c.rb.rebalanceCount(),
 			Evacuations:      c.evacuations,
 			RingCapacity:     c.cfg.Recorder.RingCapacity(),
 			RingDropped:      c.cfg.Recorder.Dropped(),

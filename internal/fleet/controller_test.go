@@ -30,14 +30,14 @@ func testController(replicas, lease int, rec *obs.PlacementRecorder) *Controller
 func assertSingleAliveOwner(t *testing.T, c *Controller, live []uint32) {
 	t.Helper()
 	bound := 0
-	c.EachOwner(func(uint32, int) { bound++ })
+	c.eachOwner(func(uint32, int) { bound++ })
 	if bound != len(live) {
 		t.Errorf("%d bindings for %d live sessions", bound, len(live))
 	}
 	view := c.States()
 	perShard := make([]int, len(view))
 	for _, id := range live {
-		shard, ok := c.Owner(id)
+		shard, ok := c.owner(id)
 		if !ok {
 			t.Errorf("session %d has no owner", id)
 			continue
@@ -100,7 +100,7 @@ func TestControllerLeaderAndShardKilledSameSlot(t *testing.T) {
 				t.Fatalf("slot %d: unexpected shard event %+v", slot, ev)
 			}
 			for _, id := range live {
-				if shard, _ := c.Owner(id); shard != ev.Shard {
+				if shard, _ := c.owner(id); shard != ev.Shard {
 					continue
 				}
 				doomed = append(doomed, id)
@@ -124,7 +124,7 @@ func TestControllerLeaderAndShardKilledSameSlot(t *testing.T) {
 			if len(c.pendingForgets) != 1 {
 				t.Fatalf("%d departures queued in the leaderless window, want 1", len(c.pendingForgets))
 			}
-			if _, ok := c.Owner(gone); !ok {
+			if _, ok := c.owner(gone); !ok {
 				t.Error("queued departure already dropped its binding")
 			}
 			if _, err := c.Place(SessionInfo{ID: 99}); !coord.Unavailable(err) {
@@ -132,10 +132,10 @@ func TestControllerLeaderAndShardKilledSameSlot(t *testing.T) {
 			}
 		}
 		observeAll(c, live, slot)
-		if !c.Available() {
+		if !c.available() {
 			leaderless++
 			for _, id := range pending {
-				if shard, _ := c.Owner(id); shard != 1 {
+				if shard, _ := c.owner(id); shard != 1 {
 					t.Fatalf("slot %d: pending session %d changed owner to %d with no leader", slot, id, shard)
 				}
 			}
@@ -232,8 +232,8 @@ func controlScript() (*chaos.Profile, map[int]scriptSlot, int) {
 func rerouteAll(c *Controller, ids []uint32) bool {
 	moved := false
 	for _, id := range ids {
-		from, ok := c.Owner(id)
-		if !ok || c.States()[from].Accepting() {
+		from, ok := c.owner(id)
+		if !ok || c.States()[from].accepting() {
 			continue
 		}
 		if to, _ := c.Reroute(SessionInfo{ID: id}, from, false); to >= 0 {
@@ -247,7 +247,7 @@ func rerouteAll(c *Controller, ids []uint32) bool {
 func observeAll(c *Controller, live []uint32, slot int) {
 	c.ResetTallies()
 	for _, id := range live {
-		if shard, ok := c.Owner(id); ok {
+		if shard, ok := c.owner(id); ok {
 			c.Tally(shard, false)
 		}
 	}
@@ -316,7 +316,7 @@ func TestControllerEngineOrdersAgree(t *testing.T) {
 				c.Resplit()
 			}
 		}
-		if c.Available() && rerouteAll(c, simSessions) { // pending flips
+		if c.available() && rerouteAll(c, simSessions) { // pending flips
 			c.Resplit()
 		}
 		for _, id := range ev.arrive {
@@ -339,8 +339,8 @@ func TestControllerEngineOrdersAgree(t *testing.T) {
 	assertSingleAliveOwner(t, liveOrder, liveSessions)
 	assertSingleAliveOwner(t, simOrder, simSessions)
 	for _, id := range liveSessions {
-		a, _ := liveOrder.Owner(id)
-		b, _ := simOrder.Owner(id)
+		a, _ := liveOrder.owner(id)
+		b, _ := simOrder.owner(id)
 		if a != b {
 			t.Errorf("session %d: live order ends on shard %d, sim order on shard %d", id, a, b)
 		}
@@ -377,7 +377,7 @@ func TestControllerDrainEndRejoins(t *testing.T) {
 	accepting := func() []bool {
 		var out []bool
 		for _, st := range c.States() {
-			out = append(out, st.Accepting())
+			out = append(out, st.accepting())
 		}
 		return out
 	}
@@ -437,7 +437,7 @@ func TestControllerViewAllocs(t *testing.T) {
 			t.Fatalf("view counts %d sessions, want 64", sum)
 		}
 		c.SampleHealth(slot, nil, nil, 0)
-		if c.EvacDue(0, slot) || !c.Available() {
+		if c.EvacDue(0, slot) || !c.available() {
 			t.Fatal("disabled evacuation fired, or a healthy replica is unavailable")
 		}
 	})

@@ -41,10 +41,10 @@ type replica struct {
 	partUntil int64
 
 	// log[0], when present, has index snapIndex+1.
-	log       []Entry
+	log       []entry
 	snapIndex uint64
 	snapTerm  uint64
-	st        *State
+	st        *state
 }
 
 func (r *replica) lastIndex() uint64 {
@@ -71,7 +71,7 @@ func (r *replica) applyTo(idx uint64) {
 		if e.Index > idx {
 			break
 		}
-		r.st.Apply(*e)
+		r.st.apply(*e)
 	}
 }
 
@@ -126,7 +126,7 @@ func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{cfg: cfg, leader: 0}
 	for i := 0; i < cfg.Replicas; i++ {
-		c.reps = append(c.reps, &replica{id: i, alive: true, st: NewState()})
+		c.reps = append(c.reps, &replica{id: i, alive: true, st: newState()})
 	}
 	if cfg.Replicas > 1 {
 		c.term = 1
@@ -151,9 +151,6 @@ func (c *Cluster) Reserve(sessions int) {
 // Term returns the current leader term — the fencing epoch baked into
 // handoff tokens. 0 in single-replica mode.
 func (c *Cluster) Term() uint64 { return c.term }
-
-// Leader returns the current leader index (-1 while leaderless).
-func (c *Cluster) Leader() int { return c.leader }
 
 // Elections counts leader changes after bootstrap.
 func (c *Cluster) Elections() uint64 { return c.elections }
@@ -200,7 +197,7 @@ func (c *Cluster) checkPropose() error {
 		return ErrUnavailable
 	}
 	if c.connected(c.leader) < c.quorum() {
-		return ErrNoQuorum
+		return errNoQuorum
 	}
 	return nil
 }
@@ -222,13 +219,13 @@ func (c *Cluster) Propose(op Op) error {
 	c.seq++
 	if len(c.reps) == 1 {
 		r := c.reps[0]
-		r.st.Apply(Entry{Index: c.seq, Term: c.term, Op: op})
+		r.st.apply(entry{Index: c.seq, Term: c.term, Op: op})
 		r.snapIndex = c.seq
 		r.snapTerm = c.term
 		c.commits++
 		return nil
 	}
-	e := Entry{Index: c.seq, Term: c.term, Op: op}
+	e := entry{Index: c.seq, Term: c.term, Op: op}
 	// The entry owns its slices: callers reuse scratch.
 	if op.Shares != nil {
 		e.Op.Shares = append([]float64(nil), op.Shares...)
@@ -260,7 +257,7 @@ func (c *Cluster) catchUp(j int) {
 	}
 	if r.lastIndex() < ld.snapIndex {
 		// The leader no longer retains the entries j is missing.
-		r.st = ld.st.Clone()
+		r.st = ld.st.clone()
 		r.snapIndex = ld.lastIndex()
 		r.snapTerm = ld.lastTerm()
 		r.log = r.log[:0]
@@ -411,8 +408,8 @@ func (c *Cluster) Each(fn func(user uint32, shard int)) {
 	}
 }
 
-// Sessions returns the read replica's binding count.
-func (c *Cluster) Sessions() int {
+// sessions returns the read replica's binding count.
+func (c *Cluster) sessions() int {
 	r := c.readReplica()
 	if r == nil {
 		return 0
@@ -420,15 +417,10 @@ func (c *Cluster) Sessions() int {
 	return len(r.st.Owner)
 }
 
-// StateOf exposes replica i's applied state — the convergence probe of
-// FuzzCoordLog and the chaos campaigns. The returned pointer is live; do
-// not mutate.
-func (c *Cluster) StateOf(i int) *State { return c.reps[i].st }
-
 // Converged reports whether every alive replica has applied an identical
 // state — the single-owner-map invariant after a heal.
 func (c *Cluster) Converged() bool {
-	var first *State
+	var first *state
 	for _, r := range c.reps {
 		if !r.alive {
 			continue
@@ -437,7 +429,7 @@ func (c *Cluster) Converged() bool {
 			first = r.st
 			continue
 		}
-		if !first.Equal(r.st) {
+		if !first.equal(r.st) {
 			return false
 		}
 	}

@@ -35,12 +35,12 @@ import (
 	"fmt"
 )
 
-// OpKind enumerates the replicated owner-map mutations.
-type OpKind uint8
+// opKind enumerates the replicated owner-map mutations.
+type opKind uint8
 
 const (
 	// OpPlace binds an arriving session to a shard.
-	OpPlace OpKind = iota + 1
+	OpPlace opKind = iota + 1
 	// OpFlip moves a session's ownership From one shard to another — the
 	// commit point of a live migration.
 	OpFlip
@@ -54,7 +54,7 @@ const (
 )
 
 // String names the op kind for logs and the /debug/coord document.
-func (k OpKind) String() string {
+func (k opKind) String() string {
 	switch k {
 	case OpPlace:
 		return "place"
@@ -73,7 +73,7 @@ func (k OpKind) String() string {
 // Op is one owner-map mutation. Exactly the fields its kind needs are set;
 // the rest stay zero so a flip proposes with no allocation.
 type Op struct {
-	Kind    OpKind
+	Kind    opKind
 	Session uint32
 	// Shard is the target shard of place/flip/evac-batch.
 	Shard int
@@ -86,18 +86,18 @@ type Op struct {
 	Batch []uint32
 }
 
-// Entry is one committed log record.
-type Entry struct {
+// entry is one committed log record.
+type entry struct {
 	Index uint64
 	Term  uint64
 	Op    Op
 }
 
-// State is the replicated owner-map state machine: the materialized view
+// state is the replicated owner-map state machine: the materialized view
 // every replica derives by applying the committed log in order. Two
 // replicas with the same Applied index hold identical state by
 // construction — that is the invariant FuzzCoordLog hammers.
-type State struct {
+type state struct {
 	// Owner maps session → owning shard.
 	Owner map[uint32]int
 	// Shares is the last committed per-shard budget split (nil until the
@@ -107,12 +107,12 @@ type State struct {
 	Applied uint64
 }
 
-// NewState returns an empty state machine.
-func NewState() *State { return &State{Owner: make(map[uint32]int)} }
+// newState returns an empty state machine.
+func newState() *state { return &state{Owner: make(map[uint32]int)} }
 
-// Apply folds one committed entry into the state. Deterministic and
+// apply folds one committed entry into the state. Deterministic and
 // allocation-free for place/flip/forget on an existing map footprint.
-func (s *State) Apply(e Entry) {
+func (s *state) apply(e entry) {
 	switch e.Op.Kind {
 	case OpPlace, OpFlip:
 		s.Owner[e.Op.Session] = e.Op.Shard
@@ -128,9 +128,9 @@ func (s *State) Apply(e Entry) {
 	s.Applied = e.Index
 }
 
-// Clone deep-copies the state — the payload of a snapshot install.
-func (s *State) Clone() *State {
-	out := &State{
+// clone deep-copies the state — the payload of a snapshot install.
+func (s *state) clone() *state {
+	out := &state{
 		Owner:   make(map[uint32]int, len(s.Owner)),
 		Applied: s.Applied,
 	}
@@ -143,9 +143,9 @@ func (s *State) Clone() *State {
 	return out
 }
 
-// Equal reports whether two states materialize the same view (owner map,
+// equal reports whether two states materialize the same view (owner map,
 // shares, applied index) — the replica-convergence predicate.
-func (s *State) Equal(o *State) bool {
+func (s *state) equal(o *state) bool {
 	if s.Applied != o.Applied || len(s.Owner) != len(o.Owner) || len(s.Shares) != len(o.Shares) {
 		return false
 	}
@@ -162,13 +162,13 @@ func (s *State) Equal(o *State) bool {
 	return true
 }
 
-// Proposal rejections. ErrNoQuorum wraps ErrUnavailable so callers can
+// Proposal rejections. errNoQuorum wraps ErrUnavailable so callers can
 // treat both as "stall and retry" with a single errors.Is check.
 var (
 	// ErrUnavailable means no functioning leader holds the lease.
 	ErrUnavailable = errors.New("coord: no available leader")
-	// ErrNoQuorum means the leader cannot reach a majority of replicas.
-	ErrNoQuorum = fmt.Errorf("coord: quorum unreachable: %w", ErrUnavailable)
+	// errNoQuorum means the leader cannot reach a majority of replicas.
+	errNoQuorum = fmt.Errorf("coord: quorum unreachable: %w", ErrUnavailable)
 )
 
 // Unavailable reports whether err is a proposal rejection the caller

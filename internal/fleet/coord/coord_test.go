@@ -67,8 +67,8 @@ func TestProposeSteadyStateAllocs(t *testing.T) {
 func TestLeaderKillElection(t *testing.T) {
 	c := New(Config{Replicas: 3, LeaseSlots: 4})
 	c.Tick(0)
-	if c.Leader() != 0 || c.Term() != 1 {
-		t.Fatalf("bootstrap leader/term = %d/%d, want 0/1", c.Leader(), c.Term())
+	if c.leader != 0 || c.Term() != 1 {
+		t.Fatalf("bootstrap leader/term = %d/%d, want 0/1", c.leader, c.Term())
 	}
 	for u := uint32(1); u <= 5; u++ {
 		if err := c.Propose(place(u, int(u)%3)); err != nil {
@@ -82,13 +82,13 @@ func TestLeaderKillElection(t *testing.T) {
 	// The lease (renewed at slot 0, so good until slot 4) must drain first.
 	for slot := int64(1); slot < 4; slot++ {
 		c.Tick(slot)
-		if c.Leader() == 1 {
+		if c.leader == 1 {
 			t.Fatalf("election at slot %d, before the lease expired", slot)
 		}
 	}
 	c.Tick(4)
-	if c.Leader() != 1 {
-		t.Fatalf("post-election leader = %d, want 1 (lowest surviving index)", c.Leader())
+	if c.leader != 1 {
+		t.Fatalf("post-election leader = %d, want 1 (lowest surviving index)", c.leader)
 	}
 	if c.Term() != 2 {
 		t.Fatalf("post-election term = %d, want 2", c.Term())
@@ -125,7 +125,7 @@ func TestElectionDeterminism(t *testing.T) {
 				c.Kill(2)
 			}
 			c.Tick(slot)
-			leaders = append(leaders, c.Leader())
+			leaders = append(leaders, c.leader)
 			if c.Available() {
 				_ = c.Propose(place(uint32(slot), int(slot)%5))
 			}
@@ -187,7 +187,7 @@ func TestPartitionedLeaderDeposed(t *testing.T) {
 	var electedAt int64 = -1
 	for slot := int64(1); slot < 20; slot++ {
 		c.Tick(slot)
-		if c.Leader() != 0 && c.Leader() >= 0 && electedAt < 0 {
+		if c.leader != 0 && c.leader >= 0 && electedAt < 0 {
 			electedAt = slot
 		}
 	}
@@ -222,8 +222,8 @@ func TestSnapshotCatchUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.StateOf(0).Applied != 100 {
-		t.Fatalf("leader applied %d, want 100", c.StateOf(0).Applied)
+	if c.reps[0].st.Applied != 100 {
+		t.Fatalf("leader applied %d, want 100", c.reps[0].st.Applied)
 	}
 	c.Restart(2)
 	c.Tick(1)
@@ -233,8 +233,8 @@ func TestSnapshotCatchUp(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("replicas diverged after snapshot install")
 	}
-	if c.StateOf(2).Applied != 100 {
-		t.Fatalf("restarted replica applied %d, want 100", c.StateOf(2).Applied)
+	if c.reps[2].st.Applied != 100 {
+		t.Fatalf("restarted replica applied %d, want 100", c.reps[2].st.Applied)
 	}
 }
 
@@ -254,7 +254,7 @@ func TestBudgetSplitAndEvacBatch(t *testing.T) {
 	}
 	batch[0] = 99
 	for i := 0; i < 3; i++ {
-		st := c.StateOf(i)
+		st := c.reps[i].st
 		if len(st.Shares) != 3 || st.Shares[0] != 100 {
 			t.Fatalf("replica %d shares = %v, want [100 200 300]", i, st.Shares)
 		}

@@ -91,12 +91,12 @@ func FuzzCoordLog(f *testing.F) {
 			c.Tick(slot)
 		}
 		if !c.Available() {
-			t.Fatalf("fully healed cluster (n=%d) still unavailable: leader=%d term=%d", n, c.Leader(), c.Term())
+			t.Fatalf("fully healed cluster (n=%d) still unavailable: leader=%d term=%d", n, c.leader, c.Term())
 		}
 
 		// Every replica must have converged to exactly the model.
 		for i := 0; i < n; i++ {
-			st := c.StateOf(i)
+			st := c.reps[i].st
 			if !reflect.DeepEqual(st.Owner, owner) {
 				t.Fatalf("replica %d owner map diverged from committed model:\n got %v\nwant %v", i, st.Owner, owner)
 			}

@@ -1,7 +1,7 @@
 package coord
 
-// ReplicaStatus is one replica's row in the /debug/coord document.
-type ReplicaStatus struct {
+// replicaStatus is one replica's row in the /debug/coord document.
+type replicaStatus struct {
 	ID          int    `json:"id"`
 	Alive       bool   `json:"alive"`
 	Partitioned bool   `json:"partitioned"`
@@ -26,7 +26,7 @@ type Status struct {
 	Rejected         uint64          `json:"rejected"`
 	SnapshotInstalls uint64          `json:"snapshot_installs"`
 	Converged        bool            `json:"converged"`
-	Rows             []ReplicaStatus `json:"replica_status"`
+	Rows             []replicaStatus `json:"replica_status"`
 }
 
 // Status snapshots the cluster for /debug/coord. Callers must hold
@@ -39,7 +39,7 @@ func (c *Cluster) Status() Status {
 		Available:        c.Available(),
 		LeaseUntilSlot:   c.leaseUntil,
 		Slot:             c.slot,
-		Sessions:         c.Sessions(),
+		Sessions:         c.sessions(),
 		Elections:        c.elections,
 		Commits:          c.commits,
 		Rejected:         c.rejected,
@@ -47,7 +47,7 @@ func (c *Cluster) Status() Status {
 		Converged:        c.Converged(),
 	}
 	for i, r := range c.reps {
-		st.Rows = append(st.Rows, ReplicaStatus{
+		st.Rows = append(st.Rows, replicaStatus{
 			ID:          i,
 			Alive:       r.alive,
 			Partitioned: !c.reachable(i),

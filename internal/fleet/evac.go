@@ -127,10 +127,10 @@ func (e *Evacuator) Update(shard int, slot int64, pressure float64, samples int)
 	return true
 }
 
-// AllowSession reports whether a session may be migrated at slot — false
+// allowSession reports whether a session may be migrated at slot — false
 // while it is still inside the cooldown window of its previous
 // evacuation, the per-session half of the no-oscillation guarantee.
-func (e *Evacuator) AllowSession(user uint32, slot int64) bool {
+func (e *Evacuator) allowSession(user uint32, slot int64) bool {
 	if e == nil {
 		return false
 	}
@@ -138,8 +138,8 @@ func (e *Evacuator) AllowSession(user uint32, slot int64) bool {
 	return !ok || slot-last >= int64(e.cfg.CooldownSlots)
 }
 
-// NoteMigration records that a session was evacuated at slot.
-func (e *Evacuator) NoteMigration(user uint32, slot int64) {
+// noteMigration records that a session was evacuated at slot.
+func (e *Evacuator) noteMigration(user uint32, slot int64) {
 	if e == nil {
 		return
 	}
@@ -147,29 +147,29 @@ func (e *Evacuator) NoteMigration(user uint32, slot int64) {
 	e.moved++
 }
 
-// Forget drops a departed session's cooldown state.
-func (e *Evacuator) Forget(user uint32) {
+// forget drops a departed session's cooldown state.
+func (e *Evacuator) forget(user uint32) {
 	if e == nil {
 		return
 	}
 	delete(e.lastSession, user)
 }
 
-// Evacuating reports whether the shard's latch is currently set.
-func (e *Evacuator) Evacuating(shard int) bool {
+// evacuating reports whether the shard's latch is currently set.
+func (e *Evacuator) evacuating(shard int) bool {
 	return e != nil && shard >= 0 && shard < len(e.shards) && e.shards[shard].evacuating
 }
 
-// Batches returns how many evacuation batches have fired; Moved how many
+// batchCount returns how many evacuation batches have fired; Moved how many
 // sessions they migrated.
-func (e *Evacuator) Batches() int {
+func (e *Evacuator) batchCount() int {
 	if e == nil {
 		return 0
 	}
 	return e.batches
 }
 
-func (e *Evacuator) Moved() int {
+func (e *Evacuator) movedCount() int {
 	if e == nil {
 		return 0
 	}

@@ -13,11 +13,11 @@ func TestEvacuatorHysteresis(t *testing.T) {
 		t.Fatal("fired below MinSamples")
 	}
 	// Under the enter threshold: latch stays off.
-	if e.Update(1, 10, 0.29, 10) || e.Evacuating(1) {
+	if e.Update(1, 10, 0.29, 10) || e.evacuating(1) {
 		t.Fatal("latched below EnterPressure")
 	}
 	// Crossing enter: latch + first batch.
-	if !e.Update(1, 20, 0.35, 10) || !e.Evacuating(1) {
+	if !e.Update(1, 20, 0.35, 10) || !e.evacuating(1) {
 		t.Fatal("did not fire at EnterPressure")
 	}
 	// Still hot but inside cooldown: latched, no batch.
@@ -28,44 +28,44 @@ func TestEvacuatorHysteresis(t *testing.T) {
 	if !e.Update(1, 70, 0.2, 10) {
 		t.Fatal("band pressure after cooldown should fire (latch held)")
 	}
-	if !e.Evacuating(1) {
+	if !e.evacuating(1) {
 		t.Fatal("latch dropped inside the band")
 	}
 	// Below exit: latch clears, no batch.
-	if e.Update(1, 130, 0.05, 10) || e.Evacuating(1) {
+	if e.Update(1, 130, 0.05, 10) || e.evacuating(1) {
 		t.Fatal("latch survived ExitPressure")
 	}
 	// Re-entering needs the full enter threshold again.
 	if e.Update(1, 140, 0.2, 10) {
 		t.Fatal("band pressure re-latched without crossing EnterPressure")
 	}
-	if got := e.Batches(); got != 2 {
+	if got := e.batchCount(); got != 2 {
 		t.Fatalf("batches = %d, want 2", got)
 	}
 	// The untouched shard never latched.
-	if e.Evacuating(0) {
+	if e.evacuating(0) {
 		t.Fatal("shard 0 latched")
 	}
 }
 
 func TestEvacuatorSessionCooldown(t *testing.T) {
 	e := NewEvacuator(EvacConfig{Enabled: true, CooldownSlots: 100}, 1)
-	if !e.AllowSession(7, 0) {
+	if !e.allowSession(7, 0) {
 		t.Fatal("fresh session blocked")
 	}
-	e.NoteMigration(7, 10)
-	if e.AllowSession(7, 50) {
+	e.noteMigration(7, 10)
+	if e.allowSession(7, 50) {
 		t.Fatal("session re-migratable inside cooldown")
 	}
-	if !e.AllowSession(7, 110) {
+	if !e.allowSession(7, 110) {
 		t.Fatal("session still blocked after cooldown")
 	}
-	e.Forget(7)
-	if !e.AllowSession(7, 0) {
+	e.forget(7)
+	if !e.allowSession(7, 0) {
 		t.Fatal("forgotten session blocked")
 	}
-	if e.Moved() != 1 {
-		t.Fatalf("moved = %d, want 1", e.Moved())
+	if e.movedCount() != 1 {
+		t.Fatalf("moved = %d, want 1", e.movedCount())
 	}
 }
 
@@ -74,9 +74,9 @@ func TestEvacuatorDisabled(t *testing.T) {
 		t.Fatal("disabled config built a controller")
 	}
 	var e *Evacuator
-	if e.Update(0, 0, 1, 100) || e.Evacuating(0) || e.AllowSession(1, 0) || e.Batches() != 0 || e.Moved() != 0 {
+	if e.Update(0, 0, 1, 100) || e.evacuating(0) || e.allowSession(1, 0) || e.batchCount() != 0 || e.movedCount() != 0 {
 		t.Fatal("nil evacuator not inert")
 	}
-	e.NoteMigration(1, 0)
-	e.Forget(1)
+	e.noteMigration(1, 0)
+	e.forget(1)
 }

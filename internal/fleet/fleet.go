@@ -41,8 +41,8 @@ type ShardState struct {
 	PageFrac float64
 }
 
-// Accepting reports whether the shard can take a new session.
-func (s *ShardState) Accepting() bool { return s.Alive && !s.Draining }
+// accepting reports whether the shard can take a new session.
+func (s *ShardState) accepting() bool { return s.Alive && !s.Draining }
 
 // SessionInfo describes the session being placed.
 type SessionInfo struct {

@@ -49,14 +49,11 @@ type LiveConfig struct {
 	// shard's rolling page-frac window and live-migrates sessions off
 	// shards that stay hot, with hysteresis and cooldowns (see EvacConfig).
 	Evac EvacConfig
-	// Coordinators is the coordinator replica count (default 1 — a single
-	// replica, the zero-cost path; 2f+1 replicas tolerate f crashes with
-	// ownership mutations stalling at most Coord.LeaseSlots per leader
-	// loss).
-	Coordinators int
-	// Coord tunes the replicated coordinator beyond the replica count
-	// (lease length, snapshot cadence). Coordinators, when set, overrides
-	// Coord.Replicas.
+	// Coord configures the replicated coordinator: Coord.Replicas is the
+	// replica count (zero or less means 1 — a single replica, the
+	// zero-cost path; 2f+1 replicas tolerate f crashes with ownership
+	// mutations stalling at most Coord.LeaseSlots per leader loss), plus
+	// lease length and snapshot cadence.
 	Coord coord.Config
 }
 
@@ -87,9 +84,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	if cfg.Zones <= 0 {
 		cfg.Zones = cfg.Shards
-	}
-	if cfg.Coordinators > 0 {
-		cfg.Coord.Replicas = cfg.Coordinators
 	}
 	if cfg.Base.Logf == nil {
 		cfg.Base.Logf = func(string, ...any) {}
@@ -132,12 +126,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	return l, nil
 }
 
-// Shard returns shard i's server (for stats and drain orchestration).
-func (l *Live) Shard(i int) *server.Server { return l.servers[i] }
-
-// Shards returns the shard count.
-func (l *Live) Shards() int { return len(l.servers) }
-
 // ShardAddr returns shard i's control address.
 func (l *Live) ShardAddr(i int) string { return l.servers[i].ControlAddr() }
 
@@ -147,14 +135,14 @@ func (l *Live) ShardAddr(i int) string { return l.servers[i].ControlAddr() }
 // safe: the client redials, the stale shard has no session, and the next
 // re-resolve lands on the committed owner.
 func (l *Live) Addr(user uint32) string {
-	return l.servers[max(l.Owner(user), 0)].ControlAddr()
+	return l.servers[max(l.owner(user), 0)].ControlAddr()
 }
 
-// Owner returns the shard that owns the session (-1 if unplaced).
-func (l *Live) Owner(user uint32) int {
+// owner returns the shard that owns the session (-1 if unplaced).
+func (l *Live) owner(user uint32) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if shard, ok := l.ctl.Owner(user); ok {
+	if shard, ok := l.ctl.owner(user); ok {
 		return shard
 	}
 	return -1
@@ -178,13 +166,13 @@ func (l *Live) Forget(user uint32) {
 	l.mu.Unlock()
 }
 
-// Health returns the coordinator's time-series store (nil when neither
+// healthStore returns the coordinator's time-series store (nil when neither
 // LiveConfig.Health nor the evacuation loop enabled one). Mount it on
 // /debug/health via tsdb.Handler.
-func (l *Live) Health() *tsdb.Store { return l.ctl.Health() }
+func (l *Live) healthStore() *tsdb.Store { return l.ctl.healthStore() }
 
-// Evacuations reports how many sessions the SLO-pressure loop has moved.
-func (l *Live) Evacuations() int { return l.Outcome().Evacuations }
+// evacuations reports how many sessions the SLO-pressure loop has moved.
+func (l *Live) evacuations() int { return l.Outcome().Evacuations }
 
 func (l *Live) paging(user uint32) bool {
 	slo := l.cfg.Base.SLO
@@ -199,7 +187,7 @@ func (l *Live) sessionInfo(user uint32, shard int) SessionInfo {
 // map's walk is unordered; what follows must not be). Caller holds l.mu.
 func (l *Live) ownedLocked(i int) []uint32 {
 	var users []uint32
-	l.ctl.EachOwner(func(user uint32, shard int) {
+	l.ctl.eachOwner(func(user uint32, shard int) {
 		if shard == i {
 			users = append(users, user)
 		}
@@ -208,25 +196,25 @@ func (l *Live) ownedLocked(i int) []uint32 {
 	return users
 }
 
-// Migrate moves one session to the best-scoring other shard: export on the
+// migrate moves one session to the best-scoring other shard: export on the
 // source (closing its control connection, which triggers the client's
 // redial), adopt on the target, and flip ownership so the client's Redirect
 // hook resolves to the adopting shard. reason is one of the obs.Place*
 // constants. Returns the target shard.
-func (l *Live) Migrate(user uint32, reason string) (int, error) {
+func (l *Live) migrate(user uint32, reason string) (int, error) {
 	l.mu.Lock()
-	from, ok := l.ctl.Owner(user)
+	from, ok := l.ctl.owner(user)
 	if !ok {
 		l.mu.Unlock()
 		return -1, fmt.Errorf("fleet: migrate: unknown session %d", user)
 	}
-	if !l.ctl.Available() {
+	if !l.ctl.available() {
 		// Refuse to even start: an export that cannot commit its
 		// ownership flip would only be rolled back again.
 		l.mu.Unlock()
 		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, coord.ErrUnavailable)
 	}
-	to := l.ctl.Route(l.sessionInfo(user, from), from, reason)
+	to := l.ctl.route(l.sessionInfo(user, from), from, reason)
 	l.mu.Unlock()
 	if to < 0 {
 		return -1, fmt.Errorf("fleet: migrate: no shard can adopt session %d", user)
@@ -249,7 +237,7 @@ func (l *Live) Migrate(user uint32, reason string) (int, error) {
 		return -1, fmt.Errorf("fleet: migrate session %d: %w", user, err)
 	}
 	l.mu.Lock()
-	err = l.ctl.Flip(user, from, to, l.paging(user))
+	err = l.ctl.flip(user, from, to, l.paging(user))
 	l.mu.Unlock()
 	if err != nil {
 		// The flip did not commit: the source keeps the session. Undo the
@@ -281,11 +269,11 @@ func (l *Live) setBudgets(shares []float64) {
 	}
 }
 
-// KillShard abruptly kills a shard: its server closes (handoff state is
+// killShard abruptly kills a shard: its server closes (handoff state is
 // lost — a kill is a crash, not a drain) and its sessions are re-owned by
 // the survivors so the clients' Redirect hooks resolve elsewhere when their
 // reconnect fires. Returns how many were re-owned; Tick re-owns the rest.
-func (l *Live) KillShard(i int) int {
+func (l *Live) killShard(i int) int {
 	n, _ := l.shardEvent(ShardEvent{ShardKilled, i})
 	return n
 }
@@ -313,7 +301,7 @@ func (l *Live) shardEvent(ev ShardEvent) (moved int, err error) {
 		l.servers[ev.Shard].Close()
 	case ShardDrainStarted:
 		for _, user := range users {
-			if _, err = l.Migrate(user, obs.PlaceShardDrain); err != nil {
+			if _, err = l.migrate(user, obs.PlaceShardDrain); err != nil {
 				break
 			}
 			moved++
@@ -330,7 +318,7 @@ func (l *Live) shardEvent(ev ShardEvent) (moved int, err error) {
 func (l *Live) rerouteLocked(users []uint32) int {
 	replaced := 0
 	for _, user := range users {
-		from, _ := l.ctl.Owner(user)
+		from, _ := l.ctl.owner(user)
 		to, pending := l.ctl.Reroute(l.sessionInfo(user, from), from, l.paging(user))
 		if pending {
 			break
@@ -370,7 +358,7 @@ func (l *Live) Tick(slot int) {
 	l.ctl.ResetTallies()
 	var stranded []uint32
 	view := l.ctl.States()
-	l.ctl.EachOwner(func(user uint32, shard int) {
+	l.ctl.eachOwner(func(user uint32, shard int) {
 		l.ctl.Tally(shard, l.paging(user))
 		if !view[shard].Alive {
 			stranded = append(stranded, user)
@@ -413,18 +401,18 @@ func (l *Live) Tick(slot int) {
 	}
 	l.setBudgets(shares)
 	for _, v := range victims {
-		if _, err := l.Migrate(v.ID, obs.PlaceSLOPressure); err != nil {
+		if _, err := l.migrate(v.ID, obs.PlaceSLOPressure); err != nil {
 			continue
 		}
 		l.mu.Lock()
-		l.ctl.NoteEvacuated(v.ID, slot)
+		l.ctl.noteEvacuated(v.ID, slot)
 		l.mu.Unlock()
 	}
 }
 
-// Snapshot builds the /debug/fleet document with up to n recent placement
+// snapshot builds the /debug/fleet document with up to n recent placement
 // records.
-func (l *Live) Snapshot(n int) obs.FleetSnapshot {
+func (l *Live) snapshot(n int) obs.FleetSnapshot {
 	snap := l.Outcome().Fleet
 	snap.Recent = l.cfg.Recorder.Recent(n)
 	return snap
@@ -470,13 +458,13 @@ func (l *Live) Close() error {
 	return first
 }
 
-// CoordKill crashes coordinator replica i (chaos fault coord_kill). A
+// coordKill crashes coordinator replica i (chaos fault coord_kill). A
 // killed leader stalls ownership mutations until its lease drains and the
 // survivors elect; placements and migrations fail fast in the window and
 // their callers retry.
-func (l *Live) CoordKill(i int) {
+func (l *Live) coordKill(i int) {
 	l.mu.Lock()
-	l.ctl.CoordKill(i)
+	l.ctl.coordKill(i)
 	l.mu.Unlock()
 }
 
@@ -484,5 +472,5 @@ func (l *Live) CoordKill(i int) {
 func (l *Live) CoordStatus() coord.Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ctl.CoordStatus()
+	return l.ctl.coordStatus()
 }

@@ -45,26 +45,26 @@ func TestLiveMigrateRollbackOnAdoptFailure(t *testing.T) {
 		_, err := client.Run(ccfg)
 		done <- err
 	}()
-	if !l.Shard(0).WaitSession(user, 2*time.Second) {
+	if !l.servers[0].WaitSession(user, 2*time.Second) {
 		t.Fatal("session never admitted on shard 0")
 	}
 
 	// Drain shard 1's server directly: the fleet layer still scores it as
 	// a valid target, but its AdoptSession refuses — the exact mid-Migrate
 	// failure that used to strand the session flagged handed-off.
-	if !l.Shard(1).Drain(2 * time.Second) {
+	if !l.servers[1].Drain(2 * time.Second) {
 		t.Fatal("shard 1 did not drain")
 	}
-	if _, err := l.Migrate(user, obs.PlaceSLOPressure); err == nil {
+	if _, err := l.migrate(user, obs.PlaceSLOPressure); err == nil {
 		t.Fatal("migrate into a draining server succeeded, want adopt failure")
 	}
 
 	// Rollback: ownership is unchanged and the session keeps streaming on
 	// the source shard.
-	if got := l.Owner(user); got != 0 {
+	if got := l.owner(user); got != 0 {
 		t.Fatalf("Owner(%d) = %d after failed migrate, want 0", user, got)
 	}
-	if n := l.Shard(0).SessionCount(); n != 1 {
+	if n := l.servers[0].SessionCount(); n != 1 {
 		t.Fatalf("source shard has %d sessions after failed migrate, want 1", n)
 	}
 	if err := <-done; err != nil {
@@ -72,7 +72,7 @@ func TestLiveMigrateRollbackOnAdoptFailure(t *testing.T) {
 	}
 	// The session retired as a normal departure, not a handoff.
 	deadline := time.Now().Add(2 * time.Second)
-	for l.Shard(0).SessionCount() > 0 && time.Now().Before(deadline) {
+	for l.servers[0].SessionCount() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if v := reg.Counter("collabvr_server_sessions_handoff_out_total").Value(); v != 0 {
@@ -102,8 +102,7 @@ func TestLiveCoordLeaderFailover(t *testing.T) {
 		Base:             base,
 		NewAllocator:     newShardAllocator,
 		GlobalBudgetMbps: 400,
-		Coordinators:     3,
-		Coord:            coord.Config{LeaseSlots: 4},
+		Coord:            coord.Config{Replicas: 3, LeaseSlots: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestLiveCoordLeaderFailover(t *testing.T) {
 	}
 
 	// Kill the leader: mutations fail fast until the lease drains.
-	l.CoordKill(0)
+	l.coordKill(0)
 	if _, err := l.Place(SessionInfo{ID: 22}); !coord.Unavailable(err) {
 		t.Fatalf("place under dead coord leader: err = %v, want unavailable", err)
 	}
@@ -143,7 +142,7 @@ func TestLiveCoordLeaderFailover(t *testing.T) {
 		t.Fatalf("post-failover term/elections = %d/%d, want 2/1", st.Term, st.Elections)
 	}
 	// Committed ownership survived, and the registry mirrors the cluster.
-	if got := l.Owner(user); got < 0 {
+	if got := l.owner(user); got < 0 {
 		t.Fatalf("Owner(%d) lost across failover", user)
 	}
 	if v := reg.Counter("collabvr_fleet_coord_elections_total").Value(); v != 1 {
@@ -153,8 +152,8 @@ func TestLiveCoordLeaderFailover(t *testing.T) {
 		t.Fatal("rejected metric did not count the outage-window proposal")
 	}
 	// Every live shard was fenced to the new term.
-	for i := 0; i < l.Shards(); i++ {
-		if e := l.Shard(i).CoordEpoch(); e != 2 {
+	for i := 0; i < len(l.servers); i++ {
+		if e := l.servers[i].CoordEpoch(); e != 2 {
 			t.Fatalf("shard %d epoch = %d after failover, want 2", i, e)
 		}
 	}
@@ -180,15 +179,15 @@ func TestLiveCoordLeaderFailover(t *testing.T) {
 		res, err := client.Run(ccfg)
 		done <- outcome{res, err}
 	}()
-	fromShard := l.Owner(user)
-	if !l.Shard(fromShard).WaitSession(user, 2*time.Second) {
+	fromShard := l.owner(user)
+	if !l.servers[fromShard].WaitSession(user, 2*time.Second) {
 		t.Fatal("session never admitted")
 	}
-	to, err := l.Migrate(user, obs.PlaceSLOPressure)
+	to, err := l.migrate(user, obs.PlaceSLOPressure)
 	if err != nil {
 		t.Fatalf("post-failover migrate: %v", err)
 	}
-	if !l.Shard(to).WaitSession(user, 2*time.Second) {
+	if !l.servers[to].WaitSession(user, 2*time.Second) {
 		t.Fatal("session never admitted on adopting shard after post-failover migration")
 	}
 	if v := reg.Counter("collabvr_fleet_coord_fenced_total").Value(); v != 0 {
@@ -222,8 +221,7 @@ func TestLiveCoordStaleFlipFenced(t *testing.T) {
 		Base:             base,
 		NewAllocator:     newShardAllocator,
 		GlobalBudgetMbps: 400,
-		Coordinators:     3,
-		Coord:            coord.Config{LeaseSlots: 2},
+		Coord:            coord.Config{Replicas: 3, LeaseSlots: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,14 +234,14 @@ func TestLiveCoordStaleFlipFenced(t *testing.T) {
 	stale.Token = server.HandoffToken(5, 9, 0, 1)
 
 	// ...but the fleet has since elected and fenced the shards to term 2.
-	l.CoordKill(0)
+	l.coordKill(0)
 	for slot := 2; slot <= 10; slot++ {
 		l.Tick(slot)
 	}
 	if st := l.CoordStatus(); st.Term != 2 {
 		t.Fatalf("term = %d, want 2 after failover", st.Term)
 	}
-	if err := l.Shard(1).AdoptSession(stale); !errors.Is(err, server.ErrStaleEpoch) {
+	if err := l.servers[1].AdoptSession(stale); !errors.Is(err, server.ErrStaleEpoch) {
 		t.Fatalf("stale flip adopt: err = %v, want ErrStaleEpoch", err)
 	}
 	if v := reg.Counter("collabvr_fleet_coord_fenced_total").Value(); v != 1 {

@@ -57,7 +57,7 @@ func TestLiveApplyFaultsEndsBoundedDrain(t *testing.T) {
 	if s1.DrainSlot != 10 || s1.FinalBudgetMbps <= 0 {
 		t.Errorf("shard 1 outcome %+v, want a drain at slot 10 and a budget share after it ended", s1)
 	}
-	if b := l.Shard(1).Budget(); b != s1.FinalBudgetMbps {
+	if b := l.servers[1].Budget(); b != s1.FinalBudgetMbps {
 		t.Errorf("shard 1's server runs on %v Mbps, the committed share is %v", b, s1.FinalBudgetMbps)
 	}
 	if got := o.Coord.LeaderlessSlots; got != 3 {

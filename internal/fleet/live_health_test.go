@@ -80,7 +80,7 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	if !l.Shard(0).WaitSession(user, 2*time.Second) {
+	if !l.servers[0].WaitSession(user, 2*time.Second) {
 		t.Fatal("session never admitted on shard 0")
 	}
 
@@ -111,11 +111,11 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 		t.Fatalf("SLO window only %d slots before migration", slotsBefore)
 	}
 
-	to, err := l.Migrate(user, obs.PlaceSLOPressure)
+	to, err := l.migrate(user, obs.PlaceSLOPressure)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.Shard(to).WaitSession(user, 2*time.Second) {
+	if !l.servers[to].WaitSession(user, 2*time.Second) {
 		t.Fatalf("session never admitted on shard %d after migration", to)
 	}
 	for i := 0; i < 20; i++ {
@@ -154,7 +154,7 @@ func TestLiveMigrationUnderHealthSampler(t *testing.T) {
 	}
 
 	// (c) Ring accounting parity between the snapshot and the recorder.
-	snap := l.Snapshot(8)
+	snap := l.snapshot(8)
 	if snap.RingCapacity != rec.RingCapacity() || snap.RingDropped != rec.Dropped() {
 		t.Errorf("snapshot ring accounting (%d, %d) != recorder (%d, %d)",
 			snap.RingCapacity, snap.RingDropped, rec.RingCapacity(), rec.Dropped())
@@ -203,7 +203,7 @@ func TestLiveEvacuationTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.Health() == nil {
+	if l.healthStore() == nil {
 		t.Fatal("evac-enabled fleet has no health store")
 	}
 
@@ -244,8 +244,8 @@ func TestLiveEvacuationTrigger(t *testing.T) {
 	// The fake sessions do not exist on the servers, so Migrate fails after
 	// the placement decision: attempts are recorded, nothing is counted as
 	// moved.
-	if l.Evacuations() != 0 {
-		t.Errorf("Evacuations = %d for unmigratable fake sessions, want 0", l.Evacuations())
+	if l.evacuations() != 0 {
+		t.Errorf("Evacuations = %d for unmigratable fake sessions, want 0", l.evacuations())
 	}
 	// Cooldown spacing: consecutive attempt slots from shard 0 are >= 10 apart.
 	last := -100

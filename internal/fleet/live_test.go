@@ -91,7 +91,7 @@ func TestLiveMigrationWelcomeResume(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	if !l.Shard(0).WaitSession(user, 2*time.Second) {
+	if !l.servers[0].WaitSession(user, 2*time.Second) {
 		t.Fatal("session never admitted on shard 0")
 	}
 
@@ -116,17 +116,17 @@ func TestLiveMigrationWelcomeResume(t *testing.T) {
 	}
 
 	migNs := time.Now().UnixNano()
-	to, err := l.Migrate(user, obs.PlaceSLOPressure)
+	to, err := l.migrate(user, obs.PlaceSLOPressure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if to != 1 {
 		t.Fatalf("migrated to shard %d, want 1", to)
 	}
-	if !l.Shard(1).WaitSession(user, 2*time.Second) {
+	if !l.servers[1].WaitSession(user, 2*time.Second) {
 		t.Fatal("session never admitted on shard 1 after migration")
 	}
-	if got := l.Owner(user); got != 1 {
+	if got := l.owner(user); got != 1 {
 		t.Fatalf("Owner(%d) = %d after migration, want 1", user, got)
 	}
 	// Read while the session is live on the adopting shard: once the client
@@ -219,15 +219,15 @@ func TestLiveKillShardReplacesOwners(t *testing.T) {
 		}
 	}
 	// Least-loaded alternates 0,1,0,1: two sessions per shard.
-	if l.Owner(1) != 0 || l.Owner(3) != 0 || l.Owner(2) != 1 || l.Owner(4) != 1 {
-		t.Fatalf("unexpected ownership: %d %d %d %d", l.Owner(1), l.Owner(2), l.Owner(3), l.Owner(4))
+	if l.owner(1) != 0 || l.owner(3) != 0 || l.owner(2) != 1 || l.owner(4) != 1 {
+		t.Fatalf("unexpected ownership: %d %d %d %d", l.owner(1), l.owner(2), l.owner(3), l.owner(4))
 	}
 
-	if replaced := l.KillShard(0); replaced != 2 {
+	if replaced := l.killShard(0); replaced != 2 {
 		t.Fatalf("KillShard replaced %d sessions, want 2", replaced)
 	}
 	for _, id := range []uint32{1, 2, 3, 4} {
-		if got := l.Owner(id); got != 1 {
+		if got := l.owner(id); got != 1 {
 			t.Errorf("Owner(%d) = %d after kill, want 1", id, got)
 		}
 	}
@@ -263,7 +263,7 @@ func TestLiveTickRebalance(t *testing.T) {
 
 	const global = 400.0
 	half := global / 2
-	if b0, b1 := l.Shard(0).Budget(), l.Shard(1).Budget(); b0 != half || b1 != half {
+	if b0, b1 := l.servers[0].Budget(), l.servers[1].Budget(); b0 != half || b1 != half {
 		t.Fatalf("initial budgets = %v/%v, want equal halves", b0, b1)
 	}
 
@@ -276,7 +276,7 @@ func TestLiveTickRebalance(t *testing.T) {
 		l.Tick(slot)
 	}
 
-	b0, b1 := l.Shard(0).Budget(), l.Shard(1).Budget()
+	b0, b1 := l.servers[0].Budget(), l.servers[1].Budget()
 	if b0 <= b1 {
 		t.Errorf("budget after skewed rebalance: shard0=%v shard1=%v, want shard0 > shard1", b0, b1)
 	}
@@ -288,7 +288,7 @@ func TestLiveTickRebalance(t *testing.T) {
 		t.Errorf("shard1 budget %v below floor %v", b1, floor)
 	}
 
-	snap := l.Snapshot(8)
+	snap := l.snapshot(8)
 	if snap.Rebalances < 1 {
 		t.Errorf("Snapshot.Rebalances = %d, want >= 1", snap.Rebalances)
 	}

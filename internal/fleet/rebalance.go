@@ -61,22 +61,14 @@ func (rb *Rebalancer) Observe(shard int, demandMbps float64) {
 	rb.demand[shard] += rb.cfg.Alpha * (demandMbps - rb.demand[shard])
 }
 
-// Demand returns the shard's smoothed demand estimate.
-func (rb *Rebalancer) Demand(shard int) float64 {
-	if shard < 0 || shard >= len(rb.demand) {
-		return 0
-	}
-	return rb.demand[shard]
-}
-
-// Due reports whether the cadence fires at this slot (slot 0 never fires:
+// due reports whether the cadence fires at this slot (slot 0 never fires:
 // shards start from the equal split).
-func (rb *Rebalancer) Due(slot int) bool {
+func (rb *Rebalancer) due(slot int) bool {
 	return slot > 0 && slot%rb.cfg.EverySlots == 0
 }
 
-// Rebalances counts how many times Shares has been computed.
-func (rb *Rebalancer) Rebalances() int { return rb.rebalances }
+// rebalanceCount counts how many times Shares has been computed.
+func (rb *Rebalancer) rebalanceCount() int { return rb.rebalances }
 
 // Shares splits the global budget across the alive shards: every alive
 // shard gets the MinShareFrac floor of the equal split, and the remainder

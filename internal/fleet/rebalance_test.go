@@ -23,8 +23,8 @@ func TestSharesProportionalToDemandWithFloor(t *testing.T) {
 	if !(shares[0] > shares[1] && shares[1] > shares[2]) {
 		t.Fatalf("shares not demand-ordered: %v", shares)
 	}
-	if rb.Rebalances() != 1 {
-		t.Fatalf("Rebalances = %d", rb.Rebalances())
+	if rb.rebalanceCount() != 1 {
+		t.Fatalf("Rebalances = %d", rb.rebalanceCount())
 	}
 }
 
@@ -47,12 +47,12 @@ func TestSharesSkipDeadShardsAndIdleFleet(t *testing.T) {
 func TestObserveEMASmoothing(t *testing.T) {
 	rb := NewRebalancer(RebalanceConfig{Alpha: 0.5}, 1)
 	rb.Observe(0, 100) // primes directly
-	if rb.Demand(0) != 100 {
-		t.Fatalf("primed demand = %g", rb.Demand(0))
+	if rb.demand[0] != 100 {
+		t.Fatalf("primed demand = %g", rb.demand[0])
 	}
 	rb.Observe(0, 0)
-	if rb.Demand(0) != 50 {
-		t.Fatalf("EMA after 0-sample = %g, want 50", rb.Demand(0))
+	if rb.demand[0] != 50 {
+		t.Fatalf("EMA after 0-sample = %g, want 50", rb.demand[0])
 	}
 	rb.Observe(-1, 5) // out of range: ignored, no panic
 	rb.Observe(9, 5)
@@ -60,10 +60,10 @@ func TestObserveEMASmoothing(t *testing.T) {
 
 func TestDueCadence(t *testing.T) {
 	rb := NewRebalancer(RebalanceConfig{EverySlots: 120}, 2)
-	if rb.Due(0) {
+	if rb.due(0) {
 		t.Fatal("slot 0 must not rebalance")
 	}
-	if !rb.Due(120) || !rb.Due(240) || rb.Due(121) {
+	if !rb.due(120) || !rb.due(240) || rb.due(121) {
 		t.Fatal("cadence wrong")
 	}
 }

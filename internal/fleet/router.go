@@ -21,12 +21,11 @@ func NewRouter(scorer Scorer, recorder *obs.PlacementRecorder) *Router {
 	return &Router{scorer: scorer, recorder: recorder}
 }
 
-// ScorerName returns the active scorer's name.
-func (r *Router) ScorerName() string { return r.scorer.Name() }
+// scorerName returns the active scorer's name.
+func (r *Router) scorerName() string { return r.scorer.Name() }
 
-// Placed and Failed count decisions that found / failed to find a shard.
-func (r *Router) Placed() uint64 { return r.placed }
-func (r *Router) Failed() uint64 { return r.failed }
+// placedCount counts decisions that found a shard.
+func (r *Router) placedCount() uint64 { return r.placed }
 
 // Place picks the best-scoring accepting shard for the session, excluding
 // `from` (the shard being evacuated; -1 for arrivals), and records the
@@ -40,7 +39,7 @@ func (r *Router) Place(slot int, sess SessionInfo, shards []ShardState, reason s
 	record := r.recorder != nil
 	for i := range shards {
 		sh := &shards[i]
-		if !sh.Accepting() || sh.ID == from {
+		if !sh.accepting() || sh.ID == from {
 			continue
 		}
 		score := r.scorer.Score(*sh, sess)

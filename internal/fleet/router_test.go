@@ -20,8 +20,8 @@ func TestLeastLoadedPlacesOnLowestLoad(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("Place = %d, want 1 (lowest demand/budget)", got)
 	}
-	if r.Placed() != 1 || r.Failed() != 0 {
-		t.Fatalf("counters: placed=%d failed=%d", r.Placed(), r.Failed())
+	if r.placedCount() != 1 || r.failed != 0 {
+		t.Fatalf("counters: placed=%d failed=%d", r.placedCount(), r.failed)
 	}
 }
 
@@ -50,14 +50,14 @@ func TestPlaceSkipsDeadDrainingAndSource(t *testing.T) {
 	if got := r.Place(1, SessionInfo{ID: 2}, shards, obs.PlaceShardDrain, 0); got != -1 {
 		t.Fatalf("Place = %d, want -1", got)
 	}
-	if r.Failed() != 1 {
-		t.Fatalf("Failed = %d, want 1", r.Failed())
+	if r.failed != 1 {
+		t.Fatalf("Failed = %d, want 1", r.failed)
 	}
 }
 
 func TestLocalityAwarePrefersZoneUnlessOverloaded(t *testing.T) {
 	shards := threeShards()
-	r := NewRouter(LocalityAware{}, nil)
+	r := NewRouter(localityAware{}, nil)
 	// Zone 2's shard carries more load than zone 1's, but the bonus wins.
 	if got := r.Place(0, SessionInfo{ID: 1, Zone: 2, DemandMbps: 5}, shards, obs.PlaceArrival, -1); got != 2 {
 		t.Fatalf("Place = %d, want 2 (zone affinity)", got)
@@ -72,7 +72,7 @@ func TestLocalityAwarePrefersZoneUnlessOverloaded(t *testing.T) {
 func TestSLOAwareAvoidsPagingShard(t *testing.T) {
 	shards := threeShards()
 	shards[1].PageFrac = 0.8 // least-loaded shard is paging hard
-	r := NewRouter(SLOAware{}, nil)
+	r := NewRouter(sloAware{}, nil)
 	if got := r.Place(0, SessionInfo{ID: 1, DemandMbps: 5}, shards, obs.PlaceArrival, -1); got != 0 {
 		t.Fatalf("Place = %d, want 0 (burn-rate penalty repels shard 1)", got)
 	}
@@ -80,7 +80,7 @@ func TestSLOAwareAvoidsPagingShard(t *testing.T) {
 
 func TestPlaceRecordsDecision(t *testing.T) {
 	pr := obs.NewPlacementRecorder(obs.PlacementRecorderOptions{RingSize: 8})
-	r := NewRouter(SLOAware{}, pr)
+	r := NewRouter(sloAware{}, pr)
 	r.Place(42, SessionInfo{ID: 9, Zone: 1, DemandMbps: 10}, threeShards(), obs.PlaceShardDrain, 2)
 	recs := pr.Recent(1)
 	if len(recs) != 1 {

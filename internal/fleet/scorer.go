@@ -32,20 +32,20 @@ func (LeastLoaded) Score(shard ShardState, sess SessionInfo) float64 {
 	return -projectedLoad(shard, sess)
 }
 
-// LocalityAware is least-loaded with a zone-affinity bonus: a same-zone
+// localityAware is least-loaded with a zone-affinity bonus: a same-zone
 // shard wins unless it is more than ZoneBonus load units worse than the
 // best remote shard (edge placement: keep the last hop short unless the
 // local shard is badly congested).
-type LocalityAware struct {
+type localityAware struct {
 	// ZoneBonus is the score credit for a zone match (default 0.5 — a
 	// same-zone shard may carry up to 50 percentage points more load
 	// before a remote shard beats it).
 	ZoneBonus float64
 }
 
-func (LocalityAware) Name() string { return "locality" }
+func (localityAware) Name() string { return "locality" }
 
-func (s LocalityAware) Score(shard ShardState, sess SessionInfo) float64 {
+func (s localityAware) Score(shard ShardState, sess SessionInfo) float64 {
 	bonus := s.ZoneBonus
 	if bonus == 0 {
 		bonus = 0.5
@@ -57,19 +57,19 @@ func (s LocalityAware) Score(shard ShardState, sess SessionInfo) float64 {
 	return score
 }
 
-// SLOAware is least-loaded with a burn-rate penalty: shards whose sessions
+// sloAware is least-loaded with a burn-rate penalty: shards whose sessions
 // are paging their QoE SLO repel new placements proportionally, steering
 // arrivals away from a shard that is already failing its users even when
 // raw load looks acceptable.
-type SLOAware struct {
+type sloAware struct {
 	// PagePenalty scales the PageFrac penalty (default 2 — a shard with
 	// every session paging scores two full load units worse).
 	PagePenalty float64
 }
 
-func (SLOAware) Name() string { return "slo-burn" }
+func (sloAware) Name() string { return "slo-burn" }
 
-func (s SLOAware) Score(shard ShardState, sess SessionInfo) float64 {
+func (s sloAware) Score(shard ShardState, sess SessionInfo) float64 {
 	penalty := s.PagePenalty
 	if penalty == 0 {
 		penalty = 2
@@ -83,9 +83,9 @@ func ScorerByName(name string) (Scorer, error) {
 	case "", "least-loaded":
 		return LeastLoaded{}, nil
 	case "locality":
-		return LocalityAware{}, nil
+		return localityAware{}, nil
 	case "slo-burn", "slo":
-		return SLOAware{}, nil
+		return sloAware{}, nil
 	default:
 		return nil, fmt.Errorf("fleet: unknown scorer %q (want least-loaded, locality or slo-burn)", name)
 	}

@@ -25,9 +25,9 @@ import (
 	"strings"
 )
 
-// MaxLineBytes bounds a single JSONL line (4 MiB, matching the span
+// maxLineBytes bounds a single JSONL line (4 MiB, matching the span
 // reader's historical limit).
-const MaxLineBytes = 1 << 22
+const maxLineBytes = 1 << 22
 
 // Decode parses a JSONL stream of T. Blank lines are skipped. validate,
 // when non-nil, runs on each decoded record; a validation failure is
@@ -36,7 +36,7 @@ const MaxLineBytes = 1 << 22
 // a good line after it is a hard error naming the bad line's number.
 func Decode[T any](r io.Reader, validate func(*T) error) (records []T, skipped int, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), MaxLineBytes)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLineBytes)
 	line := 0
 	badLine := 0 // first line of the current run of bad lines
 	var badErr error

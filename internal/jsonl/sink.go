@@ -39,9 +39,9 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[i]
 }
 
-// Last returns a copy of the n most recent values, oldest first: nil for
+// last returns a copy of the n most recent values, oldest first: nil for
 // n <= 0, and all of them (possibly none) when n exceeds Len.
-func (r *Ring[T]) Last(n int) []T {
+func (r *Ring[T]) last(n int) []T {
 	if n <= 0 {
 		return nil
 	}
@@ -226,5 +226,5 @@ func (s *Sink[T]) Recent(n int) []T {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ring.Last(n)
+	return s.ring.last(n)
 }

@@ -32,35 +32,35 @@ func TestCounterfactualAlternatives(t *testing.T) {
 
 	var dtr PassTrace
 	dtr.TopK = 4
-	s.DensityGreedyTraced(p, &dtr)
-	wantD := []Alternative{
-		{Item: 3, Level: 2, Score: 3, Gain: 3, Reason: RejectItemCap},
-		{Item: 1, Level: 2, Score: 4.0 / 9.0, Gain: 4, Reason: RejectBudget},
-		{Item: 2, Level: 2, Score: -2, Gain: -2, Reason: RejectUnprofitable},
+	s.densityGreedy(p, &dtr)
+	wantD := []alternative{
+		{Item: 3, Level: 2, Score: 3, Gain: 3, Reason: rejectItemCap},
+		{Item: 1, Level: 2, Score: 4.0 / 9.0, Gain: 4, Reason: rejectBudget},
+		{Item: 2, Level: 2, Score: -2, Gain: -2, Reason: rejectUnprofitable},
 	}
 	checkAlternatives(t, "density", dtr.Alternatives, wantD)
 
 	var vtr PassTrace
 	vtr.TopK = 4
-	s.ValueGreedyTraced(p, &vtr)
-	wantV := []Alternative{
-		{Item: 1, Level: 2, Score: 4, Gain: 4, Reason: RejectBudget},
-		{Item: 3, Level: 2, Score: 3, Gain: 3, Reason: RejectItemCap},
-		{Item: 2, Level: 2, Score: -2, Gain: -2, Reason: RejectUnprofitable},
+	s.valueGreedy(p, &vtr)
+	wantV := []alternative{
+		{Item: 1, Level: 2, Score: 4, Gain: 4, Reason: rejectBudget},
+		{Item: 3, Level: 2, Score: 3, Gain: 3, Reason: rejectItemCap},
+		{Item: 2, Level: 2, Score: -2, Gain: -2, Reason: rejectUnprofitable},
 	}
 	checkAlternatives(t, "value", vtr.Alternatives, wantV)
 
 	// K bounds the list: only the best K survive, still in rank order.
 	dtr.TopK = 2
-	s.DensityGreedyTraced(p, &dtr)
+	s.densityGreedy(p, &dtr)
 	checkAlternatives(t, "density/k=2", dtr.Alternatives, wantD[:2])
 
 	dtr.TopK = 1
-	s.DensityGreedyTraced(p, &dtr)
+	s.densityGreedy(p, &dtr)
 	checkAlternatives(t, "density/k=1", dtr.Alternatives, wantD[:1])
 }
 
-func checkAlternatives(t *testing.T, name string, got, want []Alternative) {
+func checkAlternatives(t *testing.T, name string, got, want []alternative) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d alternatives %+v, want %d %+v", name, len(got), got, len(want), want)
@@ -81,8 +81,8 @@ func TestCounterfactualDisabledUntouched(t *testing.T) {
 
 	var off, on PassTrace
 	on.TopK = 8
-	solOff := s.DensityGreedyTraced(p, &off).Clone()
-	solOn := s.DensityGreedyTraced(p, &on)
+	solOff := s.densityGreedy(p, &off).Clone()
+	solOn := s.densityGreedy(p, &on)
 	if off.Alternatives != nil {
 		t.Fatalf("disabled pass filled Alternatives: %+v", off.Alternatives)
 	}
@@ -140,7 +140,7 @@ func TestCounterfactualExhaustedHeap(t *testing.T) {
 	var s Solver
 	var tr PassTrace
 	tr.TopK = 3
-	s.DensityGreedyTraced(p, &tr)
+	s.densityGreedy(p, &tr)
 	if len(tr.Alternatives) != 0 {
 		t.Fatalf("fully-upgraded pass recorded alternatives: %+v", tr.Alternatives)
 	}
@@ -181,11 +181,11 @@ func TestCounterfactualZeroAllocSteadyState(t *testing.T) {
 // truncation, the heap tie-break (equal score -> lower item, then lower
 // level), and the k <= 0 no-op.
 func TestInsertTopK(t *testing.T) {
-	var alts []Alternative
-	if out := insertTopK(alts, 0, Alternative{Item: 1, Score: 9}); len(out) != 0 {
+	var alts []alternative
+	if out := insertTopK(alts, 0, alternative{Item: 1, Score: 9}); len(out) != 0 {
 		t.Fatalf("k=0 inserted: %+v", out)
 	}
-	for _, a := range []Alternative{
+	for _, a := range []alternative{
 		{Item: 4, Score: 1},
 		{Item: 2, Score: 5},
 		{Item: 7, Score: 5}, // score tie: item 2 ranks first
@@ -195,7 +195,7 @@ func TestInsertTopK(t *testing.T) {
 	} {
 		alts = insertTopK(alts, 4, a)
 	}
-	want := []Alternative{
+	want := []alternative{
 		{Item: 2, Score: 5},
 		{Item: 7, Score: 5},
 		{Item: 7, Level: 2, Score: 3},

@@ -51,7 +51,7 @@ func (p *Problem) DynamicProgram(resolution float64) Solution {
 		for b := 0; b < cells; b++ {
 			best[b] = minusInf
 		}
-		for level := 1; level <= it.Levels(); level++ {
+		for level := 1; level <= it.levels(); level++ {
 			w := it.Weights[level-1]
 			if level > 1 && w > it.Cap {
 				break // weights non-decreasing: higher levels fail too

@@ -91,8 +91,8 @@ func FuzzGreedy(f *testing.F) {
 			t.Fatalf("picked %v != reference %v", gotTr.Picked, refTr.Picked)
 		}
 		checkFeasible(t, p, got, "fuzz solver")
-		equalSolutions(t, p.referenceGreedy(byDensity, nil), s.DensityGreedy(p), "fuzz density")
-		equalSolutions(t, p.referenceGreedy(byValue, nil), s.ValueGreedy(p), "fuzz value")
+		equalSolutions(t, p.referenceGreedy(byDensity, nil), s.densityGreedy(p, nil), "fuzz density")
+		equalSolutions(t, p.referenceGreedy(byValue, nil), s.valueGreedy(p, nil), "fuzz value")
 	})
 }
 

@@ -81,7 +81,7 @@ func checkFeasible(t *testing.T, p *Problem, sol Solution, who string) {
 	t.Helper()
 	upgraded := false
 	for i, l := range sol.Levels {
-		if l < 1 || l > p.Items[i].Levels() {
+		if l < 1 || l > p.Items[i].levels() {
 			t.Fatalf("%s: item %d at out-of-range level %d", who, i, l)
 		}
 		if l > 1 {

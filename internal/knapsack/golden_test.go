@@ -207,8 +207,8 @@ func TestGoldenCorpus(t *testing.T) {
 
 		// The heap solver must reproduce the recorded legacy decisions.
 		var dtr, vtr PassTrace
-		equalGoldenPass(t, c.Name, "solver-density", c.Density, s.DensityGreedyTraced(p, &dtr), dtr)
-		equalGoldenPass(t, c.Name, "solver-value", c.Value, s.ValueGreedyTraced(p, &vtr), vtr)
+		equalGoldenPass(t, c.Name, "solver-density", c.Density, s.densityGreedy(p, &dtr), dtr)
+		equalGoldenPass(t, c.Name, "solver-value", c.Value, s.valueGreedy(p, &vtr), vtr)
 		var ctr CombinedTrace
 		comb := s.CombinedTraced(p, &ctr)
 		if ctr.Picked.String() != c.Picked {

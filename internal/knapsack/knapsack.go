@@ -21,11 +21,7 @@
 // total order.
 package knapsack
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Item is one user's quality ladder. Values[l] and Weights[l] are the
 // objective value h_n(l+1) and required rate f^R(l+1) of quality level l+1;
@@ -40,30 +36,13 @@ type Item struct {
 	Cap     float64
 }
 
-// Levels returns the number of quality levels of the item.
-func (it Item) Levels() int { return len(it.Values) }
+// levels returns the number of quality levels of the item.
+func (it Item) levels() int { return len(it.Values) }
 
 // Problem is a per-slot allocation instance.
 type Problem struct {
 	Items  []Item
 	Budget float64 // shared budget B(t)
-}
-
-// Validate reports structural problems with the instance.
-func (p *Problem) Validate() error {
-	if len(p.Items) == 0 {
-		return errors.New("knapsack: no items")
-	}
-	for i, it := range p.Items {
-		if len(it.Values) == 0 {
-			return fmt.Errorf("knapsack: item %d has no levels", i)
-		}
-		if len(it.Values) != len(it.Weights) {
-			return fmt.Errorf("knapsack: item %d has %d values but %d weights",
-				i, len(it.Values), len(it.Weights))
-		}
-	}
-	return nil
 }
 
 // Solution is an assignment of one level (1-based) per item.
@@ -147,61 +126,61 @@ func betterCandidate(score float64, item int, bestScore float64, bestItem int) b
 	return item < bestItem
 }
 
-// RejectReason identifies the constraint a quality_verification check found
+// rejectReason identifies the constraint a quality_verification check found
 // violated.
-type RejectReason uint8
+type rejectReason uint8
 
 const (
-	// RejectItemCap is the per-item cap check f^R(q) > B_n(t).
-	RejectItemCap RejectReason = iota + 1
-	// RejectBudget is the shared-budget check sum f^R > B(t).
-	RejectBudget
+	// rejectItemCap is the per-item cap check f^R(q) > B_n(t).
+	rejectItemCap rejectReason = iota + 1
+	// rejectBudget is the shared-budget check sum f^R > B(t).
+	rejectBudget
 	// RejectUnprofitable marks a counterfactual upgrade that was never
 	// attempted because its marginal score was negative when the greedy loop
 	// terminated ("if eta < 0 then I = {}"). It never appears in Rejections
 	// — only in the counterfactual Alternatives of a pass.
-	RejectUnprofitable
+	rejectUnprofitable
 )
 
 // String names the violated constraint.
-func (r RejectReason) String() string {
+func (r rejectReason) String() string {
 	switch r {
-	case RejectItemCap:
+	case rejectItemCap:
 		return "user-cap"
-	case RejectBudget:
+	case rejectBudget:
 		return "budget"
-	case RejectUnprofitable:
+	case rejectUnprofitable:
 		return "unprofitable"
 	default:
 		return "unknown"
 	}
 }
 
-// Rejection is one reverted upgrade: quality_verification refused moving
+// rejection is one reverted upgrade: quality_verification refused moving
 // Item to Level because of Reason.
-type Rejection struct {
+type rejection struct {
 	Item   int
 	Level  int // the attempted (refused) level, 1-based
-	Reason RejectReason
+	Reason rejectReason
 }
 
-// Alternative is one unchosen upgrade surfaced by a greedy pass: raising
+// alternative is one unchosen upgrade surfaced by a greedy pass: raising
 // Item to Level (1-based) would have added Gain objective value, but the
 // pass did not take it for Reason. Score is the pass's marginal ranking
 // score (dV/dW for the density pass, dV for the value pass) — the same
 // number the heap ordered candidates by, so alternatives are directly
 // comparable with the upgrades that did win.
-type Alternative struct {
+type alternative struct {
 	Item   int
 	Level  int // the forgone (not taken) level, 1-based
 	Score  float64
 	Gain   float64 // dV of the forgone upgrade
-	Reason RejectReason
+	Reason rejectReason
 }
 
 // altBefore orders alternatives the way the heap ordered candidates:
 // higher score first, ties to the lower item index, then the lower level.
-func altBefore(a, b Alternative) bool {
+func altBefore(a, b alternative) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
 	}
@@ -215,7 +194,7 @@ func altBefore(a, b Alternative) bool {
 // result to k entries. It shifts in place and appends at most once, so a
 // caller reusing alts across solves reaches zero allocations once the
 // slice's capacity has grown to k.
-func insertTopK(alts []Alternative, k int, a Alternative) []Alternative {
+func insertTopK(alts []alternative, k int, a alternative) []alternative {
 	if k <= 0 {
 		return alts
 	}
@@ -245,16 +224,16 @@ func insertTopK(alts []Alternative, k int, a Alternative) []Alternative {
 // engines either way.
 type PassTrace struct {
 	Upgrades     int
-	Rejections   []Rejection
+	Rejections   []rejection
 	TopK         int
-	Alternatives []Alternative
+	Alternatives []alternative
 }
 
 // Branch identifies which greedy pass Combined returned.
 type Branch uint8
 
 const (
-	BranchNone Branch = iota
+	_ Branch = iota
 	BranchDensity
 	BranchValue
 )
@@ -287,7 +266,7 @@ func (p *Problem) referenceGreedy(kind greedyKind, tr *PassTrace) Solution {
 	active := make([]bool, len(p.Items))
 	numActive := 0
 	for i, it := range p.Items {
-		if it.Levels() > 1 {
+		if it.levels() > 1 {
 			active[i] = true
 			numActive++
 		}
@@ -318,7 +297,7 @@ func (p *Problem) referenceGreedy(kind greedyKind, tr *PassTrace) Solution {
 		sol.Value += it.Values[old] - it.Values[old-1]
 		sol.Weight += it.Weights[old] - it.Weights[old-1]
 
-		if sol.Levels[best] == it.Levels() {
+		if sol.Levels[best] == it.levels() {
 			active[best] = false
 			numActive--
 		}
@@ -326,12 +305,12 @@ func (p *Problem) referenceGreedy(kind greedyKind, tr *PassTrace) Solution {
 		if capViolated || sol.Weight > p.Budget {
 			// Revert the upgrade and retire the item.
 			if tr != nil {
-				reason := RejectBudget
+				reason := rejectBudget
 				if capViolated {
-					reason = RejectItemCap
+					reason = rejectItemCap
 				}
 				tr.Rejections = append(tr.Rejections,
-					Rejection{Item: best, Level: sol.Levels[best], Reason: reason})
+					rejection{Item: best, Level: sol.Levels[best], Reason: reason})
 			}
 			sol.Value -= it.Values[old] - it.Values[old-1]
 			sol.Weight -= it.Weights[old] - it.Weights[old-1]
@@ -360,7 +339,7 @@ func (p *Problem) DensityGreedy() Solution { return p.DensityGreedyTraced(nil) }
 // allowed and traces nothing).
 func (p *Problem) DensityGreedyTraced(tr *PassTrace) Solution {
 	s := solverPool.Get().(*Solver)
-	sol := s.DensityGreedyTraced(p, tr).Clone()
+	sol := s.densityGreedy(p, tr).Clone()
 	solverPool.Put(s)
 	return sol
 }
@@ -373,7 +352,7 @@ func (p *Problem) ValueGreedy() Solution { return p.ValueGreedyTraced(nil) }
 // and traces nothing).
 func (p *Problem) ValueGreedyTraced(tr *PassTrace) Solution {
 	s := solverPool.Get().(*Solver)
-	sol := s.ValueGreedyTraced(p, tr).Clone()
+	sol := s.valueGreedy(p, tr).Clone()
 	solverPool.Put(s)
 	return sol
 }
@@ -381,11 +360,11 @@ func (p *Problem) ValueGreedyTraced(tr *PassTrace) Solution {
 // Combined is Algorithm 1 of the paper: run both greedy passes and return
 // the better solution. By Theorem 1 its value is at least half the optimum
 // when values are concave and weights convex.
-func (p *Problem) Combined() Solution { return p.CombinedTraced(nil) }
+func (p *Problem) Combined() Solution { return p.combinedTraced(nil) }
 
-// CombinedTraced is Combined with a decision trace: both passes are traced
+// combinedTraced is Combined with a decision trace: both passes are traced
 // and Picked records which one was returned (nil tr traces nothing).
-func (p *Problem) CombinedTraced(tr *CombinedTrace) Solution {
+func (p *Problem) combinedTraced(tr *CombinedTrace) Solution {
 	s := solverPool.Get().(*Solver)
 	sol := s.CombinedTraced(p, tr).Clone()
 	solverPool.Put(s)
@@ -397,7 +376,7 @@ func (p *Problem) CombinedTraced(tr *CombinedTrace) Solution {
 // tests and for regenerating the golden corpus.
 func (p *Problem) ReferenceCombined() Solution { return p.ReferenceCombinedTraced(nil) }
 
-// ReferenceCombinedTraced is CombinedTraced on the original rescan engine.
+// ReferenceCombinedTraced is combinedTraced on the original rescan engine.
 func (p *Problem) ReferenceCombinedTraced(tr *CombinedTrace) Solution {
 	var dtr, vtr *PassTrace
 	if tr != nil {
@@ -445,7 +424,7 @@ func (p *Problem) BruteForce() Solution {
 			return
 		}
 		it := p.Items[i]
-		for l := 1; l <= it.Levels(); l++ {
+		for l := 1; l <= it.levels(); l++ {
 			w := it.Weights[l-1]
 			if l > 1 && w > it.Cap {
 				break // weights are non-decreasing; higher levels fail too
@@ -487,7 +466,7 @@ func (p *Problem) FractionalBound() float64 {
 		best := upgrade{item: -1}
 		for i, it := range p.Items {
 			l := levels[i]
-			if l >= it.Levels() {
+			if l >= it.levels() {
 				continue
 			}
 			if it.Weights[l] > it.Cap {

@@ -1,6 +1,8 @@
 package knapsack
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -336,7 +338,7 @@ func TestFractionalBoundPartialUpgrade(t *testing.T) {
 func TestTracedPassesMatchUntraced(t *testing.T) {
 	p := paperCase2()
 	var tr CombinedTrace
-	traced := p.CombinedTraced(&tr)
+	traced := p.combinedTraced(&tr)
 	plain := p.Combined()
 	if traced.Value != plain.Value || traced.Weight != plain.Weight {
 		t.Errorf("traced = %+v, plain = %+v", traced, plain)
@@ -371,7 +373,7 @@ func TestTraceRecordsBudgetRejection(t *testing.T) {
 		t.Fatalf("rejections = %+v, want exactly one", tr.Rejections)
 	}
 	rej := tr.Rejections[0]
-	if rej.Reason != RejectBudget || rej.Level != 2 {
+	if rej.Reason != rejectBudget || rej.Level != 2 {
 		t.Errorf("rejection = %+v, want budget at level 2", rej)
 	}
 	if rej.Reason.String() != "budget" {
@@ -396,17 +398,34 @@ func TestTraceRecordsCapRejection(t *testing.T) {
 	if tr.Upgrades != 0 || len(tr.Rejections) != 1 {
 		t.Fatalf("trace = %+v", tr)
 	}
-	if got := tr.Rejections[0]; got.Reason != RejectItemCap || got.Reason.String() != "user-cap" {
+	if got := tr.Rejections[0]; got.Reason != rejectItemCap || got.Reason.String() != "user-cap" {
 		t.Errorf("rejection = %+v, want user-cap", got)
 	}
 }
 
 func TestTraceNilIsAccepted(t *testing.T) {
 	p := paperCase2()
-	a := p.CombinedTraced(nil)
+	a := p.combinedTraced(nil)
 	b := p.DensityGreedyTraced(nil)
 	c := p.ValueGreedyTraced(nil)
 	if a.Value < b.Value || a.Value < c.Value {
 		t.Errorf("combined %v below a pass (%v, %v)", a.Value, b.Value, c.Value)
 	}
+}
+
+// Validate reports structural problems with the instance.
+func (p *Problem) Validate() error {
+	if len(p.Items) == 0 {
+		return errors.New("knapsack: no items")
+	}
+	for i, it := range p.Items {
+		if len(it.Values) == 0 {
+			return fmt.Errorf("knapsack: item %d has no levels", i)
+		}
+		if len(it.Values) != len(it.Weights) {
+			return fmt.Errorf("knapsack: item %d has %d values but %d weights",
+				i, len(it.Values), len(it.Weights))
+		}
+	}
+	return nil
 }

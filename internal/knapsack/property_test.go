@@ -105,8 +105,8 @@ func TestPropertyEverySolverFeasible(t *testing.T) {
 					p = randomArbitraryProblem(rng, 1+rng.Intn(tbl.maxN), 1+rng.Intn(tbl.maxL))
 				}
 				checkFeasible(t, p, s.Combined(p), "solver-combined")
-				checkFeasible(t, p, s.DensityGreedy(p), "solver-density")
-				checkFeasible(t, p, s.ValueGreedy(p), "solver-value")
+				checkFeasible(t, p, s.densityGreedy(p, nil), "solver-density")
+				checkFeasible(t, p, s.valueGreedy(p, nil), "solver-value")
 				checkFeasible(t, p, p.ReferenceCombined(), "reference-combined")
 				checkFeasible(t, p, p.DynamicProgram(p.Budget/512), "dp")
 				if tbl.bruteForceAble {

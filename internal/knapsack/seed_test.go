@@ -134,23 +134,23 @@ func TestSeedKeyOrder(t *testing.T) {
 // running out — the pending upgrade of every item neither rejected nor at
 // its top level. That second part is the walked-away set, which the Solver
 // has to collect from its unread seed and its heap together.
-func wantAlternatives(p *Problem, kind greedyKind, sol Solution, tr PassTrace, k int) []Alternative {
-	var all []Alternative
+func wantAlternatives(p *Problem, kind greedyKind, sol Solution, tr PassTrace, k int) []alternative {
+	var all []alternative
 	retired := make(map[int]bool)
 	for _, r := range tr.Rejections {
 		it := &p.Items[r.Item]
 		retired[r.Item] = true
-		all = append(all, Alternative{
+		all = append(all, alternative{
 			Item: r.Item, Level: r.Level, Score: upgradeScore(it, r.Level-1, kind),
 			Gain: it.Values[r.Level-1] - it.Values[r.Level-2], Reason: r.Reason,
 		})
 	}
 	for i := range p.Items {
 		it := &p.Items[i]
-		if l := sol.Levels[i]; !retired[i] && l < it.Levels() {
-			all = append(all, Alternative{
+		if l := sol.Levels[i]; !retired[i] && l < it.levels() {
+			all = append(all, alternative{
 				Item: i, Level: l + 1, Score: upgradeScore(it, l, kind),
-				Gain: it.Values[l] - it.Values[l-1], Reason: RejectUnprofitable,
+				Gain: it.Values[l] - it.Values[l-1], Reason: rejectUnprofitable,
 			})
 		}
 	}
@@ -274,7 +274,7 @@ func TestSeedNaNScoreTerminates(t *testing.T) {
 		tr.Density.TopK, tr.Value.TopK = 3, 3
 		sol := s.CombinedTraced(p, &tr)
 		for i, l := range sol.Levels {
-			if l < 1 || l > p.Items[i].Levels() {
+			if l < 1 || l > p.Items[i].levels() {
 				t.Fatalf("n=%d: item %d at out-of-range level %d", n, i, l)
 			}
 		}

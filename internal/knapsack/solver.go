@@ -227,7 +227,7 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 	seed := s.seed[:0]
 	for i := 0; i < n; i++ {
 		it := &p.Items[i]
-		if it.Levels() > 1 {
+		if it.levels() > 1 {
 			seed = append(seed, heapEntry{score: upgradeScore(it, 1, kind), item: int32(i)})
 		}
 	}
@@ -252,24 +252,24 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 			if capture {
 				old := levels[int(e.item)]
 				it := &p.Items[int(e.item)]
-				tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, Alternative{
+				tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, alternative{
 					Item:   int(e.item),
 					Level:  old + 1,
 					Score:  e.score,
 					Gain:   it.Values[old] - it.Values[old-1],
-					Reason: RejectUnprofitable,
+					Reason: rejectUnprofitable,
 				})
 				for _, pending := range [2][]heapEntry{seed, h} {
 					for _, f := range pending {
 						i := int(f.item)
 						old := levels[i]
 						it := &p.Items[i]
-						tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, Alternative{
+						tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, alternative{
 							Item:   i,
 							Level:  old + 1,
 							Score:  f.score,
 							Gain:   it.Values[old] - it.Values[old-1],
-							Reason: RejectUnprofitable,
+							Reason: rejectUnprofitable,
 						})
 					}
 				}
@@ -291,14 +291,14 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 		if capViolated || weight > p.Budget {
 			// Revert the upgrade and retire the item (no re-push).
 			if tr != nil {
-				reason := RejectBudget
+				reason := rejectBudget
 				if capViolated {
-					reason = RejectItemCap
+					reason = rejectItemCap
 				}
 				tr.Rejections = append(tr.Rejections,
-					Rejection{Item: i, Level: old + 1, Reason: reason})
+					rejection{Item: i, Level: old + 1, Reason: reason})
 				if capture {
-					tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, Alternative{
+					tr.Alternatives = insertTopK(tr.Alternatives, tr.TopK, alternative{
 						Item:   i,
 						Level:  old + 1,
 						Score:  e.score,
@@ -315,7 +315,7 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 		if tr != nil {
 			tr.Upgrades++
 		}
-		if old+1 < it.Levels() {
+		if old+1 < it.levels() {
 			h = heapPush(h, heapEntry{score: upgradeScore(it, old+1, kind), item: e.item})
 		}
 	}
@@ -323,21 +323,15 @@ func (s *Solver) run(p *Problem, kind greedyKind, buf *[]int, tr *PassTrace) Sol
 	return Solution{Levels: levels, Value: value, Weight: weight}
 }
 
-// DensityGreedy runs the density-greedy pass on solver scratch.
-func (s *Solver) DensityGreedy(p *Problem) Solution { return s.run(p, byDensity, &s.bufD, nil) }
-
-// DensityGreedyTraced is DensityGreedy with a decision trace (nil tr
-// traces nothing).
-func (s *Solver) DensityGreedyTraced(p *Problem, tr *PassTrace) Solution {
+// densityGreedy runs the density-greedy pass on solver scratch with a
+// decision trace (nil tr traces nothing).
+func (s *Solver) densityGreedy(p *Problem, tr *PassTrace) Solution {
 	return s.run(p, byDensity, &s.bufD, tr)
 }
 
-// ValueGreedy runs the value-greedy pass on solver scratch.
-func (s *Solver) ValueGreedy(p *Problem) Solution { return s.run(p, byValue, &s.bufV, nil) }
-
-// ValueGreedyTraced is ValueGreedy with a decision trace (nil tr traces
-// nothing).
-func (s *Solver) ValueGreedyTraced(p *Problem, tr *PassTrace) Solution {
+// valueGreedy runs the value-greedy pass on solver scratch with a
+// decision trace (nil tr traces nothing).
+func (s *Solver) valueGreedy(p *Problem, tr *PassTrace) Solution {
 	return s.run(p, byValue, &s.bufV, tr)
 }
 

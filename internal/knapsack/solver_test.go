@@ -29,12 +29,12 @@ func TestSolverMatchesReference(t *testing.T) {
 
 				var refD, gotD PassTrace
 				equalSolutions(t, p.referenceGreedy(byDensity, &refD),
-					s.DensityGreedyTraced(p, &gotD), "density")
+					s.densityGreedy(p, &gotD), "density")
 				equalPassTraces(t, refD, gotD, "density")
 
 				var refV, gotV PassTrace
 				equalSolutions(t, p.referenceGreedy(byValue, &refV),
-					s.ValueGreedyTraced(p, &gotV), "value")
+					s.valueGreedy(p, &gotV), "value")
 				equalPassTraces(t, refV, gotV, "value")
 
 				checkFeasible(t, p, got, "solver")
@@ -85,8 +85,8 @@ func TestTieBreakDeterministic(t *testing.T) {
 	}{
 		{"reference/density", func(tr *PassTrace) Solution { return p.referenceGreedy(byDensity, tr) }},
 		{"reference/value", func(tr *PassTrace) Solution { return p.referenceGreedy(byValue, tr) }},
-		{"solver/density", func(tr *PassTrace) Solution { return s.DensityGreedyTraced(p, tr) }},
-		{"solver/value", func(tr *PassTrace) Solution { return s.ValueGreedyTraced(p, tr) }},
+		{"solver/density", func(tr *PassTrace) Solution { return s.densityGreedy(p, tr) }},
+		{"solver/value", func(tr *PassTrace) Solution { return s.valueGreedy(p, tr) }},
 	} {
 		var tr PassTrace
 		sol := run.solve(&tr)
@@ -100,7 +100,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 
 	// Larger all-tied instance: upgrades must fill items in index order.
 	big := exactTieProblem(6, 3)
-	sol := s.DensityGreedy(big)
+	sol := s.densityGreedy(big, nil)
 	want := []int{2, 2, 2, 1, 1, 1}
 	for i := range want {
 		if sol.Levels[i] != want[i] {

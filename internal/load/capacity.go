@@ -9,8 +9,8 @@ import (
 // aggregate deadline-miss rate it measured.
 type ProbeFunc func(n int) (missRate float64, err error)
 
-// ProbeSample is one capacity-search measurement.
-type ProbeSample struct {
+// probeSample is one capacity-search measurement.
+type probeSample struct {
 	Sessions int
 	MissRate float64
 	OK       bool // miss rate at or below target
@@ -22,7 +22,7 @@ type CapacityResult struct {
 	// stayed at or below Target (0 if even Lo failed).
 	MaxSessions int
 	Target      float64
-	Probes      []ProbeSample
+	Probes      []probeSample
 	// CappedAtHi reports that every probe up to the search ceiling passed,
 	// so the true capacity lies at or above MaxSessions.
 	CappedAtHi bool
@@ -66,7 +66,7 @@ func FindCapacity(lo, hi int, target float64, probe ProbeFunc) (*CapacityResult,
 			return false, fmt.Errorf("load: probe at %d sessions: %w", n, err)
 		}
 		ok := miss <= target
-		res.Probes = append(res.Probes, ProbeSample{Sessions: n, MissRate: miss, OK: ok})
+		res.Probes = append(res.Probes, probeSample{Sessions: n, MissRate: miss, OK: ok})
 		return ok, nil
 	}
 

@@ -59,9 +59,20 @@ type FleetSimConfig struct {
 	// loss).
 	Coordinators int
 	// Coord tunes the replicated coordinator beyond the replica count
-	// (lease length, snapshot cadence). Coordinators overrides
-	// Coord.Replicas.
+	// (lease length, snapshot cadence). A Coord.Replicas set without
+	// Coordinators is the count; withDefaults folds the two into one.
 	Coord coord.Config
+}
+
+// foldReplicas returns the one coordinator replica count a fleet config
+// carries — coordinators when set, else c.Replicas, else 1 — and writes it
+// back into c, so the profile check and the cluster see the same count.
+func foldReplicas(coordinators int, c *coord.Config) int {
+	if coordinators <= 0 {
+		coordinators = max(c.Replicas, 1)
+	}
+	c.Replicas = coordinators
+	return coordinators
 }
 
 func (c FleetSimConfig) withDefaults() FleetSimConfig {
@@ -78,10 +89,7 @@ func (c FleetSimConfig) withDefaults() FleetSimConfig {
 	if c.MigrationOutageSlots < 0 {
 		c.MigrationOutageSlots = 0
 	}
-	if c.Coordinators <= 0 {
-		c.Coordinators = 1
-	}
-	c.Coord.Replicas = c.Coordinators
+	c.Coordinators = foldReplicas(c.Coordinators, &c.Coord)
 	return c
 }
 
@@ -366,7 +374,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 			Algorithm:      sim.AllocName,
 			HorizonSlots:   horizon,
 			Spawned:        len(w.Sessions),
-			PeakConcurrent: w.PeakConcurrent(),
+			PeakConcurrent: w.peakConcurrent(),
 		},
 		Scorer: scorer.Name(),
 	}
@@ -377,7 +385,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	// they do not grow.
 	peak := report.PeakConcurrent
 	ctl.Reserve(peak)
-	report.Outcomes = make([]SessionOutcome, 0, len(w.Sessions))
+	report.Outcomes = make([]sessionOutcome, 0, len(w.Sessions))
 	shards := make([]fleetShard, cfg.Shards)
 	for i := range shards {
 		shards[i].alloc = sim.NewAllocator()

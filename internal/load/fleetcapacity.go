@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// FleetProbeFunc runs one fleet load probe: n concurrent sessions across
+// fleetProbeFunc runs one fleet load probe: n concurrent sessions across
 // the given shard count at the given global budget, returning the
 // aggregate deadline-miss rate.
-type FleetProbeFunc func(n, shards int, globalBudgetMbps float64) (float64, error)
+type fleetProbeFunc func(n, shards int, globalBudgetMbps float64) (float64, error)
 
 // FleetCapacityResult pairs the two knees a fleet operator sizes against:
 // what the whole fleet sustains, and what one shard sustains on its equal
@@ -24,9 +24,9 @@ type FleetCapacityResult struct {
 	PerShard *CapacityResult
 }
 
-// PoolingEfficiency is fleet capacity over shards x per-shard capacity
+// poolingEfficiency is fleet capacity over shards x per-shard capacity
 // (0 when either search bottomed out).
-func (r *FleetCapacityResult) PoolingEfficiency() float64 {
+func (r *FleetCapacityResult) poolingEfficiency() float64 {
 	if r.Fleet == nil || r.PerShard == nil || r.PerShard.MaxSessions == 0 {
 		return 0
 	}
@@ -43,7 +43,7 @@ func (r *FleetCapacityResult) Format() string {
 	fmt.Fprintf(&b, "## per-shard knee (1 shard at %.1f Mbps)\n",
 		r.GlobalBudgetMbps/float64(r.Shards))
 	b.WriteString(r.PerShard.Format())
-	if eff := r.PoolingEfficiency(); eff > 0 {
+	if eff := r.poolingEfficiency(); eff > 0 {
 		fmt.Fprintf(&b, "pooling efficiency: %.2f (fleet %d vs %d x per-shard %d)\n",
 			eff, r.Fleet.MaxSessions, r.Shards, r.PerShard.MaxSessions)
 	}
@@ -55,7 +55,7 @@ func (r *FleetCapacityResult) Format() string {
 // equal slice. The per-shard search scales the bracket by the shard count
 // so both searches spend comparable probe effort.
 func FindFleetCapacity(lo, hi int, target float64, shards int,
-	globalBudgetMbps float64, probe FleetProbeFunc) (*FleetCapacityResult, error) {
+	globalBudgetMbps float64, probe fleetProbeFunc) (*FleetCapacityResult, error) {
 	if shards <= 0 {
 		shards = 3
 	}

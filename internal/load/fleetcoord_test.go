@@ -1,7 +1,9 @@
 package load
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
@@ -165,22 +167,52 @@ func TestFleetSimSingleReplicaByteIdentical(t *testing.T) {
 }
 
 // TestFleetSimCoordFaultValidation: a profile naming a replica outside the
-// cluster is a config error, mirroring the shard-range check.
+// cluster is a config error, mirroring the shard-range check, and both
+// engines check it against the replica count they will run: Coordinators
+// when set, else Coord.Replicas, else one.
 func TestFleetSimCoordFaultValidation(t *testing.T) {
 	w := fleetWorkload(t)
-	kill := &chaos.Profile{
-		Name:   "coord-kill",
-		Seed:   1,
-		Faults: []chaos.Fault{{Kind: chaos.FaultCoordKill, StartSlot: 10, Replica: 3}},
+	kill := func(replica int) *chaos.Profile {
+		return &chaos.Profile{
+			Name:   "coord-kill",
+			Seed:   1,
+			Faults: []chaos.Fault{{Kind: chaos.FaultCoordKill, StartSlot: 10, Replica: replica}},
+		}
 	}
-	cfg := FleetSimConfig{Shards: 3, Coordinators: 3}
-	cfg.Sim.Chaos = kill
-	if _, err := SimulateFleet(w, cfg); err == nil {
-		t.Error("replica 3 fault accepted by a 3-replica cluster")
-	}
-	cfg.Coordinators = -1 // zero or less means one replica
-	if _, err := SimulateFleet(w, cfg); err == nil {
-		t.Error("replica 3 fault accepted by the default single replica")
+	for _, tc := range []struct {
+		name         string
+		coordinators int
+		coord        coord.Config
+		replica      int // the replica the profile kills
+		runs         int // the replica count the engines run
+	}{
+		{"replica 3 of a 3-replica cluster", 3, coord.Config{}, 3, 3},
+		{"zero or less means one replica", -1, coord.Config{}, 3, 1},
+		{"Coord.Replicas alone is the count", 0, coord.Config{Replicas: 3}, 2, 3},
+		{"Coordinators wins over Coord.Replicas", 2, coord.Config{Replicas: 3}, 2, 2},
+	} {
+		refused := tc.replica >= tc.runs
+		cfg := FleetSimConfig{Shards: 3, Coordinators: tc.coordinators, Coord: tc.coord}
+		cfg.Sim.Chaos = kill(tc.replica)
+		rep, err := SimulateFleet(w, cfg)
+		switch {
+		case refused && err == nil:
+			t.Errorf("%s: replica %d fault accepted by the sim engine", tc.name, tc.replica)
+		case !refused && err != nil:
+			t.Errorf("%s: sim engine refused the profile: %v", tc.name, err)
+		case !refused && rep.Coord.Replicas != tc.runs:
+			t.Errorf("%s: sim engine ran %d replicas, want %d", tc.name, rep.Coord.Replicas, tc.runs)
+		}
+		// The live engine checks before it builds anything, so a refused
+		// profile costs no sockets; its message names the count it checked.
+		if refused {
+			live := FleetLiveConfig{Shards: 3, Coordinators: tc.coordinators, Coord: tc.coord}
+			live.Live.Chaos = kill(tc.replica)
+			_, err := RunLiveFleet(w, live)
+			if want := fmt.Sprintf("the cluster has %d", tc.runs); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: live engine returned %v, want an error saying %q", tc.name, err, want)
+			}
+		}
 	}
 }
 

@@ -42,13 +42,13 @@ type FleetLiveConfig struct {
 	// Evac turns on the SLO-pressure evacuation loop on the live
 	// coordinator (see fleet.EvacConfig).
 	Evac fleet.EvacConfig
-	// Coordinators is the coordinator replica count (default 1 — the
-	// zero-cost single-replica path); see fleet.LiveConfig.Coordinators.
-	// The chaos profile's coord_kill/coord_partition faults drive the
-	// replicas on the live slot clock.
+	// Coordinators is the coordinator replica count, folded with
+	// Coord.Replicas as FleetSimConfig's is (default 1 — the zero-cost
+	// single-replica path). The chaos profile's coord_kill/coord_partition
+	// faults drive the replicas on the live slot clock.
 	Coordinators int
 	// Coord tunes the replicated coordinator (lease length, snapshot
-	// cadence); Coordinators overrides Coord.Replicas.
+	// cadence); a Coord.Replicas set without Coordinators is the count.
 	Coord coord.Config
 	// CoordDebug, when non-nil, receives the live fleet's coordinator
 	// status producer as soon as the shards come up — the /debug/coord
@@ -64,21 +64,22 @@ type FleetLiveConfig struct {
 // sessions migrate to the survivors through the Welcome-resume path
 // instead of being dropped.
 func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
-	report := &FleetReport{RunReport: RunReport{Mode: "fleet-live"}}
-	rig, err := newLiveRig(w, cfg.Live, &report.RunReport)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Live = rig.cfg
 	if cfg.Shards <= 0 {
 		cfg.Shards = 3
 	}
 	if cfg.Zones <= 0 {
 		cfg.Zones = cfg.Shards
 	}
+	cfg.Coordinators = foldReplicas(cfg.Coordinators, &cfg.Coord)
 	if err := fleet.CheckProfile(cfg.Live.Chaos, cfg.Shards, cfg.Coordinators); err != nil {
 		return nil, err
 	}
+	report := &FleetReport{RunReport: RunReport{Mode: "fleet-live"}}
+	rig, err := newLiveRig(w, cfg.Live, &report.RunReport)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Live = rig.cfg
 	scorer, err := fleet.ScorerByName(cfg.Scorer)
 	if err != nil {
 		return nil, err
@@ -97,7 +98,6 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 		Rebalance:        cfg.Rebalance,
 		Health:           cfg.Health,
 		Evac:             cfg.Evac,
-		Coordinators:     cfg.Coordinators,
 		Coord:            cfg.Coord,
 	})
 	if err != nil {

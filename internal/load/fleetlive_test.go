@@ -143,7 +143,7 @@ func TestFindFleetCapacity(t *testing.T) {
 	if res.PerShard.MaxSessions != 10 {
 		t.Errorf("per-shard capacity = %d, want 10", res.PerShard.MaxSessions)
 	}
-	if eff := res.PoolingEfficiency(); eff != 1.0 {
+	if eff := res.poolingEfficiency(); eff != 1.0 {
 		t.Errorf("pooling efficiency = %v, want 1.0", eff)
 	}
 	text := res.Format()
@@ -162,8 +162,8 @@ func TestFindFleetCapacity(t *testing.T) {
 		t.Errorf("starved fleet found capacity %d/%d, want 0/0",
 			res.Fleet.MaxSessions, res.PerShard.MaxSessions)
 	}
-	if res.PoolingEfficiency() != 0 {
-		t.Errorf("pooling efficiency %v for starved fleet, want 0", res.PoolingEfficiency())
+	if res.poolingEfficiency() != 0 {
+		t.Errorf("pooling efficiency %v for starved fleet, want 0", res.poolingEfficiency())
 	}
 }
 

@@ -156,7 +156,7 @@ func TestSimulateArrivalAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSession := float64(after.Mallocs-before.Mallocs) / float64(len(w.Sessions))
 	t.Logf("mallocs: %d for %d sessions (peak %d concurrent): %.3f per session",
-		after.Mallocs-before.Mallocs, len(w.Sessions), w.PeakConcurrent(), perSession)
+		after.Mallocs-before.Mallocs, len(w.Sessions), w.peakConcurrent(), perSession)
 	if perSession > 1 {
 		t.Errorf("Simulate allocates %.2f times per session set up, want <= 1", perSession)
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/server"
 )
 
-// SessionOutcome is the measured result of one completed session.
-type SessionOutcome struct {
+// sessionOutcome is the measured result of one completed session.
+type sessionOutcome struct {
 	ID    uint32
 	Slots int
 	// QoE components, per-slot averages as in metrics.Report.
@@ -55,7 +55,7 @@ type RunReport struct {
 	// breaker capped below the allocator's choice (sim engine).
 	DegradedSlots int
 	// Outcomes holds every completed session, sorted by ID.
-	Outcomes []SessionOutcome
+	Outcomes []sessionOutcome
 
 	serverStats []server.UserStats
 }
@@ -120,7 +120,7 @@ func percentile(samples []float64, p float64) float64 {
 }
 
 // column extracts one outcome field across sessions.
-func (r *RunReport) column(get func(SessionOutcome) float64) []float64 {
+func (r *RunReport) column(get func(sessionOutcome) float64) []float64 {
 	out := make([]float64, len(r.Outcomes))
 	for i, o := range r.Outcomes {
 		out[i] = get(o)
@@ -153,7 +153,7 @@ func (r *RunReport) Format() string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%-16s %10s %10s %10s %10s\n", "per-session", "p50", "p90", "p99", "mean")
-	row := func(name string, get func(SessionOutcome) float64) {
+	row := func(name string, get func(sessionOutcome) float64) {
 		col := r.column(get)
 		var sum float64
 		for _, v := range col {
@@ -163,17 +163,17 @@ func (r *RunReport) Format() string {
 			percentile(col, 0.50), percentile(col, 0.90), percentile(col, 0.99),
 			sum/float64(len(col)))
 	}
-	row("qoe", func(o SessionOutcome) float64 { return o.QoE })
-	row("quality", func(o SessionOutcome) float64 { return o.Quality })
-	row("delay_ms", func(o SessionOutcome) float64 { return o.DelayMs })
-	row("miss_frac", func(o SessionOutcome) float64 { return o.MissFrac })
+	row("qoe", func(o sessionOutcome) float64 { return o.QoE })
+	row("quality", func(o sessionOutcome) float64 { return o.Quality })
+	row("delay_ms", func(o sessionOutcome) float64 { return o.DelayMs })
+	row("miss_frac", func(o sessionOutcome) float64 { return o.MissFrac })
 	if r.Mode == "live" {
-		row("setup_ms", func(o SessionOutcome) float64 { return o.SetupMs })
+		row("setup_ms", func(o sessionOutcome) float64 { return o.SetupMs })
 	}
 	return b.String()
 }
 
 // sortOutcomes orders outcomes by session ID.
-func sortOutcomes(out []SessionOutcome) {
+func sortOutcomes(out []sessionOutcome) {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 }

@@ -40,7 +40,7 @@ func newLoadMetrics(r *obs.Registry) loadMetrics {
 }
 
 // observeOutcome feeds one completed session into the histograms.
-func (m *loadMetrics) observeOutcome(o SessionOutcome) {
+func (m *loadMetrics) observeOutcome(o sessionOutcome) {
 	m.qoe.Observe(o.QoE)
 	m.missFrac.Observe(o.MissFrac)
 	if o.SetupMs > 0 {
@@ -330,7 +330,7 @@ func (r *liveRig) end(res *client.Result, err error) {
 		r.lm.failed.Inc()
 		return
 	}
-	out := SessionOutcome{
+	out := sessionOutcome{
 		ID:       res.User,
 		Slots:    res.Slots,
 		QoE:      res.Report.QoE,

@@ -181,7 +181,7 @@ func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []floa
 	local := slot - s.spec.ArriveSlot
 	s.inView = s.Follow(&e.Env, &s.in.pred, local <= e.cfg.PredictorWindow, s.in.walk.Next())
 	// Chaos capacity faults: cliffs scale the link, a blackout zeroes it
-	// (MM1Delay then saturates and the frame misses); a per-slot drop loses
+	// (the M/M/1 delay then saturates and the frame misses); a per-slot drop loses
 	// the slot's content outright.
 	s.inj.Advance(slot)
 	s.linkCap = s.in.caps.Next() * s.inj.SimCapFactor() * capFactor
@@ -232,8 +232,8 @@ func (s *simSession) observe(cfg *SimConfig, displayed bool, quality float64) {
 }
 
 // outcome is the session's end-of-run report row.
-func (s *simSession) outcome() SessionOutcome {
-	out := SessionOutcome{
+func (s *simSession) outcome() sessionOutcome {
+	out := sessionOutcome{
 		ID:       s.spec.ID,
 		Slots:    s.acc.Slots(),
 		QoE:      s.acc.QoE(),

@@ -119,7 +119,7 @@ func TestRecycledSessionMatchesFresh(t *testing.T) {
 		Rate, Delay float64
 		Missed      bool
 	}
-	drive := func(s *simSession) ([]row, SessionOutcome) {
+	drive := func(s *simSession) ([]row, sessionOutcome) {
 		var rows []row
 		for k := 0; k < slots; k++ {
 			values := make([]float64, cfg.Params.Levels)

@@ -11,11 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Candidate is one policy entrant of a tournament: a named allocator
+// candidate is one policy entrant of a tournament: a named allocator
 // factory, optionally with its own objective parameters (tuned alpha/beta
 // variants compete under their own weights but are scored on the shared
 // fitness function).
-type Candidate struct {
+type candidate struct {
 	Name string
 	// NewAllocator builds the candidate's allocator (fresh per run).
 	NewAllocator func() core.Allocator
@@ -24,22 +24,22 @@ type Candidate struct {
 	Params *core.Params
 }
 
-// FitnessWeights combines the per-candidate measurements into one scalar.
+// fitnessWeights combines the per-candidate measurements into one scalar.
 // Fitness = QoE*meanQoE + Fairness*jain - Miss*missRate - Regret*meanRegret,
 // so higher is better on every axis.
-type FitnessWeights struct {
+type fitnessWeights struct {
 	QoE      float64 `json:"qoe"`
 	Fairness float64 `json:"fairness"`
 	Miss     float64 `json:"miss"`
 	Regret   float64 `json:"regret"`
 }
 
-// DefaultFitnessWeights weight mean session QoE and Jain fairness equally,
+// defaultFitnessWeights weight mean session QoE and Jain fairness equally,
 // penalize deadline misses hard (a missed frame is the QoE cliff the paper
 // optimizes against) and regret lightly (it is measured per slot on the
 // objective scale, already reflected in QoE).
-func DefaultFitnessWeights() FitnessWeights {
-	return FitnessWeights{QoE: 1, Fairness: 1, Miss: 5, Regret: 0.05}
+func defaultFitnessWeights() fitnessWeights {
+	return fitnessWeights{QoE: 1, Fairness: 1, Miss: 5, Regret: 0.05}
 }
 
 // TournamentConfig parametrizes a deterministic policy tournament.
@@ -48,17 +48,17 @@ type TournamentConfig struct {
 	// NewAllocator/AllocName/Recorder fields are ignored: each candidate
 	// runs hermetically with its own allocator and flight recorder.
 	Sim SimConfig
-	// Candidates is the roster (default: DefaultCandidates()).
-	Candidates []Candidate
-	// Weights is the fitness function (zero value: DefaultFitnessWeights).
-	Weights FitnessWeights
+	// Candidates is the roster (default: defaultCandidates()).
+	Candidates []candidate
+	// Weights is the fitness function (zero value: defaultFitnessWeights).
+	Weights fitnessWeights
 	// SkipRegret disables the per-slot DP reference solve (fitness then
 	// scores regret as zero) — a fast mode for large workloads.
 	SkipRegret bool
 }
 
-// TournamentEntry is one candidate's scored result.
-type TournamentEntry struct {
+// tournamentEntry is one candidate's scored result.
+type tournamentEntry struct {
 	Rank       int     `json:"rank"`
 	Name       string  `json:"name"`
 	Fitness    float64 `json:"fitness"`
@@ -79,15 +79,15 @@ type TournamentEntry struct {
 type TournamentResult struct {
 	HorizonSlots int               `json:"horizon_slots"`
 	Sessions     int               `json:"sessions"`
-	Weights      FitnessWeights    `json:"weights"`
-	Entries      []TournamentEntry `json:"entries"`
+	Weights      fitnessWeights    `json:"weights"`
+	Entries      []tournamentEntry `json:"entries"`
 }
 
-// DefaultCandidates is the standard roster: Algorithm 1, its single-branch
+// defaultCandidates is the standard roster: Algorithm 1, its single-branch
 // ablations, the three baselines — each under its registry name, so a row
 // can be re-run with -algo — and two tuned alpha/beta variants of the
 // proposed algorithm. The exact solver is left out: brute force is L^N.
-func DefaultCandidates(base core.Params) []Candidate {
+func defaultCandidates(base core.Params) []candidate {
 	alphaHi, betaHi := base, base
 	alphaHi.Alpha *= 2
 	betaHi.Beta *= 2
@@ -98,13 +98,13 @@ func DefaultCandidates(base core.Params) []Candidate {
 		}
 		return mk
 	}
-	var roster []Candidate
+	var roster []candidate
 	for _, name := range []string{"dvgreedy", "density", "value", "firefly", "pavq", "uniform"} {
-		roster = append(roster, Candidate{Name: name, NewAllocator: registered(name)})
+		roster = append(roster, candidate{Name: name, NewAllocator: registered(name)})
 	}
 	return append(roster,
-		Candidate{Name: "dvgreedy-alpha2x", NewAllocator: registered("dvgreedy"), Params: &alphaHi},
-		Candidate{Name: "dvgreedy-beta2x", NewAllocator: registered("dvgreedy"), Params: &betaHi})
+		candidate{Name: "dvgreedy-alpha2x", NewAllocator: registered("dvgreedy"), Params: &alphaHi},
+		candidate{Name: "dvgreedy-beta2x", NewAllocator: registered("dvgreedy"), Params: &betaHi})
 }
 
 // RunTournament runs every candidate through the deterministic virtual-time
@@ -117,11 +117,11 @@ func DefaultCandidates(base core.Params) []Candidate {
 func RunTournament(w *Workload, cfg TournamentConfig) (*TournamentResult, error) {
 	candidates := cfg.Candidates
 	if len(candidates) == 0 {
-		candidates = DefaultCandidates(cfg.Sim.withDefaults().Params)
+		candidates = defaultCandidates(cfg.Sim.withDefaults().Params)
 	}
 	weights := cfg.Weights
-	if weights == (FitnessWeights{}) {
-		weights = DefaultFitnessWeights()
+	if weights == (fitnessWeights{}) {
+		weights = defaultFitnessWeights()
 	}
 	seen := make(map[string]bool, len(candidates))
 	result := &TournamentResult{
@@ -162,7 +162,7 @@ func RunTournament(w *Workload, cfg TournamentConfig) (*TournamentResult, error)
 			qoe[i] = o.QoE
 			qoeSum += o.QoE
 		}
-		entry := TournamentEntry{
+		entry := tournamentEntry{
 			Name:          c.Name,
 			Fairness:      metrics.JainIndex(qoe),
 			MissRate:      report.AggregateMissRate(),

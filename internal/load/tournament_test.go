@@ -153,13 +153,13 @@ func TestTournamentRejectsBadRoster(t *testing.T) {
 	w := tinyWorkload(t)
 	mk := func() core.Allocator { return core.NewSolverAllocator() }
 	if _, err := RunTournament(w, TournamentConfig{
-		Candidates: []Candidate{{Name: "a", NewAllocator: mk}, {Name: "a", NewAllocator: mk}},
+		Candidates: []candidate{{Name: "a", NewAllocator: mk}, {Name: "a", NewAllocator: mk}},
 		SkipRegret: true,
 	}); err == nil {
 		t.Error("duplicate candidate accepted")
 	}
 	if _, err := RunTournament(w, TournamentConfig{
-		Candidates: []Candidate{{Name: "", NewAllocator: mk}},
+		Candidates: []candidate{{Name: "", NewAllocator: mk}},
 		SkipRegret: true,
 	}); err == nil {
 		t.Error("anonymous candidate accepted")

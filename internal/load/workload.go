@@ -299,10 +299,10 @@ func poissonSample(rng *rand.Rand, lambda float64) int {
 	}
 }
 
-// PeakConcurrent returns the maximum number of simultaneously active
+// peakConcurrent returns the maximum number of simultaneously active
 // sessions over the horizon: a prefix sum over per-slot arrival and
 // departure counts, O(sessions + horizon).
-func (w *Workload) PeakConcurrent() int {
+func (w *Workload) peakConcurrent() int {
 	if len(w.Sessions) == 0 {
 		return 0
 	}

@@ -58,7 +58,7 @@ func TestSteadyShape(t *testing.T) {
 				s.ID, s.DepartSlot, w.Cfg.HorizonSlots)
 		}
 	}
-	if got := w.PeakConcurrent(); got != 120 {
+	if got := w.peakConcurrent(); got != 120 {
 		t.Errorf("steady peak concurrent = %d, want 120", got)
 	}
 	if _, err := Generate(Config{Shape: Steady}); err == nil {
@@ -189,7 +189,7 @@ func TestPeakConcurrent(t *testing.T) {
 		{ID: 2, ArriveSlot: 9, DepartSlot: 12},
 		{ID: 3, ArriveSlot: 10, DepartSlot: 20}, // arrives as 0 departs
 	}}
-	if got := w.PeakConcurrent(); got != 3 {
+	if got := w.peakConcurrent(); got != 3 {
 		t.Errorf("peak concurrent = %d, want 3", got)
 	}
 }
@@ -237,7 +237,7 @@ func TestPeakConcurrentMatchesBruteForce(t *testing.T) {
 		cases = append(cases, w)
 	}
 	for i, w := range cases {
-		if got, want := w.PeakConcurrent(), brute(w); got != want {
+		if got, want := w.peakConcurrent(), brute(w); got != want {
 			t.Errorf("case %d (%d sessions): peak concurrent %d, brute force %d", i, len(w.Sessions), got, want)
 		}
 	}

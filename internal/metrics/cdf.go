@@ -26,16 +26,6 @@ func NewCDF(samples []float64) *CDF {
 // Len returns the number of samples.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// First index with value > x.
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the p-quantile for p in [0, 1], interpolating between
 // adjacent order statistics.
 func (c *CDF) Quantile(p float64) float64 {
@@ -69,42 +59,6 @@ func (c *CDF) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(c.sorted))
-}
-
-// Min returns the smallest sample.
-func (c *CDF) Min() float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return c.sorted[0]
-}
-
-// Max returns the largest sample.
-func (c *CDF) Max() float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return c.sorted[len(c.sorted)-1]
-}
-
-// Point is a single (x, P(X<=x)) pair of a discretized CDF curve.
-type Point struct {
-	X float64
-	P float64
-}
-
-// Points returns k evenly spaced probability points of the CDF curve,
-// suitable for plotting or printing a figure series.
-func (c *CDF) Points(k int) []Point {
-	if k < 2 || len(c.sorted) == 0 {
-		return nil
-	}
-	pts := make([]Point, k)
-	for i := 0; i < k; i++ {
-		p := float64(i) / float64(k-1)
-		pts[i] = Point{X: c.Quantile(p), P: p}
-	}
-	return pts
 }
 
 // FormatSeries renders named CDFs side by side at k probability points, the

@@ -29,10 +29,10 @@ func TestCDFBasics(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
-	if got := c.Min(); got != 1 {
+	if got := c.Quantile(0); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
-	if got := c.Max(); got != 4 {
+	if got := c.Quantile(1); got != 4 {
 		t.Errorf("Max = %v, want 4", got)
 	}
 	if got := c.Mean(); got != 2.5 {
@@ -79,7 +79,7 @@ func TestCDFDoesNotAliasInput(t *testing.T) {
 	in := []float64{3, 1, 2}
 	c := NewCDF(in)
 	in[0] = 100
-	if got := c.Max(); got != 3 {
+	if got := c.Quantile(1); got != 3 {
 		t.Errorf("CDF aliased its input: Max = %v, want 3", got)
 	}
 }
@@ -151,4 +151,34 @@ func TestFormatSeries(t *testing.T) {
 	if lines := strings.Count(out, "\n"); lines != 5 { // title + header + 3 rows
 		t.Errorf("line count = %d, want 5: %q", lines, out)
 	}
+}
+
+// At returns P(X <= x).
+func (c *CDF) At(x float64) float64 {
+	if len(c.sorted) == 0 {
+		return 0
+	}
+	// First index with value > x.
+	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(len(c.sorted))
+}
+
+// Point is a single (x, P(X<=x)) pair of a discretized CDF curve.
+type Point struct {
+	X float64
+	P float64
+}
+
+// Points returns k evenly spaced probability points of the CDF curve,
+// suitable for plotting or printing a figure series.
+func (c *CDF) Points(k int) []Point {
+	if k < 2 || len(c.sorted) == 0 {
+		return nil
+	}
+	pts := make([]Point, k)
+	for i := 0; i < k; i++ {
+		p := float64(i) / float64(k-1)
+		pts[i] = Point{X: c.Quantile(p), P: p}
+	}
+	return pts
 }

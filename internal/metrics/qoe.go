@@ -76,8 +76,8 @@ func (u *UserQoE) AvgQuality() float64 {
 	return u.qualitySum / float64(u.slots)
 }
 
-// AvgRawQuality returns the average allocated quality ignoring coverage.
-func (u *UserQoE) AvgRawQuality() float64 {
+// avgRawQuality returns the average allocated quality ignoring coverage.
+func (u *UserQoE) avgRawQuality() float64 {
 	if u.slots == 0 {
 		return 0
 	}

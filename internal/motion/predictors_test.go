@@ -86,3 +86,97 @@ func TestEvaluatePredictorEmpty(t *testing.T) {
 		t.Errorf("empty trace coverage = %v", got)
 	}
 }
+
+// PosePredictor forecasts the next slot's pose from observed history. The
+// paper uses per-axis linear regression (Predictor); Static and
+// DeadReckoning are ablation baselines that quantify how much the
+// regression buys in prediction-success probability delta_n.
+type PosePredictor interface {
+	// Observe feeds the pose of the current slot.
+	Observe(vrmath.Pose)
+	// Predict extrapolates the next slot's pose.
+	Predict() vrmath.Pose
+}
+
+var _ PosePredictor = (*Predictor)(nil)
+
+// Static predicts that the user does not move: the next pose equals the
+// last observed one. It is the weakest baseline — pure reliance on the FoV
+// margin.
+type Static struct {
+	last vrmath.Pose
+	seen bool
+}
+
+// NewStatic returns a static predictor.
+func NewStatic() *Static { return &Static{} }
+
+// Observe implements PosePredictor.
+func (s *Static) Observe(p vrmath.Pose) {
+	s.last = p.Normalize()
+	s.seen = true
+}
+
+// Predict implements PosePredictor.
+func (s *Static) Predict() vrmath.Pose { return s.last }
+
+var _ PosePredictor = (*Static)(nil)
+
+// DeadReckoning extrapolates with the instantaneous velocity between the
+// last two observed poses — a one-sample version of the linear regression.
+type DeadReckoning struct {
+	last, prev vrmath.Pose
+	count      int
+}
+
+// NewDeadReckoning returns a dead-reckoning predictor.
+func NewDeadReckoning() *DeadReckoning { return &DeadReckoning{} }
+
+// Observe implements PosePredictor.
+func (d *DeadReckoning) Observe(p vrmath.Pose) {
+	d.prev = d.last
+	d.last = p.Normalize()
+	d.count++
+}
+
+// Predict implements PosePredictor.
+func (d *DeadReckoning) Predict() vrmath.Pose {
+	if d.count < 2 {
+		return d.last
+	}
+	return vrmath.Pose{
+		Pos: vrmath.Vec3{
+			X: 2*d.last.Pos.X - d.prev.Pos.X,
+			Y: 2*d.last.Pos.Y - d.prev.Pos.Y,
+			Z: 2*d.last.Pos.Z - d.prev.Pos.Z,
+		},
+		Yaw:   vrmath.NormalizeAngle(d.last.Yaw + vrmath.AngleDiff(d.last.Yaw, d.prev.Yaw)),
+		Pitch: vrmath.ClampPitch(2*d.last.Pitch - d.prev.Pitch),
+		Roll:  vrmath.NormalizeAngle(d.last.Roll + vrmath.AngleDiff(d.last.Roll, d.prev.Roll)),
+	}
+}
+
+var _ PosePredictor = (*DeadReckoning)(nil)
+
+// EvaluatePredictor replays a trace through a predictor and returns the
+// empirical coverage rate delta (the fraction of slots where the delivered
+// margin-expanded FoV would cover the actual one) after a warmup.
+func EvaluatePredictor(p PosePredictor, trace Trace, cov CoverageConfig, warmup int) float64 {
+	if warmup < 1 {
+		warmup = 1
+	}
+	covered, total := 0, 0
+	for i, pose := range trace {
+		if i >= warmup {
+			if cov.Covered(p.Predict(), pose) {
+				covered++
+			}
+			total++
+		}
+		p.Observe(pose)
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(covered) / float64(total)
+}

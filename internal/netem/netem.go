@@ -18,7 +18,7 @@ import (
 // queue is unstable and the analytic delay diverges.
 const MaxDelay = 1e3
 
-// MM1Delay returns the paper's delivery-delay model (eq. (13)):
+// mm1Delay returns the paper's delivery-delay model (eq. (13)):
 //
 //	d_n(r) = r / (B_n - r)
 //
@@ -26,7 +26,7 @@ const MaxDelay = 1e3
 // result is dimensionless (multiples of the nominal service time); it is
 // convex and increasing in r for fixed capacity, and capped at MaxDelay for
 // r >= B.
-func MM1Delay(rateMbps, capacityMbps float64) float64 {
+func mm1Delay(rateMbps, capacityMbps float64) float64 {
 	if capacityMbps <= 0 || rateMbps >= capacityMbps {
 		return MaxDelay
 	}
@@ -40,16 +40,6 @@ func MM1Delay(rateMbps, capacityMbps float64) float64 {
 	return d
 }
 
-// DelayTable evaluates MM1Delay across a rate ladder, producing the Delay
-// field of core.UserInput.
-func DelayTable(rates []float64, capacityMbps float64) []float64 {
-	out := make([]float64, len(rates))
-	for i, r := range rates {
-		out[i] = MM1Delay(r, capacityMbps)
-	}
-	return out
-}
-
 // DelayMs converts the dimensionless M/M/1 factor into a delivery delay in
 // milliseconds: the factor scales the nominal per-slot transmission time.
 // Delivering one slot's content of rate r over a link of capacity B takes
@@ -57,7 +47,7 @@ func DelayTable(rates []float64, capacityMbps float64) []float64 {
 // slot-time is 16.7 ms. This is the scale at which the paper's alpha=0.02
 // delay weight trades off against one quality level.
 func DelayMs(rateMbps, capacityMbps, slotMs float64) float64 {
-	return MM1Delay(rateMbps, capacityMbps) * slotMs
+	return mm1Delay(rateMbps, capacityMbps) * slotMs
 }
 
 // DelayTableMs evaluates DelayMs across a rate ladder.
@@ -117,15 +107,6 @@ func (q *QueueSim) RTTSamples(sendMbps float64, n int, rng *rand.Rand) []float64
 		samples[i] = q.BaseRTTMs + sojourn*1e3
 	}
 	return samples
-}
-
-// MeanRTT runs RTTSamples and returns the average, for sweep tables.
-func (q *QueueSim) MeanRTT(sendMbps float64, n int, rng *rand.Rand) float64 {
-	var sum float64
-	for _, s := range q.RTTSamples(sendMbps, n, rng) {
-		sum += s
-	}
-	return sum / float64(n)
 }
 
 // TokenBucket is a thread-safe token-bucket rate limiter, the in-process
@@ -203,8 +184,7 @@ func (b *TokenBucket) refill(now time.Time) {
 
 // LossModel drops packets i.i.d. with a configurable probability, the
 // packet-loss source the paper's RTP transport must tolerate. It is safe for
-// concurrent use: senders call Drop per packet while a scheduler may retune
-// the probability mid-run via SetProb.
+// concurrent use: senders call Drop per packet.
 type LossModel struct {
 	mu   sync.Mutex
 	prob float64
@@ -214,25 +194,6 @@ type LossModel struct {
 // NewLossModel returns a loss model with the given drop probability.
 func NewLossModel(p float64, seed int64) *LossModel {
 	return &LossModel{prob: p, rng: randsrc.NewRand(seed)}
-}
-
-// SetProb changes the drop probability (values are clamped to [0, 1]).
-func (l *LossModel) SetProb(p float64) {
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	l.mu.Lock()
-	l.prob = p
-	l.mu.Unlock()
-}
-
-// Prob returns the current drop probability.
-func (l *LossModel) Prob() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.prob
 }
 
 // Drop reports whether the next packet should be dropped.

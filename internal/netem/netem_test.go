@@ -23,7 +23,7 @@ func TestMM1DelayValues(t *testing.T) {
 		{10, 0, MaxDelay},
 	}
 	for _, tt := range tests {
-		if got := MM1Delay(tt.rate, tt.cap_); got != tt.want {
+		if got := mm1Delay(tt.rate, tt.cap_); got != tt.want {
 			t.Errorf("MM1Delay(%v, %v) = %v, want %v", tt.rate, tt.cap_, got, tt.want)
 		}
 	}
@@ -45,7 +45,7 @@ func TestMM1DelayConvexIncreasingProperty(t *testing.T) {
 		if lo <= 0 || hi >= cap_ || lo == mid || mid == hi {
 			return true
 		}
-		dLo, dMid, dHi := MM1Delay(lo, cap_), MM1Delay(mid, cap_), MM1Delay(hi, cap_)
+		dLo, dMid, dHi := mm1Delay(lo, cap_), mm1Delay(mid, cap_), mm1Delay(hi, cap_)
 		if !(dLo <= dMid && dMid <= dHi) {
 			return false
 		}
@@ -61,7 +61,7 @@ func TestMM1DelayConvexIncreasingProperty(t *testing.T) {
 
 func TestDelayTable(t *testing.T) {
 	rates := []float64{5, 10, 15}
-	got := DelayTable(rates, 20)
+	got := DelayTableMs(rates, 20, 1)
 	want := []float64{5.0 / 15, 1, 3}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -78,7 +78,11 @@ func TestQueueSimRTTGrowsConvex(t *testing.T) {
 	rates := []float64{3, 6, 9, 12, 14}
 	means := make([]float64, len(rates))
 	for i, r := range rates {
-		means[i] = q.MeanRTT(r, 40000, rng)
+		var sum float64
+		for _, s := range q.RTTSamples(r, 40000, rng) {
+			sum += s
+		}
+		means[i] = sum / 40000
 	}
 	for i := 1; i < len(means); i++ {
 		if means[i] <= means[i-1] {

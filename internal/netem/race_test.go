@@ -99,3 +99,22 @@ func TestLossModelConcurrentHammer(t *testing.T) {
 		t.Error("p=1 model delivered a packet")
 	}
 }
+
+// SetProb changes the drop probability (values are clamped to [0, 1]).
+func (l *LossModel) SetProb(p float64) {
+	if p < 0 {
+		p = 0
+	} else if p > 1 {
+		p = 1
+	}
+	l.mu.Lock()
+	l.prob = p
+	l.mu.Unlock()
+}
+
+// Prob returns the current drop probability.
+func (l *LossModel) Prob() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.prob
+}

@@ -7,10 +7,10 @@ import "sync"
 // (FoV coverage) over fidelity, so a struggling session is pinned to a lower
 // q_n ceiling until its SLO position recovers.
 const (
-	BreakerClosed   = "closed"    // healthy: allocation uncapped
-	BreakerDegraded = "degraded"  // SLO warn: quality capped at WarnCap
-	BreakerOpen     = "open"      // SLO page: quality capped at PageCap
-	BreakerHalfOpen = "half-open" // probing recovery at HalfOpenCap
+	breakerClosed   = "closed"    // healthy: allocation uncapped
+	breakerDegraded = "degraded"  // SLO warn: quality capped at WarnCap
+	breakerOpen     = "open"      // SLO page: quality capped at PageCap
+	breakerHalfOpen = "half-open" // probing recovery at HalfOpenCap
 )
 
 // BreakerConfig tunes the per-session circuit breaker driven by the SLO
@@ -114,8 +114,8 @@ func NewBreaker(cfg BreakerConfig, reg *Registry) *Breaker {
 	}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (b *Breaker) Config() BreakerConfig {
+// config returns the effective (default-filled) configuration.
+func (b *Breaker) config() BreakerConfig {
 	if b == nil {
 		return BreakerConfig{}
 	}
@@ -143,7 +143,7 @@ func (b *Breaker) Entry(session uint32) *BreakerEntry {
 			s = &b.chunk[0]
 			b.chunk = b.chunk[1:]
 		}
-		*s = BreakerEntry{state: BreakerClosed}
+		*s = BreakerEntry{state: breakerClosed}
 		b.sessions[session] = s
 	}
 	return s
@@ -171,38 +171,38 @@ func (b *Breaker) ObserveEntry(s *BreakerEntry, sloState string) int {
 	defer s.mu.Unlock()
 
 	switch s.state {
-	case BreakerClosed:
+	case breakerClosed:
 		switch {
 		case page:
-			b.trip(s, BreakerOpen)
+			b.trip(s, breakerOpen)
 		case warn:
-			b.trip(s, BreakerDegraded)
+			b.trip(s, breakerDegraded)
 		}
-	case BreakerDegraded:
+	case breakerDegraded:
 		switch {
 		case page:
-			b.trip(s, BreakerOpen)
+			b.trip(s, breakerOpen)
 		case warn:
 			s.streak = 0
 		default:
 			if s.streak++; s.streak >= b.cfg.RecoverySlots {
-				b.trip(s, BreakerClosed)
+				b.trip(s, breakerClosed)
 			}
 		}
-	case BreakerOpen:
+	case breakerOpen:
 		// Recovery keys on "not paging" rather than "fully ok": the SLO's
 		// long window drags warn for a while after a fault clears, and
 		// waiting it out would hold quality down long past the fault.
 		if page {
 			s.streak = 0
 		} else if s.streak++; s.streak >= b.cfg.RecoverySlots {
-			b.trip(s, BreakerHalfOpen)
+			b.trip(s, breakerHalfOpen)
 		}
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if page {
-			b.trip(s, BreakerOpen)
+			b.trip(s, breakerOpen)
 		} else if s.streak++; s.streak >= b.cfg.HalfOpenSlots {
-			b.trip(s, BreakerClosed)
+			b.trip(s, breakerClosed)
 		}
 	}
 	return b.capOf(s)
@@ -213,11 +213,11 @@ func (b *Breaker) trip(s *BreakerEntry, state string) {
 	s.state = state
 	s.streak = 0
 	switch state {
-	case BreakerOpen:
+	case breakerOpen:
 		b.cOpened.Inc()
-	case BreakerDegraded:
+	case breakerDegraded:
 		b.cDegraded.Inc()
-	case BreakerClosed:
+	case breakerClosed:
 		b.cClosed.Inc()
 	}
 }
@@ -241,18 +241,18 @@ func (b *Breaker) Cap(session uint32) int {
 // capOf is the ceiling of a session in e's state (s.mu held).
 func (b *Breaker) capOf(s *BreakerEntry) int {
 	switch s.state {
-	case BreakerDegraded:
+	case breakerDegraded:
 		return b.cfg.WarnCap
-	case BreakerOpen:
+	case breakerOpen:
 		return b.cfg.PageCap
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return b.cfg.HalfOpenCap
 	}
 	return 0
 }
 
-// State returns the session's breaker state ("" when unknown).
-func (b *Breaker) State(session uint32) string {
+// state returns the session's breaker state ("" when unknown).
+func (b *Breaker) state(session uint32) string {
 	if b == nil {
 		return ""
 	}
@@ -281,9 +281,9 @@ func (b *Breaker) Retire(session uint32) {
 	b.mu.Unlock()
 }
 
-// Counts returns how many sessions sit in each state and refreshes the
+// counts returns how many sessions sit in each state and refreshes the
 // mirrored gauges.
-func (b *Breaker) Counts() (closed, degraded, open, halfOpen int) {
+func (b *Breaker) counts() (closed, degraded, open, halfOpen int) {
 	if b == nil {
 		return
 	}
@@ -293,11 +293,11 @@ func (b *Breaker) Counts() (closed, degraded, open, halfOpen int) {
 		state := s.state
 		s.mu.Unlock()
 		switch state {
-		case BreakerDegraded:
+		case breakerDegraded:
 			degraded++
-		case BreakerOpen:
+		case breakerOpen:
 			open++
-		case BreakerHalfOpen:
+		case breakerHalfOpen:
 			halfOpen++
 		default:
 			closed++

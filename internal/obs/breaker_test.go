@@ -12,24 +12,24 @@ func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Levels: 5, RecoverySlots: 10, HalfOpenSlots: 4}, reg)
 	const sess = 7
 
-	if b.Cap(sess) != 0 || b.State(sess) != "" {
+	if b.Cap(sess) != 0 || b.state(sess) != "" {
 		t.Fatal("unknown session should be uncapped")
 	}
 	b.Observe(sess, SLOStateOK)
-	if got := b.State(sess); got != BreakerClosed {
+	if got := b.state(sess); got != breakerClosed {
 		t.Fatalf("state = %q, want closed", got)
 	}
 
 	// warn -> degraded, capped at Levels-1.
 	b.Observe(sess, SLOStateWarn)
-	if b.State(sess) != BreakerDegraded || b.Cap(sess) != 4 {
-		t.Fatalf("after warn: state=%q cap=%d, want degraded/4", b.State(sess), b.Cap(sess))
+	if b.state(sess) != breakerDegraded || b.Cap(sess) != 4 {
+		t.Fatalf("after warn: state=%q cap=%d, want degraded/4", b.state(sess), b.Cap(sess))
 	}
 
 	// page -> open, capped at 1.
 	b.Observe(sess, SLOStatePage)
-	if b.State(sess) != BreakerOpen || b.Cap(sess) != 1 {
-		t.Fatalf("after page: state=%q cap=%d, want open/1", b.State(sess), b.Cap(sess))
+	if b.state(sess) != breakerOpen || b.Cap(sess) != 1 {
+		t.Fatalf("after page: state=%q cap=%d, want open/1", b.state(sess), b.Cap(sess))
 	}
 
 	// Recovery keys on non-page slots: warn slots count toward it, and an
@@ -41,18 +41,18 @@ func TestBreakerLifecycle(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		b.Observe(sess, SLOStateOK)
 	}
-	if b.State(sess) != BreakerOpen {
-		t.Fatalf("recovered too early after streak reset: %q", b.State(sess))
+	if b.state(sess) != breakerOpen {
+		t.Fatalf("recovered too early after streak reset: %q", b.state(sess))
 	}
 	b.Observe(sess, SLOStateOK)
-	if b.State(sess) != BreakerHalfOpen || b.Cap(sess) != 4 {
-		t.Fatalf("after recovery streak: state=%q cap=%d, want half-open/4", b.State(sess), b.Cap(sess))
+	if b.state(sess) != breakerHalfOpen || b.Cap(sess) != 4 {
+		t.Fatalf("after recovery streak: state=%q cap=%d, want half-open/4", b.state(sess), b.Cap(sess))
 	}
 
 	// A page during the probe re-opens.
 	b.Observe(sess, SLOStatePage)
-	if b.State(sess) != BreakerOpen {
-		t.Fatalf("half-open page should re-open, got %q", b.State(sess))
+	if b.state(sess) != breakerOpen {
+		t.Fatalf("half-open page should re-open, got %q", b.state(sess))
 	}
 	for i := 0; i < 10; i++ {
 		b.Observe(sess, SLOStateOK)
@@ -60,8 +60,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Observe(sess, SLOStateOK)
 	}
-	if b.State(sess) != BreakerClosed || b.Cap(sess) != 0 {
-		t.Fatalf("after probe survival: state=%q cap=%d, want closed/0", b.State(sess), b.Cap(sess))
+	if b.state(sess) != breakerClosed || b.Cap(sess) != 0 {
+		t.Fatalf("after probe survival: state=%q cap=%d, want closed/0", b.state(sess), b.Cap(sess))
 	}
 
 	if got := reg.Counter("collabvr_breaker_open_transitions_total").Value(); got != 2 {
@@ -69,7 +69,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	b.Retire(sess)
-	if b.State(sess) != "" {
+	if b.state(sess) != "" {
 		t.Fatal("retired session still tracked")
 	}
 }
@@ -109,11 +109,11 @@ func TestBreakerRetireReuse(t *testing.T) {
 		var r run
 		for i := 0; i < slots; i++ {
 			r.caps = append(r.caps, b.Observe(id, script(i)))
-			r.states = append(r.states, b.State(id))
+			r.states = append(r.states, b.state(id))
 		}
 		o1, d1, c1 := counters(reg)
 		r.opened, r.degr, r.closed = o1-o0, d1-d0, c1-c0
-		r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.Counts()
+		r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.counts()
 		return r
 	}
 
@@ -127,8 +127,8 @@ func TestBreakerRetireReuse(t *testing.T) {
 	b := NewBreaker(cfg, reg)
 	// Leave session 1 open with a recovery streak under way.
 	observe(b, reg, 1, 12)
-	if b.State(1) != BreakerOpen {
-		t.Fatalf("session 1 is %q before retiring, want open", b.State(1))
+	if b.state(1) != breakerOpen {
+		t.Fatalf("session 1 is %q before retiring, want open", b.state(1))
 	}
 	old := b.sessions[1]
 	b.Retire(1)
@@ -175,14 +175,14 @@ func TestBreakerDegradedRecoversOnOKStreak(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Observe(1, SLOStateOK)
 	}
-	if b.State(1) != BreakerDegraded {
-		t.Fatalf("closed before the ok streak completed: %q", b.State(1))
+	if b.state(1) != breakerDegraded {
+		t.Fatalf("closed before the ok streak completed: %q", b.state(1))
 	}
 	b.Observe(1, SLOStateOK)
-	if b.State(1) != BreakerClosed {
-		t.Fatalf("state = %q, want closed after 5 consecutive ok slots", b.State(1))
+	if b.state(1) != breakerClosed {
+		t.Fatalf("state = %q, want closed after 5 consecutive ok slots", b.state(1))
 	}
-	closed, degraded, open, half := b.Counts()
+	closed, degraded, open, half := b.counts()
 	if closed != 1 || degraded != 0 || open != 0 || half != 0 {
 		t.Fatalf("Counts = %d/%d/%d/%d, want 1/0/0/0", closed, degraded, open, half)
 	}
@@ -203,14 +203,14 @@ func TestBreakerConfigFillAndNil(t *testing.T) {
 
 	var b *Breaker
 	b.Observe(1, SLOStatePage)
-	if b.Cap(1) != 0 || b.State(1) != "" {
+	if b.Cap(1) != 0 || b.state(1) != "" {
 		t.Fatal("nil breaker capped a session")
 	}
 	b.Retire(1)
-	if c, d, o, h := b.Counts(); c+d+o+h != 0 {
+	if c, d, o, h := b.counts(); c+d+o+h != 0 {
 		t.Fatal("nil breaker counted sessions")
 	}
-	if b.Config() != (BreakerConfig{}) {
+	if b.config() != (BreakerConfig{}) {
 		t.Fatal("nil breaker returned a config")
 	}
 }
@@ -249,7 +249,7 @@ func TestObserveReturnsWhatLookupsReport(t *testing.T) {
 			if want := b.Cap(2); c != want {
 				t.Fatalf("after %q in %s: Observe returned cap %d, Cap reports %d", st, from, c, want)
 			}
-			to := b.State(2)
+			to := b.state(2)
 			moves[move{from, to}] = true
 			from = to
 		}
@@ -265,10 +265,10 @@ func TestObserveReturnsWhatLookupsReport(t *testing.T) {
 	feed(SLOStateWarn, 1) // closed -> degraded
 	feed(SLOStatePage, 1) // degraded -> open
 	for _, mv := range []move{
-		{BreakerClosed, BreakerDegraded}, {BreakerDegraded, BreakerClosed},
-		{BreakerClosed, BreakerOpen}, {BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerOpen}, {BreakerHalfOpen, BreakerClosed},
-		{BreakerDegraded, BreakerOpen},
+		{breakerClosed, breakerDegraded}, {breakerDegraded, breakerClosed},
+		{breakerClosed, breakerOpen}, {breakerOpen, breakerHalfOpen},
+		{breakerHalfOpen, breakerOpen}, {breakerHalfOpen, breakerClosed},
+		{breakerDegraded, breakerOpen},
 	} {
 		if !moves[mv] {
 			t.Errorf("transition %s -> %s never happened", mv.from, mv.to)
@@ -333,7 +333,7 @@ func TestMonitorConcurrentObserve(t *testing.T) {
 		wg.Wait()
 		r := result{slo: m.Snapshot()}
 		for id := uint32(0); id < sessions; id++ {
-			r.states = append(r.states, m.State(id)+"/"+b.State(id))
+			r.states = append(r.states, m.State(id)+"/"+b.state(id))
 			r.caps = append(r.caps, b.Cap(id))
 		}
 		r.warn = reg.Counter("collabvr_slo_warn_transitions_total").Value()
@@ -341,7 +341,7 @@ func TestMonitorConcurrentObserve(t *testing.T) {
 		r.open = reg.Counter("collabvr_breaker_open_transitions_total").Value()
 		r.degr = reg.Counter("collabvr_breaker_degraded_transitions_total").Value()
 		r.closed = reg.Counter("collabvr_breaker_close_transitions_total").Value()
-		r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.Counts()
+		r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.counts()
 		return r
 	}
 	serial := run(1)
@@ -400,8 +400,8 @@ func observeChurn(goroutines int, handles bool) churnResult {
 			m.Totals()
 			m.State(id)
 			b.Cap(id)
-			b.State(id)
-			b.Counts()
+			b.state(id)
+			b.counts()
 		}
 	}()
 	var wg sync.WaitGroup
@@ -444,7 +444,7 @@ func observeChurn(goroutines int, handles bool) churnResult {
 	for lane := 0; lane < lanes; lane++ {
 		id := session(lane, slots-1)
 		r.sloStates = append(r.sloStates, m.State(id))
-		r.breakerStates = append(r.breakerStates, b.State(id))
+		r.breakerStates = append(r.breakerStates, b.state(id))
 		r.caps = append(r.caps, b.Cap(id))
 	}
 	r.warn = reg.Counter("collabvr_slo_warn_transitions_total").Value()
@@ -452,7 +452,7 @@ func observeChurn(goroutines int, handles bool) churnResult {
 	r.opened = reg.Counter("collabvr_breaker_open_transitions_total").Value()
 	r.degr = reg.Counter("collabvr_breaker_degraded_transitions_total").Value()
 	r.closed = reg.Counter("collabvr_breaker_close_transitions_total").Value()
-	r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.Counts()
+	r.nClosed, r.nDegr, r.nOpen, r.nHalf = b.counts()
 	r.sloEntries, r.brkEntries = len(m.sessions)+len(m.free), len(b.sessions)+len(b.free)
 	return r
 }
@@ -519,17 +519,17 @@ func TestHandleMatchesKeyed(t *testing.T) {
 		}
 		hState := handled.m.Observe(slo[id], displayed, quality)
 		hCap := handled.b.ObserveEntry(brk[id], hState)
-		if hState != kState || hCap != kCap || handled.b.State(id) != keyed.b.State(id) || handled.b.Cap(id) != hCap {
+		if hState != kState || hCap != kCap || handled.b.state(id) != keyed.b.state(id) || handled.b.Cap(id) != hCap {
 			t.Fatalf("step %d, session %d: handle state %q cap %d breaker %q, keyed %q cap %d breaker %q",
-				step, id, hState, hCap, handled.b.State(id), kState, kCap, keyed.b.State(id))
+				step, id, hState, hCap, handled.b.state(id), kState, kCap, keyed.b.state(id))
 		}
 		if step%97 == 0 {
 			if h, k := handled.m.Snapshot(), keyed.m.Snapshot(); !reflect.DeepEqual(h, k) {
 				t.Fatalf("step %d: snapshots differ:\n  handle %+v\n  keyed  %+v", step, h, k)
 			}
 			var hc, kc [4]int
-			hc[0], hc[1], hc[2], hc[3] = handled.b.Counts()
-			kc[0], kc[1], kc[2], kc[3] = keyed.b.Counts()
+			hc[0], hc[1], hc[2], hc[3] = handled.b.counts()
+			kc[0], kc[1], kc[2], kc[3] = keyed.b.counts()
 			if hc != kc {
 				t.Fatalf("step %d: breaker counts %v, keyed %v", step, hc, kc)
 			}

@@ -17,10 +17,10 @@ var runtimeSamples = []string{
 	"/gc/pauses:seconds",
 }
 
-// CollectRuntime samples the Go runtime (goroutine count, heap and total
+// collectRuntime samples the Go runtime (goroutine count, heap and total
 // memory, GC cycles and pause quantiles) into collabvr_runtime_* gauges.
 // Call it before serving a scrape; a nil registry makes it a no-op.
-func CollectRuntime(r *Registry) {
+func collectRuntime(r *Registry) {
 	if r == nil {
 		return
 	}
@@ -82,7 +82,7 @@ func float64HistQuantile(h *metrics.Float64Histogram, q float64) float64 {
 // runtimeHandler serves the sampled runtime state as JSON.
 func runtimeHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		CollectRuntime(r)
+		collectRuntime(r)
 		doc := map[string]float64{
 			"goroutines":           r.Gauge("collabvr_runtime_goroutines").Value(),
 			"heap_objects_bytes":   r.Gauge("collabvr_runtime_heap_objects_bytes").Value(),
@@ -95,10 +95,10 @@ func runtimeHandler(r *Registry) http.Handler {
 	})
 }
 
-// AttachDebug registers the Go profiling endpoints (/debug/pprof/...) and
+// attachDebug registers the Go profiling endpoints (/debug/pprof/...) and
 // the /debug/runtime sampler on the mux. Callers gate it behind a -debug
 // flag: the pprof endpoints expose internals and can be expensive.
-func AttachDebug(mux *http.ServeMux, r *Registry) {
+func attachDebug(mux *http.ServeMux, r *Registry) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

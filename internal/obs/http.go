@@ -7,9 +7,9 @@ import (
 	"strconv"
 )
 
-// MetricsHandler serves the registry in Prometheus text exposition format
+// metricsHandler serves the registry in Prometheus text exposition format
 // (a nil registry serves an empty body).
-func MetricsHandler(r *Registry) http.Handler {
+func metricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
@@ -26,9 +26,9 @@ type slotsResponse struct {
 	Recent       []SlotRecord `json:"recent"`
 }
 
-// SlotsHandler serves the recorder's summary and its most recent records as
+// slotsHandler serves the recorder's summary and its most recent records as
 // JSON. The `n` query parameter bounds the record count (default 64).
-func SlotsHandler(rec *Recorder) http.Handler {
+func slotsHandler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if n, ok := queryN(w, req); ok {
 			ServeJSON(w, slotsResponse{
@@ -102,16 +102,16 @@ type MuxOptions struct {
 // JSON), plus the optional ones opts selects.
 func NewMuxOpts(r *Registry, rec *Recorder, opts MuxOptions) *http.ServeMux {
 	mux := http.NewServeMux()
-	metricsHandler := MetricsHandler(r)
+	metricsHandler := metricsHandler(r)
 	mux.Handle("/metrics", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if opts.Debug {
-			CollectRuntime(r)
+			collectRuntime(r)
 		}
-		opts.SLO.RefreshGauges()
-		opts.Breaker.Counts()
+		opts.SLO.refreshGauges()
+		opts.Breaker.counts()
 		metricsHandler.ServeHTTP(w, req)
 	}))
-	mux.Handle("/debug/slots", SlotsHandler(rec))
+	mux.Handle("/debug/slots", slotsHandler(rec))
 	if opts.SLO != nil {
 		mux.HandleFunc("/debug/slo", func(w http.ResponseWriter, _ *http.Request) {
 			ServeJSON(w, opts.SLO.Snapshot())
@@ -123,7 +123,7 @@ func NewMuxOpts(r *Registry, rec *Recorder, opts MuxOptions) *http.ServeMux {
 		})
 	}
 	if opts.Fleet != nil {
-		mux.Handle("/debug/fleet", FleetHandler(opts.Fleet))
+		mux.Handle("/debug/fleet", fleetHandler(opts.Fleet))
 	}
 	if opts.Health != nil {
 		mux.Handle("/debug/health", opts.Health)
@@ -132,7 +132,7 @@ func NewMuxOpts(r *Registry, rec *Recorder, opts MuxOptions) *http.ServeMux {
 		mux.Handle("/debug/coord", opts.Coord)
 	}
 	if opts.Debug {
-		AttachDebug(mux, r)
+		attachDebug(mux, r)
 	}
 	return mux
 }

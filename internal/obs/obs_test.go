@@ -30,14 +30,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 5, 10})
+	h := newHistogram([]float64{1, 2, 5, 10})
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 7, 20} {
 		h.Observe(v)
 	}
 	if h.Count() != 6 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if got := h.Sum(); math.Abs(got-33.5) > 1e-9 {
+	if got := h.total(); math.Abs(got-33.5) > 1e-9 {
 		t.Errorf("sum = %v, want 33.5", got)
 	}
 	if q := h.Quantile(0.5); q < 1 || q > 2 {
@@ -50,7 +50,7 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(LinearBuckets(0, 1, 10))
+	h := newHistogram(LinearBuckets(0, 1, 10))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -88,7 +88,7 @@ func TestNilRegistryAndInstrumentsAreNoops(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.total() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil instruments must read zero")
 	}
 	var buf bytes.Buffer

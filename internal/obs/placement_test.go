@@ -3,9 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/jsonl"
 )
 
 func TestPlacementRecorderRingAndMetrics(t *testing.T) {
@@ -148,4 +152,42 @@ func TestFleetHandler(t *testing.T) {
 	if !strings.Contains(FleetSnapshot{Shards: []FleetShardState{{Shard: 0}}}.Format(), "shard") {
 		t.Fatal("Format missing header")
 	}
+}
+
+// ValidatePlacement is the JSONL reader's per-record check.
+func ValidatePlacement(rec *PlacementRecord) error {
+	if rec.Seq == 0 {
+		return fmt.Errorf("placement record without a sequence number")
+	}
+	switch rec.Reason {
+	case PlaceArrival, PlaceShardKill, PlaceShardDrain, PlaceSLOPressure:
+	default:
+		return fmt.Errorf("placement seq %d: unknown reason %q", rec.Seq, rec.Reason)
+	}
+	if rec.Chosen < -1 {
+		return fmt.Errorf("placement seq %d: bad chosen shard %d", rec.Seq, rec.Chosen)
+	}
+	return nil
+}
+
+// ReadPlacements decodes a PlacementRecorder JSONL stream with the shared
+// tolerant trailing-line policy (see internal/jsonl).
+func ReadPlacements(rd io.Reader) ([]PlacementRecord, int, error) {
+	return jsonl.Decode[PlacementRecord](rd, ValidatePlacement)
+}
+
+// Format renders the snapshot as a terminal table.
+func (s FleetSnapshot) Format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# fleet: scorer %s, global budget %.0f Mbps, %d placements, %d migrations, %d rebalances\n",
+		s.Scorer, s.GlobalBudgetMbps, s.Placements, s.Migrations, s.Rebalances)
+	fmt.Fprintf(&b, "%-6s %5s %6s %9s %9s %11s %11s %9s %7s %7s %7s\n",
+		"shard", "zone", "alive", "draining", "sessions", "budget", "demand", "pagefrac", "placed", "migIn", "migOut")
+	for _, sh := range s.Shards {
+		fmt.Fprintf(&b, "%-6d %5d %6v %9v %9d %9.1fMb %9.1fMb %9.3f %7d %7d %7d\n",
+			sh.Shard, sh.Zone, sh.Alive, sh.Draining, sh.Sessions,
+			sh.BudgetMbps, sh.DemandMbps, sh.PageFrac,
+			sh.Placed, sh.MigratedIn, sh.MigratedOut)
+	}
+	return b.String()
 }

@@ -10,11 +10,11 @@ import (
 // bucket with a non-positive bound.
 
 func TestQuantileEmptyHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
-	if got := NewHistogram(nil).Quantile(0.5); got != 0 {
+	if got := newHistogram(nil).Quantile(0.5); got != 0 {
 		t.Errorf("boundless histogram quantile = %v, want 0", got)
 	}
 	var nilH *Histogram
@@ -24,7 +24,7 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 }
 
 func TestQuantileClampsQ(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1.5, 3} {
 		h.Observe(v)
 	}
@@ -44,7 +44,7 @@ func TestQuantileClampsQ(t *testing.T) {
 }
 
 func TestQuantileAllOverflowMass(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	h := newHistogram([]float64{1, 2})
 	for _, v := range []float64{5, 6, 7} {
 		h.Observe(v)
 	}
@@ -60,19 +60,19 @@ func TestQuantileNonPositiveFirstBucket(t *testing.T) {
 	// All mass in a first bucket whose bound is negative: the estimate must
 	// not exceed the bound (the old interpolation from an implicit lower
 	// edge of 0 reported values above it).
-	h := NewHistogram([]float64{-2, -1, 0, 1})
+	h := newHistogram([]float64{-2, -1, 0, 1})
 	h.Observe(-5)
 	if got := h.Quantile(0.5); got != -2 {
 		t.Errorf("Quantile(0.5) = %v, want -2", got)
 	}
 	// Same with a zero first bound.
-	z := NewHistogram([]float64{0, 1})
+	z := newHistogram([]float64{0, 1})
 	z.Observe(-1)
 	if got := z.Quantile(0.5); got != 0 {
 		t.Errorf("zero-bound Quantile(0.5) = %v, want 0", got)
 	}
 	// Mass in a later negative bucket interpolates inside that bucket.
-	h2 := NewHistogram([]float64{-2, -1, 0})
+	h2 := newHistogram([]float64{-2, -1, 0})
 	h2.Observe(-1.5)
 	if got := h2.Quantile(0.5); got < -2 || got > -1 {
 		t.Errorf("negative-bucket interpolation = %v, want within [-2, -1]", got)
@@ -82,14 +82,14 @@ func TestQuantileNonPositiveFirstBucket(t *testing.T) {
 func TestQuantilePositivePathUnchanged(t *testing.T) {
 	// The common case keeps its semantics: interpolation within the
 	// containing bucket, first bucket interpolated from 0.
-	h := NewHistogram([]float64{1, 2, 4})
+	h := newHistogram([]float64{1, 2, 4})
 	for i := 0; i < 100; i++ {
 		h.Observe(1.5)
 	}
 	if got := h.Quantile(0.5); got < 1 || got > 2 {
 		t.Errorf("Quantile(0.5) = %v, want within (1, 2]", got)
 	}
-	first := NewHistogram([]float64{10, 20})
+	first := newHistogram([]float64{10, 20})
 	first.Observe(3)
 	if got := first.Quantile(1); got <= 0 || got > 10 {
 		t.Errorf("first-bucket Quantile(1) = %v, want within (0, 10]", got)

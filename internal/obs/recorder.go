@@ -166,8 +166,8 @@ func (r *Recorder) Record(rec *SlotRecord) {
 	if agg == nil {
 		agg = &algAgg{
 			rejections: make(map[string]uint64),
-			regretHist: NewHistogram(regretBuckets),
-			utilHist:   NewHistogram(utilizationBuckets),
+			regretHist: newHistogram(regretBuckets),
+			utilHist:   newHistogram(utilizationBuckets),
 		}
 		r.aggs[rec.Algorithm] = agg
 		r.order = append(r.order, rec.Algorithm)

@@ -92,10 +92,10 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// NewHistogram builds a standalone histogram over the given upper bounds
+// newHistogram builds a standalone histogram over the given upper bounds
 // (sorted ascending; an overflow bucket is implicit). Use Registry.Histogram
 // for a registered one.
-func NewHistogram(bounds []float64) *Histogram {
+func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)
 	return &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
@@ -126,8 +126,8 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
+// total returns the sum of all observed values.
+func (h *Histogram) total() float64 {
 	if h == nil {
 		return 0
 	}
@@ -137,7 +137,7 @@ func (h *Histogram) Sum() float64 {
 // Mean returns the average observation (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
+		return h.total() / float64(n)
 	}
 	return 0
 }
@@ -266,7 +266,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h := r.histograms[name]
 	if h == nil {
-		h = NewHistogram(bounds)
+		h = newHistogram(bounds)
 		r.histograms[name] = h
 	}
 	return h
@@ -369,7 +369,7 @@ func writePrometheusHistogram(w io.Writer, name string, h *Histogram) error {
 	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum(), name, h.Count())
+	_, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.total(), name, h.Count())
 	return err
 }
 

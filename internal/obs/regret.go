@@ -27,9 +27,9 @@ const (
 	ReasonStructural = "structural"
 )
 
-// RegretRow is one concrete attribution: this session, in this slot, lost
+// regretRow is one concrete attribution: this session, in this slot, lost
 // this much objective value for this reason.
-type RegretRow struct {
+type regretRow struct {
 	Algorithm string  `json:"algorithm"`
 	Run       int     `json:"run"`
 	Slot      int     `json:"slot"`
@@ -40,7 +40,7 @@ type RegretRow struct {
 
 // rowBefore orders rows for the worst-rows list: larger regret first, then
 // (run, slot, session, algorithm) ascending so reports are deterministic.
-func rowBefore(a, b RegretRow) bool {
+func rowBefore(a, b regretRow) bool {
 	if a.Regret != b.Regret {
 		return a.Regret > b.Regret
 	}
@@ -56,9 +56,9 @@ func rowBefore(a, b RegretRow) bool {
 	return a.Algorithm < b.Algorithm
 }
 
-// RegretShare is one bucket of the regret breakdown (by reason or by
+// regretShare is one bucket of the regret breakdown (by reason or by
 // session) with its fraction of the attributed total.
-type RegretShare struct {
+type regretShare struct {
 	Reason  string  `json:"reason,omitempty"`
 	Session uint32  `json:"session,omitempty"`
 	Regret  float64 `json:"regret"`
@@ -79,14 +79,14 @@ type RegretReport struct {
 	Rows               int     `json:"rows"`
 	// ByReason and TopSessions break the attributed regret down; WorstRows
 	// are the costliest individual (session, slot, reason) attributions.
-	ByReason    []RegretShare `json:"by_reason"`
-	TopSessions []RegretShare `json:"top_sessions"`
-	WorstRows   []RegretRow   `json:"worst_rows"`
+	ByReason    []regretShare `json:"by_reason"`
+	TopSessions []regretShare `json:"top_sessions"`
+	WorstRows   []regretRow   `json:"worst_rows"`
 	// ForgoneGain is the proxy breakdown for records without a reference
 	// optimum (the live server): the summed positive objective gain of the
 	// recorded counterfactual alternatives, by reason. It bounds what a
 	// less constrained allocator could have added, without claiming regret.
-	ForgoneGain []RegretShare `json:"forgone_gain,omitempty"`
+	ForgoneGain []regretShare `json:"forgone_gain,omitempty"`
 }
 
 // RegretAttributorOptions configures a RegretAttributor.
@@ -118,7 +118,7 @@ type RegretAttributor struct {
 	rows        int
 	byReason    map[string]float64
 	bySession   map[uint32]float64
-	worst       []RegretRow
+	worst       []regretRow
 	forgone     map[string]float64
 
 	cSlots      *Counter
@@ -215,7 +215,7 @@ func (a *RegretAttributor) Observe(rec *SlotRecord) {
 		a.gReason[reason].Add(share)
 		a.bySession[session] += share
 		a.rows++
-		a.worst = insertWorstRow(a.worst, a.topRows, RegretRow{
+		a.worst = insertWorstRow(a.worst, a.topRows, regretRow{
 			Algorithm: rec.Algorithm,
 			Run:       rec.Run,
 			Slot:      rec.Slot,
@@ -248,7 +248,7 @@ func (a *RegretAttributor) classify(rec *SlotRecord, u int) string {
 
 // insertWorstRow keeps the k worst rows sorted by rowBefore, shifting in
 // place like the solver's top-K accumulator.
-func insertWorstRow(rows []RegretRow, k int, row RegretRow) []RegretRow {
+func insertWorstRow(rows []regretRow, k int, row regretRow) []regretRow {
 	switch {
 	case len(rows) < k:
 		rows = append(rows, row)
@@ -276,7 +276,7 @@ func (a *RegretAttributor) Report() RegretReport {
 		TotalRegret:      a.total,
 		AttributedRegret: a.attributed,
 		Rows:             a.rows,
-		WorstRows:        append([]RegretRow(nil), a.worst...),
+		WorstRows:        append([]regretRow(nil), a.worst...),
 	}
 	if a.total > 0 {
 		rep.AttributedFraction = a.attributed / a.total
@@ -284,7 +284,7 @@ func (a *RegretAttributor) Report() RegretReport {
 		rep.AttributedFraction = 1 // zero regret is fully explained
 	}
 	for reason, sum := range a.byReason {
-		s := RegretShare{Reason: reason, Regret: sum}
+		s := regretShare{Reason: reason, Regret: sum}
 		if a.attributed > 0 {
 			s.Share = sum / a.attributed
 		}
@@ -297,7 +297,7 @@ func (a *RegretAttributor) Report() RegretReport {
 		return rep.ByReason[i].Reason < rep.ByReason[j].Reason
 	})
 	for session, sum := range a.bySession {
-		s := RegretShare{Session: session, Regret: sum}
+		s := regretShare{Session: session, Regret: sum}
 		if a.attributed > 0 {
 			s.Share = sum / a.attributed
 		}
@@ -317,7 +317,7 @@ func (a *RegretAttributor) Report() RegretReport {
 		forgoneTotal += sum
 	}
 	for reason, sum := range a.forgone {
-		s := RegretShare{Reason: reason, Regret: sum}
+		s := regretShare{Reason: reason, Regret: sum}
 		if forgoneTotal > 0 {
 			s.Share = sum / forgoneTotal
 		}

@@ -194,7 +194,7 @@ func TestSlotsHandlerRingInfo(t *testing.T) {
 	}
 
 	w := httptest.NewRecorder()
-	SlotsHandler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/slots", nil))
+	slotsHandler(rec).ServeHTTP(w, httptest.NewRequest("GET", "/debug/slots", nil))
 	var doc struct {
 		RingCapacity int    `json:"ring_capacity"`
 		RingDropped  uint64 `json:"ring_dropped"`

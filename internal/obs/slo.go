@@ -117,8 +117,8 @@ const (
 // makes tens of allocations for their entries.
 const entryChunk = 64
 
-// SLOSessionState is one session's externally visible SLO position.
-type SLOSessionState struct {
+// sloSessionState is one session's externally visible SLO position.
+type sloSessionState struct {
 	Session      uint32  `json:"session"`
 	State        string  `json:"state"`
 	Slots        int     `json:"slots"` // window fill, capped at WindowSlots
@@ -134,7 +134,7 @@ type SLOSessionState struct {
 // SLOSnapshot is the /debug/slo document.
 type SLOSnapshot struct {
 	Config        SLOConfig         `json:"config"`
-	Sessions      []SLOSessionState `json:"sessions"`
+	Sessions      []sloSessionState `json:"sessions"`
 	OK            int               `json:"ok"`
 	Warn          int               `json:"warn"`
 	Page          int               `json:"page"`
@@ -184,9 +184,6 @@ func NewSLOMonitor(cfg SLOConfig, reg *Registry) *SLOMonitor {
 		cPageTrans:  reg.Counter("collabvr_slo_page_transitions_total"),
 	}
 }
-
-// Enabled reports whether the monitor records observations.
-func (m *SLOMonitor) Enabled() bool { return m != nil }
 
 // Entry returns the session's entry, creating it on first use: a retired
 // session's, cleared, when there is one, else the next of the current
@@ -368,7 +365,7 @@ func (m *SLOMonitor) State(session uint32) string {
 
 // each calls fn with the position of every session that has observed a
 // slot, in map order, under the monitor lock.
-func (m *SLOMonitor) each(fn func(SLOSessionState)) {
+func (m *SLOMonitor) each(fn func(sloSessionState)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for id, s := range m.sessions {
@@ -379,7 +376,7 @@ func (m *SLOMonitor) each(fn func(SLOSessionState)) {
 		}
 		longN := float64(s.filled)
 		shortN := float64(min(s.filled, m.cfg.ShortWindowSlots))
-		st := SLOSessionState{
+		st := sloSessionState{
 			Session:      id,
 			State:        s.state,
 			Slots:        s.filled,
@@ -403,8 +400,10 @@ type sloTally struct {
 	worstBurn                  float64
 }
 
-func (t *sloTally) add(st SLOSessionState) {
-	switch st.State {
+// add counts one session: its alert state, its long-window miss burn rate
+// and whether it is under the quality floor.
+func (t *sloTally) add(state string, missBurn float64, qualityLow bool) {
+	switch state {
 	case SLOStatePage:
 		t.page++
 	case SLOStateWarn:
@@ -412,17 +411,32 @@ func (t *sloTally) add(st SLOSessionState) {
 	default:
 		t.ok++
 	}
-	if st.QualityLow {
+	if qualityLow {
 		t.qualityLow++
 	}
-	if st.MissBurn > t.worstBurn {
-		t.worstBurn = st.MissBurn
+	if missBurn > t.worstBurn {
+		t.worstBurn = missBurn
 	}
 }
 
-// tally counts the live sessions without building the snapshot document.
+// tally counts the live sessions in one pass that reads only what the
+// totals need — state, fill, long-window misses and quality sum — and
+// builds no snapshot row. Its burn rate and quality floor are each's
+// expressions, so it counts what Snapshot counts.
 func (m *SLOMonitor) tally() (t sloTally) {
-	m.each(t.add)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, s := range m.sessions {
+		s.mu.Lock()
+		state, filled, missLong, qualitySum := s.state, s.filled, s.missLong, s.qualitySum
+		s.mu.Unlock()
+		if filled == 0 {
+			continue
+		}
+		longN := float64(filled)
+		t.add(state, float64(missLong)/longN/m.cfg.MissTarget,
+			qualitySum/longN < m.cfg.MinMeanQuality && filled >= m.cfg.ShortWindowSlots)
+	}
 	return t
 }
 
@@ -443,8 +457,8 @@ func (m *SLOMonitor) Snapshot() SLOSnapshot {
 	}
 	snap := SLOSnapshot{Config: m.cfg}
 	var t sloTally
-	m.each(func(st SLOSessionState) {
-		t.add(st)
+	m.each(func(st sloSessionState) {
+		t.add(st.State, st.MissBurn, st.QualityLow)
 		snap.Sessions = append(snap.Sessions, st)
 	})
 	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].Session < snap.Sessions[j].Session })
@@ -464,10 +478,10 @@ func (m *SLOMonitor) Totals() (ok, warn, page int, worstBurn float64) {
 	return t.ok, t.warn, t.page, t.worstBurn
 }
 
-// RefreshGauges recomputes the mirrored registry gauges in one
+// refreshGauges recomputes the mirrored registry gauges in one
 // allocation-free pass, as Totals does; the metrics handler calls it before
 // serving a scrape.
-func (m *SLOMonitor) RefreshGauges() {
+func (m *SLOMonitor) refreshGauges() {
 	if m == nil {
 		return
 	}

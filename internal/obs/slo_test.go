@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -168,7 +169,7 @@ func TestSLORetireReuse(t *testing.T) {
 	}
 	type run struct {
 		states     []string
-		windows    []SLOSessionState // the session's snapshot row after each slot
+		windows    []sloSessionState // the session's snapshot row after each slot
 		warn, page uint64
 		snap       SLOSnapshot
 	}
@@ -343,12 +344,12 @@ func TestSLOBoundaryWarnPageRecover(t *testing.T) {
 
 func TestSLONilSafety(t *testing.T) {
 	var m *SLOMonitor
-	if m.Enabled() {
+	if m != nil {
 		t.Fatal("nil monitor enabled")
 	}
 	m.ObserveSlot(1, false, 0)
 	m.Retire(1)
-	m.RefreshGauges()
+	m.refreshGauges()
 	if m.State(1) != "" || len(m.Snapshot().Sessions) != 0 {
 		t.Fatal("nil monitor not inert")
 	}
@@ -453,8 +454,9 @@ func TestMetricsScrapeRefreshesBreakerGauges(t *testing.T) {
 	}
 }
 
-// TestSLORefreshGaugesOnePass: RefreshGauges sets the five gauges Snapshot
-// sets, to the same values, without allocating.
+// TestSLORefreshGaugesOnePass: refreshGauges sets the five gauges Snapshot
+// sets, to the same values, without allocating, and Totals reports
+// Snapshot's counts and worst burn rate.
 func TestSLORefreshGaugesOnePass(t *testing.T) {
 	gauges := []string{
 		"collabvr_slo_sessions_ok", "collabvr_slo_sessions_warn", "collabvr_slo_sessions_page",
@@ -480,8 +482,8 @@ func TestSLORefreshGaugesOnePass(t *testing.T) {
 			m.Snapshot()
 			continue
 		}
-		m.RefreshGauges()
-		if allocs := testing.AllocsPerRun(100, m.RefreshGauges); allocs != 0 {
+		m.refreshGauges()
+		if allocs := testing.AllocsPerRun(100, m.refreshGauges); allocs != 0 {
 			t.Errorf("RefreshGauges allocates %v times, want 0", allocs)
 		}
 	}
@@ -491,5 +493,30 @@ func TestSLORefreshGaugesOnePass(t *testing.T) {
 	}
 	if want[0] == 0 || want[1] == 0 || want[2] == 0 || want[4] == 0 {
 		t.Fatalf("script too tame: gauges %v (%v)", want, gauges)
+	}
+
+	// Over a random observe/retire sequence, Totals' own pass counts what
+	// Snapshot's rows count.
+	m := NewSLOMonitor(SLOConfig{WindowSlots: 50, ShortWindowSlots: 10}, NewRegistry())
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 4000; step++ {
+		session := uint32(rng.Intn(24))
+		if rng.Intn(50) == 0 {
+			m.Retire(session)
+		} else {
+			m.ObserveSlot(session, rng.Intn(int(session)%5+2) != 0, float64(1+rng.Intn(6)))
+		}
+		if step%97 != 0 {
+			continue
+		}
+		ok, warn, page, worst := m.Totals()
+		snap := m.Snapshot()
+		if ok != snap.OK || warn != snap.Warn || page != snap.Page || worst != snap.WorstMissBurn {
+			t.Fatalf("step %d: Totals %d/%d/%d worst %v, Snapshot %d/%d/%d worst %v",
+				step, ok, warn, page, worst, snap.OK, snap.Warn, snap.Page, snap.WorstMissBurn)
+		}
+	}
+	if ok, warn, page, _ := m.Totals(); ok == 0 || warn == 0 || page == 0 {
+		t.Fatalf("random script too tame: %d ok, %d warn, %d page", ok, warn, page)
 	}
 }

@@ -59,9 +59,9 @@ func robustStats(vs []float64) (median, mad float64) {
 	return median, mad
 }
 
-// Score returns the robust z-score of v against (median, mad). A zero MAD
+// score returns the robust z-score of v against (median, mad). A zero MAD
 // means the history is flat: any deviation is infinitely surprising.
-func Score(v, median, mad float64) float64 {
+func score(v, median, mad float64) float64 {
 	dev := math.Abs(v - median)
 	if mad == 0 {
 		if dev == 0 {
@@ -77,9 +77,9 @@ func Score(v, median, mad float64) float64 {
 // noise.
 const minAnomalyPoints = 8
 
-// DetectSeries flags the points of one snapshot whose robust z-score
+// detectSeries flags the points of one snapshot whose robust z-score
 // exceeds threshold (<= 0 takes DefaultAnomalyThreshold).
-func DetectSeries(snap SeriesSnapshot, threshold float64) []Anomaly {
+func detectSeries(snap SeriesSnapshot, threshold float64) []Anomaly {
 	if threshold <= 0 {
 		threshold = DefaultAnomalyThreshold
 	}
@@ -93,7 +93,7 @@ func DetectSeries(snap SeriesSnapshot, threshold float64) []Anomaly {
 	median, mad := robustStats(vs)
 	var out []Anomaly
 	for _, p := range snap.Points {
-		score := Score(p.Value, median, mad)
+		score := score(p.Value, median, mad)
 		if score >= threshold {
 			out = append(out, Anomaly{
 				Series: snap.Name, Shard: snap.Shard, Tier: snap.Tier,
@@ -104,7 +104,7 @@ func DetectSeries(snap SeriesSnapshot, threshold float64) []Anomaly {
 	return out
 }
 
-// Detect runs DetectSeries over the raw tier of every snapshot (the
+// Detect runs detectSeries over the raw tier of every snapshot (the
 // downsampled tiers restate the same data; flagging them too would
 // triple-report every excursion).
 func Detect(snaps []SeriesSnapshot, threshold float64) []Anomaly {
@@ -113,7 +113,7 @@ func Detect(snaps []SeriesSnapshot, threshold float64) []Anomaly {
 		if snap.Tier != 1 {
 			continue
 		}
-		out = append(out, DetectSeries(snap, threshold)...)
+		out = append(out, detectSeries(snap, threshold)...)
 	}
 	return out
 }
@@ -143,8 +143,8 @@ type Trend struct {
 func TrendOf(snap SeriesSnapshot, threshold float64) Trend {
 	t := Trend{
 		Name: snap.Name, Kind: snap.Kind, Shard: snap.Shard, Tier: snap.Tier,
-		Points: len(snap.Points), Summary: snap.Summary(), Direction: "flat",
-		Anomalies: len(DetectSeries(snap, threshold)),
+		Points: len(snap.Points), Summary: snap.summary(), Direction: "flat",
+		Anomalies: len(detectSeries(snap, threshold)),
 	}
 	if len(snap.Points) == 0 {
 		return t
@@ -236,7 +236,7 @@ func Compare(baseline, current []SeriesSnapshot, tolerance, absFloor float64) []
 	}
 	cur := make(map[string]*SeriesSnapshot, len(current))
 	for i := range current {
-		cur[current[i].Key()] = &current[i]
+		cur[current[i].key()] = &current[i]
 	}
 	var out []Regression
 	for i := range baseline {
@@ -245,12 +245,12 @@ func Compare(baseline, current []SeriesSnapshot, tolerance, absFloor float64) []
 		if b.Tier != 1 {
 			continue
 		}
-		c, ok := cur[b.Key()]
+		c, ok := cur[b.key()]
 		if !ok {
-			out = append(out, Regression{Key: b.Key(), Baseline: b.Summary(), Current: math.NaN()})
+			out = append(out, Regression{Key: b.key(), Baseline: b.summary(), Current: math.NaN()})
 			continue
 		}
-		bv, cv := b.Summary(), c.Summary()
+		bv, cv := b.summary(), c.summary()
 		diff := cv - bv
 		if !badDirectionUp(b.Name) {
 			diff = -diff // for good-up series, a drop is the regression
@@ -263,7 +263,7 @@ func Compare(baseline, current []SeriesSnapshot, tolerance, absFloor float64) []
 			limit = absFloor
 		}
 		if diff > limit {
-			r := Regression{Key: b.Key(), Baseline: bv, Current: cv}
+			r := Regression{Key: b.key(), Baseline: bv, Current: cv}
 			if bv != 0 {
 				r.Ratio = cv / bv
 			}

@@ -37,14 +37,14 @@ type SeriesSnapshot struct {
 	Points []SnapPoint `json:"points"`
 }
 
-// Key identifies the snapshot's series+tier for joins against a baseline.
-func (s *SeriesSnapshot) Key() string {
+// key identifies the snapshot's series+tier for joins against a baseline.
+func (s *SeriesSnapshot) key() string {
 	return fmt.Sprintf("%s#%d@%d", s.Name, s.Shard, s.Tier)
 }
 
-// Summary reduces the snapshot to one scalar for baseline comparison:
+// summary reduces the snapshot to one scalar for baseline comparison:
 // counters report the total delta across the window, gauges the point mean.
-func (s *SeriesSnapshot) Summary() float64 {
+func (s *SeriesSnapshot) summary() float64 {
 	if len(s.Points) == 0 {
 		return 0
 	}
@@ -138,16 +138,16 @@ func (st *Store) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ValidateSnapshot is the JSONL reader's per-record check.
-func ValidateSnapshot(s *SeriesSnapshot) error {
+// validateSnapshot is the JSONL reader's per-record check.
+func validateSnapshot(s *SeriesSnapshot) error {
 	if s.Name == "" {
 		return fmt.Errorf("tsdb: snapshot without a name")
 	}
-	if _, ok := KindByName(s.Kind); !ok {
+	if _, ok := kindByName(s.Kind); !ok {
 		return fmt.Errorf("tsdb: series %q: unknown kind %q", s.Name, s.Kind)
 	}
 	switch s.Tier {
-	case 1, Tier10, Tier100:
+	case 1, tier10, tier100:
 	default:
 		return fmt.Errorf("tsdb: series %q: tier %d not in {1, 10, 100}", s.Name, s.Tier)
 	}
@@ -163,7 +163,7 @@ func ValidateSnapshot(s *SeriesSnapshot) error {
 // trailing-line policy (see internal/jsonl): interior corruption is fatal,
 // a live writer's partial tail is skipped and counted.
 func ReadSnapshots(r io.Reader) ([]SeriesSnapshot, int, error) {
-	return jsonl.Decode[SeriesSnapshot](r, ValidateSnapshot)
+	return jsonl.Decode[SeriesSnapshot](r, validateSnapshot)
 }
 
 // HealthDoc is the /debug/health JSON document.
@@ -176,10 +176,10 @@ type HealthDoc struct {
 	Anomalies   []Anomaly        `json:"anomalies,omitempty"`
 }
 
-// Doc builds the health document: the full snapshot filtered to substring
+// doc builds the health document: the full snapshot filtered to substring
 // `name` (empty = all) and tier (0 = all), with MAD anomalies flagged at
 // the given threshold (<= 0 takes DefaultAnomalyThreshold).
-func (st *Store) Doc(name string, tier int, threshold float64) HealthDoc {
+func (st *Store) doc(name string, tier int, threshold float64) HealthDoc {
 	doc := HealthDoc{SeriesCount: st.Len()}
 	for _, snap := range st.Snapshot() {
 		if n := len(snap.Points); n > 0 && snap.Points[n-1].Slot > doc.Slot {
@@ -207,7 +207,7 @@ func Handler(st *Store, onServe func(HealthDoc)) http.Handler {
 		tier := 0
 		if s := req.URL.Query().Get("tier"); s != "" {
 			v, err := strconv.Atoi(s)
-			if err != nil || (v != 1 && v != Tier10 && v != Tier100) {
+			if err != nil || (v != 1 && v != tier10 && v != tier100) {
 				http.Error(w, "bad tier (want 1, 10 or 100)", http.StatusBadRequest)
 				return
 			}
@@ -222,7 +222,7 @@ func Handler(st *Store, onServe func(HealthDoc)) http.Handler {
 			}
 			threshold = v
 		}
-		doc := st.Doc(req.URL.Query().Get("name"), tier, threshold)
+		doc := st.doc(req.URL.Query().Get("name"), tier, threshold)
 		if onServe != nil {
 			onServe(doc)
 		}

@@ -97,8 +97,8 @@ func NewSampler(opts SamplerOptions) *Sampler {
 		pair, ok := s.hists[name]
 		if !ok {
 			pair = histSeries{
-				mean: s.store.Series(name+"_mean", Hist),
-				p95:  s.store.Series(name+"_p95", Hist),
+				mean: s.store.Series(name+"_mean", hist),
+				p95:  s.store.Series(name+"_p95", hist),
 			}
 			s.hists[name] = pair
 		}

@@ -28,13 +28,13 @@ func TestSamplerWalksRegistryAndSLO(t *testing.T) {
 	reg.Counter("collabvr_sent_total").Add(5)
 	s.Sample(1)
 
-	if got := st.Series("collabvr_sent_total", Counter).Stats(2); got.Delta() != 5 {
-		t.Fatalf("counter delta = %g, want 5", got.Delta())
+	if got := st.Series("collabvr_sent_total", Counter).Stats(2); got.Last-got.First != 5 {
+		t.Fatalf("counter delta = %g, want 5", got.Last-got.First)
 	}
 	if got := st.Series("collabvr_sessions", Gauge).Stats(1); got.Last != 3 {
 		t.Fatalf("gauge = %g, want 3", got.Last)
 	}
-	if got := st.Series("collabvr_latency_ms_mean", Hist).Stats(1); got.Last != 3 {
+	if got := st.Series("collabvr_latency_ms_mean", hist).Stats(1); got.Last != 3 {
 		t.Fatalf("hist mean = %g, want 3", got.Last)
 	}
 	if got := st.Series("collabvr_slo_sessions_page", Gauge).Stats(1); got.Count != 1 {
@@ -62,7 +62,7 @@ func TestSamplerCadence(t *testing.T) {
 	for slot := int64(0); slot < 25; slot++ {
 		s.Sample(slot)
 	}
-	if got := st.Series("g", Gauge).Total(); got != 3 { // slots 0, 10, 20
+	if got := st.Series("g", Gauge).totalCount(); got != 3 { // slots 0, 10, 20
 		t.Fatalf("sampled %d times, want 3", got)
 	}
 }

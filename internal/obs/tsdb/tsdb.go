@@ -38,7 +38,7 @@ const (
 	// Hist marks a series sampled from a histogram snapshot (a per-slot
 	// quantile or mean). It aggregates like a gauge; the kind survives into
 	// exports so readers know the value is itself a summary.
-	Hist
+	hist
 )
 
 // String returns the export name of the kind.
@@ -46,35 +46,35 @@ func (k Kind) String() string {
 	switch k {
 	case Counter:
 		return "counter"
-	case Hist:
+	case hist:
 		return "hist"
 	default:
 		return "gauge"
 	}
 }
 
-// KindByName is the inverse of Kind.String (unknown names read as gauge,
+// kindByName is the inverse of Kind.String (unknown names read as gauge,
 // reported by the bool).
-func KindByName(s string) (Kind, bool) {
+func kindByName(s string) (Kind, bool) {
 	switch s {
 	case "counter":
 		return Counter, true
 	case "gauge":
 		return Gauge, true
 	case "hist":
-		return Hist, true
+		return hist, true
 	}
 	return Gauge, false
 }
 
 // The downsample widths of the two aggregated tiers, in slots.
 const (
-	Tier10  = 10
-	Tier100 = 100
+	tier10  = 10
+	tier100 = 100
 )
 
-// FleetShard marks a series as fleet-wide rather than per-shard.
-const FleetShard = -1
+// fleetShard marks a series as fleet-wide rather than per-shard.
+const fleetShard = -1
 
 // Options sizes a Store's rings.
 type Options struct {
@@ -96,14 +96,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Point is one raw observation.
-type Point struct {
+// point is one raw observation.
+type point struct {
 	Slot  int64
 	Value float64
 }
 
-// AggPoint is one downsampled window: Slot is the window's first slot.
-type AggPoint struct {
+// aggPoint is one downsampled window: Slot is the window's first slot.
+type aggPoint struct {
 	Slot  int64
 	Count uint32
 	First float64
@@ -114,7 +114,7 @@ type AggPoint struct {
 }
 
 // fold absorbs one raw observation into the window aggregate.
-func (a *AggPoint) fold(v float64) {
+func (a *aggPoint) fold(v float64) {
 	if a.Count == 0 {
 		a.First, a.Min, a.Max = v, v, v
 	} else {
@@ -132,7 +132,7 @@ func (a *AggPoint) fold(v float64) {
 
 // value reduces the window per the series kind: counters report the delta
 // over the window, gauges (and hist samples) the mean.
-func (a *AggPoint) value(kind Kind) float64 {
+func (a *aggPoint) value(kind Kind) float64 {
 	if a.Count == 0 {
 		return 0
 	}
@@ -145,8 +145,8 @@ func (a *AggPoint) value(kind Kind) float64 {
 // tier is one downsampled ring plus the partially-filled current window.
 type tier struct {
 	width  int64
-	pts    jsonl.Ring[AggPoint]
-	cur    AggPoint
+	pts    jsonl.Ring[aggPoint]
+	cur    aggPoint
 	curWin int64 // cur's window index; -1 when cur is empty
 }
 
@@ -154,7 +154,7 @@ func (t *tier) observe(slot int64, v float64) {
 	win := slot / t.width
 	if t.curWin != win && t.cur.Count > 0 {
 		t.pts.Push(t.cur)
-		t.cur = AggPoint{}
+		t.cur = aggPoint{}
 	}
 	if t.cur.Count == 0 {
 		t.curWin = win
@@ -171,7 +171,7 @@ type Series struct {
 	kind  Kind
 	shard int
 
-	raw   jsonl.Ring[Point]
+	raw   jsonl.Ring[point]
 	tiers [2]tier
 	total uint64 // observations ever made
 }
@@ -184,7 +184,7 @@ func (s *Series) Observe(slot int64, v float64) {
 		return
 	}
 	s.store.mu.Lock()
-	s.raw.Push(Point{Slot: slot, Value: v})
+	s.raw.Push(point{Slot: slot, Value: v})
 	s.tiers[0].observe(slot, v)
 	s.tiers[1].observe(slot, v)
 	s.total++
@@ -208,9 +208,6 @@ func (w WindowStats) Mean() float64 {
 	}
 	return w.Sum / float64(w.Count)
 }
-
-// Delta returns Last-First — the windowed rate of a counter series.
-func (w WindowStats) Delta() float64 { return w.Last - w.First }
 
 // Stats summarizes the most recent n raw points without allocating — the
 // query the evacuation loop runs every slot. n <= 0 or a nil series yields
@@ -242,8 +239,8 @@ func (s *Series) Stats(n int) WindowStats {
 	return w
 }
 
-// Total returns how many observations the series has ever absorbed.
-func (s *Series) Total() uint64 {
+// totalCount returns how many observations the series has ever absorbed.
+func (s *Series) totalCount() uint64 {
 	if s == nil {
 		return 0
 	}
@@ -276,7 +273,7 @@ func New(opts Options) *Store {
 // first use (later calls reuse the series; the kind is fixed at creation).
 // Returns nil on a nil store.
 func (st *Store) Series(name string, kind Kind) *Series {
-	return st.ShardSeries(name, kind, FleetShard)
+	return st.ShardSeries(name, kind, fleetShard)
 }
 
 // ShardSeries is Series keyed to one shard, so per-shard trajectories of the
@@ -296,10 +293,10 @@ func (st *Store) ShardSeries(name string, kind Kind, shard int) *Series {
 		name:  name,
 		kind:  kind,
 		shard: shard,
-		raw:   jsonl.NewRing[Point](st.opts.RawSlots),
+		raw:   jsonl.NewRing[point](st.opts.RawSlots),
 	}
-	s.tiers[0] = tier{width: Tier10, pts: jsonl.NewRing[AggPoint](st.opts.TierPoints), curWin: -1}
-	s.tiers[1] = tier{width: Tier100, pts: jsonl.NewRing[AggPoint](st.opts.TierPoints), curWin: -1}
+	s.tiers[0] = tier{width: tier10, pts: jsonl.NewRing[aggPoint](st.opts.TierPoints), curWin: -1}
+	s.tiers[1] = tier{width: tier100, pts: jsonl.NewRing[aggPoint](st.opts.TierPoints), curWin: -1}
 	st.series = append(st.series, s)
 	st.byKey[key] = s
 	return s

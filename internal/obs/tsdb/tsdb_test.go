@@ -68,8 +68,8 @@ func TestDownsamplingCounterDelta(t *testing.T) {
 			t.Fatalf("counter window %d delta = %g, want 27", i, p.Value)
 		}
 	}
-	if got := s.Stats(10).Delta(); got != 27 {
-		t.Fatalf("Stats(10).Delta() = %g, want 27", got)
+	if st := s.Stats(10); st.Last-st.First != 27 {
+		t.Fatalf("Stats(10) delta = %g, want 27", st.Last-st.First)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestRawRingWrap(t *testing.T) {
 	if w.Count != 8 || w.First != 12 || w.Last != 19 || w.Min != 12 || w.Max != 19 {
 		t.Fatalf("Stats = %+v", w)
 	}
-	if got := s.Total(); got != 20 {
+	if got := s.totalCount(); got != 20 {
 		t.Fatalf("Total = %d, want 20", got)
 	}
 }
@@ -215,19 +215,19 @@ func TestEnabledObserveIsAllocationFree(t *testing.T) {
 }
 
 func TestKindNames(t *testing.T) {
-	for _, k := range []Kind{Gauge, Counter, Hist} {
-		got, ok := KindByName(k.String())
+	for _, k := range []Kind{Gauge, Counter, hist} {
+		got, ok := kindByName(k.String())
 		if !ok || got != k {
 			t.Fatalf("KindByName(%q) = %v %v", k.String(), got, ok)
 		}
 	}
-	if _, ok := KindByName("bogus"); ok {
+	if _, ok := kindByName("bogus"); ok {
 		t.Fatal("bogus kind accepted")
 	}
 }
 
 func TestAnomalyDetection(t *testing.T) {
-	snap := SeriesSnapshot{Name: "miss_rate", Shard: FleetShard, Tier: 1}
+	snap := SeriesSnapshot{Name: "miss_rate", Shard: fleetShard, Tier: 1}
 	for i := 0; i < 40; i++ {
 		v := 1.0 + 0.01*float64(i%5) // mild noise
 		if i == 25 {
@@ -235,7 +235,7 @@ func TestAnomalyDetection(t *testing.T) {
 		}
 		snap.Points = append(snap.Points, SnapPoint{Slot: int64(i), Value: v})
 	}
-	got := DetectSeries(snap, 0)
+	got := detectSeries(snap, 0)
 	if len(got) != 1 {
 		t.Fatalf("anomalies = %+v, want exactly the spike", got)
 	}
@@ -255,13 +255,13 @@ func TestAnomalyFlatSeriesSpike(t *testing.T) {
 		snap.Points = append(snap.Points, SnapPoint{Slot: int64(i), Value: 3})
 	}
 	snap.Points[10].Value = 4
-	got := DetectSeries(snap, 0)
+	got := detectSeries(snap, 0)
 	if len(got) != 1 || got[0].Score != infScore {
 		t.Fatalf("flat-series spike: %+v", got)
 	}
 	// and a short series never flags
 	short := SeriesSnapshot{Name: "g", Tier: 1, Points: snap.Points[:minAnomalyPoints-1]}
-	if got := DetectSeries(short, 0); got != nil {
+	if got := detectSeries(short, 0); got != nil {
 		t.Fatalf("short series flagged: %+v", got)
 	}
 }
@@ -300,7 +300,7 @@ func TestTrendDirection(t *testing.T) {
 
 func TestCompareRegressions(t *testing.T) {
 	mk := func(name string, vals ...float64) SeriesSnapshot {
-		s := SeriesSnapshot{Name: name, Kind: "gauge", Shard: FleetShard, Tier: 1}
+		s := SeriesSnapshot{Name: name, Kind: "gauge", Shard: fleetShard, Tier: 1}
 		for i, v := range vals {
 			s.Points = append(s.Points, SnapPoint{Slot: int64(i), Value: v})
 		}

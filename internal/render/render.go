@@ -19,8 +19,8 @@ import (
 	"time"
 )
 
-// Request is one tile to render and encode in a slot.
-type Request struct {
+// request is one tile to render and encode in a slot.
+type request struct {
 	User  uint32
 	Level int // quality level; higher levels encode slower
 }
@@ -55,8 +55,8 @@ func DefaultConfig(gpus int) Config {
 	}
 }
 
-// Result summarizes one slot's pipeline execution.
-type Result struct {
+// result summarizes one slot's pipeline execution.
+type result struct {
 	// Completed is the number of tiles that finished by the deadline.
 	Completed int
 	// Missed is the number that did not.
@@ -65,42 +65,42 @@ type Result struct {
 	Makespan time.Duration
 }
 
-// Pipeline is a deterministic discrete-event model of the cluster.
-type Pipeline struct {
+// pipeline is a deterministic discrete-event model of the cluster.
+type pipeline struct {
 	cfg Config
 }
 
-// New validates and returns a pipeline.
-func New(cfg Config) *Pipeline {
+// newPipeline validates and returns a pipeline.
+func newPipeline(cfg Config) *pipeline {
 	if cfg.GPUs <= 0 {
 		cfg.GPUs = 1
 	}
 	if cfg.EncodersPerGPU <= 0 {
 		cfg.EncodersPerGPU = 1
 	}
-	return &Pipeline{cfg: cfg}
+	return &pipeline{cfg: cfg}
 }
 
 // encodeTime returns the encode duration of a tile at the given level.
-func (p *Pipeline) encodeTime(level int) time.Duration {
+func (p *pipeline) encodeTime(level int) time.Duration {
 	if level < 1 {
 		level = 1
 	}
 	return p.cfg.EncodeBase + time.Duration(level-1)*p.cfg.EncodePerLevel
 }
 
-// RunSlot schedules the requests across the cluster with greedy
+// runSlot schedules the requests across the cluster with greedy
 // earliest-available list scheduling (tiles sorted by encode time, longest
 // first) and reports how many finish within the deadline. Rendering and
 // encoding pipeline: a tile's encode can start as soon as its render
 // finishes and an encoder session on the same GPU is free.
-func (p *Pipeline) RunSlot(reqs []Request, deadline time.Duration) Result {
+func (p *pipeline) runSlot(reqs []request, deadline time.Duration) result {
 	if len(reqs) == 0 {
-		return Result{}
+		return result{}
 	}
 	// Longest-processing-time-first improves the makespan of list
 	// scheduling.
-	sorted := make([]Request, len(reqs))
+	sorted := make([]request, len(reqs))
 	copy(sorted, reqs)
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return p.encodeTime(sorted[i].Level) > p.encodeTime(sorted[j].Level)
@@ -112,7 +112,7 @@ func (p *Pipeline) RunSlot(reqs []Request, deadline time.Duration) Result {
 		encoderFree[g] = make([]time.Duration, p.cfg.EncodersPerGPU)
 	}
 
-	var res Result
+	var res result
 	for _, req := range sorted {
 		// Pick the GPU whose pipeline finishes this tile earliest.
 		bestGPU, bestEnc := 0, 0
@@ -145,20 +145,20 @@ func (p *Pipeline) RunSlot(reqs []Request, deadline time.Duration) Result {
 	return res
 }
 
-// MissRate runs a sustained workload (tilesPerSlot requests each slot for
+// missRate runs a sustained workload (tilesPerSlot requests each slot for
 // the given number of slots; the cluster state resets per slot, as renders
 // target the next display deadline) and returns the deadline-miss fraction.
-func (p *Pipeline) MissRate(tilesPerSlot, slots int, level int, deadline time.Duration) float64 {
+func (p *pipeline) missRate(tilesPerSlot, slots int, level int, deadline time.Duration) float64 {
 	if tilesPerSlot <= 0 || slots <= 0 {
 		return 0
 	}
-	reqs := make([]Request, tilesPerSlot)
+	reqs := make([]request, tilesPerSlot)
 	for i := range reqs {
-		reqs[i] = Request{User: uint32(i), Level: level}
+		reqs[i] = request{User: uint32(i), Level: level}
 	}
 	var missed, total int
 	for s := 0; s < slots; s++ {
-		r := p.RunSlot(reqs, deadline)
+		r := p.runSlot(reqs, deadline)
 		missed += r.Missed
 		total += r.Missed + r.Completed
 	}
@@ -172,8 +172,8 @@ func MinGPUsFor(base Config, tilesPerSlot, level int, deadline time.Duration, ma
 	for g := 1; g <= maxGPUs; g++ {
 		cfg := base
 		cfg.GPUs = g
-		p := New(cfg)
-		r := p.RunSlot(requestsFor(tilesPerSlot, level), deadline)
+		p := newPipeline(cfg)
+		r := p.runSlot(requestsFor(tilesPerSlot, level), deadline)
 		if r.Missed == 0 {
 			return g
 		}
@@ -181,10 +181,10 @@ func MinGPUsFor(base Config, tilesPerSlot, level int, deadline time.Duration, ma
 	return maxGPUs + 1
 }
 
-func requestsFor(n, level int) []Request {
-	reqs := make([]Request, n)
+func requestsFor(n, level int) []request {
+	reqs := make([]request, n)
 	for i := range reqs {
-		reqs[i] = Request{User: uint32(i), Level: level}
+		reqs[i] = request{User: uint32(i), Level: level}
 	}
 	return reqs
 }

@@ -6,8 +6,8 @@ import (
 )
 
 func TestEmptySlot(t *testing.T) {
-	p := New(DefaultConfig(1))
-	r := p.RunSlot(nil, 16*time.Millisecond)
+	p := newPipeline(DefaultConfig(1))
+	r := p.runSlot(nil, 16*time.Millisecond)
 	if r.Completed != 0 || r.Missed != 0 || r.Makespan != 0 {
 		t.Errorf("empty slot result = %+v", r)
 	}
@@ -15,8 +15,8 @@ func TestEmptySlot(t *testing.T) {
 
 func TestSingleTileTiming(t *testing.T) {
 	cfg := DefaultConfig(1)
-	p := New(cfg)
-	r := p.RunSlot([]Request{{User: 0, Level: 3}}, 16*time.Millisecond)
+	p := newPipeline(cfg)
+	r := p.runSlot([]request{{User: 0, Level: 3}}, 16*time.Millisecond)
 	want := cfg.RenderTime + cfg.EncodeBase + 2*cfg.EncodePerLevel
 	if r.Makespan != want {
 		t.Errorf("makespan = %v, want %v", r.Makespan, want)
@@ -27,8 +27,8 @@ func TestSingleTileTiming(t *testing.T) {
 }
 
 func TestDeadlineMiss(t *testing.T) {
-	p := New(DefaultConfig(1))
-	r := p.RunSlot([]Request{{Level: 6}}, time.Millisecond)
+	p := newPipeline(DefaultConfig(1))
+	r := p.runSlot([]request{{Level: 6}}, time.Millisecond)
 	if r.Missed != 1 || r.Completed != 0 {
 		t.Errorf("tight deadline should miss: %+v", r)
 	}
@@ -43,8 +43,8 @@ func TestParallelEncodersPipeline(t *testing.T) {
 		RenderTime:     time.Millisecond,
 		EncodeBase:     5 * time.Millisecond,
 	}
-	p := New(cfg)
-	r := p.RunSlot(requestsFor(3, 1), 20*time.Millisecond)
+	p := newPipeline(cfg)
+	r := p.runSlot(requestsFor(3, 1), 20*time.Millisecond)
 	// Renders at 1,2,3 ms; encodes run in parallel: last done at 3+5 = 8ms.
 	if want := 8 * time.Millisecond; r.Makespan != want {
 		t.Errorf("makespan = %v, want %v", r.Makespan, want)
@@ -60,7 +60,7 @@ func TestMoreGPUsNeverWorse(t *testing.T) {
 		for gpus := 1; gpus <= 6; gpus++ {
 			cfg := base
 			cfg.GPUs = gpus
-			miss := New(cfg).MissRate(load, 4, 4, time.Second/60)
+			miss := newPipeline(cfg).missRate(load, 4, 4, time.Second/60)
 			if miss > prev+1e-9 {
 				t.Fatalf("load %d: miss rate rose from %v to %v at %d GPUs",
 					load, prev, miss, gpus)
@@ -71,9 +71,9 @@ func TestMoreGPUsNeverWorse(t *testing.T) {
 }
 
 func TestHigherQualityEncodesSlower(t *testing.T) {
-	p := New(DefaultConfig(2))
-	lo := p.RunSlot(requestsFor(12, 1), time.Second/60)
-	hi := p.RunSlot(requestsFor(12, 6), time.Second/60)
+	p := newPipeline(DefaultConfig(2))
+	lo := p.runSlot(requestsFor(12, 1), time.Second/60)
+	hi := p.runSlot(requestsFor(12, 6), time.Second/60)
 	if hi.Makespan <= lo.Makespan {
 		t.Errorf("level 6 makespan %v should exceed level 1 %v", hi.Makespan, lo.Makespan)
 	}
@@ -88,7 +88,7 @@ func TestDiscussionScenario(t *testing.T) {
 	tiles := 45
 	base := DefaultConfig(1)
 
-	one := New(base).RunSlot(requestsFor(tiles, 4), deadline)
+	one := newPipeline(base).runSlot(requestsFor(tiles, 4), deadline)
 	if one.Missed == 0 {
 		t.Fatalf("one GPU should miss deadlines at 45 tiles/slot: %+v", one)
 	}
@@ -101,7 +101,7 @@ func TestDiscussionScenario(t *testing.T) {
 	}
 	cfg := base
 	cfg.GPUs = need
-	ok := New(cfg).RunSlot(requestsFor(tiles, 4), deadline)
+	ok := newPipeline(cfg).runSlot(requestsFor(tiles, 4), deadline)
 	if ok.Missed != 0 {
 		t.Errorf("%d GPUs should meet every deadline: %+v", need, ok)
 	}
@@ -109,19 +109,19 @@ func TestDiscussionScenario(t *testing.T) {
 }
 
 func TestMissRateBounds(t *testing.T) {
-	p := New(DefaultConfig(2))
-	if got := p.MissRate(0, 10, 3, time.Second/60); got != 0 {
+	p := newPipeline(DefaultConfig(2))
+	if got := p.missRate(0, 10, 3, time.Second/60); got != 0 {
 		t.Errorf("zero load miss rate = %v", got)
 	}
-	rate := p.MissRate(30, 5, 3, time.Second/60)
+	rate := p.missRate(30, 5, 3, time.Second/60)
 	if rate < 0 || rate > 1 {
 		t.Errorf("miss rate %v outside [0,1]", rate)
 	}
 }
 
 func TestConfigClamping(t *testing.T) {
-	p := New(Config{GPUs: 0, EncodersPerGPU: 0, EncodeBase: time.Millisecond})
-	r := p.RunSlot(requestsFor(2, 1), time.Second)
+	p := newPipeline(Config{GPUs: 0, EncodersPerGPU: 0, EncodeBase: time.Millisecond})
+	r := p.runSlot(requestsFor(2, 1), time.Second)
 	if r.Completed != 2 {
 		t.Errorf("clamped config should still schedule: %+v", r)
 	}

@@ -7,12 +7,12 @@ import (
 	"repro/internal/vrmath"
 )
 
-// ExampleForView selects the tiles to deliver for a user looking slightly
+// ExampleForViewAppend selects the tiles to deliver for a user looking slightly
 // up and to the left, with the FoV margin the paper uses to absorb
 // prediction error.
-func ExampleForView() {
+func ExampleForViewAppend() {
 	pose := vrmath.Pose{Pos: vrmath.Vec3{X: 1.0, Z: 2.5}, Yaw: -60, Pitch: 10}
-	sel := tiles.ForView(pose, vrmath.DefaultFoV, 15)
+	sel := tiles.ForViewAppend(nil, pose, vrmath.DefaultFoV, 15)
 	fmt.Println("tiles:", sel)
 
 	cell := tiles.CellFor(pose.Pos)
@@ -26,12 +26,13 @@ func ExampleForView() {
 	// video id: cell(20,50)/t0/q4
 }
 
-// ExampleSizeModel_RateTable builds the rate ladder f^R(q) the allocator
+// ExampleSizeModel_RateTableInto builds the rate ladder f^R(q) the allocator
 // consumes for a two-tile selection.
-func ExampleSizeModel_RateTable() {
+func ExampleSizeModel_RateTableInto() {
 	m := tiles.NewSizeModel(1)
 	cell := tiles.CellID{X: 20, Z: 50}
-	table := m.RateTable(cell, []tiles.TileID{0, 2})
+	table := make([]float64, tiles.Levels)
+	m.RateTableInto(table, cell, []tiles.TileID{0, 2})
 	for q, rate := range table {
 		crf, _ := tiles.CRFForLevel(q + 1)
 		fmt.Printf("level %d (CRF %d): %.1f Mbps\n", q+1, crf, rate)

@@ -29,7 +29,7 @@ func TestStoreInstrument(t *testing.T) {
 	if got := misses.Value(); got != 2 {
 		t.Errorf("miss counter = %d, want 2", got)
 	}
-	sh, sm := s.Stats()
+	sh, sm := s.stats()
 	if sh != 3 || sm != 2 {
 		t.Errorf("Stats = (%d,%d), want (3,2)", sh, sm)
 	}

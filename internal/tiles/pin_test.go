@@ -16,7 +16,7 @@ func synthesize(seed uint64, n int) []byte {
 // want is the payload a store over NewSizeModel(1) at 60 FPS serves for id.
 func want(id VideoID) []byte {
 	cell, tile, level := id.Unpack()
-	return synthesize(uint64(id), NewSizeModel(1).TileBytes(cell, tile, level, 60))
+	return synthesize(uint64(id), NewSizeModel(1).tileBytes(cell, tile, level, 60))
 }
 
 // TestPinHammer: holders pin payloads, read them while they hold them and
@@ -68,7 +68,7 @@ func TestPinHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses := s.Stats()
+	hits, misses := s.stats()
 	if hits+misses != holders*rounds || misses < holders*rounds/2 {
 		t.Errorf("hits %d, misses %d over %d fetches: the store did not churn", hits, misses, holders*rounds)
 	}
@@ -119,11 +119,11 @@ func TestStoreMissReusesEvicted(t *testing.T) {
 	for range 4 * len(ids) {
 		miss()
 	}
-	_, before := s.Stats()
+	_, before := s.stats()
 	if allocs := testing.AllocsPerRun(200, miss); allocs != 0 {
 		t.Errorf("store miss at capacity = %.2f allocs, want 0", allocs)
 	}
-	if _, after := s.Stats(); after-before != 201 {
+	if _, after := s.stats(); after-before != 201 {
 		t.Errorf("%d misses over 201 fetches of tiles evicted long ago", after-before)
 	}
 	b, p := s.Pin(ids[0])

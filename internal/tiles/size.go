@@ -50,34 +50,18 @@ func (m *SizeModel) TileRate(cell CellID, tile TileID, level int) float64 {
 		level = Levels
 	}
 	// The conversion rounds the product, so no architecture fuses it into a
-	// caller's sum and RateTableInto's sums stay SelectionRate's bit for bit.
+	// caller's sum and RateTableInto's sums stay a sum of TileRates bit for bit.
 	return float64(baseTileRates[level-1] * m.complexity(cell, tile))
 }
 
-// SelectionRate returns f^R_c(q): the total rate in Mbps of delivering the
-// given tiles of a cell at quality level q. This is the weight function of
-// the knapsack problem.
-func (m *SizeModel) SelectionRate(cell CellID, sel []TileID, level int) float64 {
-	var sum float64
-	for _, t := range sel {
-		sum += m.TileRate(cell, t, level)
-	}
-	return sum
-}
-
-// RateTable returns the full quality ladder of a selection: table[q-1] is
-// SelectionRate at level q. The table is convex and increasing in q.
-func (m *SizeModel) RateTable(cell CellID, sel []TileID) []float64 {
-	table := make([]float64, Levels)
-	m.RateTableInto(table, cell, sel)
-	return table
-}
-
-// RateTableInto is RateTable writing into caller-provided table
-// (len(table) must be Levels); identical values, no allocation. A tile's
-// complexity does not depend on the level, so each tile is hashed once and
-// its Levels products are added in tile order: every entry is the sum
-// SelectionRate forms, term for term and in the same order.
+// RateTableInto writes the full quality ladder of a selection into table
+// (len(table) must be Levels): table[q-1] is f^R_c(q), the total rate in
+// Mbps of delivering the given tiles of a cell at quality level q, the
+// weight function of the knapsack problem. The table is convex and
+// increasing in q. A tile's complexity does not depend on the level, so
+// each tile is hashed once and its Levels products are added in tile
+// order: every entry is the sum of TileRate over the tiles, term for term
+// and in the same order.
 func (m *SizeModel) RateTableInto(table []float64, cell CellID, sel []TileID) {
 	table = table[:Levels]
 	clear(table)
@@ -89,9 +73,9 @@ func (m *SizeModel) RateTableInto(table []float64, cell CellID, sel []TileID) {
 	}
 }
 
-// TileBytes converts a tile's rate into the payload size in bytes of one
+// tileBytes converts a tile's rate into the payload size in bytes of one
 // slot's frame at the given display rate (frames per second).
-func (m *SizeModel) TileBytes(cell CellID, tile TileID, level int, fps float64) int {
+func (m *SizeModel) tileBytes(cell CellID, tile TileID, level int, fps float64) int {
 	if fps <= 0 {
 		fps = 60
 	}

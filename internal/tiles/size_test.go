@@ -76,12 +76,10 @@ func TestRateTableMatchesSelectionRate(t *testing.T) {
 	m := NewSizeModel(3)
 	cell := CellID{5, -2}
 	sel := []TileID{0, 1, 3}
-	table := m.RateTable(cell, sel)
-	if len(table) != Levels {
-		t.Fatalf("table length = %d", len(table))
-	}
+	table := make([]float64, Levels)
+	m.RateTableInto(table, cell, sel)
 	for q := 1; q <= Levels; q++ {
-		if table[q-1] != m.SelectionRate(cell, sel, q) {
+		if table[q-1] != m.selectionRate(cell, sel, q) {
 			t.Errorf("table[%d] mismatch", q-1)
 		}
 	}
@@ -104,8 +102,8 @@ func TestMediumQualityNearServerBudget(t *testing.T) {
 	var count int
 	for x := int32(0); x < 50; x++ {
 		cell := CellID{x, x * 3}
-		sum += m.SelectionRate(cell, []TileID{0, 1}, 4)
-		sum += m.SelectionRate(cell, []TileID{0, 1, 2}, 3)
+		sum += m.selectionRate(cell, []TileID{0, 1}, 4)
+		sum += m.selectionRate(cell, []TileID{0, 1, 2}, 3)
 		count += 2
 	}
 	avg := sum / float64(count)
@@ -117,12 +115,12 @@ func TestMediumQualityNearServerBudget(t *testing.T) {
 func TestTileBytes(t *testing.T) {
 	m := NewSizeModel(1)
 	cell := CellID{0, 0}
-	b60 := m.TileBytes(cell, 0, 3, 60)
-	b30 := m.TileBytes(cell, 0, 3, 30)
+	b60 := m.tileBytes(cell, 0, 3, 60)
+	b30 := m.tileBytes(cell, 0, 3, 30)
 	if b30 < 2*b60-8 || b30 > 2*b60+8 {
 		t.Errorf("halving fps should double bytes: %d vs %d", b60, b30)
 	}
-	if m.TileBytes(cell, 0, 3, 0) != b60 {
+	if m.tileBytes(cell, 0, 3, 0) != b60 {
 		t.Errorf("fps 0 should default to 60")
 	}
 	wantBits := m.TileRate(cell, 0, 3) * 1e6 / 60
@@ -132,7 +130,7 @@ func TestTileBytes(t *testing.T) {
 }
 
 // TestRateTableIntoBitIdentical: RateTableInto hashes each tile once and adds
-// its ladder in tile order, and every entry must be SelectionRate's to the
+// its ladder in tile order, and every entry must be selectionRate's to the
 // last bit — the engines' goldens rest on these sums. Cells span the whole
 // int32 plane, negative coordinates included; selections hold 0 to 8 tiles,
 // repeats allowed, so adding the tiles in any other order changes some
@@ -154,10 +152,20 @@ func TestRateTableIntoBitIdentical(t *testing.T) {
 		}
 		m.RateTableInto(table, cell, sel)
 		for q := 1; q <= Levels; q++ {
-			if want := m.SelectionRate(cell, sel, q); math.Float64bits(table[q-1]) != math.Float64bits(want) {
-				t.Fatalf("trial %d (cell %v, tiles %v): level %d = %v, SelectionRate %v",
+			if want := m.selectionRate(cell, sel, q); math.Float64bits(table[q-1]) != math.Float64bits(want) {
+				t.Fatalf("trial %d (cell %v, tiles %v): level %d = %v, selectionRate %v",
 					trial, cell, sel, q, table[q-1], want)
 			}
 		}
 	}
+}
+
+// selectionRate is f^R_c(q) summed tile by tile at one level: the oracle
+// RateTableInto's per-level sums must equal to the last bit.
+func (m *SizeModel) selectionRate(cell CellID, sel []TileID, level int) float64 {
+	var sum float64
+	for _, t := range sel {
+		sum += m.TileRate(cell, t, level)
+	}
+	return sum
 }

@@ -173,7 +173,7 @@ func (s *Store) fetchLocked(id VideoID) *storedTile {
 		}
 	}
 	cell, tile, level := id.Unpack()
-	n := s.model.TileBytes(cell, tile, level, s.fps)
+	n := s.model.tileBytes(cell, tile, level, s.fps)
 	var t *storedTile
 	if k := len(s.spareTiles); k > 0 {
 		t, s.spareTiles = s.spareTiles[k-1], s.spareTiles[:k-1]
@@ -260,8 +260,8 @@ func (s *Store) HitRatio() float64 {
 	return 0
 }
 
-// Stats returns cache hit/miss counters.
-func (s *Store) Stats() (hits, misses int) {
+// stats returns cache hit/miss counters.
+func (s *Store) stats() (hits, misses int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
@@ -408,8 +408,8 @@ func (l *DeliveryLedger) Has(id VideoID) bool {
 	return ok
 }
 
-// Len returns the number of tiles recorded as delivered.
-func (l *DeliveryLedger) Len() int {
+// count returns the number of tiles recorded as delivered.
+func (l *DeliveryLedger) count() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.delivered)

@@ -30,7 +30,7 @@ func TestStorePayloadSizeMatchesModel(t *testing.T) {
 	s := NewStore(m, 16, 60)
 	id := mustID(t, 1, 1, 0, 3)
 	cell, tile, level := id.Unpack()
-	want := m.TileBytes(cell, tile, level, 60)
+	want := m.tileBytes(cell, tile, level, 60)
 	if got := len(s.Payload(id)); got != want {
 		t.Errorf("payload length = %d, want %d", got, want)
 	}
@@ -41,7 +41,7 @@ func TestStoreCacheHitMiss(t *testing.T) {
 	id := mustID(t, 0, 0, 0, 1)
 	s.Payload(id)
 	s.Payload(id)
-	hits, misses := s.Stats()
+	hits, misses := s.stats()
 	if hits != 1 || misses != 1 {
 		t.Errorf("hits=%d misses=%d, want 1, 1", hits, misses)
 	}
@@ -58,9 +58,9 @@ func TestStoreEviction(t *testing.T) {
 		t.Errorf("cached = %d, want 4", got)
 	}
 	// Oldest two must have been evicted: fetching them again is a miss.
-	_, missesBefore := s.Stats()
+	_, missesBefore := s.stats()
 	s.Payload(ids[0])
-	_, missesAfter := s.Stats()
+	_, missesAfter := s.stats()
 	if missesAfter != missesBefore+1 {
 		t.Errorf("expected a miss after eviction")
 	}
@@ -147,7 +147,7 @@ func TestDeliveryLedger(t *testing.T) {
 	}
 	l.MarkDelivered(a)
 	l.MarkDelivered(b)
-	if !l.Has(a) || !l.Has(b) || l.Len() != 2 {
+	if !l.Has(a) || !l.Has(b) || l.count() != 2 {
 		t.Errorf("ledger should hold both tiles")
 	}
 	l.MarkReleased(a)

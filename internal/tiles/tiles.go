@@ -27,8 +27,8 @@ const NumTiles = 4
 //	3: yaw [0, 180),  pitch [-90, 0)    (bottom right)
 type TileID uint8
 
-// Span returns the equirectangular footprint of the tile.
-func (t TileID) Span() (yawLo, yawHi, pitchLo, pitchHi float64) {
+// span returns the equirectangular footprint of the tile.
+func (t TileID) span() (yawLo, yawHi, pitchLo, pitchHi float64) {
 	switch t {
 	case 0:
 		return -180, 0, 0, 90
@@ -43,31 +43,14 @@ func (t TileID) Span() (yawLo, yawHi, pitchLo, pitchHi float64) {
 	}
 }
 
-// ForRect returns the tiles whose footprint overlaps the view rectangle,
-// in increasing TileID order. A valid view always overlaps at least one
-// tile.
-func ForRect(r vrmath.ViewRect) []TileID {
-	var out []TileID
+// ForViewAppend appends to dst the tiles whose footprint overlaps the fov
+// (plus margin) centred on the pose, in increasing TileID order
+// (allocation-free once dst has capacity). A valid view always overlaps at
+// least one tile.
+func ForViewAppend(dst []TileID, p vrmath.Pose, fov vrmath.FoV, marginDeg float64) []TileID {
+	r := vrmath.Rect(p, fov.Expand(marginDeg))
 	for t := TileID(0); t < NumTiles; t++ {
-		yawLo, yawHi, pitchLo, pitchHi := t.Span()
-		if r.OverlapsYawSpan(yawLo, yawHi) && r.OverlapsPitchSpan(pitchLo, pitchHi) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// ForView is a convenience wrapper: the tiles overlapped by the fov (plus
-// margin) centred on the pose.
-func ForView(p vrmath.Pose, fov vrmath.FoV, marginDeg float64) []TileID {
-	return ForRect(vrmath.Rect(p, fov.Expand(marginDeg)))
-}
-
-// ForRectAppend is ForRect appending into dst (allocation-free once dst
-// has capacity); same tiles in the same order.
-func ForRectAppend(dst []TileID, r vrmath.ViewRect) []TileID {
-	for t := TileID(0); t < NumTiles; t++ {
-		yawLo, yawHi, pitchLo, pitchHi := t.Span()
+		yawLo, yawHi, pitchLo, pitchHi := t.span()
 		if r.OverlapsYawSpan(yawLo, yawHi) && r.OverlapsPitchSpan(pitchLo, pitchHi) {
 			dst = append(dst, t)
 		}
@@ -75,14 +58,9 @@ func ForRectAppend(dst []TileID, r vrmath.ViewRect) []TileID {
 	return dst
 }
 
-// ForViewAppend is ForView appending into dst.
-func ForViewAppend(dst []TileID, p vrmath.Pose, fov vrmath.FoV, marginDeg float64) []TileID {
-	return ForRectAppend(dst, vrmath.Rect(p, fov.Expand(marginDeg)))
-}
-
-// CellSize is the grid-world granularity in metres ("we split the whole
+// cellSize is the grid-world granularity in metres ("we split the whole
 // panoramic scene into a grid world with the granularity of 5cm x 5cm").
-const CellSize = 0.05
+const cellSize = 0.05
 
 // CellID addresses one grid cell of the virtual floor plan.
 type CellID struct {
@@ -93,8 +71,8 @@ type CellID struct {
 // height and does not participate in the grid).
 func CellFor(pos vrmath.Vec3) CellID {
 	return CellID{
-		X: int32(floorDiv(pos.X, CellSize)),
-		Z: int32(floorDiv(pos.Z, CellSize)),
+		X: int32(floorDiv(pos.X, cellSize)),
+		Z: int32(floorDiv(pos.Z, cellSize)),
 	}
 }
 
@@ -110,26 +88,16 @@ func floorDiv(x, step float64) float64 {
 // Levels is the size of the quality set (L = 6 in the paper).
 const Levels = 6
 
-// CRFValues maps quality level (1-based index-1) to the FFmpeg CRF value the
+// crfValues maps quality level (1-based index-1) to the FFmpeg CRF value the
 // paper encodes with; level 1 is CRF 35 (lowest quality), level 6 is CRF 15.
-var CRFValues = [Levels]int{35, 31, 27, 23, 19, 15}
+var crfValues = [Levels]int{35, 31, 27, 23, 19, 15}
 
 // CRFForLevel returns the CRF value of a quality level in 1..6.
 func CRFForLevel(level int) (int, error) {
 	if level < 1 || level > Levels {
 		return 0, fmt.Errorf("tiles: level %d out of range 1..%d", level, Levels)
 	}
-	return CRFValues[level-1], nil
-}
-
-// LevelForCRF returns the quality level of a CRF value.
-func LevelForCRF(crf int) (int, error) {
-	for i, c := range CRFValues {
-		if c == crf {
-			return i + 1, nil
-		}
-	}
-	return 0, fmt.Errorf("tiles: unknown CRF %d", crf)
+	return crfValues[level-1], nil
 }
 
 // VideoID packs (cell, tile, quality level) into a single identifier, the

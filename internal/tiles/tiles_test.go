@@ -1,6 +1,7 @@
 package tiles
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 func TestTileSpansPartitionSphere(t *testing.T) {
 	var yawCover, pitchCover float64
 	for id := TileID(0); id < NumTiles; id++ {
-		yawLo, yawHi, pitchLo, pitchHi := id.Span()
+		yawLo, yawHi, pitchLo, pitchHi := id.span()
 		if yawHi <= yawLo || pitchHi <= pitchLo {
 			t.Errorf("tile %d has degenerate span", id)
 		}
@@ -25,7 +26,7 @@ func TestTileSpansPartitionSphere(t *testing.T) {
 func TestForRectCenterView(t *testing.T) {
 	// Looking straight ahead (yaw 0, pitch 0) with a 120x60 FoV touches all
 	// four tiles (the view straddles both yaw halves and both pitch halves).
-	got := ForView(vrmath.Pose{}, vrmath.FoV{HDeg: 120, VDeg: 60}, 0)
+	got := ForViewAppend(nil, vrmath.Pose{}, vrmath.FoV{HDeg: 120, VDeg: 60}, 0)
 	if len(got) != 4 {
 		t.Errorf("central view overlaps %d tiles, want 4: %v", len(got), got)
 	}
@@ -34,7 +35,7 @@ func TestForRectCenterView(t *testing.T) {
 func TestForRectCornerView(t *testing.T) {
 	// Looking up-left, narrow FoV: only tile 0.
 	p := vrmath.Pose{Yaw: -90, Pitch: 45}
-	got := ForView(p, vrmath.FoV{HDeg: 60, VDeg: 40}, 0)
+	got := ForViewAppend(nil, p, vrmath.FoV{HDeg: 60, VDeg: 40}, 0)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("corner view = %v, want [0]", got)
 	}
@@ -43,7 +44,7 @@ func TestForRectCornerView(t *testing.T) {
 func TestForRectSeamView(t *testing.T) {
 	// Looking at the +/-180 seam, slightly up: tiles 0 and 1.
 	p := vrmath.Pose{Yaw: -179, Pitch: 45}
-	got := ForView(p, vrmath.FoV{HDeg: 60, VDeg: 40}, 0)
+	got := ForViewAppend(nil, p, vrmath.FoV{HDeg: 60, VDeg: 40}, 0)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("seam view = %v, want [0 1]", got)
 	}
@@ -56,7 +57,7 @@ func TestForViewNeverEmptyProperty(t *testing.T) {
 			Pitch: float64(pitch16%90) / 2,
 		}.Normalize()
 		fov := vrmath.FoV{HDeg: 30 + float64(h8%150), VDeg: 20 + float64(v8%100)}
-		return len(ForView(p, fov, 0)) >= 1
+		return len(ForViewAppend(nil, p, fov, 0)) >= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -70,8 +71,8 @@ func TestMarginOnlyAddsTiles(t *testing.T) {
 			Pitch: float64(pitch16%80) / 2,
 		}.Normalize()
 		fov := vrmath.DefaultFoV
-		base := ForView(p, fov, 0)
-		wide := ForView(p, fov, float64(m8%60))
+		base := ForViewAppend(nil, p, fov, 0)
+		wide := ForViewAppend(nil, p, fov, float64(m8%60))
 		set := make(map[TileID]bool, len(wide))
 		for _, id := range wide {
 			set[id] = true
@@ -189,4 +190,15 @@ func TestVideoIDString(t *testing.T) {
 	if got := id.String(); got != "cell(2,-3)/t1/q4" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// LevelForCRF returns the quality level of a CRF value: CRFForLevel's
+// inverse, for the mapping test.
+func LevelForCRF(crf int) (int, error) {
+	for i, c := range crfValues {
+		if c == crf {
+			return i + 1, nil
+		}
+	}
+	return 0, fmt.Errorf("tiles: unknown CRF %d", crf)
 }

@@ -42,8 +42,8 @@ func ReadSpansTolerant(r io.Reader) ([]SpanRecord, int, error) {
 	return spans, skipped, nil
 }
 
-// StageStat aggregates one pipeline stage across every trace.
-type StageStat struct {
+// stageStat aggregates one pipeline stage across every trace.
+type stageStat struct {
 	Stage string  `json:"stage"`
 	Count int     `json:"count"`
 	P50Ms float64 `json:"p50_ms"`
@@ -60,22 +60,22 @@ type StageStat struct {
 	Critical int `json:"critical"`
 }
 
-// StageDur is one stage's duration inside a trace breakdown.
-type StageDur struct {
+// stageDur is one stage's duration inside a trace breakdown.
+type stageDur struct {
 	Stage string  `json:"stage"`
 	Ms    float64 `json:"ms"`
 }
 
-// TraceBreakdown is one trace's per-stage latency decomposition; the
+// traceBreakdown is one trace's per-stage latency decomposition; the
 // analysis keeps the slowest ones as exemplars.
-type TraceBreakdown struct {
+type traceBreakdown struct {
 	Trace   uint64     `json:"trace"`
 	User    uint32     `json:"user"`
 	Slot    uint32     `json:"slot"`
 	TotalMs float64    `json:"total_ms"`
 	Outcome string     `json:"outcome,omitempty"`
 	Retries int        `json:"retries,omitempty"`
-	Stages  []StageDur `json:"stages"`
+	Stages  []stageDur `json:"stages"`
 }
 
 // Analysis is the trace-level aggregation collabvr-inspect spans prints.
@@ -93,8 +93,8 @@ type Analysis struct {
 	// session circuit breaker (a session.breaker span).
 	Abandoned int              `json:"abandoned"`
 	Degraded  int              `json:"degraded"`
-	Stages    []StageStat      `json:"stages"`
-	Slowest   []TraceBreakdown `json:"slowest"`
+	Stages    []stageStat      `json:"stages"`
+	Slowest   []traceBreakdown `json:"slowest"`
 }
 
 // stageOrder ranks the canonical stages in pipeline order for stable output;
@@ -218,7 +218,7 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 
 	a.Traces = len(traces)
 	critical := make(map[string]int)
-	breakdowns := make([]TraceBreakdown, 0, len(traces))
+	breakdowns := make([]traceBreakdown, 0, len(traces))
 	for id, tr := range traces {
 		if tr.server && tr.client {
 			a.Stitched++
@@ -238,13 +238,13 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 		if _, ok := tr.stageNs[StageBreaker]; ok {
 			a.Degraded++
 		}
-		bd := TraceBreakdown{
+		bd := traceBreakdown{
 			Trace: id, User: tr.user, Slot: tr.slot,
 			TotalMs: float64(tr.maxEnd-tr.minStart) / 1e6,
 			Outcome: tr.outcome, Retries: tr.retries,
 		}
 		for stage, ns := range tr.stageNs {
-			bd.Stages = append(bd.Stages, StageDur{Stage: stage, Ms: float64(ns) / 1e6})
+			bd.Stages = append(bd.Stages, stageDur{Stage: stage, Ms: float64(ns) / 1e6})
 		}
 		sort.Slice(bd.Stages, func(i, j int) bool { return stageLess(bd.Stages[i].Stage, bd.Stages[j].Stage) })
 		// The critical stage is the longest; a tie goes to the stage
@@ -267,7 +267,7 @@ func Analyze(spans []SpanRecord, topN int) *Analysis {
 		for _, d := range ds {
 			total += d
 		}
-		a.Stages = append(a.Stages, StageStat{
+		a.Stages = append(a.Stages, stageStat{
 			Stage: stage, Count: len(ds),
 			P50Ms: quantile(ds, 0.50), P95Ms: quantile(ds, 0.95),
 			P99Ms: quantile(ds, 0.99), MaxMs: ds[len(ds)-1],

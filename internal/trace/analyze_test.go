@@ -39,7 +39,7 @@ func TestAnalyze(t *testing.T) {
 		t.Errorf("displayed=%d missed=%d retried=%d", a.Displayed, a.Missed, a.Retried)
 	}
 
-	byStage := map[string]StageStat{}
+	byStage := map[string]stageStat{}
 	for _, s := range a.Stages {
 		byStage[s.Stage] = s
 	}
@@ -113,7 +113,7 @@ func TestAnalyzeOrderIndependent(t *testing.T) {
 			t.Fatalf("order %d: analysis differs:\n%s\nwant\n%s", i, got.Format(), want.Format())
 		}
 	}
-	byStage := map[string]StageStat{}
+	byStage := map[string]stageStat{}
 	for _, s := range want.Stages {
 		byStage[s.Stage] = s
 	}

@@ -156,24 +156,24 @@ func (t *Tracer) Now() int64 {
 	return t.clock()
 }
 
-// Sampled reports whether the given trace ID survives the sampling filter.
-func (t *Tracer) Sampled(traceID uint64) bool {
+// sampled reports whether the given trace ID survives the sampling filter.
+func (t *Tracer) sampled(traceID uint64) bool {
 	if t == nil || traceID == 0 {
 		return false
 	}
 	return t.sample <= 1 || traceID%t.sample == 0
 }
 
-// Started and SampledOut return the tracer's span-creation counters.
-func (t *Tracer) Started() uint64 {
+// startedCount and sampledOutCount return the tracer's span-creation counters.
+func (t *Tracer) startedCount() uint64 {
 	if t == nil {
 		return 0
 	}
 	return t.started.Load()
 }
 
-// SampledOut returns the number of Start calls suppressed by sampling.
-func (t *Tracer) SampledOut() uint64 {
+// sampledOutCount returns the number of Start calls suppressed by sampling.
+func (t *Tracer) sampledOutCount() uint64 {
 	if t == nil {
 		return 0
 	}

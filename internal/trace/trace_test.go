@@ -74,7 +74,7 @@ func TestSpanLifecycleIntoRing(t *testing.T) {
 	if send.Span == disp.Span {
 		t.Error("span IDs not unique")
 	}
-	if got := tr.Started(); got != 2 {
+	if got := tr.startedCount(); got != 2 {
 		t.Errorf("Started = %d", got)
 	}
 }
@@ -86,18 +86,18 @@ func TestSampling(t *testing.T) {
 		if sp := tr.StartAt(i, StageSend, SideServer, 0, 0, 0); sp != nil {
 			kept++
 			sp.End()
-			if !tr.Sampled(i) {
+			if !tr.sampled(i) {
 				t.Fatalf("Start kept trace %d but Sampled says no", i)
 			}
-		} else if tr.Sampled(i) {
+		} else if tr.sampled(i) {
 			t.Fatalf("Start dropped trace %d but Sampled says yes", i)
 		}
 	}
 	if kept != 250 {
 		t.Errorf("sample=4 kept %d of 1000", kept)
 	}
-	if tr.Started() != 1000 || tr.SampledOut() != 750 {
-		t.Errorf("counters: started=%d sampledOut=%d", tr.Started(), tr.SampledOut())
+	if tr.startedCount() != 1000 || tr.sampledOutCount() != 750 {
+		t.Errorf("counters: started=%d sampledOut=%d", tr.startedCount(), tr.sampledOutCount())
 	}
 	if got := uint64(len(tr.Exporter().Recent(4096))); got != 250 {
 		t.Errorf("ring holds %d", got)
@@ -109,7 +109,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	if tr.Now() != 0 || tr.Sampled(1) || tr.Started() != 0 || tr.SampledOut() != 0 {
+	if tr.Now() != 0 || tr.sampled(1) || tr.startedCount() != 0 || tr.sampledOutCount() != 0 {
 		t.Fatal("nil tracer accessors not inert")
 	}
 	if tr.Exporter() != nil {
@@ -154,7 +154,7 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		sp.SetRetry(1)
 		sp.End()
 		_ = tr.Now()
-		_ = tr.Sampled(5)
+		_ = tr.sampled(5)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer path allocates %.1f/op, want 0", allocs)

@@ -119,14 +119,14 @@ func TestBatchedWireIdentical(t *testing.T) {
 	run := func(batch int) ([][]byte, int) {
 		conn := newMemConn()
 		s := NewSender(conn, conn.LocalAddr(), nil, 500)
-		s.SetFaultInjector(&scriptInjector{faults: append([]PacketFault(nil), script...)})
+		s.setFaultInjector(&scriptInjector{faults: append([]PacketFault(nil), script...)})
 		s.SetBatchSize(batch)
 		for i, pl := range payloads {
 			var err error
 			if batch > 1 {
 				err = s.QueueTileTraced(7, uint32(i), tiles.VideoID(i), pl, uint64(1000+i), uint8(i%3))
 			} else {
-				err = s.SendTileTraced(7, uint32(i), tiles.VideoID(i), pl, uint64(1000+i), uint8(i%3))
+				err = s.sendTileTraced(7, uint32(i), tiles.VideoID(i), pl, uint64(1000+i), uint8(i%3))
 			}
 			if err != nil {
 				t.Fatalf("send tile %d (batch=%d): %v", i, batch, err)
@@ -172,7 +172,7 @@ func TestFlushOnSlotBoundary(t *testing.T) {
 	if got := len(conn.snapshot()); got != 0 {
 		t.Fatalf("%d datagrams on the wire before Flush", got)
 	}
-	if tilesQ, pkts := s.Queued(); tilesQ != 3 || pkts != 3 {
+	if tilesQ, pkts := s.queued(); tilesQ != 3 || pkts != 3 {
 		t.Fatalf("Queued() = (%d, %d), want (3, 3)", tilesQ, pkts)
 	}
 	if err := s.Flush(); err != nil {
@@ -191,7 +191,7 @@ func TestFlushOnSlotBoundary(t *testing.T) {
 			t.Fatalf("datagram %d out of order: seq %d video %d slot %d", i, p.Seq, p.VideoID, p.Slot)
 		}
 	}
-	if tilesQ, pkts := s.Queued(); tilesQ != 0 || pkts != 0 {
+	if tilesQ, pkts := s.queued(); tilesQ != 0 || pkts != 0 {
 		t.Fatalf("batch not cleared after Flush: (%d, %d)", tilesQ, pkts)
 	}
 }
@@ -215,7 +215,7 @@ func TestBatchAutoFlush(t *testing.T) {
 	if got := len(conn.snapshot()); got != 4 {
 		t.Fatalf("auto-flush at BatchSize wrote %d datagrams, want 4", got)
 	}
-	if tilesQ, _ := s.Queued(); tilesQ != 0 {
+	if tilesQ, _ := s.queued(); tilesQ != 0 {
 		t.Fatalf("%d tiles still queued after auto-flush", tilesQ)
 	}
 }
@@ -257,7 +257,7 @@ func TestPartialBatchFlushOnError(t *testing.T) {
 	if got := len(conn.snapshot()); got != 2 {
 		t.Fatalf("prefix on the wire is %d datagrams, want 2", got)
 	}
-	if tilesQ, pkts := s.Queued(); tilesQ != 0 || pkts != 0 {
+	if tilesQ, pkts := s.queued(); tilesQ != 0 || pkts != 0 {
 		t.Fatalf("failed batch not cleared: (%d, %d)", tilesQ, pkts)
 	}
 
@@ -285,7 +285,7 @@ func TestPartialBatchFlushOnError(t *testing.T) {
 func TestChaosDropsPerPacketInsideBatch(t *testing.T) {
 	conn := newMemConn()
 	s := NewSender(conn, conn.LocalAddr(), nil, DefaultMTU)
-	s.SetFaultInjector(&scriptInjector{faults: []PacketFault{
+	s.setFaultInjector(&scriptInjector{faults: []PacketFault{
 		{}, {Drop: true}, {}, {},
 	}})
 	s.SetBatchSize(1 << 20)

@@ -92,11 +92,11 @@ type (
 // length; a tile list is a 16-bit count and then 64-bit video IDs, and is
 // always the frame's last field. The table is in DESIGN.md ("Wire formats").
 const (
-	// MaxControlFrame bounds the bytes after a frame's length field. A
+	// maxControlFrame bounds the bytes after a frame's length field. A
 	// longer length is refused before anything is read into it, and Send
 	// refuses a message that would need one (a tile list of about 500 IDs;
 	// a slot delivers a handful).
-	MaxControlFrame = 4096
+	maxControlFrame = 4096
 
 	controlVersion = 1 << 4 // high nibble of the version/type byte
 
@@ -110,9 +110,9 @@ const (
 
 // Errors of the control codec. Recv wraps them; test with errors.Is.
 var (
-	ErrFrameTooLong   = errors.New("transport: control frame longer than MaxControlFrame")
-	ErrBadFrame       = errors.New("transport: malformed control frame")
-	ErrUnknownFrame   = errors.New("transport: unknown control frame version or type")
+	errFrameTooLong   = errors.New("transport: control frame longer than MaxControlFrame")
+	errBadFrame       = errors.New("transport: malformed control frame")
+	errUnknownFrame   = errors.New("transport: unknown control frame version or type")
 	errNotAControlMsg = errors.New("transport: not a control message")
 )
 
@@ -130,7 +130,7 @@ type Conn struct {
 
 // NewConn wraps an established TCP connection.
 func NewConn(raw net.Conn) *Conn {
-	return &Conn{raw: raw, rd: bufio.NewReaderSize(raw, 2+MaxControlFrame)}
+	return &Conn{raw: raw, rd: bufio.NewReaderSize(raw, 2+maxControlFrame)}
 }
 
 // Send writes one control message — a Hello, Welcome, PoseUpdate, TileACK,
@@ -270,8 +270,8 @@ func (c *Conn) recvInto(m *Message) error {
 		return err
 	}
 	n := int(binary.BigEndian.Uint16(head))
-	if n > MaxControlFrame {
-		return ErrFrameTooLong
+	if n > maxControlFrame {
+		return errFrameTooLong
 	}
 	frame, err := c.rd.Peek(2 + n)
 	if err != nil {
@@ -292,7 +292,7 @@ func appendFrame(buf []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case Hello:
 		if len(m.UDPAddr) > math.MaxUint8 {
-			return buf, ErrFrameTooLong
+			return buf, errFrameTooLong
 		}
 		buf = append(buf, typeHello)
 		buf = be.AppendUint32(buf, m.User)
@@ -332,8 +332,8 @@ func appendFrame(buf []byte, msg any) ([]byte, error) {
 		return buf, errNotAControlMsg
 	}
 	n := len(buf) - 2
-	if n > MaxControlFrame {
-		return buf, ErrFrameTooLong
+	if n > maxControlFrame {
+		return buf, errFrameTooLong
 	}
 	be.PutUint16(buf, uint16(n))
 	return buf, nil
@@ -351,10 +351,10 @@ func flags(bit0, bit1 bool) byte {
 }
 
 func appendTiles(buf []byte, ids []tiles.VideoID) []byte {
-	if len(ids) > MaxControlFrame/8 {
+	if len(ids) > maxControlFrame/8 {
 		// No frame holds this list. Cut it to the shortest length that is
 		// still too long, so appendFrame refuses it without building it all.
-		ids = ids[:MaxControlFrame/8+1]
+		ids = ids[:maxControlFrame/8+1]
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(ids)))
 	for _, id := range ids {
@@ -425,10 +425,10 @@ func (r *bodyReader) tiles(buf *[]tiles.VideoID) []tiles.VideoID {
 
 // decodeInto parses the bytes after a frame's length field into m. It
 // accepts exactly what appendFrame produces: a body that is short, long, or
-// sets a bit the layout leaves zero is ErrBadFrame.
+// sets a bit the layout leaves zero is errBadFrame.
 func decodeInto(m *Message, body []byte) error {
 	if len(body) == 0 {
-		return ErrBadFrame
+		return errBadFrame
 	}
 	r := bodyReader{b: body[1:]}
 	switch body[0] {
@@ -462,10 +462,10 @@ func decodeInto(m *Message, body []byte) error {
 		m.Nack.User, m.Nack.Slot = r.u32(), r.u32()
 		m.Nack.Tiles = r.tiles(&m.ids)
 	default:
-		return ErrUnknownFrame
+		return errUnknownFrame
 	}
 	if r.bad || len(r.b) != 0 {
-		return ErrBadFrame
+		return errBadFrame
 	}
 	return nil
 }

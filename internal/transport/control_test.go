@@ -34,7 +34,7 @@ const goldenControlPath = "testdata/golden_control.txt"
 // maxTiles returns the longest tile list that fits a frame whose other
 // fields take fixed bytes after the version/type byte.
 func maxTiles(fixed int) []tiles.VideoID {
-	ids := make([]tiles.VideoID, (MaxControlFrame-1-fixed-2)/8)
+	ids := make([]tiles.VideoID, (maxControlFrame-1-fixed-2)/8)
 	for i := range ids {
 		ids[i] = tiles.VideoID(0x0102030405060708 + uint64(i))
 	}
@@ -105,8 +105,8 @@ func TestGoldenControlFrames(t *testing.T) {
 		if err != nil || name != g.name {
 			t.Fatalf("golden line %d: name %q, hex error %v", i+1, name, err)
 		}
-		if n := int(binary.BigEndian.Uint16(frame)); n != len(frame)-2 || n > MaxControlFrame {
-			t.Errorf("%s: length field %d, frame body %d, limit %d", name, n, len(frame)-2, MaxControlFrame)
+		if n := int(binary.BigEndian.Uint16(frame)); n != len(frame)-2 || n > maxControlFrame {
+			t.Errorf("%s: length field %d, frame body %d, limit %d", name, n, len(frame)-2, maxControlFrame)
 		}
 		got, err := decodeBody(frame[2:])
 		if err != nil {
@@ -117,8 +117,8 @@ func TestGoldenControlFrames(t *testing.T) {
 			t.Errorf("%s: decoded %#v, want %#v", name, got, g.msg)
 		}
 	}
-	if got := len(frames["ack-maximal"]) - 2; got <= MaxControlFrame-8 {
-		t.Errorf("ack-maximal is %d bytes: one more ID would fit under %d", got, MaxControlFrame)
+	if got := len(frames["ack-maximal"]) - 2; got <= maxControlFrame-8 {
+		t.Errorf("ack-maximal is %d bytes: one more ID would fit under %d", got, maxControlFrame)
 	}
 }
 
@@ -192,14 +192,14 @@ func controlPipe(t testing.TB) (*Conn, *Conn) {
 
 func TestControlSendRefusals(t *testing.T) {
 	a, _ := controlPipe(t)
-	tooMany := make([]tiles.VideoID, MaxControlFrame) // eight times what fits
+	tooMany := make([]tiles.VideoID, maxControlFrame) // eight times what fits
 	for name, msg := range map[string]any{
 		"ack":     TileACK{Tiles: tooMany},
 		"release": Release{Tiles: append(maxTiles(4), 1)},
 		"nack":    Nack{Tiles: tooMany},
 		"addr":    Hello{UDPAddr: strings.Repeat("a", 256)},
 	} {
-		if err := a.Send(msg); !errors.Is(err, ErrFrameTooLong) {
+		if err := a.Send(msg); !errors.Is(err, errFrameTooLong) {
 			t.Errorf("%s: got %v, want ErrFrameTooLong", name, err)
 		}
 	}
@@ -242,16 +242,16 @@ func TestControlRecvRejectsMalformed(t *testing.T) {
 		bytes []byte
 		want  error
 	}{
-		{"empty body", []byte{0, 0}, ErrBadFrame},
-		{"wrong version", wrongVersion, ErrUnknownFrame},
-		{"unknown type", unknownType, ErrUnknownFrame},
-		{"short body", relen(append([]byte(nil), pose[:len(pose)-1]...)), ErrBadFrame},
-		{"long body", relen(append(append([]byte(nil), pose...), 0)), ErrBadFrame},
-		{"spare flag bit set", spareFlag, ErrBadFrame},
-		{"tile count over body", countOverBody, ErrBadFrame},
-		{"address length over body", addrOverBody, ErrBadFrame},
-		{"length over limit", []byte{0xFF, 0xFF, typePoseUpdate}, ErrFrameTooLong},
-		{"length just over limit", binary.BigEndian.AppendUint16(nil, MaxControlFrame+1), ErrFrameTooLong},
+		{"empty body", []byte{0, 0}, errBadFrame},
+		{"wrong version", wrongVersion, errUnknownFrame},
+		{"unknown type", unknownType, errUnknownFrame},
+		{"short body", relen(append([]byte(nil), pose[:len(pose)-1]...)), errBadFrame},
+		{"long body", relen(append(append([]byte(nil), pose...), 0)), errBadFrame},
+		{"spare flag bit set", spareFlag, errBadFrame},
+		{"tile count over body", countOverBody, errBadFrame},
+		{"address length over body", addrOverBody, errBadFrame},
+		{"length over limit", []byte{0xFF, 0xFF, typePoseUpdate}, errFrameTooLong},
+		{"length just over limit", binary.BigEndian.AppendUint16(nil, maxControlFrame+1), errFrameTooLong},
 	}
 	for _, tc := range cases {
 		a, b := controlPipe(t)
@@ -274,7 +274,7 @@ func TestControlRecvRejectsMalformed(t *testing.T) {
 func TestControlOversizeLengthAllocatesNothing(t *testing.T) {
 	a, b := controlPipe(t)
 	go a.raw.Write([]byte{0xFF, 0xFF})
-	if _, err := b.Recv(); !errors.Is(err, ErrFrameTooLong) {
+	if _, err := b.Recv(); !errors.Is(err, errFrameTooLong) {
 		t.Fatalf("got %v, want ErrFrameTooLong", err)
 	}
 	// The prefix stays unread, so every further Recv takes the same path.
@@ -294,7 +294,7 @@ func TestControlOversizeLengthAllocatesNothing(t *testing.T) {
 // FuzzControlFrame feeds arbitrary bytes to Recv over a connection: the
 // outcome is an error, or a message whose encoding is exactly the bytes
 // consumed. It must never panic, and never allocate what an oversize length
-// prefix asks for (MaxControlFrame bounds the read buffer, fixed at NewConn).
+// prefix asks for (maxControlFrame bounds the read buffer, fixed at NewConn).
 // RecvInto must agree with Recv on every frame and every error.
 func FuzzControlFrame(f *testing.F) {
 	for _, g := range goldenMessages() {

@@ -84,8 +84,8 @@ func FuzzReassembly(f *testing.F) {
 			r.Incomplete(s)
 			r.FlushSlot(s)
 		}
-		if r.PendingTiles() != 0 {
-			t.Fatalf("pending tiles survived a full flush: %d", r.PendingTiles())
+		if r.pendingTiles() != 0 {
+			t.Fatalf("pending tiles survived a full flush: %d", r.pendingTiles())
 		}
 	})
 }

@@ -92,7 +92,7 @@ func TestReassemblerCountersForDuplicatesAndDrops(t *testing.T) {
 	if drops.Value() != 1 {
 		t.Errorf("incomplete-drop counter = %d, want 1", drops.Value())
 	}
-	if r.PendingTiles() != 0 {
-		t.Errorf("pending tiles after flush = %d", r.PendingTiles())
+	if r.pendingTiles() != 0 {
+		t.Errorf("pending tiles after flush = %d", r.pendingTiles())
 	}
 }

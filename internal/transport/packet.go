@@ -7,7 +7,7 @@
 //
 // Both wire formats are fixed-layout and big-endian: the 40-byte data-packet
 // header (Packet, HeaderSize) and the length-prefixed control frame (Conn,
-// MaxControlFrame). DESIGN.md tabulates them under "Wire formats".
+// maxControlFrame). DESIGN.md tabulates them under "Wire formats".
 package transport
 
 import (
@@ -17,8 +17,8 @@ import (
 	"repro/internal/tiles"
 )
 
-// Magic identifies packets of this protocol.
-const Magic uint16 = 0x5652 // "VR"
+// magic identifies packets of this protocol.
+const magic uint16 = 0x5652 // "VR"
 
 // HeaderSize is the fixed data-packet header length in bytes. The last
 // eight bytes carry the trace ID so the client can stitch its half of a
@@ -54,10 +54,10 @@ type Packet struct {
 
 // Errors returned by Decode and DecodeInto.
 var (
-	ErrShortPacket = errors.New("transport: packet shorter than header")
-	ErrBadMagic    = errors.New("transport: bad magic")
-	ErrBadLength   = errors.New("transport: payload length mismatch")
-	ErrBadChecksum = errors.New("transport: checksum mismatch")
+	errShortPacket = errors.New("transport: packet shorter than header")
+	errBadMagic    = errors.New("transport: bad magic")
+	errBadLength   = errors.New("transport: payload length mismatch")
+	errBadChecksum = errors.New("transport: checksum mismatch")
 )
 
 // checksumBlock is the most bytes checksum sums between folds: 256 words of
@@ -124,7 +124,7 @@ func (p *Packet) Encode(buf []byte) []byte {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	binary.BigEndian.PutUint16(buf[0:2], Magic)
+	binary.BigEndian.PutUint16(buf[0:2], magic)
 	buf[2] = byte(p.Type)
 	buf[3] = p.Retry
 	binary.BigEndian.PutUint32(buf[4:8], p.User)
@@ -155,16 +155,16 @@ func Decode(data []byte) (*Packet, error) {
 // and only counts them.
 func DecodeInto(p *Packet, data []byte) error {
 	if len(data) < HeaderSize {
-		return ErrShortPacket
+		return errShortPacket
 	}
-	if binary.BigEndian.Uint16(data[0:2]) != Magic {
-		return ErrBadMagic
+	if binary.BigEndian.Uint16(data[0:2]) != magic {
+		return errBadMagic
 	}
 	if len(data) != HeaderSize+int(binary.BigEndian.Uint16(data[24:26])) {
-		return ErrBadLength
+		return errBadLength
 	}
 	if binary.BigEndian.Uint16(data[30:32]) != checksum(data) {
-		return ErrBadChecksum
+		return errBadChecksum
 	}
 	*p = Packet{
 		Type:      PacketType(data[2]),

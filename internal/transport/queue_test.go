@@ -67,8 +67,8 @@ func TestControlQueueRefusalLeavesBatchIntact(t *testing.T) {
 			errc <- err
 			return
 		}
-		tooLong := Release{Tiles: make([]tiles.VideoID, MaxControlFrame)}
-		if err := a.Queue(tooLong); !errors.Is(err, ErrFrameTooLong) {
+		tooLong := Release{Tiles: make([]tiles.VideoID, maxControlFrame)}
+		if err := a.Queue(tooLong); !errors.Is(err, errFrameTooLong) {
 			errc <- errors.New("oversized Release was queued")
 			return
 		}

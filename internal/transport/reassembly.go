@@ -8,11 +8,11 @@ import (
 	"repro/internal/tiles"
 )
 
-// CompleteTile is a fully reassembled tile, annotated with the arrival
+// completeTile is a fully reassembled tile, annotated with the arrival
 // window used for the paper's delay measurement ("we estimate the delay by
 // computing the time duration between receiving the first and the last
 // packet of the current time slot on the user-side").
-type CompleteTile struct {
+type completeTile struct {
 	Slot    uint32
 	VideoID tiles.VideoID
 	Payload []byte
@@ -53,8 +53,8 @@ type Reassembler struct {
 	mu      sync.Mutex
 	pending map[tileKey]*partialTile
 	stats   map[uint32]*SlotStats
-	done    []CompleteTile
-	flushed []CompleteTile // what the last Flush returned, next to be filled
+	done    []completeTile
+	flushed []completeTile // what the last Flush returned, next to be filled
 
 	free      []*partialTile // finished or dropped tiles' bookkeeping, reused
 	freeStats []*SlotStats   // flushed slots' stats, reused
@@ -180,7 +180,7 @@ func (r *Reassembler) Ingest(p *Packet, now time.Time) {
 		} else {
 			pt.buf = nil // handed to the caller
 		}
-		r.done = append(r.done, CompleteTile{Slot: p.Slot, VideoID: p.VideoID, Payload: payload})
+		r.done = append(r.done, completeTile{Slot: p.Slot, VideoID: p.VideoID, Payload: payload})
 		r.largest = max(r.largest, len(payload))
 		st.Tiles++
 		delete(r.pending, key)
@@ -227,7 +227,7 @@ func (r *Reassembler) buffer(n int) []byte {
 // the caller's: after Reclaim the caller must hold no reference to any of
 // them, and a payload never passed to Reclaim is never written again. At
 // most maxSpareBuffers are kept.
-func (r *Reassembler) Reclaim(done []CompleteTile) {
+func (r *Reassembler) Reclaim(done []completeTile) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range done {
@@ -278,7 +278,7 @@ func (r *Reassembler) inIndexOrder(pt *partialTile) []byte {
 // Flush returns (and clears) the tiles completed so far. The slice is the
 // caller's until the next Flush, which takes it back to fill again; the
 // payloads stay the caller's, unless and until it passes them to Reclaim.
-func (r *Reassembler) Flush() []CompleteTile {
+func (r *Reassembler) Flush() []completeTile {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := r.done
@@ -319,8 +319,8 @@ func (r *Reassembler) FlushSlot(slot uint32) (SlotStats, bool) {
 	return out, true
 }
 
-// PendingTiles reports the number of incomplete tiles (diagnostics).
-func (r *Reassembler) PendingTiles() int {
+// pendingTiles reports the number of incomplete tiles (diagnostics).
+func (r *Reassembler) pendingTiles() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.pending)

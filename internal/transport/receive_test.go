@@ -56,10 +56,10 @@ func TestDecodeIntoReturnsBareSentinels(t *testing.T) {
 		data []byte
 		want error
 	}{
-		{wire[:HeaderSize-1], ErrShortPacket},
-		{badMagic, ErrBadMagic},
-		{wire[:len(wire)-1], ErrBadLength},
-		{badSum, ErrBadChecksum},
+		{wire[:HeaderSize-1], errShortPacket},
+		{badMagic, errBadMagic},
+		{wire[:len(wire)-1], errBadLength},
+		{badSum, errBadChecksum},
 	}
 	var p Packet
 	for _, tc := range cases {
@@ -184,11 +184,11 @@ func TestForgedFragCountReservesNothing(t *testing.T) {
 	if per := last / tilesForged; per > 48<<10 {
 		t.Errorf("a forged last fragment of 65535 reserved %d bytes", per)
 	}
-	if got := r.PendingTiles(); got != 2*tilesForged {
+	if got := r.pendingTiles(); got != 2*tilesForged {
 		t.Fatalf("pending = %d, want %d", got, 2*tilesForged)
 	}
 	r.FlushSlot(2)
-	if got := r.PendingTiles(); got != 0 {
+	if got := r.pendingTiles(); got != 0 {
 		t.Fatalf("pending after flush = %d", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestReclaimReusesOnlyWhatWasHandedBack(t *testing.T) {
 	r := NewReassembler()
 	now := time.Unix(0, 0)
-	receive := func(slot uint32, fill byte, reorder bool) []CompleteTile {
+	receive := func(slot uint32, fill byte, reorder bool) []completeTile {
 		frags := Fragment(1, slot, 5, bytes.Repeat([]byte{fill}, 3000), 600, 0)
 		if reorder {
 			frags[0], frags[2] = frags[2], frags[0]
@@ -50,7 +50,7 @@ func TestReclaimReusesOnlyWhatWasHandedBack(t *testing.T) {
 	}
 
 	// More tiles than the spare list holds, handed back at once.
-	many := make([]CompleteTile, 3*maxSpareBuffers)
+	many := make([]completeTile, 3*maxSpareBuffers)
 	for i := range many {
 		many[i].Payload = make([]byte, 16)
 	}

@@ -31,7 +31,7 @@ func TestPacketChecksumDetectsCorruption(t *testing.T) {
 	// Corrupting the checksum bytes themselves must also be caught.
 	c := append([]byte(nil), wire...)
 	c[30] ^= 0xFF
-	if _, err := Decode(c); !errors.Is(err, ErrBadChecksum) {
+	if _, err := Decode(c); !errors.Is(err, errBadChecksum) {
 		t.Fatalf("checksum-field corruption: got %v, want ErrBadChecksum", err)
 	}
 }

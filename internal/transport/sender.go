@@ -19,14 +19,14 @@ type Shaper interface {
 	Drop() bool
 }
 
-// NopShaper performs no shaping and no loss.
-type NopShaper struct{}
+// nopShaper performs no shaping and no loss.
+type nopShaper struct{}
 
 // Admit implements Shaper.
-func (NopShaper) Admit(int, time.Time) time.Duration { return 0 }
+func (nopShaper) Admit(int, time.Time) time.Duration { return 0 }
 
 // Drop implements Shaper.
-func (NopShaper) Drop() bool { return false }
+func (nopShaper) Drop() bool { return false }
 
 // ChainShaper applies several shapers in sequence (e.g. a per-user throttle
 // followed by a shared router bucket); the packet waits for the slowest and
@@ -58,7 +58,7 @@ func (c ChainShaper) Drop() bool {
 // the shaper dictates. It is the server-side transmit path of the RTP-like
 // stream.
 //
-// Tiles can be sent immediately (SendTile/SendTileTraced) or staged with
+// Tiles can be sent immediately (SendTile/sendTileTraced) or staged with
 // QueueTile/QueueTileTraced and transmitted together by Flush. Batched or
 // not, the wire path is the same code: byte-identical datagrams, identical
 // per-packet fault and shaper decisions, in queue order.
@@ -134,7 +134,7 @@ type queuedTile struct {
 // NewSender builds a sender toward dst. A nil shaper means no shaping.
 func NewSender(conn net.PacketConn, dst net.Addr, shaper Shaper, mtu int) *Sender {
 	if shaper == nil {
-		shaper = NopShaper{}
+		shaper = nopShaper{}
 	}
 	if mtu <= HeaderSize {
 		mtu = DefaultMTU
@@ -157,10 +157,10 @@ func NewSender(conn net.PacketConn, dst net.Addr, shaper Shaper, mtu int) *Sende
 	return s
 }
 
-// SetFaultInjector attaches (or clears) a packet-fault source explicitly,
+// setFaultInjector attaches (or clears) a packet-fault source explicitly,
 // overriding the one inferred from the shaper. Call before the first
 // SendTile.
-func (s *Sender) SetFaultInjector(fi FaultInjector) {
+func (s *Sender) setFaultInjector(fi FaultInjector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.faults = fi
@@ -189,14 +189,14 @@ func (s *Sender) InstrumentWrites(writes, gsoFallback *obs.Counter) {
 // SendTile fragments and transmits one tile for a slot, pacing against the
 // shaper. It blocks until the last fragment conforms.
 func (s *Sender) SendTile(user, slot uint32, id tiles.VideoID, payload []byte) error {
-	return s.SendTileTraced(user, slot, id, payload, 0, 0)
+	return s.sendTileTraced(user, slot, id, payload, 0, 0)
 }
 
-// SendTileTraced is SendTile with a trace ID and retransmission count
+// sendTileTraced is SendTile with a trace ID and retransmission count
 // stamped into every fragment header, so the receiver can stitch its half of
 // the request onto the sender's trace and attribute retransmissions. Any
 // queued batch is flushed first, so queue-then-send keeps wire order.
-func (s *Sender) SendTileTraced(user, slot uint32, id tiles.VideoID, payload []byte, traceID uint64, retry uint8) error {
+func (s *Sender) sendTileTraced(user, slot uint32, id tiles.VideoID, payload []byte, traceID uint64, retry uint8) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	if err := s.flushLocked(); err != nil {
@@ -269,9 +269,9 @@ func (s *Sender) Flush() error {
 	return s.flushLocked()
 }
 
-// Queued reports the staged batch: tiles and the wire packets they will
+// queued reports the staged batch: tiles and the wire packets they will
 // produce.
-func (s *Sender) Queued() (tilesQueued, packets int) {
+func (s *Sender) queued() (tilesQueued, packets int) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	return len(s.batch), s.qPkts
@@ -551,6 +551,6 @@ func (s *Sender) Stats() (packets, bytes, dropped int) {
 }
 
 var (
-	_ Shaper = NopShaper{}
+	_ Shaper = nopShaper{}
 	_ Shaper = ChainShaper(nil)
 )

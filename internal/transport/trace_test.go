@@ -55,7 +55,7 @@ func TestSenderTracePropagation(t *testing.T) {
 	s := NewSender(tx, rx.LocalAddr(), nil, DefaultMTU)
 	const traceID = uint64(0x1234_5678_9abc_def0)
 	payload := make([]byte, 3000) // several fragments
-	if err := s.SendTileTraced(3, 11, tiles.VideoID(5), payload, traceID, 1); err != nil {
+	if err := s.sendTileTraced(3, 11, tiles.VideoID(5), payload, traceID, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -156,7 +156,7 @@ func sendWorkload(t *testing.T, s *Sender, payloads [][]byte, check func()) {
 	for i, pl := range payloads {
 		var err error
 		if i < len(payloads)/2 {
-			err = s.SendTileTraced(7, uint32(i), tiles.VideoID(i), pl, uint64(1000+i), uint8(i%3))
+			err = s.sendTileTraced(7, uint32(i), tiles.VideoID(i), pl, uint64(1000+i), uint8(i%3))
 			check()
 		} else {
 			err = s.QueueTileTraced(7, uint32(i), tiles.VideoID(i), pl, uint64(1000+i), uint8(i%3))
@@ -201,7 +201,7 @@ func TestTrainWireIdentical(t *testing.T) {
 			shaper := &pacedShaper{every: 23}
 			inj := &scriptInjector{faults: append([]PacketFault(nil), script...)}
 			s := NewSender(conn, rx.LocalAddr(), shaper, mtu)
-			s.SetFaultInjector(inj)
+			s.setFaultInjector(inj)
 			if trains != (s.maxSegs > 1) {
 				t.Fatalf("trains = %v, sender's maxSegs = %d", trains, s.maxSegs)
 			}

@@ -47,16 +47,16 @@ func TestPacketEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, 10)); !errors.Is(err, ErrShortPacket) {
+	if _, err := Decode(make([]byte, 10)); !errors.Is(err, errShortPacket) {
 		t.Errorf("short packet: %v", err)
 	}
 	bad := (&Packet{Type: PacketTile, Payload: []byte("x")}).Encode(nil)
 	bad[0] = 0xFF
-	if _, err := Decode(bad); !errors.Is(err, ErrBadMagic) {
+	if _, err := Decode(bad); !errors.Is(err, errBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 	trunc := (&Packet{Type: PacketTile, Payload: []byte("xyz")}).Encode(nil)
-	if _, err := Decode(trunc[:len(trunc)-1]); !errors.Is(err, ErrBadLength) {
+	if _, err := Decode(trunc[:len(trunc)-1]); !errors.Is(err, errBadLength) {
 		t.Errorf("bad length: %v", err)
 	}
 }
@@ -149,15 +149,15 @@ func TestReassemblerDropsIncompleteTiles(t *testing.T) {
 	if done := r.Flush(); len(done) != 0 {
 		t.Fatalf("incomplete tile completed: %d", len(done))
 	}
-	if r.PendingTiles() != 1 {
-		t.Fatalf("pending = %d, want 1", r.PendingTiles())
+	if r.pendingTiles() != 1 {
+		t.Fatalf("pending = %d, want 1", r.pendingTiles())
 	}
 	// Flushing the slot discards the partial state.
 	if _, ok := r.FlushSlot(3); !ok {
 		t.Fatal("stats should exist")
 	}
-	if r.PendingTiles() != 0 {
-		t.Errorf("pending after flush = %d", r.PendingTiles())
+	if r.pendingTiles() != 0 {
+		t.Errorf("pending after flush = %d", r.pendingTiles())
 	}
 }
 

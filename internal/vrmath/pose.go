@@ -113,9 +113,9 @@ func Rect(p Pose, f FoV) ViewRect {
 	}
 }
 
-// ContainsYaw reports whether the rect's (possibly wrapping) yaw interval
+// containsYaw reports whether the rect's (possibly wrapping) yaw interval
 // contains the given yaw.
-func (r ViewRect) ContainsYaw(yaw float64) bool {
+func (r ViewRect) containsYaw(yaw float64) bool {
 	yaw = NormalizeAngle(yaw)
 	if r.YawLo <= r.YawHi {
 		return yaw >= r.YawLo && yaw <= r.YawHi
@@ -158,7 +158,7 @@ func coversYaw(outer, inner ViewRect) bool {
 	if width(inner) > width(outer) {
 		return false
 	}
-	return outer.ContainsYaw(inner.YawLo) && outer.ContainsYaw(inner.YawHi)
+	return outer.containsYaw(inner.YawLo) && outer.containsYaw(inner.YawHi)
 }
 
 func width(r ViewRect) float64 {

@@ -89,10 +89,10 @@ func TestRectWrapping(t *testing.T) {
 	if !(r.YawLo > r.YawHi) {
 		t.Fatalf("expected wrapped rect, got %+v", r)
 	}
-	if !r.ContainsYaw(179) || !r.ContainsYaw(-179) {
+	if !r.containsYaw(179) || !r.containsYaw(-179) {
 		t.Errorf("wrapped rect should contain both sides of the seam: %+v", r)
 	}
-	if r.ContainsYaw(0) {
+	if r.containsYaw(0) {
 		t.Errorf("wrapped rect should not contain yaw 0: %+v", r)
 	}
 }
@@ -103,7 +103,7 @@ func TestRectContainsCenterProperty(t *testing.T) {
 		pitch := math.Mod(float64(pitch16)/400, 80)
 		p := Pose{Yaw: yaw, Pitch: pitch}.Normalize()
 		r := Rect(p, FoV{HDeg: 100, VDeg: 60})
-		return r.ContainsYaw(p.Yaw) && p.Pitch >= r.PitchLo-1e-9 && p.Pitch <= r.PitchHi+1e-9
+		return r.containsYaw(p.Yaw) && p.Pitch >= r.PitchLo-1e-9 && p.Pitch <= r.PitchHi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -23,20 +23,11 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
-// Dot returns the dot product of v and w.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+// dot returns the dot product of v and w.
+func (v Vec3) dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
 // Norm returns the Euclidean length of v.
-func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
+func (v Vec3) Norm() float64 { return math.Sqrt(v.dot(v)) }
 
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
-
-// Lerp linearly interpolates between v (t=0) and w (t=1).
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{
-		X: v.X + (w.X-v.X)*t,
-		Y: v.Y + (w.Y-v.Y)*t,
-		Z: v.Z + (w.Z-v.Z)*t,
-	}
-}

@@ -21,7 +21,7 @@ func TestVec3Arithmetic(t *testing.T) {
 	if got := v.Scale(2); got != (Vec3{2, 4, 6}) {
 		t.Errorf("Scale = %v, want {2 4 6}", got)
 	}
-	if got := v.Dot(w); got != 1*4+2*(-5)+3*6 {
+	if got := v.dot(w); got != 1*4+2*(-5)+3*6 {
 		t.Errorf("Dot = %v, want 12", got)
 	}
 }
@@ -73,5 +73,14 @@ func TestVec3TriangleInequalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Lerp linearly interpolates between v (t=0) and w (t=1).
+func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
+	return Vec3{
+		X: v.X + (w.X-v.X)*t,
+		Y: v.Y + (w.Y-v.Y)*t,
+		Z: v.Z + (w.Z-v.Z)*t,
 	}
 }
