@@ -3,9 +3,15 @@ package repro
 // The dead-export gate: every exported func, method, type, const and var
 // under internal/ is named by a non-test file of another package of the
 // module, or has a line in testdata/exports_allowlist.txt saying why not.
-// Struct fields are out of scope (they are the JSON and wire schemas), and
-// so is a method that satisfies an interface: a call through the interface
-// names the interface's method, not the concrete one.
+// A method that satisfies an interface is exempt: a call through the
+// interface names the interface's method, not the concrete one.
+//
+// Its second rule is the dead-knob rule: every field of a config struct
+// under internal/ (a named struct type whose name ends in Config, Options or
+// Policy) is written by a non-test file of another package, or has an
+// allowlist line saying why not. Other struct fields are out of scope (they
+// are the JSON and wire schemas), and so are load.Config and
+// nettrace.Config, the recorded workload's file schema.
 
 import (
 	"fmt"
@@ -28,11 +34,12 @@ const exportsAllowlist = "testdata/exports_allowlist.txt"
 // modPkg is one package of the module: its non-test files that the build
 // context selects, type-checked.
 type modPkg struct {
-	path  string
-	dir   string
-	files []string
-	types *types.Package
-	info  *types.Info
+	path   string
+	dir    string
+	files  []string
+	syntax []*ast.File
+	types  *types.Package
+	info   *types.Info
 }
 
 // module is every package under one go.mod, type-checked in one process.
@@ -144,14 +151,25 @@ func (m *module) check(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
-	p.types = tp
+	p.syntax, p.types = files, tp
 	return tp, nil
 }
 
-// finding is an export that no other package's non-test file names.
+// finding is an export that no other package's non-test file names, or a
+// config field that none writes.
 type finding struct {
-	id  string // "pkg.Name", "pkg.T.M" or "pkg.(*T).M"; pkg is the path under internal/
-	pos string // file:line, relative to the module root
+	id    string // "pkg.Name", "pkg.T.M", "pkg.(*T).M" or "pkg.T.Field"; pkg is the path under internal/
+	pos   string // file:line, relative to the module root
+	field bool
+}
+
+// relPos is obj's file:line relative to root.
+func (m *module) relPos(root string, obj types.Object) string {
+	pos := m.fset.Position(obj.Pos())
+	if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+		pos.Filename = filepath.ToSlash(rel)
+	}
+	return fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 }
 
 // deadExports lists the module's dead exports under internal/, sorted by id.
@@ -172,11 +190,7 @@ func (m *module) deadExports(root string) []finding {
 	prefix := m.path + "/internal/"
 	var out []finding
 	add := func(pkg string, obj types.Object, id string) {
-		pos := m.fset.Position(obj.Pos())
-		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
-			pos.Filename = filepath.ToSlash(rel)
-		}
-		out = append(out, finding{id: pkg + "." + id, pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line)})
+		out = append(out, finding{id: pkg + "." + id, pos: m.relPos(root, obj)})
 	}
 	for path, p := range m.pkgs {
 		if !strings.HasPrefix(path, prefix) {
@@ -208,6 +222,122 @@ func (m *module) deadExports(root string) []finding {
 				}
 				add(pkg, fn, recv+"."+fn.Name())
 			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// fileSchemas are the config types that are a file format rather than
+// knobs: the recorded workload's JSON (internal/load/record.go).
+var fileSchemas = map[string]bool{"load.Config": true, "nettrace.Config": true}
+
+// configFields returns every field of the config structs under internal/,
+// keyed by its "pkg.Type.Field" id.
+func (m *module) configFields() map[*types.Var]string {
+	prefix := m.path + "/internal/"
+	fields := map[*types.Var]string{}
+	for path, p := range m.pkgs {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		pkg := strings.TrimPrefix(path, prefix)
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || fileSchemas[pkg+"."+name] ||
+				!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fields[st.Field(i)] = pkg + "." + name + "." + st.Field(i).Name()
+			}
+		}
+	}
+	return fields
+}
+
+// fieldWrites returns the struct fields that p's files write: a
+// composite-literal key, every field on the selector chain of an assignment,
+// op=, ++ or -- target (cfg.Inner.X = v writes Inner and X), and every field
+// on the chain of an &-operand.
+func (p *modPkg) fieldWrites() map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	var chain func(ast.Expr)
+	chain = func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				if v, ok := p.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					written[v] = true
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range p.syntax {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+								written[v] = true
+							}
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					chain(lhs)
+				}
+			case *ast.RangeStmt:
+				if x.Tok == token.ASSIGN {
+					chain(x.Key)
+					chain(x.Value)
+				}
+			case *ast.IncDecStmt:
+				chain(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					chain(x.X)
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
+// deadFields lists the config fields under internal/ that no non-test file
+// of another package writes, sorted by id.
+func (m *module) deadFields(root string) []finding {
+	fields := m.configFields()
+	written := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		for v := range p.fieldWrites() {
+			if v.Pkg() != p.types {
+				written[v] = true
+			}
+		}
+	}
+	var out []finding
+	for v, id := range fields {
+		if !written[v] {
+			out = append(out, finding{id: id, pos: m.relPos(root, v), field: true})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
@@ -294,7 +424,11 @@ func gate(findings []finding, allow map[string]string) []string {
 	found := map[string]bool{}
 	for _, f := range findings {
 		found[f.id] = true
-		if allow[f.id] == "" {
+		switch {
+		case allow[f.id] != "":
+		case f.field:
+			problems = append(problems, fmt.Sprintf("%s: %s is a config field that no non-test file of another package writes: make it the constant it always holds, derive it, or list it in %s with a reason", f.pos, f.id, exportsAllowlist))
+		default:
 			problems = append(problems, fmt.Sprintf("%s: %s is exported but no non-test file of another package names it: unexport it, delete it, move it into a _test.go file, or list it in %s with a reason", f.pos, f.id, exportsAllowlist))
 		}
 	}
@@ -306,7 +440,7 @@ func gate(findings []finding, allow map[string]string) []string {
 	}
 	sort.Strings(stale)
 	for _, id := range stale {
-		problems = append(problems, fmt.Sprintf("%s: %s is stale (deleted, renamed, unexported or now named outside its package): remove the line", exportsAllowlist, id))
+		problems = append(problems, fmt.Sprintf("%s: %s is stale (deleted, renamed, unexported, or now named or written outside its package): remove the line", exportsAllowlist, id))
 	}
 	return problems
 }
@@ -319,7 +453,7 @@ func exportProblems(root, allowlist string) ([]string, error) {
 		return nil, err
 	}
 	allow, problems := readAllowlist(allowlist)
-	return append(problems, gate(m.deadExports(root), allow)...), nil
+	return append(problems, gate(append(m.deadExports(root), m.deadFields(root)...), allow)...), nil
 }
 
 func TestExportsHaveOutsideCallers(t *testing.T) {
@@ -369,6 +503,29 @@ func main() {
 	_, _ = sh, sq
 }
 `
+	cfgLib := `package c
+
+type inner struct{ X int }
+
+type Config struct {
+	Set   int
+	Inner inner
+	Own   int
+}
+
+func Default() Config { return Config{Own: 1} }
+`
+	cfgMain := `package main
+
+import "fix/internal/c"
+
+func main() {
+	cfg := c.Default()
+	cfg.Inner.X = 2
+	_ = c.Config{Set: 1}
+	_ = cfg
+}
+`
 	for _, tc := range []struct {
 		name      string
 		files     map[string]string
@@ -403,6 +560,35 @@ func main() {
 		files:     map[string]string{"internal/a/a.go": lib, "cmd/m/main.go": main},
 		allowlist: "a.Square.Perimeter  kept for the test\na.Unused\n",
 		want:      []string{"a.Unused has no reason", "a.Unused is exported but"},
+	}, {
+		name:  "a config field written only in its own package is flagged at its file:line",
+		files: map[string]string{"internal/c/c.go": cfgLib, "cmd/m/main.go": cfgMain},
+		want:  []string{"internal/c/c.go:8: c.Config.Own is a config field"},
+	}, {
+		name: "a composite-literal key in another package's non-test file is a write",
+		files: map[string]string{"internal/c/c.go": cfgLib,
+			"cmd/m/main.go": strings.Replace(cfgMain, "{Set: 1}", "{Set: 1, Own: 2}", 1)},
+	}, {
+		name:      "cfg.Inner.X = v writes Inner",
+		files:     map[string]string{"internal/c/c.go": cfgLib, "cmd/m/main.go": cfgMain},
+		allowlist: "c.Config.Own  set by Default\n",
+	}, {
+		name: "reading cfg.Inner.X is not a write",
+		files: map[string]string{"internal/c/c.go": cfgLib,
+			"cmd/m/main.go": strings.Replace(cfgMain, "cfg.Inner.X = 2", "_ = cfg.Inner.X", 1)},
+		allowlist: "c.Config.Own  set by Default\n",
+		want:      []string{"c.Config.Inner is a config field"},
+	}, {
+		name: "a write in a _test.go file does not count",
+		files: map[string]string{"internal/c/c.go": cfgLib, "cmd/m/main.go": cfgMain,
+			"cmd/m/main_test.go": "package main\n\nimport (\n\t\"testing\"\n\n\t\"fix/internal/c\"\n)\n\nfunc TestX(t *testing.T) { cfg := c.Config{Own: 3}; cfg.Own++ }\n"},
+		want: []string{"c.Config.Own is a config field"},
+	}, {
+		name: "a stale config field line fails",
+		files: map[string]string{"internal/c/c.go": cfgLib,
+			"cmd/m/main.go": strings.Replace(cfgMain, "_ = cfg\n", "cfg.Own = 2\n\t_ = cfg\n", 1)},
+		allowlist: "c.Config.Own  once unset\n",
+		want:      []string{"c.Config.Own is stale"},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()

@@ -36,10 +36,7 @@ type Config struct {
 	// RAMThreshold is the maximum number of tiles held before releasing
 	// (device-memory dependent, per the paper).
 	RAMThreshold int
-	// Decoders is the number of parallel hardware decoders (paper: 5).
-	Decoders int
-	Coverage motion.CoverageConfig
-	Params   metrics.QoEParams
+	Params       metrics.QoEParams
 	// Slots stops the client after this many display slots (0 = until the
 	// server closes the control connection).
 	Slots int
@@ -73,6 +70,9 @@ type Config struct {
 	// the trace ID carried in the packet headers; nil disables tracing.
 	Tracer *trace.Tracer
 }
+
+// decoders is the number of parallel hardware decoders (paper: 5).
+const decoders = 5
 
 // clientMetrics bundles the client-side instruments; all nil-safe.
 type clientMetrics struct {
@@ -115,8 +115,6 @@ func DefaultConfig(user uint32, serverAddr string, trace motion.Trace) Config {
 		Trace:        trace,
 		SlotDuration: time.Second / 60,
 		RAMThreshold: 512,
-		Decoders:     5,
-		Coverage:     motion.DefaultCoverage(),
 		Params:       metrics.QoEParams{Alpha: 0.1, Beta: 0.5},
 	}
 }
@@ -153,9 +151,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.SlotDuration <= 0 {
 		cfg.SlotDuration = time.Second / 60
-	}
-	if cfg.Decoders <= 0 {
-		cfg.Decoders = 5
 	}
 	if cfg.RAMThreshold <= 0 {
 		cfg.RAMThreshold = 512
@@ -593,10 +588,10 @@ func (c *runner) displaySlot(slot uint32) {
 		_ = c.send(transport.Release{User: c.cfg.User, Tiles: released})
 	}
 
-	// Decode stage: the parallel decoders handle up to Decoders new tiles
+	// Decode stage: the parallel decoders handle up to decoders new tiles
 	// per slot; beyond that the frame misses its display deadline.
 	dsp := c.cfg.Tracer.Start(traceID, trace.StageDecode, trace.SideClient, c.cfg.User, slot)
-	decodable := len(ids) <= c.cfg.Decoders
+	decodable := len(ids) <= decoders
 
 	// Coverage: the tiles of the actual FoV (for the actual cell) must be
 	// available, freshly delivered or held in RAM, at some quality level.
@@ -655,7 +650,7 @@ func (c *runner) displaySlot(slot uint32) {
 // the best version held for each.
 func (c *runner) coverage(actual vrmath.Pose, delivered []tiles.VideoID) (int, bool) {
 	cell := tiles.CellFor(actual.Pos)
-	c.needed = tiles.ForViewAppend(c.needed[:0], actual, c.cfg.Coverage.FoV, 0)
+	c.needed = tiles.ForViewAppend(c.needed[:0], actual, vrmath.DefaultFoV, 0)
 	needed := c.needed
 
 	// bestLevel finds the highest available quality of one tile.

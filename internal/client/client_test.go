@@ -319,7 +319,7 @@ func TestCoverageUsesRAMFallback(t *testing.T) {
 	}
 	pose := vrmath.Pose{Pos: vrmath.Vec3{X: 1, Z: 1}, Yaw: 20}
 	cell := tiles.CellFor(pose.Pos)
-	needed := tiles.ForViewAppend(nil, pose, cfg.Coverage.FoV, 0)
+	needed := tiles.ForViewAppend(nil, pose, vrmath.DefaultFoV, 0)
 
 	// Nothing held: not covered.
 	if _, covered := r.coverage(pose, nil); covered {

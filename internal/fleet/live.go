@@ -31,15 +31,10 @@ type LiveConfig struct {
 	// Stateful allocators (the default solver keeps solve scratch) must
 	// not be shared across concurrently-running shard slot loops.
 	NewAllocator func() core.Allocator
-	// Zones is the locality zone count; shard i sits in zone i%Zones
-	// (default Shards — every shard its own zone).
-	Zones int
 	// Scorer ranks shards at placement (default LeastLoaded).
 	Scorer Scorer
 	// Recorder captures placement decisions; nil disables.
 	Recorder *obs.PlacementRecorder
-	// Rebalance tunes the periodic budget re-split driven by Tick.
-	Rebalance RebalanceConfig
 	// Health, when non-nil, receives per-shard fleet series (sessions,
 	// budget, demand, page fraction) every Tick, keyed on the coordinator
 	// slot clock. The evacuation loop reads its page-frac windows, so Evac
@@ -82,27 +77,19 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.GlobalBudgetMbps <= 0 {
 		cfg.GlobalBudgetMbps = cfg.Base.BudgetMbps
 	}
-	if cfg.Zones <= 0 {
-		cfg.Zones = cfg.Shards
-	}
 	if cfg.Base.Logf == nil {
 		cfg.Base.Logf = func(string, ...any) {}
 	}
-	perSession := cfg.Base.InitialUserMbps
-	if perSession <= 0 {
-		perSession = 30
-	}
 	l := &Live{cfg: cfg, ctl: NewController(ControllerConfig{
 		Shards:            cfg.Shards,
-		Zones:             cfg.Zones,
+		Zones:             cfg.Shards,
 		GlobalBudgetMbps:  cfg.GlobalBudgetMbps,
 		Scorer:            cfg.Scorer,
 		Recorder:          cfg.Recorder,
-		Rebalance:         cfg.Rebalance,
 		Evac:              cfg.Evac,
 		Health:            cfg.Health,
 		Coord:             cfg.Coord,
-		SessionDemandMbps: perSession,
+		SessionDemandMbps: server.InitialUserMbps,
 		Metrics:           cfg.Base.Metrics,
 	})}
 	for i := 0; i < cfg.Shards; i++ {
@@ -180,7 +167,7 @@ func (l *Live) paging(user uint32) bool {
 }
 
 func (l *Live) sessionInfo(user uint32, shard int) SessionInfo {
-	return SessionInfo{ID: user, Zone: shard % l.cfg.Zones, DemandMbps: l.cfg.Base.InitialUserMbps}
+	return SessionInfo{ID: user, Zone: shard, DemandMbps: server.InitialUserMbps}
 }
 
 // ownedLocked lists the sessions bound to shard i, ascending (the owner

@@ -32,8 +32,6 @@ type FleetSimConfig struct {
 	// Scorer names the placement policy (fleet.ScorerByName; default
 	// least-loaded).
 	Scorer string
-	// Rebalance tunes the periodic budget re-split.
-	Rebalance fleet.RebalanceConfig
 	// MigrationOutageSlots is the per-session blackout while a session
 	// hands off between shards: the client redials, so these slots are
 	// charged as forced deadline misses (default 2; negative = none). This
@@ -359,7 +357,6 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		GlobalBudgetMbps: sim.BudgetMbps,
 		Scorer:           scorer,
 		Recorder:         cfg.Recorder,
-		Rebalance:        cfg.Rebalance,
 		Evac:             cfg.Evac,
 		Health:           cfg.Health,
 		Coord:            cfg.Coord,

@@ -206,7 +206,7 @@ func TestFleetSimCoordFaultValidation(t *testing.T) {
 		// The live engine checks before it builds anything, so a refused
 		// profile costs no sockets; its message names the count it checked.
 		if refused {
-			live := FleetLiveConfig{Shards: 3, Coordinators: tc.coordinators, Coord: tc.coord}
+			live := FleetLiveConfig{Shards: 3, Coordinators: tc.coordinators}
 			live.Live.Chaos = kill(tc.replica)
 			_, err := RunLiveFleet(w, live)
 			if want := fmt.Sprintf("the cluster has %d", tc.runs); err == nil || !strings.Contains(err.Error(), want) {

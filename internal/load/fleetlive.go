@@ -8,6 +8,7 @@ import (
 	"repro/internal/fleet/coord"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
+	"repro/internal/server"
 )
 
 // FleetLiveConfig parametrizes a live fleet execution: N real in-process
@@ -22,14 +23,8 @@ type FleetLiveConfig struct {
 	Live LiveConfig
 	// Shards is the shard count (default 3).
 	Shards int
-	// Zones is the locality-zone count, as in FleetSimConfig (default
-	// Shards).
-	Zones int
 	// Scorer names the placement policy (fleet.ScorerByName).
 	Scorer string
-	// Rebalance tunes the periodic budget re-split driven by the slot
-	// clock.
-	Rebalance fleet.RebalanceConfig
 	// Recorder captures placement decisions; nil disables.
 	Recorder *obs.PlacementRecorder
 	// Health, when non-nil, receives the coordinator's per-shard and
@@ -42,14 +37,11 @@ type FleetLiveConfig struct {
 	// Evac turns on the SLO-pressure evacuation loop on the live
 	// coordinator (see fleet.EvacConfig).
 	Evac fleet.EvacConfig
-	// Coordinators is the coordinator replica count, folded with
-	// Coord.Replicas as FleetSimConfig's is (default 1 — the zero-cost
-	// single-replica path). The chaos profile's coord_kill/coord_partition
-	// faults drive the replicas on the live slot clock.
+	// Coordinators is the coordinator replica count (default 1 — the
+	// zero-cost single-replica path). The chaos profile's
+	// coord_kill/coord_partition faults drive the replicas on the live slot
+	// clock.
 	Coordinators int
-	// Coord tunes the replicated coordinator (lease length, snapshot
-	// cadence); a Coord.Replicas set without Coordinators is the count.
-	Coord coord.Config
 	// CoordDebug, when non-nil, receives the live fleet's coordinator
 	// status producer as soon as the shards come up — the /debug/coord
 	// hook. The producer is mutex-guarded and stays valid for the life of
@@ -67,10 +59,7 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 3
 	}
-	if cfg.Zones <= 0 {
-		cfg.Zones = cfg.Shards
-	}
-	cfg.Coordinators = foldReplicas(cfg.Coordinators, &cfg.Coord)
+	cfg.Coordinators = max(cfg.Coordinators, 1)
 	if err := fleet.CheckProfile(cfg.Live.Chaos, cfg.Shards, cfg.Coordinators); err != nil {
 		return nil, err
 	}
@@ -92,13 +81,11 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 		Base:             base,
 		GlobalBudgetMbps: cfg.Live.BudgetMbps,
 		NewAllocator:     cfg.Live.NewAllocator,
-		Zones:            cfg.Zones,
 		Scorer:           scorer,
 		Recorder:         cfg.Recorder,
-		Rebalance:        cfg.Rebalance,
 		Health:           cfg.Health,
 		Evac:             cfg.Evac,
-		Coord:            cfg.Coord,
+		Coord:            coord.Config{Replicas: cfg.Coordinators},
 	})
 	if err != nil {
 		return nil, err
@@ -110,8 +97,8 @@ func RunLiveFleet(w *Workload, cfg FleetLiveConfig) (*FleetReport, error) {
 	launch := func(spec SessionSpec) {
 		shard, err := live.Place(fleet.SessionInfo{
 			ID:         spec.ID,
-			Zone:       int(spec.ID) % cfg.Zones,
-			DemandMbps: base.InitialUserMbps,
+			Zone:       int(spec.ID) % cfg.Shards,
+			DemandMbps: server.InitialUserMbps,
 		})
 		if err != nil {
 			rig.mu.Lock()

@@ -223,7 +223,6 @@ func TestRunLiveFleetCoordLeaderKill(t *testing.T) {
 			Logf: t.Logf,
 		},
 	}
-	cfg.Coord.LeaseSlots = 4
 	rep, err := RunLiveFleet(w, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -77,9 +77,6 @@ type LiveConfig struct {
 	// Metrics receives server, client and harness instruments (shared
 	// registry); nil disables.
 	Metrics *obs.Registry
-	// Recorder receives the server's per-slot decision records; nil
-	// disables.
-	Recorder *obs.Recorder
 	// Tracer receives end-to-end request spans from the server pipeline and
 	// every emulated client; nil disables tracing.
 	Tracer *trace.Tracer
@@ -226,7 +223,6 @@ func (cfg LiveConfig) serverConfig(w *Workload, alloc core.Allocator, nets map[u
 	sc.SizeModelSeed = uint64(w.Cfg.Seed)
 	sc.MaxSessions = cfg.MaxSessions
 	sc.Metrics = cfg.Metrics
-	sc.Recorder = cfg.Recorder
 	sc.Tracer = cfg.Tracer
 	sc.TraceEpoch = cfg.TraceEpoch
 	sc.SLO = cfg.SLO

@@ -14,9 +14,15 @@ import (
 	"repro/internal/tiles"
 )
 
+// deadlineSlots is the display-pipeline tolerance: a frame whose delivery
+// delay exceeds this many slot-times misses its deadline (decode at t+1,
+// display at t+2).
+const deadlineSlots = 2
+
 // simEnv is what a session's slot step reads besides its own state. It is
 // fixed for the run and shared read-only, so build shards may use it
-// concurrently.
+// concurrently. The content-size landscape is seed 0's, whatever the
+// workload seed (ROADMAP 2(e)).
 type simEnv struct {
 	step.Env
 	cfg        *SimConfig
@@ -32,11 +38,11 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 	}
 	slotMs := 1000 / sps
 	return &simEnv{
-		Env:        step.Env{Model: tiles.NewSizeModel(cfg.SizeModelSeed), Coverage: cfg.Coverage, SlotMs: slotMs},
+		Env:        step.Env{Model: tiles.NewSizeModel(0), Coverage: motion.DefaultCoverage(), SlotMs: slotMs},
 		cfg:        cfg,
 		w:          w,
 		qoe:        metrics.QoEParams{Alpha: cfg.Params.Alpha, Beta: cfg.Params.Beta},
-		deadlineMs: float64(cfg.DeadlineSlots) * slotMs,
+		deadlineMs: deadlineSlots * slotMs,
 	}
 }
 
@@ -121,7 +127,7 @@ func (e *simEnv) setUp(s *simSession, spec SessionSpec) {
 	s.Sel = in.sel[:0]
 	s.Rates, s.Delays = s.tables[:tiles.Levels:tiles.Levels], s.tables[tiles.Levels:]
 	s.acc.Reset(e.qoe)
-	in.pred.Reset(e.cfg.PredictorWindow)
+	in.pred.Reset(motion.DefaultWindow)
 	if cap(in.net.Segments) < len(in.segs) {
 		in.net.Segments = in.segs[:0]
 	}
@@ -179,7 +185,7 @@ func (a *sessionArena) put(s *simSession) { a.free = append(a.free, s) }
 // otherwise). It touches only s and the read-only env.
 func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []float64) core.UserInput {
 	local := slot - s.spec.ArriveSlot
-	s.inView = s.Follow(&e.Env, &s.in.pred, local <= e.cfg.PredictorWindow, s.in.walk.Next())
+	s.inView = s.Follow(&e.Env, &s.in.pred, local <= motion.DefaultWindow, s.in.walk.Next())
 	// Chaos capacity faults: cliffs scale the link, a blackout zeroes it
 	// (the M/M/1 delay then saturates and the frame misses); a per-slot drop loses
 	// the slot's content outright.

@@ -3,7 +3,6 @@ package load
 import (
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/motion"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 	"repro/internal/trace"
@@ -29,13 +28,6 @@ type SimConfig struct {
 	AllocName string
 	// BudgetMbps is the server's shared throughput budget B(t).
 	BudgetMbps float64
-	// DeadlineSlots is the display-pipeline tolerance: a frame whose
-	// delivery delay exceeds DeadlineSlots slot-times misses its deadline
-	// (default 2, matching the decode-at-t+1/display-at-t+2 pipelining).
-	DeadlineSlots   int
-	PredictorWindow int
-	Coverage        motion.CoverageConfig
-	SizeModelSeed   uint64
 	// Metrics, when non-nil, receives the loadgen histograms (per-session
 	// QoE, deadline-miss fraction).
 	Metrics *obs.Registry
@@ -102,15 +94,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	}
 	if c.BudgetMbps <= 0 {
 		c.BudgetMbps = 400
-	}
-	if c.DeadlineSlots <= 0 {
-		c.DeadlineSlots = 2
-	}
-	if c.PredictorWindow <= 0 {
-		c.PredictorWindow = motion.DefaultWindow
-	}
-	if c.Coverage == (motion.CoverageConfig{}) {
-		c.Coverage = motion.DefaultCoverage()
 	}
 	return c
 }

@@ -50,8 +50,6 @@ type TournamentConfig struct {
 	Sim SimConfig
 	// Candidates is the roster (default: defaultCandidates()).
 	Candidates []candidate
-	// Weights is the fitness function (zero value: defaultFitnessWeights).
-	Weights fitnessWeights
 	// SkipRegret disables the per-slot DP reference solve (fitness then
 	// scores regret as zero) — a fast mode for large workloads.
 	SkipRegret bool
@@ -119,10 +117,7 @@ func RunTournament(w *Workload, cfg TournamentConfig) (*TournamentResult, error)
 	if len(candidates) == 0 {
 		candidates = defaultCandidates(cfg.Sim.withDefaults().Params)
 	}
-	weights := cfg.Weights
-	if weights == (fitnessWeights{}) {
-		weights = defaultFitnessWeights()
-	}
+	weights := defaultFitnessWeights()
 	seen := make(map[string]bool, len(candidates))
 	result := &TournamentResult{
 		HorizonSlots: w.Cfg.HorizonSlots,

@@ -22,7 +22,6 @@ type UserQoE struct {
 
 	slots        int
 	qualitySum   float64 // sum of q_n(t) * 1_n(t)
-	rawQuality   float64 // sum of q_n(t) regardless of coverage
 	delaySum     float64
 	viewed       estimate.Welford // variance of q*1 over the horizon
 	coveredSlots int
@@ -46,7 +45,6 @@ func (u *UserQoE) Reset(params QoEParams) {
 // delivered portion covered the actual FoV, and the content delivery delay.
 func (u *UserQoE) Observe(q int, covered bool, delay float64) {
 	u.slots++
-	u.rawQuality += float64(q)
 	viewedQ := 0.0
 	if covered {
 		viewedQ = float64(q)
@@ -74,14 +72,6 @@ func (u *UserQoE) AvgQuality() float64 {
 		return 0
 	}
 	return u.qualitySum / float64(u.slots)
-}
-
-// avgRawQuality returns the average allocated quality ignoring coverage.
-func (u *UserQoE) avgRawQuality() float64 {
-	if u.slots == 0 {
-		return 0
-	}
-	return u.rawQuality / float64(u.slots)
 }
 
 // AvgDelay returns the average content delivery delay.

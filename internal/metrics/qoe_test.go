@@ -19,9 +19,6 @@ func TestUserQoEComponents(t *testing.T) {
 	if got := u.AvgQuality(); math.Abs(got-8.0/3) > 1e-9 {
 		t.Errorf("AvgQuality = %v, want %v", got, 8.0/3)
 	}
-	if got := u.avgRawQuality(); math.Abs(got-10.0/3) > 1e-9 {
-		t.Errorf("avgRawQuality = %v, want %v", got, 10.0/3)
-	}
 	if got := u.AvgDelay(); math.Abs(got-0.3) > 1e-9 {
 		t.Errorf("AvgDelay = %v, want 0.3", got)
 	}

@@ -8,23 +8,21 @@ import "sync"
 // q_n ceiling until its SLO position recovers.
 const (
 	breakerClosed   = "closed"    // healthy: allocation uncapped
-	breakerDegraded = "degraded"  // SLO warn: quality capped at WarnCap
-	breakerOpen     = "open"      // SLO page: quality capped at PageCap
-	breakerHalfOpen = "half-open" // probing recovery at HalfOpenCap
+	breakerDegraded = "degraded"  // SLO warn: quality capped one level below the top
+	breakerOpen     = "open"      // SLO page: quality capped at pageCap
+	breakerHalfOpen = "half-open" // probing recovery at the degraded ceiling
 )
+
+// pageCap is the ceiling in the open state: the lowest quality, but never
+// zero — coverage is preserved, fidelity is sacrificed.
+const pageCap = 1
 
 // BreakerConfig tunes the per-session circuit breaker driven by the SLO
 // monitor's alert states. All windows are counted in display slots.
 type BreakerConfig struct {
-	// Levels is the quality ladder size (default 5, the paper's 1..5).
+	// Levels is the quality ladder size (default 5, the paper's 1..5). The
+	// degraded and half-open ceiling is Levels-1 (at least 1).
 	Levels int
-	// WarnCap is the ceiling in the degraded state (default Levels-1).
-	WarnCap int
-	// PageCap is the ceiling in the open state (default 1: lowest quality,
-	// but never zero — coverage is preserved, fidelity is sacrificed).
-	PageCap int
-	// HalfOpenCap is the probing ceiling (default WarnCap).
-	HalfOpenCap int
 	// RecoverySlots is how many consecutive non-page slots an open breaker
 	// needs before probing half-open, and how many consecutive ok slots a
 	// degraded breaker needs to close (default 300).
@@ -43,18 +41,6 @@ func (c *BreakerConfig) fill() {
 	d := DefaultBreakerConfig()
 	if c.Levels <= 0 {
 		c.Levels = d.Levels
-	}
-	if c.WarnCap <= 0 || c.WarnCap > c.Levels {
-		c.WarnCap = c.Levels - 1
-		if c.WarnCap == 0 {
-			c.WarnCap = 1
-		}
-	}
-	if c.PageCap <= 0 || c.PageCap > c.WarnCap {
-		c.PageCap = 1
-	}
-	if c.HalfOpenCap <= 0 || c.HalfOpenCap > c.Levels {
-		c.HalfOpenCap = c.WarnCap
 	}
 	if c.RecoverySlots <= 0 {
 		c.RecoverySlots = d.RecoverySlots
@@ -241,12 +227,10 @@ func (b *Breaker) Cap(session uint32) int {
 // capOf is the ceiling of a session in e's state (s.mu held).
 func (b *Breaker) capOf(s *BreakerEntry) int {
 	switch s.state {
-	case breakerDegraded:
-		return b.cfg.WarnCap
+	case breakerDegraded, breakerHalfOpen:
+		return max(b.cfg.Levels-1, 1)
 	case breakerOpen:
-		return b.cfg.PageCap
-	case breakerHalfOpen:
-		return b.cfg.HalfOpenCap
+		return pageCap
 	}
 	return 0
 }

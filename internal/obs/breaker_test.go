@@ -191,14 +191,20 @@ func TestBreakerDegradedRecoversOnOKStreak(t *testing.T) {
 func TestBreakerConfigFillAndNil(t *testing.T) {
 	var cfg BreakerConfig
 	cfg.fill()
-	if cfg.Levels != 5 || cfg.WarnCap != 4 || cfg.PageCap != 1 ||
-		cfg.HalfOpenCap != 4 || cfg.RecoverySlots != 300 || cfg.HalfOpenSlots != 150 {
+	if cfg.Levels != 5 || cfg.RecoverySlots != 300 || cfg.HalfOpenSlots != 150 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	single := BreakerConfig{Levels: 1}
-	single.fill()
-	if single.WarnCap != 1 || single.PageCap != 1 {
-		t.Fatalf("single-level ladder caps wrong: %+v", single)
+	// The ceilings derive from Levels: degraded and half-open one level
+	// below the top, open at the lowest level.
+	caps := func(b *Breaker) (warn, page, halfOpen int) {
+		return b.capOf(&BreakerEntry{state: breakerDegraded}), b.capOf(&BreakerEntry{state: breakerOpen}),
+			b.capOf(&BreakerEntry{state: breakerHalfOpen})
+	}
+	if w, p, h := caps(NewBreaker(BreakerConfig{}, nil)); w != 4 || p != 1 || h != 4 {
+		t.Fatalf("default caps = %d/%d/%d, want 4/1/4", w, p, h)
+	}
+	if w, p, h := caps(NewBreaker(BreakerConfig{Levels: 1}, nil)); w != 1 || p != 1 || h != 1 {
+		t.Fatalf("single-level ladder caps = %d/%d/%d, want 1/1/1", w, p, h)
 	}
 
 	var b *Breaker

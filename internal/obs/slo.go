@@ -12,6 +12,10 @@ const (
 	SLOStatePage = "page"
 )
 
+// minMeanQuality is the mean delivered-quality-level floor over the long
+// window (2.5 of the paper's 1..5 levels).
+const minMeanQuality = 2.5
+
 // SLOConfig defines the per-session QoE service-level objectives and the
 // multi-window burn-rate alerting policy over them. Windows are counted in
 // display slots (the paper's time unit), not wall time, so the live loopback
@@ -28,9 +32,6 @@ type SLOConfig struct {
 	// (default 0.01).
 	MissTarget  float64
 	StallTarget float64
-	// MinMeanQuality is the mean delivered-quality-level floor over the long
-	// window (default 2.5 of the paper's 1..5 levels).
-	MinMeanQuality float64
 	// FastBurn and SlowBurn are burn-rate thresholds: consumption of the
 	// error budget as a multiple of the target rate. Page when BOTH windows
 	// burn at >= FastBurn (default 10); warn at >= SlowBurn on the long
@@ -47,7 +48,6 @@ func DefaultSLOConfig() SLOConfig {
 		ShortWindowSlots: 120,
 		MissTarget:       0.02,
 		StallTarget:      0.01,
-		MinMeanQuality:   2.5,
 		FastBurn:         10,
 		SlowBurn:         3,
 	}
@@ -69,9 +69,6 @@ func (c *SLOConfig) fill() {
 	}
 	if c.StallTarget <= 0 {
 		c.StallTarget = d.StallTarget
-	}
-	if c.MinMeanQuality <= 0 {
-		c.MinMeanQuality = d.MinMeanQuality
 	}
 	if c.FastBurn <= 0 {
 		c.FastBurn = d.FastBurn
@@ -387,7 +384,7 @@ func (m *SLOMonitor) each(fn func(sloSessionState)) {
 			StallBurn:    float64(s.stallLong) / longN / m.cfg.StallTarget,
 			MeanQuality:  s.qualitySum / longN,
 		}
-		st.QualityLow = st.MeanQuality < m.cfg.MinMeanQuality && s.filled >= m.cfg.ShortWindowSlots
+		st.QualityLow = st.MeanQuality < minMeanQuality && s.filled >= m.cfg.ShortWindowSlots
 		s.mu.Unlock()
 		fn(st)
 	}
@@ -435,7 +432,7 @@ func (m *SLOMonitor) tally() (t sloTally) {
 		}
 		longN := float64(filled)
 		t.add(state, float64(missLong)/longN/m.cfg.MissTarget,
-			qualitySum/longN < m.cfg.MinMeanQuality && filled >= m.cfg.ShortWindowSlots)
+			qualitySum/longN < minMeanQuality && filled >= m.cfg.ShortWindowSlots)
 	}
 	return t
 }

@@ -1,15 +1,6 @@
 package tsdb
 
-import (
-	"strings"
-
-	"repro/internal/obs"
-)
-
-// healthPrefix marks the sampler's own mirrored instruments; the sampler
-// skips them when walking the registry so the health plane never samples
-// itself.
-const healthPrefix = "collabvr_health_"
+import "repro/internal/obs"
 
 // SamplerOptions configures a Sampler.
 type SamplerOptions struct {
@@ -26,10 +17,6 @@ type SamplerOptions struct {
 	SLO *obs.SLOMonitor
 	// EverySlots is the sampling cadence in slots (default 1: every slot).
 	EverySlots int
-	// Mirror, when true, mirrors sampler meta-state back into Registry as
-	// collabvr_health_{last_slot,series,samples_total} so a plain /metrics
-	// scrape shows the health plane is alive.
-	Mirror bool
 }
 
 type histSeries struct {
@@ -60,10 +47,6 @@ type Sampler struct {
 	hists map[string]histSeries
 
 	sloOK, sloWarn, sloPage, sloBurn *Series
-
-	mLastSlot *obs.Gauge
-	mSeries   *obs.Gauge
-	mSamples  *obs.Counter
 }
 
 // NewSampler builds a sampler over opts.
@@ -78,22 +61,13 @@ func NewSampler(opts SamplerOptions) *Sampler {
 		s.every = 1
 	}
 	s.counterFn = func(name string, c *obs.Counter) {
-		if strings.HasPrefix(name, healthPrefix) {
-			return
-		}
 		s.store.Series(name, Counter).Observe(s.slot, float64(c.Value()))
 	}
 	s.gaugeFn = func(name string, g *obs.Gauge) {
-		if strings.HasPrefix(name, healthPrefix) {
-			return
-		}
 		s.store.Series(name, Gauge).Observe(s.slot, g.Value())
 	}
 	s.hists = make(map[string]histSeries)
 	s.histFn = func(name string, h *obs.Histogram) {
-		if strings.HasPrefix(name, healthPrefix) {
-			return
-		}
 		pair, ok := s.hists[name]
 		if !ok {
 			pair = histSeries{
@@ -110,11 +84,6 @@ func NewSampler(opts SamplerOptions) *Sampler {
 		s.sloWarn = s.store.Series("collabvr_slo_sessions_warn", Gauge)
 		s.sloPage = s.store.Series("collabvr_slo_sessions_page", Gauge)
 		s.sloBurn = s.store.Series("collabvr_slo_worst_burn", Gauge)
-	}
-	if opts.Mirror {
-		s.mLastSlot = s.reg.Gauge(healthPrefix + "last_slot")
-		s.mSeries = s.reg.Gauge(healthPrefix + "series")
-		s.mSamples = s.reg.Counter(healthPrefix + "samples_total")
 	}
 	return s
 }
@@ -141,7 +110,4 @@ func (s *Sampler) Sample(slot int64) {
 		s.reg.EachGauge(s.gaugeFn)
 		s.reg.EachHistogram(s.histFn)
 	}
-	s.mLastSlot.Set(float64(slot))
-	s.mSeries.Set(float64(s.store.Len()))
-	s.mSamples.Inc()
 }

@@ -23,7 +23,7 @@ func TestSamplerWalksRegistryAndSLO(t *testing.T) {
 	}
 
 	st := New(Options{RawSlots: 16, TierPoints: 4})
-	s := NewSampler(SamplerOptions{Store: st, Registry: reg, SLO: slo, Mirror: true})
+	s := NewSampler(SamplerOptions{Store: st, Registry: reg, SLO: slo})
 	s.Sample(0)
 	reg.Counter("collabvr_sent_total").Add(5)
 	s.Sample(1)
@@ -39,18 +39,6 @@ func TestSamplerWalksRegistryAndSLO(t *testing.T) {
 	}
 	if got := st.Series("collabvr_slo_sessions_page", Gauge).Stats(1); got.Count != 1 {
 		t.Fatal("SLO totals not sampled")
-	}
-	// mirror instruments exist in the registry but are never re-sampled
-	if got := reg.Counter(healthPrefix + "samples_total").Value(); got != 2 {
-		t.Fatalf("mirror samples_total = %d, want 2", got)
-	}
-	if got := reg.Gauge(healthPrefix + "last_slot").Value(); got != 1 {
-		t.Fatalf("mirror last_slot = %g, want 1", got)
-	}
-	for _, snap := range st.Snapshot() {
-		if len(snap.Name) >= len(healthPrefix) && snap.Name[:len(healthPrefix)] == healthPrefix {
-			t.Fatalf("health plane sampled itself: %s", snap.Name)
-		}
 	}
 }
 
@@ -86,7 +74,7 @@ func TestEnabledSamplerSteadyStateIsAllocationFree(t *testing.T) {
 	slo := obs.NewSLOMonitor(obs.SLOConfig{WindowSlots: 8, ShortWindowSlots: 2}, reg)
 	slo.ObserveSlot(1, true, 4)
 	st := New(Options{RawSlots: 32, TierPoints: 4})
-	s := NewSampler(SamplerOptions{Store: st, Registry: reg, SLO: slo, Mirror: true})
+	s := NewSampler(SamplerOptions{Store: st, Registry: reg, SLO: slo})
 	s.Sample(0) // first pass registers the series
 	slot := int64(1)
 	if n := testing.AllocsPerRun(500, func() {

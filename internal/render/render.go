@@ -35,10 +35,12 @@ type Config struct {
 	// RenderTime is the per-tile render cost on a GPU's render unit.
 	RenderTime time.Duration
 	// EncodeBase is the encode time of a level-1 tile; each level adds
-	// EncodePerLevel (higher quality = higher bitrate = slower encode).
-	EncodeBase     time.Duration
-	EncodePerLevel time.Duration
+	// encodePerLevel (higher quality = higher bitrate = slower encode).
+	EncodeBase time.Duration
 }
+
+// encodePerLevel is the encode time each quality level adds to EncodeBase.
+const encodePerLevel = 500 * time.Microsecond
 
 // DefaultConfig models a workstation like the paper's (4 x RTX-class GPUs):
 // 1.5 ms render and 2-4.5 ms encode per tile at 60 FPS tiles.
@@ -51,7 +53,6 @@ func DefaultConfig(gpus int) Config {
 		EncodersPerGPU: 3,
 		RenderTime:     1500 * time.Microsecond,
 		EncodeBase:     2 * time.Millisecond,
-		EncodePerLevel: 500 * time.Microsecond,
 	}
 }
 
@@ -86,7 +87,7 @@ func (p *pipeline) encodeTime(level int) time.Duration {
 	if level < 1 {
 		level = 1
 	}
-	return p.cfg.EncodeBase + time.Duration(level-1)*p.cfg.EncodePerLevel
+	return p.cfg.EncodeBase + time.Duration(level-1)*encodePerLevel
 }
 
 // runSlot schedules the requests across the cluster with greedy

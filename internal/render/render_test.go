@@ -17,7 +17,7 @@ func TestSingleTileTiming(t *testing.T) {
 	cfg := DefaultConfig(1)
 	p := newPipeline(cfg)
 	r := p.runSlot([]request{{User: 0, Level: 3}}, 16*time.Millisecond)
-	want := cfg.RenderTime + cfg.EncodeBase + 2*cfg.EncodePerLevel
+	want := cfg.RenderTime + cfg.EncodeBase + 2*encodePerLevel
 	if r.Makespan != want {
 		t.Errorf("makespan = %v, want %v", r.Makespan, want)
 	}

@@ -142,15 +142,12 @@ func newDecider(cfg Config) *decider {
 	if cfg.SlotDuration <= 0 {
 		cfg.SlotDuration = time.Second / 60
 	}
-	if cfg.MTU <= transport.HeaderSize {
-		cfg.MTU = transport.DefaultMTU
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	c := &decider{
 		cfg:     cfg,
-		env:     step.Env{Model: tiles.NewSizeModel(cfg.SizeModelSeed), Coverage: cfg.Coverage, SlotMs: cfg.SlotDuration.Seconds() * 1000},
+		env:     step.Env{Model: tiles.NewSizeModel(cfg.SizeModelSeed), Coverage: motion.DefaultCoverage(), SlotMs: cfg.SlotDuration.Seconds() * 1000},
 		metrics: newServerMetrics(cfg.Metrics),
 		pool:    step.NewForkJoin(cfg.SlotWorkers),
 		adopted: make(map[uint32]*HandoffState),
@@ -179,9 +176,9 @@ func (c *decider) lookup(op string, user uint32) (*session, error) {
 // and so never counts against MaxSessions; state adopted for the user is
 // resumed. ok is false if the server is closed or full.
 func (c *decider) admit(sess *session) (prev *session, resumed, ok bool) {
-	sess.predictor = motion.NewPredictor(c.cfg.PredictorWindow)
+	sess.predictor = motion.NewPredictor(motion.DefaultWindow)
 	sess.ledger = tiles.NewDeliveryLedger()
-	sess.ema = estimate.NewEMA(c.cfg.EMAAlpha)
+	sess.ema = estimate.NewEMA(emaAlpha)
 	sess.allocated = make(map[uint32]allocRecord)
 	sess.retries = make(map[tiles.VideoID]uint8)
 	sess.retryFirst = make(map[tiles.VideoID]time.Time)
@@ -304,7 +301,7 @@ func (c *decider) ack(sess *session, ack transport.TileACK) {
 	// error histogram compares the estimate the allocator used with it.
 	if ack.DelayMs > 0.2 && ack.Bytes > 0 {
 		mbps := float64(ack.Bytes) * 8 / (ack.DelayMs / 1000) / 1e6
-		if prior := sess.capEstimate(c.cfg.InitialUserMbps); prior > 0 {
+		if prior := sess.capEstimate(); prior > 0 {
 			c.metrics.capEstRelErr.Observe(math.Abs((prior - mbps) / mbps))
 		}
 		sess.ema.Update(mbps)
@@ -400,14 +397,14 @@ func (c *decider) nack(sess *session, nack transport.Nack, now time.Time, batch 
 	return batch
 }
 
-// capEstimate is the max-filter's estimate; the EMA, or fallback, before
-// the first sample.
-func (sess *session) capEstimate(fallback float64) float64 {
+// capEstimate is the max-filter's estimate; the EMA, or InitialUserMbps,
+// before the first sample.
+func (sess *session) capEstimate() float64 {
 	if len(sess.capSamples) == 0 {
 		if sess.ema.Primed() {
 			return sess.ema.Value()
 		}
-		return fallback
+		return InitialUserMbps
 	}
 	return slices.Max(sess.capSamples)
 }
@@ -475,7 +472,7 @@ func (c *decider) build(i int) {
 	c.userBuf[i] = core.UserInput{}
 	if sess.havePose {
 		sess.Select(&c.env, sess.predictor.Predict())
-		c.userBuf[i] = sess.Input(&c.env, sess.capEstimate(c.cfg.InitialUserMbps), sess)
+		c.userBuf[i] = sess.Input(&c.env, sess.capEstimate(), sess)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestDeciderHandoffCapWindowOrder(t *testing.T) {
 		ack := goodputACK(uint32(i), mbps(i))
 		a.ack(src, ack)
 		b.ack(dst, ack)
-		if ga, gb := src.capEstimate(0), dst.capEstimate(0); ga != gb {
+		if ga, gb := src.capEstimate(), dst.capEstimate(); ga != gb {
 			t.Fatalf("sample %d after the handoff: capEstimate %v on the exporter, %v on the adopter",
 				i-capWindow-k, ga, gb)
 		}
@@ -118,7 +118,7 @@ func TestDeciderHandoffContinuesEstimators(t *testing.T) {
 	check := func() {
 		t.Helper()
 		same("EMA", src.ema.Value(), dst.ema.Value())
-		same("capEstimate", src.capEstimate(30), dst.capEstimate(30))
+		same("capEstimate", src.capEstimate(), dst.capEstimate())
 		same("Delta", src.Delta(), dst.Delta())
 		same("MeanQ", src.MeanQ(), dst.MeanQ())
 		da, db := make([]float64, len(rates)), make([]float64, len(rates))

@@ -15,7 +15,7 @@ func TestCapEstimateMaxFilter(t *testing.T) {
 	c := testDecider(t, cfg)
 	sess := bareSession(t, c, 1, 1)
 	// No samples: fall back to the configured initial estimate.
-	if got := sess.capEstimate(30); got != 30 {
+	if got := sess.capEstimate(); got != 30 {
 		t.Errorf("fallback estimate = %v, want 30", got)
 	}
 
@@ -31,7 +31,7 @@ func TestCapEstimateMaxFilter(t *testing.T) {
 	feed(3, 50000, 8) // 50 Mbps — a saturating train
 	feed(4, 9000, 8)  // 9 Mbps
 
-	if got := sess.capEstimate(30); got < 45 || got > 55 {
+	if got := sess.capEstimate(); got < 45 || got > 55 {
 		t.Errorf("max-filter estimate = %v, want about 50", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestCapEstimateWindowEvicts(t *testing.T) {
 	for s := uint32(1); s <= capWindow+5; s++ {
 		feed(s, 20)
 	}
-	if got := sess.capEstimate(30); got > 25 {
+	if got := sess.capEstimate(); got > 25 {
 		t.Errorf("estimate = %v, want the stale 60 Mbps sample evicted (~20)", got)
 	}
 }

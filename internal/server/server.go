@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/motion"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 	"repro/internal/step"
@@ -41,18 +40,8 @@ type Config struct {
 	// TotalSlots stops the slot loop after this many slots (0 = until
 	// Close).
 	TotalSlots int
-	// InitialUserMbps seeds the per-user throughput estimate before any
-	// ACK feedback arrives.
-	InitialUserMbps float64
-	// EMAAlpha is the smoothing factor of the throughput estimator.
-	EMAAlpha float64
-	// PredictorWindow is the motion-regression window.
-	PredictorWindow int
-	Coverage        motion.CoverageConfig
 	// SizeModelSeed selects the content complexity landscape.
 	SizeModelSeed uint64
-	// MTU bounds datagram size.
-	MTU int
 	// ShaperFor supplies the transmit-path shaper of each user (the
 	// testbed's Linux-TC stand-in); nil means unshaped.
 	ShaperFor func(user uint32) transport.Shaper
@@ -65,8 +54,6 @@ type Config struct {
 	// the cached content corresponding to the user's movement"). 0 disables
 	// prefetching.
 	PrefetchRadius int
-	// CacheTiles bounds the in-memory tile buffer.
-	CacheTiles int
 	// MaxSessions bounds the number of concurrently admitted sessions
 	// (accept-loop backpressure for load-generation runs): beyond it the
 	// server closes new control connections without a Welcome, so clients
@@ -130,28 +117,32 @@ type Config struct {
 	// serially inline. Decisions are identical at any setting: the solve
 	// itself stays a single merged pass over the sorted session snapshot.
 	SlotWorkers int
-	// SenderBatch is the transport packet-batching threshold applied to
-	// every session's Sender: tile packets are staged and flushed to the
-	// socket in bursts of up to this many datagrams (one flush per queued
-	// slot batch at the latest). <= 1 writes every packet immediately.
-	SenderBatch int
 }
+
+// InitialUserMbps seeds each user's throughput estimate before any ACK
+// feedback arrives; a fleet also counts a session's demand at it.
+const InitialUserMbps = 30
+
+const (
+	// emaAlpha is the throughput estimator's smoothing factor.
+	emaAlpha = 0.2
+	// cacheTiles bounds the in-memory tile buffer.
+	cacheTiles = 8192
+	// senderBatch is the packet-batching threshold of every session's
+	// Sender: tile packets are staged and flushed to the socket in bursts
+	// of up to this many datagrams (one flush per queued slot batch at the
+	// latest).
+	senderBatch = 32
+)
 
 // DefaultConfig returns a server configuration with the paper's real-system
 // parameters and the given allocator.
 func DefaultConfig(alloc core.Allocator) Config {
 	return Config{
-		Params:          core.DefaultSystemParams(),
-		Allocator:       alloc,
-		SlotDuration:    time.Second / 60,
-		BudgetMbps:      400,
-		InitialUserMbps: 30,
-		EMAAlpha:        0.2,
-		PredictorWindow: motion.DefaultWindow,
-		Coverage:        motion.DefaultCoverage(),
-		MTU:             transport.DefaultMTU,
-		CacheTiles:      8192,
-		SenderBatch:     32,
+		Params:       core.DefaultSystemParams(),
+		Allocator:    alloc,
+		SlotDuration: time.Second / 60,
+		BudgetMbps:   400,
 	}
 }
 
@@ -320,7 +311,7 @@ func newServer(cfg Config) *Server {
 		loopDone: make(chan struct{}),
 		free:     make(batchFreeList, 256),
 	}
-	s.store = tiles.NewStore(s.env.Model, s.cfg.CacheTiles, 1/s.cfg.SlotDuration.Seconds())
+	s.store = tiles.NewStore(s.env.Model, cacheTiles, 1/s.cfg.SlotDuration.Seconds())
 	s.store.Instrument(s.metrics.cacheHits, s.metrics.cacheMisses)
 	s.dispatchFn = s.dispatch
 	return s
@@ -479,11 +470,11 @@ func (s *Server) handleConn(ctrl *transport.Conn) {
 	sess := &session{
 		user:     hello.User,
 		ctrl:     ctrl,
-		sender:   transport.NewSender(s.udp, dst, shaper, s.cfg.MTU),
+		sender:   transport.NewSender(s.udp, dst, shaper, transport.DefaultMTU),
 		sendCh:   make(chan []tileJob, 32),
 		sendDone: make(chan struct{}),
 	}
-	sess.sender.SetBatchSize(s.cfg.SenderBatch)
+	sess.sender.SetBatchSize(senderBatch)
 	s.metrics.instrumentSender(sess.sender)
 	prev, resumed, ok := s.admit(sess)
 	if !ok {
@@ -540,7 +531,7 @@ func (s *Server) hangUp(sess *session) {
 // sendLoop transmits one slot's tile batch at a time, absorbing the
 // shaper's pacing sleeps off the slot loop's critical path. Tiles are
 // staged into the sender's packet batch and flushed once per slot batch
-// (the sender auto-flushes mid-batch at Config.SenderBatch datagrams), so
+// (the sender auto-flushes mid-batch at senderBatch datagrams), so
 // the wire sees one burst per slot instead of one syscall cascade per
 // tile. Spent batches return to the free list.
 func (s *Server) sendLoop(sess *session) {

@@ -345,9 +345,7 @@ func TestServerBadHelloUDPAddr(t *testing.T) {
 }
 
 func TestHandleACKUpdatesEstimates(t *testing.T) {
-	cfg := DefaultConfig(core.NewSolverAllocator())
-	cfg.EMAAlpha = 0.5
-	c := testDecider(t, cfg)
+	c := testDecider(t, DefaultConfig(core.NewSolverAllocator()))
 	sess := bareSession(t, c, 1, 1)
 	sess.allocated[5] = allocRecord{level: 4, rate: 30}
 	id, _ := tiles.PackVideoID(tiles.CellID{X: 1}, 0, 4)

@@ -95,7 +95,7 @@ func goldenRun(t *testing.T, estimateAlpha float64) map[string]string {
 	cfg.EstimateNoise = 0.2
 	cfg.CounterfactualK = 2
 	algs := StandardAlgorithms(true)
-	slots := int(cfg.Seconds * cfg.SlotsPerSecond)
+	slots := int(cfg.Seconds * slotsPerSecond)
 	ring := cfg.Runs * slots * len(algs)
 	cfg.Recorder = obs.NewRecorder(obs.RecorderOptions{RingSize: ring})
 	results, err := Run(cfg, algs)

@@ -25,22 +25,24 @@ import (
 	"repro/internal/trace"
 )
 
+const (
+	// slotsPerSecond is the display rate (paper: 60).
+	slotsPerSecond float64 = 60
+	// serverMbpsPerUser scales the shared budget: B = serverMbpsPerUser * N
+	// (paper: 36).
+	serverMbpsPerUser = 36
+)
+
 // Config parametrizes one simulation campaign.
 type Config struct {
-	Users          int     // N (paper: 5 and 30)
-	Seconds        float64 // trace length (paper: 300)
-	SlotsPerSecond float64 // display rate (paper: 60)
-	Runs           int     // independent trace draws per user (paper: 100)
-	Seed           int64
-	Params         core.Params
-	// ServerMbpsPerUser scales the shared budget: B = value * N (paper: 36).
-	ServerMbpsPerUser float64
+	Users   int     // N (paper: 5 and 30)
+	Seconds float64 // trace length (paper: 300)
+	Runs    int     // independent trace draws per user (paper: 100)
+	Seed    int64
+	Params  core.Params
 	// IncludeOptimal adds the per-slot brute-force optimum (paper: 5 users
 	// only; cost is L^N per slot).
-	IncludeOptimal  bool
-	PredictorWindow int
-	Coverage        motion.CoverageConfig
-	NetConfig       nettrace.Config
+	IncludeOptimal bool
 	// NetKinds optionally overrides the trace profile per user (index
 	// modulo length). Empty means the paper's half-broadband/half-LTE mix.
 	NetKinds []nettrace.Kind
@@ -82,17 +84,12 @@ type Config struct {
 // reproduce at scale.
 func DefaultConfig(n int) Config {
 	return Config{
-		Users:             n,
-		Seconds:           60,
-		SlotsPerSecond:    60,
-		Runs:              20,
-		Seed:              1,
-		Params:            core.DefaultSimParams(),
-		ServerMbpsPerUser: 36,
-		IncludeOptimal:    n <= 6,
-		PredictorWindow:   motion.DefaultWindow,
-		Coverage:          motion.DefaultCoverage(),
-		NetConfig:         nettrace.DefaultConfig(),
+		Users:          n,
+		Seconds:        60,
+		Runs:           20,
+		Seed:           1,
+		Params:         core.DefaultSimParams(),
+		IncludeOptimal: n <= 6,
 	}
 }
 
@@ -139,8 +136,7 @@ func (r *Result) CDFs() (qoe, quality, delay, variance *metrics.CDF) {
 }
 
 // deadlineSlots is the display pipeline's tolerance under imperfect
-// estimation: decode at t+1, display at t+2 (load.SimConfig.DeadlineSlots'
-// default).
+// estimation: decode at t+1, display at t+2 (the virtual engine's, too).
 const deadlineSlots = 2
 
 // slotInput is the precomputed, algorithm-independent input of one
@@ -157,10 +153,7 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 	if cfg.Users <= 0 || cfg.Runs <= 0 {
 		return nil, fmt.Errorf("sim: users and runs must be positive")
 	}
-	if cfg.SlotsPerSecond <= 0 {
-		cfg.SlotsPerSecond = 60
-	}
-	slots := int(cfg.Seconds * cfg.SlotsPerSecond)
+	slots := int(cfg.Seconds * slotsPerSecond)
 	if slots <= 0 {
 		return nil, fmt.Errorf("sim: no slots (seconds=%v)", cfg.Seconds)
 	}
@@ -209,13 +202,13 @@ func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) (
 	caps := make([][]float64, cfg.Users)
 	if len(cfg.NetKinds) > 0 {
 		for u := range caps {
-			tr := nettrace.Generate(cfg.NetKinds[u%len(cfg.NetKinds)], cfg.NetConfig, rng)
-			caps[u] = tr.Slotted(slots, cfg.SlotsPerSecond)
+			tr := nettrace.Generate(cfg.NetKinds[u%len(cfg.NetKinds)], nettrace.DefaultConfig(), rng)
+			caps[u] = tr.Slotted(slots, slotsPerSecond)
 		}
 	} else {
-		netTraces := nettrace.GenerateMix(cfg.Users, cfg.NetConfig, rng)
+		netTraces := nettrace.GenerateMix(cfg.Users, nettrace.DefaultConfig(), rng)
 		for u := range caps {
-			caps[u] = netTraces[u].Slotted(slots, cfg.SlotsPerSecond)
+			caps[u] = netTraces[u].Slotted(slots, slotsPerSecond)
 		}
 	}
 
@@ -224,25 +217,25 @@ func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) (
 	// (user, slot) and replayed under every algorithm.
 	env := &step.Env{
 		Model:    tiles.NewSizeModel(uint64(cfg.Seed)),
-		Coverage: cfg.Coverage,
-		SlotMs:   1000 / cfg.SlotsPerSecond,
+		Coverage: motion.DefaultCoverage(),
+		SlotMs:   1000 / slotsPerSecond,
 	}
 	inputs := make([][]slotInput, cfg.Users) // [user][slot]
 	scenes := motion.Scenes()
 	for u := 0; u < cfg.Users; u++ {
-		mt := motion.Generate(scenes[u%2], u, slots, cfg.SlotsPerSecond, seed)
-		pred := motion.NewPredictor(cfg.PredictorWindow)
+		mt := motion.Generate(scenes[u%2], u, slots, slotsPerSecond, seed)
+		pred := motion.NewPredictor(motion.DefaultWindow)
 		inputs[u] = make([]slotInput, slots)
 		ladders := make([]float64, slots*tiles.Levels) // every slot's ladder, one slab
 		var plan step.Plan
 		for s := 0; s < slots; s++ {
 			plan.Rates = ladders[s*tiles.Levels : (s+1)*tiles.Levels : (s+1)*tiles.Levels]
-			covered := plan.Follow(env, pred, s <= cfg.PredictorWindow, mt[s])
+			covered := plan.Follow(env, pred, s <= motion.DefaultWindow, mt[s])
 			inputs[u][s] = slotInput{rates: plan.Rates, covered: covered, cap_: caps[u][s]}
 		}
 	}
 
-	budget := cfg.ServerMbpsPerUser * float64(cfg.Users)
+	budget := serverMbpsPerUser * float64(cfg.Users)
 	out := make([]*Result, len(algorithms))
 	records := make([][]obs.SlotRecord, len(algorithms))
 	for i, factory := range algorithms {

@@ -201,7 +201,7 @@ func TestRecorderCapturesEverySlotWithRegret(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	slots := int(cfg.Seconds * cfg.SlotsPerSecond)
+	slots := int(cfg.Seconds * slotsPerSecond)
 	want := uint64(slots * cfg.Runs * len(algs))
 	if got := rec.Records(); got != want {
 		t.Fatalf("records = %d, want %d (one per slot per algorithm per run)", got, want)

@@ -26,7 +26,7 @@ func TestRunEmitsSpansForFirstRunOnly(t *testing.T) {
 	}
 
 	spans := tracer.Exporter().Recent(1 << 12)
-	slots := int(cfg.Seconds * cfg.SlotsPerSecond)
+	slots := int(cfg.Seconds * slotsPerSecond)
 	want := len(algos) * slots * cfg.Users * 4
 	if len(spans) != want {
 		t.Fatalf("%d spans, want %d (run 0 only: %d algos x %d slots x %d users x 4 stages)",
