@@ -111,19 +111,21 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core ./internal/randsrc
 	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x -benchmem ./internal/load
 
-# Brief native fuzzing of the greedy differential, the seed order, the DP,
-# the coordinator log, the two wire decoders, the chaos profile parser and
-# the math/rand-identical source (~10 s each) on top of the checked-in seed
-# corpora under testdata/fuzz (the profile parser seeds from examples/chaos).
+# Brief native fuzzing, under the race detector, of the greedy
+# differential, the seed order, the DP, the coordinator log, the two wire
+# decoders, the chaos profile parser and the math/rand-identical source
+# (~10 s each) on top of the checked-in seed corpora under testdata/fuzz
+# (the profile parser seeds from examples/chaos). CI's Fuzz step runs this
+# target.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
-	$(GO) test -run '^$$' -fuzz '^FuzzSeedOrder$$' -fuzztime 10s ./internal/knapsack
-	$(GO) test -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
-	$(GO) test -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
-	$(GO) test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 10s ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzControlFrame$$' -fuzztime 10s ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzChaosProfile$$' -fuzztime 10s ./internal/chaos
-	$(GO) test -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/randsrc
+	$(GO) test -race -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime 10s ./internal/knapsack
+	$(GO) test -race -run '^$$' -fuzz '^FuzzSeedOrder$$' -fuzztime 10s ./internal/knapsack
+	$(GO) test -race -run '^$$' -fuzz '^FuzzDynamicProgram$$' -fuzztime 10s ./internal/knapsack
+	$(GO) test -race -run '^$$' -fuzz '^FuzzCoordLog$$' -fuzztime 10s ./internal/fleet/coord
+	$(GO) test -race -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 10s ./internal/transport
+	$(GO) test -race -run '^$$' -fuzz '^FuzzControlFrame$$' -fuzztime 10s ./internal/transport
+	$(GO) test -race -run '^$$' -fuzz '^FuzzChaosProfile$$' -fuzztime 10s ./internal/chaos
+	$(GO) test -race -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/randsrc
 
 # Regenerate every paper figure (scaled down; ~minutes).
 figures:
@@ -172,10 +174,9 @@ trace-smoke:
 	grep -q 'dropped 0' results/smoke_spans.txt
 	$(GO) run ./cmd/collabvr-inspect spans results/smoke_spans.jsonl
 
-# Regret/tournament smoke (< 30 s): record a seeded sim run's decisions
-# with counterfactuals and the DP regret reference, attribute them with
-# collabvr-inspect regret, then run the deterministic policy tournament
-# twice and assert the two ranked tables are byte-identical.
+# Regret smoke (< 30 s): record a seeded sim run's decisions with
+# counterfactuals and the DP regret reference, then attribute them with
+# collabvr-inspect regret.
 regret-smoke:
 	@mkdir -p results
 	$(GO) run ./cmd/collabvr-loadgen -arrivals steady -sessions 6 -slots 240 \
@@ -183,12 +184,6 @@ regret-smoke:
 		-counterfactual-k 3 -regret-ref | tee results/regret_smoke.txt
 	grep -q 'decisions: recorded' results/regret_smoke.txt
 	$(GO) run ./cmd/collabvr-inspect regret results/smoke_decisions.jsonl
-	$(GO) run ./cmd/collabvr-loadgen -tournament -regret-ref -counterfactual-k 3 \
-		-sessions 4 -slots 120 -budget 60 -seed 7 -regret-resolution 2 > results/tournament_a.txt
-	$(GO) run ./cmd/collabvr-loadgen -tournament -regret-ref -counterfactual-k 3 \
-		-sessions 4 -slots 120 -budget 60 -seed 7 -regret-resolution 2 > results/tournament_b.txt
-	cmp results/tournament_a.txt results/tournament_b.txt
-	grep -q 'dvgreedy' results/tournament_a.txt
 
 # Fleet smoke (< 60 s): validate the shard-fault profile, then run the
 # seeded 3-shard campaign that kills one shard mid-run and assert the
@@ -254,20 +249,25 @@ health-baseline:
 # the dead-export gate (exports_test.go) lets stand without an outside
 # caller and the config fields it lets stand without an outside writer, one
 # per non-comment line of its allowlist (a field's id is pkg.T.Field with T
-# named *Config, *Options or *Policy).
+# named *Config, *Options or *Policy), then the flags the binaries under
+# cmd/ register (one per registration call) and the flags the gate lets
+# stand without a command line that passes them (allowlist lines that start
+# with cmd/).
 loc:
 	@echo "subset: $$(cat $$(find internal/load internal/fleet internal/sim internal/step internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l)"
 	@echo "tree outside bench/: $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*') | wc -l)"
 	@echo "binaries: $$(ls -d cmd/*/ | wc -l)"
 	@fields=$$(grep -cE '^[^ #]+(Config|Options|Policy)\.[A-Za-z0-9_]+ ' testdata/exports_allowlist.txt); \
-		echo "allowlisted exports: $$(( $$(grep -cv '^\(#\|$$\)' testdata/exports_allowlist.txt) - fields ))"; \
-		echo "allowlisted config fields: $$fields"
+		flags=$$(grep -c '^cmd/' testdata/exports_allowlist.txt); \
+		echo "allowlisted exports: $$(( $$(grep -cv '^\(#\|$$\)' testdata/exports_allowlist.txt) - fields - flags ))"; \
+		echo "allowlisted config fields: $$fields"; \
+		echo "registered flags: $$(cat $$(find cmd -name '*.go' ! -name '*_test.go') | grep -oE '\.(Bool|BoolFunc|BoolVar|Duration|DurationVar|Float64|Float64Var|Func|Int|Int64|Int64Var|IntVar|String|StringVar|TextVar|Uint|Uint64|Uint64Var|UintVar|Var)\("' | wc -l)"; \
+		echo "allowlisted flags: $$flags"
 
 clean:
 	rm -f results/results_bench.txt results/results_bench_full.txt \
 		results/smoke_spans.jsonl results/smoke_spans.txt \
 		results/chaos_smoke.txt results/regret_smoke.txt \
-		results/smoke_decisions.jsonl results/tournament_a.txt \
-		results/tournament_b.txt results/fleet_smoke.txt \
+		results/smoke_decisions.jsonl results/fleet_smoke.txt \
 		results/health_smoke.jsonl results/health_smoke.txt \
 		test_output.txt bench_output.txt

@@ -82,15 +82,11 @@ func BenchmarkFig3Sim30Users(b *testing.B) { benchSim(b, 30, false) }
 
 // benchTestbed runs one scaled-down Section VI real-system experiment (live
 // loopback sockets) with the proposed algorithm and reports its QoE.
-func benchTestbed(b *testing.B, setup testbed.Setup) {
+func benchTestbed(b *testing.B, cfg testbed.Config) {
 	b.Helper()
-	cfg := testbed.Config{
-		Setup:        setup,
-		Slots:        150,
-		SlotDuration: 4 * time.Millisecond,
-		Seed:         1,
-		Params:       core.DefaultSystemParams(),
-	}
+	cfg.Slots = 150
+	cfg.SlotDuration = 4 * time.Millisecond
+	cfg.Params = core.DefaultSystemParams()
 	var qoe float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
@@ -105,11 +101,15 @@ func benchTestbed(b *testing.B, setup testbed.Setup) {
 
 // BenchmarkFig7Testbed8Users regenerates Fig. 7: setup 1 (8 users behind
 // one router) on the in-process real-system testbed.
-func BenchmarkFig7Testbed8Users(b *testing.B) { benchTestbed(b, testbed.Setup1()) }
+func BenchmarkFig7Testbed8Users(b *testing.B) {
+	benchTestbed(b, testbed.Config{Setup: testbed.Setup1()})
+}
 
 // BenchmarkFig8Testbed15Users regenerates Fig. 8: setup 2 (15 users behind
 // two routers with interference) on the in-process testbed.
-func BenchmarkFig8Testbed15Users(b *testing.B) { benchTestbed(b, testbed.Setup2()) }
+func BenchmarkFig8Testbed15Users(b *testing.B) {
+	benchTestbed(b, testbed.Config{Setup: testbed.Setup2()})
+}
 
 // benchProblem builds a representative 30-user per-slot allocation problem.
 func benchProblem(rng *rand.Rand, users int) *core.SlotProblem {
@@ -122,9 +122,11 @@ func benchProblem(rng *rand.Rand, users int) *core.SlotProblem {
 		for q, r := range ladder {
 			rates[q] = r * scale
 		}
+		delay := make([]float64, len(rates))
+		netem.DelayTableMsInto(delay, rates, cap_, 1000.0/60)
 		ins[i] = core.UserInput{
 			Rate:  rates,
-			Delay: netem.DelayTableMs(rates, cap_, 1000.0/60),
+			Delay: delay,
 			Delta: 0.8 + rng.Float64()*0.2,
 			MeanQ: rng.Float64() * 6,
 			Cap:   cap_,

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -31,18 +32,23 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("collabvr-client", flag.ContinueOnError)
 	var (
 		serverAddr = fs.String("server", "127.0.0.1:7400", "server control (TCP) address")
-		user       = fs.Uint("user", 0, "user id")
+		user       = fs.Uint64("user", 0, "user id (at most 4294967295)")
 		tracePath  = fs.String("trace", "", "motion trace CSV (empty = generate)")
-		scene      = fs.Int("scene", 0, "scene profile for generated traces (0 or 1)")
 		slotMs     = fs.Float64("slotms", 1000.0/60, "slot duration in milliseconds (must match server)")
 		seconds    = fs.Float64("seconds", 300, "generated trace length")
-		seed       = fs.Int64("seed", 1, "generation seed")
 		ram        = fs.Int("ram", 512, "client RAM threshold in tiles")
 		spanOut    = fs.String("span-out", "", "write client-side request spans to this JSONL file (merge with the server's via collabvr-inspect spans a.jsonl b.jsonl)")
-		spanSample = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *user > math.MaxUint32:
+		return fmt.Errorf("-user %d is above the wire's 32-bit user id", *user)
+	case !(*slotMs > 0):
+		return fmt.Errorf("-slotms must be positive")
+	case *tracePath == "" && !(*seconds > 0):
+		return fmt.Errorf("-seconds must be positive")
 	}
 
 	var mt motion.Trace
@@ -57,10 +63,9 @@ func run(args []string) error {
 			return err
 		}
 	} else {
+		// A generated trace walks scene 0 from seed 1; the user id varies it.
 		fps := 1000 / *slotMs
-		slots := int(*seconds * fps)
-		scenes := motion.Scenes()
-		mt = motion.Generate(scenes[*scene%2], int(*user), slots, fps, *seed)
+		mt = motion.Generate(motion.Scenes()[0], int(*user), int(*seconds*fps), fps, 1)
 	}
 
 	cfg := client.DefaultConfig(uint32(*user), *serverAddr, mt)
@@ -78,7 +83,7 @@ func run(args []string) error {
 		}
 		defer f.Close()
 		spanExp = trace.NewExporter(trace.ExporterOptions{Writer: f})
-		cfg.Tracer = trace.New(trace.Options{Sample: *spanSample, Exporter: spanExp})
+		cfg.Tracer = trace.New(trace.Options{Exporter: spanExp})
 	}
 
 	fmt.Printf("collabvr-client: user %d joining %s (%d-slot trace)\n",

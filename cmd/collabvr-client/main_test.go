@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,5 +82,25 @@ func TestClientMissingTraceFile(t *testing.T) {
 func TestClientBadFlags(t *testing.T) {
 	if err := run([]string{"-user", "x"}); err == nil {
 		t.Fatal("bad flag should error")
+	}
+}
+
+// TestClientRejectsBadInput: values that would panic or join as another
+// user are errors before the client dials anything.
+func TestClientRejectsBadInput(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"zero slotms":      {[]string{"-slotms", "0"}, "-slotms"},
+		"negative slotms":  {[]string{"-slotms", "-4"}, "-slotms"},
+		"zero seconds":     {[]string{"-seconds", "0"}, "-seconds"},
+		"negative seconds": {[]string{"-seconds", "-1"}, "-seconds"},
+		"user past uint32": {[]string{"-user", "4294967296"}, "-user"},
+	} {
+		err := run(append([]string{"-server", "127.0.0.1:1"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", name, err, tc.want)
+		}
 	}
 }

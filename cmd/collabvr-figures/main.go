@@ -21,7 +21,6 @@ import (
 	"repro/internal/nettrace"
 	"repro/internal/obs"
 	"repro/internal/randsrc"
-	"repro/internal/render"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/tiles"
@@ -94,9 +93,6 @@ func run(args []string) error {
 		if err := extVolatility(*seed, *full); err != nil {
 			return err
 		}
-	}
-	if want("ext-gpu") || *fig == "all" {
-		extGPU()
 	}
 	if want("ext-estimation") || *fig == "all" {
 		if err := extEstimation(*seed, *full); err != nil {
@@ -297,20 +293,6 @@ func extVolatility(seed int64, full bool) error {
 	fmt.Println("* Jain fairness index of the proposed algorithm's per-user QoE")
 	fmt.Println()
 	return nil
-}
-
-// extGPU is the Discussion-section provisioning experiment: GPUs needed for
-// online rendering+encoding to meet the 60 FPS deadline at rising load.
-func extGPU() {
-	fmt.Println("# Extension: online rendering (Discussion) — GPUs for zero deadline misses at 60 FPS")
-	fmt.Printf("%-14s %8s %8s\n", "tiles/slot", "level 3", "level 6")
-	base := render.DefaultConfig(1)
-	for _, load := range []int{8, 16, 24, 32, 45, 60} {
-		g3 := render.MinGPUsFor(base, load, 3, time.Second/60, 32)
-		g6 := render.MinGPUsFor(base, load, 6, time.Second/60, 32)
-		fmt.Printf("%-14d %8d %8d\n", load, g3, g6)
-	}
-	fmt.Println()
 }
 
 // fig1a prints the tile size vs quality level curves for two contents,

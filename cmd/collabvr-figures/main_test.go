@@ -15,12 +15,6 @@ func TestFig1aAnd1b(t *testing.T) {
 	}
 }
 
-func TestExtGPU(t *testing.T) {
-	if err := run([]string{"-fig", "ext-gpu"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnknownFigIsNoop(t *testing.T) {
 	if err := run([]string{"-fig", "99"}); err != nil {
 		t.Fatal(err)

@@ -11,10 +11,10 @@
 //	        how much objective value, and why (budget rejection, per-user
 //	        cap, unprofitable counterfactual, channel estimate error, or the
 //	        greedy heuristic's structural residue)
-//	health  health-plane time series (collabvr-loadgen -health-out, or a
-//	        server's /debug/health): per-series trends, MAD-based anomaly
-//	        flags and, with -baseline, a gate that exits nonzero when a
-//	        series regressed past the tolerance in its bad direction
+//	health  health-plane time series (collabvr-loadgen -health-out, or its
+//	        /debug/health): per-series trends and, with -baseline, a gate
+//	        that exits nonzero when a series regressed past the tolerance
+//	        in its bad direction
 //
 // Usage:
 //
@@ -23,7 +23,7 @@
 //	collabvr-inspect regret -json decisions.jsonl
 //	collabvr-inspect health -name fleet_ health.jsonl
 //	collabvr-inspect health -write-baseline results/health_baseline.json health.jsonl
-//	collabvr-inspect health -baseline results/health_baseline.json -tolerance 0.10 health.jsonl
+//	collabvr-inspect health -baseline results/health_baseline.json health.jsonl
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -88,11 +87,7 @@ func spans(args []string, out io.Writer) error {
 
 func regret(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("collabvr-inspect regret", flag.ContinueOnError)
-	var (
-		asJSON = fs.Bool("json", false, "emit the report as JSON instead of text")
-		topN   = fs.Int("top", 10, "worst decisions and top sessions to print")
-		capErr = fs.Float64("cap-err-threshold", 0.25, "|relative capacity estimate error| above which regret is attributed to the channel estimator")
-	)
+	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,10 +98,7 @@ func regret(args []string, out io.Writer) error {
 	if len(recs) == 0 {
 		return errEmpty("decision records")
 	}
-	attr := obs.NewRegretAttributor(obs.RegretAttributorOptions{
-		CapErrThreshold: *capErr,
-		TopRows:         *topN,
-	})
+	attr := obs.NewRegretAttributor(obs.RegretAttributorOptions{})
 	for i := range recs {
 		attr.Observe(&recs[i])
 	}
@@ -120,28 +112,29 @@ func regret(args []string, out io.Writer) error {
 }
 
 // healthReport is the health subcommand's document: trends over the raw
-// tier, the flagged anomalies, and (when a baseline is given) the
-// regressions.
+// tier and (when a baseline is given) the regressions.
 type healthReport struct {
 	Series      int               `json:"series"`
 	Skipped     int               `json:"skipped,omitempty"`
 	Trends      []tsdb.Trend      `json:"trends"`
-	Anomalies   []tsdb.Anomaly    `json:"anomalies,omitempty"`
 	Regressions []tsdb.Regression `json:"regressions,omitempty"`
 }
+
+// The baseline gate counts a series as regressed when its summary drifts
+// past baselineTolerance of the baseline in its bad direction and by more
+// than baselineAbsFloor (near-zero baseline noise).
+const (
+	baselineTolerance = 0.10
+	baselineAbsFloor  = 0.05
+)
 
 func health(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("collabvr-inspect health", flag.ContinueOnError)
 	var (
 		asJSON    = fs.Bool("json", false, "emit the report as JSON instead of text")
 		name      = fs.String("name", "", "only series whose name contains this substring")
-		threshold = fs.Float64("threshold", tsdb.DefaultAnomalyThreshold, "MAD robust z-score above which a point is an anomaly")
-		topN      = fs.Int("top", 10, "anomalies to print in the text report (JSON always carries all)")
-
 		baseline  = fs.String("baseline", "", "compare against this snapshot JSONL and exit nonzero on regression")
 		writeBase = fs.String("write-baseline", "", "write the (filtered) current snapshots to this path and exit")
-		tolerance = fs.Float64("tolerance", 0.10, "relative degradation allowed before a series counts as regressed")
-		absFloor  = fs.Float64("abs-floor", 0.05, "absolute drift ignored regardless of ratio (near-zero baseline noise)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -187,19 +180,15 @@ func health(args []string, out io.Writer) error {
 		if s.Tier != 1 {
 			continue // downsampled tiers restate the raw data
 		}
-		rep.Trends = append(rep.Trends, tsdb.TrendOf(s, *threshold))
+		rep.Trends = append(rep.Trends, tsdb.TrendOf(s))
 	}
-	rep.Anomalies = tsdb.Detect(snaps, *threshold)
-	sort.SliceStable(rep.Anomalies, func(i, j int) bool {
-		return rep.Anomalies[i].Score > rep.Anomalies[j].Score
-	})
 
 	if *baseline != "" {
 		base, _, err := readAll([]string{*baseline}, tsdb.ReadSnapshots)
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
-		rep.Regressions = tsdb.Compare(base, snaps, *tolerance, *absFloor)
+		rep.Regressions = tsdb.Compare(base, snaps, baselineTolerance, baselineAbsFloor)
 	}
 
 	if *asJSON {
@@ -207,7 +196,7 @@ func health(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		formatHealth(out, rep, *topN)
+		formatHealth(out, rep)
 	}
 	if n := len(rep.Regressions); n > 0 {
 		return fmt.Errorf("%d series regressed vs baseline", n)
@@ -215,28 +204,17 @@ func health(args []string, out io.Writer) error {
 	return nil
 }
 
-func formatHealth(out io.Writer, rep healthReport, topN int) {
-	fmt.Fprintf(out, "# health: %d series, %d anomalies", rep.Series, len(rep.Anomalies))
+func formatHealth(out io.Writer, rep healthReport) {
+	fmt.Fprintf(out, "# health: %d series", rep.Series)
 	if rep.Skipped > 0 {
 		fmt.Fprintf(out, ", %d partial trailing line(s) skipped", rep.Skipped)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "%-34s %5s %7s %6s %10s %10s %10s %5s %5s\n",
-		"series", "shard", "kind", "points", "first", "last", "mean", "dir", "anom")
+	fmt.Fprintf(out, "%-34s %5s %7s %6s %10s %10s %10s %5s\n",
+		"series", "shard", "kind", "points", "first", "last", "mean", "dir")
 	for _, tr := range rep.Trends {
-		fmt.Fprintf(out, "%-34s %5d %7s %6d %10.4g %10.4g %10.4g %5s %5d\n",
-			tr.Name, tr.Shard, tr.Kind, tr.Points, tr.First, tr.Last, tr.Mean, tr.Direction, tr.Anomalies)
-	}
-	if len(rep.Anomalies) > 0 {
-		fmt.Fprintf(out, "# top anomalies (threshold exceeded, highest score first)\n")
-		for i, a := range rep.Anomalies {
-			if i >= topN {
-				fmt.Fprintf(out, "... and %d more\n", len(rep.Anomalies)-topN)
-				break
-			}
-			fmt.Fprintf(out, "%s shard=%d slot=%d value=%.4g median=%.4g score=%.1f\n",
-				a.Series, a.Shard, a.Slot, a.Value, a.Median, a.Score)
-		}
+		fmt.Fprintf(out, "%-34s %5d %7s %6d %10.4g %10.4g %10.4g %5s\n",
+			tr.Name, tr.Shard, tr.Kind, tr.Points, tr.First, tr.Last, tr.Mean, tr.Direction)
 	}
 	if len(rep.Regressions) > 0 {
 		fmt.Fprintf(out, "# regressions vs baseline\n")

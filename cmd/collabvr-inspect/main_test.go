@@ -224,7 +224,7 @@ func TestRegretRejectsBadInput(t *testing.T) {
 	}
 }
 
-// writeExport renders a store with one spiky gauge and one miss counter to a
+// writeExport renders a store with one gauge and one miss counter to a
 // JSONL file; missPerSlot scales the counter's growth so tests can fabricate
 // regressions against a healthier baseline.
 func writeExport(t *testing.T, dir, name string, missPerSlot float64) string {
@@ -236,7 +236,7 @@ func writeExport(t *testing.T, dir, name string, missPerSlot float64) string {
 	for slot := int64(0); slot < 64; slot++ {
 		v := 4.0
 		if slot == 40 {
-			v = 0.1 // the anomaly
+			v = 0.1 // a dip
 		}
 		g.Observe(slot, v)
 		total += missPerSlot
@@ -265,7 +265,7 @@ func TestHealthReportTextAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"fleet_slot_quality", "collabvr_slo_miss_total", "top anomalies", "slot=40"} {
+	for _, want := range []string{"fleet_slot_quality", "collabvr_slo_miss_total"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text report missing %q:\n%s", want, text)
 		}
@@ -284,9 +284,6 @@ func TestHealthReportTextAndJSON(t *testing.T) {
 	}
 	if len(rep.Trends) != 2 {
 		t.Errorf("%d trends, want 2 (raw tier only)", len(rep.Trends))
-	}
-	if len(rep.Anomalies) == 0 || rep.Anomalies[0].Slot != 40 {
-		t.Errorf("anomalies = %+v, want the slot-40 dip first", rep.Anomalies)
 	}
 
 	// The name filter narrows the report.

@@ -12,9 +12,6 @@
 // chaos campaign degrades instead of dropping, reproduces bit for bit and
 // recovers.
 //
-// With -tournament every candidate allocator replays the workload through
-// the virtual-time engine and the ranked fitness table is printed.
-//
 // Usage:
 //
 //	collabvr-loadgen -arrivals poisson -rate 20 -mean-hold 3 -slots 1200
@@ -24,7 +21,6 @@
 //	collabvr-loadgen -find-capacity -miss-target 0.01 -budget 120
 //	collabvr-loadgen -shards 3 -sessions 9 -slots 1200 -seed 42 -chaos examples/chaos/fleet.json -verify-recovery
 //	collabvr-loadgen -mode live -shards 2 -sessions 6 -slotms 10 -evac -health-out h.jsonl
-//	collabvr-loadgen -tournament -regret-ref -counterfactual-k 3 -sessions 8 -budget 80 -seed 7
 package main
 
 import (
@@ -52,6 +48,9 @@ import (
 	"repro/internal/transport"
 )
 
+// slotsPerSecond is the workload timeline's display rate: the paper's 60 FPS.
+const slotsPerSecond = 60
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "collabvr-loadgen:", err)
@@ -67,8 +66,7 @@ func run(args []string, out io.Writer) error {
 		rate     = fs.Float64("rate", 10, "mean arrival rate per second (stochastic shapes)")
 		meanHold = fs.Float64("mean-hold", 0, "mean session duration in seconds (0 = whole horizon)")
 		slots    = fs.Int("slots", 600, "workload horizon in slots")
-		sps      = fs.Float64("sps", 60, "slots per second on the workload timeline")
-		slotMs   = fs.Float64("slotms", 0, "live-mode wall-clock slot duration in ms (0 = 1000/sps)")
+		slotMs   = fs.Float64("slotms", 0, "live-mode wall-clock slot duration in ms (0 = 1000/60, the workload's display rate)")
 		seed     = fs.Int64("seed", 1, "workload seed (same seed, same workload, byte for byte)")
 
 		algo   = fs.String("algo", "dvgreedy", "allocator: "+strings.Join(baseline.AllocatorNames(), ", "))
@@ -77,8 +75,6 @@ func run(args []string, out io.Writer) error {
 		shards       = fs.Int("shards", 1, "run against a sharded fleet of this many servers (1 = single server)")
 		scorer       = fs.String("scorer", "least-loaded", "fleet placement scorer: least-loaded, locality, slo-burn")
 		coordinators = fs.Int("coordinators", 1, "replicated coordinator size for the fleet owner map (2f+1 tolerates f crashes; 1 = single, no replication cost)")
-		alpha        = fs.Float64("alpha", 0.1, "QoE delay weight")
-		beta         = fs.Float64("beta", 0.5, "QoE variance weight")
 
 		mode        = fs.String("mode", "sim", "execution engine: sim (virtual time) or live (loopback sockets)")
 		maxSessions = fs.Int("max-sessions", 0, "live-mode server accept limit, excess rejected (0 = unlimited)")
@@ -98,25 +94,18 @@ func run(args []string, out io.Writer) error {
 		drainT         = fs.Duration("drain-timeout", 0, "live mode: gracefully drain the server for up to this long before closing (0 = immediate close)")
 		reconnect      = fs.Bool("reconnect", false, "live mode: clients redial the control channel when it drops")
 		httpAddr       = fs.String("http", "", "observability HTTP listen address serving /metrics, plus /debug/fleet and /debug/coord with -shards > 1 (empty = disabled)")
-		debug          = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
 		spanOut        = fs.String("span-out", "", "write end-to-end request spans to this JSONL file (analyze with collabvr-inspect spans)")
 		spanSample     = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
 		sloOn          = fs.Bool("slo", false, "track per-session QoE SLO burn rates (served on /debug/slo with -http)")
 		verbose        = fs.Bool("v", false, "verbose logging")
 
 		healthOut     = fs.String("health-out", "", "sim mode or -shards > 1: write the health-plane time-series export to this JSONL file (analyze with collabvr-inspect health)")
-		healthEvery   = fs.Int("health-every", 1, "registry/SLO health sampling cadence in slots")
 		evacOn        = fs.Bool("evac", false, "-shards > 1: enable the SLO-pressure evacuation loop (implies -slo)")
 		placementsOut = fs.String("placements-out", "", "-shards > 1: write placement-decision records to this JSONL file")
 
 		decisionsOut = fs.String("decisions-out", "", "sim mode: write one decision record per allocated slot to this JSONL file (analyze with collabvr-inspect regret)")
-		slotsRing    = fs.Int("slots-ring", 1024, "decision flight-recorder ring capacity (served with capacity and drop count on /debug/slots with -http)")
 		counterK     = fs.Int("counterfactual-k", 0, "sim mode: record the top-K unchosen upgrades per decision (0 = off)")
 		regretRef    = fs.Bool("regret-ref", false, "sim mode: score every recorded decision against the per-slot DP optimum (fills the regret fields; slower)")
-		regretRes    = fs.Float64("regret-resolution", 0, "DP budget grid step in Mbps for -regret-ref (0 = budget/2048)")
-
-		tournament = fs.Bool("tournament", false, "rank every candidate allocator on the workload in virtual time instead of running it")
-		asJSON     = fs.Bool("json", false, "with -tournament: emit the ranked result as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -132,8 +121,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	params := core.DefaultSystemParams()
-	params.Alpha = *alpha
-	params.Beta = *beta
 
 	var chaosProf *chaos.Profile
 	if *chaosPath != "" {
@@ -170,24 +157,20 @@ func run(args []string, out io.Writer) error {
 	case *placementsOut != "" && *shards < 2:
 		return fmt.Errorf("-placements-out needs -shards > 1")
 	case *healthOut != "" && *mode == "live" && *shards < 2:
-		return fmt.Errorf("-health-out needs -mode sim or -shards > 1 (a single live server samples via its own -health endpoint)")
+		return fmt.Errorf("-health-out needs -mode sim or -shards > 1 (a single live server has no health sampler)")
 	case recordDecisions && *mode != "sim":
 		return fmt.Errorf("-decisions-out/-counterfactual-k/-regret-ref need -mode sim (the live server records via its own -http endpoint)")
 	case *verifyRecovery && *mode != "sim":
 		return fmt.Errorf("-verify-recovery needs -mode sim (determinism is a virtual-time property)")
 	case *verifyRecovery && !chaosProf.HasShardFaults() && !chaosProf.HasCoordFaults():
 		return fmt.Errorf("-verify-recovery needs -chaos with shard_kill/shard_drain or coord_kill/coord_partition faults")
-	case *tournament && (*mode != "sim" || *shards > 1):
-		return fmt.Errorf("-tournament needs -mode sim and one shard (candidates replay the workload in virtual time)")
-	case *asJSON && !*tournament:
-		return fmt.Errorf("-json needs -tournament")
 	}
 
 	base := load.Config{
 		Shape:          load.Shape(*arrivals),
 		Seed:           *seed,
 		HorizonSlots:   *slots,
-		SlotsPerSecond: *sps,
+		SlotsPerSecond: slotsPerSecond,
 		Sessions:       *sessions,
 		RatePerSec:     *rate,
 		MeanHoldSec:    *meanHold,
@@ -215,7 +198,7 @@ func run(args []string, out io.Writer) error {
 	)
 	if *mode == "sim" && (recordDecisions || *httpAddr != "") {
 		attr = obs.NewRegretAttributor(obs.RegretAttributorOptions{Registry: reg})
-		ropts := obs.RecorderOptions{RingSize: *slotsRing, Attributor: attr}
+		ropts := obs.RecorderOptions{RingSize: 1024, Attributor: attr}
 		if *decisionsOut != "" {
 			var err error
 			decisions, err = os.Create(*decisionsOut)
@@ -252,10 +235,9 @@ func run(args []string, out io.Writer) error {
 	if *healthOut != "" || *evacOn {
 		healthStore = tsdb.New(tsdb.Options{})
 		healthSampler = tsdb.NewSampler(tsdb.SamplerOptions{
-			Store:      healthStore,
-			Registry:   reg,
-			SLO:        slo,
-			EverySlots: *healthEvery,
+			Store:    healthStore,
+			Registry: reg,
+			SLO:      slo,
 		})
 	}
 	var (
@@ -288,9 +270,9 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("observability listen: %w", err)
 		}
 		defer ln.Close()
-		mopts := obs.MuxOptions{SLO: slo, Breaker: brk, Regret: attr, Debug: *debug}
+		mopts := obs.MuxOptions{SLO: slo, Breaker: brk, Regret: attr}
 		if healthStore != nil {
-			mopts.Health = tsdb.Handler(healthStore, nil)
+			mopts.Health = tsdb.Handler(healthStore)
 		}
 		if *shards > 1 {
 			mopts.Fleet = func(n int) obs.FleetSnapshot {
@@ -336,7 +318,7 @@ func run(args []string, out io.Writer) error {
 		slotDur = time.Duration(*slotMs * float64(time.Millisecond))
 	}
 	// configs builds every run's engine config from the flags: the measured
-	// run, the capacity probes, the tournament and the verification reruns
+	// run, the capacity probes and the verification reruns
 	// all start here; a single-server run uses the Sim or Live field.
 	// withChaos selects the fault schedule; withObs wires the shared
 	// observers. Only the measured run observes, so stateful observers
@@ -344,13 +326,12 @@ func run(args []string, out io.Writer) error {
 	// comparison.
 	configs := func(withChaos, withObs bool) (load.FleetSimConfig, load.FleetLiveConfig) {
 		sim := load.SimConfig{
-			Params:           params,
-			NewAllocator:     newAlloc,
-			AllocName:        *algo,
-			BudgetMbps:       *budget,
-			CounterfactualK:  *counterK,
-			RegretRef:        *regretRef,
-			RegretResolution: *regretRes,
+			Params:          params,
+			NewAllocator:    newAlloc,
+			AllocName:       *algo,
+			BudgetMbps:      *budget,
+			CounterfactualK: *counterK,
+			RegretRef:       *regretRef,
 		}
 		live := load.LiveConfig{
 			Params:       params,
@@ -370,8 +351,8 @@ func run(args []string, out io.Writer) error {
 			// Faults on the wire need the adaptive retransmission path;
 			// the retry slot tracks the display-slot clock.
 			retrySlot := slotDur
-			if retrySlot <= 0 && *sps > 0 {
-				retrySlot = time.Duration(float64(time.Second) / *sps)
+			if retrySlot <= 0 {
+				retrySlot = time.Second / slotsPerSecond
 			}
 			live.RetryPolicy = transport.DefaultRetryPolicy(retrySlot)
 		}
@@ -514,19 +495,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(out, "replay check: OK (byte-identical JSONL, identical replayed report)")
-	}
-
-	if *tournament {
-		fsim, _ := configs(true, false)
-		res, err := load.RunTournament(w, load.TournamentConfig{Sim: fsim.Sim, SkipRegret: !*regretRef})
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			return obs.WriteJSON(out, res)
-		}
-		fmt.Fprint(out, res.Format())
-		return nil
 	}
 
 	rep, frep, err := execute(w, true, true)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,15 +215,14 @@ func TestRunAlgoRegistry(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"bad algo":                {"-algo", "nope"},
-		"bad mode":                {"-mode", "warp"},
-		"bad shards":              {"-shards", "0"},
-		"bad scorer":              {"-shards", "2", "-scorer", "nope"},
-		"shard faults 1 shard":    {"-chaos", filepath.Join("..", "..", "examples", "chaos", "fleet.json")},
-		"evac single shard":       {"-evac"},
-		"health in live mode":     {"-mode", "live", "-health-out", "h.jsonl"},
-		"unsharded scorer":        {"-scorer", "nope"},
-		"json without tournament": {"-json"},
+		"bad algo":             {"-algo", "nope"},
+		"bad mode":             {"-mode", "warp"},
+		"bad shards":           {"-shards", "0"},
+		"bad scorer":           {"-shards", "2", "-scorer", "nope"},
+		"shard faults 1 shard": {"-chaos", filepath.Join("..", "..", "examples", "chaos", "fleet.json")},
+		"evac single shard":    {"-evac"},
+		"health in live mode":  {"-mode", "live", "-health-out", "h.jsonl"},
+		"unsharded scorer":     {"-scorer", "nope"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("%s: want error", name)
@@ -356,58 +354,5 @@ func TestRunLiveFleetEvacHealth(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "fleet_shard_page_frac") {
 		t.Error("health export missing series fleet_shard_page_frac")
-	}
-}
-
-// TestRunTournamentDeterministic: the tournament produces a byte-identical
-// ranked table for a fixed seed, and the table ranks every default
-// candidate.
-func TestRunTournamentDeterministic(t *testing.T) {
-	args := []string{"-tournament", "-regret-ref", "-counterfactual-k", "3",
-		"-sessions", "4", "-slots", "120", "-budget", "60", "-seed", "7",
-		"-regret-resolution", "2"}
-	var out1, out2 bytes.Buffer
-	if err := run(args, &out1); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args, &out2); err != nil {
-		t.Fatal(err)
-	}
-	if out1.String() != out2.String() {
-		t.Fatalf("tournament output differs between identical runs:\n%s\nvs\n%s",
-			out1.String(), out2.String())
-	}
-	text := out1.String()
-	for _, want := range []string{"policy tournament", "dvgreedy", "density",
-		"firefly", "pavq", "uniform", "dvgreedy-alpha2x"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("table lacks %q:\n%s", want, text)
-		}
-	}
-	if err := run([]string{"-tournament", "somefile.jsonl"}, &out1); err == nil {
-		t.Error("-tournament with input files accepted")
-	}
-}
-
-// TestRunTournamentJSON: -tournament -json emits a parseable ranked result.
-func TestRunTournamentJSON(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-tournament", "-json", "-counterfactual-k", "3",
-		"-sessions", "3", "-slots", "60", "-budget", "60"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Entries []struct {
-			Rank    int     `json:"rank"`
-			Name    string  `json:"name"`
-			Fitness float64 `json:"fitness"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Entries) != 8 || res.Entries[0].Rank != 1 {
-		t.Fatalf("entries = %+v", res.Entries)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -38,30 +37,21 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("collabvr-server", flag.ContinueOnError)
 	var (
-		tcpAddr    = fs.String("tcp", "127.0.0.1:7400", "control (TCP) listen address")
-		udpAddr    = fs.String("udp", "127.0.0.1:7401", "data (UDP) bind address")
-		algo       = fs.String("algo", "dvgreedy", "allocator: "+strings.Join(baseline.AllocatorNames(), ", "))
-		budget     = fs.Float64("budget", 400, "server throughput budget B(t) in Mbps")
-		slots      = fs.Int("slots", 0, "stop after this many slots (0 = run until interrupted)")
-		slotMs     = fs.Float64("slotms", 1000.0/60, "slot duration in milliseconds")
-		alpha      = fs.Float64("alpha", 0.1, "QoE delay weight")
-		beta       = fs.Float64("beta", 0.5, "QoE variance weight")
-		httpAddr   = fs.String("http", "", "observability HTTP listen address serving /metrics and /debug/slots (empty = disabled)")
-		ringSize   = fs.Int("slots-ring", 1024, "flight-recorder ring capacity (records kept for /debug/slots, which also reports capacity and drop count)")
-		counterK   = fs.Int("counterfactual-k", 0, "record the top-K unchosen upgrades per slot (0 = off; served on /debug/slots and /debug/regret)")
-		debug      = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
-		spanOut    = fs.String("span-out", "", "write server-side request spans to this JSONL file (analyze with collabvr-inspect spans)")
-		spanSample = fs.Uint64("span-sample", 1, "keep 1 in N traces (deterministic by trace ID; 0 or 1 = all)")
-		traceEpoch = fs.Uint64("trace-epoch", 0, "trace-ID epoch salt (clients stitching must share it)")
-		sloOn      = fs.Bool("slo", false, "track per-session QoE SLO burn rates (served on /debug/slo with -http)")
-		healthOn   = fs.Bool("health", false, "sample metrics/SLO into the multi-resolution health store each slot (served on /debug/health with -http; implies -slo)")
-		healthOut  = fs.String("health-out", "", "write the health time-series export to this JSONL file on exit (implies -health)")
-		healthEvry = fs.Int("health-every", 1, "health sampling cadence in slots")
-		chaosPath  = fs.String("chaos", "", "chaos profile JSON; server-pipeline faults (server-stall, slow-ack) apply here, packet faults need the loadgen live harness")
-		breakerOn  = fs.Bool("breaker", false, "SLO-driven per-session circuit breaker: cap quality on warn/page instead of dropping users (implies -slo)")
-		retryOn    = fs.Bool("retry", false, "bound NACK retransmissions with full-jitter backoff and abandonment")
-		drainT     = fs.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, drain in-flight sessions for up to this long before closing")
-		verbose    = fs.Bool("v", false, "verbose logging")
+		tcpAddr   = fs.String("tcp", "127.0.0.1:7400", "control (TCP) listen address")
+		udpAddr   = fs.String("udp", "127.0.0.1:7401", "data (UDP) bind address")
+		algo      = fs.String("algo", "dvgreedy", "allocator: "+strings.Join(baseline.AllocatorNames(), ", "))
+		budget    = fs.Float64("budget", 400, "server throughput budget B(t) in Mbps")
+		slots     = fs.Int("slots", 0, "stop after this many slots (0 = run until interrupted)")
+		slotMs    = fs.Float64("slotms", 1000.0/60, "slot duration in milliseconds")
+		httpAddr  = fs.String("http", "", "observability HTTP listen address serving /metrics and /debug/slots (empty = disabled)")
+		debug     = fs.Bool("debug", false, "expose pprof, /debug/runtime and runtime gauges on the -http mux")
+		spanOut   = fs.String("span-out", "", "write server-side request spans to this JSONL file (analyze with collabvr-inspect spans)")
+		sloOn     = fs.Bool("slo", false, "track per-session QoE SLO burn rates (served on /debug/slo with -http)")
+		chaosPath = fs.String("chaos", "", "chaos profile JSON; server-pipeline faults (server-stall, slow-ack) apply here, packet faults need the loadgen live harness")
+		breakerOn = fs.Bool("breaker", false, "SLO-driven per-session circuit breaker: cap quality on warn/page instead of dropping users (implies -slo)")
+		retryOn   = fs.Bool("retry", false, "bound NACK retransmissions with full-jitter backoff and abandonment")
+		drainT    = fs.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, drain in-flight sessions for up to this long before closing")
+		verbose   = fs.Bool("v", false, "verbose logging")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,8 +68,6 @@ func run(args []string) error {
 	cfg.BudgetMbps = *budget
 	cfg.TotalSlots = *slots
 	cfg.SlotDuration = time.Duration(*slotMs * float64(time.Millisecond))
-	cfg.Params.Alpha = *alpha
-	cfg.Params.Beta = *beta
 	if *verbose {
 		cfg.Logf = func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
@@ -94,25 +82,13 @@ func run(args []string) error {
 		}
 		defer f.Close()
 		spanExp = trace.NewExporter(trace.ExporterOptions{Writer: f})
-		cfg.Tracer = trace.New(trace.Options{Sample: *spanSample, Exporter: spanExp})
-		cfg.TraceEpoch = *traceEpoch
+		cfg.Tracer = trace.New(trace.Options{Exporter: spanExp})
 	}
-	wantHealth := *healthOn || *healthOut != ""
-	if *sloOn || *breakerOn || wantHealth {
+	if *sloOn || *breakerOn {
 		if cfg.Metrics == nil {
 			cfg.Metrics = obs.NewRegistry()
 		}
 		cfg.SLO = obs.NewSLOMonitor(obs.DefaultSLOConfig(), cfg.Metrics)
-	}
-	var healthStore *tsdb.Store
-	if wantHealth {
-		healthStore = tsdb.New(tsdb.Options{})
-		cfg.Health = tsdb.NewSampler(tsdb.SamplerOptions{
-			Store:      healthStore,
-			Registry:   cfg.Metrics,
-			SLO:        cfg.SLO,
-			EverySlots: *healthEvry,
-		})
 	}
 	if *breakerOn {
 		bcfg := obs.DefaultBreakerConfig()
@@ -140,18 +116,14 @@ func run(args []string) error {
 			cfg.Metrics = obs.NewRegistry()
 		}
 		attr := obs.NewRegretAttributor(obs.RegretAttributorOptions{Registry: cfg.Metrics})
-		rec = obs.NewRecorder(obs.RecorderOptions{RingSize: *ringSize, Attributor: attr})
+		rec = obs.NewRecorder(obs.RecorderOptions{RingSize: 1024, Attributor: attr})
 		cfg.Recorder = rec
-		cfg.CounterfactualK = *counterK
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			return fmt.Errorf("observability listen: %w", err)
 		}
 		defer ln.Close()
 		mopts := obs.MuxOptions{SLO: cfg.SLO, Breaker: cfg.Breaker, Regret: attr, Debug: *debug}
-		if healthStore != nil {
-			mopts.Health = tsdb.Handler(healthStore, nil)
-		}
 		go http.Serve(ln, obs.NewMuxOpts(cfg.Metrics, rec, mopts))
 		fmt.Printf("collabvr-server: observability on http://%s/metrics, /debug/slots and /debug/regret\n",
 			ln.Addr())
@@ -200,20 +172,6 @@ func run(args []string) error {
 		}
 		fmt.Printf("spans: exported %d dropped %d to %s\n",
 			spanExp.Records(), spanExp.Dropped(), *spanOut)
-	}
-	if *healthOut != "" {
-		f, err := os.Create(*healthOut)
-		if err != nil {
-			return fmt.Errorf("health export: %w", err)
-		}
-		err = healthStore.WriteJSONL(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("health export: %w", err)
-		}
-		fmt.Printf("health: exported %d series to %s\n", healthStore.Len(), *healthOut)
 	}
 	return nil
 }

@@ -36,14 +36,10 @@ func run(args []string) error {
 		users    = fs.Int("users", 5, "number of users N")
 		seconds  = fs.Float64("seconds", 60, "trace length in seconds (paper: 300)")
 		runs     = fs.Int("runs", 20, "independent trace draws per user (paper: 100)")
-		seed     = fs.Int64("seed", 1, "random seed")
-		alpha    = fs.Float64("alpha", 0.02, "QoE delay weight")
-		beta     = fs.Float64("beta", 0.5, "QoE variance weight")
 		optimal  = fs.Bool("optimal", false, "force the brute-force optimum on (default: only for N<=6)")
 		points   = fs.Int("points", 11, "CDF points to print per series")
 		csvDir   = fs.String("csv", "", "directory to dump raw per-user samples as CSV (empty = no dump)")
 		traceOut = fs.String("trace-out", "", "write the per-slot decision trace as JSONL to this file (empty = disabled)")
-		counterK = fs.Int("counterfactual-k", 0, "record the top-K unchosen upgrades per decision in the trace (0 = off; needs -trace-out)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,16 +48,10 @@ func run(args []string) error {
 	cfg := sim.DefaultConfig(*users)
 	cfg.Seconds = *seconds
 	cfg.Runs = *runs
-	cfg.Seed = *seed
-	cfg.Params.Alpha = *alpha
-	cfg.Params.Beta = *beta
 	if *optimal {
 		cfg.IncludeOptimal = true
 	}
 
-	if *counterK > 0 && *traceOut == "" {
-		return fmt.Errorf("-counterfactual-k needs -trace-out (alternatives are recorded into the decision trace)")
-	}
 	var rec *obs.Recorder
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -71,7 +61,6 @@ func run(args []string) error {
 		defer f.Close()
 		rec = obs.NewRecorder(obs.RecorderOptions{RingSize: 256, Writer: f})
 		cfg.Recorder = rec
-		cfg.CounterfactualK = *counterK
 	}
 
 	figure := "Fig 2"
@@ -79,7 +68,7 @@ func run(args []string) error {
 		figure = "Fig 3"
 	}
 	fmt.Printf("# %s-style trace-based simulation: N=%d, %gs, %d runs, alpha=%g beta=%g\n\n",
-		figure, *users, *seconds, *runs, *alpha, *beta)
+		figure, *users, *seconds, *runs, cfg.Params.Alpha, cfg.Params.Beta)
 
 	results, err := sim.Run(cfg, sim.StandardAlgorithms(cfg.IncludeOptimal))
 	if err != nil {

@@ -20,6 +20,12 @@ import (
 	"repro/internal/randsrc"
 )
 
+// The traces are 60 slots per second (the paper's display rate) from seed 1.
+const (
+	fps  = 60
+	seed = 1
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "collabvr-traces:", err)
@@ -33,9 +39,7 @@ func run(args []string) error {
 		out      = fs.String("out", "traces", "output directory")
 		users    = fs.Int("users", 25, "number of motion-trace users")
 		seconds  = fs.Float64("seconds", 300, "trace length in seconds")
-		fps      = fs.Float64("fps", 60, "slots per second")
 		netCount = fs.Int("nettraces", 50, "number of network traces (half broadband, half LTE)")
-		seed     = fs.Int64("seed", 1, "random seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,8 +49,8 @@ func run(args []string) error {
 		return err
 	}
 
-	slots := int(*seconds * *fps)
-	ds := motion.GenerateDataset(*users, slots, *fps, *seed)
+	slots := int(*seconds * fps)
+	ds := motion.GenerateDataset(*users, slots, fps, seed)
 	for u, trace := range ds.Traces {
 		path := filepath.Join(*out, fmt.Sprintf("motion-user%02d.csv", u))
 		if err := writeMotion(path, trace); err != nil {
@@ -55,7 +59,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("wrote %d motion traces (%d slots each) to %s\n", *users, slots, *out)
 
-	rng := randsrc.NewRand(*seed)
+	rng := randsrc.NewRand(seed)
 	cfg := nettrace.DefaultConfig()
 	cfg.Seconds = *seconds
 	traces := nettrace.GenerateMix(*netCount, cfg, rng)

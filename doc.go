@@ -13,7 +13,7 @@
 //     Firefly/PAVQ comparison algorithms.
 //   - internal/sim plus nettrace, motion, netem, tiles — the trace-based
 //     simulation platform of Section IV.
-//   - internal/server, client, transport, testbed, render — the runnable
+//   - internal/server, client, transport, testbed — the runnable
 //     collaborative VR system of Sections V-VI and the Discussion-section
 //     extensions.
 //

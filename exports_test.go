@@ -12,6 +12,13 @@ package repro
 // allowlist line saying why not. Other struct fields are out of scope (they
 // are the JSON and wire schemas), and so are load.Config and
 // nettrace.Config, the recorded workload's file schema.
+//
+// Its third rule is the dead-knob rule at the command line: every flag
+// registered on a flag.FlagSet in a cmd/ package is passed by a Makefile
+// recipe, .github/workflows/ci.yml, a command line in README.md or docs/, or
+// a test of its binary, or has an allowlist line saying why not. In the
+// other direction, a command line in those files that passes a flag its
+// binary does not register fails.
 
 import (
 	"fmt"
@@ -22,8 +29,11 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -155,17 +165,25 @@ func (m *module) check(path string) (*types.Package, error) {
 	return tp, nil
 }
 
-// finding is an export that no other package's non-test file names, or a
-// config field that none writes.
+// finding is an export that no other package's non-test file names, a
+// config field that none writes, or a CLI flag that nothing passes.
 type finding struct {
-	id    string // "pkg.Name", "pkg.T.M", "pkg.(*T).M" or "pkg.T.Field"; pkg is the path under internal/
-	pos   string // file:line, relative to the module root
-	field bool
+	id   string // "pkg.Name", "pkg.T.M", "pkg.(*T).M", "pkg.T.Field" (pkg is the path under internal/) or "cmd/bin[ sub] -flag"
+	pos  string // file:line, relative to the module root
+	kind findingKind
 }
 
-// relPos is obj's file:line relative to root.
-func (m *module) relPos(root string, obj types.Object) string {
-	pos := m.fset.Position(obj.Pos())
+type findingKind int
+
+const (
+	deadExport findingKind = iota
+	deadField
+	deadFlag
+)
+
+// relPos is p's file:line relative to root.
+func (m *module) relPos(root string, p token.Pos) string {
+	pos := m.fset.Position(p)
 	if rel, err := filepath.Rel(root, pos.Filename); err == nil {
 		pos.Filename = filepath.ToSlash(rel)
 	}
@@ -190,7 +208,7 @@ func (m *module) deadExports(root string) []finding {
 	prefix := m.path + "/internal/"
 	var out []finding
 	add := func(pkg string, obj types.Object, id string) {
-		out = append(out, finding{id: pkg + "." + id, pos: m.relPos(root, obj)})
+		out = append(out, finding{id: pkg + "." + id, pos: m.relPos(root, obj.Pos())})
 	}
 	for path, p := range m.pkgs {
 		if !strings.HasPrefix(path, prefix) {
@@ -337,7 +355,7 @@ func (m *module) deadFields(root string) []finding {
 	var out []finding
 	for v, id := range fields {
 		if !written[v] {
-			out = append(out, finding{id: id, pos: m.relPos(root, v), field: true})
+			out = append(out, finding{id: id, pos: m.relPos(root, v.Pos()), kind: deadField})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
@@ -395,17 +413,23 @@ func satisfies(named *types.Named, fn *types.Func, ifaces map[string][]*types.In
 }
 
 // readAllowlist parses "id  reason" lines; blank lines and lines starting
-// with # are skipped.
+// with # are skipped. A flag's id runs through its "-flag" field:
+// "cmd/bin -flag  reason" or "cmd/bin sub -flag  reason".
 func readAllowlist(text string) (map[string]string, []string) {
 	entries := map[string]string{}
 	var problems []string
 	for i, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		id, reason, _ := strings.Cut(line, " ")
-		reason = strings.TrimSpace(reason)
+		n := 1
+		if strings.HasPrefix(fields[0], "cmd/") {
+			for n < len(fields) && !strings.HasPrefix(fields[n-1], "-") {
+				n++
+			}
+		}
+		id, reason := strings.Join(fields[:n], " "), strings.Join(fields[n:], " ")
 		switch {
 		case reason == "":
 			problems = append(problems, fmt.Sprintf("%s:%d: %s has no reason", exportsAllowlist, i+1, id))
@@ -426,7 +450,9 @@ func gate(findings []finding, allow map[string]string) []string {
 		found[f.id] = true
 		switch {
 		case allow[f.id] != "":
-		case f.field:
+		case f.kind == deadFlag:
+			problems = append(problems, fmt.Sprintf("%s: %s is a flag that no Makefile recipe, CI step, README.md or docs/ command line, or test of its binary passes: make it the constant it always holds, or list it in %s with a reason", f.pos, f.id, exportsAllowlist))
+		case f.kind == deadField:
 			problems = append(problems, fmt.Sprintf("%s: %s is a config field that no non-test file of another package writes: make it the constant it always holds, derive it, or list it in %s with a reason", f.pos, f.id, exportsAllowlist))
 		default:
 			problems = append(problems, fmt.Sprintf("%s: %s is exported but no non-test file of another package names it: unexport it, delete it, move it into a _test.go file, or list it in %s with a reason", f.pos, f.id, exportsAllowlist))
@@ -440,9 +466,318 @@ func gate(findings []finding, allow map[string]string) []string {
 	}
 	sort.Strings(stale)
 	for _, id := range stale {
-		problems = append(problems, fmt.Sprintf("%s: %s is stale (deleted, renamed, unexported, or now named or written outside its package): remove the line", exportsAllowlist, id))
+		problems = append(problems, fmt.Sprintf("%s: %s is stale (deleted, renamed, unexported, or now named, written or passed outside its package): remove the line", exportsAllowlist, id))
 	}
 	return problems
+}
+
+// flagSet names one flag.FlagSet of a binary under cmd/: the binary's
+// directory and, for a subcommand's set, the subcommand.
+type flagSet struct{ bin, sub string }
+
+func (s flagSet) String() string {
+	if s.sub == "" {
+		return "cmd/" + s.bin
+	}
+	return "cmd/" + s.bin + " " + s.sub
+}
+
+// flagRegistrars are the flag package's functions and *FlagSet methods
+// that register a flag; the ones ending in Var take the name second.
+var flagRegistrars = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
+}
+
+// registeredFlags returns the flags that the non-test files of the cmd/
+// packages register, as set -> name -> file:line. A registration belongs
+// to the set its enclosing function creates with flag.NewFlagSet (the
+// binary's own set when the function creates none); a set named
+// "<bin> <sub>" is subcommand sub's.
+func (m *module) registeredFlags(root string) (map[flagSet]map[string]string, []string) {
+	flags := map[flagSet]map[string]string{}
+	var problems []string
+	prefix := m.path + "/cmd/"
+	for path, p := range m.pkgs {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		bin := strings.TrimPrefix(path, prefix)
+		flagFunc := func(n ast.Node) (string, *ast.CallExpr) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return "", nil
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return "", nil
+			}
+			fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+				return "", nil
+			}
+			return fn.Name(), call
+		}
+		for _, f := range p.syntax {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				set := flagSet{bin: bin}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if name, call := flagFunc(n); name == "NewFlagSet" && len(call.Args) > 0 {
+						if s, ok := stringLit(call.Args[0]); ok {
+							if f := strings.Fields(s); len(f) == 2 && f[0] == bin {
+								set.sub = f[1]
+							}
+						}
+					}
+					return true
+				})
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					name, call := flagFunc(n)
+					if !flagRegistrars[name] {
+						return true
+					}
+					arg := 0
+					if strings.HasSuffix(name, "Var") {
+						arg = 1
+					}
+					at := m.relPos(root, call.Pos())
+					flag, ok := "", len(call.Args) > arg
+					if ok {
+						flag, ok = stringLit(call.Args[arg])
+					}
+					if !ok {
+						problems = append(problems, fmt.Sprintf("%s: %s registers a flag whose name is not a string literal", at, set))
+						return true
+					}
+					if flags[set] == nil {
+						flags[set] = map[string]string{}
+					}
+					flags[set][flag] = at
+					return true
+				})
+			}
+		}
+	}
+	return flags, problems
+}
+
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
+// cmdLine is one invocation of a binary under cmd/: the set it addresses
+// and the flags it passes.
+type cmdLine struct {
+	set   flagSet
+	flags []string
+	pos   string // file:line; empty for a test's argument list
+}
+
+var flagWord = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9_.-]*)(=.*)?$`)
+
+// flagName is the flag a command-line word passes ("-name", "--name" or
+// "-name=value"), or "" if the word is not a flag.
+func flagName(word string) string {
+	if m := flagWord.FindStringSubmatch(word); m != nil {
+		return m[1]
+	}
+	return ""
+}
+
+// shellCmdLines finds the invocations of the binaries in subs (binary ->
+// its subcommands) in one shell command line: a word whose last path
+// element names a binary, first in its pipeline stage or after "run" (go
+// run ./cmd/bin), then the subcommand if the next word names one, then
+// every flag word up to the stage's end or a # comment.
+func shellCmdLines(line, pos string, subs map[string]map[string]bool) []cmdLine {
+	words := strings.Fields(line)
+	for i, w := range words {
+		if strings.HasPrefix(w, "#") {
+			words = words[:i]
+			break
+		}
+	}
+	var out []cmdLine
+	for len(words) > 0 {
+		stage := words
+		words = nil
+		for i, w := range stage {
+			if w == "|" || w == "||" || w == "&&" || w == ";" || w == "&" {
+				stage, words = stage[:i], stage[i+1:]
+				break
+			}
+		}
+		for j, w := range stage {
+			bin := path.Base(w)
+			if subs[bin] == nil || (j > 0 && stage[j-1] != "run") {
+				continue
+			}
+			c := cmdLine{set: flagSet{bin: bin}, pos: pos}
+			rest := stage[j+1:]
+			if len(rest) > 0 && subs[bin][rest[0]] {
+				c.set.sub, rest = rest[0], rest[1:]
+			}
+			for _, w := range rest {
+				if name := flagName(w); name != "" {
+					c.flags = append(c.flags, name)
+				}
+			}
+			out = append(out, c)
+			break
+		}
+	}
+	return out
+}
+
+var inlineCode = regexp.MustCompile("`[^`]+`")
+
+// docCmdLines finds the invocations in a shell file (Makefile, CI YAML:
+// every line, continuations joined) or a markdown file (fenced code lines,
+// continuations joined, and inline code spans).
+func docCmdLines(rel, text string, subs map[string]map[string]bool) []cmdLine {
+	var out []cmdLine
+	markdown := strings.HasSuffix(rel, ".md")
+	lines := strings.Split(text, "\n")
+	var prose strings.Builder
+	fenced := false
+	for i := 0; i < len(lines); i++ {
+		line := lines[i]
+		if markdown {
+			if t := strings.TrimSpace(line); strings.HasPrefix(t, "```") || strings.HasPrefix(t, "~~~") {
+				fenced = !fenced
+				prose.WriteString("\n")
+				continue
+			}
+			if !fenced {
+				prose.WriteString(line + "\n")
+				continue
+			}
+			prose.WriteString("\n")
+		}
+		first := i
+		for strings.HasSuffix(strings.TrimSpace(line), "\\") && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(strings.TrimSpace(line), "\\") + " " + lines[i]
+			prose.WriteString("\n") // prose keeps one newline per line, for the spans' line numbers
+		}
+		out = append(out, shellCmdLines(line, fmt.Sprintf("%s:%d", rel, first+1), subs)...)
+	}
+	if markdown {
+		text := prose.String()
+		for _, loc := range inlineCode.FindAllStringIndex(text, -1) {
+			span := strings.ReplaceAll(text[loc[0]+1:loc[1]-1], "\n", " ")
+			line := strings.Count(text[:loc[0]], "\n") + 1
+			out = append(out, shellCmdLines(span, fmt.Sprintf("%s:%d", rel, line), subs)...)
+		}
+	}
+	return out
+}
+
+// testCmdLines finds the argument lists in a binary's tests: each
+// composite literal of string literals that holds a flag word addresses the
+// subcommand one of its literals names, or the binary's own set.
+func testCmdLines(f *ast.File, bin string, subs map[string]bool) []cmdLine {
+	var out []cmdLine
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		c := cmdLine{set: flagSet{bin: bin}}
+		for _, e := range lit.Elts {
+			s, ok := stringLit(e)
+			if !ok {
+				continue
+			}
+			if subs[s] {
+				c.set.sub = s
+			} else if name := flagName(s); name != "" {
+				c.flags = append(c.flags, name)
+			}
+		}
+		if len(c.flags) > 0 {
+			out = append(out, c)
+		}
+		return true
+	})
+	return out
+}
+
+// flagProblems applies the flag rule to the module at root: it returns the
+// registered flags that nothing passes as findings, and one problem per
+// registration it cannot read and per command line in the Makefile, CI,
+// README.md or docs/ that passes a flag its binary does not register.
+func (m *module) flagProblems(root string) ([]finding, []string, error) {
+	flags, problems := m.registeredFlags(root)
+	subs := map[string]map[string]bool{}
+	for set := range flags {
+		if subs[set.bin] == nil {
+			subs[set.bin] = map[string]bool{}
+		}
+		if set.sub != "" {
+			subs[set.bin][set.sub] = true
+		}
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	docs = append(docs, filepath.Join(root, "Makefile"), filepath.Join(root, ".github", "workflows", "ci.yml"), filepath.Join(root, "README.md"))
+	var lines []cmdLine
+	for _, path := range docs {
+		text, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue
+		} else if err != nil {
+			return nil, nil, err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, c := range docCmdLines(filepath.ToSlash(rel), string(text), subs) {
+			lines = append(lines, c)
+			for _, name := range c.flags {
+				if flags[c.set][name] == "" {
+					problems = append(problems, fmt.Sprintf("%s: passes -%s, which %s does not register: fix or drop the command line", c.pos, name, c.set))
+				}
+			}
+		}
+	}
+	for bin := range subs {
+		tests, _ := filepath.Glob(filepath.Join(root, "cmd", bin, "*_test.go"))
+		for _, path := range tests {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, nil, err
+			}
+			lines = append(lines, testCmdLines(f, bin, subs[bin])...)
+		}
+	}
+	passed := map[flagSet]map[string]bool{}
+	for _, c := range lines {
+		if passed[c.set] == nil {
+			passed[c.set] = map[string]bool{}
+		}
+		for _, name := range c.flags {
+			passed[c.set][name] = true
+		}
+	}
+	var dead []finding
+	for set, names := range flags {
+		for name, pos := range names {
+			if !passed[set][name] {
+				dead = append(dead, finding{id: set.String() + " -" + name, pos: pos, kind: deadFlag})
+			}
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].id < dead[j].id })
+	return dead, problems, nil
 }
 
 // exportProblems runs the gate over the module at root against the
@@ -453,7 +788,12 @@ func exportProblems(root, allowlist string) ([]string, error) {
 		return nil, err
 	}
 	allow, problems := readAllowlist(allowlist)
-	return append(problems, gate(append(m.deadExports(root), m.deadFields(root)...), allow)...), nil
+	deadFlags, flagProblems, err := m.flagProblems(root)
+	if err != nil {
+		return nil, err
+	}
+	findings := append(append(m.deadExports(root), m.deadFields(root)...), deadFlags...)
+	return append(append(problems, flagProblems...), gate(findings, allow)...), nil
 }
 
 func TestExportsHaveOutsideCallers(t *testing.T) {
@@ -526,6 +866,50 @@ func main() {
 	_ = cfg
 }
 `
+	flagMain := `package main
+
+import (
+	"flag"
+	"os"
+)
+
+func main() { _ = run(os.Args[1:]) }
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("m", flag.ContinueOnError)
+	n := fs.Int("n", 1, "count")
+	v := fs.Bool("v", false, "verbose")
+	_, _ = n, v
+	return fs.Parse(args)
+}
+`
+	subMain := `package main
+
+import (
+	"flag"
+	"os"
+)
+
+func main() {
+	if os.Args[1] == "a" {
+		_ = a(os.Args[2:])
+	}
+	_ = b(os.Args[2:])
+}
+
+func a(args []string) error {
+	fs := flag.NewFlagSet("s a", flag.ContinueOnError)
+	_ = fs.Bool("json", false, "JSON out")
+	return fs.Parse(args)
+}
+
+func b(args []string) error {
+	fs := flag.NewFlagSet("s b", flag.ContinueOnError)
+	_ = fs.Bool("json", false, "JSON out")
+	return fs.Parse(args)
+}
+`
+	flagTest := "package main\n\nimport \"testing\"\n\nfunc TestRun(t *testing.T) { _ = run([]string{\"-n\", \"2\", \"-v\"}) }\n"
 	for _, tc := range []struct {
 		name      string
 		files     map[string]string
@@ -589,6 +973,41 @@ func main() {
 			"cmd/m/main.go": strings.Replace(cfgMain, "_ = cfg\n", "cfg.Own = 2\n\t_ = cfg\n", 1)},
 		allowlist: "c.Config.Own  once unset\n",
 		want:      []string{"c.Config.Own is stale"},
+	}, {
+		name:  "a flag that nothing passes is flagged at its file:line",
+		files: map[string]string{"cmd/m/main.go": flagMain, "Makefile": "run:\n\tgo run ./cmd/m -v\n"},
+		want:  []string{"cmd/m/main.go:12: cmd/m -n is a flag that"},
+	}, {
+		name: "a fenced README command line passes its flags across continuations",
+		files: map[string]string{"cmd/m/main.go": flagMain,
+			"README.md": "Run it:\n\n```sh\ngo run ./cmd/m \\\n    -n 2 -v\n```\n"},
+	}, {
+		name: "an inline code span in docs/ passes its flags across a line break",
+		files: map[string]string{"cmd/m/main.go": flagMain,
+			"docs/use.md": "Counting needs `m -n\n2 -v` and nothing else.\n"},
+	}, {
+		name:  "a test of the binary passes its flags",
+		files: map[string]string{"cmd/m/main.go": flagMain, "cmd/m/main_test.go": flagTest},
+	}, {
+		name: "a # comment and a go test line pass nothing",
+		files: map[string]string{"cmd/m/main.go": flagMain,
+			"README.md": "```sh\nm -v   # add -n to count\ngo test ./cmd/m -n\n```\n"},
+		want: []string{"cmd/m -n is a flag that"},
+	}, {
+		name: "a subcommand's flag is passed only through its subcommand",
+		files: map[string]string{"cmd/s/main.go": subMain,
+			"cmd/s/main_test.go": "package main\n\nimport \"testing\"\n\nfunc TestA(t *testing.T) { _ = a([]string{\"a\", \"-json\"}) }\n"},
+		want: []string{"cmd/s b -json is a flag that"},
+	}, {
+		name:      "a listed flag passes and a stale flag line fails",
+		files:     map[string]string{"cmd/m/main.go": flagMain, "Makefile": "run:\n\tgo run ./cmd/m -v\n"},
+		allowlist: "cmd/m -n  a deployment setting\ncmd/m -v  once unpassed\n",
+		want:      []string{"cmd/m -v is stale"},
+	}, {
+		name: "a command line that passes an unregistered flag fails",
+		files: map[string]string{"cmd/m/main.go": flagMain, "cmd/m/main_test.go": flagTest,
+			"Makefile": "run:\n\tgo run ./cmd/m -v -x=1 | tee out.txt\n", "docs/use.md": "Try `m -n 1 -count 3`.\n"},
+		want: []string{"docs/use.md:1: passes -count, which cmd/m does not register", "Makefile:2: passes -x, which cmd/m does not register"},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()

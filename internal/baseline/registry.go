@@ -8,7 +8,7 @@ import (
 )
 
 // allocators is the one name -> constructor table behind every -algo flag
-// and the tournament roster. It lives here because this package sees both
+// and testbed.RunAll. It lives here because this package sees both
 // Algorithm 1 (core) and the baselines; core cannot import baseline. Every
 // constructor returns a fresh value: the solver-backed allocators keep
 // scratch, so callers build one per goroutine.
@@ -23,7 +23,7 @@ var allocators = []struct {
 	{"optimal", func() core.Allocator { return core.Optimal{} }},
 	{"firefly", func() core.Allocator { return NewFirefly() }},
 	{"pavq", func() core.Allocator { return NewPAVQ() }},
-	{"uniform", func() core.Allocator { return NewUniform() }},
+	{"uniform", func() core.Allocator { return newUniform() }},
 }
 
 // AllocatorNames lists the registered allocator names in table order.

@@ -10,8 +10,8 @@ import "repro/internal/core"
 // starves users who could.
 type uniform struct{}
 
-// NewUniform returns a Uniform allocator.
-func NewUniform() *uniform { return &uniform{} }
+// newUniform returns a Uniform allocator.
+func newUniform() *uniform { return &uniform{} }
 
 // Name implements core.Allocator.
 func (*uniform) Name() string { return "uniform" }

@@ -8,7 +8,7 @@ import (
 
 func TestUniformPicksHighestFeasibleCommonLevel(t *testing.T) {
 	params := core.DefaultSimParams()
-	u := NewUniform()
+	u := newUniform()
 	users := []core.UserInput{
 		mm1User(1, 0, 100, 1),
 		mm1User(1, 0, 100, 1),
@@ -25,7 +25,7 @@ func TestUniformPicksHighestFeasibleCommonLevel(t *testing.T) {
 
 func TestUniformLimitedByWeakestLink(t *testing.T) {
 	params := core.DefaultSimParams()
-	u := NewUniform()
+	u := newUniform()
 	users := []core.UserInput{
 		mm1User(1, 0, 100, 1),
 		mm1User(1, 0, 5, 1), // weak link: only level 2 (rate 4) fits its cap
@@ -40,7 +40,7 @@ func TestUniformLimitedByWeakestLink(t *testing.T) {
 
 func TestUniformFallsBackToBase(t *testing.T) {
 	params := core.DefaultSimParams()
-	u := NewUniform()
+	u := newUniform()
 	a := u.Allocate(params, slotProblem(1, 0.5, mm1User(1, 0, 100, 1)))
 	if a.Levels[0] != 1 {
 		t.Errorf("level = %d, want 1 under tiny budget", a.Levels[0])
@@ -55,7 +55,7 @@ func TestUniformLosesToProposed(t *testing.T) {
 		mm1User(0.95, 3, 10, 1),
 	}
 	p := slotProblem(50, 60, users...)
-	uni := NewUniform().Allocate(params, p)
+	uni := newUniform().Allocate(params, p)
 	dv := core.NewSolverAllocator().Allocate(params, p)
 	if dv.Value <= uni.Value {
 		t.Errorf("proposed %v should beat uniform %v on heterogeneous links",
@@ -64,7 +64,7 @@ func TestUniformLosesToProposed(t *testing.T) {
 }
 
 func TestUniformName(t *testing.T) {
-	if NewUniform().Name() != "uniform" {
+	if newUniform().Name() != "uniform" {
 		t.Error("name wrong")
 	}
 }

@@ -26,9 +26,9 @@ func NewCDF(samples []float64) *CDF {
 // Len returns the number of samples.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// Quantile returns the p-quantile for p in [0, 1], interpolating between
+// quantile returns the p-quantile for p in [0, 1], interpolating between
 // adjacent order statistics.
-func (c *CDF) Quantile(p float64) float64 {
+func (c *CDF) quantile(p float64) float64 {
 	n := len(c.sorted)
 	if n == 0 {
 		return math.NaN()
@@ -75,7 +75,7 @@ func FormatSeries(title string, k int, names []string, cdfs []*CDF) string {
 		p := float64(i) / float64(k-1)
 		fmt.Fprintf(&b, "%-8.2f", p)
 		for _, c := range cdfs {
-			fmt.Fprintf(&b, "%14.4f", c.Quantile(p))
+			fmt.Fprintf(&b, "%14.4f", c.quantile(p))
 		}
 		b.WriteByte('\n')
 	}

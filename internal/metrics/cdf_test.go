@@ -29,10 +29,10 @@ func TestCDFBasics(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
-	if got := c.Quantile(0); got != 1 {
+	if got := c.quantile(0); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
-	if got := c.Quantile(1); got != 4 {
+	if got := c.quantile(1); got != 4 {
 		t.Errorf("Max = %v, want 4", got)
 	}
 	if got := c.Mean(); got != 2.5 {
@@ -56,7 +56,7 @@ func TestCDFQuantile(t *testing.T) {
 		{0.125, 15},
 	}
 	for _, tt := range tests {
-		if got := c.Quantile(tt.p); math.Abs(got-tt.want) > 1e-9 {
+		if got := c.quantile(tt.p); math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("Quantile(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
@@ -67,7 +67,7 @@ func TestCDFEmpty(t *testing.T) {
 	if got := c.At(1); got != 0 {
 		t.Errorf("empty At = %v, want 0", got)
 	}
-	if !math.IsNaN(c.Quantile(0.5)) || !math.IsNaN(c.Mean()) {
+	if !math.IsNaN(c.quantile(0.5)) || !math.IsNaN(c.Mean()) {
 		t.Errorf("empty CDF should return NaN stats")
 	}
 	if pts := c.Points(5); pts != nil {
@@ -79,7 +79,7 @@ func TestCDFDoesNotAliasInput(t *testing.T) {
 	in := []float64{3, 1, 2}
 	c := NewCDF(in)
 	in[0] = 100
-	if got := c.Quantile(1); got != 3 {
+	if got := c.quantile(1); got != 3 {
 		t.Errorf("CDF aliased its input: Max = %v, want 3", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestCDFQuantileMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return c.Quantile(a) <= c.Quantile(b)+1e-9
+		return c.quantile(a) <= c.quantile(b)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -114,7 +114,7 @@ func TestCDFAtQuantileRoundTrip(t *testing.T) {
 	}
 	c := NewCDF(xs)
 	for p := 0.05; p < 1; p += 0.05 {
-		x := c.Quantile(p)
+		x := c.quantile(p)
 		if got := c.At(x); got < p-0.05 {
 			t.Errorf("At(Quantile(%v)) = %v, want >= %v", p, got, p-0.05)
 		}
@@ -178,7 +178,7 @@ func (c *CDF) Points(k int) []Point {
 	pts := make([]Point, k)
 	for i := 0; i < k; i++ {
 		p := float64(i) / float64(k-1)
-		pts[i] = Point{X: c.Quantile(p), P: p}
+		pts[i] = Point{X: c.quantile(p), P: p}
 	}
 	return pts
 }

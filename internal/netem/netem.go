@@ -50,17 +50,8 @@ func DelayMs(rateMbps, capacityMbps, slotMs float64) float64 {
 	return mm1Delay(rateMbps, capacityMbps) * slotMs
 }
 
-// DelayTableMs evaluates DelayMs across a rate ladder.
-func DelayTableMs(rates []float64, capacityMbps, slotMs float64) []float64 {
-	out := make([]float64, len(rates))
-	for i, r := range rates {
-		out[i] = DelayMs(r, capacityMbps, slotMs)
-	}
-	return out
-}
-
-// DelayTableMsInto is DelayTableMs writing into caller-provided out
-// (len(out) must equal len(rates)); identical values, no allocation.
+// DelayTableMsInto evaluates DelayMs across a rate ladder into
+// caller-provided out (len(out) must equal len(rates)), without allocating.
 func DelayTableMsInto(out, rates []float64, capacityMbps, slotMs float64) {
 	for i, r := range rates {
 		out[i] = DelayMs(r, capacityMbps, slotMs)

@@ -61,7 +61,8 @@ func TestMM1DelayConvexIncreasingProperty(t *testing.T) {
 
 func TestDelayTable(t *testing.T) {
 	rates := []float64{5, 10, 15}
-	got := DelayTableMs(rates, 20, 1)
+	got := make([]float64, len(rates))
+	DelayTableMsInto(got, rates, 20, 1)
 	want := []float64{5.0 / 15, 1, 3}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {

@@ -17,7 +17,7 @@ import (
 // two are derived by the attributor.
 const (
 	// ReasonChannelEstimate: the user's channel capacity estimate was off
-	// by at least CapErrThreshold, so the allocator solved the wrong
+	// by at least capErrThreshold, so the allocator solved the wrong
 	// problem for this user — the regret belongs to the estimator.
 	ReasonChannelEstimate = "channel-estimate"
 	// ReasonStructural: the greedy heuristic itself left value on the
@@ -83,20 +83,15 @@ type RegretReport struct {
 	TopSessions []regretShare `json:"top_sessions"`
 	WorstRows   []regretRow   `json:"worst_rows"`
 	// ForgoneGain is the proxy breakdown for records without a reference
-	// optimum (the live server): the summed positive objective gain of the
-	// recorded counterfactual alternatives, by reason. It bounds what a
-	// less constrained allocator could have added, without claiming regret.
+	// optimum (counterfactuals recorded without -regret-ref): the summed
+	// positive objective gain of the recorded counterfactual alternatives,
+	// by reason. It bounds what a less constrained allocator could have
+	// added, without claiming regret.
 	ForgoneGain []regretShare `json:"forgone_gain,omitempty"`
 }
 
 // RegretAttributorOptions configures a RegretAttributor.
 type RegretAttributorOptions struct {
-	// CapErrThreshold is the |CapErr| above which a user's regret is
-	// attributed to the channel estimator rather than the allocation
-	// policy (default 0.25).
-	CapErrThreshold float64
-	// TopRows bounds the WorstRows and TopSessions lists (default 10).
-	TopRows int
 	// Registry, when non-nil, mirrors the attribution into
 	// collabvr_regret_* metrics.
 	Registry *Registry
@@ -107,9 +102,6 @@ type RegretAttributorOptions struct {
 // histogram cannot: which decisions lost the QoE, and why. A nil
 // *RegretAttributor is disabled: every method is an allocation-free no-op.
 type RegretAttributor struct {
-	capErrThreshold float64
-	topRows         int
-
 	mu          sync.Mutex
 	slots       int
 	regretSlots int
@@ -134,25 +126,24 @@ var regretReasons = []string{
 	ReasonChannelEstimate, ReasonStructural,
 }
 
-// NewRegretAttributor builds an attributor. Zero-valued options take the
-// documented defaults.
+const (
+	// capErrThreshold is the |CapErr| above which a user's regret is
+	// attributed to the channel estimator rather than the allocation policy.
+	capErrThreshold = 0.25
+	// topRows bounds the WorstRows and TopSessions lists.
+	topRows = 10
+)
+
+// NewRegretAttributor builds an attributor.
 func NewRegretAttributor(opts RegretAttributorOptions) *RegretAttributor {
-	if opts.CapErrThreshold <= 0 {
-		opts.CapErrThreshold = 0.25
-	}
-	if opts.TopRows <= 0 {
-		opts.TopRows = 10
-	}
 	a := &RegretAttributor{
-		capErrThreshold: opts.CapErrThreshold,
-		topRows:         opts.TopRows,
-		byReason:        make(map[string]float64),
-		bySession:       make(map[uint32]float64),
-		forgone:         make(map[string]float64),
-		cSlots:          opts.Registry.Counter("collabvr_regret_slots_total"),
-		gTotal:          opts.Registry.Gauge("collabvr_regret_sum"),
-		gAttributed:     opts.Registry.Gauge("collabvr_regret_attributed_sum"),
-		gReason:         make(map[string]*Gauge, len(regretReasons)),
+		byReason:    make(map[string]float64),
+		bySession:   make(map[uint32]float64),
+		forgone:     make(map[string]float64),
+		cSlots:      opts.Registry.Counter("collabvr_regret_slots_total"),
+		gTotal:      opts.Registry.Gauge("collabvr_regret_sum"),
+		gAttributed: opts.Registry.Gauge("collabvr_regret_attributed_sum"),
+		gReason:     make(map[string]*Gauge, len(regretReasons)),
 	}
 	for _, reason := range regretReasons {
 		name := "collabvr_regret_reason_" + strings.ReplaceAll(reason, "-", "_") + "_sum"
@@ -215,7 +206,7 @@ func (a *RegretAttributor) Observe(rec *SlotRecord) {
 		a.gReason[reason].Add(share)
 		a.bySession[session] += share
 		a.rows++
-		a.worst = insertWorstRow(a.worst, a.topRows, regretRow{
+		a.worst = insertWorstRow(a.worst, topRows, regretRow{
 			Algorithm: rec.Algorithm,
 			Run:       rec.Run,
 			Slot:      rec.Slot,
@@ -230,7 +221,7 @@ func (a *RegretAttributor) Observe(rec *SlotRecord) {
 // cause first: a bad channel estimate, then the recorded rejection, then
 // the recorded counterfactual alternative, then the structural residue.
 func (a *RegretAttributor) classify(rec *SlotRecord, u int) string {
-	if u < len(rec.CapErr) && math.Abs(rec.CapErr[u]) >= a.capErrThreshold {
+	if u < len(rec.CapErr) && math.Abs(rec.CapErr[u]) >= capErrThreshold {
 		return ReasonChannelEstimate
 	}
 	for _, rej := range rec.Rejections {
@@ -309,8 +300,8 @@ func (a *RegretAttributor) Report() RegretReport {
 		}
 		return rep.TopSessions[i].Session < rep.TopSessions[j].Session
 	})
-	if len(rep.TopSessions) > a.topRows {
-		rep.TopSessions = rep.TopSessions[:a.topRows]
+	if len(rep.TopSessions) > topRows {
+		rep.TopSessions = rep.TopSessions[:topRows]
 	}
 	forgoneTotal := 0.0
 	for _, sum := range a.forgone {

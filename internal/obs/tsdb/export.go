@@ -173,13 +173,11 @@ type HealthDoc struct {
 	// SeriesCount is the registered series count (before filtering).
 	SeriesCount int              `json:"series_count"`
 	Series      []SeriesSnapshot `json:"series"`
-	Anomalies   []Anomaly        `json:"anomalies,omitempty"`
 }
 
 // doc builds the health document: the full snapshot filtered to substring
-// `name` (empty = all) and tier (0 = all), with MAD anomalies flagged at
-// the given threshold (<= 0 takes DefaultAnomalyThreshold).
-func (st *Store) doc(name string, tier int, threshold float64) HealthDoc {
+// `name` (empty = all) and tier (0 = all).
+func (st *Store) doc(name string, tier int) HealthDoc {
 	doc := HealthDoc{SeriesCount: st.Len()}
 	for _, snap := range st.Snapshot() {
 		if n := len(snap.Points); n > 0 && snap.Points[n-1].Slot > doc.Slot {
@@ -193,16 +191,13 @@ func (st *Store) doc(name string, tier int, threshold float64) HealthDoc {
 		}
 		doc.Series = append(doc.Series, snap)
 	}
-	doc.Anomalies = Detect(doc.Series, threshold)
 	return doc
 }
 
 // Handler serves the store as the /debug/health endpoint. Query parameters:
 // `name` filters series by substring, `tier` selects one resolution
-// (1, 10 or 100), `threshold` tunes the anomaly flagging. The onServe hook
-// (optional) observes each served document — the server uses it to mirror
-// the anomaly count into the metrics registry.
-func Handler(st *Store, onServe func(HealthDoc)) http.Handler {
+// (1, 10 or 100).
+func Handler(st *Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		tier := 0
 		if s := req.URL.Query().Get("tier"); s != "" {
@@ -213,19 +208,6 @@ func Handler(st *Store, onServe func(HealthDoc)) http.Handler {
 			}
 			tier = v
 		}
-		threshold := 0.0
-		if s := req.URL.Query().Get("threshold"); s != "" {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v < 0 {
-				http.Error(w, "bad threshold", http.StatusBadRequest)
-				return
-			}
-			threshold = v
-		}
-		doc := st.doc(req.URL.Query().Get("name"), tier, threshold)
-		if onServe != nil {
-			onServe(doc)
-		}
-		obs.ServeJSON(w, doc)
+		obs.ServeJSON(w, st.doc(req.URL.Query().Get("name"), tier))
 	})
 }

@@ -15,8 +15,6 @@ type SamplerOptions struct {
 	// SLO contributes collabvr_slo_sessions_{ok,warn,page} and
 	// collabvr_slo_worst_burn series from its alloc-free Totals. Optional.
 	SLO *obs.SLOMonitor
-	// EverySlots is the sampling cadence in slots (default 1: every slot).
-	EverySlots int
 }
 
 type histSeries struct {
@@ -35,7 +33,6 @@ type Sampler struct {
 	store *Store
 	reg   *obs.Registry
 	slo   *obs.SLOMonitor
-	every int64
 
 	slot      int64 // slot being sampled; set before each walk
 	counterFn func(name string, c *obs.Counter)
@@ -55,10 +52,6 @@ func NewSampler(opts SamplerOptions) *Sampler {
 		store: opts.Store,
 		reg:   opts.Registry,
 		slo:   opts.SLO,
-		every: int64(opts.EverySlots),
-	}
-	if s.every <= 0 {
-		s.every = 1
 	}
 	s.counterFn = func(name string, c *obs.Counter) {
 		s.store.Series(name, Counter).Observe(s.slot, float64(c.Value()))
@@ -88,11 +81,11 @@ func NewSampler(opts SamplerOptions) *Sampler {
 	return s
 }
 
-// Sample runs one sampling pass at the given slot. Passes off the cadence
-// are skipped; a nil sampler never samples. Steady-state passes do not
+// Sample runs one sampling pass at the given slot; a nil sampler never
+// samples. Steady-state passes do not
 // allocate (series are created on first sight of each instrument).
 func (s *Sampler) Sample(slot int64) {
-	if s == nil || slot%s.every != 0 {
+	if s == nil {
 		return
 	}
 	s.slot = slot

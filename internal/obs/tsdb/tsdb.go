@@ -2,8 +2,8 @@
 // fixed-memory, multi-resolution ring of health series keyed to the virtual
 // slot clock. Every observability surface the stack had before this package
 // (/metrics, /debug/slo, /debug/fleet) is a point-in-time snapshot; tsdb is
-// what remembers how those snapshots *evolved*, so trend reports, anomaly
-// detection and the SLO-pressure evacuation loop can act on distributions
+// what remembers how those snapshots *evolved*, so trend reports, the
+// baseline gate and the SLO-pressure evacuation loop can act on distributions
 // over time instead of instantaneous samples.
 //
 // A Store holds named Series, optionally per shard. Each series keeps three

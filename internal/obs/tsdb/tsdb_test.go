@@ -226,74 +226,19 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
-func TestAnomalyDetection(t *testing.T) {
-	snap := SeriesSnapshot{Name: "miss_rate", Shard: fleetShard, Tier: 1}
-	for i := 0; i < 40; i++ {
-		v := 1.0 + 0.01*float64(i%5) // mild noise
-		if i == 25 {
-			v = 50 // the excursion
-		}
-		snap.Points = append(snap.Points, SnapPoint{Slot: int64(i), Value: v})
-	}
-	got := detectSeries(snap, 0)
-	if len(got) != 1 {
-		t.Fatalf("anomalies = %+v, want exactly the spike", got)
-	}
-	if got[0].Slot != 25 || got[0].Value != 50 {
-		t.Fatalf("flagged wrong point: %+v", got[0])
-	}
-	if got[0].Score < DefaultAnomalyThreshold {
-		t.Fatalf("score %g below threshold", got[0].Score)
-	}
-}
-
-func TestAnomalyFlatSeriesSpike(t *testing.T) {
-	// MAD of a perfectly flat series is 0: any deviation must still flag,
-	// with the finite Inf sentinel.
-	snap := SeriesSnapshot{Name: "g", Tier: 1}
-	for i := 0; i < 20; i++ {
-		snap.Points = append(snap.Points, SnapPoint{Slot: int64(i), Value: 3})
-	}
-	snap.Points[10].Value = 4
-	got := detectSeries(snap, 0)
-	if len(got) != 1 || got[0].Score != infScore {
-		t.Fatalf("flat-series spike: %+v", got)
-	}
-	// and a short series never flags
-	short := SeriesSnapshot{Name: "g", Tier: 1, Points: snap.Points[:minAnomalyPoints-1]}
-	if got := detectSeries(short, 0); got != nil {
-		t.Fatalf("short series flagged: %+v", got)
-	}
-}
-
-func TestDetectSkipsDownsampledTiers(t *testing.T) {
-	mk := func(tier int) SeriesSnapshot {
-		s := SeriesSnapshot{Name: "g", Tier: tier}
-		for i := 0; i < 20; i++ {
-			s.Points = append(s.Points, SnapPoint{Slot: int64(i), Value: 1})
-		}
-		s.Points[5].Value = 100
-		return s
-	}
-	got := Detect([]SeriesSnapshot{mk(1), mk(10), mk(100)}, 0)
-	if len(got) != 1 || got[0].Tier != 1 {
-		t.Fatalf("Detect flagged %d anomalies (want 1, raw tier only): %+v", len(got), got)
-	}
-}
-
 func TestTrendDirection(t *testing.T) {
 	up := SeriesSnapshot{Name: "g", Kind: "gauge", Tier: 1}
 	for i := 0; i < 20; i++ {
 		up.Points = append(up.Points, SnapPoint{Slot: int64(i), Value: float64(i)})
 	}
-	if tr := TrendOf(up, 0); tr.Direction != "up" || tr.First != 0 || tr.Last != 19 {
+	if tr := TrendOf(up); tr.Direction != "up" || tr.First != 0 || tr.Last != 19 {
 		t.Fatalf("up trend = %+v", tr)
 	}
 	flat := SeriesSnapshot{Name: "g", Kind: "gauge", Tier: 1}
 	for i := 0; i < 20; i++ {
 		flat.Points = append(flat.Points, SnapPoint{Slot: int64(i), Value: 5})
 	}
-	if tr := TrendOf(flat, 0); tr.Direction != "flat" || tr.Mean != 5 {
+	if tr := TrendOf(flat); tr.Direction != "flat" || tr.Mean != 5 {
 		t.Fatalf("flat trend = %+v", tr)
 	}
 }

@@ -444,7 +444,7 @@ func (c *decider) decide(slot uint32) []planned {
 	decideStart := c.cfg.Tracer.Now()
 	recording := c.cfg.Recorder.Enabled()
 	// Unrecorded, Levels may alias solver scratch; commit copies them.
-	allocation, slotTrace := step.Solve(c.cfg.Allocator, c.cfg.Params, &c.probBuf, recording, c.cfg.CounterfactualK)
+	allocation, slotTrace := step.Solve(c.cfg.Allocator, c.cfg.Params, &c.probBuf, recording, 0) // no counterfactuals live
 	decideEnd := c.cfg.Tracer.Now()
 	if recording {
 		// No co-running optimum: the record carries no regret (the

@@ -22,7 +22,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 	"repro/internal/step"
 	"repro/internal/tiles"
 	"repro/internal/trace"
@@ -73,10 +72,6 @@ type Config struct {
 	// Recorder receives one decision record per allocation slot; nil
 	// disables the flight recorder with near-zero overhead.
 	Recorder *obs.Recorder
-	// CounterfactualK opts recorded decisions into top-K counterfactual
-	// capture (the unchosen upgrades of each slot, with reasons); 0 records
-	// none. Only meaningful with Recorder.
-	CounterfactualK int
 	// Tracer receives request-scoped spans following each tile request
 	// through the slot pipeline; nil disables tracing with one pointer
 	// check per instrumentation point.
@@ -102,10 +97,6 @@ type Config struct {
 	// Chaos injects server-pipeline faults (slot stalls, slow ACK
 	// processing) from a chaos profile; nil disables.
 	Chaos *chaos.ServerInjector
-	// Health runs one health-plane sampling pass per slot on the slot
-	// loop's clock, folding Metrics/SLO into the sampler's time-series
-	// store; nil disables with one pointer check per slot.
-	Health *tsdb.Sampler
 	// ShardID identifies this server inside a fleet (0 standalone). It is
 	// echoed in every Welcome so clients know which shard serves them, and
 	// salts handoff tokens so tokens from different shards never collide.
@@ -650,9 +641,6 @@ func (s *Server) slotLoop() {
 			time.Sleep(d)
 		}
 		s.runSlot(slot)
-		// Health sampling rides the same slot clock so the stored series
-		// align with decisions; it runs after the slot's outcomes land.
-		s.cfg.Health.Sample(int64(slot))
 		if s.cfg.TotalSlots > 0 && int(slot)+1 >= s.cfg.TotalSlots {
 			return
 		}

@@ -93,9 +93,9 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// AlgorithmFactory builds a fresh allocator per run, so stateful algorithms
+// algorithmFactory builds a fresh allocator per run, so stateful algorithms
 // (Firefly's LRU clock, PAVQ's price) do not leak state across runs.
-type AlgorithmFactory struct {
+type algorithmFactory struct {
 	Name string
 	New  func() core.Allocator
 }
@@ -103,14 +103,14 @@ type AlgorithmFactory struct {
 // StandardAlgorithms returns the paper's comparison set: Algorithm 1
 // ("proposed"), Firefly, and modified PAVQ. includeOptimal appends the
 // per-slot brute-force optimum.
-func StandardAlgorithms(includeOptimal bool) []AlgorithmFactory {
-	algs := []AlgorithmFactory{
+func StandardAlgorithms(includeOptimal bool) []algorithmFactory {
+	algs := []algorithmFactory{
 		{Name: "proposed", New: func() core.Allocator { return core.NewSolverAllocator() }},
 		{Name: "firefly", New: func() core.Allocator { return baseline.NewFirefly() }},
 		{Name: "pavq", New: func() core.Allocator { return baseline.NewPAVQ() }},
 	}
 	if includeOptimal {
-		algs = append(algs, AlgorithmFactory{
+		algs = append(algs, algorithmFactory{
 			Name: "optimal", New: func() core.Allocator { return core.Optimal{} },
 		})
 	}
@@ -149,7 +149,7 @@ type slotInput struct {
 
 // Run executes the campaign and returns one Result per algorithm, in the
 // order of the factories.
-func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
+func Run(cfg Config, algorithms []algorithmFactory) ([]*Result, error) {
 	if cfg.Users <= 0 || cfg.Runs <= 0 {
 		return nil, fmt.Errorf("sim: users and runs must be positive")
 	}
@@ -193,7 +193,7 @@ func Run(cfg Config, algorithms []AlgorithmFactory) ([]*Result, error) {
 
 // simulateOneRun prepares one draw of motion + network traces and replays
 // every algorithm over the identical inputs.
-func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) ([]*Result, error) {
+func simulateOneRun(cfg Config, slots, run int, algorithms []algorithmFactory) ([]*Result, error) {
 	seed := cfg.Seed + int64(run)*7919
 	rng := randsrc.NewRand(seed)
 
@@ -248,7 +248,7 @@ func simulateOneRun(cfg Config, slots, run int, algorithms []AlgorithmFactory) (
 // emitRecords joins per-algorithm slot records against the offline optimum
 // (when it ran) to fill the regret field, then hands everything to the
 // recorder.
-func emitRecords(cfg Config, algorithms []AlgorithmFactory, records [][]obs.SlotRecord) {
+func emitRecords(cfg Config, algorithms []algorithmFactory, records [][]obs.SlotRecord) {
 	if !cfg.Recorder.Enabled() {
 		return
 	}
@@ -286,7 +286,7 @@ func emitRecords(cfg Config, algorithms []AlgorithmFactory, records [][]obs.Slot
 // collects per-user metrics. With a recorder attached it also returns one
 // flight-recorder record per slot (regret is filled in later by
 // emitRecords, once the optimum's values are known).
-func replayAlgorithm(cfg Config, env *step.Env, slots int, budget float64, inputs [][]slotInput, factory AlgorithmFactory, seed int64, run int) (*Result, []obs.SlotRecord) {
+func replayAlgorithm(cfg Config, env *step.Env, slots int, budget float64, inputs [][]slotInput, factory algorithmFactory, seed int64, run int) (*Result, []obs.SlotRecord) {
 	alloc := factory.New()
 	recording := cfg.Recorder.Enabled()
 	// Spans: the campaign's runs beyond the first are statistical repeats,

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func TestRunProducesSamplesPerAlgorithm(t *testing.T) {
 func TestRunDeterministicForSameSeed(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Runs = 2
-	algs := []AlgorithmFactory{{Name: "proposed", New: func() core.Allocator { return core.NewSolverAllocator() }}}
+	algs := []algorithmFactory{{Name: "proposed", New: func() core.Allocator { return core.NewSolverAllocator() }}}
 	a, err := Run(cfg, algs)
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +67,8 @@ func TestRunDeterministicForSameSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca := metrics.NewCDF(a[0].QoE)
-	cb := metrics.NewCDF(b[0].QoE)
-	for _, p := range []float64{0, 0.5, 1} {
-		if ca.Quantile(p) != cb.Quantile(p) {
-			t.Fatalf("nondeterministic at p=%v: %v vs %v", p, ca.Quantile(p), cb.Quantile(p))
-		}
+	if !slices.Equal(a[0].QoE, b[0].QoE) {
+		t.Fatalf("nondeterministic QoE samples: %v vs %v", a[0].QoE, b[0].QoE)
 	}
 }
 

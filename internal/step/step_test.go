@@ -55,7 +55,8 @@ func TestInputDelayModels(t *testing.T) {
 	s.Observe(2, false)
 
 	u := s.Input(env, 40, nil)
-	want := netem.DelayTableMs(s.Rates, 40, env.SlotMs)
+	want := make([]float64, len(s.Rates))
+	netem.DelayTableMsInto(want, s.Rates, 40, env.SlotMs)
 	for i := range want {
 		if u.Delay[i] != want[i] {
 			t.Errorf("M/M/1 delay[%d] = %v, want %v", i, u.Delay[i], want[i])

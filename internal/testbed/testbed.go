@@ -20,8 +20,8 @@ import (
 	"repro/internal/transport"
 )
 
-// Setup describes one experimental configuration.
-type Setup struct {
+// setup describes one experimental configuration.
+type setup struct {
 	Name    string
 	Users   int
 	Routers int
@@ -39,8 +39,8 @@ type Setup struct {
 }
 
 // Setup1 is the paper's first experiment: 8 users, one router.
-func Setup1() Setup {
-	return Setup{
+func Setup1() setup {
+	return setup{
 		Name:             "setup1-8users-1router",
 		Users:            8,
 		Routers:          1,
@@ -53,8 +53,8 @@ func Setup1() Setup {
 
 // Setup2 is the paper's second experiment: 15 users, two bridged routers
 // with stronger interference-driven variance.
-func Setup2() Setup {
-	return Setup{
+func Setup2() setup {
+	return setup{
 		Name:             "setup2-15users-2routers",
 		Users:            15,
 		Routers:          2,
@@ -67,7 +67,7 @@ func Setup2() Setup {
 
 // Config controls a testbed run.
 type Config struct {
-	Setup Setup
+	Setup setup
 	// Slots is the experiment length in time slots.
 	Slots int
 	// SlotDuration is the real-time slot length; scaling it up slows the
@@ -80,8 +80,8 @@ type Config struct {
 	LossHandling bool
 }
 
-// Result is the outcome of one algorithm's run on a setup.
-type Result struct {
+// result is the outcome of one algorithm's run on a setup.
+type result struct {
 	Algorithm string
 	// PerUser holds each client's report.
 	PerUser []metrics.Report
@@ -96,26 +96,26 @@ type Result struct {
 // Run executes one algorithm on the given setup and returns its result.
 // Every user joins at slot 0 and stays for the whole run; an error from any
 // client fails the run.
-func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
+func Run(cfg Config, allocName string, alloc core.Allocator) (*result, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("testbed: Slots must be positive")
 	}
 	if cfg.SlotDuration <= 0 {
 		cfg.SlotDuration = time.Second / 60
 	}
-	setup := cfg.Setup
+	su := cfg.Setup
 	w := &load.Workload{Cfg: load.Config{Seed: cfg.Seed, HorizonSlots: cfg.Slots, SlotsPerSecond: 1 / cfg.SlotDuration.Seconds()}}
-	for u := 0; u < setup.Users; u++ {
+	for u := 0; u < su.Users; u++ {
 		w.Sessions = append(w.Sessions, load.SessionSpec{ID: uint32(u), DepartSlot: cfg.Slots, Scene: u % 2, MotionSeed: cfg.Seed})
 	}
 	live := load.LiveConfig{
 		Params:       cfg.Params,
 		NewAllocator: func() core.Allocator { return alloc },
 		AllocName:    allocName,
-		BudgetMbps:   setup.ServerBudgetMbps,
+		BudgetMbps:   su.ServerBudgetMbps,
 		SlotDuration: cfg.SlotDuration,
-		LossProb:     setup.LossProb,
-		Topology:     &load.Topology{Routers: setup.Routers, Throttles: setup.Throttles, Fade: setup.JitterFrac},
+		LossProb:     su.LossProb,
+		Topology:     &load.Topology{Routers: su.Routers, Throttles: su.Throttles, Fade: su.JitterFrac},
 	}
 	if cfg.LossHandling {
 		live.RetryPolicy = transport.DefaultRetryPolicy(cfg.SlotDuration)
@@ -128,7 +128,7 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
 
-	res := &Result{Algorithm: allocName, ServerStats: rep.ServerStats()}
+	res := &result{Algorithm: allocName, ServerStats: rep.ServerStats()}
 	for _, o := range rep.Outcomes {
 		res.PerUser = append(res.PerUser, metrics.Report{QoE: o.QoE, Quality: o.Quality, Delay: o.DelayMs,
 			Variance: o.Variance, Coverage: o.Coverage, FPSFrac: 1 - o.MissFrac})
@@ -140,8 +140,8 @@ func Run(cfg Config, allocName string, alloc core.Allocator) (*Result, error) {
 
 // RunAll executes the standard algorithm set (proposed, Firefly, PAVQ) on a
 // setup, reusing the configuration for comparability.
-func RunAll(cfg Config) ([]*Result, error) {
-	var out []*Result
+func RunAll(cfg Config) ([]*result, error) {
+	var out []*result
 	for _, name := range []string{"proposed", "firefly", "pavq"} {
 		mk, err := baseline.Constructor(name)
 		if err != nil {

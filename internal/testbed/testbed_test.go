@@ -9,8 +9,8 @@ import (
 
 // tinySetup is a fast-but-real configuration: 2 users, one router, generous
 // capacity, real loopback sockets.
-func tinySetup() Setup {
-	return Setup{
+func tinySetup() setup {
+	return setup{
 		Name:             "tiny",
 		Users:            2,
 		Routers:          1,
