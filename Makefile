@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint fmt-check cross bench bench-smoke fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke health-baseline loc clean
+.PHONY: all build vet test race lint fmt-check cross bench bench-smoke drift fuzz-smoke ci figures figures-full loadtest-smoke trace-smoke chaos-smoke regret-smoke fleet-smoke coord-smoke health-smoke health-baseline loc clean
 
 all: build vet test
 
@@ -53,16 +53,17 @@ test:
 # ten-minute limit.
 #
 # The virtual engine builds sessions in parallel chunks and hands each
-# shard's built rows to whichever goroutine solves it; its worker-count
-# differentials (the fleet campaign, the one-shard churn run, the deferred
-# set-up and empty-shard edges) run ten times over under the detector at
-# three GOMAXPROCS, since a race only shows on the interleavings a run
-# happens to take. The build loop and the solves observe their
-# sessions in the one SLO monitor and breaker, through per-session handles
-# while readers scrape; their disjoint-session and churn differentials run
-# the same way at three GOMAXPROCS. The fleet Controller's
-# tests have no sockets and no sleeps, so twenty passes at three GOMAXPROCS
-# cost seconds and their verdict cannot depend on the wall clock. The
+# shard's built rows to whichever goroutine solves it, while the other
+# goroutines run the next slot's prologue for sessions whose rows that solve
+# is settling; its worker-count differentials (the fleet campaign, the
+# one-shard churn run, the deferred set-up, empty-shard and prologue-ahead
+# edges) run ten times over under the detector at three GOMAXPROCS, since a
+# race only shows on the interleavings a run happens to take. The build loop
+# and the solves observe their sessions in the one SLO monitor and breaker,
+# through per-session handles while readers scrape; their disjoint-session
+# and churn differentials run the same way at three GOMAXPROCS. The fleet
+# Controller's tests have no sockets and no sleeps, so twenty passes at three
+# GOMAXPROCS cost seconds and their verdict cannot depend on the wall clock. The
 # server's decision core (the decider) has the same kind of tests: they
 # drive it with no socket and no sleep, so they run the same way. The slot
 # step's tests are the same kind (the fork-join every engine splits its loops
@@ -106,10 +107,20 @@ bench:
 # benchmarks and of the two virtual-engine working loops, sim_dense and
 # fleet_churn rebuilt in internal/load, with their bytes and allocations per
 # pass (CI keeps them building and panicking-free without paying for a full
-# measurement).
+# measurement). The working loops run at GOMAXPROCS 1, where the slot loop
+# runs inline in index order, and at 2, where it splits and the next slot's
+# prologue runs beside a shard's solve, so a one-core runner takes both.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core ./internal/randsrc
-	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x -benchmem ./internal/load
+	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x -benchmem -cpu 1,2 ./internal/load
+
+# Drift report (a few minutes; not part of ci): the two virtual-engine
+# working loops at ANCHOR against the working tree, in alternated rounds at
+# GOMAXPROCS 1 and 2 — median speed ratio, wins, allocs/op and B/op
+# (scripts/drift.sh). The default anchor is ROADMAP item 14's.
+ANCHOR ?= a19bd22
+drift:
+	bash scripts/drift.sh $(ANCHOR)
 
 # Brief native fuzzing, under the race detector, of the greedy
 # differential, the seed order, the DP, the coordinator log, the two wire

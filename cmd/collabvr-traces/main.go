@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -44,12 +45,22 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Checked before anything is written: a trace shorter than one slot
+	// would be an empty file, and a negative count or length has no trace.
+	slots := int(*seconds * fps)
+	switch {
+	case !(*seconds > 0) || math.IsInf(*seconds, 1) || slots < 1:
+		return fmt.Errorf("-seconds %v: want a finite length of at least one slot (1/%d s)", *seconds, fps)
+	case *users < 0:
+		return fmt.Errorf("-users %d: want zero or more", *users)
+	case *netCount < 0:
+		return fmt.Errorf("-nettraces %d: want zero or more", *netCount)
+	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
 
-	slots := int(*seconds * fps)
 	ds := motion.GenerateDataset(*users, slots, fps, seed)
 	for u, trace := range ds.Traces {
 		path := filepath.Join(*out, fmt.Sprintf("motion-user%02d.csv", u))

@@ -53,4 +53,23 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-users", "x"}); err == nil {
 		t.Fatal("bad flag should error")
 	}
+	// Out-of-range lengths and counts are refused before the output
+	// directory is made: no panic, no empty files.
+	for _, args := range [][]string{
+		{"-seconds", "-1"},
+		{"-seconds", "0"},
+		{"-seconds", "0.001"},
+		{"-seconds", "NaN"},
+		{"-seconds", "+Inf"},
+		{"-users", "-1"},
+		{"-nettraces", "-2"},
+	} {
+		out := filepath.Join(t.TempDir(), "traces")
+		if err := run(append([]string{"-out", out}, args...)); err == nil {
+			t.Errorf("%v: no error", args)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: the output directory was made (stat: %v)", args, err)
+		}
+	}
 }

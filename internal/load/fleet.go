@@ -174,10 +174,13 @@ type fleetPlace struct {
 // miss — degraded, not dropped: it is mid-handoff, stranded on a dead shard,
 // or exported with its flip waiting on a coordinator election. The head
 // keeps moving, so the predictor still sees the pose, and the link's
-// capacity moves on with the slot.
-func (s *simSession) blackout(env *simEnv) {
-	s.in.pred.Observe(s.in.walk.Next())
-	s.in.caps.Next()
+// capacity moves on with the slot: the slot's prologue steps both, run here
+// if nothing ran it, and its plan goes unused. The chaos injector does not
+// advance.
+func (s *simSession) blackout(env *simEnv, slot int) {
+	if !s.prepped(slot) {
+		s.prologue(env, slot)
+	}
 	s.missed++
 	s.ForcedMiss(&s.acc, env.deadlineMs)
 	s.observe(env.cfg, false, 0)
@@ -236,6 +239,17 @@ func (r *servedRow) quality() float64 {
 // fleetChunk is at most step.Grain of one shard's owned sessions, the unit
 // the slot's parallel loop claims.
 type fleetChunk struct{ shard, lo, hi int }
+
+// slotWork is what a slot's serial passes leave for its one parallel loop:
+// all the loop reads that changes from slot to slot, in one value its
+// closure shares (one heap cell for the run, not one per captured variable).
+type slotWork struct {
+	slot    int
+	view    []fleet.ShardState // the shards as the departures pass saw them
+	stallMs float64            // server stall and slow ACK, charged to every session
+	chunks  []fleetChunk       // the slot's build chunks, shard by shard
+	ahead   []*simSession      // the sessions whose next prologue the loop's tail runs
+}
 
 // solve runs the shard's share of one slot once every row is built: sum its
 // demand, solve against its budget share, then settle and observe every
@@ -323,19 +337,28 @@ func (sh *fleetShard) record(cfg *SimConfig, slot int, ref core.Allocator) {
 // A slot has three parts. The control step is serial: coordinator and shard
 // faults, pending replays, arrivals (placement only), departures. The
 // departures pass also files the sessions that stay by shard in arrival
-// order and gives each served one its row in its shard's problem; each
-// shard's sessions are cut into chunks of at most step.Grain. Then one
-// fork-join over the chunks, on up to Sim.Workers goroutines, sets up,
-// builds or blacks out each session; whoever builds a shard's last chunk
-// solves that shard, settles its served sessions and observes each in the
-// SLO monitor and the breaker (fleetShard.solve) — per-session and
-// per-shard state no other chunk touches, with order-free atomic counters.
-// Then the tally, serial again and in shard-then-arrival order, does what is
-// order-sensitive: the decision recorder, the spans, quality sums, degraded
-// and outage counts, rebalancer demand, the router view's tallies, health
-// series, evacuation. Nothing the loop reads is written during it and each
-// result is consumed in a fixed order after it, so the worker count never
-// reaches the report.
+// order, gives each served one its row in its shard's problem, and lists
+// the sessions already set up that live on to the next slot; each shard's
+// sessions are cut into chunks of at most step.Grain. Then one fork-join,
+// on up to Sim.Workers goroutines, over the chunks and then over that list.
+// A chunk sets up, builds or blacks out each of its sessions — a session set
+// up before the slot already had the slot's prologue (prediction, tile
+// selection, rate ladder, coverage, capacity draw), so its build is the
+// half that reads its state: chaos, the delay table, the objective row. A
+// session the chunk set up has its next slot's prologue run there too.
+// Whoever builds a shard's last chunk solves that shard, settles its served
+// sessions and observes each in the SLO monitor and the breaker
+// (fleetShard.solve), while the participants no solve holds take the list:
+// the next slot's prologue of each session on it (simSession.prologue),
+// which writes only the session's inputs and the bank of the next slot's
+// parity, where this slot's build, solve and settle read the other. It is
+// all per-session and per-shard state no other index touches, with
+// order-free atomic counters. Then the tally, serial again and in
+// shard-then-arrival order, does what is order-sensitive: the decision
+// recorder, the spans, quality sums, degraded and outage counts, rebalancer
+// demand, the router view's tallies, health series, evacuation. Nothing the
+// loop reads is written during it and each result is consumed in a fixed
+// order after it, so the worker count never reaches the report.
 func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
 	if len(w.Sessions) == 0 {
@@ -392,8 +415,11 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	var (
 		sessions sessionArena
 		active   = make([]*simSession, 0, peak)
-		chunks   = make([]fleetChunk, 0, peak/step.Grain+cfg.Shards)
-		levels   = sim.Params.Levels
+		work     = slotWork{
+			chunks: make([]fleetChunk, 0, peak/step.Grain+cfg.Shards),
+			ahead:  make([]*simSession, 0, peak),
+		}
+		levels = sim.Params.Levels
 	)
 	serverInj := chaos.NewServerInjector(sim.Chaos)
 	shardFaults := sim.Chaos.ShardFaults() // the brown-outs among them are the data plane's
@@ -444,34 +470,48 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	shardQualCnt := make([]int, cfg.Shards)
 	var evacCands []fleet.EvacCandidate
 
-	// The slot's one parallel loop, made once over what the serial
-	// passes leave for it: a chunk sets up, builds or blacks out its
-	// sessions, and the chunk that completes its shard solves it.
-	var (
-		slot    int
-		view    []fleet.ShardState
-		stallMs float64
-	)
+	// The slot's one parallel loop, made once over what the serial passes
+	// leave for it in work. Its first indices are the build chunks: a chunk
+	// sets up, builds or blacks out its sessions, and the chunk that
+	// completes its shard solves it. The rest are the next slot's prologue,
+	// step.Grain sessions an index, over the sessions whose inputs no build
+	// chunk of this slot touches, so the participants that claim them are
+	// the ones no solve holds.
 	fj := step.NewForkJoin(sim.Workers)
 	defer fj.Close()
-	buildChunk := func(c int) {
+	slotChunk := func(c int) {
+		slot, chunks := work.slot, work.chunks
+		if c >= len(chunks) {
+			lo := (c - len(chunks)) * step.Grain
+			for _, s := range work.ahead[lo:min(lo+step.Grain, len(work.ahead))] {
+				s.prologue(env, slot+1)
+			}
+			return
+		}
 		ch := chunks[c]
 		sh := &shards[ch.shard]
 		for _, s := range sh.owned[ch.lo:ch.hi] {
+			// A session set up before the slot has had this slot's prologue,
+			// and the departures pass put it on the ahead list if it lives
+			// on; the chunk that sets a session up runs its next prologue.
+			inline := !s.ready
 			s.ensureInputs(env)
 			if s.row < 0 {
-				s.blackout(env)
-				continue
+				s.blackout(env, slot)
+			} else {
+				row := int(s.row)
+				sh.users[row] = s.build(env, slot, degrade[ch.shard], sh.values[row*levels:(row+1)*levels])
 			}
-			row := int(s.row)
-			sh.users[row] = s.build(env, slot, degrade[ch.shard], sh.values[row*levels:(row+1)*levels])
+			if inline && s.livesAt(slot+1, horizon) {
+				s.prologue(env, slot+1)
+			}
 		}
 		if sh.pending.Add(-1) == 0 {
-			sh.solve(env, slot, view[ch.shard].BudgetMbps, stallMs)
+			sh.solve(env, slot, work.view[ch.shard].BudgetMbps, work.stallMs)
 		}
 	}
 
-	for slot = 0; slot < horizon; slot++ {
+	for slot := 0; slot < horizon; slot++ {
 		// Coordinator faults and the cluster tick come first: a leader
 		// killed this slot is already dead when the shard faults below try
 		// to flip ownership, and an election lands before any retry.
@@ -540,13 +580,15 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		// shard, in arrival order: one on a dead shard is blacked out, and so
 		// is one mid-handoff — migrating (the client is redialling) or
 		// exported with its flip waiting on a coordinator election. Every
-		// other session gets its row in its shard's problem.
-		view = ctl.States()
+		// other session gets its row in its shard's problem. A session
+		// already set up that lives on to the next slot goes on the ahead
+		// list, for the tail of the slot's loop to run its next prologue.
+		view := ctl.States()
 		for i := range shards {
 			sh := &shards[i]
 			sh.owned, sh.rows, sh.demand = sh.owned[:0], sh.rows[:0], 0
 		}
-		next := active[:0]
+		next, ahead := active[:0], work.ahead[:0]
 		for _, s := range active {
 			if slot >= s.spec.DepartSlot {
 				finish(s)
@@ -554,6 +596,9 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				continue
 			}
 			next = append(next, s)
+			if s.ready && s.livesAt(slot+1, horizon) {
+				ahead = append(ahead, s)
+			}
 			sh := &shards[s.shard]
 			sh.owned = append(sh.owned, s)
 			s.row = -1
@@ -562,7 +607,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				sh.rows = append(sh.rows, servedRow{s: s})
 			}
 		}
-		active = next
+		active, work.ahead = next, ahead
 		// The tally after the loop re-counts the router view from the
 		// sessions that are left.
 		ctl.ResetTallies()
@@ -573,11 +618,12 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		}
 
 		serverInj.Advance(slot)
-		stallMs = float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
+		work.slot, work.view = slot, view
+		work.stallMs = float64(serverInj.StallFor()+serverInj.AckDelay()) / float64(time.Millisecond)
 
 		// Cut each shard's sessions into chunks. That ends the slot's serial
 		// control step: from here each shard's problem is its own.
-		chunks = chunks[:0]
+		chunks := work.chunks[:0]
 		for i := range shards {
 			sh := &shards[i]
 			n := len(sh.rows)
@@ -588,10 +634,12 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				chunks = append(chunks, fleetChunk{i, lo, min(lo+step.Grain, len(sh.owned))})
 			}
 		}
+		work.chunks = chunks
 
 		// The slot's one fork-join, at session grain across every shard, the
-		// solves riding on it: one wake-up per slot, not one per phase.
-		fj.Run(len(chunks), 1, buildChunk)
+		// solves and the next slot's prologue riding on it: one wake-up per
+		// slot, not one per phase.
+		fj.Run(len(chunks)+(len(ahead)+step.Grain-1)/step.Grain, 1, slotChunk)
 
 		// Tally, serially, in shard-then-arrival order: the decision recorder
 		// and the tracer keep ordered state and the quality sums are

@@ -125,23 +125,36 @@ func TestFleetSimIdenticalAcrossWorkers(t *testing.T) {
 // owns no session has no chunk, so nothing solves it, and a shard whose
 // sessions are all blacked out solves an empty problem. Neither may leave a
 // decision record or a demand from an earlier slot.
+//
+// The loop's tail runs the next slot's prologue for the sessions set up
+// before the slot that live on, and the chunk that sets a session up runs
+// its next prologue itself. Its edges: an arrival in the last slot, whose
+// next prologue the horizon stops; a session prepped for a slot that it
+// leaves right after; and a migration outage that starts in the slot a
+// tail's prologue already drew the pose and capacity for.
 func TestFleetSimDeferredSetupEdges(t *testing.T) {
 	const horizon, killSlot = 40, 21
-	recorded, err := Generate(Config{Shape: Steady, Seed: 9, HorizonSlots: horizon, Sessions: 9})
+	lives := [][2]int{
+		{0, horizon},
+		{0, horizon},
+		{5, 5},                     // departs the slot it arrives
+		{5, 6},                     // one slot
+		{12, 14},                   // prepped for slot 13 inline, departs at 14
+		{killSlot - 3, horizon},    // prepped for the kill slot by the tail of
+		{killSlot - 3, horizon},    // the slot before it: three, so one lands on
+		{killSlot - 3, horizon},    // the doomed shard whatever the scorer prefers
+		{killSlot - 1, horizon},    // arrive the slot before a shard dies: three,
+		{killSlot - 1, horizon},    // so one lands on the doomed shard whatever
+		{killSlot - 1, horizon},    // the scorer prefers
+		{killSlot - 1, killSlot},   // one slot, ending on the kill
+		{horizon - 1, horizon},     // set up by the last slot's step only
+		{horizon - 1, horizon + 3}, // the same, living past the horizon
+	}
+	recorded, err := Generate(Config{Shape: Steady, Seed: 9, HorizonSlots: horizon, Sessions: len(lives)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, life := range [][2]int{
-		{0, horizon},
-		{0, horizon},
-		{5, 5},                   // departs the slot it arrives
-		{5, 6},                   // one slot
-		{killSlot - 1, horizon},  // arrive the slot before a shard dies: three,
-		{killSlot - 1, horizon},  // so one lands on the doomed shard whatever
-		{killSlot - 1, horizon},  // the scorer prefers
-		{killSlot - 1, killSlot}, // one slot, ending on the kill
-		{horizon - 1, horizon},   // set up by the last slot's step only
-	} {
+	for i, life := range lives {
 		recorded.Sessions[i].ArriveSlot, recorded.Sessions[i].DepartSlot = life[0], life[1]
 	}
 	var file bytes.Buffer
@@ -173,8 +186,8 @@ func TestFleetSimDeferredSetupEdges(t *testing.T) {
 			slots[o.ID] = o.Slots
 		}
 		for _, s := range w.Sessions {
-			if slots[s.ID] != s.Slots() {
-				t.Errorf("kill shard %d: session %d served %d slots, lives %d", shard, s.ID, slots[s.ID], s.Slots())
+			if lives := min(s.DepartSlot, horizon) - s.ArriveSlot; slots[s.ID] != lives {
+				t.Errorf("kill shard %d: session %d served %d slots, lives %d", shard, s.ID, slots[s.ID], lives)
 			}
 		}
 		if rep.Shards[shard].MigratedOut == 0 || rep.OutageSlots == 0 {

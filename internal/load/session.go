@@ -50,11 +50,15 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 // state (the same step.Session the live server's sessions embed), the
 // streamed inputs and predictor that drive it, its QoE accumulator and its
 // fleet coordinates. The inputs are a motion walker and a capacity cursor,
-// each advanced exactly once per slot the session lives — by build, or by
-// blackout — so the session holds its walk state and its network trace's
-// few segments, not a pose and a capacity for every slot. A served slot
-// takes two calls: build (the session's row of the slot problem) and settle
-// (the outcome of the level the solve picked).
+// each advanced exactly once per slot the session lives, by the slot's
+// prologue, so the session holds its walk state and its network trace's few
+// segments, not a pose and a capacity for every slot. A served slot takes
+// three calls: prologue (the half of the build no decision reaches, which
+// may run while the previous slot is still being built, solved or
+// settled), build (the half that reads the session's state: chaos, the
+// delay table, the session's row of the slot problem) and settle (the
+// outcome of the level the solve picked). Build, and a blackout, run the
+// slot's prologue themselves when nothing ran it before.
 //
 // A session is a value in a sessionArena and never moves, and neither do
 // its inputs: the predictor's windows, the rate and delay tables and the
@@ -62,10 +66,18 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 // hands the value to a later arrival, and setUp makes it that session in
 // place.
 type simSession struct {
+	// What the prologue learnt about a slot, slot t's at banks[t&1]; build
+	// points Rates at the slot's bank, where the solve, settle and tally
+	// read them. A bank is one cache line and the banks come first, so that
+	// in a value that starts on a line (an arena chunk's do) prologue(t+1)
+	// writes a line no one reads during slot t; in and spec fill the next
+	// line, so that a prologue touches two lines of the value, not three.
+	banks [2]slotBank
+	in    *sessionInputs // the value's own, from the arena
+	spec  SessionSpec
 	step.Session
-	spec SessionSpec
-	acc  metrics.UserQoE
-	inj  *chaos.Injector // nil without a chaos profile
+	acc metrics.UserQoE
+	inj *chaos.Injector // nil without a chaos profile
 
 	missed int // frames that missed their deadline, of the T settled
 	// breakerCap is the quality ceiling the breaker returned at the
@@ -86,18 +98,29 @@ type simSession struct {
 	inView  bool    // delivered portion covers the actual view
 	dropped bool    // chaos lost this slot's content on the wire
 
-	tables [2 * tiles.Levels]float64 // Rates, then Delays
-	in     *sessionInputs            // the value's own, from the arena
+	delays [tiles.Levels]float64 // Delays, which build fills
 	fleetPlace
 }
 
-// sessionInputs is what only a session's build (and its blackout) reads:
-// the motion walker, the capacity cursor and the predictor, and the
-// storage they point into — the random source both draw from, the trace's
-// segments and the tile selection's array. It is kept apart from the rest of
-// the session, in a chunk of its own, because the serial solve and settle
-// read every session's ladder and counters every slot: with these 5.7 KB
-// inline they would sit a source apart.
+// slotBank is what a session's prologue learnt about one slot. A session
+// keeps two, so that prologue(t+1) fills one while slot t is built, solved,
+// settled and tallied from the other: no word is written by the one and
+// touched by the other. The delay table needs no second copy: only build
+// writes it, and slot t+1's build starts after slot t's tally.
+type slotBank struct {
+	rates  [tiles.Levels]float64 // the plan's f^R ladder
+	rawCap float64               // the trace's link capacity, before chaos and shard faults
+	slot   int32                 // the slot the prologue filled the bank for; -1 once set up
+	inView bool                  // the plan covers the pose the user takes
+}
+
+// sessionInputs is what only a session's prologue reads: the motion
+// walker, the capacity cursor and the predictor, and the storage they point
+// into — the random source both draw from, the trace's segments and the
+// tile selection's array. It is kept apart from the rest of the session, in
+// a chunk of its own, because the serial solve and settle read every
+// session's ladder and counters every slot: with these 5.7 KB inline they
+// would sit a source apart.
 type sessionInputs struct {
 	walk motion.Walker
 	caps nettrace.SlotCursor
@@ -124,8 +147,8 @@ func (e *simEnv) setUp(s *simSession, spec SessionSpec) {
 	in := s.in
 	*s = simSession{in: in, fleetPlace: s.fleetPlace}
 	s.spec, s.inj = spec, chaos.NewInjector(e.cfg.Chaos, spec.ID)
-	s.Sel = in.sel[:0]
-	s.Rates, s.Delays = s.tables[:tiles.Levels:tiles.Levels], s.tables[tiles.Levels:]
+	s.Delays = s.delays[:]
+	s.banks[0].slot, s.banks[1].slot = -1, -1
 	s.acc.Reset(e.qoe)
 	in.pred.Reset(motion.DefaultWindow)
 	if cap(in.net.Segments) < len(in.segs) {
@@ -139,7 +162,7 @@ func (e *simEnv) setUp(s *simSession, spec SessionSpec) {
 	in.walk = e.w.walker(spec, &in.rng)
 }
 
-// arenaChunk is how many sessions one arena chunk holds (about 25 KB of
+// arenaChunk is how many sessions one arena chunk holds (32 KB of
 // simSessions and 370 KB of their inputs): a run that peaks at a few
 // thousand concurrent sessions makes tens of allocations for them and
 // leaves at most a chunk's tail unused.
@@ -175,22 +198,49 @@ func (a *sessionArena) get() *simSession {
 // put takes back a departed session for a later arrival.
 func (a *sessionArena) put(s *simSession) { a.free = append(a.free, s) }
 
+// prologue runs the half of slot's build that no decision reaches — the
+// walk's next pose, the step's trace-driven plan (predict, select, rate
+// ladder, coverage, predictor update) and the trace's next capacity — into
+// the slot's bank. It writes only s.in and that bank and reads only the
+// env and the session's arrival slot, so it may run while the session's
+// previous slot is built, solved and settled from the other bank.
+func (s *simSession) prologue(e *simEnv, slot int) {
+	in, b := s.in, &s.banks[slot&1]
+	plan := step.Plan{Sel: in.sel[:0], Rates: b.rates[:]}
+	b.inView = plan.Follow(&e.Env, &in.pred, slot-s.spec.ArriveSlot <= motion.DefaultWindow, in.walk.Next())
+	b.rawCap = in.caps.Next()
+	b.slot = int32(slot)
+}
+
+// prepped reports whether the session's prologue for slot has run.
+func (s *simSession) prepped(slot int) bool { return s.banks[slot&1].slot == int32(slot) }
+
+// livesAt reports whether the session still runs at slot of a horizon-slot
+// run: whether a prologue for slot has a build or a blackout to feed.
+func (s *simSession) livesAt(slot, horizon int) bool {
+	return slot < horizon && slot < s.spec.DepartSlot
+}
+
 // build runs the session's share of one slot's decision pipeline — the
-// step's trace-driven prologue (predict, select, rate ladder, coverage,
-// predictor update), the chaos advance, and the step's input at the link's
-// true capacity under the M/M/1 model: the virtual allocator is shown the
-// truth — and lowers the result: it returns the session's row of the slot
-// problem and writes its objective row into values (one row of
-// SlotProblem.Values). capFactor scales the link (a browned-out shard; 1
-// otherwise). It touches only s and the read-only env.
+// slot's prologue unless it already ran, the chaos advance, and the step's
+// input at the link's true capacity under the M/M/1 model: the virtual
+// allocator is shown the truth — and lowers the result: it returns the
+// session's row of the slot problem and writes its objective row into
+// values (one row of SlotProblem.Values). capFactor scales the link (a
+// browned-out shard; 1 otherwise). It touches only s and the read-only env,
+// and s.in only if the prologue has not run.
 func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []float64) core.UserInput {
-	local := slot - s.spec.ArriveSlot
-	s.inView = s.Follow(&e.Env, &s.in.pred, local <= motion.DefaultWindow, s.in.walk.Next())
+	if !s.prepped(slot) {
+		s.prologue(e, slot)
+	}
+	b := &s.banks[slot&1]
+	s.Rates, s.inView = b.rates[:], b.inView
 	// Chaos capacity faults: cliffs scale the link, a blackout zeroes it
 	// (the M/M/1 delay then saturates and the frame misses); a per-slot drop loses
-	// the slot's content outright.
+	// the slot's content outright. The injector advances here, not in the
+	// prologue: a blacked-out slot does not step it.
 	s.inj.Advance(slot)
-	s.linkCap = s.in.caps.Next() * s.inj.SimCapFactor() * capFactor
+	s.linkCap = b.rawCap * s.inj.SimCapFactor() * capFactor
 	s.dropped = s.inj.Drop()
 	u := s.Input(&e.Env, s.linkCap, nil)
 	core.ObjectiveRow(values, e.cfg.Params, slot+1, u)

@@ -164,3 +164,80 @@ func TestRecycledSessionMatchesFresh(t *testing.T) {
 		t.Fatalf("outcome: recycled %+v, fresh %+v", gotOut, wantOut)
 	}
 }
+
+// TestPrologueAheadMatchesInline: a session whose prologue for each next
+// slot runs right after the slot settles — as the tail of the fleet
+// engine's slot loop runs it, beside the solve — is the session that runs
+// each slot's prologue inline in its build: the same build rows, value rows
+// and settled outcomes slot for slot under a chaos profile, and the same
+// report row. Blackouts fall at the same slots in both: the first two before
+// any prologue ran ahead, the rest on slots whose pose and capacity the
+// ahead prologue already drew, some of them inside the profile's capacity
+// cliff, blackout and loss windows.
+func TestPrologueAheadMatchesInline(t *testing.T) {
+	const slots = 300
+	w, err := Generate(Config{Shape: Steady, Seed: 5, Sessions: 1, HorizonSlots: 6000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := w.Sessions[0]
+	spec.ArriveSlot, spec.DepartSlot, spec.NetKind = 50, 50+slots, nettrace.LTE
+	cfg := SimConfig{Chaos: campaignChaos()}.withDefaults()
+	env := newSimEnv(w, &cfg)
+	blackouts := map[int]bool{0: true, 1: true, 9: true, 10: true, 11: true, 100: true, 195: true, 196: true, 280: true, 299: true}
+
+	type row struct {
+		User        core.UserInput
+		Values      []float64
+		Rate, Delay float64
+		Missed      bool
+		Blackout    bool
+	}
+	drive := func(s *simSession, ahead bool) ([]row, sessionOutcome) {
+		var rows []row
+		for k := 0; k < slots; k++ {
+			slot := spec.ArriveSlot + k
+			if want := ahead && k > 0; s.prepped(slot) != want {
+				t.Fatalf("ahead %v, slot %d: prepped %v before the slot, want %v", ahead, k, s.prepped(slot), want)
+			}
+			if blackouts[k] {
+				s.blackout(env, slot)
+				rows = append(rows, row{Blackout: true})
+			} else {
+				values := make([]float64, cfg.Params.Levels)
+				u := s.build(env, slot, 1, values)
+				u.Rate, u.Delay = slices.Clone(u.Rate), slices.Clone(u.Delay)
+				q, _ := s.clamp(1 + k%cfg.Params.Levels)
+				r := row{User: u, Values: values}
+				r.Rate, r.Delay, r.Missed = s.settle(env, q, 0, 0)
+				rows = append(rows, r)
+			}
+			if ahead && s.livesAt(slot+1, w.Cfg.HorizonSlots) {
+				s.prologue(env, slot+1)
+			}
+		}
+		return rows, s.outcome()
+	}
+
+	var arena sessionArena
+	prepped, inline := arena.get(), arena.get()
+	env.setUp(prepped, spec)
+	env.setUp(inline, spec)
+	gotRows, gotOut := drive(prepped, true)
+	wantRows, wantOut := drive(inline, false)
+	misses := 0
+	for k := range wantRows {
+		if !reflect.DeepEqual(gotRows[k], wantRows[k]) {
+			t.Fatalf("slot %d: prologue ahead\n  %+v\ninline\n  %+v", k, gotRows[k], wantRows[k])
+		}
+		if wantRows[k].Missed {
+			misses++
+		}
+	}
+	if gotOut != wantOut {
+		t.Fatalf("outcome: prologue ahead %+v, inline %+v", gotOut, wantOut)
+	}
+	if misses == 0 || inline.inj == nil {
+		t.Fatalf("the session saw no chaos (injector %v, %d settled misses)", inline.inj, misses)
+	}
+}
