@@ -54,10 +54,11 @@ test:
 #
 # The virtual engine builds sessions in parallel chunks and hands each
 # shard's built rows to whichever goroutine solves it, while the other
-# goroutines run the next slot's prologue for sessions whose rows that solve
+# goroutines run the next slots' prologues for sessions whose rows that solve
 # is settling; its worker-count differentials (the fleet campaign, the
 # one-shard churn run, the deferred set-up, empty-shard and prologue-ahead
-# edges) run ten times over under the detector at three GOMAXPROCS, since a
+# edges) and the bank ring's run-ahead-against-inline differential run ten
+# times over under the detector at three GOMAXPROCS, since a
 # race only shows on the interleavings a run happens to take. The build loop
 # and the solves observe their sessions in the one SLO monitor and breaker,
 # through per-session handles while readers scrape; their disjoint-session
@@ -82,7 +83,7 @@ test:
 # way.
 race:
 	$(GO) test -race ./internal/... ./cmd/...
-	$(GO) test -race -timeout 30m -count=10 -cpu 1,2,4 -run '^(TestFleetSimIdenticalAcrossWorkers|TestSimShardedMatchesSerial|TestFleetSimDeferredSetupEdges)$$' ./internal/load
+	$(GO) test -race -timeout 30m -count=10 -cpu 1,2,4 -run '^(TestFleetSimIdenticalAcrossWorkers|TestSimShardedMatchesSerial|TestFleetSimDeferredSetupEdges|TestPrologueAheadMatchesInline)$$' ./internal/load
 	$(GO) test -race -timeout 30m -count=10 -cpu 1,2,4 -run '^(TestMonitorConcurrentObserve|TestSLORetireReuse|TestBreakerRetireReuse|TestHandleChurnMatchesKeyed)$$' ./internal/obs
 	$(GO) test -race -timeout 30m -count=10 ./internal/testbed
 	$(GO) test -race -timeout 30m -count=20 -cpu 1,2,4 -run 'Controller' ./internal/fleet
@@ -103,15 +104,15 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
-# One-iteration compile-and-run of the Solve, SeedSort and source-seeding
-# benchmarks and of the two virtual-engine working loops, sim_dense and
-# fleet_churn rebuilt in internal/load, with their bytes and allocations per
-# pass (CI keeps them building and panicking-free without paying for a full
-# measurement). The working loops run at GOMAXPROCS 1, where the slot loop
-# runs inline in index order, and at 2, where it splits and the next slot's
-# prologue runs beside a shard's solve, so a one-core runner takes both.
+# One-iteration compile-and-run of the Solve, SeedSort, source-seeding and
+# predictor-step benchmarks and of the two virtual-engine working loops,
+# sim_dense and fleet_churn rebuilt in internal/load, with their bytes and
+# allocations per pass (CI keeps them building and panicking-free without
+# paying for a full measurement). The working loops run at GOMAXPROCS 1, where the slot loop
+# runs inline in index order, and at 2, where it splits and the next slots'
+# prologues run beside a shard's solve, so a one-core runner takes both.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Solve|Seed' -benchtime 1x ./internal/knapsack ./internal/core ./internal/randsrc
+	$(GO) test -run '^$$' -bench 'Solve|Seed|PredictorStep' -benchtime 1x ./internal/knapsack ./internal/core ./internal/randsrc ./internal/motion
 	$(GO) test -run '^$$' -bench 'SimulateDense|SimulateFleetChurn' -benchtime 1x -benchmem -cpu 1,2 ./internal/load
 
 # Drift report (a few minutes; not part of ci): the two virtual-engine

@@ -133,60 +133,3 @@ func solveGaussInto(a [][]float64, b, x []float64) error {
 	}
 	return nil
 }
-
-// SlidingWindow keeps the most recent samples of a scalar series and
-// predicts the next value by linear extrapolation over the window. It is
-// the building block of the per-axis 6-DoF motion predictor. The window's
-// capacity is the capacity of its sample buffer, fixed at construction.
-type SlidingWindow struct {
-	samples []float64
-}
-
-// WindowOver returns an empty window that stores its samples in buf and
-// holds up to len(buf) of them, so a caller with several windows can back
-// them all with one allocation.
-func WindowOver(buf []float64) SlidingWindow {
-	return SlidingWindow{samples: buf[:0:len(buf)]}
-}
-
-// Push appends a sample, evicting the oldest if the window is full.
-func (s *SlidingWindow) Push(x float64) {
-	if len(s.samples) == cap(s.samples) {
-		copy(s.samples, s.samples[1:])
-		s.samples[len(s.samples)-1] = x
-		return
-	}
-	s.samples = append(s.samples, x)
-}
-
-// PredictNext extrapolates the series one step ahead using a linear fit over
-// the window. With fewer than two samples it returns the last sample (or 0
-// when empty).
-//
-// It is the ordinary-least-squares line over the abscissae 0..n-1 evaluated
-// at n, with the sums accumulated in place in the order of the tests'
-// FitLinear reference, so the result is bit-identical to building the xs
-// slice and fitting it — without allocating. The abscissa sums are small
-// exact integers and det = n^2(n^2-1)/12 >= 1, so the fit cannot be
-// singular here.
-func (s *SlidingWindow) PredictNext() float64 {
-	n := len(s.samples)
-	switch n {
-	case 0:
-		return 0
-	case 1:
-		return s.samples[0]
-	}
-	var sx, sy, sxx, sxy float64
-	for i, y := range s.samples {
-		x := float64(i)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	nf := float64(n)
-	slope := (nf*sxy - sx*sy) / (nf*sxx - sx*sx)
-	intercept := (sy - slope*sx) / nf
-	return intercept + slope*nf
-}

@@ -121,114 +121,6 @@ func TestFitPolyApproximatesMM1Delay(t *testing.T) {
 	}
 }
 
-func TestSlidingWindowPredict(t *testing.T) {
-	w := NewSlidingWindow(5)
-	if got := w.PredictNext(); got != 0 {
-		t.Errorf("empty window predicts %v, want 0", got)
-	}
-	w.Push(7)
-	if got := w.PredictNext(); got != 7 {
-		t.Errorf("single-sample window predicts %v, want 7", got)
-	}
-	// Linear series: prediction continues the line.
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		w.Push(x)
-	}
-	if got := w.PredictNext(); math.Abs(got-6) > 1e-9 {
-		t.Errorf("PredictNext = %v, want 6", got)
-	}
-	// Window evicts: after pushing 6, window holds 2..6 and predicts 7.
-	w.Push(6)
-	if len(w.samples) != 5 {
-		t.Fatalf("window length = %d, want 5", len(w.samples))
-	}
-	if got := w.PredictNext(); math.Abs(got-7) > 1e-9 {
-		t.Errorf("PredictNext after eviction = %v, want 7", got)
-	}
-}
-
-func TestSlidingWindowConstantSeries(t *testing.T) {
-	w := NewSlidingWindow(4)
-	for i := 0; i < 10; i++ {
-		w.Push(3.5)
-	}
-	if got := w.PredictNext(); math.Abs(got-3.5) > 1e-9 {
-		t.Errorf("constant series predicts %v, want 3.5", got)
-	}
-}
-
-func TestSlidingWindowMinCapacity(t *testing.T) {
-	w := NewSlidingWindow(0)
-	w.Push(1)
-	w.Push(2)
-	w.Push(3)
-	if len(w.samples) != 2 {
-		t.Errorf("capacity should clamp to 2, len = %d", len(w.samples))
-	}
-}
-
-// predictNextReference is PredictNext as it was first written: build the
-// abscissae 0..n-1, call FitLinear, extrapolate to n.
-func predictNextReference(samples []float64) float64 {
-	n := len(samples)
-	switch n {
-	case 0:
-		return 0
-	case 1:
-		return samples[0]
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	fit, err := FitLinear(xs, samples)
-	if err != nil {
-		return samples[n-1]
-	}
-	return fit.Predict(float64(n))
-}
-
-// The in-place PredictNext must equal the FitLinear reference bit for bit at
-// every fill level, through eviction, on random and on constant series.
-func TestPredictNextMatchesFitLinearBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	series := map[string]func() float64{
-		"random":   func() float64 { return rng.NormFloat64() * 90 },
-		"small":    func() float64 { return rng.Float64() * 1e-9 },
-		"constant": func() float64 { return 3.5 },
-		"zero":     func() float64 { return 0 },
-	}
-	for name, next := range series {
-		for _, window := range []int{2, 3, 8, 13} {
-			w := NewSlidingWindow(window)
-			var tail []float64
-			for n := 0; n <= window+3; n++ {
-				got, want := w.PredictNext(), predictNextReference(tail)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s window %d after %d pushes: PredictNext %v, reference %v", name, window, n, got, want)
-				}
-				x := next()
-				w.Push(x)
-				if tail = append(tail, x); len(tail) > window {
-					tail = tail[1:]
-				}
-			}
-		}
-	}
-}
-
-func TestPredictNextDoesNotAllocate(t *testing.T) {
-	w := NewSlidingWindow(8)
-	for i := 0; i < 8; i++ {
-		w.Push(float64(i * i))
-	}
-	if allocs := testing.AllocsPerRun(100, func() { sink = w.PredictNext(); w.Push(sink) }); allocs != 0 {
-		t.Errorf("PredictNext+Push allocate %v times per call, want 0", allocs)
-	}
-}
-
-var sink float64
-
 // LinearFit holds the coefficients of y = Intercept + Slope*x.
 type LinearFit struct {
 	Intercept float64
@@ -265,13 +157,3 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 
 // Predict evaluates the fitted line at x.
 func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// NewSlidingWindow returns a window holding up to capacity samples
-// (minimum 2).
-func NewSlidingWindow(capacity int) *SlidingWindow {
-	if capacity < 2 {
-		capacity = 2
-	}
-	w := WindowOver(make([]float64, capacity))
-	return &w
-}

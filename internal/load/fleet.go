@@ -248,7 +248,7 @@ type slotWork struct {
 	view    []fleet.ShardState // the shards as the departures pass saw them
 	stallMs float64            // server stall and slow ACK, charged to every session
 	chunks  []fleetChunk       // the slot's build chunks, shard by shard
-	ahead   []*simSession      // the sessions whose next prologue the loop's tail runs
+	ahead   []*simSession      // the sessions whose next prologues the loop's tail runs
 }
 
 // solve runs the shard's share of one slot once every row is built: sum its
@@ -338,22 +338,25 @@ func (sh *fleetShard) record(cfg *SimConfig, slot int, ref core.Allocator) {
 // faults, pending replays, arrivals (placement only), departures. The
 // departures pass also files the sessions that stay by shard in arrival
 // order, gives each served one its row in its shard's problem, and lists
-// the sessions already set up that live on to the next slot; each shard's
-// sessions are cut into chunks of at most step.Grain. Then one fork-join,
-// on up to Sim.Workers goroutines, over the chunks and then over that list.
-// A chunk sets up, builds or blacks out each of its sessions — a session set
-// up before the slot already had the slot's prologue (prediction, tile
-// selection, rate ladder, coverage, capacity draw), so its build is the
-// half that reads its state: chaos, the delay table, the objective row. A
-// session the chunk set up has its next slot's prologue run there too.
-// Whoever builds a shard's last chunk solves that shard, settles its served
-// sessions and observes each in the SLO monitor and the breaker
-// (fleetShard.solve), while the participants no solve holds take the list:
-// the next slot's prologue of each session on it (simSession.prologue),
-// which writes only the session's inputs and the bank of the next slot's
-// parity, where this slot's build, solve and settle read the other. It is
-// all per-session and per-shard state no other index touches, with
-// order-free atomic counters. Then the tally, serial again and in
+// the sessions already set up that live on to the next slot and hold no
+// prologue for it yet; each shard's sessions are cut into chunks of at most
+// step.Grain. Then one fork-join, on up to Sim.Workers goroutines, over the
+// chunks and then over that list. A chunk sets up, builds or blacks out
+// each of its sessions — a session set up before the slot already had the
+// slot's prologue (prediction, tile selection, rate ladder, coverage,
+// capacity draw), so its build is the half that reads its state: chaos, the
+// delay table, the objective row. A session the chunk set up has its next
+// slots' prologues run there too. Whoever builds a shard's last chunk
+// solves that shard, settles its served sessions and observes each in the
+// SLO monitor and the breaker (fleetShard.solve), while the participants no
+// solve holds take the list: the next slots' prologues of each session on
+// it, up to its refill boundary (simSession.runAhead), which write only the
+// session's inputs and the banks of slots after this one, where this slot's
+// build, solve and settle read this slot's. A session refills once every
+// bankDepth-1 slots, so the list holds about that share of the sessions,
+// and each visit loads a session's inputs for several slots. It is all
+// per-session and per-shard state no other index touches, with order-free
+// atomic counters. Then the tally, serial again and in
 // shard-then-arrival order, does what is order-sensitive: the decision
 // recorder, the spans, quality sums, degraded and outage counts, rebalancer
 // demand, the router view's tallies, health series, evacuation. Nothing the
@@ -473,7 +476,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 	// The slot's one parallel loop, made once over what the serial passes
 	// leave for it in work. Its first indices are the build chunks: a chunk
 	// sets up, builds or blacks out its sessions, and the chunk that
-	// completes its shard solves it. The rest are the next slot's prologue,
+	// completes its shard solves it. The rest are the next slots' prologues,
 	// step.Grain sessions an index, over the sessions whose inputs no build
 	// chunk of this slot touches, so the participants that claim them are
 	// the ones no solve holds.
@@ -484,7 +487,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		if c >= len(chunks) {
 			lo := (c - len(chunks)) * step.Grain
 			for _, s := range work.ahead[lo:min(lo+step.Grain, len(work.ahead))] {
-				s.prologue(env, slot+1)
+				s.runAhead(env, slot+1, horizon)
 			}
 			return
 		}
@@ -493,7 +496,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		for _, s := range sh.owned[ch.lo:ch.hi] {
 			// A session set up before the slot has had this slot's prologue,
 			// and the departures pass put it on the ahead list if it lives
-			// on; the chunk that sets a session up runs its next prologue.
+			// on with its next bank empty; the chunk that sets a session up
+			// runs its next prologues.
 			inline := !s.ready
 			s.ensureInputs(env)
 			if s.row < 0 {
@@ -502,8 +506,8 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				row := int(s.row)
 				sh.users[row] = s.build(env, slot, degrade[ch.shard], sh.values[row*levels:(row+1)*levels])
 			}
-			if inline && s.livesAt(slot+1, horizon) {
-				s.prologue(env, slot+1)
+			if inline {
+				s.runAhead(env, slot+1, horizon)
 			}
 		}
 		if sh.pending.Add(-1) == 0 {
@@ -581,8 +585,9 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		// is one mid-handoff — migrating (the client is redialling) or
 		// exported with its flip waiting on a coordinator election. Every
 		// other session gets its row in its shard's problem. A session
-		// already set up that lives on to the next slot goes on the ahead
-		// list, for the tail of the slot's loop to run its next prologue.
+		// already set up that lives on to the next slot, and whose bank for
+		// it is empty, goes on the ahead list, for the tail of the slot's
+		// loop to run its next prologues.
 		view := ctl.States()
 		for i := range shards {
 			sh := &shards[i]
@@ -596,7 +601,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 				continue
 			}
 			next = append(next, s)
-			if s.ready && s.livesAt(slot+1, horizon) {
+			if s.ready && s.livesAt(slot+1, horizon) && !s.prepped(slot+1) {
 				ahead = append(ahead, s)
 			}
 			sh := &shards[s.shard]
@@ -637,7 +642,7 @@ func SimulateFleet(w *Workload, cfg FleetSimConfig) (*FleetReport, error) {
 		work.chunks = chunks
 
 		// The slot's one fork-join, at session grain across every shard, the
-		// solves and the next slot's prologue riding on it: one wake-up per
+		// solves and the next slots' prologues riding on it: one wake-up per
 		// slot, not one per phase.
 		fj.Run(len(chunks)+(len(ahead)+step.Grain-1)/step.Grain, 1, slotChunk)
 

@@ -126,12 +126,12 @@ func TestFleetSimIdenticalAcrossWorkers(t *testing.T) {
 // sessions are all blacked out solves an empty problem. Neither may leave a
 // decision record or a demand from an earlier slot.
 //
-// The loop's tail runs the next slot's prologue for the sessions set up
-// before the slot that live on, and the chunk that sets a session up runs
-// its next prologue itself. Its edges: an arrival in the last slot, whose
-// next prologue the horizon stops; a session prepped for a slot that it
-// leaves right after; and a migration outage that starts in the slot a
-// tail's prologue already drew the pose and capacity for.
+// The loop's tail refills the banks of the sessions set up before the slot
+// that live on with their next bank empty, and the chunk that sets a
+// session up runs its next prologues itself. Its edges: an arrival in the
+// last slot, whose next prologue the horizon stops; a session prepped for a
+// slot that it leaves right after; and a migration outage that starts in a
+// slot whose pose and capacity a refill already drew.
 func TestFleetSimDeferredSetupEdges(t *testing.T) {
 	const horizon, killSlot = 40, 21
 	lives := [][2]int{

@@ -54,11 +54,13 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 // prologue, so the session holds its walk state and its network trace's few
 // segments, not a pose and a capacity for every slot. A served slot takes
 // three calls: prologue (the half of the build no decision reaches, which
-// may run while the previous slot is still being built, solved or
-// settled), build (the half that reads the session's state: chaos, the
-// delay table, the session's row of the slot problem) and settle (the
-// outcome of the level the solve picked). Build, and a blackout, run the
-// slot's prologue themselves when nothing ran it before.
+// may run up to bankDepth-1 slots early, while an earlier slot is still
+// being built, solved or settled), build (the half that reads the session's
+// state: chaos, the delay table, the session's row of the slot problem) and
+// settle (the outcome of the level the solve picked). The engine runs the
+// prologues a few slots at a time (runAhead), so that the session's inputs
+// are loaded once for several slots; build, and a blackout, run the slot's
+// prologue themselves when nothing ran it before.
 //
 // A session is a value in a sessionArena and never moves, and neither do
 // its inputs: the predictor's windows, the rate and delay tables and the
@@ -66,13 +68,13 @@ func newSimEnv(w *Workload, cfg *SimConfig) *simEnv {
 // hands the value to a later arrival, and setUp makes it that session in
 // place.
 type simSession struct {
-	// What the prologue learnt about a slot, slot t's at banks[t&1]; build
-	// points Rates at the slot's bank, where the solve, settle and tally
-	// read them. A bank is one cache line and the banks come first, so that
-	// in a value that starts on a line (an arena chunk's do) prologue(t+1)
-	// writes a line no one reads during slot t; in and spec fill the next
-	// line, so that a prologue touches two lines of the value, not three.
-	banks [2]slotBank
+	// What the prologue learnt about the next slots, a ring: slot t's at
+	// banks[t%bankDepth]. Build points Rates at the slot's bank, where the
+	// solve, settle and tally read them. A bank is one cache line and the
+	// banks come first, so that in a value that starts on a line (an arena
+	// chunk's do) a prologue run ahead writes lines no one reads during the
+	// current slot; in and spec fill the next line.
+	banks [bankDepth]slotBank
 	in    *sessionInputs // the value's own, from the arena
 	spec  SessionSpec
 	step.Session
@@ -100,13 +102,27 @@ type simSession struct {
 
 	delays [tiles.Levels]float64 // Delays, which build fills
 	fleetPlace
+
+	// _ keeps the value a whole number of cache lines, so that in an arena
+	// chunk every session's banks start on a line.
+	_ [32]byte
 }
 
+// bankDepth is how many slots' prologue results a session holds. A refill
+// runs at most bankDepth-1 prologues, from the slot after the current one,
+// so it never writes the bank the current slot is read from. Sixteen banks
+// (fifteen prologues a visit) read fastest in a sweep of 4, 8 and 16 on
+// both working loops (EXPERIMENTS.md "Seven slots per visit"): a deeper
+// ring loads a session's inputs less often but costs 64 B a bank. A power
+// of two, so that slot%bankDepth is a mask.
+const bankDepth = 16
+
 // slotBank is what a session's prologue learnt about one slot. A session
-// keeps two, so that prologue(t+1) fills one while slot t is built, solved,
-// settled and tallied from the other: no word is written by the one and
-// touched by the other. The delay table needs no second copy: only build
-// writes it, and slot t+1's build starts after slot t's tally.
+// keeps a ring of bankDepth, so that the prologues of the next slots fill
+// banks while slot t is built, solved, settled and tallied from its own: no
+// word is written by the one and touched by the other. The delay table
+// needs no second copy: only build writes it, and slot t+1's build starts
+// after slot t's tally.
 type slotBank struct {
 	rates  [tiles.Levels]float64 // the plan's f^R ladder
 	rawCap float64               // the trace's link capacity, before chaos and shard faults
@@ -119,7 +135,7 @@ type slotBank struct {
 // into — the random source both draw from, the trace's segments and the
 // tile selection's array. It is kept apart from the rest of the session, in
 // a chunk of its own, because the serial solve and settle read every
-// session's ladder and counters every slot: with these 5.7 KB inline they
+// session's ladder and counters every slot: with these 5.6 KB inline they
 // would sit a source apart.
 type sessionInputs struct {
 	walk motion.Walker
@@ -148,7 +164,9 @@ func (e *simEnv) setUp(s *simSession, spec SessionSpec) {
 	*s = simSession{in: in, fleetPlace: s.fleetPlace}
 	s.spec, s.inj = spec, chaos.NewInjector(e.cfg.Chaos, spec.ID)
 	s.Delays = s.delays[:]
-	s.banks[0].slot, s.banks[1].slot = -1, -1
+	for i := range s.banks {
+		s.banks[i].slot = -1
+	}
 	s.acc.Reset(e.qoe)
 	in.pred.Reset(motion.DefaultWindow)
 	if cap(in.net.Segments) < len(in.segs) {
@@ -202,18 +220,37 @@ func (a *sessionArena) put(s *simSession) { a.free = append(a.free, s) }
 // walk's next pose, the step's trace-driven plan (predict, select, rate
 // ladder, coverage, predictor update) and the trace's next capacity — into
 // the slot's bank. It writes only s.in and that bank and reads only the
-// env and the session's arrival slot, so it may run while the session's
-// previous slot is built, solved and settled from the other bank.
+// env, the session's spec and the slot number, so it may run while an
+// earlier slot of the session is built, solved and settled from its own
+// bank, and a prologue run early is the same prologue: each advances the
+// walk and the cursor one step, and they run in slot order.
 func (s *simSession) prologue(e *simEnv, slot int) {
-	in, b := s.in, &s.banks[slot&1]
+	in, b := s.in, s.bank(slot)
 	plan := step.Plan{Sel: in.sel[:0], Rates: b.rates[:]}
 	b.inView = plan.Follow(&e.Env, &in.pred, slot-s.spec.ArriveSlot <= motion.DefaultWindow, in.walk.Next())
 	b.rawCap = in.caps.Next()
 	b.slot = int32(slot)
 }
 
+// bank is slot's bank in the session's ring.
+func (s *simSession) bank(slot int) *slotBank { return &s.banks[uint(slot)%bankDepth] }
+
 // prepped reports whether the session's prologue for slot has run.
-func (s *simSession) prepped(slot int) bool { return s.banks[slot&1].slot == int32(slot) }
+func (s *simSession) prepped(slot int) bool { return s.bank(slot).slot == int32(slot) }
+
+// runAhead runs the session's prologues from slot, whose bank is empty, up
+// to its next refill boundary and never past its life in a horizon-slot
+// run. The boundaries are every bankDepth-1 slots, phased by the session's
+// ID, so a session refills once every bankDepth-1 slots, about that share of
+// the sessions refill each slot, and which do depends on nothing but the
+// specs and the slot. Called for slot t+1 during slot t, it writes the banks
+// of slots t+1..t+bankDepth-1 at most, never slot t's.
+func (s *simSession) runAhead(e *simEnv, slot, horizon int) {
+	const span = bankDepth - 1
+	for end := slot + span - (slot+int(s.spec.ID%span))%span; slot < end && s.livesAt(slot, horizon); slot++ {
+		s.prologue(e, slot)
+	}
+}
 
 // livesAt reports whether the session still runs at slot of a horizon-slot
 // run: whether a prologue for slot has a build or a blackout to feed.
@@ -233,7 +270,7 @@ func (s *simSession) build(e *simEnv, slot int, capFactor float64, values []floa
 	if !s.prepped(slot) {
 		s.prologue(e, slot)
 	}
-	b := &s.banks[slot&1]
+	b := s.bank(slot)
 	s.Rates, s.inView = b.rates[:], b.inView
 	// Chaos capacity faults: cliffs scale the link, a blackout zeroes it
 	// (the M/M/1 delay then saturates and the frame misses); a per-slot drop loses

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/nettrace"
@@ -95,6 +96,15 @@ func TestSimSessionRetainedBytes(t *testing.T) {
 	}
 }
 
+// TestSimSessionWholeLines: a session value is a whole number of cache
+// lines, so that in an arena chunk, which starts on one, every session's
+// banks do too (simSession's trailing pad keeps it so).
+func TestSimSessionWholeLines(t *testing.T) {
+	if n := unsafe.Sizeof(simSession{}); n%64 != 0 {
+		t.Errorf("simSession is %d B, not a whole number of 64-B lines", n)
+	}
+}
+
 // TestRecycledSessionMatchesFresh: a session value that lived a session
 // under a chaos profile — a long LTE trace that outgrew the inline segments,
 // filled predictor windows, a breaker cap, misses, an injector — and was
@@ -165,26 +175,28 @@ func TestRecycledSessionMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPrologueAheadMatchesInline: a session whose prologue for each next
-// slot runs right after the slot settles — as the tail of the fleet
-// engine's slot loop runs it, beside the solve — is the session that runs
-// each slot's prologue inline in its build: the same build rows, value rows
-// and settled outcomes slot for slot under a chaos profile, and the same
-// report row. Blackouts fall at the same slots in both: the first two before
-// any prologue ran ahead, the rest on slots whose pose and capacity the
-// ahead prologue already drew, some of them inside the profile's capacity
-// cliff, blackout and loss windows.
+// TestPrologueAheadMatchesInline: a session whose prologues run ahead a
+// refill at a time — as the fleet engine runs them, from the slot after the
+// current one to the session's next refill boundary, in the tail of the
+// slot's loop or right after the chunk that set the session up — is the
+// session that runs each slot's prologue inline in its build: the same
+// build rows, value rows and settled outcomes slot for slot under a chaos
+// profile, and the same report row. It covers a session at every stagger
+// phase, an arrival and a departure on every residue of the refill cycle at
+// each phase, a horizon that cuts a refill short, blackouts on the slots a
+// refill runs in and the slots it fills first, and lives inside the
+// profile's capacity cliff, blackout and loss windows. Every slot it checks
+// the ring: the slot's own bank was filled before the slot and is not
+// rewritten during it, the banks filled are exactly the ones up to the
+// boundary, and no prologue runs for a slot the session does not live.
 func TestPrologueAheadMatchesInline(t *testing.T) {
-	const slots = 300
+	const span = bankDepth - 1
 	w, err := Generate(Config{Shape: Steady, Seed: 5, Sessions: 1, HorizonSlots: 6000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := w.Sessions[0]
-	spec.ArriveSlot, spec.DepartSlot, spec.NetKind = 50, 50+slots, nettrace.LTE
 	cfg := SimConfig{Chaos: campaignChaos()}.withDefaults()
 	env := newSimEnv(w, &cfg)
-	blackouts := map[int]bool{0: true, 1: true, 9: true, 10: true, 11: true, 100: true, 195: true, 196: true, 280: true, 299: true}
 
 	type row struct {
 		User        core.UserInput
@@ -193,51 +205,114 @@ func TestPrologueAheadMatchesInline(t *testing.T) {
 		Missed      bool
 		Blackout    bool
 	}
-	drive := func(s *simSession, ahead bool) ([]row, sessionOutcome) {
+	var arena sessionArena
+	ahead, inline := arena.get(), arena.get()
+	var cutByHorizon, cutByDeparture, blackoutRefills int
+	// drive runs the session over its life in a horizon-slot run. With
+	// runAhead it keeps the engine's pattern and checks the ring; without,
+	// every prologue runs inline in the slot's build or blackout.
+	drive := func(s *simSession, spec SessionSpec, horizon int, runAhead bool) ([]row, sessionOutcome) {
+		env.setUp(s, spec)
+		phase := int(spec.ID % span)
+		last := min(horizon, spec.DepartSlot) - 1 // the session's last live slot
 		var rows []row
-		for k := 0; k < slots; k++ {
-			slot := spec.ArriveSlot + k
-			if want := ahead && k > 0; s.prepped(slot) != want {
-				t.Fatalf("ahead %v, slot %d: prepped %v before the slot, want %v", ahead, k, s.prepped(slot), want)
+		for slot := spec.ArriveSlot; slot <= last; slot++ {
+			if want := runAhead && slot > spec.ArriveSlot; s.prepped(slot) != want {
+				t.Fatalf("phase %d, life [%d, %d) of %d: prepped(%d) = %v before the slot, want %v",
+					phase, spec.ArriveSlot, spec.DepartSlot, horizon, slot, s.prepped(slot), want)
 			}
-			if blackouts[k] {
+			// A blackout on every slot a refill fills first, and on every
+			// third slot the tail refills in.
+			refillSlot := (slot+1+phase)%span == 0
+			if (slot+phase)%span == 0 || refillSlot && slot%3 == 0 {
+				if runAhead && refillSlot {
+					blackoutRefills++
+				}
 				s.blackout(env, slot)
 				rows = append(rows, row{Blackout: true})
 			} else {
 				values := make([]float64, cfg.Params.Levels)
 				u := s.build(env, slot, 1, values)
 				u.Rate, u.Delay = slices.Clone(u.Rate), slices.Clone(u.Delay)
-				q, _ := s.clamp(1 + k%cfg.Params.Levels)
+				q, _ := s.clamp(1 + slot%cfg.Params.Levels)
 				r := row{User: u, Values: values}
 				r.Rate, r.Delay, r.Missed = s.settle(env, q, 0, 0)
 				rows = append(rows, r)
 			}
-			if ahead && s.livesAt(slot+1, w.Cfg.HorizonSlots) {
-				s.prologue(env, slot+1)
+			if !runAhead {
+				continue
+			}
+			// The engine's tail: the arrival's chunk refills after its
+			// build, any other slot refills only an empty next bank.
+			read := *s.bank(slot)
+			next := slot + 1
+			visit := slot == spec.ArriveSlot || (s.livesAt(next, horizon) && !s.prepped(next))
+			if visit {
+				s.runAhead(env, next, horizon)
+			}
+			if *s.bank(slot) != read {
+				t.Fatalf("phase %d: slot %d's bank was rewritten during the slot", phase, slot)
+			}
+			if !visit {
+				continue
+			}
+			if slot != spec.ArriveSlot && !refillSlot {
+				t.Fatalf("phase %d: refilled after slot %d, off the phase's boundaries", phase, slot)
+			}
+			boundary := next + span - (next+phase)%span
+			end := min(boundary, last+1)
+			if end < boundary && horizon <= last+1 {
+				cutByHorizon++
+			} else if end < boundary {
+				cutByDeparture++
+			}
+			for u := next; u < next+bankDepth; u++ {
+				if want := u < end; s.prepped(u) != want {
+					t.Fatalf("phase %d, life [%d, %d) of %d: after refilling from slot %d, prepped(%d) = %v, want %v (boundary %d)",
+						phase, spec.ArriveSlot, spec.DepartSlot, horizon, next, u, s.prepped(u), want, boundary)
+				}
+			}
+		}
+		for i := range s.banks {
+			if b := int(s.banks[i].slot); b > last {
+				t.Fatalf("phase %d, life [%d, %d) of %d: a prologue ran for slot %d", phase, spec.ArriveSlot, spec.DepartSlot, horizon, b)
 			}
 		}
 		return rows, s.outcome()
 	}
 
-	var arena sessionArena
-	prepped, inline := arena.get(), arena.get()
-	env.setUp(prepped, spec)
-	env.setUp(inline, spec)
-	gotRows, gotOut := drive(prepped, true)
-	wantRows, wantOut := drive(inline, false)
 	misses := 0
-	for k := range wantRows {
-		if !reflect.DeepEqual(gotRows[k], wantRows[k]) {
-			t.Fatalf("slot %d: prologue ahead\n  %+v\ninline\n  %+v", k, gotRows[k], wantRows[k])
-		}
-		if wantRows[k].Missed {
-			misses++
+	for phase := 0; phase < span; phase++ {
+		for _, base := range []int{50, 230, 310} { // the profile's cliff, blackout and loss windows
+			// Every arrival residue of the refill cycle, each with a
+			// different departure residue.
+			for a := 0; a < span; a++ {
+				spec := w.Sessions[0]
+				spec.ID, spec.NetKind = uint32(phase), nettrace.LTE
+				spec.ArriveSlot = base + a
+				spec.DepartSlot = base + 3*span + (span - 1 - a)
+				for _, horizon := range []int{6000, spec.ArriveSlot + span + 2} {
+					gotRows, gotOut := drive(ahead, spec, horizon, true)
+					wantRows, wantOut := drive(inline, spec, horizon, false)
+					for k := range wantRows {
+						if !reflect.DeepEqual(gotRows[k], wantRows[k]) {
+							t.Fatalf("phase %d, life [%d, %d) of %d, slot %d: run ahead\n  %+v\ninline\n  %+v",
+								phase, spec.ArriveSlot, spec.DepartSlot, horizon, spec.ArriveSlot+k, gotRows[k], wantRows[k])
+						}
+						if wantRows[k].Missed {
+							misses++
+						}
+					}
+					if gotOut != wantOut {
+						t.Fatalf("phase %d, life [%d, %d) of %d: outcome run ahead %+v, inline %+v",
+							phase, spec.ArriveSlot, spec.DepartSlot, horizon, gotOut, wantOut)
+					}
+				}
+			}
 		}
 	}
-	if gotOut != wantOut {
-		t.Fatalf("outcome: prologue ahead %+v, inline %+v", gotOut, wantOut)
-	}
-	if misses == 0 || inline.inj == nil {
-		t.Fatalf("the session saw no chaos (injector %v, %d settled misses)", inline.inj, misses)
+	if cutByHorizon == 0 || cutByDeparture == 0 || blackoutRefills == 0 || misses == 0 {
+		t.Fatalf("edges not reached: %d refills cut by the horizon, %d by a departure, %d blackouts on a refill slot, %d settled misses",
+			cutByHorizon, cutByDeparture, blackoutRefills, misses)
 	}
 }

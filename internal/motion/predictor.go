@@ -1,27 +1,33 @@
 package motion
 
-import (
-	"repro/internal/estimate"
-	"repro/internal/vrmath"
-)
+import "repro/internal/vrmath"
 
 // Predictor forecasts the next slot's 6-DoF pose with an independent linear
 // regression per axis, "which follows the methodology in [Firefly]"
 // (Section V). Yaw is unwrapped into a cumulative angle before regression so
-// that crossing the +/-180 seam does not break the fit. A Predictor's windows
-// point into its own storage: use it through the pointer NewPredictor
+// that crossing the +/-180 seam does not break the fit. A Predictor's window
+// points into its own storage: use it through the pointer NewPredictor
 // returns, or Reset one that lives where it will stay, and do not copy it.
+//
+// The window is one ring of rows, the six axes of one observed pose per
+// row, so an observation writes one row and moves nothing, and a prediction
+// fits all six axes in one pass over the rows.
 type Predictor struct {
-	axes [numAxes]estimate.SlidingWindow
+	rows []poseRow // the ring, len(rows) == window
+	next int       // the row the next observation writes
+	n    int       // rows held, up to len(rows)
 
 	lastYaw   float64
 	cumYaw    float64
 	havePrior bool
 
-	// store backs the six windows up to DefaultWindow, so the engines'
-	// per-session predictor is a single allocation.
-	store [numAxes * DefaultWindow]float64
+	// store backs the ring up to DefaultWindow, so the engines' per-session
+	// predictor is a single allocation.
+	store [DefaultWindow]poseRow
 }
+
+// poseRow is one observation of the regression axes.
+type poseRow [numAxes]float64
 
 // The regression axes; yaw is the unwrapped cumulative angle.
 const (
@@ -58,12 +64,11 @@ func (p *Predictor) Reset(window int) {
 		window = 2
 	}
 	p.lastYaw, p.cumYaw, p.havePrior = 0, 0, false
-	buf := p.store[:]
-	if window > DefaultWindow {
-		buf = make([]float64, numAxes*window)
-	}
-	for i := range p.axes {
-		p.axes[i] = estimate.WindowOver(buf[i*window : (i+1)*window])
+	p.next, p.n = 0, 0
+	if window <= DefaultWindow {
+		p.rows = p.store[:window]
+	} else {
+		p.rows = make([]poseRow, window)
 	}
 }
 
@@ -78,26 +83,74 @@ func (p *Predictor) Observe(pose vrmath.Pose) {
 	}
 	p.lastYaw = pose.Yaw
 
-	p.axes[axisX].Push(pose.Pos.X)
-	p.axes[axisY].Push(pose.Pos.Y)
-	p.axes[axisZ].Push(pose.Pos.Z)
-	p.axes[axisYaw].Push(p.cumYaw)
-	p.axes[axisPitch].Push(pose.Pitch)
-	p.axes[axisRoll].Push(pose.Roll)
+	p.rows[p.next] = poseRow{pose.Pos.X, pose.Pos.Y, pose.Pos.Z, p.cumYaw, pose.Pitch, pose.Roll}
+	if p.next++; p.next == len(p.rows) {
+		p.next = 0
+	}
+	if p.n < len(p.rows) {
+		p.n++
+	}
 }
 
 // Predict extrapolates the next slot's pose. Before any observation it
 // returns the zero pose.
+//
+// Each axis is the ordinary-least-squares line over the abscissae 0..n-1,
+// oldest observation first, evaluated at n; with one observation it is that
+// observation. Σy and Σxy are accumulated per axis in the order of the
+// tests' FitLinear reference, twelve independent chains in one pass over
+// the ring, and Σx = n(n-1)/2 and Σx² = (n-1)n(2n-1)/6 are small integers,
+// exact in float64 whether summed or taken in closed form, so every axis is
+// bit for bit the reference fit — without allocating. det = n²(n²-1)/12 >= 1,
+// so the fit cannot be singular.
 func (p *Predictor) Predict() vrmath.Pose {
+	var est poseRow
+	switch n := p.n; n {
+	case 0:
+	case 1:
+		est = p.rows[0]
+	default:
+		var sy0, sy1, sy2, sy3, sy4, sy5 float64
+		var sxy0, sxy1, sxy2, sxy3, sxy4, sxy5 float64
+		i := p.next - n
+		if i < 0 {
+			i += len(p.rows)
+		}
+		for k := 0; k < n; k++ {
+			r := &p.rows[i]
+			x := float64(k)
+			sy0 += r[0]
+			sxy0 += x * r[0]
+			sy1 += r[1]
+			sxy1 += x * r[1]
+			sy2 += r[2]
+			sxy2 += x * r[2]
+			sy3 += r[3]
+			sxy3 += x * r[3]
+			sy4 += r[4]
+			sxy4 += x * r[4]
+			sy5 += r[5]
+			sxy5 += x * r[5]
+			if i++; i == len(p.rows) {
+				i = 0
+			}
+		}
+		nf := float64(n)
+		sx := nf * (nf - 1) / 2
+		sxx := (nf - 1) * nf * (2*nf - 1) / 6
+		det := nf*sxx - sx*sx
+		fit := func(sy, sxy float64) float64 {
+			slope := (nf*sxy - sx*sy) / det
+			intercept := (sy - slope*sx) / nf
+			return intercept + slope*nf
+		}
+		est = poseRow{fit(sy0, sxy0), fit(sy1, sxy1), fit(sy2, sxy2), fit(sy3, sxy3), fit(sy4, sxy4), fit(sy5, sxy5)}
+	}
 	return vrmath.Pose{
-		Pos: vrmath.Vec3{
-			X: p.axes[axisX].PredictNext(),
-			Y: p.axes[axisY].PredictNext(),
-			Z: p.axes[axisZ].PredictNext(),
-		},
-		Yaw:   vrmath.NormalizeAngle(p.axes[axisYaw].PredictNext()),
-		Pitch: vrmath.ClampPitch(p.axes[axisPitch].PredictNext()),
-		Roll:  vrmath.NormalizeAngle(p.axes[axisRoll].PredictNext()),
+		Pos:   vrmath.Vec3{X: est[axisX], Y: est[axisY], Z: est[axisZ]},
+		Yaw:   vrmath.NormalizeAngle(est[axisYaw]),
+		Pitch: vrmath.ClampPitch(est[axisPitch]),
+		Roll:  vrmath.NormalizeAngle(est[axisRoll]),
 	}
 }
 

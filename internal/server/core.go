@@ -83,8 +83,12 @@ type session struct {
 	ema       *estimate.EMA
 
 	// The h_n estimators (one definition with core.Tracker and the virtual
-	// sessions; a handoff copies them) and the plan and delay scratch.
+	// sessions; a handoff copies them), the ladder and the delay scratch.
 	step.Session
+	// plan is the slot's cell, tile selection and ladder (Session.Rates
+	// points at its Rates): admission packs the selection's IDs and the
+	// prefetcher warms its neighbourhood.
+	plan step.Plan
 
 	// handoff marks a session exported to another shard: it retires as a
 	// handoff, keeping the fleet-shared SLO window and breaker state alive.
@@ -183,7 +187,7 @@ func (c *decider) admit(sess *session) (prev *session, resumed, ok bool) {
 	sess.retries = make(map[tiles.VideoID]uint8)
 	sess.retryFirst = make(map[tiles.VideoID]time.Time)
 	sess.rng = randsrc.NewRand(int64(sess.user)*2654435761 + 1)
-	sess.Sel = make([]tiles.TileID, 0, tiles.NumTiles)
+	sess.plan.Sel = make([]tiles.TileID, 0, tiles.NumTiles)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -471,7 +475,8 @@ func (c *decider) build(i int) {
 	sess := c.sessions[i]
 	c.userBuf[i] = core.UserInput{}
 	if sess.havePose {
-		sess.Select(&c.env, sess.predictor.Predict())
+		sess.plan.Select(&c.env, sess.predictor.Predict())
+		sess.Rates = sess.plan.Rates
 		c.userBuf[i] = sess.Input(&c.env, sess.capEstimate(), sess)
 	}
 }
@@ -503,8 +508,8 @@ func (c *decider) commit(p *planned, slot uint32, decideStart, decideEnd int64, 
 	asp := c.cfg.Tracer.Start(p.trace, trace.StageAdmit, trace.SideServer, sess.user, slot)
 	ids := sess.idsBuf[:0]
 	skipped := 0
-	for _, tile := range sess.Sel {
-		id, err := tiles.PackVideoID(sess.Cell, tile, p.level)
+	for _, tile := range sess.plan.Sel {
+		id, err := tiles.PackVideoID(sess.plan.Cell, tile, p.level)
 		if err != nil {
 			c.cfg.Logf("server: pack id: %v", err)
 			continue

@@ -687,8 +687,8 @@ func (s *Server) dispatch(i int) {
 	fsp.End()
 
 	if s.prefetchCh != nil {
-		req := prefetchReq{cell: p.sess.Cell, level: p.level}
-		req.n = copy(req.sel[:], p.sess.Sel)
+		req := prefetchReq{cell: p.sess.plan.Cell, level: p.level}
+		req.n = copy(req.sel[:], p.sess.plan.Sel)
 		select {
 		case s.prefetchCh <- req:
 		default: // prefetcher busy; skip

@@ -79,13 +79,18 @@ type DelayModel interface {
 	DelayTableInto(out, rates []float64, capMbps, slotMs float64)
 }
 
-// Session is one session's slot-step state: the h_n estimators, the plan
-// and the delay-table scratch. The zero value is ready to use.
+// Session is one session's slot-step state: the h_n estimators, the slot's
+// rate ladder and the delay-table scratch. The zero value is ready to use
+// once Rates points at a plan's ladder. The plan itself — the cell and the
+// tile selection — is the driver's: only a driver that sends the tiles
+// keeps it past the prologue.
 type Session struct {
 	core.ViewState
-	Plan
-	// Delays is the expected delay at each ladder rate, scratch like the
-	// plan's slices (a caller may pre-size it beside Rates in one slab).
+	// Rates is the slot's f^R ladder, Mbps: the Rates of the Plan the driver
+	// built for the slot, which Input and Settle read.
+	Rates []float64
+	// Delays is the expected delay at each ladder rate, scratch (a caller
+	// may pre-size it beside its ladders in one slab).
 	Delays []float64
 }
 

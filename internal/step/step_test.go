@@ -50,7 +50,9 @@ func (f *fixedDelays) DelayTableInto(out, _ []float64, _, _ float64) { copy(out,
 func TestInputDelayModels(t *testing.T) {
 	env := testEnv()
 	var s Session
-	s.Select(env, vrmath.Pose{Yaw: 30})
+	var plan Plan
+	plan.Select(env, vrmath.Pose{Yaw: 30})
+	s.Rates = plan.Rates
 	s.Observe(4, true)
 	s.Observe(2, false)
 
@@ -80,13 +82,16 @@ func TestInputDelayModels(t *testing.T) {
 func TestSelectInputAllocs(t *testing.T) {
 	env := testEnv()
 	var s Session
+	var plan Plan
 	pose := vrmath.Pose{Yaw: 10}
-	s.Select(env, pose)
+	plan.Select(env, pose)
+	s.Rates = plan.Rates
 	s.Input(env, 50, nil)
 	model := &fixedDelays{1, 2, 3, 4, 5, 6}
 	if n := testing.AllocsPerRun(200, func() {
 		pose.Yaw += 3
-		s.Select(env, pose)
+		plan.Select(env, pose)
+		s.Rates = plan.Rates
 		s.Input(env, 50, nil)
 		s.Input(env, 50, model)
 	}); n != 0 {
@@ -99,10 +104,10 @@ func TestSelectInputAllocs(t *testing.T) {
 // deadline and loses its coverage; +Inf never misses.
 func TestSettleDeadlineRule(t *testing.T) {
 	env := testEnv()
-	var probe Session
-	probe.Select(env, vrmath.Pose{})
-	rate := probe.Rates[2] // level 3
-	link := 2 * rate       // M/M/1: r/(B-r) = 1 slot-time
+	var plan Plan
+	plan.Select(env, vrmath.Pose{})
+	rate := plan.Rates[2] // level 3
+	link := 2 * rate      // M/M/1: r/(B-r) = 1 slot-time
 	exact := netem.DelayMs(rate, link, env.SlotMs) + 1.5 + 0.25
 	tests := []struct {
 		name                string
@@ -117,8 +122,7 @@ func TestSettleDeadlineRule(t *testing.T) {
 		{"perfect knowledge never misses", math.Inf(1), false, exact, false, true},
 	}
 	for _, tt := range tests {
-		var s Session
-		s.Select(env, vrmath.Pose{})
+		s := Session{Rates: plan.Rates}
 		acc := metrics.NewUserQoE(metrics.QoEParams{Alpha: 0.1, Beta: 0.5})
 		gotRate, delay, missed := s.Settle(env, acc, 3, link, true, tt.dropped, 1.5, 0.25, tt.deadline)
 		if gotRate != rate || delay != tt.wantDelay || missed != tt.wantMissed {
@@ -196,7 +200,9 @@ func TestSolveDispatchAndRecord(t *testing.T) {
 	sessions := make([]Session, 3)
 	users := make([]core.UserInput, len(sessions))
 	for i := range sessions {
-		sessions[i].Select(env, vrmath.Pose{Yaw: float64(40 * i)})
+		var plan Plan
+		plan.Select(env, vrmath.Pose{Yaw: float64(40 * i)})
+		sessions[i].Rates = plan.Rates
 		sessions[i].Observe(3, i != 1)
 		users[i] = sessions[i].Input(env, 30+10*float64(i), nil)
 	}
