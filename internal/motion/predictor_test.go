@@ -187,6 +187,19 @@ func TestPredictorMinWindow(t *testing.T) {
 	}
 }
 
+// A full window that predicts and then observes its own prediction, as a
+// closed loop does, never touches the heap: a quadratic series at window 8.
+func TestPredictorPredictObserveDoesNotAllocate(t *testing.T) {
+	p := NewPredictor(8)
+	for i := 0; i < 8; i++ {
+		v := float64(i * i)
+		p.Observe(vrmath.Pose{Pos: vrmath.Vec3{X: v, Y: v, Z: v}, Yaw: v, Pitch: v, Roll: v})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { poseSink = p.Predict(); p.Observe(poseSink) }); allocs != 0 {
+		t.Errorf("Predict+Observe allocate %v times per call, want 0", allocs)
+	}
+}
+
 // BenchmarkPredictorStep is one slot of a session's predictor at the
 // engines' window: observe the pose the user took, predict the next.
 func BenchmarkPredictorStep(b *testing.B) {
