@@ -233,15 +233,19 @@ coord-smoke:
 		./internal/load ./internal/server
 
 # Health smoke (< 60 s): the seeded 3-shard evacuation campaign exports
-# its health time-series (bit-identical per seed), then collabvr-inspect
-# health gates the export against the checked-in baseline — trend drift past the
-# tolerance on any bad-direction series fails the build.
+# its health time-series twice, and the two files must be bit-identical
+# (the baseline rewrite relies on it), then collabvr-inspect health gates the
+# export against the checked-in baseline — trend drift past the tolerance on
+# any bad-direction series fails the build.
 health-smoke:
 	@mkdir -p results
 	$(GO) run ./cmd/collabvr-loadgen -shards 3 -sessions 6 -slots 240 \
 		-budget 300 -seed 5 -evac -health-out results/health_smoke.jsonl \
 		| tee results/health_smoke.txt
 	grep -q 'health: exported' results/health_smoke.txt
+	$(GO) run ./cmd/collabvr-loadgen -shards 3 -sessions 6 -slots 240 \
+		-budget 300 -seed 5 -evac -health-out results/health_smoke_rerun.jsonl >/dev/null
+	cmp results/health_smoke.jsonl results/health_smoke_rerun.jsonl
 	$(GO) run ./cmd/collabvr-inspect health -baseline results/health_baseline.json \
 		results/health_smoke.jsonl
 
@@ -257,7 +261,9 @@ health-baseline:
 # Non-test Go lines: first the packages ROADMAP item 7 shrinks, so each of
 # its PRs reports the same count (internal/step holds the slot step moved
 # out of sim, load and server), then the whole tree outside bench/, then
-# the number of binaries under cmd/, then the exports under internal/ that
+# the observability spine ROADMAP item 9 budgets (internal/obs,
+# internal/obs/tsdb and internal/trace), then the number of binaries under
+# cmd/, then the exports under internal/ that
 # the dead-export gate (exports_test.go) lets stand without an outside
 # caller and the config fields it lets stand without an outside writer, one
 # per non-comment line of its allowlist (a field's id is pkg.T.Field with T
@@ -268,6 +274,7 @@ health-baseline:
 loc:
 	@echo "subset: $$(cat $$(find internal/load internal/fleet internal/sim internal/step internal/knapsack internal/transport internal/core cmd -name '*.go' ! -name '*_test.go') | wc -l)"
 	@echo "tree outside bench/: $$(cat $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*') | wc -l)"
+	@echo "obs spine: $$(cat $$(find internal/obs internal/trace -name '*.go' ! -name '*_test.go') | wc -l)"
 	@echo "binaries: $$(ls -d cmd/*/ | wc -l)"
 	@fields=$$(grep -cE '^[^ #]+(Config|Options|Policy)\.[A-Za-z0-9_]+ ' testdata/exports_allowlist.txt); \
 		flags=$$(grep -c '^cmd/' testdata/exports_allowlist.txt); \
@@ -281,5 +288,5 @@ clean:
 		results/smoke_spans.jsonl results/smoke_spans.txt \
 		results/chaos_smoke.txt results/regret_smoke.txt \
 		results/smoke_decisions.jsonl results/fleet_smoke.txt \
-		results/health_smoke.jsonl results/health_smoke.txt \
+		results/health_smoke.jsonl results/health_smoke_rerun.jsonl results/health_smoke.txt \
 		test_output.txt bench_output.txt

@@ -177,9 +177,6 @@ func health(args []string, out io.Writer) error {
 
 	rep := healthReport{Series: len(snaps), Skipped: skipped}
 	for _, s := range snaps {
-		if s.Tier != 1 {
-			continue // downsampled tiers restate the raw data
-		}
 		rep.Trends = append(rep.Trends, tsdb.TrendOf(s))
 	}
 

@@ -279,11 +279,8 @@ func TestHealthReportTextAndJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Series != 6 { // 2 series x 3 tiers
-		t.Errorf("Series = %d, want 6", rep.Series)
-	}
-	if len(rep.Trends) != 2 {
-		t.Errorf("%d trends, want 2 (raw tier only)", len(rep.Trends))
+	if rep.Series != 2 || len(rep.Trends) != 2 {
+		t.Errorf("%d series / %d trends, want 2 / 2", rep.Series, len(rep.Trends))
 	}
 
 	// The name filter narrows the report.
@@ -295,8 +292,8 @@ func TestHealthReportTextAndJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Series != 3 || len(rep.Trends) != 1 {
-		t.Errorf("filtered report has %d series / %d trends, want 3 / 1", rep.Series, len(rep.Trends))
+	if rep.Series != 1 || len(rep.Trends) != 1 {
+		t.Errorf("filtered report has %d series / %d trends, want 1 / 1", rep.Series, len(rep.Trends))
 	}
 }
 
@@ -311,7 +308,7 @@ func TestHealthBaselineGate(t *testing.T) {
 	if err := run([]string{"health", "-write-baseline", basePath, good}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "wrote 6 series") {
+	if !strings.Contains(out.String(), "wrote 2 series") {
 		t.Fatalf("write-baseline output: %s", out.String())
 	}
 

@@ -79,7 +79,6 @@ func run(args []string, out io.Writer) error {
 		mode        = fs.String("mode", "sim", "execution engine: sim (virtual time) or live (loopback sockets)")
 		maxSessions = fs.Int("max-sessions", 0, "live-mode server accept limit, excess rejected (0 = unlimited)")
 		record      = fs.String("record", "", "write the workload to this JSONL file")
-		recordPoses = fs.Bool("record-poses", false, "include per-slot pose events in the recorded JSONL")
 		replay      = fs.String("replay", "", "replay a recorded workload instead of generating one")
 		checkReplay = fs.Bool("check-replay", false, "verify the record/replay round trip is bit-identical, then run")
 
@@ -479,7 +478,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		err = w.WriteJSONL(f, *recordPoses)
+		err = w.WriteJSONL(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -491,7 +490,7 @@ func run(args []string, out io.Writer) error {
 
 	if *checkReplay {
 		fsim, _ := configs(false, false)
-		if err := verifyReplay(w, *recordPoses, fsim.Sim); err != nil {
+		if err := verifyReplay(w, fsim.Sim); err != nil {
 			return err
 		}
 		fmt.Fprintln(out, "replay check: OK (byte-identical JSONL, identical replayed report)")
@@ -601,9 +600,9 @@ func faultWindow(p *chaos.Profile) (start, end int) {
 // workload, reading it back, and serializing again must give identical bytes,
 // and simulating the original and the round-tripped workload must give the
 // identical report.
-func verifyReplay(w *load.Workload, poses bool, simCfg load.SimConfig) error {
+func verifyReplay(w *load.Workload, simCfg load.SimConfig) error {
 	var b1 bytes.Buffer
-	if err := w.WriteJSONL(&b1, poses); err != nil {
+	if err := w.WriteJSONL(&b1); err != nil {
 		return fmt.Errorf("replay check: %w", err)
 	}
 	w2, err := load.ReadJSONL(bytes.NewReader(b1.Bytes()))
@@ -611,7 +610,7 @@ func verifyReplay(w *load.Workload, poses bool, simCfg load.SimConfig) error {
 		return fmt.Errorf("replay check: %w", err)
 	}
 	var b2 bytes.Buffer
-	if err := w2.WriteJSONL(&b2, poses); err != nil {
+	if err := w2.WriteJSONL(&b2); err != nil {
 		return fmt.Errorf("replay check: %w", err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

@@ -31,7 +31,7 @@ func TestRunRecordReplayCheck(t *testing.T) {
 	var rec bytes.Buffer
 	err := run([]string{"-arrivals", "flash", "-rate", "8", "-mean-hold", "1",
 		"-slots", "240", "-sessions", "0", "-seed", "3",
-		"-record", path, "-record-poses", "-check-replay"}, &rec)
+		"-record", path, "-check-replay"}, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestFleetSLOPressureEvacuation(t *testing.T) {
 	// zero sessions while the fault window is open.
 	drained := false
 	for _, snap := range health.Snapshot() {
-		if snap.Name != "fleet_shard_sessions" || snap.Shard != 1 || snap.Tier != 1 {
+		if snap.Name != "fleet_shard_sessions" || snap.Shard != 1 {
 			continue
 		}
 		for _, p := range snap.Points {

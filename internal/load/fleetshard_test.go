@@ -158,7 +158,7 @@ func TestFleetSimDeferredSetupEdges(t *testing.T) {
 		recorded.Sessions[i].ArriveSlot, recorded.Sessions[i].DepartSlot = life[0], life[1]
 	}
 	var file bytes.Buffer
-	if err := recorded.WriteJSONL(&file, false); err != nil {
+	if err := recorded.WriteJSONL(&file); err != nil {
 		t.Fatal(err)
 	}
 	w, err := ReadJSONL(&file)
@@ -227,7 +227,7 @@ func TestFleetSimDeferredSetupEdges(t *testing.T) {
 		}
 		var demand [2][]tsdb.SnapPoint
 		for _, sn := range cfg.Health.Snapshot() {
-			if sn.Name == "fleet_shard_demand_mbps" && sn.Tier == 1 {
+			if sn.Name == "fleet_shard_demand_mbps" {
 				demand[sn.Shard] = sn.Points
 			}
 		}

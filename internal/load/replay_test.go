@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,8 +16,8 @@ func churnConfig(seed int64) Config {
 
 // TestRecordReplayRoundTrip is the determinism contract: generate with seed S,
 // record to JSONL, read back, and the replayed workload must reproduce the
-// identical event stream (byte for byte, poses included) and the identical
-// simulated QoE report.
+// identical event stream (byte for byte) and the identical simulated QoE
+// report.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	w, err := Generate(churnConfig(9))
 	if err != nil {
@@ -24,7 +25,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 
 	var rec bytes.Buffer
-	if err := w.WriteJSONL(&rec, true); err != nil {
+	if err := w.WriteJSONL(&rec); err != nil {
 		t.Fatal(err)
 	}
 	replayed, err := ReadJSONL(bytes.NewReader(rec.Bytes()))
@@ -39,7 +40,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 
 	var rerec bytes.Buffer
-	if err := replayed.WriteJSONL(&rerec, true); err != nil {
+	if err := replayed.WriteJSONL(&rerec); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rec.Bytes(), rerec.Bytes()) {
@@ -72,7 +73,7 @@ func TestSameSeedByteIdenticalJSONL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if err := w.WriteJSONL(buf, false); err != nil {
+		if err := w.WriteJSONL(buf); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
@@ -82,23 +83,23 @@ func TestSameSeedByteIdenticalJSONL(t *testing.T) {
 }
 
 // TestJSONLEventOrdering checks the documented stream shape: config first,
-// then slot-ordered events with arrive < pose < depart inside a slot.
+// then slot-ordered events with arrive < depart inside a slot.
 func TestJSONLEventOrdering(t *testing.T) {
 	w, err := Generate(Config{Shape: Steady, Sessions: 6, HorizonSlots: 120, MeanHoldSec: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := w.WriteJSONL(&buf, true); err != nil {
+	if err := w.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) < 2 {
 		t.Fatal("suspiciously short stream")
 	}
-	kindRank := map[string]int{"arrive": 0, "pose": 1, "depart": 2}
+	kindRank := map[string]int{"arrive": 0, "depart": 1}
 	prevSlot, prevRank := -1, -1
-	arrivals, departs, poses := 0, 0, 0
+	arrivals, departs := 0, 0
 	for i, line := range lines {
 		var ev event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -123,19 +124,10 @@ func TestJSONLEventOrdering(t *testing.T) {
 			arrivals++
 		case "depart":
 			departs++
-		case "pose":
-			poses++
 		}
 	}
 	if arrivals != len(w.Sessions) || departs != len(w.Sessions) {
 		t.Fatalf("arrivals %d departs %d, want %d each", arrivals, departs, len(w.Sessions))
-	}
-	wantPoses := 0
-	for _, s := range w.Sessions {
-		wantPoses += s.Slots()
-	}
-	if poses != wantPoses {
-		t.Fatalf("pose events %d, want one per live session-slot (%d)", poses, wantPoses)
 	}
 }
 
@@ -145,7 +137,7 @@ func TestReadJSONLRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := w.WriteJSONL(&buf, false); err != nil {
+	if err := w.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.String()
@@ -165,6 +157,13 @@ func TestReadJSONLRejectsMalformed(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader(good)); err != nil {
 		t.Errorf("well-formed stream rejected: %v", err)
+	}
+	// Poses are not part of the format: a pose line is an unknown event,
+	// and the error names its line.
+	line := strings.Count(good, "\n") + 1
+	_, err = ReadJSONL(strings.NewReader(good + `{"e":"pose","slot":3,"id":0,"yaw":10}` + "\n"))
+	if want := fmt.Sprintf("line %d: unknown event \"pose\"", line); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("pose event: err = %v, want it to contain %q", err, want)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestSamplerWalksRegistryAndSLO(t *testing.T) {
 		slo.ObserveSlot(2, false, 0)
 	}
 
-	st := New(Options{RawSlots: 16, TierPoints: 4})
+	st := New(Options{RawSlots: 16})
 	s := NewSampler(SamplerOptions{Store: st, Registry: reg, SLO: slo})
 	s.Sample(0)
 	reg.Counter("collabvr_sent_total").Add(5)
@@ -60,7 +60,7 @@ func TestEnabledSamplerSteadyStateIsAllocationFree(t *testing.T) {
 	reg.Histogram("h", []float64{1, 10}).Observe(3)
 	slo := obs.NewSLOMonitor(obs.SLOConfig{WindowSlots: 8, ShortWindowSlots: 2}, reg)
 	slo.ObserveSlot(1, true, 4)
-	st := New(Options{RawSlots: 32, TierPoints: 4})
+	st := New(Options{RawSlots: 32})
 	s := NewSampler(SamplerOptions{Store: st, Registry: reg, SLO: slo})
 	s.Sample(0) // first pass registers the series
 	slot := int64(1)
@@ -75,7 +75,7 @@ func TestEnabledSamplerSteadyStateIsAllocationFree(t *testing.T) {
 func TestSamplerDeterministicAcrossRuns(t *testing.T) {
 	run := func() []SeriesSnapshot {
 		reg := obs.NewRegistry()
-		st := New(Options{RawSlots: 32, TierPoints: 8})
+		st := New(Options{RawSlots: 32})
 		s := NewSampler(SamplerOptions{Store: st, Registry: reg})
 		for slot := int64(0); slot < 40; slot++ {
 			reg.Counter("work_total").Add(uint64(slot % 7))
@@ -90,7 +90,7 @@ func TestSamplerDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestHealthHandler(t *testing.T) {
-	st := New(Options{RawSlots: 16, TierPoints: 4})
+	st := New(Options{RawSlots: 16})
 	for slot := int64(0); slot < 12; slot++ {
 		st.Series("a_metric", Gauge).Observe(slot, 1)
 		st.ShardSeries("shard_load", Gauge, 0).Observe(slot, float64(slot))
@@ -106,22 +106,16 @@ func TestHealthHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Slot != 11 || doc.SeriesCount != 2 || len(doc.Series) != 6 {
+	if doc.Slot != 11 || doc.SeriesCount != 2 || len(doc.Series) != 2 {
 		t.Fatalf("doc slot=%d series_count=%d series=%d", doc.Slot, doc.SeriesCount, len(doc.Series))
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health?name=shard&tier=1", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health?name=shard", nil))
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Series) != 1 || doc.Series[0].Name != "shard_load" || doc.Series[0].Tier != 1 {
+	if len(doc.Series) != 1 || doc.Series[0].Name != "shard_load" || len(doc.Series[0].Points) != 12 {
 		t.Fatalf("filtered doc = %+v", doc.Series)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/health?tier=7", nil))
-	if rec.Code != 400 {
-		t.Fatalf("bad tier got status %d", rec.Code)
 	}
 }

@@ -11,7 +11,6 @@ type Trend struct {
 	Name   string  `json:"name"`
 	Kind   string  `json:"kind"`
 	Shard  int     `json:"shard"`
-	Tier   int     `json:"tier"`
 	Points int     `json:"points"`
 	First  float64 `json:"first"`
 	Last   float64 `json:"last"`
@@ -29,7 +28,7 @@ type Trend struct {
 // TrendOf reduces one snapshot to its trend row.
 func TrendOf(snap SeriesSnapshot) Trend {
 	t := Trend{
-		Name: snap.Name, Kind: snap.Kind, Shard: snap.Shard, Tier: snap.Tier,
+		Name: snap.Name, Kind: snap.Kind, Shard: snap.Shard,
 		Points: len(snap.Points), Summary: snap.summary(), Direction: "flat",
 	}
 	if len(snap.Points) == 0 {
@@ -127,10 +126,6 @@ func Compare(baseline, current []SeriesSnapshot, tolerance, absFloor float64) []
 	var out []Regression
 	for i := range baseline {
 		b := &baseline[i]
-		// one tier is enough for the gate: compare the raw tier only
-		if b.Tier != 1 {
-			continue
-		}
 		c, ok := cur[b.key()]
 		if !ok {
 			out = append(out, Regression{Key: b.key(), Baseline: b.summary(), Current: math.NaN()})

@@ -1,18 +1,17 @@
 // Package tsdb is the fleet health plane's embedded time-series store: a
-// fixed-memory, multi-resolution ring of health series keyed to the virtual
-// slot clock. Every observability surface the stack had before this package
-// (/metrics, /debug/slo, /debug/fleet) is a point-in-time snapshot; tsdb is
-// what remembers how those snapshots *evolved*, so trend reports, the
-// baseline gate and the SLO-pressure evacuation loop can act on distributions
-// over time instead of instantaneous samples.
+// fixed-memory ring per health series keyed to the virtual slot clock. Every
+// observability surface the stack had before this package (/metrics,
+// /debug/slo, /debug/fleet) is a point-in-time snapshot; tsdb is what
+// remembers how those snapshots *evolved*, so trend reports, the baseline
+// gate and the SLO-pressure evacuation loop can act on distributions over
+// time instead of instantaneous samples.
 //
-// A Store holds named Series, optionally per shard. Each series keeps three
-// tiers: the raw per-slot ring, a 10-slot downsampled ring and a 100-slot
-// downsampled ring, all preallocated, so memory is fixed at registration
-// time and steady-state observation never allocates. Because observations
-// are keyed by slot number — never wall time — a virtual-time sim run and a
-// live run produce the same schema, and a seeded sim run produces
-// bit-identical exports run after run.
+// A Store holds named Series, optionally per shard. Each series keeps one
+// preallocated ring of its most recent per-slot samples, so memory is fixed
+// at registration time and steady-state observation never allocates.
+// Because observations are keyed by slot number — never wall time — a
+// virtual-time sim run and a live run produce the same schema, and a seeded
+// sim run produces bit-identical exports run after run.
 //
 // Everything is nil-safe in the obs-package tradition: a nil *Store hands
 // out nil Series, and every method on a nil receiver is an allocation-free
@@ -26,17 +25,17 @@ import (
 	"repro/internal/jsonl"
 )
 
-// Kind tells the downsampler (and readers) how to aggregate a series.
+// Kind tells readers how to summarize a series.
 type Kind uint8
 
 const (
-	// Gauge samples aggregate by mean/min/max over a downsample window.
+	// Gauge samples summarize by their mean.
 	Gauge Kind = iota
-	// Counter samples are cumulative; a downsampled point's value is the
-	// delta over its window (last - first), i.e. a windowed rate.
+	// Counter samples are cumulative; they summarize by their delta over
+	// the window (last - first).
 	Counter
 	// Hist marks a series sampled from a histogram snapshot (a per-slot
-	// quantile or mean). It aggregates like a gauge; the kind survives into
+	// quantile or mean). It summarizes like a gauge; the kind survives into
 	// exports so readers know the value is itself a summary.
 	hist
 )
@@ -67,127 +66,43 @@ func kindByName(s string) (Kind, bool) {
 	return Gauge, false
 }
 
-// The downsample widths of the two aggregated tiers, in slots.
-const (
-	tier10  = 10
-	tier100 = 100
-)
-
 // fleetShard marks a series as fleet-wide rather than per-shard.
 const fleetShard = -1
 
 // Options sizes a Store's rings.
 type Options struct {
-	// RawSlots is the raw ring's point capacity (default 600 — 60 s of the
-	// paper's 100 ms slots, matching the SLO monitor's long window).
+	// RawSlots is each ring's point capacity (default 600: 10 s at the
+	// paper's 60 slots per second).
 	RawSlots int
-	// TierPoints is each downsampled ring's point capacity (default 128:
-	// 1280 slots of tier-10 and 12800 slots of tier-100 history).
-	TierPoints int
 }
 
 func (o Options) withDefaults() Options {
 	if o.RawSlots <= 0 {
 		o.RawSlots = 600
 	}
-	if o.TierPoints <= 0 {
-		o.TierPoints = 128
-	}
 	return o
 }
 
-// point is one raw observation.
-type point struct {
-	Slot  int64
-	Value float64
-}
-
-// aggPoint is one downsampled window: Slot is the window's first slot.
-type aggPoint struct {
-	Slot  int64
-	Count uint32
-	First float64
-	Last  float64
-	Min   float64
-	Max   float64
-	Sum   float64
-}
-
-// fold absorbs one raw observation into the window aggregate.
-func (a *aggPoint) fold(v float64) {
-	if a.Count == 0 {
-		a.First, a.Min, a.Max = v, v, v
-	} else {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Last = v
-	a.Sum += v
-	a.Count++
-}
-
-// value reduces the window per the series kind: counters report the delta
-// over the window, gauges (and hist samples) the mean.
-func (a *aggPoint) value(kind Kind) float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	if kind == Counter {
-		return a.Last - a.First
-	}
-	return a.Sum / float64(a.Count)
-}
-
-// tier is one downsampled ring plus the partially-filled current window.
-type tier struct {
-	width  int64
-	pts    jsonl.Ring[aggPoint]
-	cur    aggPoint
-	curWin int64 // cur's window index; -1 when cur is empty
-}
-
-func (t *tier) observe(slot int64, v float64) {
-	win := slot / t.width
-	if t.curWin != win && t.cur.Count > 0 {
-		t.pts.Push(t.cur)
-		t.cur = aggPoint{}
-	}
-	if t.cur.Count == 0 {
-		t.curWin = win
-		t.cur.Slot = win * t.width
-	}
-	t.cur.fold(v)
-}
-
-// Series is one named health series with its three resolution tiers. A nil
-// *Series is the disabled series: Observe is an allocation-free no-op.
+// Series is one named health series and its ring. A nil *Series is the
+// disabled series: Observe is an allocation-free no-op.
 type Series struct {
 	store *Store
 	name  string
 	kind  Kind
 	shard int
 
-	raw   jsonl.Ring[point]
-	tiers [2]tier
-	total uint64 // observations ever made
+	raw jsonl.Ring[SnapPoint]
 }
 
 // Observe records one sample at the given slot. Samples are expected in
-// nondecreasing slot order (the slot clock only moves forward); a repeated
-// slot folds into the same downsample windows. Never allocates.
+// nondecreasing slot order (the slot clock only moves forward). Never
+// allocates.
 func (s *Series) Observe(slot int64, v float64) {
 	if s == nil {
 		return
 	}
 	s.store.mu.Lock()
-	s.raw.Push(point{Slot: slot, Value: v})
-	s.tiers[0].observe(slot, v)
-	s.tiers[1].observe(slot, v)
-	s.total++
+	s.raw.Push(SnapPoint{Slot: slot, Value: v})
 	s.store.mu.Unlock()
 }
 
@@ -239,16 +154,6 @@ func (s *Series) Stats(n int) WindowStats {
 	return w
 }
 
-// totalCount returns how many observations the series has ever absorbed.
-func (s *Series) totalCount() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.store.mu.Lock()
-	defer s.store.mu.Unlock()
-	return s.total
-}
-
 // Store is the embedded time-series database: a named collection of Series
 // sharing one lock and one ring geometry. A nil *Store is the disabled
 // store: Series/ShardSeries return nil and Snapshot returns nothing.
@@ -293,10 +198,8 @@ func (st *Store) ShardSeries(name string, kind Kind, shard int) *Series {
 		name:  name,
 		kind:  kind,
 		shard: shard,
-		raw:   jsonl.NewRing[point](st.opts.RawSlots),
+		raw:   jsonl.NewRing[SnapPoint](st.opts.RawSlots),
 	}
-	s.tiers[0] = tier{width: tier10, pts: jsonl.NewRing[aggPoint](st.opts.TierPoints), curWin: -1}
-	s.tiers[1] = tier{width: tier100, pts: jsonl.NewRing[aggPoint](st.opts.TierPoints), curWin: -1}
 	st.series = append(st.series, s)
 	st.byKey[key] = s
 	return s

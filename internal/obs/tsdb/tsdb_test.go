@@ -8,73 +8,8 @@ import (
 	"testing"
 )
 
-func TestDownsamplingGauge(t *testing.T) {
-	st := New(Options{RawSlots: 50, TierPoints: 16})
-	s := st.Series("q", Gauge)
-	// slots 0..29, value = slot
-	for slot := int64(0); slot < 30; slot++ {
-		s.Observe(slot, float64(slot))
-	}
-	snaps := st.Snapshot()
-	if len(snaps) != 3 {
-		t.Fatalf("want 3 tiers, got %d", len(snaps))
-	}
-	raw, t10, t100 := snaps[0], snaps[1], snaps[2]
-	if raw.Tier != 1 || t10.Tier != 10 || t100.Tier != 100 {
-		t.Fatalf("tier order wrong: %d %d %d", raw.Tier, t10.Tier, t100.Tier)
-	}
-	if len(raw.Points) != 30 {
-		t.Fatalf("raw points = %d, want 30", len(raw.Points))
-	}
-	// tier-10: windows [0,10), [10,20) flushed, [20,30) current (still open
-	// until slot 30 arrives, but exported as a partial point).
-	if len(t10.Points) != 3 {
-		t.Fatalf("tier-10 points = %d, want 3", len(t10.Points))
-	}
-	want := []struct {
-		slot     int64
-		mean     float64
-		min, max float64
-		count    uint32
-	}{
-		{0, 4.5, 0, 9, 10},
-		{10, 14.5, 10, 19, 10},
-		{20, 24.5, 20, 29, 10},
-	}
-	for i, w := range want {
-		p := t10.Points[i]
-		if p.Slot != w.slot || p.Value != w.mean || p.Min != w.min || p.Max != w.max || p.Count != w.count {
-			t.Fatalf("tier-10 point %d = %+v, want %+v", i, p, w)
-		}
-	}
-	// tier-100: a single partial window covering everything
-	if len(t100.Points) != 1 || t100.Points[0].Count != 30 || t100.Points[0].Value != 14.5 {
-		t.Fatalf("tier-100 = %+v", t100.Points)
-	}
-}
-
-func TestDownsamplingCounterDelta(t *testing.T) {
-	st := New(Options{RawSlots: 50, TierPoints: 16})
-	s := st.Series("sent_total", Counter)
-	// cumulative counter growing by 3 per slot
-	for slot := int64(0); slot < 20; slot++ {
-		s.Observe(slot, float64(slot*3))
-	}
-	snaps := st.Snapshot()
-	t10 := snaps[1]
-	// window [0,10): first 0, last 27 -> delta 27; [10,20): 30..57 -> 27
-	for i, p := range t10.Points {
-		if p.Value != 27 {
-			t.Fatalf("counter window %d delta = %g, want 27", i, p.Value)
-		}
-	}
-	if st := s.Stats(10); st.Last-st.First != 27 {
-		t.Fatalf("Stats(10) delta = %g, want 27", st.Last-st.First)
-	}
-}
-
 func TestRawRingWrap(t *testing.T) {
-	st := New(Options{RawSlots: 8, TierPoints: 4})
+	st := New(Options{RawSlots: 8})
 	s := st.Series("g", Gauge)
 	for slot := int64(0); slot < 20; slot++ {
 		s.Observe(slot, float64(slot))
@@ -92,27 +27,6 @@ func TestRawRingWrap(t *testing.T) {
 	if w.Count != 8 || w.First != 12 || w.Last != 19 || w.Min != 12 || w.Max != 19 {
 		t.Fatalf("Stats = %+v", w)
 	}
-	if got := s.totalCount(); got != 20 {
-		t.Fatalf("Total = %d, want 20", got)
-	}
-}
-
-func TestTierRingWrap(t *testing.T) {
-	st := New(Options{RawSlots: 8, TierPoints: 3})
-	s := st.Series("g", Gauge)
-	for slot := int64(0); slot < 60; slot++ {
-		s.Observe(slot, 1)
-	}
-	t10 := st.Snapshot()[1]
-	// 5 full windows flushed into a 3-point ring -> keeps [20,30,40] + open [50]
-	if len(t10.Points) != 4 {
-		t.Fatalf("tier-10 kept %d points, want 4", len(t10.Points))
-	}
-	for i, wantSlot := range []int64{20, 30, 40, 50} {
-		if t10.Points[i].Slot != wantSlot {
-			t.Fatalf("tier-10 point %d slot = %d, want %d", i, t10.Points[i].Slot, wantSlot)
-		}
-	}
 }
 
 func TestWindowStatsEmpty(t *testing.T) {
@@ -125,7 +39,7 @@ func TestWindowStatsEmpty(t *testing.T) {
 
 func TestSnapshotDeterministicAndRoundTrip(t *testing.T) {
 	build := func() *Store {
-		st := New(Options{RawSlots: 32, TierPoints: 8})
+		st := New(Options{RawSlots: 32})
 		// register in different orders; snapshot must not care
 		names := []string{"b_gauge", "a_counter", "c_hist"}
 		for slot := int64(0); slot < 45; slot++ {
@@ -140,10 +54,9 @@ func TestSnapshotDeterministicAndRoundTrip(t *testing.T) {
 	}
 	for i := 1; i < len(s1); i++ {
 		a, b := s1[i-1], s1[i]
-		if a.Name > b.Name || (a.Name == b.Name && a.Shard > b.Shard) ||
-			(a.Name == b.Name && a.Shard == b.Shard && a.Tier >= b.Tier) {
-			t.Fatalf("snapshot not sorted at %d: %s#%d@%d then %s#%d@%d",
-				i, a.Name, a.Shard, a.Tier, b.Name, b.Shard, b.Tier)
+		if a.Name > b.Name || (a.Name == b.Name && a.Shard >= b.Shard) {
+			t.Fatalf("snapshot not sorted at %d: %s#%d then %s#%d",
+				i, a.Name, a.Shard, b.Name, b.Shard)
 		}
 	}
 
@@ -164,12 +77,14 @@ func TestReadSnapshotsRejectsBadRecords(t *testing.T) {
 	// A good line after the bad one makes it interior corruption — a hard
 	// error under the shared jsonl policy (a lone trailing bad line would
 	// be skipped as a live writer's partial tail).
-	good := `{"name":"ok","kind":"gauge","shard":-1,"tier":1,"points":[]}` + "\n"
+	good := `{"name":"ok","kind":"gauge","shard":-1,"points":[]}` + "\n"
 	for _, bad := range []string{
-		`{"name":"x","kind":"gauge","shard":-1,"tier":7,"points":[]}`,
-		`{"name":"","kind":"gauge","shard":-1,"tier":1,"points":[]}`,
-		`{"name":"x","kind":"nope","shard":-1,"tier":1,"points":[]}`,
-		`{"name":"x","kind":"gauge","shard":-1,"tier":1,"points":[{"slot":5,"value":1},{"slot":4,"value":1}]}`,
+		`{"name":"","kind":"gauge","shard":-1,"points":[]}`,
+		`{"name":"x","kind":"nope","shard":-1,"points":[]}`,
+		`{"name":"x","kind":"gauge","shard":-1,"points":[{"slot":5,"value":1},{"slot":4,"value":1}]}`,
+		// A second snapshot of one (name, shard), as an export with
+		// downsampled resolutions beside each series held.
+		`{"name":"ok","kind":"gauge","shard":-1,"points":[{"slot":0,"value":1}]}`,
 	} {
 		if _, _, err := ReadSnapshots(strings.NewReader(bad + "\n" + good)); err == nil {
 			t.Fatalf("interior bad record accepted: %s", bad)
@@ -202,7 +117,7 @@ func TestDisabledStoreIsAllocationFree(t *testing.T) {
 }
 
 func TestEnabledObserveIsAllocationFree(t *testing.T) {
-	st := New(Options{RawSlots: 64, TierPoints: 8})
+	st := New(Options{RawSlots: 64})
 	s := st.Series("x", Gauge)
 	slot := int64(0)
 	if n := testing.AllocsPerRun(1000, func() {
@@ -227,14 +142,14 @@ func TestKindNames(t *testing.T) {
 }
 
 func TestTrendDirection(t *testing.T) {
-	up := SeriesSnapshot{Name: "g", Kind: "gauge", Tier: 1}
+	up := SeriesSnapshot{Name: "g", Kind: "gauge"}
 	for i := 0; i < 20; i++ {
 		up.Points = append(up.Points, SnapPoint{Slot: int64(i), Value: float64(i)})
 	}
 	if tr := TrendOf(up); tr.Direction != "up" || tr.First != 0 || tr.Last != 19 {
 		t.Fatalf("up trend = %+v", tr)
 	}
-	flat := SeriesSnapshot{Name: "g", Kind: "gauge", Tier: 1}
+	flat := SeriesSnapshot{Name: "g", Kind: "gauge"}
 	for i := 0; i < 20; i++ {
 		flat.Points = append(flat.Points, SnapPoint{Slot: int64(i), Value: 5})
 	}
@@ -245,7 +160,7 @@ func TestTrendDirection(t *testing.T) {
 
 func TestCompareRegressions(t *testing.T) {
 	mk := func(name string, vals ...float64) SeriesSnapshot {
-		s := SeriesSnapshot{Name: name, Kind: "gauge", Shard: fleetShard, Tier: 1}
+		s := SeriesSnapshot{Name: name, Kind: "gauge", Shard: fleetShard}
 		for i, v := range vals {
 			s.Points = append(s.Points, SnapPoint{Slot: int64(i), Value: v})
 		}
@@ -264,11 +179,11 @@ func TestCompareRegressions(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("regressions = %+v, want miss_rate + vanished", got)
 	}
-	if got[0].Key != "mean_quality#-1@1" && got[0].Key != "miss_rate#-1@1" {
+	if got[0].Key != "mean_quality#-1" && got[0].Key != "miss_rate#-1" {
 		t.Fatalf("unexpected first regression %q", got[0].Key)
 	}
 	keys := []string{got[0].Key, got[1].Key}
-	wantKeys := []string{"miss_rate#-1@1", "vanished#-1@1"}
+	wantKeys := []string{"miss_rate#-1", "vanished#-1"}
 	if !reflect.DeepEqual(keys, wantKeys) {
 		t.Fatalf("regression keys = %v, want %v", keys, wantKeys)
 	}
@@ -295,7 +210,7 @@ func TestCompareRegressions(t *testing.T) {
 
 func TestCompareAbsFloor(t *testing.T) {
 	mk := func(v float64) []SeriesSnapshot {
-		return []SeriesSnapshot{{Name: "drop_total", Kind: "gauge", Tier: 1,
+		return []SeriesSnapshot{{Name: "drop_total", Kind: "gauge",
 			Points: []SnapPoint{{Slot: 0, Value: v}}}}
 	}
 	// 0 -> 0.0005 is a huge ratio but below the absolute floor: no flag

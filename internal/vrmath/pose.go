@@ -22,12 +22,23 @@ func NormalizeAngle(a float64) float64 {
 	return wrapAngle(a)
 }
 
+// wrapAngle takes an angle one turn out of range back by one subtraction
+// or addition of 360: by Sterbenz's lemma s-360 is exact for s in
+// [360, 720), and for s in [-360, 0) Mod returns s itself, so both are the
+// bits the Mod form gives. Anything further out falls through to it.
 func wrapAngle(a float64) float64 {
-	a = math.Mod(a+180, 360)
-	if a < 0 {
-		a += 360
+	s := a + 180
+	switch {
+	case s >= 360 && s < 720:
+		return (s - 360) - 180
+	case s >= -360 && s < 0:
+		return (s + 360) - 180
 	}
-	return a - 180
+	s = math.Mod(s, 360)
+	if s < 0 {
+		s += 360
+	}
+	return s - 180
 }
 
 // ClampPitch restricts a pitch angle to [-90, 90].

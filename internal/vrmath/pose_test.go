@@ -175,26 +175,47 @@ func TestOverlapSpans(t *testing.T) {
 	}
 }
 
-// The in-range shortcut must not change a single bit of any result:
-// wrapAngle alone is the math.Mod form NormalizeAngle used to be.
+// modWrap is the math.Mod form NormalizeAngle used to be: the oracle that
+// the in-range shortcut and wrapAngle's one-turn branch must match bit for
+// bit.
+func modWrap(a float64) float64 {
+	a = math.Mod(a+180, 360)
+	if a < 0 {
+		a += 360
+	}
+	return a - 180
+}
+
 func TestNormalizeAngleMatchesModBitForBit(t *testing.T) {
 	angles := []float64{
 		-180, 180, 0, math.Copysign(0, -1), 1e-17, -1e-17,
 		math.Nextafter(180, 0), math.Nextafter(-180, 0), math.Nextafter(-180, -360),
 		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
 	}
+	// The one-turn branch's edges: a+180 just either side of 0, 360 and
+	// 720, and of -360 where the Mod form takes over again.
+	for _, s := range []float64{0, 360, 720, -360} {
+		a := s - 180
+		angles = append(angles, a, math.Nextafter(a, math.Inf(1)), math.Nextafter(a, math.Inf(-1)),
+			math.Nextafter(s, math.Inf(1))-180, math.Nextafter(s, math.Inf(-1))-180)
+	}
 	for k := 1.0; k <= 5; k++ {
 		angles = append(angles, 360*k, -360*k, 360*k-180, -360*k+180)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20000; i++ {
-		angles = append(angles, (rng.Float64()*2-1)*200, rng.NormFloat64()*1000)
+		angles = append(angles, (rng.Float64()*2-1)*200, (rng.Float64()*2-1)*600, rng.NormFloat64()*1000)
 	}
 	for _, a := range angles {
-		got, want := NormalizeAngle(a), wrapAngle(a)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("NormalizeAngle(%v) = %v (%#x), Mod form %v (%#x)",
-				a, got, math.Float64bits(got), want, math.Float64bits(want))
+		want := modWrap(a)
+		for _, f := range []struct {
+			name string
+			fn   func(float64) float64
+		}{{"NormalizeAngle", NormalizeAngle}, {"wrapAngle", wrapAngle}} {
+			if got := f.fn(a); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s(%v) = %v (%#x), Mod form %v (%#x)",
+					f.name, a, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }
